@@ -116,7 +116,9 @@ class ClusterAggregator {
   void absorb_gauge(std::uint32_t rank, const std::string& name, double value)
       ACES_EXCLUDES(mutex_);
   /// Whole-state per-PE histogram snapshot (replaces the shard's previous
-  /// snapshot for this PE — a lost epoch self-heals on the next one).
+  /// snapshot for this PE). Workers send one only when the PE's sample
+  /// count changed, and a live shard's frames are never dropped (a reject
+  /// declares the shard dead), so the newest snapshot is the current one.
   void absorb_pe_latency(std::uint32_t rank, std::uint32_t pe,
                          const LogHistogram& wait, const LogHistogram& service)
       ACES_EXCLUDES(mutex_);

@@ -736,7 +736,7 @@ class Coordinator {
             reaped = true;
             break;
           }
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
         if (!reaped) {
           // A worker that survives Shutdown + closed pipe is an orphan.

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -31,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <map>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -39,6 +41,7 @@
 
 #include "common/atomic_shim.h"
 #include "common/check.h"
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "control/node_controller.h"
 #include "fault/fault_injector.h"
@@ -206,21 +209,12 @@ class WorkerEngine {
   }
 
   int run() {
-    Atomic<bool> stop{false};
-    std::thread heartbeat([this, &stop] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::max(0.001, cfg_.heartbeat_interval)));
-        wire::Heartbeat hb;
-        hb.rank = cfg_.rank;
-        hb.quantum = current_quantum_.load(std::memory_order_relaxed);
-        if (!ep_.send(wire::encode(hb))) return;
-      }
-    });
-    const int rc = loop();
-    stop.store(true, std::memory_order_relaxed);
-    heartbeat.join();
-    return rc;
+    // Leaving this scope, a throw from loop() included, requests stop —
+    // which wakes the heartbeat mid-interval — and joins it: the worker
+    // exits as soon as its loop ends, not up to one interval later.
+    std::jthread heartbeat(
+        [this](const std::stop_token& stop) { heartbeat_loop(stop); });
+    return loop();
   }
 
  private:
@@ -278,6 +272,29 @@ class WorkerEngine {
     const PeId id(static_cast<PeId::value_type>(target));
     return injector_->node_down(graph_.pe(id).node, when) ||
            injector_->drop_delivery(id, when);
+  }
+
+  /// Sends a Heartbeat every heartbeat_interval until `stop` is requested.
+  void heartbeat_loop(const std::stop_token& stop) {
+    const auto interval =
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(
+                std::max(0.001, cfg_.heartbeat_interval)));
+    // The stop request is the flag: the stop_token wait registers a
+    // callback that notifies `wake`, so no other thread shares `mu`.
+    Mutex mu;
+    std::condition_variable_any wake;
+    for (;;) {
+      {
+        MutexLock lock(mu);
+        wake.wait_for(mu, stop, interval, [] { return false; });
+      }
+      if (stop.stop_requested()) return;
+      wire::Heartbeat hb;
+      hb.rank = cfg_.rank;
+      hb.quantum = current_quantum_.load(std::memory_order_relaxed);
+      if (!ep_.send(wire::encode(hb))) return;
+    }
   }
 
   int loop() {
@@ -995,12 +1012,23 @@ class WorkerEngine {
       // Whole-state snapshots (last-writer-wins per rank at the
       // coordinator), mirroring what write_latency_prometheus exposes for
       // a single-process run — that 1:1 shape is what the aggregation-
-      // invariance tests compare.
+      // invariance tests compare. A snapshot ships only when its sample
+      // count moved since this process last shipped it (a key seen for the
+      // first time always ships): counts only grow, so an unchanged count
+      // means the coordinator already holds this exact state.
       const obs::LatencyRegistry& reg = tracer_->latency();
       for (const auto& [pe, stats] : reg.pes()) {
+        const std::uint64_t count = stats.wait.count() + stats.service.count();
+        const auto [it, fresh] = shipped_pe_counts_.try_emplace(pe, count);
+        if (!fresh && it->second == count) continue;
+        it->second = count;
         mr.pe_latency.push_back({pe, stats.wait, stats.service});
       }
       for (const auto& [id, stats] : reg.paths()) {
+        const std::uint64_t count = stats.end_to_end.count();
+        const auto [it, fresh] = shipped_path_counts_.try_emplace(id, count);
+        if (!fresh && it->second == count) continue;
+        it->second = count;
         mr.path_latency.push_back({id, stats.label, stats.end_to_end});
       }
     }
@@ -1062,6 +1090,10 @@ class WorkerEngine {
   std::vector<obs::TickRecord> trace_buffer_;
   /// Counter values as of the last MetricsReport, for delta encoding.
   std::map<std::string, std::uint64_t> last_sent_counters_;
+  /// Sample counts of the latency snapshots last shipped, per PE (wait +
+  /// service) and per path: unchanged histograms are not re-sent.
+  std::map<std::uint32_t, std::uint64_t> shipped_pe_counts_;
+  std::map<std::uint64_t, std::uint64_t> shipped_path_counts_;
   /// A fault dump was taken this quantum and awaits shipping.
   bool pending_dump_ = false;
   /// Recorder ring watermark at the last shipped FlightDump.

@@ -187,8 +187,8 @@ struct MetricsGauge {
 };
 
 /// Full wait/service histogram snapshot for one PE. Snapshots (not deltas)
-/// because LogHistogram merge is cheap and last-writer-wins per rank makes
-/// a lost epoch self-healing.
+/// because LogHistogram merge is cheap and last-writer-wins per rank is
+/// idempotent; a worker sends one only when the PE's sample count changed.
 struct PeLatencySnapshot {
   std::uint32_t pe = 0;
   LogHistogram wait;
@@ -213,7 +213,8 @@ struct PerfCell {
 /// Epoch telemetry snapshot, sent immediately before the StepDone that
 /// closes a barrier epoch (every `substeps` quanta) and once more before
 /// the final Report. Counter deltas sum exactly at the coordinator;
-/// histograms/perf/gauges are whole-state last-writer-wins per rank.
+/// histograms/perf/gauges are whole-state last-writer-wins per rank, and a
+/// latency histogram is carried only when it changed since the last report.
 struct MetricsReport {
   std::uint32_t rank = 0;
   std::uint64_t quantum = 0;

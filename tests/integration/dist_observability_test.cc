@@ -15,6 +15,7 @@
 // coordinator, deltas, stitching) is identical across transports, and the
 // socket equivalence is pinned by transport_differential_test.
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,6 +77,47 @@ std::uint64_t status_value(const obs::ClusterAggregator& agg,
     }
   }
   return 0;
+}
+
+/// FNV-1a 64 over an exact serialization of a merged latency registry:
+/// every PE's wait/service and every path's end-to-end histogram, each as
+/// count, raw cells, and min/max/sum in hexfloat. Any snapshot that goes
+/// stale on its way to the aggregator changes it.
+std::string latency_digest(const obs::LatencyRegistry& reg) {
+  std::string text;
+  auto hex = [&text](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    text += buf;
+    text += ' ';
+  };
+  auto put = [&](const LogHistogram& h) {
+    text += std::to_string(h.count()) + ' ';
+    for (const std::uint64_t c : h.raw_counts()) {
+      text += std::to_string(c) + ',';
+    }
+    hex(h.min());
+    hex(h.max());
+    hex(h.sum());
+  };
+  for (const auto& [pe, s] : reg.pes()) {
+    text += "pe " + std::to_string(pe) + ' ';
+    put(s.wait);
+    put(s.service);
+  }
+  for (const auto& [id, p] : reg.paths()) {
+    text += "path " + std::to_string(id) + ' ' + p.label + ' ';
+    put(p.end_to_end);
+  }
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    digest ^= c;
+    digest *= 0x100000001b3ULL;
+  }
+  char out[17];
+  std::snprintf(out, sizeof out, "%016llx",
+                static_cast<unsigned long long>(digest));
+  return out;
 }
 
 TEST(DistObservabilityTest, TelemetryDoesNotPerturbTheComputation) {
@@ -153,6 +195,8 @@ TEST(DistObservabilityTest, MergedLatencyIsPartitionInvariant) {
     const auto& p3 = m3.paths().at(id);
     EXPECT_EQ(p1.label, p3.label);
     EXPECT_EQ(p1.end_to_end.count(), p3.end_to_end.count()) << p1.label;
+    EXPECT_EQ(p1.end_to_end.raw_counts(), p3.end_to_end.raw_counts())
+        << p1.label;
     EXPECT_NEAR(p1.end_to_end.sum(), p3.end_to_end.sum(),
                 1e-9 + 1e-9 * p1.end_to_end.sum())
         << p1.label;
@@ -162,6 +206,13 @@ TEST(DistObservabilityTest, MergedLatencyIsPartitionInvariant) {
   // run still stitches cross-node handoffs through the coordinator).
   EXPECT_EQ(status_value(agg1, "aces_cluster_spans_completed"),
             status_value(agg3, "aces_cluster_spans_completed"));
+
+  // Pinned exposure: a histogram snapshot that stops reaching the
+  // aggregator changes the digest even if both runs go stale alike. The
+  // two differ only in the last bits of the float sums (shard merges add
+  // in a different order). Re-pin only for a deliberate behaviour change.
+  EXPECT_EQ(latency_digest(m1), "80b00cc0d117e809");
+  EXPECT_EQ(latency_digest(m3), "8a3c5fc300ecbe2a");
 }
 
 TEST(DistObservabilityTest, MultiShardRunsStitchSpansAcrossTheWire) {
@@ -179,6 +230,39 @@ TEST(DistObservabilityTest, MultiShardRunsStitchSpansAcrossTheWire) {
   EXPECT_GT(stitched, 0u) << "no span crossed a process boundary in a "
                              "3-shard run of a multi-node topology";
   EXPECT_LE(stitched, completed);
+}
+
+/// Worker -> coordinator bytes summed over every shard of a run.
+std::uint64_t bytes_from_workers(const obs::ClusterAggregator& agg) {
+  std::uint64_t total = 0;
+  for (std::uint32_t rank = 0; rank < agg.shard_count(); ++rank) {
+    total += status_value(
+        agg, "aces_shard_" + std::to_string(rank) + "_bytes_in");
+  }
+  return total;
+}
+
+TEST(DistObservabilityTest, SpanSamplingAddsBoundedTelemetryBytes) {
+  // The paper-default topology has 60 PEs: a worker that re-sent every
+  // latency histogram it has touched at every epoch (3.3 KB per PE) would
+  // dwarf the barrier traffic. Histograms ship only when their sample
+  // count moved, so 1% sampling stays close to the untraced bytes.
+  const graph::ProcessingGraph g =
+      generate_topology(graph::TopologyParams{}, 1);
+  const opt::AllocationPlan plan = opt::optimize(g);
+
+  obs::ClusterAggregator bare, sampled;
+  runtime::dist::run_distributed(g, plan, options_with(2, &bare, 0.0));
+  runtime::dist::run_distributed(g, plan, options_with(2, &sampled, 0.01));
+
+  const std::uint64_t bare_bytes = bytes_from_workers(bare);
+  const std::uint64_t sampled_bytes = bytes_from_workers(sampled);
+  ASSERT_GT(bare_bytes, 0u);
+  ASSERT_GT(status_value(sampled, "aces_cluster_spans_completed"), 0u);
+  EXPECT_LE(static_cast<double>(sampled_bytes),
+            1.5 * static_cast<double>(bare_bytes))
+      << "sampled " << sampled_bytes << " B vs untraced " << bare_bytes
+      << " B";
 }
 
 }  // namespace

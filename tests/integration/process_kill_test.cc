@@ -13,6 +13,7 @@
 //
 // Provides its own main(): socket-transport workers are this binary
 // re-executed with a hidden `dist-worker` argv.
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -35,6 +36,10 @@ namespace {
 /// not only at the heartbeat timeout. One wall second of slack absorbs a
 /// loaded CI machine.
 constexpr double kDetectLatencyBound = 1.0;
+/// A clean one-virtual-second run on a 3-node topology takes milliseconds;
+/// a shutdown that waits out a 6 s heartbeat interval (or the coordinator's
+/// 5 s reap grace) cannot finish under this bound.
+constexpr double kPromptShutdownBound = 3.0;
 
 graph::ProcessingGraph test_graph() {
   graph::TopologyParams p;
@@ -159,6 +164,36 @@ TEST(ProcessKillTest, RestartRejoinsAndReoptimizesAgain) {
   EXPECT_EQ(stats.orphans_reaped, 0u);
   EXPECT_GT(report.sdos_processed, 0u);
   EXPECT_GT(report.weighted_throughput, 0.0);
+}
+
+TEST(ProcessKillTest, LongHeartbeatIntervalDoesNotDelayShutdown) {
+  const graph::ProcessingGraph g = test_graph();
+  const opt::AllocationPlan plan = opt::optimize(g);
+
+  // The worker's heartbeat thread must stop as soon as its loop ends, not
+  // finish sleeping out the interval: otherwise every run pays up to one
+  // interval at shutdown, and over sockets an interval beyond the reap
+  // grace gets a healthy worker SIGKILLed and counted as an orphan.
+  for (const auto kind : {runtime::transport::TransportKind::kInProc,
+                          runtime::transport::TransportKind::kUds}) {
+    SCOPED_TRACE(kind == runtime::transport::TransportKind::kUds ? "uds"
+                                                                 : "inproc");
+    runtime::dist::DistOptions o = base_options(kind, 2, "");
+    o.duration = 1.0;
+    o.warmup = 0.2;
+    o.heartbeat_interval = 6.0;
+    o.heartbeat_timeout = 20.0;
+    runtime::dist::DistStats stats;
+    const auto start = std::chrono::steady_clock::now();
+    const metrics::RunReport report =
+        runtime::dist::run_distributed(g, plan, o, &stats);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    EXPECT_GT(report.sdos_processed, 0u);
+    EXPECT_EQ(stats.orphans_reaped, 0u);
+    EXPECT_LT(wall, kPromptShutdownBound);
+  }
 }
 
 }  // namespace

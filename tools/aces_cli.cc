@@ -481,6 +481,13 @@ harness::RunSummary run_one_dist(const graph::ProcessingGraph& g,
   options.aggregator = dist_obs.aggregator;
   const metrics::RunReport report =
       runtime::dist::run_distributed(g, plan, options, stats);
+  if (stats != nullptr && stats->orphans_reaped > 0) {
+    // A worker that outlived Shutdown and the reap grace was SIGKILLed:
+    // always worth a warning, fault schedule or not.
+    std::cerr << "warning: [" << to_string(policy) << "] "
+              << stats->orphans_reaped
+              << " orphan worker process(es) reaped after shutdown\n";
+  }
   if (out_report != nullptr) *out_report = report;
   return harness::summarize(report, plan.weighted_throughput);
 }
