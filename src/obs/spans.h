@@ -1,6 +1,6 @@
 // Sampled per-SDO tracing: Dapper-style spans piggybacking on SDO handoff.
 //
-// A span follows one sampled SDO from source acceptance through every PE it
+// A span follows one sampled SDO from its source arrival through every PE it
 // visits (enqueue / dequeue / emit timestamps per hop) to egress emission.
 // Fan-out keeps the trace linear: when a traced SDO is replicated
 // downstream, the span continues into the *first* copy only, so a span is
@@ -9,11 +9,14 @@
 // `dropped` flag set; those partial spans are the post-mortem payload.
 //
 // Determinism: the sampling decision is a pure function of
-// (seed, source PE, per-PE acceptance counter) — the same counter-hash
-// scheme as fault::FaultInjector — so a traced simulator run admits the
-// same spans regardless of how many sweep jobs run beside it, and traced
-// vs. untraced runs produce bit-identical RunReports (hooks never touch
-// event order, only record timestamps).
+// (seed, source PE, per-PE arrival counter) — the same counter-hash scheme
+// as fault::FaultInjector. Every substrate draws once for every SDO a
+// source generates, before any fault or capacity check decides whether the
+// PE admits it (pe::sample_arrival), so the sampled set does not depend on
+// drops, and a traced simulator run samples the same spans regardless of
+// how many sweep jobs run beside it. Traced vs. untraced runs produce
+// bit-identical RunReports (hooks never touch event order, only record
+// timestamps).
 //
 // Overhead: substrates hold a nullable SpanTracer*; when null the per-SDO
 // cost is one pointer test (the CounterRegistry pattern). When tracing, an
@@ -71,7 +74,7 @@ struct SdoSpan {
 
   std::uint64_t trace_id = 0;
   std::uint32_t source_pe = 0;
-  Seconds start = -1.0;  // source acceptance
+  Seconds start = -1.0;  // source arrival
   Seconds end = -1.0;    // egress emission (or drop time)
   std::uint32_t hop_count = 0;
   bool dropped = false;
@@ -163,7 +166,7 @@ class SpanTracer {
  public:
   explicit SpanTracer(SpanTracerOptions options);
 
-  /// Sampling draw at source acceptance. Returns a span handle, or -1 when
+  /// Sampling draw for one source arrival. Returns a span handle, or -1 when
   /// the SDO is unsampled (or the pool is exhausted — counted, not fatal).
   /// `pe_count` is implied by use; any source PE id is accepted.
   [[nodiscard]] std::int32_t begin(PeId source_pe, Seconds t)
@@ -192,7 +195,7 @@ class SpanTracer {
   // sender detaches the span (no finalization — the trace continues
   // elsewhere) and ships the partial SdoSpan over the wire; the receiving
   // worker adopts it into a fresh slot and keeps appending hops. Sampling
-  // stays a pure function of (seed, source PE, acceptance counter) because
+  // stays a pure function of (seed, source PE, arrival counter) because
   // only the source worker draws; adopted spans were already sampled.
 
   /// Allocates a slot holding a copy of `prefix` (an in-flight span
@@ -254,7 +257,7 @@ class SpanTracer {
   }
 
  private:
-  /// True iff the seq-th SDO accepted at `pe` is sampled. Pure in
+  /// True iff the seq-th SDO arriving at `pe` is sampled. Pure in
   /// (seed, pe, seq) — mirrors fault::FaultInjector::draw.
   [[nodiscard]] bool sampled(std::uint32_t pe, std::uint64_t seq) const;
 
@@ -264,7 +267,7 @@ class SpanTracer {
   SpanTracerOptions options_;
   std::uint64_t threshold_;  // sample_rate as a 64-bit hash threshold
 
-  /// Per-source-PE acceptance counters.
+  /// Per-source-PE arrival counters.
   std::vector<std::uint64_t> sequences_ ACES_GUARDED_BY(mutex_);
 
   std::vector<SdoSpan> pool_ ACES_GUARDED_BY(mutex_);

@@ -112,7 +112,6 @@ class Coordinator {
     base_config_.dt = options.dt;
     base_config_.policy = static_cast<std::uint8_t>(options.controller.policy);
     base_config_.staleness = options.controller.advert_staleness_timeout;
-    base_config_.batch = static_cast<std::uint32_t>(options.batch);
     base_config_.channel_capacity =
         static_cast<std::uint32_t>(options.channel_capacity);
     base_config_.heartbeat_interval = options.heartbeat_interval;

@@ -38,11 +38,8 @@ struct DistOptions {
   /// initial plan.
   opt::OptimizerConfig optimizer;
   std::uint64_t seed = 1;
-  /// Data-plane knobs carried for parity with RuntimeOptions; `batch` only
-  /// pads the Config frame (the barrier-stepped data plane has no channel
-  /// synchronization to amortize), `channel_capacity` overrides each PE's
-  /// input-buffer bound when > 0.
-  std::size_t batch = 8;
+  /// Overrides each PE's input-buffer bound when > 0 (as in
+  /// RuntimeOptions).
   std::size_t channel_capacity = 0;
   /// Worker shards. Nodes are partitioned contiguously: worker r owns nodes
   /// [r·N/W, (r+1)·N/W). Clamped to the node count. Work totals are
@@ -71,7 +68,7 @@ struct DistOptions {
   std::string uds_dir;
   /// Fraction of source SDOs whose spans are traced on the workers (0
   /// disables tracing entirely). Sampling is a pure function of
-  /// (seed, source PE, acceptance counter), so it never perturbs results.
+  /// (seed, source PE, arrival index), so it never perturbs results.
   double span_sample = 0.0;
   /// Ship per-tick control-trace records to the coordinator so distributed
   /// runs feed `aces trace-summary` like the other substrates.

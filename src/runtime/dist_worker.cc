@@ -23,14 +23,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <map>
 #include <stop_token>
 #include <string>
@@ -52,9 +50,8 @@
 #include "obs/spans.h"
 #include "obs/trace.h"
 #include "opt/global_optimizer.h"
+#include "pe/pe_core.h"
 #include "runtime/transport/uds.h"
-#include "workload/arrivals.h"
-#include "workload/markov_modulator.h"
 
 namespace aces::runtime::dist {
 
@@ -72,6 +69,7 @@ struct Sdo {
   Seconds birth = 0.0;
   /// When the SDO entered its current queue (wait-histogram stamp; the
   /// values are quantum-grid times, so they are partition-invariant).
+  /// Every admission sets it.
   Seconds enqueue = 0.0;
   /// Span handle on the local tracer; -1 untraced (the common case).
   std::int32_t span = -1;
@@ -100,7 +98,7 @@ class WorkerEngine {
       : cfg_(cfg),
         ep_(ep),
         graph_(graph::topology_from_string(cfg.topology)),
-        collector_(cfg.warmup, count_egress(graph_)) {
+        collector_(cfg.warmup, pe::egress_count(graph_)) {
     graph_.validate();
     ACES_CHECK_MSG(cfg.substeps > 0, "substeps must be positive");
     ACES_CHECK_MSG(cfg.dt > 0.0, "dt must be positive");
@@ -134,26 +132,23 @@ class WorkerEngine {
     const opt::AllocationPlan plan = plan_from_vectors(
         cfg.plan_cpu, cfg.plan_rin, cfg.plan_rout, node_count);
 
+    // Per-PE randomness is forked by PE id for every PE, hosted or not,
+    // so the partition cannot perturb any stream.
     Rng master(cfg.seed);
-    pes_.resize(graph_.pe_count());
     visible_advert_.assign(graph_.pe_count(), kInf);
     visible_advert_time_.assign(graph_.pe_count(), 0.0);
     congested_.assign(graph_.pe_count(), 0);
-    std::size_t egress_counter = 0;
-    for (PeId id : graph_.all_pes()) {
-      const auto& d = graph_.pe(id);
-      PeState& pe = pes_[id.value()];
-      pe.capacity = cfg.channel_capacity > 0
-                        ? cfg.channel_capacity
-                        : static_cast<std::size_t>(d.buffer_capacity);
-      // Per-PE randomness forked by PE id, exactly as the threaded engine
-      // does — the partition cannot perturb the streams.
-      pe.service.emplace(d.service_time[0], d.service_time[1],
-                         d.sojourn_mean[0], d.sojourn_mean[1],
-                         master.fork(0x5E41 + id.value()));
-      if (d.kind == graph::PeKind::kEgress) pe.egress_index = egress_counter++;
-      pe.share = plan.at(id).cpu;
-    }
+    pes_.reserve(graph_.pe_count());
+    pe::build_cores(graph_, plan, master,
+                    [&](PeId id, workload::ServiceModel service)
+                        -> pe::PeCore<Sdo>& {
+                      const std::size_t capacity =
+                          cfg.channel_capacity > 0
+                              ? cfg.channel_capacity
+                              : static_cast<std::size_t>(
+                                    graph_.pe(id).buffer_capacity);
+                      return pes_.emplace_back(std::move(service), capacity);
+                    });
 
     for (std::size_t n = node_begin_; n < node_end_; ++n) {
       controllers_.emplace_back(graph_, NodeId(static_cast<NodeId::value_type>(n)),
@@ -167,8 +162,8 @@ class WorkerEngine {
     // property — cross_node is decided by node placement, never by the
     // partition — so the coordinator's cross-shard sums match a
     // single-process run exactly. The span tracer is optional and samples
-    // by (seed, source PE, acceptance counter), the same pure function the
-    // other substrates use, so traced runs stay bit-identical.
+    // by (seed, source PE, arrival index) — the PE kernel's rule in every
+    // substrate — so traced runs stay bit-identical.
     ctr_arrived_ = counters_.counter("dist.sdo.arrived");
     ctr_processed_ = counters_.counter("dist.sdo.processed");
     ctr_emitted_ = counters_.counter("dist.sdo.emitted");
@@ -184,18 +179,10 @@ class WorkerEngine {
     }
 
     const Seconds start_vtime = static_cast<double>(cfg.start_quantum) * q_;
-    for (PeId id : graph_.all_pes()) {
-      const auto& d = graph_.pe(id);
-      if (d.kind != graph::PeKind::kIngress) continue;
-      // fork() advances the parent state, so every worker must fork every
-      // ingress PE's stream in the same order — including the ones it does
-      // not own — or the partition would perturb the arrival sequences.
-      Rng stream_rng = master.fork(0xA11 + id.value());
-      if (!owns_node(d.node.value())) continue;
-      Source src;
-      src.pe = id.value();
-      src.process = workload::make_arrival_process(
-          graph_.stream(d.input_stream), std::move(stream_rng));
+    sources_ = pe::make_sources(graph_, master, nullptr, [this](NodeId n) {
+      return owns_node(n.value());
+    });
+    for (pe::Source& src : sources_) {
       src.next_arrival = src.process->next_interarrival();
       // A worker joining mid-run (restart after a prockill) fast-forwards
       // its arrival streams: the SDOs that would have arrived while the
@@ -204,7 +191,6 @@ class WorkerEngine {
       while (src.next_arrival < start_vtime) {
         src.next_arrival += src.process->next_interarrival();
       }
-      sources_.push_back(std::move(src));
     }
   }
 
@@ -218,50 +204,27 @@ class WorkerEngine {
   }
 
  private:
-  struct PeState {
+  struct PeState : pe::PeCore<Sdo> {
+    PeState(workload::ServiceModel model, std::size_t bound)
+        : PeCore(std::move(model)), capacity(bound) {}
+
     std::deque<Sdo> queue;
-    std::size_t capacity = 0;
+    std::size_t capacity;
     /// Lock-Step cross-node backlog: deliveries accepted from the wire but
     /// not yet admitted to `queue` (receiver-side blocking — nothing is
     /// dropped). Drained at quantum start as space allows.
     std::deque<Sdo> inbound;
     /// Lock-Step same-node backlog held while a local consumer is full.
     std::deque<std::pair<std::size_t, Sdo>> pending;
-    std::optional<workload::ServiceModel> service;
-    std::size_t egress_index = static_cast<std::size_t>(-1);
-    double share = 0.0;
-    bool busy = false;
-    Sdo current{};
-    double work_remaining = 0.0;
-    double used_this_tick = 0.0;
-    double processed_this_tick = 0.0;
-    double arrived_this_tick = 0.0;
-    double selectivity_credit = 0.0;
     /// Local blocking: `pending` could not flush into a same-node consumer.
     bool blocked_local = false;
     /// Remote blocking: some cross-node downstream was congested at the
     /// last barrier.
     bool blocked_remote = false;
-    std::uint64_t lifetime_arrived = 0;
-    std::uint64_t lifetime_processed = 0;
-    std::uint64_t lifetime_emitted = 0;
-    std::uint64_t lifetime_dropped = 0;
-    double lifetime_cpu = 0.0;
 
     [[nodiscard]] bool blocked() const { return blocked_local || blocked_remote; }
+    [[nodiscard]] bool full() const { return queue.size() >= capacity; }
   };
-
-  struct Source {
-    std::size_t pe = 0;
-    std::unique_ptr<workload::ArrivalProcess> process;
-    Seconds next_arrival = 0.0;
-  };
-
-  static std::size_t count_egress(const graph::ProcessingGraph& g) {
-    std::size_t count = 0;
-    for (PeId id : g.all_pes()) count += g.pe(id).kind == graph::PeKind::kEgress;
-    return count;
-  }
 
   [[nodiscard]] bool owns_node(std::size_t node) const {
     return node >= node_begin_ && node < node_end_;
@@ -454,43 +417,44 @@ class WorkerEngine {
       return;
     }
     PeState& pe = pes_[d.dest_pe];
+    const Sdo sdo{d.birth, vnow, span};
     if (fault_drops_delivery(d.dest_pe, vnow)) {
-      ++pe.lifetime_dropped;
-      ctr_dropped_.inc();
-      if (tracer_ != nullptr) tracer_->drop(span, vnow);
-      collector_.on_internal_drop(vnow);
-      return;
-    }
-    if (lockstep_) {
+      drop(pe, sdo, vnow);
+    } else if (lockstep_) {
       // Never dropped: held receiver-side until the queue has room. The
       // enqueue hop lands now — `inbound` is part of the PE's buffer (the
       // controller counts it), so the wait clock starts here.
       if (tracer_ != nullptr) tracer_->on_enqueue(span, PeId(d.dest_pe), vnow);
-      pe.inbound.push_back(Sdo{d.birth, vnow, span});
-      return;
-    }
-    if (pe.queue.size() < pe.capacity) {
-      if (tracer_ != nullptr) tracer_->on_enqueue(span, PeId(d.dest_pe), vnow);
-      pe.queue.push_back(Sdo{d.birth, vnow, span});
-      pe.arrived_this_tick += 1.0;
-      ++pe.lifetime_arrived;
-      ctr_arrived_.inc();
+      pe.inbound.push_back(sdo);
+    } else if (pe.full()) {
+      drop(pe, sdo, vnow);
     } else {
-      ++pe.lifetime_dropped;
-      ctr_dropped_.inc();
-      if (tracer_ != nullptr) tracer_->drop(span, vnow);
-      collector_.on_internal_drop(vnow);
+      admit(pe, PeId(d.dest_pe), sdo, vnow);
     }
   }
 
   void drain_inbound(PeState& pe) {
-    while (!pe.inbound.empty() && pe.queue.size() < pe.capacity) {
+    while (!pe.inbound.empty() && !pe.full()) {
       pe.queue.push_back(pe.inbound.front());
       pe.inbound.pop_front();
-      pe.arrived_this_tick += 1.0;
-      ++pe.lifetime_arrived;
+      pe.note_admitted();
       ctr_arrived_.inc();
     }
+  }
+
+  /// Accepts `sdo` into `pe`'s queue at `now`.
+  void admit(PeState& pe, PeId id, Sdo sdo, Seconds now) {
+    sdo.enqueue = now;
+    if (tracer_ != nullptr) tracer_->on_enqueue(sdo.span, id, now);
+    pe.queue.push_back(sdo);
+    pe.note_admitted();
+    ctr_arrived_.inc();
+  }
+
+  /// Loses `sdo` on its way into `pe` at `now`.
+  void drop(PeState& pe, const Sdo& sdo, Seconds now) {
+    ctr_dropped_.inc();
+    pe.note_dropped(sdo, now, collector_, tracer_.get());
   }
 
   void handle_crash_transitions(Seconds vnow) {
@@ -507,7 +471,7 @@ class WorkerEngine {
           PeState& pe = pes_[id.value()];
           pe.queue.clear();
           pe.inbound.clear();
-          pe.arrived_this_tick = 0.0;
+          pe.arrived = 0.0;
         }
         injector_->note_node_restart();
         restored_this_quantum_.push_back(node.value());
@@ -527,29 +491,18 @@ class WorkerEngine {
     std::uint64_t lost = 0;
     for (PeId id : graph_.pes_on_node(node)) {
       PeState& pe = pes_[id.value()];
-      std::uint64_t pe_lost = pe.busy ? 1 : 0;
-      pe_lost += pe.pending.size();
-      pe_lost += pe.inbound.size();
-      pe_lost += pe.queue.size();
-      if (tracer_ != nullptr) {
-        if (pe.busy) tracer_->drop(pe.current.span, vnow);
-        for (const auto& [slot, sdo] : pe.pending)
-          tracer_->drop(sdo.span, vnow);
-        for (const Sdo& sdo : pe.inbound) tracer_->drop(sdo.span, vnow);
-        for (const Sdo& sdo : pe.queue) tracer_->drop(sdo.span, vnow);
-      }
-      pe.queue.clear();
-      pe.inbound.clear();
-      pe.pending.clear();
-      pe.busy = false;
+      const std::uint64_t pe_lost =
+          pe.discard(vnow, collector_, tracer_.get(), [&pe](auto lose) {
+            for (const auto& [slot, sdo] : pe.pending) lose(sdo);
+            for (const Sdo& sdo : pe.inbound) lose(sdo);
+            for (const Sdo& sdo : pe.queue) lose(sdo);
+            pe.pending.clear();
+            pe.inbound.clear();
+            pe.queue.clear();
+          });
       pe.blocked_local = false;
       pe.blocked_remote = false;
-      pe.work_remaining = 0.0;
-      pe.share = 0.0;
-      pe.lifetime_dropped += pe_lost;
       ctr_dropped_.inc(pe_lost);
-      for (std::uint64_t j = 0; j < pe_lost; ++j)
-        collector_.on_internal_drop(vnow);
       lost += pe_lost;
     }
     injector_->note_node_crash(lost);
@@ -558,75 +511,31 @@ class WorkerEngine {
   void node_tick(std::size_t controller_index, Seconds vnow) {
     control::NodeController& controller = controllers_[controller_index];
     const auto& local = controller.local_pes();
-    std::vector<control::PeTickInput> inputs(local.size());
     const Seconds staleness = controller_config_.advert_staleness_timeout;
+    std::vector<control::PeTickInput> inputs(local.size());
     for (std::size_t i = 0; i < local.size(); ++i) {
-      PeState& pe = pes_[local[i].value()];
-      control::PeTickInput& in = inputs[i];
-      in.buffer_occupancy =
-          static_cast<double>(pe.queue.size() + pe.inbound.size());
-      in.processed_sdos = pe.processed_this_tick;
-      in.cpu_seconds_used = pe.used_this_tick;
-      in.arrived_sdos = pe.arrived_this_tick;
-      in.output_blocked = pe.blocked();
+      const PeState& pe = pes_[local[i].value()];
       const auto& downs = graph_.downstream(local[i]);
-      if (downs.empty()) {
-        in.downstream_rmax = kInf;
-      } else {
-        in.downstream_rmax = -kInf;
-        Seconds freshest = -kInf;
-        for (PeId down : downs) {
-          const Seconds refreshed = visible_advert_time_[down.value()];
-          const bool stale = staleness > 0.0 && vnow - refreshed > staleness;
-          in.downstream_rmax = std::max(
-              in.downstream_rmax, stale ? 0.0 : visible_advert_[down.value()]);
-          freshest = std::max(freshest, refreshed);
-        }
-        in.downstream_advert_age = vnow - freshest;
-      }
+      inputs[i] = pe.tick_input(
+          vnow, pe.queue.size() + pe.inbound.size(), pe.blocked(),
+          downs.size(), staleness, [&](std::size_t slot) {
+            const std::size_t down = downs[slot].value();
+            return pe::Advert{visible_advert_[down], visible_advert_time_[down]};
+          });
     }
     const std::vector<control::PeTickOutput> outputs =
-        controller.tick(cfg_.dt, inputs);
+        pe::tick(controller, cfg_.dt, inputs, nullptr);
     ++events_executed_;
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeState& pe = pes_[local[i].value()];
       if (cfg_.record_trace != 0) {
-        // Same record the other substrates emit; the shard tag is stamped
-        // coordinator-side from the frame's rank.
-        obs::TickRecord rec;
-        rec.time = vnow;
-        rec.node = controller.node().value();
-        rec.pe = local[i].value();
-        rec.buffer_occupancy = inputs[i].buffer_occupancy;
-        rec.arrived_sdos = inputs[i].arrived_sdos;
-        rec.processed_sdos = inputs[i].processed_sdos;
-        rec.cpu_share = outputs[i].cpu_share;
-        rec.cpu_seconds_used = inputs[i].cpu_seconds_used;
-        rec.advertised_rmax = outputs[i].advertised_rmax;
-        rec.downstream_rmax = inputs[i].downstream_rmax;
-        rec.token_fill = controller.tokens(i);
-        rec.output_blocked = inputs[i].output_blocked;
-        rec.dropped_total = pe.lifetime_dropped;
-        if (injector_ != nullptr && injector_->pe_stalled(local[i], vnow)) {
-          rec.fault_flags |= obs::kFaultPeStalled;
-        }
-        if (controller_config_.advert_staleness_timeout > 0.0 &&
-            !graph_.downstream(local[i]).empty() &&
-            inputs[i].downstream_advert_age >
-                controller_config_.advert_staleness_timeout) {
-          rec.fault_flags |= obs::kFaultAdvertStale;
-        }
-        trace_buffer_.push_back(std::move(rec));
+        // The shard tag is stamped coordinator-side from the frame's rank.
+        trace_buffer_.push_back(pe::tick_record(
+            controller, i, vnow, staleness, inputs[i], outputs[i],
+            outputs[i].cpu_share, pe.lifetime_dropped, injector_.get()));
       }
-      collector_.on_cpu_used(vnow, pe.used_this_tick);
-      collector_.on_buffer_sample(
-          vnow,
-          std::min(1.0, static_cast<double>(pe.queue.size() +
-                                            pe.inbound.size()) /
-                            static_cast<double>(pe.capacity)));
-      pe.used_this_tick = 0.0;
-      pe.processed_this_tick = 0.0;
-      pe.arrived_this_tick = 0.0;
+      pe.close_interval(vnow, pe.queue.size() + pe.inbound.size(),
+                        pe.capacity, collector_);
       pe.share = outputs[i].cpu_share;
       // Injected advertisement loss: the refresh never leaves this worker,
       // so every peer (and this worker itself, via the loopback) keeps the
@@ -642,34 +551,17 @@ class WorkerEngine {
   }
 
   void generate_arrivals(Seconds vnow, Seconds vend) {
-    for (Source& src : sources_) {
-      PeState& pe = pes_[src.pe];
-      const PeId pe_id(static_cast<PeId::value_type>(src.pe));
+    for (pe::Source& src : sources_) {
+      PeState& pe = pes_[src.pe.value()];
       while (src.next_arrival < vend) {
         const Seconds at = src.next_arrival;
         src.next_arrival += src.process->next_interarrival();
-        // The sampling draw happens for every generated arrival — accepted
-        // or not — so the acceptance counters match the other substrates.
-        std::int32_t span = -1;
-        if (tracer_ != nullptr) span = tracer_->begin(pe_id, at);
-        if (fault_drops_delivery(src.pe, vnow)) {
-          ++pe.lifetime_dropped;
+        const Sdo sdo{at, at, pe::sample_arrival(tracer_.get(), src.pe, at)};
+        if (fault_drops_delivery(src.pe.value(), vnow) || pe.full()) {
           ctr_dropped_.inc();
-          if (tracer_ != nullptr) tracer_->drop(span, at);
-          collector_.on_ingress_drop(at);
-          continue;
-        }
-        if (pe.queue.size() < pe.capacity) {
-          if (tracer_ != nullptr) tracer_->on_enqueue(span, pe_id, at);
-          pe.queue.push_back(Sdo{at, at, span});
-          pe.arrived_this_tick += 1.0;
-          ++pe.lifetime_arrived;
-          ctr_arrived_.inc();
+          pe.note_arrival_dropped(sdo, collector_, tracer_.get());
         } else {
-          ++pe.lifetime_dropped;
-          ctr_dropped_.inc();
-          if (tracer_ != nullptr) tracer_->drop(span, at);
-          collector_.on_ingress_drop(at);
+          admit(pe, src.pe, sdo, at);
         }
       }
     }
@@ -701,78 +593,39 @@ class WorkerEngine {
         }
         if (pe.blocked()) continue;
         if (pe.share <= 0.0) continue;
-        double allowed = pe.share * elapsed_in_tick - pe.used_this_tick;
+        double allowed = pe.share * elapsed_in_tick - pe.cpu_used;
         while (allowed > 0.0 && !pe.blocked_local) {
           if (!pe.busy) {
             if (pe.queue.empty()) break;
-            pe.current = pe.queue.front();
+            const Sdo sdo = pe.queue.front();
             pe.queue.pop_front();
-            pe.busy = true;
-            pe.work_remaining = pe.service->cost_at(vnow);
-            if (tracer_ != nullptr) {
-              // max() because a same-quantum enqueue may postdate the
-              // quantum-start stamp; both operands sit on the quantum
-              // grid, so the stamp stays partition-invariant.
-              tracer_->on_dequeue(pe.current.span,
-                                  std::max(vnow, pe.current.enqueue));
-            }
+            // max() because a same-quantum enqueue may postdate the
+            // quantum-start stamp; both operands sit on the quantum grid,
+            // so the stamp stays partition-invariant.
+            pe.begin_service(sdo, vnow, tracer_.get(),
+                             std::max(vnow, sdo.enqueue));
           }
-          const double spend = std::min(allowed, pe.work_remaining);
-          pe.work_remaining -= spend;
-          pe.used_this_tick += spend;
-          pe.lifetime_cpu += spend;
-          allowed -= spend;
-          if (pe.work_remaining <= 1e-12) complete(pe, id, vend);
+          allowed -= pe.spend(allowed);
+          if (pe.finished()) complete(pe, id, vend);
         }
       }
     }
   }
 
-  /// Finish the SDO the PE just paid for (mirrors the threaded engine's
-  /// complete(): selectivity credit, egress accounting, downstream copies).
+  /// Finishes the SDO `pe` just paid for at `vcomplete`, sending its
+  /// copies downstream.
   void complete(PeState& pe, PeId pe_id, Seconds vcomplete) {
-    pe.busy = false;
-    pe.processed_this_tick += 1.0;
-    ++pe.lifetime_processed;
     ++events_executed_;
     ctr_processed_.inc();
-    collector_.on_processed(vcomplete, 1);
-    const auto& d = graph_.pe(pe_id);
-    pe.selectivity_credit += d.selectivity;
-    const int outputs = static_cast<int>(std::floor(pe.selectivity_credit));
-    pe.selectivity_credit -= outputs;
-    if (tracer_ != nullptr) tracer_->on_emit(pe.current.span, vcomplete);
-    if (d.kind == graph::PeKind::kEgress) {
-      pe.lifetime_emitted += static_cast<std::uint64_t>(outputs);
-      ctr_emitted_.inc(static_cast<std::uint64_t>(outputs));
-      for (int j = 0; j < outputs; ++j) {
-        collector_.on_egress_output(vcomplete, pe.egress_index, d.weight,
-                                    vcomplete - pe.current.birth);
-      }
-      if (tracer_ != nullptr) tracer_->complete(pe.current.span, vcomplete);
-      return;
-    }
-    if (outputs == 0) {
-      // Selectivity absorbed the SDO: a normal end of life, not a drop.
-      if (tracer_ != nullptr) tracer_->complete(pe.current.span, vcomplete);
-      return;
-    }
-    const auto& downs = graph_.downstream(pe_id);
-    // The span continues into the first downstream copy only, keeping the
-    // trace a single root-to-sink path (spans.h header contract).
-    std::int32_t span = pe.current.span;
-    for (std::size_t slot = 0; slot < downs.size(); ++slot) {
-      for (int j = 0; j < outputs; ++j) {
-        send(pe, pe_id, slot, Sdo{pe.current.birth, vcomplete, span},
-             vcomplete);
-        span = -1;
-      }
-    }
+    ctr_emitted_.inc(pe.complete(graph_.pe(pe_id),
+                                 graph_.downstream(pe_id).size(), vcomplete,
+                                 collector_, tracer_.get(),
+                                 [&](std::size_t slot, const Sdo& sdo) {
+                                   send(pe, pe_id, slot, sdo, vcomplete);
+                                 }));
   }
 
   void send(PeState& pe, PeId pe_id, std::size_t slot, Sdo sdo, Seconds vnow) {
-    ++pe.lifetime_emitted;
-    ctr_emitted_.inc();
     const PeId target_id = graph_.downstream(pe_id)[slot];
     const std::size_t target = target_id.value();
     const bool cross_node = graph_.pe(target_id).node != graph_.pe(pe_id).node;
@@ -808,63 +661,30 @@ class WorkerEngine {
     }
     PeState& t = pes_[target];
     if (fault_drops_delivery(target, vnow)) {
-      ++t.lifetime_dropped;
-      ctr_dropped_.inc();
-      if (tracer_ != nullptr) tracer_->drop(sdo.span, vnow);
-      collector_.on_internal_drop(vnow);
-      return;  // lost, not blocked
-    }
-    if (lockstep_) {
-      if (t.queue.size() < t.capacity) {
-        sdo.enqueue = vnow;
-        if (tracer_ != nullptr) tracer_->on_enqueue(sdo.span, target_id, vnow);
-        t.queue.push_back(sdo);
-        t.arrived_this_tick += 1.0;
-        ++t.lifetime_arrived;
-        ctr_arrived_.inc();
-      } else {
-        // Producer-side hold: the span's enqueue hop waits for the flush.
-        pe.pending.push_back({slot, sdo});
-        pe.blocked_local = true;
-      }
-      return;
-    }
-    if (t.queue.size() < t.capacity) {
-      sdo.enqueue = vnow;
-      if (tracer_ != nullptr) tracer_->on_enqueue(sdo.span, target_id, vnow);
-      t.queue.push_back(sdo);
-      t.arrived_this_tick += 1.0;
-      ++t.lifetime_arrived;
-      ctr_arrived_.inc();
+      drop(t, sdo, vnow);  // lost, not blocked
+    } else if (!t.full()) {
+      admit(t, target_id, sdo, vnow);
+    } else if (lockstep_) {
+      // Producer-side hold: the span's enqueue hop waits for the flush.
+      pe.pending.push_back({slot, sdo});
+      pe.blocked_local = true;
     } else {
-      ++t.lifetime_dropped;
-      ctr_dropped_.inc();
-      if (tracer_ != nullptr) tracer_->drop(sdo.span, vnow);
-      collector_.on_internal_drop(vnow);
+      drop(t, sdo, vnow);
     }
   }
 
   void try_flush(PeState& pe, PeId pe_id, Seconds vnow) {
     while (!pe.pending.empty()) {
-      auto [slot, sdo] = pe.pending.front();
+      const auto [slot, sdo] = pe.pending.front();
       const PeId target_id = graph_.downstream(pe_id)[slot];
-      const std::size_t target = target_id.value();
-      PeState& t = pes_[target];
-      if (fault_drops_delivery(target, vnow)) {
-        ++t.lifetime_dropped;
-        ctr_dropped_.inc();
-        if (tracer_ != nullptr) tracer_->drop(sdo.span, vnow);
-        collector_.on_internal_drop(vnow);
+      PeState& t = pes_[target_id.value()];
+      if (fault_drops_delivery(target_id.value(), vnow)) {
+        drop(t, sdo, vnow);
         pe.pending.pop_front();
         continue;  // a dead consumer must not deadlock its producers
       }
-      if (t.queue.size() >= t.capacity) return;
-      sdo.enqueue = vnow;
-      if (tracer_ != nullptr) tracer_->on_enqueue(sdo.span, target_id, vnow);
-      t.queue.push_back(sdo);
-      t.arrived_this_tick += 1.0;
-      ++t.lifetime_arrived;
-      ctr_arrived_.inc();
+      if (t.full()) return;
+      admit(t, target_id, sdo, vnow);
       pe.pending.pop_front();
     }
     pe.blocked_local = false;
@@ -905,13 +725,7 @@ class WorkerEngine {
     out.report.per_pe.assign(graph_.pe_count(), metrics::PeAccounting{});
     for (std::size_t n = node_begin_; n < node_end_; ++n) {
       for (PeId id : graph_.pes_on_node(NodeId(static_cast<NodeId::value_type>(n)))) {
-        const PeState& pe = pes_[id.value()];
-        metrics::PeAccounting& acc = out.report.per_pe[id.value()];
-        acc.arrived = pe.lifetime_arrived;
-        acc.processed = pe.lifetime_processed;
-        acc.emitted = pe.lifetime_emitted;
-        acc.dropped_input = pe.lifetime_dropped;
-        acc.cpu_seconds = pe.lifetime_cpu;
+        out.report.per_pe[id.value()] = pes_[id.value()].accounting();
       }
     }
     out.report.events_executed = events_executed_;
@@ -1052,7 +866,7 @@ class WorkerEngine {
   std::size_t node_end_ = 0;
   std::vector<PeState> pes_;
   std::vector<control::NodeController> controllers_;
-  std::vector<Source> sources_;
+  std::vector<pe::Source> sources_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::vector<double> visible_advert_;
   std::vector<Seconds> visible_advert_time_;

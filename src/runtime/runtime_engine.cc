@@ -19,14 +19,12 @@
 #include "fault/fault_injector.h"
 #include "metrics/collector.h"
 #include "obs/counters.h"
-#include "obs/scoped_timer.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
+#include "pe/pe_core.h"
 #include "runtime/message_bus.h"
 #include "runtime/sdo_channel.h"
 #include "runtime/thread_pin.h"
-#include "workload/arrivals.h"
-#include "workload/markov_modulator.h"
 
 namespace aces::runtime {
 
@@ -34,40 +32,39 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct Sdo {
-  Seconds birth;  // virtual time of system entry
-  /// Span handle when traced; -1 otherwise. Fan-out copies inherit -1.
-  std::int32_t span = -1;
-};
+using Sdo = pe::Sdo;
 
-/// Thread-safe metrics front end (the node and source threads all report).
+/// Thread-safe metrics front end (the node and source threads all report),
+/// with metrics::Collector's method names so the PE kernel's templates
+/// accept either.
 class SharedCollector {
  public:
   SharedCollector(Seconds measure_from, std::size_t egress_count)
       : collector_(measure_from, egress_count) {}
 
-  void egress_output(Seconds now, std::size_t index, double weight,
-                     Seconds latency) ACES_EXCLUDES(mutex_) {
+  void on_egress_output(Seconds now, std::size_t index, double weight,
+                        Seconds latency) ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_egress_output(now, index, weight, latency);
   }
-  void internal_drop(Seconds now) ACES_EXCLUDES(mutex_) {
+  void on_internal_drop(Seconds now) ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_internal_drop(now);
   }
-  void ingress_drop(Seconds now) ACES_EXCLUDES(mutex_) {
+  void on_ingress_drop(Seconds now) ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_ingress_drop(now);
   }
-  void processed(Seconds now, std::uint64_t count) ACES_EXCLUDES(mutex_) {
+  void on_processed(Seconds now, std::uint64_t count = 1)
+      ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_processed(now, count);
   }
-  void cpu_used(Seconds now, double cpu_seconds) ACES_EXCLUDES(mutex_) {
+  void on_cpu_used(Seconds now, double cpu_seconds) ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_cpu_used(now, cpu_seconds);
   }
-  void buffer_sample(Seconds now, double fill) ACES_EXCLUDES(mutex_) {
+  void on_buffer_sample(Seconds now, double fill) ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_buffer_sample(now, fill);
   }
@@ -82,13 +79,16 @@ class SharedCollector {
   metrics::Collector collector_ ACES_GUARDED_BY(mutex_);
 };
 
-/// Everything the worker threads share about one PE.
-struct PeRt {
+/// Everything the worker threads share about one PE. The kernel core is
+/// owned by the hosting node thread, except that its `arrived` and
+/// `lifetime_dropped` stay unused: producer threads count arrivals and
+/// drops in the atomics below instead.
+struct PeRt : pe::PeCore<Sdo> {
   PeRt(std::size_t capacity, bool single_producer,
        workload::ServiceModel service, std::size_t batch,
        std::size_t pending_bound)
-      : input(capacity, single_producer),
-        service(std::move(service)),
+      : PeCore(std::move(service)),
+        input(capacity, single_producer),
         fetched(batch),
         pending(pending_bound) {}
 
@@ -105,18 +105,8 @@ struct PeRt {
   /// fresh); drives the advertisement-staleness degradation rule.
   Atomic<Seconds> advert_time{0.0};
 
-  workload::ServiceModel service;
-  std::size_t egress_index = static_cast<std::size_t>(-1);
-
   // ---- state owned exclusively by the hosting node thread ----
-  double share = 0.0;
-  bool busy = false;
-  Sdo current{};
-  double work_remaining = 0.0;
-  double used_this_tick = 0.0;
-  double processed_this_tick = 0.0;
   std::uint64_t pushed_at_last_tick = 0;
-  double selectivity_credit = 0.0;
   bool blocked = false;
   /// Burst-drain staging: SDOs already popped from `input` but not yet in
   /// service. fetched[fetched_head, fetched_count) are live. Counted into
@@ -133,13 +123,8 @@ struct PeRt {
   /// pool never reallocates (see the sizing note in the Engine ctor).
   BoundedQueue<std::pair<std::size_t, Sdo>> pending;
 
-  // Lifetime accounting. `dropped` is touched by node, bus, and source
-  // threads; the rest belong to the hosting node thread and are read only
-  // after the worker threads join.
+  /// Lifetime drops, touched by node, bus, and source threads.
   Atomic<std::uint64_t> dropped{0};
-  std::uint64_t lifetime_processed = 0;
-  std::uint64_t lifetime_emitted = 0;
-  double lifetime_cpu = 0.0;
 };
 
 class Engine {
@@ -149,7 +134,7 @@ class Engine {
       : graph_(g),
         options_(options),
         policy_(options.controller.policy),
-        collector_(options.warmup, count_egress(g)) {
+        collector_(options.warmup, pe::egress_count(g)) {
     ACES_CHECK_MSG(options.duration > options.warmup,
                    "duration must exceed warmup");
     ACES_CHECK_MSG(options.dt > 0.0, "dt must be positive");
@@ -169,52 +154,35 @@ class Engine {
                             policy_ != control::FlowPolicy::kLockStep;
 
     pes_.reserve(g.pe_count());
-    std::size_t egress_counter = 0;
-    for (PeId id : g.all_pes()) {
-      const auto& d = g.pe(id);
-      const std::size_t capacity =
-          options.channel_capacity > 0
-              ? options.channel_capacity
-              : static_cast<std::size_t>(d.buffer_capacity);
-      // Lock-Step pending pool bound: one complete() emits at most
-      // (⌊selectivity⌋+1) copies per downstream slot (the fractional
-      // credit carried in is < 1), and a blocked PE completes nothing, so
-      // the queue never holds more than one complete()'s worth.
-      const std::size_t pending_bound =
-          (static_cast<std::size_t>(std::floor(d.selectivity)) + 1) *
-          std::max<std::size_t>(std::size_t{1}, g.downstream(id).size());
-      auto pe = std::make_unique<PeRt>(
-          capacity, channel_producer_count(g, id, bus_active) <= 1,
-          workload::ServiceModel(d.service_time[0], d.service_time[1],
-                                 d.sojourn_mean[0], d.sojourn_mean[1],
-                                 master.fork(0x5E41 + id.value())),
-          options.batch, pending_bound);
-      pe->share = plan.at(id).cpu;
-      if (d.kind == graph::PeKind::kEgress)
-        pe->egress_index = egress_counter++;
-      pes_.push_back(std::move(pe));
-    }
+    pe::build_cores(g, plan, master,
+                    [&](PeId id, workload::ServiceModel service)
+                        -> pe::PeCore<Sdo>& {
+                      const auto& d = g.pe(id);
+                      const std::size_t capacity =
+                          options.channel_capacity > 0
+                              ? options.channel_capacity
+                              : static_cast<std::size_t>(d.buffer_capacity);
+                      // Lock-Step pending pool bound: one complete() emits
+                      // at most (⌊selectivity⌋+1) copies per downstream slot
+                      // (the fractional credit carried in is < 1), and a
+                      // blocked PE completes nothing, so the queue never
+                      // holds more than one complete()'s worth.
+                      const std::size_t pending_bound =
+                          (static_cast<std::size_t>(std::floor(d.selectivity)) +
+                           1) *
+                          std::max<std::size_t>(std::size_t{1},
+                                                g.downstream(id).size());
+                      return *pes_.emplace_back(std::make_unique<PeRt>(
+                          capacity,
+                          channel_producer_count(g, id, bus_active) <= 1,
+                          std::move(service), options.batch, pending_bound));
+                    });
 
     controllers_.reserve(g.node_count());
     for (NodeId n : g.all_nodes())
       controllers_.emplace_back(g, n, plan, options.controller);
 
-    for (PeId id : g.all_pes()) {
-      const auto& d = g.pe(id);
-      if (d.kind != graph::PeKind::kIngress) continue;
-      Rng stream_rng = master.fork(0xA11 + id.value());
-      auto process =
-          options.arrival_factory
-              ? options.arrival_factory(d.input_stream,
-                                        g.stream(d.input_stream),
-                                        std::move(stream_rng))
-              : workload::make_arrival_process(g.stream(d.input_stream),
-                                               std::move(stream_rng));
-      ACES_CHECK_MSG(process != nullptr,
-                     "arrival factory returned null for stream "
-                         << d.input_stream);
-      sources_.push_back(Source{id.value(), std::move(process), 0.0});
-    }
+    sources_ = pe::make_sources(g, master, options.arrival_factory);
 
     // Data-plane event counters; disabled (null) handles when no registry
     // is attached, costing one predictable branch per event.
@@ -261,31 +229,16 @@ class Engine {
         collector_.finalize(options_.duration, total_capacity_);
     report.per_pe.reserve(pes_.size());
     for (const auto& pe : pes_) {
-      metrics::PeAccounting acc;
+      // Arrivals and drops were counted by the producer threads.
+      metrics::PeAccounting acc = pe->accounting();
       acc.arrived = pe->pushed.load(std::memory_order_relaxed);
-      acc.processed = pe->lifetime_processed;
-      acc.emitted = pe->lifetime_emitted;
       acc.dropped_input = pe->dropped.load(std::memory_order_relaxed);
-      acc.cpu_seconds = pe->lifetime_cpu;
       report.per_pe.push_back(acc);
     }
     return report;
   }
 
  private:
-  struct Source {
-    std::size_t pe_index;
-    std::unique_ptr<workload::ArrivalProcess> process;
-    Seconds next_arrival;
-  };
-
-  static std::size_t count_egress(const graph::ProcessingGraph& g) {
-    std::size_t count = 0;
-    for (PeId id : g.all_pes())
-      count += g.pe(id).kind == graph::PeKind::kEgress;
-    return count;
-  }
-
   /// Distinct threads that ever push into PE `id`'s input channel:
   /// the hosting node thread of each upstream PE — except that when the
   /// bus is active, a cross-node upstream's push happens on the bus
@@ -334,62 +287,53 @@ class Engine {
            injector_->drop_delivery(id, when);
   }
 
-  /// Delivery leg shared by direct and bus-delayed sends: push or drop.
-  void deliver(std::size_t target, Sdo sdo, Seconds when) {
+  /// Records the enqueue hop, then pushes `sdo` into PE `target`'s
+  /// channel; false when the channel is full. The hop goes first: once the
+  /// SDO is in the channel the consuming thread owns its span.
+  bool push(std::size_t target, Sdo sdo, Seconds when) {
     PeRt& t = *pes_[target];
-    if (fault_drops_delivery(target, when)) {
-      t.dropped.fetch_add(1, std::memory_order_relaxed);
-      channel_drop_.inc();
-      collector_.internal_drop(when);
-      if (options_.spans != nullptr) options_.spans->drop(sdo.span, when);
-      return;
-    }
-    // Enqueue hop recorded before the push: once the SDO is in the channel
-    // the consuming thread owns its span.
     if (options_.spans != nullptr) {
       options_.spans->on_enqueue(
           sdo.span, PeId(static_cast<PeId::value_type>(target)), when);
     }
-    if (t.input.try_push(sdo)) {
-      t.pushed.fetch_add(1, std::memory_order_relaxed);
-      channel_send_.inc();
-    } else {
-      t.dropped.fetch_add(1, std::memory_order_relaxed);
-      channel_drop_.inc();
-      collector_.internal_drop(when);
-      if (options_.spans != nullptr) options_.spans->drop(sdo.span, when);
+    if (!t.input.try_push(sdo)) return false;
+    t.pushed.fetch_add(1, std::memory_order_relaxed);
+    channel_send_.inc();
+    return true;
+  }
+
+  /// A delivery into PE `target` lost at `when`, counted by whichever
+  /// thread saw it.
+  void drop_delivery(std::size_t target, const Sdo& sdo, Seconds when) {
+    pes_[target]->dropped.fetch_add(1, std::memory_order_relaxed);
+    channel_drop_.inc();
+    collector_.on_internal_drop(when);
+    if (options_.spans != nullptr) options_.spans->drop(sdo.span, when);
+  }
+
+  /// Delivery leg shared by direct and bus-delayed sends: push or drop.
+  void deliver(std::size_t target, Sdo sdo, Seconds when) {
+    if (fault_drops_delivery(target, when) || !push(target, sdo, when)) {
+      drop_delivery(target, sdo, when);
     }
   }
 
-  /// Emits one SDO on `slot`; returns false when the PE must block
-  /// (Lock-Step with a full downstream buffer).
-  bool send(PeRt& pe, PeId pe_id, std::size_t slot, Sdo sdo, Seconds vnow) {
-    ++pe.lifetime_emitted;
+  /// Emits one SDO on `slot`; Lock-Step holds it in `pending` and blocks
+  /// the PE when the downstream buffer is full.
+  void send(PeRt& pe, PeId pe_id, std::size_t slot, Sdo sdo, Seconds vnow) {
     const std::size_t target = graph_.downstream(pe_id)[slot].value();
     if (policy_ == control::FlowPolicy::kLockStep) {
-      PeRt& t = *pes_[target];
       if (fault_drops_delivery(target, vnow)) {
-        t.dropped.fetch_add(1, std::memory_order_relaxed);
-        channel_drop_.inc();
-        collector_.internal_drop(vnow);
-        if (options_.spans != nullptr) options_.spans->drop(sdo.span, vnow);
-        return true;  // lost, not blocked
+        drop_delivery(target, sdo, vnow);
+        return;  // lost, not blocked
       }
-      if (options_.spans != nullptr) {
-        options_.spans->on_enqueue(
-            sdo.span, PeId(static_cast<PeId::value_type>(target)), vnow);
-      }
-      if (t.input.try_push(sdo)) {
-        t.pushed.fetch_add(1, std::memory_order_relaxed);
-        channel_send_.inc();
-        return true;
-      }
+      if (push(target, sdo, vnow)) return;
       // The push failed; the enqueue hop stays on the span and is simply
       // re-stamped when the pending entry eventually flushes.
       pe.pending.push_back({slot, sdo});
       pe.blocked = true;
       channel_block_.inc();
-      return false;
+      return;
     }
     // Drop policies: cross-node SDOs optionally travel through the message
     // bus with injected latency.
@@ -401,79 +345,22 @@ class Engine {
         bus_deliver_.inc();
         deliver(target, sdo, virtual_now());
       });
-      return true;
+      return;
     }
     deliver(target, sdo, vnow);
-    return true;
-  }
-
-  /// Finish the SDO the PE just paid for: realize selectivity, emit copies.
-  void complete(PeRt& pe, PeId pe_id, Seconds vnow) {
-    pe.busy = false;
-    pe.processed_this_tick += 1.0;
-    ++pe.lifetime_processed;
-    collector_.processed(vnow, 1);
-    const auto& d = graph_.pe(pe_id);
-    pe.selectivity_credit += d.selectivity;
-    const int outputs = static_cast<int>(std::floor(pe.selectivity_credit));
-    pe.selectivity_credit -= outputs;
-    if (options_.spans != nullptr) {
-      options_.spans->on_emit(pe.current.span, vnow);
-    }
-    if (d.kind == graph::PeKind::kEgress) {
-      pe.lifetime_emitted += static_cast<std::uint64_t>(outputs);
-      for (int k = 0; k < outputs; ++k) {
-        collector_.egress_output(vnow, pe.egress_index, d.weight,
-                                 vnow - pe.current.birth);
-      }
-      if (options_.spans != nullptr) {
-        options_.spans->complete(pe.current.span, vnow);
-      }
-      return;
-    }
-    const auto& downs = graph_.downstream(pe_id);
-    if (outputs == 0) {
-      // Selectivity absorbed the SDO: its trace ends here, complete.
-      if (options_.spans != nullptr) {
-        options_.spans->complete(pe.current.span, vnow);
-      }
-      return;
-    }
-    // The span continues into the first downstream copy only (one
-    // root-to-sink path per trace, same rule as the simulator).
-    std::int32_t span = pe.current.span;
-    for (std::size_t slot = 0; slot < downs.size(); ++slot) {
-      for (int k = 0; k < outputs; ++k) {
-        send(pe, pe_id, slot, Sdo{pe.current.birth, span}, vnow);
-        span = -1;
-      }
-    }
   }
 
   void try_flush(PeRt& pe, PeId pe_id) {
     while (!pe.pending.empty()) {
       const auto [slot, sdo] = pe.pending.front();
       const std::size_t target = graph_.downstream(pe_id)[slot].value();
-      PeRt& t = *pes_[target];
-      if (fault_drops_delivery(target, virtual_now())) {
-        t.dropped.fetch_add(1, std::memory_order_relaxed);
-        channel_drop_.inc();
-        collector_.internal_drop(virtual_now());
-        if (options_.spans != nullptr) {
-          options_.spans->drop(sdo.span, virtual_now());
-        }
-        pe.pending.pop_front();
-        continue;  // a dead consumer must not deadlock its producers
+      const Seconds now = virtual_now();
+      if (fault_drops_delivery(target, now)) {
+        // A dead consumer must not deadlock its producers.
+        drop_delivery(target, sdo, now);
+      } else if (!push(target, sdo, now)) {  // re-stamps the enqueue hop
+        return;
       }
-      // Re-stamp the hop's enqueue to the actual admission time.
-      if (options_.spans != nullptr) {
-        options_.spans->on_enqueue(
-            sdo.span, PeId(static_cast<PeId::value_type>(target)),
-            virtual_now());
-      }
-      if (!t.input.try_push(sdo)) return;
-      t.pushed.fetch_add(1, std::memory_order_relaxed);
-      channel_send_.inc();
       pe.pending.pop_front();
     }
     pe.blocked = false;
@@ -482,89 +369,39 @@ class Engine {
   void node_tick(std::size_t node_index, Seconds vnow) {
     control::NodeController& controller = controllers_[node_index];
     const auto& local = controller.local_pes();
+    const Seconds staleness = options_.controller.advert_staleness_timeout;
     std::vector<control::PeTickInput> inputs(local.size());
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeRt& pe = *pes_[local[i].value()];
-      control::PeTickInput& in = inputs[i];
+      const std::uint64_t pushed = pe.pushed.load(std::memory_order_relaxed);
+      pe.arrived = static_cast<double>(pushed - pe.pushed_at_last_tick);
+      pe.pushed_at_last_tick = pushed;
+      const auto& downs = graph_.downstream(local[i]);
       // Staged SDOs are still queued from the model's point of view; they
       // just sit on the consumer side of the ring (this thread's staging
       // buffer, so the read is race-free).
-      in.buffer_occupancy = static_cast<double>(pe.input.size() + pe.staged());
-      in.processed_sdos = pe.processed_this_tick;
-      in.cpu_seconds_used = pe.used_this_tick;
-      const std::uint64_t pushed =
-          pe.pushed.load(std::memory_order_relaxed);
-      in.arrived_sdos =
-          static_cast<double>(pushed - pe.pushed_at_last_tick);
-      pe.pushed_at_last_tick = pushed;
-      in.output_blocked = pe.blocked;
-      const auto& downs = graph_.downstream(local[i]);
-      const Seconds staleness =
-          options_.controller.advert_staleness_timeout;
-      if (downs.empty()) {
-        in.downstream_rmax = kInf;
-      } else {
-        in.downstream_rmax = -kInf;
-        Seconds freshest = -kInf;
-        for (PeId down : downs) {
-          const PeRt& d = *pes_[down.value()];
-          const Seconds refreshed =
-              d.advert_time.load(std::memory_order_relaxed);
-          // Per-slot staleness: a consumer silent past the timeout reads
-          // as r_max = 0 in the Eq. 8 max.
-          const bool stale = staleness > 0.0 && vnow - refreshed > staleness;
-          in.downstream_rmax = std::max(
-              in.downstream_rmax,
-              stale ? 0.0 : d.advert.load(std::memory_order_relaxed));
-          freshest = std::max(freshest, refreshed);
-        }
-        in.downstream_advert_age = vnow - freshest;
-      }
+      inputs[i] = pe.tick_input(
+          vnow, pe.input.size() + pe.staged(), pe.blocked, downs.size(),
+          staleness, [&](std::size_t slot) {
+            const PeRt& d = *pes_[downs[slot].value()];
+            return pe::Advert{d.advert.load(std::memory_order_relaxed),
+                              d.advert_time.load(std::memory_order_relaxed)};
+          });
     }
-    std::vector<control::PeTickOutput> outputs;
-    {
-      obs::ScopedTimer timer(options_.profiler, obs::kPhaseControllerTick);
-      ACES_PERF_SCOPE(PerfStage::kControllerTick);
-      outputs = controller.tick(options_.dt, inputs);
-    }
+    const std::vector<control::PeTickOutput> outputs =
+        pe::tick(controller, options_.dt, inputs, options_.profiler);
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeRt& pe = *pes_[local[i].value()];
       if (options_.trace != nullptr) {
-        obs::TickRecord rec;
-        rec.time = vnow;
-        rec.node = controller.node().value();
-        rec.pe = local[i].value();
-        rec.buffer_occupancy = inputs[i].buffer_occupancy;
-        rec.arrived_sdos = inputs[i].arrived_sdos;
-        rec.processed_sdos = inputs[i].processed_sdos;
-        rec.cpu_share = outputs[i].cpu_share;
-        rec.cpu_seconds_used = inputs[i].cpu_seconds_used;
-        rec.advertised_rmax = outputs[i].advertised_rmax;
-        rec.downstream_rmax = inputs[i].downstream_rmax;
-        rec.token_fill = controller.tokens(i);
-        rec.output_blocked = inputs[i].output_blocked;
-        rec.dropped_total = pe.dropped.load(std::memory_order_relaxed);
-        if (injector_ != nullptr && injector_->pe_stalled(local[i], vnow)) {
-          rec.fault_flags |= obs::kFaultPeStalled;
-        }
-        if (options_.controller.advert_staleness_timeout > 0.0 &&
-            !graph_.downstream(local[i]).empty() &&
-            inputs[i].downstream_advert_age >
-                options_.controller.advert_staleness_timeout) {
-          rec.fault_flags |= obs::kFaultAdvertStale;
-        }
-        options_.trace->record(rec);
+        options_.trace->record(pe::tick_record(
+            controller, i, vnow, staleness, inputs[i], outputs[i],
+            outputs[i].cpu_share, pe.dropped.load(std::memory_order_relaxed),
+            injector_.get()));
       }
-      collector_.cpu_used(vnow, pe.used_this_tick);
       // Fill is against the effective channel capacity (the graph bound
-      // unless --channel-capacity overrides it), clamped because staged
-      // SDOs can push the instantaneous count past the bound.
-      collector_.buffer_sample(
-          vnow, std::min(1.0, static_cast<double>(pe.input.size() +
-                                                  pe.staged()) /
-                                  static_cast<double>(pe.input.capacity())));
-      pe.used_this_tick = 0.0;
-      pe.processed_this_tick = 0.0;
+      // unless --channel-capacity overrides it).
+      pe.close_interval(vnow, pe.input.size() + pe.staged(),
+                        pe.input.capacity(), collector_);
       pe.share = outputs[i].cpu_share;
       // Injected advertisement loss: skip the mailbox refresh entirely, so
       // the stale value (and its timestamp) is what upstream peers see.
@@ -586,33 +423,29 @@ class Engine {
     std::uint64_t lost = 0;
     for (PeId id : local) {
       PeRt& pe = *pes_[id.value()];
-      std::uint64_t pe_lost = pe.busy ? 1 : 0;
-      if (options_.spans != nullptr) {
-        if (pe.busy) options_.spans->drop(pe.current.span, vnow);
-        for (std::size_t i = 0; i < pe.pending.size(); ++i)
-          options_.spans->drop(pe.pending.at(i).second.span, vnow);
-        for (std::size_t f = pe.fetched_head; f < pe.fetched_count; ++f)
-          options_.spans->drop(pe.fetched[f].span, vnow);
-      }
-      pe_lost += pe.pending.size();
-      pe_lost += pe.staged();
-      pe.fetched_head = 0;
-      pe.fetched_count = 0;
-      while (auto sdo = pe.input.try_pop()) {
-        ++pe_lost;
-        if (options_.spans != nullptr) options_.spans->drop(sdo->span, vnow);
-      }
-      pe.busy = false;
+      const std::uint64_t pe_lost =
+          pe.discard(vnow, collector_, options_.spans, [&pe](auto lose) {
+            for (std::size_t i = 0; i < pe.pending.size(); ++i)
+              lose(pe.pending.at(i).second);
+            pe.pending.clear();
+            drain_input(pe, lose);
+          });
       pe.blocked = false;
-      pe.pending.clear();
-      pe.work_remaining = 0.0;
-      pe.share = 0.0;
       pe.dropped.fetch_add(pe_lost, std::memory_order_relaxed);
-      for (std::uint64_t k = 0; k < pe_lost; ++k)
-        collector_.internal_drop(vnow);
       lost += pe_lost;
     }
     injector_->note_node_crash(lost);
+  }
+
+  /// Hands every SDO staged or still queued in `pe`'s input to `lose`,
+  /// emptying both.
+  template <class Lose>
+  static void drain_input(PeRt& pe, Lose& lose) {
+    for (std::size_t f = pe.fetched_head; f < pe.fetched_count; ++f)
+      lose(pe.fetched[f]);
+    pe.fetched_head = 0;
+    pe.fetched_count = 0;
+    while (auto sdo = pe.input.try_pop()) lose(*sdo);
   }
 
   void node_main(std::size_t node_index) {
@@ -635,22 +468,16 @@ class Engine {
         if (is_down && !was_down) crash_local_pes(local, vnow);
         if (!is_down && was_down) {
           // Recovery: factory-fresh controller state, drained channels
-          // (deliveries while down were dropped at the sender side), and a
-          // re-homed tick grid.
+          // (deliveries while down were dropped at the sender side; a
+          // straggler pushed across the crash is lost like the rest), and
+          // a re-homed tick grid.
           controller.reset_state();
           for (PeId id : local) {
             PeRt& pe = *pes_[id.value()];
-            while (auto sdo = pe.input.try_pop()) {
-              if (options_.spans != nullptr) {
-                options_.spans->drop(sdo->span, vnow);
-              }
-            }
-            if (options_.spans != nullptr) {
-              for (std::size_t f = pe.fetched_head; f < pe.fetched_count; ++f)
-                options_.spans->drop(pe.fetched[f].span, vnow);
-            }
-            pe.fetched_head = 0;
-            pe.fetched_count = 0;
+            pe.dropped.fetch_add(
+                pe.discard(vnow, collector_, options_.spans,
+                           [&pe](auto lose) { drain_input(pe, lose); }),
+                std::memory_order_relaxed);
             pe.pushed_at_last_tick =
                 pe.pushed.load(std::memory_order_relaxed);
           }
@@ -695,7 +522,7 @@ class Engine {
         }
         if (pe.share <= 0.0) continue;
         const Seconds horizon = std::min(vnow, tick_start + options_.dt);
-        double allowed = pe.share * (horizon - tick_start) - pe.used_this_tick;
+        double allowed = pe.share * (horizon - tick_start) - pe.cpu_used;
         while (allowed > 0.0 && !pe.blocked) {
           if (!pe.busy) {
             // Refill the staging buffer in one burst (one index publish
@@ -706,20 +533,17 @@ class Engine {
                   pe.input.pop_burst(pe.fetched.data(), options_.batch);
               if (pe.fetched_count == 0) break;
             }
-            pe.current = pe.fetched[pe.fetched_head++];
-            if (options_.spans != nullptr) {
-              options_.spans->on_dequeue(pe.current.span, vnow);
-            }
-            pe.busy = true;
-            pe.work_remaining = pe.service.cost_at(vnow);
+            pe.begin_service(pe.fetched[pe.fetched_head++], vnow,
+                             options_.spans, vnow);
           }
-          const double spend = std::min(allowed, pe.work_remaining);
-          pe.work_remaining -= spend;
-          pe.used_this_tick += spend;
-          pe.lifetime_cpu += spend;
-          allowed -= spend;
-          if (pe.work_remaining <= 1e-12) {
-            complete(pe, local[i], vnow);
+          allowed -= pe.spend(allowed);
+          if (pe.finished()) {
+            const PeId id = local[i];
+            pe.complete(graph_.pe(id), graph_.downstream(id).size(), vnow,
+                        collector_, options_.spans,
+                        [&](std::size_t slot, Sdo sdo) {
+                          send(pe, id, slot, sdo, vnow);
+                        });
             any_progress = true;
           }
         }
@@ -737,7 +561,7 @@ class Engine {
     std::vector<Sdo> gathered(options_.batch);
     while (!stop_.load()) {
       // Earliest pending arrival.
-      Source* next = nullptr;
+      pe::Source* next = nullptr;
       for (auto& source : sources_) {
         if (next == nullptr || source.next_arrival < next->next_arrival)
           next = &source;
@@ -748,8 +572,8 @@ class Engine {
         sleep_virtual(next->next_arrival - vnow);
         continue;
       }
-      PeRt& pe = *pes_[next->pe_index];
-      const PeId pe_id(static_cast<PeId::value_type>(next->pe_index));
+      const PeId pe_id = next->pe;
+      PeRt& pe = *pes_[pe_id.value()];
       // Gather every already-due arrival of this stream (up to the batch
       // bound) and publish them with one index store. Per-SDO semantics
       // are preserved exactly: each arrival keeps its own birth time,
@@ -760,15 +584,12 @@ class Engine {
       while (gathered_count < options_.batch && next->next_arrival <= vnow) {
         const Seconds at = next->next_arrival;
         next->next_arrival += next->process->next_interarrival();
-        if (fault_drops_delivery(next->pe_index, vnow)) {
-          pe.dropped.fetch_add(1, std::memory_order_relaxed);
-          source_drop_.inc();
-          collector_.ingress_drop(at);
+        const Sdo sdo{at, pe::sample_arrival(options_.spans, pe_id, at)};
+        if (fault_drops_delivery(pe_id.value(), vnow)) {
+          drop_arrival(pe, sdo);
           continue;
         }
-        Sdo sdo{at};
         if (options_.spans != nullptr) {
-          sdo.span = options_.spans->begin(pe_id, at);
           options_.spans->on_enqueue(sdo.span, pe_id, at);
         }
         gathered[gathered_count++] = sdo;
@@ -783,14 +604,18 @@ class Engine {
       // The rejected tail is an ingress drop per SDO, same as a failed
       // try_push in the per-SDO path.
       for (std::size_t r = accepted; r < gathered_count; ++r) {
-        pe.dropped.fetch_add(1, std::memory_order_relaxed);
-        source_drop_.inc();
-        collector_.ingress_drop(gathered[r].birth);
-        if (options_.spans != nullptr) {
-          options_.spans->drop(gathered[r].span, gathered[r].birth);
-        }
+        drop_arrival(pe, gathered[r]);
       }
     }
+  }
+
+  /// An arrival its ingress PE could not take, counted on the source
+  /// thread: an ingress drop at the SDO's birth.
+  void drop_arrival(PeRt& pe, const Sdo& sdo) {
+    pe.dropped.fetch_add(1, std::memory_order_relaxed);
+    source_drop_.inc();
+    collector_.on_ingress_drop(sdo.birth);
+    if (options_.spans != nullptr) options_.spans->drop(sdo.span, sdo.birth);
   }
 
   const graph::ProcessingGraph& graph_;
@@ -799,7 +624,7 @@ class Engine {
   SharedCollector collector_;
   std::vector<std::unique_ptr<PeRt>> pes_;
   std::vector<control::NodeController> controllers_;
-  std::vector<Source> sources_;
+  std::vector<pe::Source> sources_;
   double total_capacity_ = 0.0;
   std::chrono::steady_clock::time_point start_;
   Atomic<bool> stop_{false};

@@ -87,7 +87,7 @@ struct RuntimeOptions {
   /// Optional data-plane span tracer (same contract as
   /// sim::SimOptions::spans): samples SDOs at the source thread and follows
   /// them across node threads. The sampling *decisions* are deterministic
-  /// per (seed, source PE, acceptance index); the resulting timestamps are
+  /// per (seed, source PE, arrival index); the resulting timestamps are
   /// wall-paced virtual time and vary run to run like everything else in
   /// this substrate. Not owned; null disables (one pointer test per SDO).
   obs::SpanTracer* spans = nullptr;

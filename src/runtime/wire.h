@@ -93,6 +93,9 @@ struct Config {
   double dt = 0.1;
   std::uint8_t policy = 0;      ///< control::FlowPolicy as u8
   double staleness = 0.0;       ///< advert_staleness_timeout
+  /// Unused: the barrier-stepped data plane has no channel batching. Kept
+  /// at its default so the version-2 bytes stay fixed until the next wire
+  /// version drops it.
   std::uint32_t batch = 8;
   std::uint32_t channel_capacity = 0;
   double heartbeat_interval = 0.05;  ///< wall seconds between heartbeats

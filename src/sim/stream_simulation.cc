@@ -1,7 +1,5 @@
 #include "sim/stream_simulation.h"
 
-#include <algorithm>
-#include <cmath>
 #include <deque>
 #include <limits>
 #include <utility>
@@ -17,59 +15,34 @@
 #include "obs/scoped_timer.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
+#include "pe/pe_core.h"
 #include "sim/simulator.h"
-#include "workload/arrivals.h"
-#include "workload/markov_modulator.h"
 
 namespace aces::sim {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kWorkEps = 1e-12;
 }  // namespace
 
 struct StreamSimulation::Impl {
-  struct Sdo {
-    Seconds birth;
-    /// Span handle when this SDO is traced; -1 otherwise. Fan-out copies
-    /// inherit -1: a span follows one root-to-sink path.
-    std::int32_t span = -1;
-  };
+  using Sdo = pe::Sdo;
 
-  /// Runtime state of one PE.
-  struct PeRt {
+  /// Simulator-side state of one PE around the shared kernel core.
+  struct PeRt : pe::PeCore<Sdo> {
     PeId id;
-    std::size_t index;             // == id.value()
-    std::size_t node_local_index;  // position within pes_on_node()
-    std::size_t egress_index;      // position among egress PEs, or npos
+    std::size_t index;  // == id.value()
     // Fixed-capacity ring sized to the PE's buffer bound: SDO slots are
     // allocated once at construction, never per arrival.
     BoundedQueue<Sdo> buffer;
     int reserved = 0;  // Lock-Step in-flight slot reservations
-    bool busy = false;
     bool blocked = false;  // Lock-Step: sleeping on a full downstream buffer
     // Failure-injection depth: > 0 while any outage, stall, or node crash
     // holds this PE inert. A counter, not a flag, so overlapping windows
     // nest instead of clobbering each other.
     int disabled = 0;
-    Sdo current{};
-    double work_remaining = 0.0;  // CPU-seconds left on `current`
     Seconds last_progress = 0.0;
-    double share = 0.0;  // CPU fraction granted at the last tick
     std::uint64_t epoch = 0;
     std::deque<std::pair<std::size_t, Sdo>> pending;  // (downstream slot, sdo)
-    double selectivity_credit = 0.0;
-    workload::ServiceModel service;
-    // Interval counters, reset at each node tick.
-    double processed = 0.0;
-    double cpu_used = 0.0;
-    double arrived = 0.0;
-    // Lifetime accounting (never reset).
-    std::uint64_t lifetime_arrived = 0;
-    std::uint64_t lifetime_processed = 0;
-    std::uint64_t lifetime_emitted = 0;
-    std::uint64_t lifetime_dropped = 0;
-    double lifetime_cpu = 0.0;
     // Trajectory recording; non-null only when record_timeseries is set.
     metrics::TimeSeries* buffer_series = nullptr;
     metrics::TimeSeries* share_series = nullptr;
@@ -84,12 +57,10 @@ struct StreamSimulation::Impl {
     std::vector<std::pair<std::size_t, std::size_t>> upstream_slots;
 
     PeRt(PeId pe_id, std::size_t buffer_capacity, workload::ServiceModel svc)
-        : id(pe_id),
+        : PeCore(std::move(svc)),
+          id(pe_id),
           index(pe_id.value()),
-          node_local_index(0),
-          egress_index(static_cast<std::size_t>(-1)),
-          buffer(buffer_capacity),
-          service(std::move(svc)) {}
+          buffer(buffer_capacity) {}
   };
 
   Impl(const graph::ProcessingGraph& g, const opt::AllocationPlan& plan,
@@ -97,7 +68,7 @@ struct StreamSimulation::Impl {
       : graph(g),  // private copy: workload/capacity changes mutate it
         options(opt),
         policy(opt.controller.policy),
-        collector(opt.warmup, count_egress(g)) {
+        collector(opt.warmup, pe::egress_count(g)) {
     ACES_CHECK_MSG(opt.dt > 0.0, "dt must be positive");
     ACES_CHECK_MSG(opt.duration > opt.warmup, "duration must exceed warmup");
     ACES_CHECK_MSG(opt.prefill_fraction >= 0.0 && opt.prefill_fraction <= 1.0,
@@ -110,28 +81,21 @@ struct StreamSimulation::Impl {
     total_capacity = 0.0;
     for (NodeId n : graph.all_nodes()) total_capacity += graph.node(n).cpu_capacity;
 
-    // PE runtime state.
+    // PE runtime state (reserved: the cores are handed out by reference).
     pes.reserve(graph.pe_count());
-    std::size_t egress_counter = 0;
-    for (PeId id : graph.all_pes()) {
-      const auto& d = graph.pe(id);
-      workload::ServiceModel service(d.service_time[0], d.service_time[1],
-                                     d.sojourn_mean[0], d.sojourn_mean[1],
-                                     master.fork(0x5E41 + id.value()));
-      PeRt rt(id, static_cast<std::size_t>(d.buffer_capacity),
-              std::move(service));
-      rt.share = plan.at(id).cpu;
-      rt.downstream_advert.assign(graph.downstream(id).size(), kInf);
-      rt.downstream_advert_time.assign(graph.downstream(id).size(), 0.0);
-      if (d.kind == graph::PeKind::kEgress) rt.egress_index = egress_counter++;
-      pes.push_back(std::move(rt));
-    }
-    // Local index within the node + upstream advertisement slots.
-    for (NodeId n : graph.all_nodes()) {
-      const auto& local = graph.pes_on_node(n);
-      for (std::size_t i = 0; i < local.size(); ++i)
-        pes[local[i].value()].node_local_index = i;
-    }
+    pe::build_cores(graph, plan, master,
+                    [this](PeId id, workload::ServiceModel service)
+                        -> pe::PeCore<Sdo>& {
+                      const std::size_t fanout = graph.downstream(id).size();
+                      PeRt& rt = pes.emplace_back(
+                          id,
+                          static_cast<std::size_t>(graph.pe(id).buffer_capacity),
+                          std::move(service));
+                      rt.downstream_advert.assign(fanout, kInf);
+                      rt.downstream_advert_time.assign(fanout, 0.0);
+                      return rt;
+                    });
+    // Upstream advertisement slots.
     for (PeId id : graph.all_pes()) {
       const auto& downs = graph.downstream(id);
       for (std::size_t slot = 0; slot < downs.size(); ++slot) {
@@ -145,22 +109,7 @@ struct StreamSimulation::Impl {
       controllers.emplace_back(graph, n, plan, opt.controller);
 
     // Sources (optionally through the user-supplied arrival factory).
-    for (PeId id : graph.all_pes()) {
-      const auto& d = graph.pe(id);
-      if (d.kind != graph::PeKind::kIngress) continue;
-      Rng stream_rng = master.fork(0xA11 + id.value());
-      auto process =
-          opt.arrival_factory
-              ? opt.arrival_factory(d.input_stream,
-                                    graph.stream(d.input_stream),
-                                    std::move(stream_rng))
-              : workload::make_arrival_process(graph.stream(d.input_stream),
-                                               std::move(stream_rng));
-      ACES_CHECK_MSG(process != nullptr,
-                     "arrival factory returned null for stream "
-                         << d.input_stream);
-      sources.push_back(Source{id.value(), std::move(process)});
-    }
+    sources = pe::make_sources(graph, master, opt.arrival_factory);
 
     // Trajectory recording.
     if (opt.record_timeseries) {
@@ -177,7 +126,7 @@ struct StreamSimulation::Impl {
       for (PeRt& pe : pes) {
         const auto fill = static_cast<std::size_t>(
             opt.prefill_fraction * graph.pe(pe.id).buffer_capacity);
-        for (std::size_t k = 0; k < fill; ++k) pe.buffer.push_back(Sdo{0.0});
+        for (std::size_t k = 0; k < fill; ++k) pe.buffer.push_back(Sdo{});
         pe.lifetime_arrived += fill;
         const std::size_t index = pe.index;
         simulator.schedule_at(0.0, [this, index] { maybe_start(pes[index]); });
@@ -278,18 +227,11 @@ struct StreamSimulation::Impl {
     // Rebuild the arrival process of every source fed by this stream; the
     // next already-scheduled arrival still fires and then draws gaps from
     // the new process.
-    for (Source& source : sources) {
-      const auto& d = graph.pe(PeId(static_cast<PeId::value_type>(
-          source.pe_index)));
-      if (d.input_stream != change.stream) continue;
-      Rng stream_rng = change_rng.fork(source.pe_index);
-      source.process =
-          options.arrival_factory
-              ? options.arrival_factory(change.stream,
-                                        graph.stream(change.stream),
-                                        std::move(stream_rng))
-              : workload::make_arrival_process(graph.stream(change.stream),
-                                               std::move(stream_rng));
+    for (pe::Source& source : sources) {
+      if (graph.pe(source.pe).input_stream != change.stream) continue;
+      source.process = pe::make_process(
+          options.arrival_factory, change.stream, graph.stream(change.stream),
+          change_rng.fork(source.pe.value()));
     }
   }
 
@@ -332,25 +274,13 @@ struct StreamSimulation::Impl {
     for (PeId id : graph.pes_on_node(node)) {
       PeRt& pe = pes[id.value()];
       progress(pe);
-      const std::uint64_t pe_lost =
-          pe.buffer.size() + (pe.busy ? 1 : 0) + pe.pending.size();
-      lost += pe_lost;
-      pe.lifetime_dropped += pe_lost;
-      for (std::uint64_t k = 0; k < pe_lost; ++k)
-        collector.on_internal_drop(now);
-      if (options.spans != nullptr) {
-        for (std::size_t k = 0; k < pe.buffer.size(); ++k)
-          options.spans->drop(pe.buffer.at(k).span, now);
-        if (pe.busy) options.spans->drop(pe.current.span, now);
-        for (const auto& [slot, sdo] : pe.pending)
-          options.spans->drop(sdo.span, now);
-      }
-      pe.buffer.clear();
-      pe.pending.clear();
-      pe.busy = false;
+      lost += pe.discard(now, collector, options.spans, [&pe](auto lose) {
+        for (const auto& [slot, sdo] : pe.pending) lose(sdo);
+        for (std::size_t k = 0; k < pe.buffer.size(); ++k) lose(pe.buffer.at(k));
+        pe.pending.clear();
+        pe.buffer.clear();
+      });
       pe.blocked = false;
-      pe.work_remaining = 0.0;
-      pe.share = 0.0;
       ++pe.disabled;
       ++pe.epoch;
     }
@@ -398,13 +328,6 @@ struct StreamSimulation::Impl {
                           [this] { reoptimize(); });
   }
 
-  static std::size_t count_egress(const graph::ProcessingGraph& g) {
-    std::size_t count = 0;
-    for (PeId id : g.all_pes())
-      if (g.pe(id).kind == graph::PeKind::kEgress) ++count;
-    return count;
-  }
-
   [[nodiscard]] Seconds transport_latency(std::size_t from,
                                           std::size_t to) const {
     const bool same_node =
@@ -416,13 +339,7 @@ struct StreamSimulation::Impl {
   /// Accrues CPU progress on the in-flight SDO up to the current instant.
   void progress(PeRt& pe) {
     const Seconds now = simulator.now();
-    if (pe.busy && pe.share > 0.0) {
-      double done = (now - pe.last_progress) * pe.share;
-      done = std::min(done, pe.work_remaining);
-      pe.work_remaining -= done;
-      pe.cpu_used += done;
-      pe.lifetime_cpu += done;
-    }
+    if (pe.busy && pe.share > 0.0) pe.spend((now - pe.last_progress) * pe.share);
     pe.last_progress = now;
   }
 
@@ -444,13 +361,9 @@ struct StreamSimulation::Impl {
     if (pe.busy || pe.blocked || pe.disabled || pe.buffer.empty() ||
         pe.share <= 0.0)
       return;
-    pe.current = pe.buffer.front();
+    const Sdo sdo = pe.buffer.front();
     pe.buffer.pop_front();
-    if (options.spans != nullptr) {
-      options.spans->on_dequeue(pe.current.span, simulator.now());
-    }
-    pe.busy = true;
-    pe.work_remaining = pe.service.cost_at(simulator.now());
+    pe.begin_service(sdo, simulator.now(), options.spans, simulator.now());
     pe.last_progress = simulator.now();
     ++pe.epoch;
     schedule_completion(pe);
@@ -461,61 +374,19 @@ struct StreamSimulation::Impl {
     PeRt& pe = pes[index];
     if (epoch != pe.epoch || !pe.busy) return;  // superseded by a tick
     progress(pe);
-    if (pe.work_remaining > kWorkEps) {  // numeric drift: finish the residue
+    if (!pe.finished()) {  // numeric drift: finish the residue
       schedule_completion(pe);
       return;
     }
-    finish_current(pe);
-  }
-
-  void finish_current(PeRt& pe) {
-    const Seconds now = simulator.now();
-    pe.busy = false;
-    pe.processed += 1.0;
-    ++pe.lifetime_processed;
-    collector.on_processed(now);
-
-    // Credit-conserving realization of the fractional selectivity.
-    const auto& d = graph.pe(pe.id);
-    pe.selectivity_credit += d.selectivity;
-    const int outputs = static_cast<int>(std::floor(pe.selectivity_credit));
-    pe.selectivity_credit -= outputs;
-
-    if (options.spans != nullptr) {
-      options.spans->on_emit(pe.current.span, now);
-    }
-    if (d.kind == graph::PeKind::kEgress) {
-      pe.lifetime_emitted += static_cast<std::uint64_t>(outputs);
-      for (int k = 0; k < outputs; ++k) {
-        collector.on_egress_output(now, pe.egress_index, d.weight,
-                                   now - pe.current.birth);
-      }
-      if (options.spans != nullptr) {
-        options.spans->complete(pe.current.span, now);
-      }
-    } else if (outputs > 0) {
-      const auto& downs = graph.downstream(pe.id);
-      // The span continues into the first downstream copy only, keeping
-      // each trace a single root-to-sink path under fan-out/selectivity.
-      std::int32_t span = pe.current.span;
-      for (std::size_t slot = 0; slot < downs.size(); ++slot) {
-        for (int k = 0; k < outputs; ++k) {
-          send(pe, slot, Sdo{pe.current.birth, span});
-          span = -1;
-        }
-      }
-    } else if (options.spans != nullptr) {
-      // Selectivity absorbed the SDO: the trace legitimately ends at this
-      // PE, a complete path of its own.
-      options.spans->complete(pe.current.span, now);
-    }
+    pe.complete(graph.pe(pe.id), graph.downstream(pe.id).size(),
+                simulator.now(), collector, options.spans,
+                [&](std::size_t slot, Sdo sdo) { send(pe, slot, sdo); });
     if (!pe.blocked) maybe_start(pe);
   }
 
   /// Emits one SDO on downstream slot `slot` of `pe`, honouring the policy's
   /// full-buffer semantics.
   void send(PeRt& pe, std::size_t slot, Sdo sdo) {
-    ++pe.lifetime_emitted;
     const std::size_t target = graph.downstream(pe.id)[slot].value();
     if (policy == control::FlowPolicy::kLockStep) {
       PeRt& t = pes[target];
@@ -545,30 +416,27 @@ struct StreamSimulation::Impl {
            injector->drop_delivery(pe.id, simulator.now());
   }
 
-  void deliver(std::size_t target, Sdo sdo) {
-    PeRt& pe = pes[target];
-    if (fault_drops_delivery(pe)) {
-      ++pe.lifetime_dropped;
-      collector.on_internal_drop(simulator.now());
-      if (options.spans != nullptr) options.spans->drop(sdo.span, simulator.now());
-      return;
-    }
-    if (static_cast<int>(pe.buffer.size()) >=
-        graph.pe(pe.id).buffer_capacity) {
-      ACES_PERF_COUNT(PerfEvent::kBufferPoolMiss);
-      ++pe.lifetime_dropped;
-      collector.on_internal_drop(simulator.now());
-      if (options.spans != nullptr) options.spans->drop(sdo.span, simulator.now());
-      return;
-    }
+  /// Accepts `sdo` into `pe`'s buffer now and starts service if idle.
+  void admit(PeRt& pe, Sdo sdo) {
     if (options.spans != nullptr) {
       options.spans->on_enqueue(sdo.span, pe.id, simulator.now());
     }
     ACES_PERF_COUNT(PerfEvent::kBufferPoolHit);
     pe.buffer.push_back(sdo);
-    pe.arrived += 1.0;
-    ++pe.lifetime_arrived;
+    pe.note_admitted();
     maybe_start(pe);
+  }
+
+  void deliver(std::size_t target, Sdo sdo) {
+    PeRt& pe = pes[target];
+    if (fault_drops_delivery(pe)) {
+      pe.note_dropped(sdo, simulator.now(), collector, options.spans);
+    } else if (pe.buffer.full()) {
+      ACES_PERF_COUNT(PerfEvent::kBufferPoolMiss);
+      pe.note_dropped(sdo, simulator.now(), collector, options.spans);
+    } else {
+      admit(pe, sdo);
+    }
   }
 
   void deliver_reserved(std::size_t target, Sdo sdo) {
@@ -576,22 +444,13 @@ struct StreamSimulation::Impl {
     --pe.reserved;
     ACES_CHECK_MSG(pe.reserved >= 0, "reservation accounting underflow");
     if (fault_drops_delivery(pe)) {
-      ++pe.lifetime_dropped;
-      collector.on_internal_drop(simulator.now());
-      if (options.spans != nullptr) options.spans->drop(sdo.span, simulator.now());
+      pe.note_dropped(sdo, simulator.now(), collector, options.spans);
       // The freed slot must wake blocked senders just like a pop would,
       // or a dead consumer wedges its Lock-Step producers forever.
       wake_upstream(pe);
       return;
     }
-    if (options.spans != nullptr) {
-      options.spans->on_enqueue(sdo.span, pe.id, simulator.now());
-    }
-    ACES_PERF_COUNT(PerfEvent::kBufferPoolHit);
-    pe.buffer.push_back(sdo);
-    pe.arrived += 1.0;
-    ++pe.lifetime_arrived;
-    maybe_start(pe);
+    admit(pe, sdo);
   }
 
   /// Lock-Step: a slot freed at `pe` — let blocked upstream senders flush.
@@ -620,37 +479,19 @@ struct StreamSimulation::Impl {
   }
 
   void source_arrival(std::size_t source_index) {
-    Source& src = sources[source_index];
-    PeRt& pe = pes[src.pe_index];
+    pe::Source& src = sources[source_index];
+    PeRt& pe = pes[src.pe.value()];
+    const Seconds now = simulator.now();
+    const Sdo sdo{now, pe::sample_arrival(options.spans, pe.id, now)};
     if (fault_drops_delivery(pe)) {
-      ++pe.lifetime_dropped;
-      collector.on_ingress_drop(simulator.now());
-      simulator.schedule_in(src.process->next_interarrival(),
-                            [this, source_index] {
-                              source_arrival(source_index);
-                            });
-      return;
-    }
-    const bool full =
-        policy == control::FlowPolicy::kLockStep
-            ? !has_space_for_send(pe)
-            : static_cast<int>(pe.buffer.size()) >=
-                  graph.pe(pe.id).buffer_capacity;
-    if (full) {
+      pe.note_arrival_dropped(sdo, collector, options.spans);
+    } else if (policy == control::FlowPolicy::kLockStep
+                   ? !has_space_for_send(pe)
+                   : pe.buffer.full()) {
       ACES_PERF_COUNT(PerfEvent::kBufferPoolMiss);
-      ++pe.lifetime_dropped;
-      collector.on_ingress_drop(simulator.now());
+      pe.note_arrival_dropped(sdo, collector, options.spans);
     } else {
-      Sdo sdo{simulator.now()};
-      if (options.spans != nullptr) {
-        sdo.span = options.spans->begin(pe.id, sdo.birth);
-        options.spans->on_enqueue(sdo.span, pe.id, sdo.birth);
-      }
-      ACES_PERF_COUNT(PerfEvent::kBufferPoolHit);
-      pe.buffer.push_back(sdo);
-      pe.arrived += 1.0;
-      ++pe.lifetime_arrived;
-      maybe_start(pe);
+      admit(pe, sdo);
     }
     simulator.schedule_in(src.process->next_interarrival(),
                           [this, source_index] { source_arrival(source_index); });
@@ -679,77 +520,33 @@ struct StreamSimulation::Impl {
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeRt& pe = pes[local[i].value()];
       progress(pe);
-      control::PeTickInput& in = inputs[i];
-      in.buffer_occupancy = static_cast<double>(pe.buffer.size());
-      in.processed_sdos = pe.processed;
-      in.cpu_seconds_used = pe.cpu_used;
-      in.arrived_sdos = pe.arrived;
-      in.output_blocked = pe.blocked;
-      in.downstream_rmax = -kInf;
-      if (pe.downstream_advert.empty()) {
-        in.downstream_rmax = kInf;  // egress: unconstrained (Eq. 8 vacuous)
-      } else {
-        Seconds freshest = -kInf;
-        for (std::size_t slot = 0; slot < pe.downstream_advert.size();
-             ++slot) {
-          // Per-slot staleness: a consumer silent past the timeout reads as
-          // r_max = 0 in the Eq. 8 max, so one live consumer still governs.
-          const bool stale =
-              staleness > 0.0 &&
-              now - pe.downstream_advert_time[slot] > staleness;
-          in.downstream_rmax = std::max(
-              in.downstream_rmax, stale ? 0.0 : pe.downstream_advert[slot]);
-          freshest = std::max(freshest, pe.downstream_advert_time[slot]);
-        }
-        in.downstream_advert_age = now - freshest;
-      }
+      inputs[i] = pe.tick_input(
+          now, pe.buffer.size(), pe.blocked, pe.downstream_advert.size(),
+          staleness, [&pe](std::size_t slot) {
+            return pe::Advert{pe.downstream_advert[slot],
+                              pe.downstream_advert_time[slot]};
+          });
     }
-
-    std::vector<control::PeTickOutput> outputs;
-    {
-      obs::ScopedTimer timer(options.profiler, obs::kPhaseControllerTick);
-      ACES_PERF_SCOPE(PerfStage::kControllerTick);
-      outputs = controller.tick(options.dt, inputs);
-    }
+    const std::vector<control::PeTickOutput> outputs =
+        pe::tick(controller, options.dt, inputs, options.profiler);
 
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeRt& pe = pes[local[i].value()];
-      const auto& d = graph.pe(pe.id);
+      // A disabled PE holds no share, whatever the controller granted.
+      const double granted = pe.disabled ? 0.0 : outputs[i].cpu_share;
       if (options.trace != nullptr) {
-        obs::TickRecord rec;
-        rec.time = now;
-        rec.node = controller.node().value();
-        rec.pe = static_cast<std::uint32_t>(pe.index);
-        rec.buffer_occupancy = inputs[i].buffer_occupancy;
-        rec.arrived_sdos = inputs[i].arrived_sdos;
-        rec.processed_sdos = inputs[i].processed_sdos;
-        rec.cpu_share = pe.disabled ? 0.0 : outputs[i].cpu_share;
-        rec.cpu_seconds_used = inputs[i].cpu_seconds_used;
-        rec.advertised_rmax = outputs[i].advertised_rmax;
-        rec.downstream_rmax = inputs[i].downstream_rmax;
-        rec.token_fill = controller.tokens(i);
-        rec.output_blocked = inputs[i].output_blocked;
-        rec.dropped_total = pe.lifetime_dropped;
-        if (injector != nullptr && injector->pe_stalled(pe.id, now)) {
-          rec.fault_flags |= obs::kFaultPeStalled;
-        }
-        if (staleness > 0.0 && !pe.downstream_advert.empty() &&
-            inputs[i].downstream_advert_age > staleness) {
-          rec.fault_flags |= obs::kFaultAdvertStale;
-        }
-        options.trace->record(rec);
+        options.trace->record(pe::tick_record(controller, i, now, staleness,
+                                              inputs[i], outputs[i], granted,
+                                              pe.lifetime_dropped,
+                                              injector.get()));
       }
-      collector.on_cpu_used(now, pe.cpu_used);
-      collector.on_buffer_sample(now,
-                                 static_cast<double>(pe.buffer.size()) /
-                                     static_cast<double>(d.buffer_capacity));
+      pe.close_interval(now, pe.buffer.size(), pe.buffer.capacity(),
+                        collector);
       if (pe.buffer_series != nullptr) {
         pe.buffer_series->append(now, static_cast<double>(pe.buffer.size()));
         pe.share_series->append(now, outputs[i].cpu_share);
       }
-      pe.processed = pe.cpu_used = pe.arrived = 0.0;
 
-      const double granted = pe.disabled ? 0.0 : outputs[i].cpu_share;
       if (granted != pe.share) {
         pe.share = granted;
         ++pe.epoch;
@@ -783,11 +580,6 @@ struct StreamSimulation::Impl {
     simulator.schedule_in(options.dt, [this, node_index] { node_tick(node_index); });
   }
 
-  struct Source {
-    std::size_t pe_index;
-    std::unique_ptr<workload::ArrivalProcess> process;
-  };
-
   graph::ProcessingGraph graph;  // private copy; dynamic events mutate it
   SimOptions options;
   control::FlowPolicy policy;
@@ -795,7 +587,7 @@ struct StreamSimulation::Impl {
   Simulator simulator;
   std::vector<PeRt> pes;
   std::vector<control::NodeController> controllers;
-  std::vector<Source> sources;
+  std::vector<pe::Source> sources;
   double total_capacity = 0.0;
   metrics::TimeSeriesSet trajectories;
   Rng change_rng;
@@ -821,15 +613,7 @@ metrics::RunReport StreamSimulation::report() const {
   metrics::RunReport report = impl_->collector.finalize(
       impl_->simulator.now(), impl_->total_capacity);
   report.per_pe.reserve(impl_->pes.size());
-  for (const auto& pe : impl_->pes) {
-    metrics::PeAccounting acc;
-    acc.arrived = pe.lifetime_arrived;
-    acc.processed = pe.lifetime_processed;
-    acc.emitted = pe.lifetime_emitted;
-    acc.dropped_input = pe.lifetime_dropped;
-    acc.cpu_seconds = pe.lifetime_cpu;
-    report.per_pe.push_back(acc);
-  }
+  for (const auto& pe : impl_->pes) report.per_pe.push_back(pe.accounting());
   report.events_executed = impl_->simulator.executed();
   report.reoptimizations =
       static_cast<std::uint64_t>(impl_->reoptimization_count);
@@ -861,17 +645,8 @@ std::uint64_t StreamSimulation::events_executed() const {
 
 PeStats StreamSimulation::pe_stats(PeId id) const {
   const auto& pe = impl_->pes.at(id.value());
-  PeStats stats;
-  stats.arrived = pe.lifetime_arrived;
-  stats.processed = pe.lifetime_processed;
-  stats.emitted = pe.lifetime_emitted;
-  stats.dropped_input = pe.lifetime_dropped;
-  stats.cpu_seconds = pe.lifetime_cpu;
-  stats.in_buffer = pe.buffer.size();
-  stats.busy = pe.busy;
-  stats.blocked = pe.blocked;
-  stats.reserved = pe.reserved;
-  return stats;
+  return PeStats{pe.accounting(), pe.buffer.size(), pe.busy, pe.blocked,
+                 pe.reserved};
 }
 
 const metrics::TimeSeriesSet& StreamSimulation::timeseries() const {

@@ -151,14 +151,9 @@ struct SimOptions {
   obs::SpanTracer* spans = nullptr;
 };
 
-/// Lifetime accounting for one PE (conservation analysis in tests).
-struct PeStats {
-  std::uint64_t arrived = 0;        ///< SDOs accepted into the input buffer
-  std::uint64_t processed = 0;      ///< SDOs fully processed
-  std::uint64_t emitted = 0;        ///< SDO copies sent downstream, or
-                                    ///< system outputs for egress PEs
-  std::uint64_t dropped_input = 0;  ///< copies lost at THIS PE's full buffer
-  double cpu_seconds = 0.0;
+/// Lifetime accounting for one PE (conservation analysis in tests), plus
+/// its state at query time.
+struct PeStats : metrics::PeAccounting {
   std::uint64_t in_buffer = 0;      ///< occupancy at query time
   bool busy = false;                ///< one SDO in service at query time
   /// Lock-Step: sleeping on a full downstream buffer at query time. A

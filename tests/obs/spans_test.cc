@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -307,6 +308,48 @@ TEST(SpanSimIntegrationTest, TracingLeavesTheRunReportUntouched) {
   EXPECT_DOUBLE_EQ(untraced.latency.mean(), traced.latency.mean());
   EXPECT_EQ(untraced.latency_histogram.count(),
             traced.latency_histogram.count());
+}
+
+// The sampling draw sits on the arrival path, before admission: which SDOs
+// are traced is a pure function of (seed, source PE, arrival index), so a
+// full ingress buffer turning SDOs away cannot shift the sampled set.
+TEST(SpanSimIntegrationTest, SampledSetIgnoresIngressDrops) {
+  graph::TopologyParams params;
+  params.load_factor = 1.4;
+  const graph::ProcessingGraph base = graph::generate_topology(params, 5);
+  const auto run = [&](int buffer, std::uint64_t* ingress_drops) {
+    graph::ProcessingGraph g = base;
+    for (PeId id : g.all_pes()) g.pe(id).buffer_capacity = buffer;
+    sim::SimOptions options;
+    options.duration = 40.0;
+    options.seed = 5;
+    options.controller.policy = control::FlowPolicy::kUdp;
+    SpanTracerOptions tracer_options;
+    tracer_options.sample_rate = 0.05;
+    tracer_options.seed = options.seed;
+    tracer_options.keep_completed = true;
+    SpanTracer tracer(tracer_options);
+    options.spans = &tracer;
+    sim::StreamSimulation sim(g, opt::optimize(g), options);
+    sim.run();
+    *ingress_drops = sim.report().ingress_drops;
+    // Finished spans (completed or dropped) plus the ones still in flight.
+    tracer.fault_dump("end", sim.now());
+    std::set<std::uint64_t> ids;
+    const auto keep = [&ids](const SdoSpan& span) {
+      if (span.start < 10.0) ids.insert(span.trace_id);
+    };
+    for (const SdoSpan& span : tracer.take_completed()) keep(span);
+    for (const SdoSpan& span : tracer.dumps().back().in_flight) keep(span);
+    return ids;
+  };
+  std::uint64_t small_drops = 0;
+  std::uint64_t large_drops = 0;
+  const std::set<std::uint64_t> small = run(5, &small_drops);
+  const std::set<std::uint64_t> large = run(400, &large_drops);
+  EXPECT_GT(small_drops, large_drops);
+  EXPECT_GT(small.size(), 50u);
+  EXPECT_EQ(small, large);
 }
 
 TEST(SpanCrossSubstrateTest, PathIdsAreStableAcrossSubstrates) {

@@ -469,7 +469,6 @@ harness::RunSummary run_one_dist(const graph::ProcessingGraph& g,
   options.warmup = warmup;
   options.substeps = static_cast<std::uint32_t>(substeps);
   options.seed = static_cast<std::uint64_t>(seed);
-  options.batch = data_plane.batch;
   options.channel_capacity = data_plane.channel_capacity;
   options.processes = static_cast<std::uint32_t>(processes);
   options.transport = transport;

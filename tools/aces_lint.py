@@ -9,8 +9,9 @@ fingerprinted path, so this lint bans the relevant constructs statically:
 
 Rule groups and where they apply
 --------------------------------
-``fingerprint`` paths (src/sim, src/harness, src/opt, src/metrics —
-anything whose output feeds a result fingerprint):
+``fingerprint`` paths (src/sim, src/pe, src/harness, src/opt,
+src/metrics — anything whose output feeds a result fingerprint; the PE
+kernel in src/pe runs inside the deterministic substrates):
 
 * ``nondet-random``   -- rand()/srand(), std::random_device, mt19937 seeded
                          off entropy. Use common/rng.h (splitmix64 /
@@ -36,9 +37,9 @@ CLI front end):
                          in a report writer silently truncates doubles and
                          two bit-identical runs stop diffing clean.
 
-``hotpath`` files (src/runtime — the threaded data plane, whose
-steady state must be lock-annotated and allocation-free; see
-docs/performance.md):
+``hotpath`` files (src/runtime and src/pe — the threaded data plane and
+the PE kernel its node threads run, whose steady state must be
+lock-annotated and allocation-free; see docs/performance.md):
 
 * ``raw-mutex``       -- std::mutex and friends. The hot path uses
                          common/mutex.h (aces::Mutex), which carries the
@@ -113,8 +114,9 @@ import re
 import sys
 from dataclasses import dataclass
 
-FINGERPRINT_DIRS = ("src/sim", "src/harness", "src/opt", "src/metrics")
-HOTPATH_DIRS = ("src/runtime",)
+FINGERPRINT_DIRS = ("src/sim", "src/pe", "src/harness", "src/opt",
+                    "src/metrics")
+HOTPATH_DIRS = ("src/runtime", "src/pe")
 ATOMICS_DIRS = ("src/runtime", "src/obs")
 REPORT_FILES_GLOB = re.compile(
     r"(src/harness/[^/]+\.cc|src/obs/export\.cc|src/obs/cluster_aggregate\.cc|"
@@ -395,7 +397,9 @@ def classify(rel_path: str) -> set[str]:
 
 
 def iter_source_files(root: str):
-    for base in FINGERPRINT_DIRS + HOTPATH_DIRS + ("src/obs", "bench", "tools"):
+    # A directory in several rule groups (src/pe) is still scanned once.
+    bases = FINGERPRINT_DIRS + HOTPATH_DIRS + ("src/obs", "bench", "tools")
+    for base in dict.fromkeys(bases):
         top = os.path.join(root, base)
         if not os.path.isdir(top):
             continue

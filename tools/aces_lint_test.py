@@ -172,6 +172,15 @@ class ClassifyTests(unittest.TestCase):
                          {"hotpath", "atomics"})
         self.assertNotIn("hotpath", aces_lint.classify("src/sim/simulator.cc"))
 
+    def test_pe_kernel_is_fingerprint_and_hotpath_scope(self):
+        # The kernel runs inside the deterministic substrates and on the
+        # threaded runtime's node threads, so both rule groups apply.
+        self.assertEqual(aces_lint.classify("src/pe/pe_core.h"),
+                         {"fingerprint", "hotpath"})
+        self.assertEqual(aces_lint.classify("src/pe/pe_core.cc"),
+                         {"fingerprint", "hotpath"})
+        self.assertNotIn("hotpath", aces_lint.classify("src/perf/x.cc"))
+
     def test_wire_scope_is_codec_and_transport_files(self):
         self.assertEqual(aces_lint.classify("src/runtime/wire.h"),
                          {"hotpath", "atomics", "wire"})
@@ -204,6 +213,13 @@ class CliTests(unittest.TestCase):
     def test_tree_scope_is_clean(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         self.assertEqual(aces_lint.main(["--root", root]), 0)
+
+    def test_tree_scan_visits_each_file_once(self):
+        # src/pe sits in two rule groups; it must not be scanned twice.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        files = list(aces_lint.iter_source_files(root))
+        self.assertEqual(len(files), len(set(files)))
+        self.assertIn(os.path.join("src", "pe", "pe_core.h"), files)
 
     def test_fixture_paths_with_forced_groups_fail(self):
         rc = aces_lint.main([
