@@ -26,12 +26,9 @@ static_assert(sizeof(kStageNames) / sizeof(kStageNames[0]) ==
               "kStageNames must cover every PerfStage");
 
 constexpr const char* kEventNames[] = {
-    "calendar_bucket_hit", "calendar_sparse_fallback",
-    "calendar_rebuild",    "buffer_pool_hit",
-    "buffer_pool_miss",    "channel_block",
-    "channel_wakeup",      "ring_full_park",
-    "ring_empty_park",     "ring_batch_publish",
-    "ring_batch_sdos",     "ring_drain_burst",
+    "buffer_pool_hit",    "buffer_pool_miss", "channel_block",
+    "channel_wakeup",     "ring_full_park",   "ring_empty_park",
+    "ring_batch_publish", "ring_batch_sdos",  "ring_drain_burst",
     "ring_drain_sdos",
 };
 static_assert(sizeof(kEventNames) / sizeof(kEventNames[0]) ==

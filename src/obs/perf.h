@@ -3,12 +3,11 @@
 // The paper's controllers act on resource-usage measurements; this header
 // gives the *implementation* the same treatment. A fixed vocabulary of
 // stages (scoped timers: steady_clock ns + TSC cycles + call count) and
-// events (monotonic counts, including hit/miss pairs for the calendar
-// queue and the pooled SDO buffers) is compiled into the hot paths behind
-// two macros:
+// events (monotonic counts, including hit/miss pairs for the pooled SDO
+// buffers) is compiled into the hot paths behind two macros:
 //
 //     ACES_PERF_SCOPE(PerfStage::kCalendarInsert);
-//     ACES_PERF_COUNT(PerfEvent::kCalendarBucketHit);
+//     ACES_PERF_COUNT(PerfEvent::kBufferPoolHit);
 //
 // Build discipline — zero overhead when off:
 //  * Unless the build sets -DACES_PERF_INSTRUMENT (CMake option
@@ -52,8 +51,8 @@ namespace aces::obs {
 
 /// Scoped-timing probe sites. Append only; names in perf.cc must match.
 enum class PerfStage : unsigned {
-  kCalendarInsert = 0,  ///< simulator calendar-queue schedule_at()
-  kCalendarDrain,       ///< simulator calendar-queue find_min()+pop
+  kCalendarInsert = 0,  ///< simulator event-heap push (schedule_at())
+  kCalendarDrain,       ///< simulator event-heap pop (run_next())
   kControllerTick,      ///< one NodeController::tick()
   kOptimizerSolve,      ///< one tier-1 optimize() solve
   kChannelSend,         ///< runtime channel try_push()/push_wait()
@@ -64,10 +63,7 @@ enum class PerfStage : unsigned {
 
 /// Event-count probe sites (hit/miss pairs and rarities).
 enum class PerfEvent : unsigned {
-  kCalendarBucketHit = 0,   ///< find_min() served from the cursor day
-  kCalendarSparseFallback,  ///< find_min() fell back to a full scan
-  kCalendarRebuild,         ///< calendar resized/rewidthed
-  kBufferPoolHit,           ///< SDO accepted into a pooled PE buffer
+  kBufferPoolHit = 0,       ///< SDO accepted into a pooled PE buffer
   kBufferPoolMiss,          ///< SDO rejected: pooled buffer full
   kChannelBlock,            ///< channel push had to wait for space
   kChannelWakeup,           ///< channel pop woke from a CV wait

@@ -4,7 +4,7 @@
 //
 // Each substrate keeps only what really differs between them: its clock,
 // its queue type (BoundedQueue, SdoChannel, std::deque), its transport
-// (calendar events, channels and the message bus, barrier outboxes) and its
+// (simulator events, channels and the message bus, barrier outboxes) and its
 // own counters. Everything else a PE does is written here once:
 //  * construction: the service-model and arrival-stream forks by PE id,
 //    egress numbering, tier-1 shares;

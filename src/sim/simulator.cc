@@ -1,7 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -10,21 +8,13 @@
 namespace aces::sim {
 
 namespace {
-constexpr std::size_t kInitialBuckets = 32;  // power of two
-constexpr double kInitialWidth = 0.01;       // one control tick order
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
 /// Total event order: earliest time first, schedule order on ties.
-bool earlier(Seconds at, std::uint64_t as, Seconds bt, std::uint64_t bs) {
-  if (at != bt) return at < bt;
-  return as < bs;
+template <typename Key>
+bool earlier(const Key& a, const Key& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.seq < b.seq;
 }
 }  // namespace
-
-Simulator::Simulator()
-    : buckets_(kInitialBuckets),
-      bucket_mask_(kInitialBuckets - 1),
-      width_(kInitialWidth) {}
 
 void Simulator::schedule_in(Seconds delay, Handler fn) {
   ACES_CHECK_MSG(delay >= 0.0, "cannot schedule into the past");
@@ -34,135 +24,62 @@ void Simulator::schedule_in(Seconds delay, Handler fn) {
 void Simulator::schedule_at(Seconds t, Handler fn) {
   ACES_PERF_SCOPE(PerfStage::kCalendarInsert);
   ACES_CHECK_MSG(t >= now_, "cannot schedule into the past");
-  if (size_ + 1 > 2 * buckets_.size()) rebuild(buckets_.size() * 2);
-  const std::uint64_t day = day_of(t);
-  // Keep the drain cursor's invariant (current_day_ <= every pending
-  // event's day): the cursor may sit arbitrarily far ahead after skipping
-  // empty days, while t >= now_ only bounds the new event from below.
-  if (size_ == 0 || day < current_day_) current_day_ = day;
-  buckets_[day & bucket_mask_].push_back(Event{t, next_seq_++, std::move(fn)});
-  ++size_;
-}
-
-std::pair<std::size_t, std::size_t> Simulator::find_min() {
-  ACES_PERF_SCOPE(PerfStage::kCalendarDrain);
-  // Fast path: drain the calendar day by day. Every pending event lives on
-  // day >= current_day_, and all of day d precedes all of day d+1, so the
-  // first day with a resident event holds the global minimum.
-  for (std::size_t rounds = 0; rounds < buckets_.size(); ++rounds) {
-    const std::size_t b = current_day_ & bucket_mask_;
-    const std::vector<Event>& bucket = buckets_[b];
-    std::size_t best = kNoSlot;
-    for (std::size_t k = 0; k < bucket.size(); ++k) {
-      if (day_of(bucket[k].time) != current_day_) continue;
-      if (best == kNoSlot || earlier(bucket[k].time, bucket[k].seq,
-                                     bucket[best].time, bucket[best].seq)) {
-        best = k;
-      }
-    }
-    if (best != kNoSlot) {
-      ACES_PERF_COUNT(PerfEvent::kCalendarBucketHit);
-      return {b, best};
-    }
-    ++current_day_;
-  }
-  ACES_PERF_COUNT(PerfEvent::kCalendarSparseFallback);
-  // Sparse population: no event within a full calendar cycle. Find the
-  // minimum directly and jump the calendar to its day.
-  std::size_t best_bucket = kNoSlot;
-  std::size_t best_slot = kNoSlot;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const std::vector<Event>& bucket = buckets_[b];
-    for (std::size_t k = 0; k < bucket.size(); ++k) {
-      if (best_bucket == kNoSlot ||
-          earlier(bucket[k].time, bucket[k].seq,
-                  buckets_[best_bucket][best_slot].time,
-                  buckets_[best_bucket][best_slot].seq)) {
-        best_bucket = b;
-        best_slot = k;
-      }
-    }
-  }
-  ACES_CHECK_MSG(best_bucket != kNoSlot, "find_min on empty calendar");
-  current_day_ = day_of(buckets_[best_bucket][best_slot].time);
-  return {best_bucket, best_slot};
-}
-
-Simulator::Event Simulator::extract(std::pair<std::size_t, std::size_t> loc) {
-  std::vector<Event>& bucket = buckets_[loc.first];
-  Event event = std::move(bucket[loc.second]);
-  if (loc.second != bucket.size() - 1) {
-    bucket[loc.second] = std::move(bucket.back());
-  }
-  bucket.pop_back();
-  --size_;
-  return event;
-}
-
-void Simulator::rebuild(std::size_t bucket_count) {
-  ACES_PERF_COUNT(PerfEvent::kCalendarRebuild);
-  std::vector<Event> events;
-  events.reserve(size_);
-  for (std::vector<Event>& bucket : buckets_) {
-    for (Event& e : bucket) events.push_back(std::move(e));
-    bucket.clear();
-  }
-  // Width: twice the mean inter-event gap, so a bucket holds a couple of
-  // events on average. Degenerate spans (all ties) keep the old width —
-  // same time means same bucket at any width.
-  if (events.size() > 1) {
-    Seconds lo = events.front().time;
-    Seconds hi = lo;
-    for (const Event& e : events) {
-      lo = std::min(lo, e.time);
-      hi = std::max(hi, e.time);
-    }
-    const double span = hi - lo;
-    if (span > 0.0) {
-      // Floors keep day numbers (time / width) far from uint64 range even
-      // for adversarially tight spans at large absolute times.
-      width_ = std::max({2.0 * span / static_cast<double>(events.size()),
-                         hi * 1e-15, 1e-12});
-    }
-  }
-  buckets_.clear();
-  buckets_.resize(bucket_count);
-  bucket_mask_ = bucket_count - 1;
-  for (Event& e : events) {
-    buckets_[day_of(e.time) & bucket_mask_].push_back(std::move(e));
-  }
-  // Re-home the drain cursor onto the earliest pending day.
-  if (size_ > 0) {
-    Seconds min_time = std::numeric_limits<Seconds>::max();
-    for (const std::vector<Event>& bucket : buckets_) {
-      for (const Event& e : bucket) min_time = std::min(min_time, e.time);
-    }
-    current_day_ = day_of(min_time);
+  std::size_t slot = handlers_.size();
+  if (free_slots_.empty()) {
+    handlers_.push_back(std::move(fn));
   } else {
-    current_day_ = day_of(now_);
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    handlers_[slot] = std::move(fn);
   }
+  // Sift the new key up from a hole at the end. Its seq is the largest
+  // pending, so it never passes a parent with the same time.
+  const Key key{t, next_seq_++, slot};
+  std::size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!earlier(key, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = key;
+}
+
+void Simulator::run_next() {
+  const Key top = heap_.front();
+  {
+    ACES_PERF_SCOPE(PerfStage::kCalendarDrain);
+    // Sift the last key down from the hole the root left.
+    const Key last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+      if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+      if (!earlier(heap_[child], last)) break;
+      heap_[i] = heap_[child];
+      i = child;
+    }
+    if (n > 0) heap_[i] = last;
+  }
+  // The handler leaves its slot before it runs: what it schedules may
+  // reuse the slot or grow handlers_.
+  Handler fn = std::move(handlers_[top.slot]);
+  free_slots_.push_back(top.slot);
+  now_ = top.time;
+  ++executed_;
+  fn();
 }
 
 void Simulator::run_until(Seconds end) {
   ACES_CHECK_MSG(end >= now_, "cannot run backwards");
-  while (size_ > 0) {
-    const auto loc = find_min();
-    if (buckets_[loc.first][loc.second].time > end) break;
-    Event event = extract(loc);
-    now_ = event.time;
-    ++executed_;
-    event.fn();
-  }
+  while (!heap_.empty() && heap_.front().time <= end) run_next();
   now_ = end;
 }
 
 void Simulator::run_all() {
-  while (size_ > 0) {
-    Event event = extract(find_min());
-    now_ = event.time;
-    ++executed_;
-    event.fn();
-  }
+  while (!heap_.empty()) run_next();
 }
 
 }  // namespace aces::sim

@@ -2,14 +2,16 @@
 //
 // A from-scratch replacement for the C-SIM library the paper used: a
 // monotone virtual clock and a time-ordered event set of callbacks.
-// Deterministic: ties in time break by insertion order.
+// Deterministic: events run in (time, seq) order, where seq counts
+// schedule calls, so ties in time break by insertion order.
 //
-// The event set is an indexed calendar queue (Brown 1988): events hash into
-// time buckets of adaptive width, so the common case of a simulation whose
-// pending events cluster within a few control intervals dequeues in O(1)
-// amortized instead of the O(log n) heap the first implementation used.
-// Handlers are aces::InlineFunction, so scheduling an event performs no
-// heap allocation for any capture up to kHandlerCapacity bytes.
+// The event set is an indexed binary min-heap of 24-byte keys
+// {time, seq, slot}. Only the keys sift; each handler stays in a slot of a
+// handler vector, and freed slots are reused last-in first-out, so once
+// the pending population has peaked scheduling allocates nothing.
+// Handlers are aces::InlineFunction, so no capture up to kHandlerCapacity
+// bytes allocates either. Any time >= now() is valid, +inf included: such
+// an event stays pending under every finite horizon.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +31,8 @@ class Simulator {
   static constexpr std::size_t kHandlerCapacity = 64;
   using Handler = InlineFunction<kHandlerCapacity>;
 
-  Simulator();
-
   [[nodiscard]] Seconds now() const { return now_; }
-  [[nodiscard]] std::size_t pending() const { return size_; }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Schedules `fn` `delay` seconds from now (delay >= 0).
@@ -46,37 +46,22 @@ class Simulator {
   void run_all();
 
  private:
-  struct Event {
+  struct Key {
     Seconds time;
     std::uint64_t seq;
-    Handler fn;
+    std::size_t slot;  // index into handlers_
   };
 
-  [[nodiscard]] std::uint64_t day_of(Seconds t) const {
-    return static_cast<std::uint64_t>(t / width_);
-  }
-
-  /// Locates the earliest pending event by (time, seq) and re-homes
-  /// `current_day_` onto its bucket. Requires size_ > 0. Returns
-  /// (bucket index, slot index).
-  std::pair<std::size_t, std::size_t> find_min();
-
-  /// Removes the event at (bucket, slot) and returns it.
-  Event extract(std::pair<std::size_t, std::size_t> loc);
-
-  /// Rebuilds the calendar with `bucket_count` buckets and a width derived
-  /// from the current event population.
-  void rebuild(std::size_t bucket_count);
+  /// Pops the earliest key, frees its slot and runs its handler.
+  void run_next();
 
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::size_t size_ = 0;
 
-  std::vector<std::vector<Event>> buckets_;
-  std::size_t bucket_mask_ = 0;   // buckets_.size() - 1 (power of two)
-  double width_ = 0.0;            // seconds per bucket
-  std::uint64_t current_day_ = 0; // absolute bucket number being drained
+  std::vector<Key> heap_;              // binary min-heap by (time, seq)
+  std::vector<Handler> handlers_;      // indexed by Key::slot
+  std::vector<std::size_t> free_slots_;
 };
 
 }  // namespace aces::sim

@@ -5,8 +5,11 @@
 // retains more weighted throughput than the no-control baseline.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fault/fault_spec.h"
 #include "graph/topology_generator.h"
+#include "metrics/report_fingerprint.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "opt/global_optimizer.h"
@@ -320,6 +323,47 @@ TEST(FaultSimTest, AcesRetainsMoreThroughputThanUdpUnderCrash) {
   const auto udp_report = simulate(g, plan, udp);
   EXPECT_GT(aces_report.weighted_throughput,
             udp_report.weighted_throughput);
+}
+
+/// Simulates the generated 6-node topology with `spec` under ACES.
+metrics::RunReport simulate_with_faults(const std::string& spec) {
+  graph::TopologyParams params;
+  params.num_nodes = 6;
+  params.num_ingress = 6;
+  params.num_intermediate = 12;
+  params.num_egress = 6;
+  const auto g = generate_topology(params, 1);
+  const auto plan = opt::optimize(g);
+  SimOptions o;
+  o.duration = 20.0;
+  o.warmup = 2.0;
+  o.seed = 1;
+  o.controller.policy = FlowPolicy::kAces;
+  o.faults = fault::parse_fault_spec(spec);
+  return simulate(g, plan, o);
+}
+
+// A window that never ends (the parser accepts inf) schedules its end at
+// +inf. That event must stay pending past the run's horizon, so the run
+// does the same work as with an end beyond it.
+TEST(FaultSimTest, CrashThatNeverEndsMatchesAFarFutureEnd) {
+  const metrics::RunReport forever =
+      simulate_with_faults("crash node=1 at=5 until=inf");
+  const metrics::RunReport far =
+      simulate_with_faults("crash node=1 at=5 until=1e9");
+  EXPECT_GT(forever.sdos_processed, 0u);
+  EXPECT_EQ(metrics::work_fingerprint(forever),
+            metrics::work_fingerprint(far));
+}
+
+TEST(FaultSimTest, StallThatNeverEndsMatchesAFarFutureEnd) {
+  const metrics::RunReport forever =
+      simulate_with_faults("stall pe=3 at=5 for=inf");
+  const metrics::RunReport far =
+      simulate_with_faults("stall pe=3 at=5 for=1e9");
+  EXPECT_GT(forever.sdos_processed, 0u);
+  EXPECT_EQ(metrics::work_fingerprint(forever),
+            metrics::work_fingerprint(far));
 }
 
 }  // namespace

@@ -46,9 +46,9 @@ TEST(PerfSnapshot, UninstrumentedBuildStaysEmpty) {
   // The macros must be valid no-op statements, including in unbraced
   // if/else positions.
   if (perf_instrumented())
-    ACES_PERF_COUNT(PerfEvent::kCalendarBucketHit);
+    ACES_PERF_COUNT(PerfEvent::kBufferPoolHit);
   else
-    ACES_PERF_COUNT(PerfEvent::kCalendarSparseFallback);
+    ACES_PERF_COUNT(PerfEvent::kBufferPoolMiss);
   ACES_PERF_SCOPE(PerfStage::kCalendarInsert);
   ACES_PERF_COUNT_N(PerfEvent::kBufferPoolHit, 3);
   EXPECT_TRUE(perf_snapshot().empty());
@@ -60,7 +60,7 @@ TEST(PerfSnapshot, ProbesAccumulateAndReset) {
   perf_reset();
   {
     ACES_PERF_SCOPE(PerfStage::kCalendarInsert);
-    ACES_PERF_COUNT(PerfEvent::kCalendarBucketHit);
+    ACES_PERF_COUNT(PerfEvent::kBufferPoolMiss);
     ACES_PERF_COUNT_N(PerfEvent::kBufferPoolHit, 5);
   }
   const PerfSnapshot snapshot = perf_snapshot();
@@ -70,13 +70,13 @@ TEST(PerfSnapshot, ProbesAccumulateAndReset) {
             perf_stage_name(PerfStage::kCalendarInsert));
   EXPECT_EQ(snapshot.stages[0].calls, 1u);
 
-  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
   std::uint64_t pool = 0;
   for (const auto& [name, count] : snapshot.events) {
-    if (name == perf_event_name(PerfEvent::kCalendarBucketHit)) hits = count;
+    if (name == perf_event_name(PerfEvent::kBufferPoolMiss)) misses = count;
     if (name == perf_event_name(PerfEvent::kBufferPoolHit)) pool = count;
   }
-  EXPECT_EQ(hits, 1u);
+  EXPECT_EQ(misses, 1u);
   EXPECT_EQ(pool, 5u);
 
   perf_reset();

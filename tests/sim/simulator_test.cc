@@ -1,7 +1,13 @@
 #include "sim/simulator.h"
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,16 +124,16 @@ TEST(SimulatorTest, ManyEventsStressOrdering) {
   EXPECT_EQ(sim.executed(), 10000u);
 }
 
-// The remaining tests stress the calendar queue's specific failure modes:
-// duplicate timestamps spread over many buckets, far-future jumps that
-// overflow the current day, rebuilds while events are pending, and
-// interleaved execute/schedule traffic around bucket boundaries.
+// The remaining tests check the event order under traffic shapes that
+// stress an event set: many duplicate timestamps, far-future jumps with
+// backfill, long hops between sparse events, interleaved execute/schedule
+// traffic, nanosecond spacing, and handler slots reused while they run.
 
 TEST(SimulatorTest, DuplicateTimestampsKeepScheduleOrderAcrossRebuilds) {
   Simulator sim;
   std::vector<int> trace;
-  // Enough events to force several capacity rebuilds, at only 3 distinct
-  // times, scheduled in a shuffled pattern.
+  // Many events at only 3 distinct times, scheduled in a shuffled
+  // pattern.
   for (int i = 0; i < 600; ++i) {
     const double t = static_cast<double>((i * 7) % 3);
     sim.schedule_at(t, [&trace, i] { trace.push_back(i); });
@@ -147,7 +153,7 @@ TEST(SimulatorTest, FarFutureJumpThenBackfillStaysOrdered) {
   Simulator sim;
   std::vector<double> times;
   const auto record = [&] { times.push_back(sim.now()); };
-  sim.schedule_at(1e6, record);   // far beyond the initial bucket span
+  sim.schedule_at(1e6, record);   // far beyond everything else
   sim.schedule_at(0.001, record); // backfill near now
   sim.schedule_at(999.0, record);
   sim.schedule_at(1e-9, record);
@@ -157,8 +163,8 @@ TEST(SimulatorTest, FarFutureJumpThenBackfillStaysOrdered) {
 
 TEST(SimulatorTest, HandlersSchedulingAcrossBucketBoundaries) {
   Simulator sim;
-  // Each event schedules a follow-up ~1000 widths ahead; the cursor must
-  // re-home correctly every time the current day's bucket goes empty.
+  // Each event schedules one follow-up far ahead, so the queue holds a
+  // single event at a time.
   int hops = 0;
   std::function<void()> hop = [&] {
     if (++hops < 50) sim.schedule_in(97.3, hop);
@@ -193,8 +199,7 @@ TEST(SimulatorTest, InterleavedScheduleAndRunKeepsGlobalOrder) {
 
 TEST(SimulatorTest, TinyTimeScaleDoesNotOverflowDayIndex) {
   Simulator sim;
-  // All events nanoseconds apart: the adaptive bucket width must clamp so
-  // day indices stay representable.
+  // All events nanoseconds apart, scheduled latest first.
   std::vector<double> times;
   for (int i = 100; i > 0; --i) {
     sim.schedule_at(static_cast<double>(i) * 1e-9,
@@ -205,6 +210,184 @@ TEST(SimulatorTest, TinyTimeScaleDoesNotOverflowDayIndex) {
   for (std::size_t i = 1; i < times.size(); ++i) {
     EXPECT_LT(times[i - 1], times[i]);
   }
+}
+
+
+/// Seeded random traffic mirrored into a reference ordered set of
+/// (time, seq). Each handler checks, when it runs, that it is the
+/// reference's earliest pending entry and that the clock reads its time.
+struct ReferenceTraffic {
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  Simulator sim;
+  std::mt19937_64 rng{20061};
+  std::set<std::pair<double, std::uint64_t>> pending;
+  std::uint64_t next_seq = 0;  // mirrors the simulator's schedule count
+  std::uint64_t ran = 0;
+  std::uint64_t misordered = 0;
+  std::uint64_t ties = 0;         // runs at the previous run's time
+  std::uint64_t zero_delays = 0;  // scheduled at now() from a handler
+  std::uint64_t infinite = 0;     // scheduled at +inf
+  bool spawn = true;              // handlers schedule children
+  double last_run = -1.0;
+
+  /// A time >= now() from the mix: zero delay, nanosecond gaps, exact
+  /// ties on a 0.25 s grid, far future (1e6 s) or +inf, or a plain delay.
+  double draw_time() {
+    const double now = sim.now();
+    switch (rng() % 8) {
+      case 0:
+        return now;
+      case 1:
+        return now + static_cast<double>(1 + rng() % 4) * 1e-9;
+      case 2:
+        return (std::floor(now / 0.25) + static_cast<double>(1 + rng() % 3)) *
+               0.25;
+      case 3:
+        return rng() % 3 == 0 ? kInf : now + 1e6;
+      default:
+        return now + std::uniform_real_distribution<double>(0.0, 2.0)(rng);
+    }
+  }
+
+  void schedule(bool from_handler) {
+    const double t = draw_time();
+    const std::uint64_t seq = next_seq++;
+    if (from_handler && t == sim.now()) ++zero_delays;
+    if (t == kInf) ++infinite;
+    pending.emplace(t, seq);
+    sim.schedule_at(t, [this, t, seq] { run(t, seq); });
+  }
+
+  void run(double t, std::uint64_t seq) {
+    if (pending.empty() || *pending.begin() != std::make_pair(t, seq) ||
+        sim.now() != t) {
+      ++misordered;
+    }
+    pending.erase({t, seq});
+    if (t == last_run) ++ties;
+    last_run = t;
+    ++ran;
+    // Mean 2/3 children per event keeps every cascade finite.
+    if (spawn && rng() % 3 == 0) {
+      schedule(true);
+      schedule(true);
+    }
+  }
+};
+
+TEST(SimulatorTest, MatchesReferenceOrderUnderMixedTraffic) {
+  ReferenceTraffic traffic;
+  Simulator& sim = traffic.sim;
+  double horizon = 0.0;
+  for (int round = 0; round < 300; ++round) {
+    for (int i = 0; i < 10; ++i) traffic.schedule(false);
+    switch (traffic.rng() % 4) {
+      case 0:
+        break;  // the same horizon again
+      case 1:
+        horizon += 1e-9;
+        break;
+      case 2:  // exactly on a grid time that ties may sit at
+        horizon = (std::floor(horizon / 0.25) + 1.0) * 0.25;
+        break;
+      default:
+        horizon +=
+            std::uniform_real_distribution<double>(0.0, 3.0)(traffic.rng);
+        break;
+    }
+    sim.run_until(horizon);
+    ASSERT_EQ(traffic.misordered, 0u) << "round " << round;
+    ASSERT_EQ(sim.now(), horizon);
+    ASSERT_EQ(sim.pending(), traffic.pending.size());
+    ASSERT_EQ(sim.executed(), traffic.ran);
+    ASSERT_TRUE(traffic.pending.empty() ||
+                traffic.pending.begin()->first > horizon);
+  }
+  // The mix must have produced every shape it exists to test.
+  EXPECT_GT(traffic.ties, 100u);
+  EXPECT_GT(traffic.zero_delays, 100u);
+  EXPECT_GT(traffic.infinite, 100u);
+
+  // Every finite event runs under a finite horizon; the +inf ones stay.
+  traffic.spawn = false;
+  sim.run_until(1e12);
+  EXPECT_EQ(traffic.misordered, 0u);
+  EXPECT_EQ(sim.pending(), traffic.infinite);
+  EXPECT_EQ(sim.executed(), traffic.next_seq - traffic.infinite);
+  for (const auto& [t, seq] : traffic.pending) {
+    EXPECT_EQ(t, ReferenceTraffic::kInf);
+  }
+
+  // Draining runs them last, in schedule order.
+  sim.run_all();
+  EXPECT_EQ(traffic.misordered, 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.executed(), traffic.next_seq);
+  EXPECT_EQ(sim.now(), ReferenceTraffic::kInf);
+}
+
+/// Shared state for handlers whose captures fill kHandlerCapacity.
+struct SlotProbe {
+  Simulator sim;
+  std::vector<int> runs;
+  std::uint64_t next_id = 0;
+  int corrupted = 0;
+};
+
+std::array<std::uint64_t, 5> pattern(std::uint64_t id) {
+  std::array<std::uint64_t, 5> words{};
+  for (std::size_t k = 0; k < words.size(); ++k) {
+    words[k] = (id + 1) * 0x9E3779B97F4A7C15ULL + k;
+  }
+  return words;
+}
+
+/// A handler with a full 64-byte capture. When it runs it schedules
+/// `fanout` children with fanout `child_fanout` at zero delay, and checks
+/// its own capture before and after.
+Simulator::Handler probe_handler(SlotProbe* p, std::uint32_t fanout,
+                                 std::uint32_t child_fanout) {
+  const std::uint64_t id = p->next_id++;
+  auto fn = [p, id, fanout, child_fanout, words = pattern(id)] {
+    if (words != pattern(id)) ++p->corrupted;
+    ++p->runs[id];
+    for (std::uint32_t c = 0; c < fanout; ++c) {
+      p->sim.schedule_in(0.0, probe_handler(p, child_fanout, 0));
+    }
+    if (words != pattern(id)) ++p->corrupted;
+  };
+  static_assert(sizeof(fn) == Simulator::kHandlerCapacity);
+  return fn;
+}
+
+TEST(SimulatorTest, SlotsGrowAndAreReusedWithCapturesIntact) {
+  SlotProbe probe;
+  Simulator& sim = probe.sim;
+  constexpr std::uint32_t kChildren = 200;
+  // Four warm-up handlers, the parent, its children, and one grandchild
+  // per child.
+  probe.runs.assign(4 + 1 + 2 * kChildren, 0);
+  // Warm four slots so the parent's children first reuse freed ones.
+  for (int i = 0; i < 4; ++i) {
+    sim.schedule_in(0.5, probe_handler(&probe, 0, 0));
+  }
+  sim.run_until(0.5);
+  ASSERT_EQ(sim.pending(), 0u);
+
+  // The parent outgrows the four slots while it runs; each child then
+  // schedules its grandchild into the slot it has just vacated.
+  sim.schedule_at(1.0, probe_handler(&probe, kChildren, 1));
+  sim.run_all();
+
+  EXPECT_EQ(probe.next_id, probe.runs.size());
+  EXPECT_EQ(probe.corrupted, 0);
+  for (std::size_t id = 0; id < probe.runs.size(); ++id) {
+    EXPECT_EQ(probe.runs[id], 1) << "handler " << id;
+  }
+  EXPECT_EQ(sim.executed(), probe.runs.size());
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
 }
 
 }  // namespace
