@@ -1,320 +1,419 @@
 #include "runtime/wire.h"
 
 #include <algorithm>
-
 #include <bit>
-#include <cstring>
+#include <string>
+#include <type_traits>
+
+#include "common/check.h"
 
 namespace aces::runtime::wire {
 
 namespace {
 
-/// Append-only byte writer. Little-endian integers; doubles as IEEE-754
-/// bit patterns so values round-trip exactly.
-class Writer {
- public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
-  void f64_vec(const std::vector<double>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (const double x : v) f64(x);
-  }
-  void u32_vec(const std::vector<std::uint32_t>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (const std::uint32_t x : v) u32(x);
-  }
-  void u64_vec(const std::vector<std::uint64_t>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (const std::uint64_t x : v) u64(x);
-  }
+// Each payload struct is described once, by `fields(io, v)`: the order of
+// its io(...) calls is the order of its fields on the wire. Three Io classes
+// walk a list — Sizer counts the bytes, Writer fills an exactly sized
+// buffer, Reader decodes with bounds checks — so the encoder and the decoder
+// cannot drift apart. Unsigned integers travel little-endian, doubles as
+// their IEEE-754 bits, bools as one byte, strings and vectors as a u32 count
+// followed by the elements. Changing any list changes the bytes: bump
+// kWireVersion and the golden fixtures in tests/runtime/wire_test.cc.
 
-  /// Finishes the frame: prepends the 8-byte header to the payload.
-  std::vector<std::uint8_t> frame(FrameType type) && {
-    const std::array<std::uint8_t, 8> header =
-        frame_header(type, static_cast<std::uint32_t>(out_.size()));
-    std::vector<std::uint8_t> framed(header.size() + out_.size());
-    std::copy(header.begin(), header.end(), framed.begin());
-    std::copy(out_.begin(), out_.end(),
-              framed.begin() + static_cast<std::ptrdiff_t>(header.size()));
-    return framed;
-  }
+/// A field as the Io sees it: mutable when decoding, const otherwise.
+template <class Io, class T>
+using Ref = std::conditional_t<Io::kReading, T&, const T&>;
 
- private:
-  std::vector<std::uint8_t> out_;
+template <class Io>
+bool fields(Io& io, Ref<Io, Hello> v) {
+  return io(v.rank) && io(v.pid);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, Config> v) {
+  return io(v.rank) && io(v.num_workers) && io(v.substeps) && io(v.seed) &&
+         io(v.duration) && io(v.warmup) && io(v.dt) && io(v.policy) &&
+         io(v.staleness) && io(v.batch) && io(v.channel_capacity) &&
+         io(v.heartbeat_interval) && io(v.start_quantum) && io(v.topology) &&
+         io(v.faults) && io(v.plan_cpu) && io(v.plan_rin) &&
+         io(v.plan_rout) && io(v.span_sample) && io(v.record_trace);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, SdoDelivery> v) {
+  return io(v.dest_pe) && io(v.src_node) && io(v.birth);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, Advert> v) {
+  return io(v.pe) && io(v.rmax) && io(v.time);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, StepGo> v) {
+  return io(v.quantum) && io(v.flags) && io(v.deliveries) && io(v.adverts) &&
+         io(v.congested_pes) && io(v.down_nodes) && io(v.up_nodes);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, StepDone> v) {
+  return io(v.quantum) && io(v.deliveries) && io(v.adverts) &&
+         io(v.congested_pes) && io(v.crashed_nodes) && io(v.restored_nodes);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, Heartbeat> v) {
+  return io(v.rank) && io(v.quantum);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, Targets> v) {
+  return io(v.revision) && io(v.cpu) && io(v.rin) && io(v.rout);
+}
+
+/// The accumulator's raw parts, rebuilt bit-exactly with from_raw.
+template <class Io>
+bool fields(Io& io, Ref<Io, OnlineStats> v) {
+  std::uint64_t count = v.count();
+  double mean = v.mean(), m2 = v.m2(), min = v.min(), max = v.max();
+  if (!(io(count) && io(mean) && io(m2) && io(min) && io(max))) return false;
+  if constexpr (Io::kReading) {
+    v = OnlineStats::from_raw(count, mean, m2, min, max);
+  }
+  return true;
+}
+
+/// Every cell including under/overflow, then count, min, max and sum. Only
+/// the default geometry travels, so a different cell count is corruption.
+template <class Io>
+bool fields(Io& io, Ref<Io, LogHistogram> v) {
+  if constexpr (Io::kReading) {
+    static const std::size_t cells = LogHistogram().raw_counts().size();
+    std::vector<std::uint64_t> counts;
+    std::uint64_t count = 0;
+    double min = 0.0, max = 0.0, sum = 0.0;
+    if (!(io(counts) && io(count) && io(min) && io(max) && io(sum))) {
+      return false;
+    }
+    if (counts.size() != cells) {
+      return io.fail("histogram bucket layout mismatch");
+    }
+    v = LogHistogram::from_raw(std::move(counts), count, min, max, sum);
+    return true;
+  } else {
+    return io(v.raw_counts()) && io(v.count()) && io(v.min()) &&
+           io(v.max()) && io(v.sum());
+  }
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, metrics::PeAccounting> v) {
+  return io(v.arrived) && io(v.processed) && io(v.emitted) &&
+         io(v.dropped_input) && io(v.cpu_seconds);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, metrics::RunReport> v) {
+  return io(v.measured_seconds) && io(v.weighted_throughput) &&
+         io(v.output_rate) && io(v.latency) && io(v.latency_histogram) &&
+         io(v.internal_drops) && io(v.ingress_drops) &&
+         io(v.sdos_processed) && io(v.cpu_utilization) &&
+         io(v.buffer_fill) && io(v.egress_outputs) && io(v.per_pe) &&
+         io(v.events_executed) && io(v.reoptimizations);
+}
+
+/// The rank travels first, ahead of the report it tags.
+template <class Io>
+bool fields(Io& io, Ref<Io, Report> v) {
+  return io(v.rank) && io(v.report);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, MetricsCounter> v) {
+  return io(v.name) && io(v.delta);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, MetricsGauge> v) {
+  return io(v.name) && io(v.value);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, PeLatencySnapshot> v) {
+  return io(v.pe) && io(v.wait) && io(v.service);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, PathLatencySnapshot> v) {
+  return io(v.id) && io(v.label) && io(v.end_to_end);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, PerfCell> v) {
+  return io(v.name) && io(v.calls) && io(v.ns);
+}
+
+/// `shard` stays off the wire: the coordinator's aggregator stamps it.
+template <class Io>
+bool fields(Io& io, Ref<Io, obs::TickRecord> v) {
+  return io(v.time) && io(v.node) && io(v.pe) && io(v.buffer_occupancy) &&
+         io(v.arrived_sdos) && io(v.processed_sdos) && io(v.cpu_share) &&
+         io(v.cpu_seconds_used) && io(v.advertised_rmax) &&
+         io(v.downstream_rmax) && io(v.token_fill) && io(v.output_blocked) &&
+         io(v.dropped_total) && io(v.fault_flags) && io(v.policy);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, MetricsReport> v) {
+  return io(v.rank) && io(v.quantum) && io(v.counters) && io(v.gauges) &&
+         io(v.pe_latency) && io(v.path_latency) && io(v.perf) &&
+         io(v.trace);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, obs::SpanHop> v) {
+  if (!(io(v.pe) && io(v.kind) && io(v.enqueue) && io(v.dequeue) &&
+        io(v.emit))) {
+    return false;
+  }
+  if constexpr (Io::kReading) {
+    if (v.kind > static_cast<std::uint32_t>(obs::HopKind::kWireRecv)) {
+      return io.fail("unknown span hop kind");
+    }
+  }
+  return true;
+}
+
+/// The hop count travels as a u8, followed by that many hops.
+template <class Io>
+bool fields(Io& io, Ref<Io, obs::SdoSpan> v) {
+  auto hop_count = static_cast<std::uint8_t>(v.hop_count);
+  if (!(io(v.trace_id) && io(v.source_pe) && io(v.start) && io(v.end) &&
+        io(v.dropped) && io(v.truncated) && io(hop_count))) {
+    return false;
+  }
+  if constexpr (Io::kReading) {
+    if (hop_count > obs::SdoSpan::kMaxHops) {
+      return io.fail("span hop count exceeds kMaxHops");
+    }
+    v.hop_count = hop_count;
+  }
+  for (std::uint32_t i = 0; i < hop_count; ++i) {
+    if (!io(v.hops[i])) return false;
+  }
+  return true;
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, SpanHandoff> v) {
+  return io(v.dest_pe) && io(v.src_node) && io(v.index) && io(v.span);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, SpanBatch> v) {
+  return io(v.rank) && io(v.quantum) && io(v.completed) && io(v.handoffs);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, FlightDump> v) {
+  return io(v.rank) && io(v.event) && io(v.time) && io(v.pushed) &&
+         io(v.recent) && io(v.in_flight);
+}
+
+// bool is an unsigned type to the Io classes: one byte, 0 or 1 when
+// written, and any nonzero byte reads as true.
+static_assert(sizeof(bool) == 1 && std::is_unsigned_v<bool>);
+
+/// Counts the payload bytes a field list encodes to.
+struct Sizer {
+  static constexpr bool kReading = false;
+  std::size_t bytes = 0;
+
+  template <class U>
+    requires std::is_arithmetic_v<U>
+  bool operator()(U /*value*/) {
+    bytes += sizeof(U);
+    return true;
+  }
+  bool operator()(const std::string& s) {
+    bytes += 4 + s.size();
+    return true;
+  }
+  template <class T>
+  bool operator()(const std::vector<T>& v) {
+    bytes += 4;
+    for (const T& x : v) (*this)(x);
+    return true;
+  }
+  template <class T>
+    requires std::is_class_v<T>
+  bool operator()(const T& v) {
+    return fields(*this, v);
+  }
 };
 
-/// Bounds-checked byte reader: every accessor returns false once the
-/// payload is exhausted, and the failure reason is recorded. Truncated or
-/// hostile input degrades to a decode error, never to UB.
+/// Fills a buffer a Sizer measured, advancing `at`. Every store goes through
+/// a local copy of the cursor: a byte store may alias the member, and
+/// storing through it directly forces a reload after every byte.
+struct Writer {
+  static constexpr bool kReading = false;
+  std::uint8_t* at = nullptr;
+
+  template <class U>
+    requires std::is_unsigned_v<U>
+  bool operator()(U v) {
+    const std::uint64_t x = v;
+    std::uint8_t* p = at;
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      p[i] = static_cast<std::uint8_t>(x >> (8 * i));
+    }
+    at = p + sizeof(U);
+    return true;
+  }
+  bool operator()(double v) {
+    return (*this)(std::bit_cast<std::uint64_t>(v));
+  }
+  bool operator()(const std::string& s) {
+    (*this)(static_cast<std::uint32_t>(s.size()));
+    at = std::copy(s.begin(), s.end(), at);
+    return true;
+  }
+  template <class T>
+  bool operator()(const std::vector<T>& v) {
+    (*this)(static_cast<std::uint32_t>(v.size()));
+    for (const T& x : v) (*this)(x);
+    return true;
+  }
+  template <class T>
+    requires std::is_class_v<T>
+  bool operator()(const T& v) {
+    return fields(*this, v);
+  }
+};
+
+/// Encoded size of a default-constructed T: the shortest encoding any value
+/// of every element type has (strings and vectors empty, no span hops, a
+/// histogram's fixed cells).
+template <class T>
+std::size_t min_wire_size() {
+  static const std::size_t bytes = [] {
+    Sizer sizer;
+    sizer(T());
+    return sizer.bytes;
+  }();
+  return bytes;
+}
+
+/// Bounds-checked decoder: a read past the payload fails, the first
+/// failure's reason is recorded, and hostile input degrades to a WireError,
+/// never to UB or an unbounded allocation.
 class Reader {
  public:
+  static constexpr bool kReading = true;
+
   Reader(const std::vector<std::uint8_t>& data, WireError* error)
-      : data_(data.data()), size_(data.size()), error_(error) {}
+      : at_(data.data()), end_(data.data() + data.size()), error_(error) {}
 
-  bool u8(std::uint8_t* v) {
-    if (!need(1, "u8")) return false;
-    *v = data_[pos_++];
+  template <class U>
+    requires std::is_unsigned_v<U>
+  bool operator()(U& v) {
+    if (left() < sizeof(U)) return truncated(sizeof(U));
+    std::uint64_t x = 0;
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      x |= std::uint64_t{at_[i]} << (8 * i);
+    }
+    v = static_cast<U>(x);
+    at_ += sizeof(U);
     return true;
   }
-  bool u32(std::uint32_t* v) {
-    if (!need(4, "u32")) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i)
-      *v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t* v) {
-    if (!need(8, "u64")) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i)
-      *v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return true;
-  }
-  bool f64(double* v) {
+  bool operator()(double& v) {
     std::uint64_t bits = 0;
-    if (!u64(&bits)) return false;
-    *v = std::bit_cast<double>(bits);
+    if (!(*this)(bits)) return false;
+    v = std::bit_cast<double>(bits);
     return true;
   }
-  bool str(std::string* v) {
+  bool operator()(std::string& s) {
     std::uint32_t n = 0;
-    if (!u32(&n)) return false;
-    if (!need(n, "string body")) return false;
-    v->assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
+    if (!(*this)(n)) return false;
+    if (left() < n) return truncated(n);
+    s.assign(reinterpret_cast<const char*>(at_), n);
+    at_ += n;
     return true;
   }
-  bool f64_vec(std::vector<double>* v) {
+  /// The one element-count guard: every element takes at least
+  /// min_wire_size<T>() bytes, so a count the remaining bytes cannot hold
+  /// is refused before anything is allocated for it.
+  template <class T>
+  bool operator()(std::vector<T>& v) {
     std::uint32_t n = 0;
-    if (!u32(&n)) return false;
-    if (!need(static_cast<std::size_t>(n) * 8, "f64 vector body"))
-      return false;
-    v->resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) f64(&(*v)[i]);
+    if (!(*this)(n)) return false;
+    if (static_cast<std::size_t>(n) * min_wire_size<T>() > left()) {
+      return fail("implausible element count " + std::to_string(n) + " for " +
+                  std::to_string(left()) + " payload bytes left");
+    }
+    v.resize(n);
+    for (T& x : v) {
+      if (!(*this)(x)) return false;
+    }
     return true;
   }
-  bool u32_vec(std::vector<std::uint32_t>* v) {
-    std::uint32_t n = 0;
-    if (!u32(&n)) return false;
-    if (!need(static_cast<std::size_t>(n) * 4, "u32 vector body"))
-      return false;
-    v->resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) u32(&(*v)[i]);
-    return true;
-  }
-  bool u64_vec(std::vector<std::uint64_t>* v) {
-    std::uint32_t n = 0;
-    if (!u32(&n)) return false;
-    if (!need(static_cast<std::size_t>(n) * 8, "u64 vector body"))
-      return false;
-    v->resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) u64(&(*v)[i]);
-    return true;
+  template <class T>
+    requires std::is_class_v<T>
+  bool operator()(T& v) {
+    return fields(*this, v);
   }
 
-  /// True when every payload byte was consumed — trailing garbage is
+  /// True when every payload byte was consumed: trailing garbage is
   /// rejected so frames cannot smuggle undeclared data.
   bool exhausted() {
-    if (pos_ == size_) return true;
-    set_error("trailing bytes after payload");
+    return at_ == end_ || fail("trailing bytes after payload");
+  }
+  /// Records `reason` unless an earlier failure already did; returns false.
+  bool fail(std::string reason) {
+    if (error_ != nullptr && error_->reason.empty()) {
+      error_->reason = std::move(reason);
+    }
     return false;
   }
 
  private:
-  bool need(std::size_t n, const char* what) {
-    if (size_ - pos_ >= n) return true;
-    set_error(std::string("truncated payload reading ") + what);
-    return false;
+  [[nodiscard]] std::size_t left() const {
+    return static_cast<std::size_t>(end_ - at_);
   }
-  void set_error(std::string reason) {
-    if (error_ != nullptr && error_->reason.empty())
-      error_->reason = std::move(reason);
+  /// The failure path of every bounds check, kept apart so the checked
+  /// reads stay small enough to inline.
+  bool truncated(std::size_t n) {
+    return fail("truncated payload: " + std::to_string(n) +
+                " bytes needed, " + std::to_string(left()) + " left");
   }
 
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
+  const std::uint8_t* at_;
+  const std::uint8_t* end_;
   WireError* error_;
 };
 
-void put(Writer& w, const SdoDelivery& d) {
-  w.u32(d.dest_pe);
-  w.u32(d.src_node);
-  w.f64(d.birth);
-}
-bool get(Reader& r, SdoDelivery* d) {
-  return r.u32(&d->dest_pe) && r.u32(&d->src_node) && r.f64(&d->birth);
-}
-
-void put(Writer& w, const Advert& a) {
-  w.u32(a.pe);
-  w.f64(a.rmax);
-  w.f64(a.time);
-}
-bool get(Reader& r, Advert* a) {
-  return r.u32(&a->pe) && r.f64(&a->rmax) && r.f64(&a->time);
+/// Sizes the payload first, so the header and payload go into one buffer
+/// allocated once at its final size.
+template <class T>
+std::vector<std::uint8_t> encode_frame(FrameType type, const T& v) {
+  Sizer sizer;
+  fields(sizer, v);
+  const std::array<std::uint8_t, 8> header =
+      frame_header(type, static_cast<std::uint32_t>(sizer.bytes));
+  std::vector<std::uint8_t> frame(header.size() + sizer.bytes);
+  Writer writer{std::copy(header.begin(), header.end(), frame.data())};
+  fields(writer, v);
+  ACES_CHECK(writer.at == frame.data() + frame.size());
+  return frame;
 }
 
-void put_span(Writer& w, const obs::SdoSpan& s) {
-  w.u64(s.trace_id);
-  w.u32(s.source_pe);
-  w.f64(s.start);
-  w.f64(s.end);
-  w.u8(s.dropped ? 1 : 0);
-  w.u8(s.truncated ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(s.hop_count));
-  for (std::uint32_t i = 0; i < s.hop_count; ++i) {
-    const obs::SpanHop& hop = s.hops[i];
-    w.u32(hop.pe);
-    w.u32(hop.kind);
-    w.f64(hop.enqueue);
-    w.f64(hop.dequeue);
-    w.f64(hop.emit);
-  }
-}
-bool get_span(Reader& r, obs::SdoSpan* s, WireError* error) {
-  const auto fail = [error](const char* why) {
-    if (error != nullptr && error->reason.empty()) error->reason = why;
-    return false;
-  };
-  std::uint8_t dropped = 0, truncated = 0, hop_count = 0;
-  if (!(r.u64(&s->trace_id) && r.u32(&s->source_pe) && r.f64(&s->start) &&
-        r.f64(&s->end) && r.u8(&dropped) && r.u8(&truncated) &&
-        r.u8(&hop_count))) {
-    return false;
-  }
-  if (hop_count > obs::SdoSpan::kMaxHops) {
-    return fail("span hop count exceeds kMaxHops");
-  }
-  s->dropped = dropped != 0;
-  s->truncated = truncated != 0;
-  s->hop_count = hop_count;
-  for (std::uint32_t i = 0; i < s->hop_count; ++i) {
-    obs::SpanHop& hop = s->hops[i];
-    if (!(r.u32(&hop.pe) && r.u32(&hop.kind) && r.f64(&hop.enqueue) &&
-          r.f64(&hop.dequeue) && r.f64(&hop.emit))) {
-      return false;
-    }
-    if (hop.kind > static_cast<std::uint32_t>(obs::HopKind::kWireRecv)) {
-      return fail("unknown span hop kind");
-    }
-  }
-  return true;
-}
-
-void put_tick(Writer& w, const obs::TickRecord& t) {
-  w.f64(t.time);
-  w.u32(t.node);
-  w.u32(t.pe);
-  w.f64(t.buffer_occupancy);
-  w.f64(t.arrived_sdos);
-  w.f64(t.processed_sdos);
-  w.f64(t.cpu_share);
-  w.f64(t.cpu_seconds_used);
-  w.f64(t.advertised_rmax);
-  w.f64(t.downstream_rmax);
-  w.f64(t.token_fill);
-  w.u8(t.output_blocked ? 1 : 0);
-  w.u64(t.dropped_total);
-  w.u8(t.fault_flags);
-  w.str(t.policy);
-}
-bool get_tick(Reader& r, obs::TickRecord* t) {
-  std::uint8_t blocked = 0;
-  if (!(r.f64(&t->time) && r.u32(&t->node) && r.u32(&t->pe) &&
-        r.f64(&t->buffer_occupancy) && r.f64(&t->arrived_sdos) &&
-        r.f64(&t->processed_sdos) && r.f64(&t->cpu_share) &&
-        r.f64(&t->cpu_seconds_used) && r.f64(&t->advertised_rmax) &&
-        r.f64(&t->downstream_rmax) && r.f64(&t->token_fill) &&
-        r.u8(&blocked) && r.u64(&t->dropped_total) && r.u8(&t->fault_flags) &&
-        r.str(&t->policy))) {
-    return false;
-  }
-  t->output_blocked = blocked != 0;
-  return true;
-}
-
-template <typename T, typename Put>
-void put_vec(Writer& w, const std::vector<T>& v, Put put_one) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const T& x : v) put_one(w, x);
-}
-
-template <typename T, typename Get>
-bool get_vec(Reader& r, std::vector<T>* v, Get get_one, WireError* error,
-             const char* what) {
-  std::uint32_t n = 0;
-  if (!r.u32(&n)) return false;
-  // Each element is at least 8 bytes on the wire; an element count far
-  // beyond the payload is corruption, not a big message.
-  if (n > kMaxFramePayload / 8) {
-    if (error != nullptr && error->reason.empty())
-      error->reason = std::string("implausible element count for ") + what;
-    return false;
-  }
-  v->resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!get_one(r, &(*v)[i])) return false;
-  }
-  return true;
-}
-
-void put_stats(Writer& w, const OnlineStats& s) {
-  w.u64(s.count());
-  w.f64(s.mean());
-  w.f64(s.m2());
-  w.f64(s.min());
-  w.f64(s.max());
-}
-bool get_stats(Reader& r, OnlineStats* s) {
-  std::uint64_t count = 0;
-  double mean = 0.0, m2 = 0.0, min = 0.0, max = 0.0;
-  if (!(r.u64(&count) && r.f64(&mean) && r.f64(&m2) && r.f64(&min) &&
-        r.f64(&max)))
-    return false;
-  *s = OnlineStats::from_raw(count, mean, m2, min, max);
-  return true;
-}
-
-void put_histogram(Writer& w, const LogHistogram& h) {
-  w.u64_vec(h.raw_counts());
-  w.u64(h.count());
-  w.f64(h.min() );
-  w.f64(h.max());
-  w.f64(h.sum());
-}
-bool get_histogram(Reader& r, LogHistogram* h, WireError* error) {
-  std::vector<std::uint64_t> counts;
-  std::uint64_t count = 0;
-  double min = 0.0, max = 0.0, sum = 0.0;
-  if (!(r.u64_vec(&counts) && r.u64(&count) && r.f64(&min) && r.f64(&max) &&
-        r.f64(&sum)))
-    return false;
-  if (counts.size() != LogHistogram().raw_counts().size()) {
-    if (error != nullptr && error->reason.empty())
-      error->reason = "histogram bucket layout mismatch";
-    return false;
-  }
-  *h = LogHistogram::from_raw(std::move(counts), count, min, max, sum);
-  return true;
+template <class T>
+std::optional<T> decode_payload(const std::vector<std::uint8_t>& payload,
+                                WireError* error) {
+  Reader reader(payload, error);
+  T v;
+  if (!(fields(reader, v) && reader.exhausted())) return std::nullopt;
+  return v;
 }
 
 }  // namespace
@@ -374,383 +473,80 @@ std::optional<Frame> parse_frame(const std::uint8_t* data, std::size_t size,
 }
 
 std::vector<std::uint8_t> encode(const Hello& v) {
-  Writer w;
-  w.u32(v.rank);
-  w.u64(v.pid);
-  return std::move(w).frame(FrameType::kHello);
+  return encode_frame(FrameType::kHello, v);
+}
+std::vector<std::uint8_t> encode(const Config& v) {
+  return encode_frame(FrameType::kConfig, v);
+}
+std::vector<std::uint8_t> encode(const StepGo& v) {
+  return encode_frame(FrameType::kStepGo, v);
+}
+std::vector<std::uint8_t> encode(const StepDone& v) {
+  return encode_frame(FrameType::kStepDone, v);
+}
+std::vector<std::uint8_t> encode(const Heartbeat& v) {
+  return encode_frame(FrameType::kHeartbeat, v);
+}
+std::vector<std::uint8_t> encode(const Targets& v) {
+  return encode_frame(FrameType::kTargets, v);
+}
+std::vector<std::uint8_t> encode(const Report& v) {
+  return encode_frame(FrameType::kReport, v);
+}
+std::vector<std::uint8_t> encode_shutdown() {
+  const std::array<std::uint8_t, 8> header =
+      frame_header(FrameType::kShutdown, 0);
+  return {header.begin(), header.end()};
+}
+std::vector<std::uint8_t> encode(const MetricsReport& v) {
+  return encode_frame(FrameType::kMetricsReport, v);
+}
+std::vector<std::uint8_t> encode(const SpanBatch& v) {
+  return encode_frame(FrameType::kSpanBatch, v);
+}
+std::vector<std::uint8_t> encode(const FlightDump& v) {
+  return encode_frame(FrameType::kFlightDump, v);
 }
 
 std::optional<Hello> decode_hello(const std::vector<std::uint8_t>& payload,
                                   WireError* error) {
-  Reader r(payload, error);
-  Hello v;
-  if (!(r.u32(&v.rank) && r.u64(&v.pid) && r.exhausted())) {
-    return std::nullopt;
-  }
-  return v;
+  return decode_payload<Hello>(payload, error);
 }
-
-std::vector<std::uint8_t> encode(const Config& v) {
-  Writer w;
-  w.u32(v.rank);
-  w.u32(v.num_workers);
-  w.u32(v.substeps);
-  w.u64(v.seed);
-  w.f64(v.duration);
-  w.f64(v.warmup);
-  w.f64(v.dt);
-  w.u8(v.policy);
-  w.f64(v.staleness);
-  w.u32(v.batch);
-  w.u32(v.channel_capacity);
-  w.f64(v.heartbeat_interval);
-  w.u64(v.start_quantum);
-  w.str(v.topology);
-  w.str(v.faults);
-  w.f64_vec(v.plan_cpu);
-  w.f64_vec(v.plan_rin);
-  w.f64_vec(v.plan_rout);
-  w.f64(v.span_sample);
-  w.u8(v.record_trace);
-  return std::move(w).frame(FrameType::kConfig);
-}
-
 std::optional<Config> decode_config(const std::vector<std::uint8_t>& payload,
                                     WireError* error) {
-  Reader r(payload, error);
-  Config v;
-  if (!(r.u32(&v.rank) && r.u32(&v.num_workers) && r.u32(&v.substeps) &&
-        r.u64(&v.seed) && r.f64(&v.duration) && r.f64(&v.warmup) &&
-        r.f64(&v.dt) && r.u8(&v.policy) && r.f64(&v.staleness) &&
-        r.u32(&v.batch) && r.u32(&v.channel_capacity) &&
-        r.f64(&v.heartbeat_interval) && r.u64(&v.start_quantum) &&
-        r.str(&v.topology) && r.str(&v.faults) && r.f64_vec(&v.plan_cpu) &&
-        r.f64_vec(&v.plan_rin) && r.f64_vec(&v.plan_rout) &&
-        r.f64(&v.span_sample) && r.u8(&v.record_trace) && r.exhausted())) {
-    return std::nullopt;
-  }
-  return v;
+  return decode_payload<Config>(payload, error);
 }
-
-std::vector<std::uint8_t> encode(const StepGo& v) {
-  Writer w;
-  w.u64(v.quantum);
-  w.u8(v.flags);
-  put_vec(w, v.deliveries, [](Writer& w2, const SdoDelivery& d) {
-    put(w2, d);
-  });
-  put_vec(w, v.adverts, [](Writer& w2, const Advert& a) { put(w2, a); });
-  w.u32_vec(v.congested_pes);
-  w.u32_vec(v.down_nodes);
-  w.u32_vec(v.up_nodes);
-  return std::move(w).frame(FrameType::kStepGo);
-}
-
 std::optional<StepGo> decode_step_go(const std::vector<std::uint8_t>& payload,
                                      WireError* error) {
-  Reader r(payload, error);
-  StepGo v;
-  if (!(r.u64(&v.quantum) && r.u8(&v.flags) &&
-        get_vec(r, &v.deliveries,
-                [](Reader& r2, SdoDelivery* d) { return get(r2, d); }, error,
-                "deliveries") &&
-        get_vec(r, &v.adverts,
-                [](Reader& r2, Advert* a) { return get(r2, a); }, error,
-                "adverts") &&
-        r.u32_vec(&v.congested_pes) && r.u32_vec(&v.down_nodes) &&
-        r.u32_vec(&v.up_nodes) && r.exhausted())) {
-    return std::nullopt;
-  }
-  return v;
+  return decode_payload<StepGo>(payload, error);
 }
-
-std::vector<std::uint8_t> encode(const StepDone& v) {
-  Writer w;
-  w.u64(v.quantum);
-  put_vec(w, v.deliveries, [](Writer& w2, const SdoDelivery& d) {
-    put(w2, d);
-  });
-  put_vec(w, v.adverts, [](Writer& w2, const Advert& a) { put(w2, a); });
-  w.u32_vec(v.congested_pes);
-  w.u32_vec(v.crashed_nodes);
-  w.u32_vec(v.restored_nodes);
-  return std::move(w).frame(FrameType::kStepDone);
-}
-
 std::optional<StepDone> decode_step_done(
     const std::vector<std::uint8_t>& payload, WireError* error) {
-  Reader r(payload, error);
-  StepDone v;
-  if (!(r.u64(&v.quantum) &&
-        get_vec(r, &v.deliveries,
-                [](Reader& r2, SdoDelivery* d) { return get(r2, d); }, error,
-                "deliveries") &&
-        get_vec(r, &v.adverts,
-                [](Reader& r2, Advert* a) { return get(r2, a); }, error,
-                "adverts") &&
-        r.u32_vec(&v.congested_pes) && r.u32_vec(&v.crashed_nodes) &&
-        r.u32_vec(&v.restored_nodes) && r.exhausted())) {
-    return std::nullopt;
-  }
-  return v;
+  return decode_payload<StepDone>(payload, error);
 }
-
-std::vector<std::uint8_t> encode(const Heartbeat& v) {
-  Writer w;
-  w.u32(v.rank);
-  w.u64(v.quantum);
-  return std::move(w).frame(FrameType::kHeartbeat);
-}
-
 std::optional<Heartbeat> decode_heartbeat(
     const std::vector<std::uint8_t>& payload, WireError* error) {
-  Reader r(payload, error);
-  Heartbeat v;
-  if (!(r.u32(&v.rank) && r.u64(&v.quantum) && r.exhausted())) {
-    return std::nullopt;
-  }
-  return v;
+  return decode_payload<Heartbeat>(payload, error);
 }
-
-std::vector<std::uint8_t> encode(const Targets& v) {
-  Writer w;
-  w.u64(v.revision);
-  w.f64_vec(v.cpu);
-  w.f64_vec(v.rin);
-  w.f64_vec(v.rout);
-  return std::move(w).frame(FrameType::kTargets);
-}
-
 std::optional<Targets> decode_targets(const std::vector<std::uint8_t>& payload,
                                       WireError* error) {
-  Reader r(payload, error);
-  Targets v;
-  if (!(r.u64(&v.revision) && r.f64_vec(&v.cpu) && r.f64_vec(&v.rin) &&
-        r.f64_vec(&v.rout) && r.exhausted())) {
-    return std::nullopt;
-  }
-  return v;
+  return decode_payload<Targets>(payload, error);
 }
-
-std::vector<std::uint8_t> encode(const Report& v) {
-  Writer w;
-  const metrics::RunReport& r = v.report;
-  w.u64(v.rank);
-  w.f64(r.measured_seconds);
-  w.f64(r.weighted_throughput);
-  w.f64(r.output_rate);
-  put_stats(w, r.latency);
-  put_histogram(w, r.latency_histogram);
-  w.u64(r.internal_drops);
-  w.u64(r.ingress_drops);
-  w.u64(r.sdos_processed);
-  w.f64(r.cpu_utilization);
-  put_stats(w, r.buffer_fill);
-  w.u64_vec(r.egress_outputs);
-  w.u32(static_cast<std::uint32_t>(r.per_pe.size()));
-  for (const metrics::PeAccounting& pe : r.per_pe) {
-    w.u64(pe.arrived);
-    w.u64(pe.processed);
-    w.u64(pe.emitted);
-    w.u64(pe.dropped_input);
-    w.f64(pe.cpu_seconds);
-  }
-  w.u64(r.events_executed);
-  w.u64(r.reoptimizations);
-  return std::move(w).frame(FrameType::kReport);
-}
-
 std::optional<Report> decode_report(const std::vector<std::uint8_t>& payload,
                                     WireError* error) {
-  Reader r(payload, error);
-  Report v;
-  metrics::RunReport& rep = v.report;
-  if (!(r.u64(&v.rank) && r.f64(&rep.measured_seconds) &&
-        r.f64(&rep.weighted_throughput) && r.f64(&rep.output_rate) &&
-        get_stats(r, &rep.latency) &&
-        get_histogram(r, &rep.latency_histogram, error) &&
-        r.u64(&rep.internal_drops) && r.u64(&rep.ingress_drops) &&
-        r.u64(&rep.sdos_processed) && r.f64(&rep.cpu_utilization) &&
-        get_stats(r, &rep.buffer_fill) && r.u64_vec(&rep.egress_outputs))) {
-    return std::nullopt;
-  }
-  std::uint32_t pe_count = 0;
-  if (!r.u32(&pe_count)) return std::nullopt;
-  if (pe_count > kMaxFramePayload / 40) {
-    if (error != nullptr && error->reason.empty())
-      error->reason = "implausible per-PE accounting count";
-    return std::nullopt;
-  }
-  rep.per_pe.resize(pe_count);
-  for (metrics::PeAccounting& pe : rep.per_pe) {
-    if (!(r.u64(&pe.arrived) && r.u64(&pe.processed) && r.u64(&pe.emitted) &&
-          r.u64(&pe.dropped_input) && r.f64(&pe.cpu_seconds))) {
-      return std::nullopt;
-    }
-  }
-  if (!(r.u64(&rep.events_executed) && r.u64(&rep.reoptimizations) &&
-        r.exhausted())) {
-    return std::nullopt;
-  }
-  return v;
+  return decode_payload<Report>(payload, error);
 }
-
-std::vector<std::uint8_t> encode_shutdown() {
-  Writer w;
-  return std::move(w).frame(FrameType::kShutdown);
-}
-
-std::vector<std::uint8_t> encode(const MetricsReport& v) {
-  Writer w;
-  w.u32(v.rank);
-  w.u64(v.quantum);
-  put_vec(w, v.counters, [](Writer& w2, const MetricsCounter& c) {
-    w2.str(c.name);
-    w2.u64(c.delta);
-  });
-  put_vec(w, v.gauges, [](Writer& w2, const MetricsGauge& g) {
-    w2.str(g.name);
-    w2.f64(g.value);
-  });
-  put_vec(w, v.pe_latency, [](Writer& w2, const PeLatencySnapshot& p) {
-    w2.u32(p.pe);
-    put_histogram(w2, p.wait);
-    put_histogram(w2, p.service);
-  });
-  put_vec(w, v.path_latency, [](Writer& w2, const PathLatencySnapshot& p) {
-    w2.u64(p.id);
-    w2.str(p.label);
-    put_histogram(w2, p.end_to_end);
-  });
-  put_vec(w, v.perf, [](Writer& w2, const PerfCell& c) {
-    w2.str(c.name);
-    w2.u64(c.calls);
-    w2.u64(c.ns);
-  });
-  put_vec(w, v.trace, [](Writer& w2, const obs::TickRecord& t) {
-    put_tick(w2, t);
-  });
-  return std::move(w).frame(FrameType::kMetricsReport);
-}
-
 std::optional<MetricsReport> decode_metrics_report(
     const std::vector<std::uint8_t>& payload, WireError* error) {
-  Reader r(payload, error);
-  MetricsReport v;
-  if (!(r.u32(&v.rank) && r.u64(&v.quantum) &&
-        get_vec(r, &v.counters,
-                [](Reader& r2, MetricsCounter* c) {
-                  return r2.str(&c->name) && r2.u64(&c->delta);
-                },
-                error, "metric counters") &&
-        get_vec(r, &v.gauges,
-                [](Reader& r2, MetricsGauge* g) {
-                  return r2.str(&g->name) && r2.f64(&g->value);
-                },
-                error, "metric gauges") &&
-        get_vec(r, &v.pe_latency,
-                [error](Reader& r2, PeLatencySnapshot* p) {
-                  return r2.u32(&p->pe) &&
-                         get_histogram(r2, &p->wait, error) &&
-                         get_histogram(r2, &p->service, error);
-                },
-                error, "PE latency snapshots") &&
-        get_vec(r, &v.path_latency,
-                [error](Reader& r2, PathLatencySnapshot* p) {
-                  return r2.u64(&p->id) && r2.str(&p->label) &&
-                         get_histogram(r2, &p->end_to_end, error);
-                },
-                error, "path latency snapshots") &&
-        get_vec(r, &v.perf,
-                [](Reader& r2, PerfCell* c) {
-                  return r2.str(&c->name) && r2.u64(&c->calls) &&
-                         r2.u64(&c->ns);
-                },
-                error, "perf cells") &&
-        get_vec(r, &v.trace,
-                [](Reader& r2, obs::TickRecord* t) {
-                  return get_tick(r2, t);
-                },
-                error, "trace records") &&
-        r.exhausted())) {
-    return std::nullopt;
-  }
-  return v;
+  return decode_payload<MetricsReport>(payload, error);
 }
-
-std::vector<std::uint8_t> encode(const SpanBatch& v) {
-  Writer w;
-  w.u32(v.rank);
-  w.u64(v.quantum);
-  put_vec(w, v.completed, [](Writer& w2, const obs::SdoSpan& s) {
-    put_span(w2, s);
-  });
-  put_vec(w, v.handoffs, [](Writer& w2, const SpanHandoff& h) {
-    w2.u32(h.dest_pe);
-    w2.u32(h.src_node);
-    w2.u32(h.index);
-    put_span(w2, h.span);
-  });
-  return std::move(w).frame(FrameType::kSpanBatch);
-}
-
 std::optional<SpanBatch> decode_span_batch(
     const std::vector<std::uint8_t>& payload, WireError* error) {
-  Reader r(payload, error);
-  SpanBatch v;
-  if (!(r.u32(&v.rank) && r.u64(&v.quantum) &&
-        get_vec(r, &v.completed,
-                [error](Reader& r2, obs::SdoSpan* s) {
-                  return get_span(r2, s, error);
-                },
-                error, "completed spans") &&
-        get_vec(r, &v.handoffs,
-                [error](Reader& r2, SpanHandoff* h) {
-                  return r2.u32(&h->dest_pe) && r2.u32(&h->src_node) &&
-                         r2.u32(&h->index) && get_span(r2, &h->span, error);
-                },
-                error, "span handoffs") &&
-        r.exhausted())) {
-    return std::nullopt;
-  }
-  return v;
+  return decode_payload<SpanBatch>(payload, error);
 }
-
-std::vector<std::uint8_t> encode(const FlightDump& v) {
-  Writer w;
-  w.u32(v.rank);
-  w.str(v.event);
-  w.f64(v.time);
-  w.u64(v.pushed);
-  put_vec(w, v.recent, [](Writer& w2, const obs::SdoSpan& s) {
-    put_span(w2, s);
-  });
-  put_vec(w, v.in_flight, [](Writer& w2, const obs::SdoSpan& s) {
-    put_span(w2, s);
-  });
-  return std::move(w).frame(FrameType::kFlightDump);
-}
-
 std::optional<FlightDump> decode_flight_dump(
     const std::vector<std::uint8_t>& payload, WireError* error) {
-  Reader r(payload, error);
-  FlightDump v;
-  if (!(r.u32(&v.rank) && r.str(&v.event) && r.f64(&v.time) &&
-        r.u64(&v.pushed) &&
-        get_vec(r, &v.recent,
-                [error](Reader& r2, obs::SdoSpan* s) {
-                  return get_span(r2, s, error);
-                },
-                error, "recent spans") &&
-        get_vec(r, &v.in_flight,
-                [error](Reader& r2, obs::SdoSpan* s) {
-                  return get_span(r2, s, error);
-                },
-                error, "in-flight spans") &&
-        r.exhausted())) {
-    return std::nullopt;
-  }
-  return v;
+  return decode_payload<FlightDump>(payload, error);
 }
 
 const char* to_string(FrameType type) {

@@ -20,8 +20,14 @@
 // Decoding is defensive, never undefined: every read is bounds-checked, a
 // bad magic/version/type/length yields WireError with a reason, and payload
 // lengths are capped (kMaxFramePayload) so a corrupt header cannot ask the
-// receiver to allocate gigabytes. tests/runtime/wire_test.cc fuzzes
+// receiver to allocate gigabytes. Element counts are checked the same way:
+// a count that the bytes left in the payload cannot hold is refused before
+// the vector is sized. tests/runtime/wire_test.cc fuzzes
 // truncations and pins the layout with golden byte fixtures.
+//
+// Each struct's fields are listed once, in its `fields()` in wire.cc; that
+// one list drives sizing, encoding and decoding. Any change to a list
+// changes the bytes, so it needs a kWireVersion bump and a fixture update.
 #pragma once
 
 #include <array>
@@ -72,7 +78,8 @@ struct WireError {
 };
 
 // ---------------------------------------------------------------------------
-// Payload structs. Field order in the struct is field order on the wire.
+// Payload structs. The wire order of a struct's fields is the order of its
+// fields() list in wire.cc, not necessarily the declaration order here.
 
 struct Hello {
   std::uint32_t rank = 0;
