@@ -36,7 +36,7 @@
 
 #include "harness/bench_json.h"
 #include "harness/table.h"
-#include "obs/perf.h"
+#include "obs/registry.h"
 #include "runtime/channel.h"
 #include "runtime/spsc_ring.h"
 

@@ -15,7 +15,7 @@
 #include "harness/defaults.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
-#include "obs/perf.h"
+#include "obs/registry.h"
 
 int main(int argc, char** argv) {
   using namespace aces;

@@ -17,7 +17,7 @@
 #include "harness/defaults.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
-#include "obs/perf.h"
+#include "obs/registry.h"
 #include "runtime/runtime_engine.h"
 
 int main(int argc, char** argv) {

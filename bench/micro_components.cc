@@ -9,8 +9,7 @@
 #include "control/lqr.h"
 #include "control/node_controller.h"
 #include "graph/topology_generator.h"
-#include "obs/counters.h"
-#include "obs/scoped_timer.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "opt/global_optimizer.h"
 #include "runtime/channel.h"
@@ -116,7 +115,7 @@ void BM_CounterDisabled(benchmark::State& state) {
 BENCHMARK(BM_CounterDisabled);
 
 void BM_CounterEnabled(benchmark::State& state) {
-  obs::CounterRegistry registry;
+  obs::Registry registry;
   obs::Counter counter = registry.counter("bench.events");
   for (auto _ : state) {
     counter.inc();
@@ -140,9 +139,9 @@ void BM_TraceRecord(benchmark::State& state) {
 BENCHMARK(BM_TraceRecord);
 
 void BM_ScopedTimerDisabled(benchmark::State& state) {
-  // Null profiler: construction + destruction must not read the clock.
+  // Disabled timer: construction + destruction must not read the clock.
   for (auto _ : state) {
-    obs::ScopedTimer timer(nullptr, obs::kPhaseControllerTick);
+    obs::ScopedTimer timer{obs::Timer()};
     benchmark::DoNotOptimize(&timer);
   }
   state.SetItemsProcessed(state.iterations());

@@ -24,22 +24,18 @@ LogHistogram::LogHistogram(double min_value, double max_value,
   counts_.assign(interior + 2, 0);
 }
 
+std::size_t LogHistogram::index_of(double value) const {
+  if (!(value > 0.0) || value < min_value_) return 0;
+  const double pos = (std::log10(value) - log_min_) * inv_log_step_;
+  // Guard the top bucket: +inf (and any value past the configured span)
+  // must land in overflow *before* the size_t cast — casting a double
+  // that exceeds the integer range is undefined behaviour.
+  if (!(pos < static_cast<double>(bucket_count()))) return counts_.size() - 1;
+  return static_cast<std::size_t>(pos) + 1;
+}
+
 void LogHistogram::add(double value, std::uint64_t weight) {
-  std::size_t index;
-  if (!(value > 0.0) || value < min_value_) {
-    index = 0;  // underflow (also catches NaN and non-positive values)
-  } else {
-    const double pos = (std::log10(value) - log_min_) * inv_log_step_;
-    // Guard the top bucket: +inf (and any value past the configured span)
-    // must land in overflow *before* the size_t cast — casting a double
-    // that exceeds the integer range is undefined behaviour.
-    if (!(pos < static_cast<double>(bucket_count()))) {
-      index = counts_.size() - 1;
-    } else {
-      index = static_cast<std::size_t>(pos) + 1;
-    }
-  }
-  counts_[index] += weight;
+  counts_[index_of(value)] += weight;
   if (std::isfinite(value)) {
     if (count_ == 0) {
       min_seen_ = max_seen_ = value;

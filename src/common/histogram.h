@@ -26,6 +26,10 @@ class LogHistogram {
                         int buckets_per_decade = 20);
 
   void add(double value, std::uint64_t weight = 1);
+  /// Raw cell (see raw_counts()) that add() files `value` into: 0 is the
+  /// underflow, which also takes NaN and non-positive values, and
+  /// raw_counts().size() - 1 the overflow.
+  [[nodiscard]] std::size_t index_of(double value) const;
   void merge(const LogHistogram& other);
   void reset();
 

@@ -20,7 +20,7 @@ bool in_window(Seconds from, Seconds until, Seconds t) {
 
 FaultInjector::FaultInjector(FaultSchedule schedule, std::uint64_t seed,
                              std::size_t pe_count,
-                             obs::CounterRegistry* counters)
+                             obs::Registry* counters)
     : schedule_(std::move(schedule)),
       seed_(seed),
       pe_count_(pe_count),

@@ -13,7 +13,7 @@
 // (runtime runs are nondeterministic anyway; atomicity just keeps the
 // draws race-free).
 //
-// Fault events are counted into an optional obs::CounterRegistry under
+// Fault events are counted into an optional obs::Registry under
 // fault.* names; substrates report state transitions they own (crash,
 // restart, stall onset, SDOs lost to a crash) through the note_* hooks.
 #pragma once
@@ -23,7 +23,7 @@
 #include <memory>
 
 #include "fault/fault_spec.h"
-#include "obs/counters.h"
+#include "obs/registry.h"
 
 namespace aces::fault {
 
@@ -33,7 +33,7 @@ class FaultInjector {
   /// the schedule references. `counters` may be null (no counting).
   FaultInjector(FaultSchedule schedule, std::uint64_t seed,
                 std::size_t pe_count,
-                obs::CounterRegistry* counters = nullptr);
+                obs::Registry* counters = nullptr);
 
   [[nodiscard]] const FaultSchedule& schedule() const { return schedule_; }
 

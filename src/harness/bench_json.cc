@@ -7,11 +7,10 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/perf.h"
+#include "obs/registry.h"
 
 namespace aces::harness {
 
-namespace {
 std::string num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -39,7 +38,27 @@ std::string escape_json(const std::string& s) {
   }
   return out;
 }
-}  // namespace
+
+void write_probe_json(std::ostream& os, const obs::MetricsSnapshot& snapshot) {
+  bool open = false;
+  for (const obs::TimerSample& t : snapshot.timers) {
+    if (t.calls == 0) continue;
+    os << (open ? "," : ",\"stages\":{") << "\"" << escape_json(t.name)
+       << "\":{\"calls\":" << t.calls << ",\"ns\":" << t.ns
+       << ",\"ns_per_call\":"
+       << num(static_cast<double>(t.ns) / static_cast<double>(t.calls)) << "}";
+    open = true;
+  }
+  if (open) os << "}";
+  open = false;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (value == 0) continue;
+    os << (open ? "," : ",\"events\":{") << "\"" << escape_json(name)
+       << "\":" << value;
+    open = true;
+  }
+  if (open) os << "}";
+}
 
 BenchJsonWriter::BenchJsonWriter(std::string bench_name)
     : name_(std::move(bench_name)) {}
@@ -109,29 +128,7 @@ std::string BenchJsonWriter::to_json() const {
        << ",\"reoptimizations\":" << reoptimizations_ << "}"
        << ",\"peak_rss_mb\":" << num(peak_rss_mb_)
        << ",\"alloc_count\":" << alloc_count_;
-    const obs::PerfSnapshot snapshot = obs::perf_snapshot();
-    if (!snapshot.stages.empty()) {
-      os << ",\"stages\":{";
-      for (std::size_t i = 0; i < snapshot.stages.size(); ++i) {
-        const obs::PerfStageSample& s = snapshot.stages[i];
-        if (i > 0) os << ",";
-        os << "\"" << escape_json(s.name) << "\":{\"calls\":" << s.calls
-           << ",\"ns\":" << s.ns << ",\"cycles\":" << s.cycles
-           << ",\"ns_per_call\":"
-           << num(static_cast<double>(s.ns) / static_cast<double>(s.calls))
-           << "}";
-      }
-      os << "}";
-    }
-    if (!snapshot.events.empty()) {
-      os << ",\"events\":{";
-      for (std::size_t i = 0; i < snapshot.events.size(); ++i) {
-        if (i > 0) os << ",";
-        os << "\"" << escape_json(snapshot.events[i].first)
-           << "\":" << snapshot.events[i].second;
-      }
-      os << "}";
-    }
+    write_probe_json(os, obs::process_metrics().snapshot());
     os << "}";
   }
   os << ",\"per_run\":[";

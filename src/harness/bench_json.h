@@ -10,10 +10,27 @@
 
 #include <chrono>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
+namespace aces::obs {
+struct MetricsSnapshot;
+}  // namespace aces::obs
+
 namespace aces::harness {
+
+/// %.17g round-trips doubles exactly, so identical results serialize to
+/// identical bytes — the property the determinism tests lean on.
+std::string num(double v);
+
+/// `s` escaped for use inside a JSON string.
+std::string escape_json(const std::string& s);
+
+/// Writes the `"stages"` (timers: calls, ns, ns_per_call) and `"events"`
+/// (counters) members of a `perf` block, each preceded by a comma and
+/// omitted when none of its entries fired.
+void write_probe_json(std::ostream& os, const obs::MetricsSnapshot& snapshot);
 
 /// Collects per-run perf records and writes one BENCH_*.json document.
 class BenchJsonWriter {

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "obs/perf.h"
+#include "obs/registry.h"
 
 namespace aces::harness {
 

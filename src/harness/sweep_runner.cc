@@ -15,8 +15,9 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/rng.h"
+#include "harness/bench_json.h"
 #include "obs/export.h"
-#include "obs/perf.h"
+#include "obs/registry.h"
 #include "opt/global_optimizer.h"
 #include "sim/stream_simulation.h"
 
@@ -40,40 +41,10 @@ control::FlowPolicy parse_policy_name(const std::string& name) {
                            " (aces|udp|lockstep|threshold)");
 }
 
-/// %.17g round-trips doubles exactly, so identical results serialize to
-/// identical bytes — the property the determinism test leans on.
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 std::string hex(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%a", v);
   return buf;
-}
-
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 const char* status_name(SweepRunStatus status) {
@@ -452,29 +423,7 @@ void write_sweep_json(std::ostream& os, const SweepReport& report,
       os << ",\"peak_rss_mb\":"
          << num(static_cast<double>(obs::peak_rss_bytes()) / (1024.0 * 1024.0))
          << ",\"alloc_count\":" << obs::alloc_count();
-      const obs::PerfSnapshot snapshot = obs::perf_snapshot();
-      if (!snapshot.stages.empty()) {
-        os << ",\"stages\":{";
-        for (std::size_t i = 0; i < snapshot.stages.size(); ++i) {
-          const obs::PerfStageSample& s = snapshot.stages[i];
-          if (i > 0) os << ",";
-          os << "\"" << escape_json(s.name) << "\":{\"calls\":" << s.calls
-             << ",\"ns\":" << s.ns << ",\"cycles\":" << s.cycles
-             << ",\"ns_per_call\":"
-             << num(static_cast<double>(s.ns) / static_cast<double>(s.calls))
-             << "}";
-        }
-        os << "}";
-      }
-      if (!snapshot.events.empty()) {
-        os << ",\"events\":{";
-        for (std::size_t i = 0; i < snapshot.events.size(); ++i) {
-          if (i > 0) os << ",";
-          os << "\"" << escape_json(snapshot.events[i].first)
-             << "\":" << snapshot.events[i].second;
-        }
-        os << "}";
-      }
+      write_probe_json(os, obs::process_metrics().snapshot());
     }
     os << "}";
   }

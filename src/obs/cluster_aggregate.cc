@@ -394,11 +394,11 @@ void ClusterAggregator::write_prometheus(std::ostream& os) const {
     }
     for (const auto& [name, totals] : s.perf) {
       prom_counter(os, "aces_perf_stage_calls_total",
-                   "Perf-probe stage call count",
+                   "Worker timer call count",
                    {{"stage", name}, {"shard", shard_label}}, totals.calls,
                    perf_calls_hdr);
       prom_counter(os, "aces_perf_stage_ns_total",
-                   "Perf-probe stage nanoseconds",
+                   "Worker timer nanoseconds",
                    {{"stage", name}, {"shard", shard_label}}, totals.ns,
                    perf_ns_hdr);
     }

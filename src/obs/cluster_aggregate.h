@@ -127,7 +127,7 @@ class ClusterAggregator {
                            const std::string& label,
                            const LogHistogram& end_to_end)
       ACES_EXCLUDES(mutex_);
-  /// Cumulative perf-probe stage totals (whole-state, last-writer-wins).
+  /// Cumulative worker timer totals (whole-state, last-writer-wins).
   void absorb_perf(std::uint32_t rank, const std::string& name,
                    std::uint64_t calls, std::uint64_t ns)
       ACES_EXCLUDES(mutex_);

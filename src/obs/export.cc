@@ -155,33 +155,11 @@ std::vector<TickRecord> read_trace_jsonl(std::istream& is) {
   return records;
 }
 
-void write_counters_jsonl(std::ostream& os, const CounterSnapshot& snapshot) {
-  for (const auto& [name, value] : snapshot.counters) {
-    os << "{\"name\":\"" << name << "\",\"type\":\"counter\",\"value\":"
-       << value << "}\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    os << "{\"name\":\"" << name << "\",\"type\":\"gauge\",\"value\":"
-       << json_number(value) << "}\n";
-  }
-}
-
-void write_counters_csv(std::ostream& os, const CounterSnapshot& snapshot) {
-  os << "name,type,value\n";
-  for (const auto& [name, value] : snapshot.counters) {
-    os << name << ",counter," << value << '\n';
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    os << name << ",gauge," << csv_number(value) << '\n';
-  }
-}
-
-void write_profile_summary(std::ostream& os, const PhaseProfiler& profiler) {
-  for (const std::string& phase : profiler.phases()) {
-    const LogHistogram h = profiler.histogram(phase);
-    os << phase << ": count=" << h.count()
-       << " p50=" << number(h.median() * 1e6)
-       << "us p99=" << number(h.p99() * 1e6) << "us\n";
+void write_timer_summary(std::ostream& os, const MetricsSnapshot& snapshot) {
+  for (const TimerSample& t : snapshot.timers) {
+    os << t.name << ": count=" << t.calls
+       << " p50=" << number(t.seconds.median() * 1e6)
+       << "us p99=" << number(t.seconds.p99() * 1e6) << "us\n";
   }
 }
 

@@ -1,5 +1,5 @@
-// Serialization of telemetry: JSONL and CSV for traces and counter
-// snapshots, plus a human-readable phase-profile summary.
+// Serialization of telemetry: JSONL and CSV for traces, plus a
+// human-readable timer summary.
 //
 // JSONL (one flat JSON object per line) is the interchange format —
 // `aces trace-summary` reads it back — and CSV is for spreadsheets and
@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "obs/counters.h"
-#include "obs/scoped_timer.h"
+#include "obs/registry.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
 
@@ -33,14 +32,8 @@ void write_trace_csv(std::ostream& os, const std::vector<TickRecord>& records);
 /// keep their defaults). Blank lines are skipped.
 std::vector<TickRecord> read_trace_jsonl(std::istream& is);
 
-/// One JSON object per cell: {"name":...,"type":"counter"|"gauge","value":...}.
-void write_counters_jsonl(std::ostream& os, const CounterSnapshot& snapshot);
-
-/// CSV with header name,type,value.
-void write_counters_csv(std::ostream& os, const CounterSnapshot& snapshot);
-
-/// Per-phase count / median / p99 in microseconds, one line per phase.
-void write_profile_summary(std::ostream& os, const PhaseProfiler& profiler);
+/// Per-timer count / median / p99 in microseconds, one line per timer.
+void write_timer_summary(std::ostream& os, const MetricsSnapshot& snapshot);
 
 /// Escapes a string for use inside a Prometheus label value: `\` -> `\\`,
 /// `"` -> `\"`, newline -> `\n` (the three escapes the text exposition

@@ -19,7 +19,7 @@
 // timestamps).
 //
 // Overhead: substrates hold a nullable SpanTracer*; when null the per-SDO
-// cost is one pointer test (the CounterRegistry pattern). When tracing, an
+// cost is one pointer test (the obs::Counter pattern). When tracing, an
 // unsampled SDO costs one atomic fetch_add + hash at the source and a
 // handle<0 test per hop. Every operation on a *sampled* span (begin, hop
 // updates, complete/drop) takes the tracer mutex: hop state must be

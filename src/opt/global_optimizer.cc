@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "obs/perf.h"
 #include "opt/fluid_model.h"
 
 namespace aces::opt {
@@ -101,7 +100,6 @@ AllocationPlan evaluate_allocation(const graph::ProcessingGraph& g,
 
 AllocationPlan optimize(const graph::ProcessingGraph& g,
                         const OptimizerConfig& config) {
-  ACES_PERF_SCOPE(PerfStage::kOptimizerSolve);
   ACES_CHECK_MSG(config.iterations > 0, "iterations must be positive");
   ACES_CHECK_MSG(config.step > 0.0, "step must be positive");
   ACES_CHECK_MSG(config.headroom >= 1.0, "headroom must be >= 1");

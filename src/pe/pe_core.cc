@@ -2,8 +2,6 @@
 
 #include "common/check.h"
 #include "fault/fault_injector.h"
-#include "obs/perf.h"
-#include "obs/scoped_timer.h"
 
 namespace aces::pe {
 
@@ -43,10 +41,8 @@ std::vector<Source> make_sources(const graph::ProcessingGraph& g, Rng& master,
 
 std::vector<control::PeTickOutput> tick(
     control::NodeController& controller, Seconds dt,
-    const std::vector<control::PeTickInput>& inputs,
-    obs::PhaseProfiler* profiler) {
-  obs::ScopedTimer timer(profiler, obs::kPhaseControllerTick);
-  ACES_PERF_SCOPE(PerfStage::kControllerTick);
+    const std::vector<control::PeTickInput>& inputs, obs::Timer timer) {
+  const obs::ScopedTimer scope(timer);
   return controller.tick(dt, inputs);
 }
 

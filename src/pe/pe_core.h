@@ -37,6 +37,7 @@
 #include "control/node_controller.h"
 #include "graph/processing_graph.h"
 #include "metrics/run_report.h"
+#include "obs/registry.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
 #include "opt/global_optimizer.h"
@@ -46,10 +47,6 @@
 namespace aces::fault {
 class FaultInjector;
 }  // namespace aces::fault
-
-namespace aces::obs {
-class PhaseProfiler;
-}  // namespace aces::obs
 
 namespace aces::pe {
 
@@ -327,12 +324,11 @@ struct Source {
   return spans != nullptr ? spans->begin(pe, at) : -1;
 }
 
-/// One control tick of `controller` over `inputs`, timed by the
-/// controller-tick perf probe and phase profiler (null disables).
+/// One control tick of `controller` over `inputs`, timed into `timer`
+/// (a disabled handle reads no clock).
 std::vector<control::PeTickOutput> tick(
     control::NodeController& controller, Seconds dt,
-    const std::vector<control::PeTickInput>& inputs,
-    obs::PhaseProfiler* profiler);
+    const std::vector<control::PeTickInput>& inputs, obs::Timer timer);
 
 /// The control-trace record of `controller`'s `i`-th local PE at a tick at
 /// `now`. `cpu_share` is the share the PE was granted and `dropped_total`

@@ -28,7 +28,7 @@
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "obs/perf.h"
+#include "obs/registry.h"
 
 namespace aces::runtime {
 
@@ -41,7 +41,7 @@ class Channel {
 
   /// Non-blocking send; false when the channel is full or closed.
   bool try_push(T value) ACES_EXCLUDES(mutex_) {
-    ACES_PERF_SCOPE(PerfStage::kChannelSend);
+    ACES_PERF_SCOPE("channel_send");
     {
       MutexLock lock(mutex_);
       if (closed_ || items_.size() >= capacity_) return false;
@@ -54,12 +54,12 @@ class Channel {
   /// Blocking send with timeout; false on timeout or close.
   bool push_wait(T value, std::chrono::nanoseconds timeout)
       ACES_EXCLUDES(mutex_) {
-    ACES_PERF_SCOPE(PerfStage::kChannelSend);
+    ACES_PERF_SCOPE("channel_send");
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     {
       MutexLock lock(mutex_);
       while (!closed_ && items_.size() >= capacity_) {
-        ACES_PERF_COUNT(PerfEvent::kChannelBlock);
+        ACES_PERF_COUNT("channel_block");
         if (not_full_.wait_until(mutex_, deadline) ==
             std::cv_status::timeout) {
           if (closed_ || items_.size() < capacity_) break;
@@ -77,7 +77,7 @@ class Channel {
   /// round-trip and one notify. Returns the count accepted — the same
   /// prefix a try_push loop would have accepted.
   std::size_t try_push_n(T* items, std::size_t n) ACES_EXCLUDES(mutex_) {
-    ACES_PERF_SCOPE(PerfStage::kChannelSend);
+    ACES_PERF_SCOPE("channel_send");
     std::size_t k = 0;
     {
       MutexLock lock(mutex_);
@@ -93,7 +93,7 @@ class Channel {
 
   /// Non-blocking receive.
   std::optional<T> try_pop() ACES_EXCLUDES(mutex_) {
-    ACES_PERF_SCOPE(PerfStage::kChannelRecv);
+    ACES_PERF_SCOPE("channel_recv");
     std::optional<T> out;
     {
       MutexLock lock(mutex_);
@@ -109,7 +109,7 @@ class Channel {
   /// round-trip. Returns the count drained. notify_all (not _one) because a
   /// burst can free several slots for several blocked producers at once.
   std::size_t pop_burst(T* out, std::size_t max) ACES_EXCLUDES(mutex_) {
-    ACES_PERF_SCOPE(PerfStage::kChannelRecv);
+    ACES_PERF_SCOPE("channel_recv");
     std::size_t k = 0;
     {
       MutexLock lock(mutex_);
@@ -127,7 +127,7 @@ class Channel {
   /// is closed and drained.
   std::optional<T> pop_wait(std::chrono::nanoseconds timeout)
       ACES_EXCLUDES(mutex_) {
-    ACES_PERF_SCOPE(PerfStage::kChannelRecv);
+    ACES_PERF_SCOPE("channel_recv");
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     std::optional<T> out;
     {
@@ -138,7 +138,7 @@ class Channel {
           if (closed_ || !items_.empty()) break;
           return std::nullopt;
         }
-        ACES_PERF_COUNT(PerfEvent::kChannelWakeup);
+        ACES_PERF_COUNT("channel_wakeup");
       }
       if (items_.empty()) return std::nullopt;  // closed and drained
       out = std::move(items_.front());

@@ -45,8 +45,7 @@
 #include "fault/fault_injector.h"
 #include "graph/serialization.h"
 #include "metrics/collector.h"
-#include "obs/counters.h"
-#include "obs/perf.h"
+#include "obs/registry.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
 #include "opt/global_optimizer.h"
@@ -170,6 +169,11 @@ class WorkerEngine {
     ctr_dropped_ = counters_.counter("dist.sdo.dropped");
     ctr_cross_node_ = counters_.counter("dist.sdo.cross_node");
     gauge_quantum_ = counters_.gauge("dist.quantum");
+    // Tick timing is opt-in, like `aces simulate --trace`: two clock reads
+    // per tick are too dear for an untraced run.
+    if (cfg.record_trace != 0) {
+      tick_timer_ = counters_.timer("controller_tick");
+    }
     if (cfg.span_sample > 0.0) {
       obs::SpanTracerOptions topt;
       topt.sample_rate = cfg.span_sample;
@@ -524,7 +528,7 @@ class WorkerEngine {
           });
     }
     const std::vector<control::PeTickOutput> outputs =
-        pe::tick(controller, cfg_.dt, inputs, nullptr);
+        pe::tick(controller, cfg_.dt, inputs, tick_timer_);
     ++events_executed_;
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeState& pe = pes_[local[i].value()];
@@ -809,7 +813,7 @@ class WorkerEngine {
     wire::MetricsReport mr;
     mr.rank = cfg_.rank;
     mr.quantum = quantum;
-    const obs::CounterSnapshot snap = counters_.snapshot();
+    const obs::MetricsSnapshot snap = counters_.snapshot();
     for (const auto& [name, value] : snap.counters) {
       // Deltas, not absolutes: the coordinator's sum stays exact across
       // worker restarts (a respawned shard starts at zero).
@@ -846,8 +850,8 @@ class WorkerEngine {
         mr.path_latency.push_back({id, stats.label, stats.end_to_end});
       }
     }
-    for (const obs::PerfStageSample& s : obs::perf_snapshot().stages) {
-      mr.perf.push_back({s.name, s.calls, s.ns});
+    for (const obs::TimerSample& t : snap.timers) {
+      mr.perf.push_back({t.name, t.calls, t.ns});
     }
     mr.trace = std::move(trace_buffer_);
     trace_buffer_.clear();
@@ -881,13 +885,14 @@ class WorkerEngine {
   Atomic<std::uint64_t> current_quantum_{0};
 
   // ---- telemetry (tentpole: the distributed observability plane) -----
-  obs::CounterRegistry counters_;
+  obs::Registry counters_;
   obs::Counter ctr_arrived_;
   obs::Counter ctr_processed_;
   obs::Counter ctr_emitted_;
   obs::Counter ctr_dropped_;
   obs::Counter ctr_cross_node_;
   obs::Gauge gauge_quantum_;
+  obs::Timer tick_timer_;
   std::unique_ptr<obs::SpanTracer> tracer_;
   /// Span prefixes leaving this worker, shipped in the quantum's SpanBatch.
   std::vector<wire::SpanHandoff> handoff_outbox_;

@@ -18,7 +18,7 @@
 #include "control/node_controller.h"
 #include "fault/fault_injector.h"
 #include "metrics/collector.h"
-#include "obs/counters.h"
+#include "obs/registry.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
 #include "pe/pe_core.h"
@@ -184,8 +184,9 @@ class Engine {
 
     sources_ = pe::make_sources(g, master, options.arrival_factory);
 
-    // Data-plane event counters; disabled (null) handles when no registry
-    // is attached, costing one predictable branch per event.
+    // Data-plane event counters and the tick timer; disabled (null)
+    // handles when no registry is attached, costing one predictable branch
+    // per event.
     channel_send_ = obs::make_counter(options.counters, "runtime.channel.send");
     channel_drop_ = obs::make_counter(options.counters, "runtime.channel.drop");
     channel_block_ =
@@ -195,6 +196,7 @@ class Engine {
     source_inject_ =
         obs::make_counter(options.counters, "runtime.source.inject");
     source_drop_ = obs::make_counter(options.counters, "runtime.source.drop");
+    tick_timer_ = obs::make_timer(options.counters, "controller_tick");
 
     if (!options.faults.empty()) {
       fault::validate(options.faults, g);
@@ -222,9 +224,11 @@ class Engine {
         options_.duration / options_.time_scale);
     std::this_thread::sleep_for(wall);
     stop_.store(true);
-    if (bus_ != nullptr) bus_->stop();
     for (auto& pe : pes_) pe->input.close();
+    // A node thread past its stop_ check may still send a cross-node SDO,
+    // so the bus stops only once no thread is left to post to it.
     for (auto& t : threads) t.join();
+    if (bus_ != nullptr) bus_->stop();
     metrics::RunReport report =
         collector_.finalize(options_.duration, total_capacity_);
     report.per_pe.reserve(pes_.size());
@@ -389,7 +393,7 @@ class Engine {
           });
     }
     const std::vector<control::PeTickOutput> outputs =
-        pe::tick(controller, options_.dt, inputs, options_.profiler);
+        pe::tick(controller, options_.dt, inputs, tick_timer_);
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeRt& pe = *pes_[local[i].value()];
       if (options_.trace != nullptr) {
@@ -629,7 +633,7 @@ class Engine {
   std::chrono::steady_clock::time_point start_;
   Atomic<bool> stop_{false};
   std::unique_ptr<MessageBus> bus_;
-  // Data-plane counters (disabled handles unless options.counters is set).
+  // Run telemetry (disabled handles unless options.counters is set).
   obs::Counter channel_send_;
   obs::Counter channel_drop_;
   obs::Counter channel_block_;
@@ -637,6 +641,7 @@ class Engine {
   obs::Counter bus_deliver_;
   obs::Counter source_inject_;
   obs::Counter source_drop_;
+  obs::Timer tick_timer_;
   /// Non-null iff RuntimeOptions::faults is non-empty.
   std::unique_ptr<fault::FaultInjector> injector_;
 };

@@ -36,8 +36,7 @@
 
 namespace aces::obs {
 class ControlTraceRecorder;
-class CounterRegistry;
-class PhaseProfiler;
+class Registry;
 class SpanTracer;
 }  // namespace aces::obs
 
@@ -68,14 +67,12 @@ struct RuntimeOptions {
   /// sim::SimOptions::trace): one obs::TickRecord per PE per control tick,
   /// written by the node threads. Not owned; null disables.
   obs::ControlTraceRecorder* trace = nullptr;
-  /// Optional self-profiling sink for controller-tick durations. Not owned;
-  /// null disables.
-  obs::PhaseProfiler* profiler = nullptr;
-  /// Optional registry for the data-plane event counters
-  /// (runtime.channel.*, runtime.bus.*, runtime.source.*). Not owned; null
-  /// disables — the hot-path cost of the disabled handles is a nullptr
-  /// test. Snapshot it at any instant while the run is live.
-  obs::CounterRegistry* counters = nullptr;
+  /// Optional run registry for the data-plane event counters
+  /// (runtime.channel.*, runtime.bus.*, runtime.source.*) and the
+  /// `controller_tick` timer. Not owned; null disables — the hot-path cost
+  /// of the disabled handles is a nullptr test. Snapshot it at any instant
+  /// while the run is live.
+  obs::Registry* counters = nullptr;
   /// Declarative fault schedule executed by a seeded fault::FaultInjector
   /// (same contract as sim::SimOptions::faults). Windows are evaluated
   /// against virtual time. The threaded runtime is nondeterministic, so

@@ -66,7 +66,7 @@
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "obs/perf.h"
+#include "obs/registry.h"
 
 namespace aces::runtime {
 
@@ -120,8 +120,8 @@ class SpscRing {
       slots_[(tail + i) & mask_] = std::move(items[i]);
     }
     tail_.store(tail + k, std::memory_order_release);
-    ACES_PERF_COUNT(PerfEvent::kRingBatchPublish);
-    ACES_PERF_COUNT_N(PerfEvent::kRingBatchSdos, k);
+    ACES_PERF_COUNT("ring_batch_publish");
+    ACES_PERF_COUNT_N("ring_batch_sdos", k);
     wake_consumer();
     return k;
   }
@@ -167,7 +167,7 @@ class SpscRing {
   /// `out` with ONE index publish. Returns the count drained.
   std::size_t pop_burst(T* out, std::size_t max) {
     if (max == 0) return 0;
-    ACES_PERF_SCOPE(PerfStage::kRingDrain);
+    ACES_PERF_SCOPE("ring_drain");
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     std::uint64_t avail = cached_tail_ - head;
     if (avail < max) {
@@ -180,8 +180,8 @@ class SpscRing {
       out[i] = std::move(slots_[(head + i) & mask_]);
     }
     head_.store(head + k, std::memory_order_release);
-    ACES_PERF_COUNT(PerfEvent::kRingDrainBurst);
-    ACES_PERF_COUNT_N(PerfEvent::kRingDrainSdos, k);
+    ACES_PERF_COUNT("ring_drain_burst");
+    ACES_PERF_COUNT_N("ring_drain_sdos", k);
     wake_producer();
     return k;
   }
@@ -271,9 +271,9 @@ class SpscRing {
     Atomic<int>& flag = producer ? producer_parked_ : consumer_parked_;
     std::condition_variable_any& cv = producer ? not_full_ : not_empty_;
     if (producer) {
-      ACES_PERF_COUNT(PerfEvent::kRingFullPark);
+      ACES_PERF_COUNT("ring_full_park");
     } else {
-      ACES_PERF_COUNT(PerfEvent::kRingEmptyPark);
+      ACES_PERF_COUNT("ring_empty_park");
     }
 #if defined(ACES_MODEL_CHECK)
     if (check::active()) {

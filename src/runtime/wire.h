@@ -213,7 +213,8 @@ struct PathLatencySnapshot {
   LogHistogram end_to_end;
 };
 
-/// One perf-probe stage cell (cumulative; empty on uninstrumented builds).
+/// One of the worker's timers: cumulative calls and nanoseconds.
+/// `controller_tick` is the only one, shipped when record_trace is set.
 struct PerfCell {
   std::string name;
   std::uint64_t calls = 0;

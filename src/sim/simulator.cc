@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "obs/perf.h"
+#include "obs/registry.h"
 
 namespace aces::sim {
 
@@ -22,7 +22,7 @@ void Simulator::schedule_in(Seconds delay, Handler fn) {
 }
 
 void Simulator::schedule_at(Seconds t, Handler fn) {
-  ACES_PERF_SCOPE(PerfStage::kCalendarInsert);
+  ACES_PERF_SCOPE("calendar_insert");
   ACES_CHECK_MSG(t >= now_, "cannot schedule into the past");
   std::size_t slot = handlers_.size();
   if (free_slots_.empty()) {
@@ -49,7 +49,7 @@ void Simulator::schedule_at(Seconds t, Handler fn) {
 void Simulator::run_next() {
   const Key top = heap_.front();
   {
-    ACES_PERF_SCOPE(PerfStage::kCalendarDrain);
+    ACES_PERF_SCOPE("calendar_drain");
     // Sift the last key down from the hole the root left.
     const Key last = heap_.back();
     heap_.pop_back();

@@ -11,8 +11,7 @@
 #include "control/node_controller.h"
 #include "fault/fault_injector.h"
 #include "metrics/collector.h"
-#include "obs/perf.h"
-#include "obs/scoped_timer.h"
+#include "obs/registry.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
 #include "pe/pe_core.h"
@@ -186,6 +185,9 @@ struct StreamSimulation::Impl {
       });
     }
 
+    tick_timer = obs::make_timer(opt.counters, "controller_tick");
+    solve_timer = obs::make_timer(opt.counters, "optimizer_solve");
+
     // Declarative fault schedule (fault::FaultInjector).
     if (!opt.faults.empty()) {
       fault::validate(opt.faults, graph);
@@ -314,8 +316,7 @@ struct StreamSimulation::Impl {
   void solve_and_push() {
     opt::AllocationPlan plan;
     {
-      obs::ScopedTimer timer(options.profiler, obs::kPhaseOptimizerSolve);
-      ACES_PERF_SCOPE(PerfStage::kOptimizerSolve);
+      const obs::ScopedTimer scope(solve_timer);
       plan = opt::optimize_excluding(graph, down_nodes(), options.optimizer);
     }
     for (auto& controller : controllers) controller.set_plan(plan);
@@ -421,7 +422,7 @@ struct StreamSimulation::Impl {
     if (options.spans != nullptr) {
       options.spans->on_enqueue(sdo.span, pe.id, simulator.now());
     }
-    ACES_PERF_COUNT(PerfEvent::kBufferPoolHit);
+    ACES_PERF_COUNT("buffer_pool_hit");
     pe.buffer.push_back(sdo);
     pe.note_admitted();
     maybe_start(pe);
@@ -432,7 +433,7 @@ struct StreamSimulation::Impl {
     if (fault_drops_delivery(pe)) {
       pe.note_dropped(sdo, simulator.now(), collector, options.spans);
     } else if (pe.buffer.full()) {
-      ACES_PERF_COUNT(PerfEvent::kBufferPoolMiss);
+      ACES_PERF_COUNT("buffer_pool_miss");
       pe.note_dropped(sdo, simulator.now(), collector, options.spans);
     } else {
       admit(pe, sdo);
@@ -488,7 +489,7 @@ struct StreamSimulation::Impl {
     } else if (policy == control::FlowPolicy::kLockStep
                    ? !has_space_for_send(pe)
                    : pe.buffer.full()) {
-      ACES_PERF_COUNT(PerfEvent::kBufferPoolMiss);
+      ACES_PERF_COUNT("buffer_pool_miss");
       pe.note_arrival_dropped(sdo, collector, options.spans);
     } else {
       admit(pe, sdo);
@@ -528,7 +529,7 @@ struct StreamSimulation::Impl {
           });
     }
     const std::vector<control::PeTickOutput> outputs =
-        pe::tick(controller, options.dt, inputs, options.profiler);
+        pe::tick(controller, options.dt, inputs, tick_timer);
 
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeRt& pe = pes[local[i].value()];
@@ -592,6 +593,9 @@ struct StreamSimulation::Impl {
   metrics::TimeSeriesSet trajectories;
   Rng change_rng;
   int reoptimization_count = 0;
+  /// Control-phase timers; disabled unless SimOptions::counters is set.
+  obs::Timer tick_timer;
+  obs::Timer solve_timer;
   /// Non-null iff SimOptions::faults is non-empty.
   std::unique_ptr<fault::FaultInjector> injector;
   /// Crash-window nesting depth per node; sized only when faults are active.

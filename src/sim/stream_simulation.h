@@ -38,8 +38,7 @@
 
 namespace aces::obs {
 class ControlTraceRecorder;
-class CounterRegistry;
-class PhaseProfiler;
+class Registry;
 class SpanTracer;
 }  // namespace aces::obs
 
@@ -130,9 +129,6 @@ struct SimOptions {
   /// control tick, captured at the NodeController::tick() boundary. Not
   /// owned; must outlive the run. Null disables tracing (zero cost).
   obs::ControlTraceRecorder* trace = nullptr;
-  /// Optional self-profiling sink for controller-tick and optimizer-solve
-  /// durations. Not owned; null disables (no clock reads).
-  obs::PhaseProfiler* profiler = nullptr;
   /// Declarative fault schedule (node crashes, PE stalls, advertisement
   /// loss/delay, delivery drop bursts), executed by a seeded
   /// fault::FaultInjector. Empty (the default) injects nothing. Same seed +
@@ -140,9 +136,10 @@ struct SimOptions {
   /// an immediate tier-1 re-solve excluding the down nodes when
   /// `reoptimize_interval` > 0.
   fault::FaultSchedule faults;
-  /// Optional counter sink for fault.* event counts (and parity with the
-  /// runtime's counter option). Not owned; null disables.
-  obs::CounterRegistry* counters = nullptr;
+  /// Optional run registry: fault.* event counts and the
+  /// `controller_tick` / `optimizer_solve` timers. Not owned; null
+  /// disables (no clock reads).
+  obs::Registry* counters = nullptr;
   /// Optional data-plane span tracer: samples SDOs at the sources and
   /// follows them hop by hop (per-PE wait/service, per-path end-to-end,
   /// flight recorder). Not owned; must outlive the run. Null disables —

@@ -57,6 +57,20 @@ TEST(LogHistogramTest, UnderflowAndOverflowBuckets) {
   EXPECT_EQ(h.count(), 4u);
 }
 
+TEST(LogHistogramTest, IndexOfNamesTheCellAddFills) {
+  const LogHistogram geometry(1e-3, 1e3, 10);
+  const std::size_t last = geometry.raw_counts().size() - 1;
+  EXPECT_EQ(geometry.index_of(0.0), 0u);
+  EXPECT_EQ(geometry.index_of(std::nan("")), 0u);
+  EXPECT_EQ(geometry.index_of(1e9), last);
+  EXPECT_EQ(geometry.index_of(std::numeric_limits<double>::infinity()), last);
+  for (const double v : {1e-9, 1e-3, 0.0123, 1.0, 42.0, 999.0, 1e9}) {
+    LogHistogram h = geometry;
+    h.add(v);
+    EXPECT_EQ(h.raw_counts()[geometry.index_of(v)], 1u) << v;
+  }
+}
+
 TEST(LogHistogramTest, NanLandsInUnderflowNotUb) {
   LogHistogram h;
   h.add(std::nan(""));

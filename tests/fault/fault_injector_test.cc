@@ -8,7 +8,7 @@
 
 #include "common/check.h"
 #include "fault/fault_injector.h"
-#include "obs/counters.h"
+#include "obs/registry.h"
 
 namespace aces::fault {
 namespace {
@@ -84,7 +84,7 @@ TEST(FaultInjectorTest, DelayIsMaxOverActiveClauses) {
 }
 
 TEST(FaultInjectorTest, CountsFaultEvents) {
-  obs::CounterRegistry registry;
+  obs::Registry registry;
   FaultInjector inj(parse_fault_spec("advert_loss pe=0 from=0 until=1 prob=1;"
                                      "drop pe=0 from=0 until=1 prob=1;"
                                      "advert_delay pe=1 from=0 until=1 "

@@ -6,7 +6,7 @@
 
 #include "fault/fault_spec.h"
 #include "graph/topology_generator.h"
-#include "obs/counters.h"
+#include "obs/registry.h"
 #include "runtime/runtime_engine.h"
 
 namespace aces::runtime {
@@ -33,7 +33,7 @@ RuntimeOptions fast_options() {
 TEST(FaultRuntimeTest, CrashAndRestartAreCountedAndSurvived) {
   const auto g = small_topology(13);
   const auto plan = opt::optimize(g);
-  obs::CounterRegistry counters;
+  obs::Registry counters;
   RuntimeOptions o = fast_options();
   o.faults = fault::parse_fault_spec("crash node=1 at=3 until=6");
   o.controller.advert_staleness_timeout = 1.0;
@@ -68,7 +68,7 @@ TEST(FaultRuntimeTest, LockStepProducersSurviveADeadConsumer) {
 TEST(FaultRuntimeTest, StallAndDropBurstsAreApplied) {
   const auto g = small_topology(15);
   const auto plan = opt::optimize(g);
-  obs::CounterRegistry counters;
+  obs::Registry counters;
   RuntimeOptions o = fast_options();
   o.faults = fault::parse_fault_spec(
       "stall pe=4 at=2 for=3; drop pe=5 from=2 until=8 prob=1;"

@@ -10,7 +10,7 @@
 #include "fault/fault_spec.h"
 #include "graph/topology_generator.h"
 #include "metrics/report_fingerprint.h"
-#include "obs/counters.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "opt/global_optimizer.h"
 #include "sim/stream_simulation.h"
@@ -63,7 +63,7 @@ TEST(FaultSimTest, CrashHaltsDrainsAndRecovers) {
   const auto plan = opt::optimize(chain.g);
   SimOptions o = base_options(FlowPolicy::kAces);
   o.faults = fault::parse_fault_spec("crash node=1 at=10 until=20");
-  obs::CounterRegistry counters;
+  obs::Registry counters;
   o.counters = &counters;
   StreamSimulation sim(chain.g, plan, o);
 
@@ -184,7 +184,7 @@ TEST(FaultSimTest, StallFlagAndCounterFire) {
   const auto plan = opt::optimize(chain.g);
   SimOptions o = base_options(FlowPolicy::kAces);
   o.faults = fault::parse_fault_spec("stall pe=1 at=10 for=5");
-  obs::CounterRegistry counters;
+  obs::Registry counters;
   o.counters = &counters;
   obs::ControlTraceRecorder recorder;
   o.trace = &recorder;
@@ -217,7 +217,7 @@ TEST(FaultSimTest, DropBurstSeversDeliveriesDuringItsWindow) {
   const auto plan = opt::optimize(chain.g);
   SimOptions o = base_options(FlowPolicy::kUdp);
   o.faults = fault::parse_fault_spec("drop pe=1 from=10 until=15 prob=1");
-  obs::CounterRegistry counters;
+  obs::Registry counters;
   o.counters = &counters;
   StreamSimulation sim(chain.g, plan, o);
   sim.run_until(10.05);  // in-flight pre-window deliveries have landed

@@ -16,8 +16,11 @@
 // socket equivalence is pinned by transport_differential_test.
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,6 +82,22 @@ std::uint64_t status_value(const obs::ClusterAggregator& agg,
   return 0;
 }
 
+/// Value of the Prometheus sample `series` (name plus label block); 0 if
+/// absent.
+std::uint64_t prometheus_value(const obs::ClusterAggregator& agg,
+                               const std::string& series) {
+  std::ostringstream os;
+  agg.write_prometheus(os);
+  std::istringstream lines(os.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(series + ' ', 0) == 0) {
+      return std::stoull(line.substr(series.size() + 1));
+    }
+  }
+  return 0;
+}
+
 /// FNV-1a 64 over an exact serialization of a merged latency registry:
 /// every PE's wait/service and every path's end-to-end histogram, each as
 /// count, raw cells, and min/max/sum in hexfloat. Any snapshot that goes
@@ -134,6 +153,28 @@ TEST(DistObservabilityTest, TelemetryDoesNotPerturbTheComputation) {
   EXPECT_EQ(metrics::work_fingerprint(bare), metrics::work_fingerprint(traced))
       << "span tracing / metrics shipping changed the work";
   EXPECT_GT(status_value(agg, "aces_cluster_spans_completed"), 0u);
+
+  // Recording the control trace also times every node tick into the
+  // worker's registry, which ships it as that shard's controller_tick
+  // timer: one call per node tick, and still the same work.
+  obs::ClusterAggregator ticks_agg;
+  runtime::dist::DistOptions o = options_with(2, &ticks_agg, 0.0);
+  o.record_trace = true;
+  const metrics::RunReport ticked = runtime::dist::run_distributed(g, plan, o);
+  EXPECT_EQ(metrics::work_fingerprint(bare), metrics::work_fingerprint(ticked));
+  std::map<std::int32_t, std::set<std::pair<std::uint32_t, double>>> ticks;
+  for (const obs::TickRecord& r : ticks_agg.trace_records()) {
+    ticks[r.shard].emplace(r.node, r.time);
+  }
+  ASSERT_EQ(ticks.size(), 2u);
+  for (const auto& [shard, node_ticks] : ticks) {
+    EXPECT_EQ(prometheus_value(ticks_agg,
+                               "aces_perf_stage_calls_total{stage=\"controller_"
+                               "tick\",shard=\"" +
+                                   std::to_string(shard) + "\"}"),
+              node_ticks.size())
+        << "shard " << shard;
+  }
 }
 
 TEST(DistObservabilityTest, ClusterCountersArePartitionInvariant) {

@@ -1,44 +1,36 @@
-// Tests for the hot-path perf probes (obs/perf.h).
+// Tests for the hot-path probes (ACES_PERF_* in obs/registry.h).
 //
 // The suite runs in both build flavours: uninstrumented (the default —
-// snapshots must stay empty and cost nothing) and ACES_PERF_INSTRUMENT=ON
-// (probes must accumulate and reset). The bit-identical-fingerprint guard
+// the process registry must stay empty) and ACES_PERF_INSTRUMENT=ON
+// (probes must accumulate into it). The bit-identical-fingerprint guard
 // lives in CI (dual-build `aces simulate --fingerprint` diff); here we pin
-// the API contract both flavours share.
-#include "obs/perf.h"
-
+// the contract both flavours share.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/registry.h"
+
 namespace aces::obs {
 namespace {
 
-TEST(PerfNames, StagesAreNamedAndDistinct) {
-  std::set<std::string> names;
-  for (unsigned i = 0; i < static_cast<unsigned>(PerfStage::kCount); ++i) {
-    const char* name = perf_stage_name(static_cast<PerfStage>(i));
-    ASSERT_NE(name, nullptr);
-    EXPECT_FALSE(std::string(name).empty());
-    EXPECT_TRUE(names.insert(name).second) << "duplicate stage name " << name;
+std::uint64_t counter_value(const MetricsSnapshot& snap,
+                            const std::string& name) {
+  for (const auto& [n, value] : snap.counters) {
+    if (n == name) return value;
   }
+  return 0;
 }
 
-TEST(PerfNames, EventsAreNamedAndDistinct) {
-  std::set<std::string> names;
-  for (unsigned i = 0; i < static_cast<unsigned>(PerfEvent::kCount); ++i) {
-    const char* name = perf_event_name(static_cast<PerfEvent>(i));
-    ASSERT_NE(name, nullptr);
-    EXPECT_FALSE(std::string(name).empty());
-    EXPECT_TRUE(names.insert(name).second) << "duplicate event name " << name;
+std::uint64_t timer_calls(const MetricsSnapshot& snap,
+                          const std::string& name) {
+  for (const TimerSample& t : snap.timers) {
+    if (t.name == name) return t.calls;
   }
-}
-
-TEST(PerfSnapshot, InstrumentedFlagMatchesBuild) {
-  EXPECT_EQ(perf_snapshot().instrumented, perf_instrumented());
+  return 0;
 }
 
 TEST(PerfSnapshot, UninstrumentedBuildStaysEmpty) {
@@ -46,46 +38,45 @@ TEST(PerfSnapshot, UninstrumentedBuildStaysEmpty) {
   // The macros must be valid no-op statements, including in unbraced
   // if/else positions.
   if (perf_instrumented())
-    ACES_PERF_COUNT(PerfEvent::kBufferPoolHit);
+    ACES_PERF_COUNT("buffer_pool_hit");
   else
-    ACES_PERF_COUNT(PerfEvent::kBufferPoolMiss);
-  ACES_PERF_SCOPE(PerfStage::kCalendarInsert);
-  ACES_PERF_COUNT_N(PerfEvent::kBufferPoolHit, 3);
-  EXPECT_TRUE(perf_snapshot().empty());
+    ACES_PERF_COUNT("buffer_pool_miss");
+  ACES_PERF_SCOPE("calendar_insert");
+  ACES_PERF_COUNT_N("buffer_pool_hit", 3);
+  const MetricsSnapshot snap = process_metrics().snapshot();
+  EXPECT_TRUE(snap.counters.empty());
+  EXPECT_TRUE(snap.gauges.empty());
+  EXPECT_TRUE(snap.timers.empty());
   EXPECT_EQ(alloc_count(), 0u);
 }
 
-TEST(PerfSnapshot, ProbesAccumulateAndReset) {
+TEST(PerfSnapshot, ProbesAccumulate) {
   if (!perf_instrumented()) GTEST_SKIP() << "uninstrumented build";
-  perf_reset();
-  {
-    ACES_PERF_SCOPE(PerfStage::kCalendarInsert);
-    ACES_PERF_COUNT(PerfEvent::kBufferPoolMiss);
-    ACES_PERF_COUNT_N(PerfEvent::kBufferPoolHit, 5);
+  const MetricsSnapshot before = process_metrics().snapshot();
+  for (int i = 0; i < 2; ++i) {
+    // Each site resolves its handle once; the second pass reuses it.
+    ACES_PERF_SCOPE("perf_test_scope");
+    if (i == 0)
+      ACES_PERF_COUNT("perf_test_miss");
+    else
+      ACES_PERF_COUNT_N("perf_test_hit", 5);
   }
-  const PerfSnapshot snapshot = perf_snapshot();
-  EXPECT_TRUE(snapshot.instrumented);
-  ASSERT_EQ(snapshot.stages.size(), 1u);
-  EXPECT_EQ(snapshot.stages[0].name,
-            perf_stage_name(PerfStage::kCalendarInsert));
-  EXPECT_EQ(snapshot.stages[0].calls, 1u);
-
-  std::uint64_t misses = 0;
-  std::uint64_t pool = 0;
-  for (const auto& [name, count] : snapshot.events) {
-    if (name == perf_event_name(PerfEvent::kBufferPoolMiss)) misses = count;
-    if (name == perf_event_name(PerfEvent::kBufferPoolHit)) pool = count;
-  }
-  EXPECT_EQ(misses, 1u);
-  EXPECT_EQ(pool, 5u);
-
-  perf_reset();
-  EXPECT_TRUE(perf_snapshot().empty());
+  const MetricsSnapshot after = process_metrics().snapshot();
+  EXPECT_EQ(timer_calls(after, "perf_test_scope") -
+                timer_calls(before, "perf_test_scope"),
+            2u);
+  EXPECT_EQ(counter_value(after, "perf_test_miss") -
+                counter_value(before, "perf_test_miss"),
+            1u);
+  EXPECT_EQ(counter_value(after, "perf_test_hit") -
+                counter_value(before, "perf_test_hit"),
+            5u);
 }
 
 TEST(PerfSnapshot, CountsFromSeveralThreadsSum) {
   if (!perf_instrumented()) GTEST_SKIP() << "uninstrumented build";
-  perf_reset();
+  const std::uint64_t before =
+      counter_value(process_metrics().snapshot(), "perf_test_wakeup");
   constexpr int kThreads = 4;
   constexpr int kPerThread = 1000;
   std::vector<std::thread> workers;
@@ -93,17 +84,14 @@ TEST(PerfSnapshot, CountsFromSeveralThreadsSum) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([] {
       for (int i = 0; i < kPerThread; ++i) {
-        ACES_PERF_COUNT(PerfEvent::kChannelWakeup);
+        ACES_PERF_COUNT("perf_test_wakeup");
       }
     });
   }
   for (std::thread& w : workers) w.join();
-  std::uint64_t total = 0;
-  for (const auto& [name, count] : perf_snapshot().events) {
-    if (name == perf_event_name(PerfEvent::kChannelWakeup)) total = count;
-  }
-  EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kPerThread);
-  perf_reset();
+  EXPECT_EQ(counter_value(process_metrics().snapshot(), "perf_test_wakeup") -
+                before,
+            static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(PerfMemory, PeakRssIsPositiveOnSupportedPlatforms) {

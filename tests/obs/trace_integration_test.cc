@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "graph/topology_generator.h"
-#include "obs/counters.h"
-#include "obs/scoped_timer.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "obs/trace_summary.h"
 #include "opt/global_optimizer.h"
@@ -35,6 +37,15 @@ sim::SimOptions sim_options() {
   return o;
 }
 
+/// Calls of the timer called `name` in `snap`; 0 when it is absent.
+std::uint64_t timer_calls(const MetricsSnapshot& snap,
+                          const std::string& name) {
+  for (const TimerSample& t : snap.timers) {
+    if (t.name == name) return t.calls;
+  }
+  return 0;
+}
+
 void expect_per_pe_time_monotone(const std::vector<TickRecord>& records) {
   std::map<std::uint32_t, double> last_time;
   for (const TickRecord& rec : records) {
@@ -51,10 +62,10 @@ TEST(TraceIntegrationTest, SimulatorEmitsCoherentTrace) {
   const auto plan = opt::optimize(g);
 
   ControlTraceRecorder recorder;
-  PhaseProfiler profiler;
+  Registry registry;
   auto options = sim_options();
   options.trace = &recorder;
-  options.profiler = &profiler;
+  options.counters = &registry;
   sim::simulate(g, plan, options);
 
   const auto records = recorder.snapshot();
@@ -75,8 +86,8 @@ TEST(TraceIntegrationTest, SimulatorEmitsCoherentTrace) {
   EXPECT_EQ(per_pe.size(), g.pe_count());
   expect_per_pe_time_monotone(records);
 
-  // The profiler saw one controller_tick per node tick.
-  EXPECT_GT(profiler.histogram(kPhaseControllerTick).count(), 0u);
+  // The registry timed the node ticks.
+  EXPECT_GT(timer_calls(registry.snapshot(), "controller_tick"), 0u);
 
   // The recorded trajectory is analyzable: a steadily-fed system settles.
   const auto summaries = summarize_trace(records);
@@ -94,10 +105,10 @@ TEST(TraceIntegrationTest, TracingDoesNotPerturbTheSimulation) {
   const auto plain = sim::simulate(g, plan, sim_options());
 
   ControlTraceRecorder recorder;
-  PhaseProfiler profiler;
+  Registry registry;
   auto traced_options = sim_options();
   traced_options.trace = &recorder;
-  traced_options.profiler = &profiler;
+  traced_options.counters = &registry;
   const auto traced = sim::simulate(g, plan, traced_options);
 
   // The simulator is deterministic under a fixed seed; telemetry is
@@ -127,8 +138,7 @@ TEST(TraceIntegrationTest, RuntimeEmitsTraceAndCounters) {
   const auto plan = opt::optimize(g);
 
   ControlTraceRecorder recorder;
-  CounterRegistry counters;
-  PhaseProfiler profiler;
+  Registry counters;
   runtime::RuntimeOptions options;
   options.duration = 8.0;
   options.warmup = 2.0;
@@ -136,7 +146,6 @@ TEST(TraceIntegrationTest, RuntimeEmitsTraceAndCounters) {
   options.seed = 5;
   options.trace = &recorder;
   options.counters = &counters;
-  options.profiler = &profiler;
   const auto report = runtime::run_runtime(g, plan, options);
   EXPECT_GT(report.sdos_processed, 0u);
 
@@ -150,7 +159,7 @@ TEST(TraceIntegrationTest, RuntimeEmitsTraceAndCounters) {
   }
 
   // The data plane ran, so the hot-path counters must have moved.
-  const CounterSnapshot snap = counters.snapshot();
+  const MetricsSnapshot snap = counters.snapshot();
   std::uint64_t injected = 0;
   std::uint64_t sends = 0;
   for (const auto& [name, value] : snap.counters) {
@@ -160,7 +169,36 @@ TEST(TraceIntegrationTest, RuntimeEmitsTraceAndCounters) {
   EXPECT_GT(injected, 0u);
   EXPECT_GT(sends, 0u);
 
-  EXPECT_GT(profiler.histogram(kPhaseControllerTick).count(), 0u);
+  EXPECT_GT(timer_calls(snap, "controller_tick"), 0u);
+}
+
+TEST(TraceIntegrationTest, EachControlPhaseIsTimedOnce) {
+  const auto g = small_topology(14);
+  const auto plan = opt::optimize(g);
+
+  ControlTraceRecorder recorder;
+  Registry registry;
+  auto options = sim_options();
+  options.trace = &recorder;
+  options.counters = &registry;
+  options.reoptimize_interval = 2.0;
+  const auto report = sim::simulate(g, plan, options);
+
+  // One controller_tick per node tick, one optimizer_solve per re-solve.
+  std::set<std::pair<std::uint32_t, double>> node_ticks;
+  for (const TickRecord& rec : recorder.snapshot()) {
+    node_ticks.emplace(rec.node, rec.time);
+  }
+  const MetricsSnapshot snap = registry.snapshot();
+  ASSERT_GT(report.reoptimizations, 0u);
+  EXPECT_EQ(timer_calls(snap, "controller_tick"), node_ticks.size());
+  EXPECT_EQ(timer_calls(snap, "optimizer_solve"), report.reoptimizations);
+
+  // Control phases are run telemetry: no probe times them process-wide,
+  // instrumented build or not.
+  const MetricsSnapshot process = process_metrics().snapshot();
+  EXPECT_EQ(timer_calls(process, "controller_tick"), 0u);
+  EXPECT_EQ(timer_calls(process, "optimizer_solve"), 0u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "obs/export.h"
-#include "obs/scoped_timer.h"
+#include "obs/registry.h"
 #include "obs/trace_summary.h"
 
 namespace aces::obs {
@@ -104,24 +104,6 @@ TEST(TraceExportTest, CsvHasHeaderAndOneRowPerRecord) {
   EXPECT_EQ(rows, 2);
 }
 
-TEST(TraceExportTest, CounterSnapshotExports) {
-  CounterRegistry registry;
-  registry.counter("a.sends").inc(7);
-  registry.gauge("b.fill").set(0.5);
-  const CounterSnapshot snap = registry.snapshot();
-
-  std::ostringstream jsonl;
-  write_counters_jsonl(jsonl, snap);
-  EXPECT_NE(jsonl.str().find("\"a.sends\""), std::string::npos);
-  EXPECT_NE(jsonl.str().find("\"counter\""), std::string::npos);
-  EXPECT_NE(jsonl.str().find("\"gauge\""), std::string::npos);
-
-  std::ostringstream csv;
-  write_counters_csv(csv, snap);
-  EXPECT_NE(csv.str().find("name,type,value"), std::string::npos);
-  EXPECT_NE(csv.str().find("a.sends,counter,7"), std::string::npos);
-}
-
 TEST(TraceSummaryTest, ConvergingTrajectorySettles) {
   // Exponential approach to 20 SDOs: |b - 20| < 1 from some tick on.
   std::vector<TickRecord> records;
@@ -177,29 +159,36 @@ TEST(TraceSummaryTest, GroupsByPeOrderedById) {
 }
 
 TEST(ScopedTimerTest, RecordsIntoProfiler) {
-  PhaseProfiler profiler;
-  { ScopedTimer timer(&profiler, kPhaseControllerTick); }
-  { ScopedTimer timer(&profiler, kPhaseControllerTick); }
-  { ScopedTimer timer(&profiler, kPhaseOptimizerSolve); }
-  const auto phases = profiler.phases();
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(profiler.histogram(kPhaseControllerTick).count(), 2u);
-  EXPECT_EQ(profiler.histogram(kPhaseOptimizerSolve).count(), 1u);
+  Registry registry;
+  const Timer tick = registry.timer("controller_tick");
+  const Timer solve = registry.timer("optimizer_solve");
+  { const ScopedTimer timer(tick); }
+  { const ScopedTimer timer(tick); }
+  { const ScopedTimer timer(solve); }
+  const MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.timers.size(), 2u);
+  EXPECT_EQ(snap.timers[0].name, "controller_tick");
+  EXPECT_EQ(snap.timers[0].calls, 2u);
+  EXPECT_EQ(snap.timers[0].seconds.count(), 2u);
+  EXPECT_EQ(snap.timers[1].name, "optimizer_solve");
+  EXPECT_EQ(snap.timers[1].calls, 1u);
   // Durations are positive and sub-second; with the 1e-9 floor the nanosecond
   // scale must land in interior buckets, not underflow.
-  EXPECT_EQ(profiler.histogram(kPhaseControllerTick).underflow(), 0u);
+  EXPECT_EQ(snap.timers[0].seconds.underflow(), 0u);
 
   std::ostringstream os;
-  write_profile_summary(os, profiler);
-  EXPECT_NE(os.str().find("controller_tick"), std::string::npos);
-  EXPECT_NE(os.str().find("optimizer_solve"), std::string::npos);
+  write_timer_summary(os, snap);
+  EXPECT_NE(os.str().find("controller_tick: count=2 p50="), std::string::npos);
+  EXPECT_NE(os.str().find("optimizer_solve: count=1 p50="), std::string::npos);
 }
 
 TEST(ScopedTimerTest, NullProfilerIsSafe) {
-  ScopedTimer timer(nullptr, kPhaseControllerTick);  // must not crash
-  PhaseProfiler profiler;
-  EXPECT_TRUE(profiler.phases().empty());
-  EXPECT_EQ(profiler.histogram("missing").count(), 0u);
+  const ScopedTimer timer{Timer()};  // disabled: must not crash
+  Registry registry;
+  EXPECT_TRUE(registry.snapshot().timers.empty());
+  std::ostringstream os;
+  write_timer_summary(os, registry.snapshot());
+  EXPECT_TRUE(os.str().empty());
 }
 
 TEST(TraceExportTest, ReadSkipsBlankLinesAndUnknownKeys) {

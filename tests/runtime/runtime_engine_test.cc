@@ -125,6 +125,24 @@ TEST(RuntimeEngineTest, NetworkLatencyThroughMessageBus) {
   EXPECT_GT(delayed.latency.mean(), direct.latency.mean());
 }
 
+TEST(RuntimeEngineTest, ShutdownNeverPostsToAStoppedBus) {
+  // A node thread past its stop check can still complete a cross-node SDO
+  // and post it to the bus. Many short runs make that window likely; a post
+  // to a stopped bus throws on the node thread and terminates the process.
+  const auto g = small_topology(10);
+  const auto plan = opt::optimize(g);
+  RuntimeOptions o = quick(FlowPolicy::kAces);
+  o.duration = 2.0;
+  o.warmup = 0.5;
+  o.time_scale = 100.0;  // ~20 ms of wall time per run
+  o.network_latency = 0.05;
+  std::uint64_t processed = 0;
+  for (int run = 0; run < 100; ++run) {
+    processed += run_runtime(g, plan, o).sdos_processed;
+  }
+  EXPECT_GT(processed, 0u);
+}
+
 TEST(RuntimeEngineTest, ArrivalFactoryHookHonoured) {
   const auto g = small_topology(11);
   const auto plan = opt::optimize(g);

@@ -46,10 +46,9 @@
 #include "harness/table.h"
 #include "metrics/report_fingerprint.h"
 #include "obs/cluster_aggregate.h"
-#include "obs/counters.h"
 #include "obs/export.h"
 #include "obs/latency.h"
-#include "obs/scoped_timer.h"
+#include "obs/registry.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
 #include "obs/trace_summary.h"
@@ -193,8 +192,7 @@ fault::FaultSchedule load_faults(const std::string& spec) {
 }
 
 /// Post-run fault accounting on stderr (crash/stall/drop event counts).
-void print_fault_counters(const obs::CounterRegistry& registry) {
-  const obs::CounterSnapshot snap = registry.snapshot();
+void print_fault_counters(const obs::MetricsSnapshot& snap) {
   for (const auto& [name, value] : snap.counters) {
     if (name.rfind("fault.", 0) == 0 && value > 0) {
       std::cerr << name << ": " << value << '\n';
@@ -224,15 +222,14 @@ struct FaultFlags {
     return f;
   }
 
-  void apply(sim::SimOptions& options,
-             obs::CounterRegistry* registry) const {
+  void apply(sim::SimOptions& options, obs::Registry* registry) const {
     options.faults = schedule;
     options.controller.advert_staleness_timeout = staleness;
     options.reoptimize_interval = reoptimize;
     options.counters = registry;
   }
   void apply(runtime::RuntimeOptions& options,
-             obs::CounterRegistry* registry) const {
+             obs::Registry* registry) const {
     options.faults = schedule;
     options.controller.advert_staleness_timeout = staleness;
     options.counters = registry;
@@ -375,7 +372,7 @@ harness::RunSummary run_one(const graph::ProcessingGraph& g,
                             const std::string& timeseries_path,
                             obs::ControlTraceRecorder* trace,
                             const FaultFlags& faults,
-                            obs::CounterRegistry* counters) {
+                            obs::Registry* counters) {
   sim::SimOptions options;
   options.duration = duration;
   options.warmup = warmup;
@@ -426,7 +423,7 @@ harness::RunSummary run_one_runtime(const graph::ProcessingGraph& g,
                                     const DataPlaneFlags& data_plane,
                                     obs::ControlTraceRecorder* trace,
                                     const FaultFlags& faults,
-                                    obs::CounterRegistry* counters) {
+                                    obs::Registry* counters) {
   runtime::RuntimeOptions options;
   options.duration = duration;
   options.warmup = warmup;
@@ -565,20 +562,18 @@ int cmd_simulate(Flags& flags) {
   const opt::AllocationPlan plan = opt::optimize(g);
 
   obs::ControlTraceRecorder recorder;
-  obs::PhaseProfiler profiler;
-  obs::CounterRegistry counters;
+  obs::Registry counters;
   sim::SimOptions options;
   options.duration = duration;
   options.warmup = warmup;
   options.seed = static_cast<std::uint64_t>(seed);
   options.controller.policy = policy;
   options.record_timeseries = !timeseries.empty();
-  if (!trace_path.empty()) {
-    options.trace = &recorder;
-    options.profiler = &profiler;
-  }
-  faults.apply(options,
-               faults.schedule.empty() ? nullptr : &counters);
+  if (!trace_path.empty()) options.trace = &recorder;
+  // A traced run also times its control phases into the registry.
+  faults.apply(options, faults.schedule.empty() && trace_path.empty()
+                            ? nullptr
+                            : &counters);
   std::unique_ptr<obs::SpanTracer> tracer;
   if (span_flags.enabled()) {
     tracer = span_flags.make_tracer(options.seed);
@@ -595,9 +590,10 @@ int cmd_simulate(Flags& flags) {
     write_trace_file(trace_path, recorder);
     std::cerr << "wrote " << recorder.size() << " trace records to "
               << trace_path << '\n';
-    obs::write_profile_summary(std::cerr, profiler);
   }
-  if (!faults.schedule.empty()) print_fault_counters(counters);
+  const obs::MetricsSnapshot snap = counters.snapshot();
+  if (!trace_path.empty()) obs::write_timer_summary(std::cerr, snap);
+  if (!faults.schedule.empty()) print_fault_counters(snap);
   const metrics::RunReport report = simulation.report();
   if (fingerprint) {
     // Bit-exact serialization of every deterministic report field. CI
@@ -722,8 +718,8 @@ int cmd_compare(Flags& flags) {
     obs::ControlTraceRecorder recorder;
     obs::ControlTraceRecorder* trace =
         trace_base.empty() || use_dist ? nullptr : &recorder;
-    obs::CounterRegistry counters;
-    obs::CounterRegistry* counters_ptr =
+    obs::Registry counters;
+    obs::Registry* counters_ptr =
         faults.schedule.empty() || use_dist ? nullptr : &counters;
     harness::RunSummary summary;
     metrics::RunReport report;
@@ -805,7 +801,7 @@ int cmd_compare(Flags& flags) {
     }
     if (counters_ptr != nullptr) {
       std::cerr << "[" << to_string(policy) << "]\n";
-      print_fault_counters(counters);
+      print_fault_counters(counters.snapshot());
     }
   }
   if (status_server != nullptr && status_server->listening() &&
@@ -1223,7 +1219,7 @@ int cmd_latency_report(Flags& flags) {
     print_flight_dump_notice(aggregator);
     return 0;
   }
-  obs::CounterRegistry counters;
+  obs::Registry counters;
   sim::SimOptions options;
   options.duration = duration;
   options.warmup = warmup;
@@ -1272,7 +1268,7 @@ int cmd_latency_report(Flags& flags) {
     outputs.prom_path = prom_path;
     outputs.write_outputs(tracer);
   }
-  if (!faults.schedule.empty()) print_fault_counters(counters);
+  if (!faults.schedule.empty()) print_fault_counters(counters.snapshot());
   return 0;
 }
 

@@ -193,7 +193,7 @@ class ClassifyTests(unittest.TestCase):
 
     def test_obs_is_atomics_scope(self):
         self.assertIn("atomics", aces_lint.classify("src/obs/spans.h"))
-        self.assertIn("atomics", aces_lint.classify("src/obs/perf.cc"))
+        self.assertIn("atomics", aces_lint.classify("src/obs/registry.cc"))
         self.assertNotIn("atomics", aces_lint.classify("src/sim/simulator.cc"))
         self.assertNotIn("atomics", aces_lint.classify("src/common/atomic_shim.h"))
 
