@@ -51,7 +51,7 @@ int main() {
       o.rate_changes.push_back(
           sim::RateChange{30.0, id, g.stream(id).mean_rate * factor});
     }
-    o.outages.push_back(sim::PeOutage{50.0, 60.0, victim});
+    o.faults.stalls.push_back(fault::PeStall{50.0, 10.0, victim});
     o.capacity_changes.push_back(sim::CapacityChange{70.0, NodeId(0), 0.5});
     o.capacity_changes.push_back(sim::CapacityChange{70.0, NodeId(1), 0.5});
     o.weight_changes.push_back(

@@ -5,6 +5,12 @@
 
 namespace aces::pe {
 
+bool delivery_lost(fault::FaultInjector* injector,
+                   const graph::ProcessingGraph& g, PeId pe, Seconds t) {
+  return injector != nullptr && (injector->node_down(g.pe(pe).node, t) ||
+                                 injector->drop_delivery(pe, t));
+}
+
 std::size_t egress_count(const graph::ProcessingGraph& g) {
   std::size_t count = 0;
   for (PeId id : g.all_pes()) count += g.pe(id).kind == graph::PeKind::kEgress;

@@ -7,18 +7,23 @@
 // (simulator events, channels and the message bus, barrier outboxes) and its
 // own counters. Everything else a PE does is written here once:
 //  * construction: the service-model and arrival-stream forks by PE id,
-//    egress numbering, tier-1 shares;
+//    egress numbering, tier-1 shares, the size of the Lock-Step hold;
 //  * service: take an SDO into service, spend CPU on it, complete it —
 //    selectivity credit, egress accounting, fan-out slot by slot with the
 //    span continuing into the first copy only;
+//  * Lock-Step (the paper's min-flow baseline): a copy a full consumer
+//    refuses is held and the PE blocks until the hold flushes. The
+//    substrate writes only `offer(slot, sdo)`, which hands one copy
+//    downstream and returns false when the consumer is full;
 //  * the ledger: admissions, drops, the per-PE PeAccounting;
 //  * control: the controller's PeTickInput (Eq. 8 with per-slot
 //    staleness), the tick itself, the TickRecord, the interval close;
-//  * faults: a crash's discard of every SDO the PE holds;
+//  * faults: whether a delivery is lost (delivery_lost), and a crash's
+//    discard of every SDO the PE holds;
 //  * tracing: the span-sampling draw on the arrival path.
 //
 // The per-SDO transitions are header templates over the substrate's metrics
-// collector and emit callback, so they inline into each engine with no
+// collector and callbacks, so they inline into each engine with no
 // std::function or virtual call per SDO. The collectors (metrics::Collector
 // and the threaded runtime's locked front end) share the on_* method names.
 #pragma once
@@ -32,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bounded_queue.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "control/node_controller.h"
@@ -78,6 +84,7 @@ struct PeCore {
 
   // The fields every service step reads come first, sharing a cache line.
   bool busy = false;   ///< `current` is in service
+  bool blocked = false;  ///< Lock-Step: asleep while `held` is non-empty
   double share = 0.0;  ///< CPU fraction granted at the last tick
   double work_remaining = 0.0;  ///< CPU-seconds left on `current`
   SdoT current{};
@@ -94,6 +101,9 @@ struct PeCore {
   std::uint64_t lifetime_dropped = 0;
   double lifetime_cpu = 0.0;
   workload::ServiceModel service;
+  /// Lock-Step hold: the copies a full consumer refused, oldest first, each
+  /// with its downstream slot. Sized by build_cores.
+  BoundedQueue<std::pair<std::size_t, SdoT>> held;
 
   /// Takes `sdo` into service at `now`, drawing its CPU cost from the
   /// service model. `dequeued_at` stamps the span's dequeue hop: `now`,
@@ -160,6 +170,32 @@ struct PeCore {
       }
     }
     return static_cast<std::uint64_t>(outputs) * fanout;
+  }
+
+  /// Lock-Step send of one copy on downstream `slot`. `offer(slot, sdo)`
+  /// hands the copy to the consumer and returns false when it is full; a
+  /// refused copy is held and blocks the PE (min-flow). Each copy is offered
+  /// on its own, so a copy on another slot may be taken while an earlier one
+  /// is held. Returns true when the copy was held.
+  template <class Offer>
+  bool send_or_hold(std::size_t slot, const SdoT& sdo, Offer&& offer) {
+    if (offer(slot, sdo)) return false;
+    held.push_back({slot, sdo});
+    blocked = true;
+    return true;
+  }
+
+  /// Offers the held copies oldest first and stops at the first refusal.
+  /// Returns true, with the PE unblocked, once the hold is empty.
+  template <class Offer>
+  bool flush(Offer&& offer) {
+    while (!held.empty()) {
+      const auto& [slot, sdo] = held.front();
+      if (!offer(slot, sdo)) return false;
+      held.pop_front();
+    }
+    blocked = false;
+    return true;
   }
 
   /// Ledger of one SDO accepted into this PE's input.
@@ -237,18 +273,24 @@ struct PeCore {
     arrived = 0.0;
   }
 
-  /// A modelled crash at `now`: the SDO in service and every SDO the
-  /// substrate still holds for this PE are lost. `drain(lose)` must pass
-  /// each held SDO to `lose` and empty its containers. Every lost SDO is an
-  /// internal drop that ends its span, the one in service first. Leaves the
-  /// PE idle with share 0; returns the number of SDOs lost.
+  /// A modelled crash at `now`: every SDO this PE holds is lost — the one
+  /// in service, then the Lock-Step hold, then the substrate's own queues,
+  /// which `drain(lose)` must pass to `lose` and empty. Every lost SDO is an
+  /// internal drop that ends its span. Leaves the PE idle and unblocked with
+  /// share 0; returns the number of SDOs lost.
   template <class Collector, class Drain>
   std::uint64_t discard(Seconds now, Collector& collector,
                         obs::SpanTracer* spans, Drain&& drain) {
     const std::uint64_t before = lifetime_dropped;
-    if (busy) note_dropped(current, now, collector, spans);
-    drain([&](const SdoT& sdo) { note_dropped(sdo, now, collector, spans); });
+    const auto lose = [&](const SdoT& sdo) {
+      note_dropped(sdo, now, collector, spans);
+    };
+    if (busy) lose(current);
+    for (std::size_t k = 0; k < held.size(); ++k) lose(held.at(k).second);
+    held.clear();
+    drain(lose);
     busy = false;
+    blocked = false;
     work_remaining = 0.0;
     share = 0.0;
     return lifetime_dropped - before;
@@ -267,7 +309,8 @@ struct PeCore {
 
 /// Calls `make(id, service)` for every PE in id order, with its service
 /// model forked from `master`; `make` builds the substrate's PE record and
-/// returns its PeCore, which then gets its egress index and tier-1 share.
+/// returns its PeCore, which then gets its egress index, tier-1 share and
+/// Lock-Step hold.
 template <class Make>
 void build_cores(const graph::ProcessingGraph& g,
                  const opt::AllocationPlan& plan, Rng& master, Make&& make) {
@@ -280,8 +323,20 @@ void build_cores(const graph::ProcessingGraph& g,
                               master.fork(0x5E41 + id.value())));
     core.share = plan.at(id).cpu;
     if (d.kind == graph::PeKind::kEgress) core.egress_index = egress++;
+    // A blocked PE completes nothing, so the hold never outgrows one
+    // completion: at most ⌊selectivity⌋ + 1 copies per downstream slot (the
+    // credit carried in is below 1).
+    core.held = decltype(core.held)(
+        (static_cast<std::size_t>(std::floor(d.selectivity)) + 1) *
+        std::max<std::size_t>(1, g.downstream(id).size()));
   }
 }
+
+/// Whether a delivery into `pe` at `t` is lost to an injected fault: its
+/// node is down, or a drop burst draws it. False when `injector` is null.
+[[nodiscard]] bool delivery_lost(fault::FaultInjector* injector,
+                                 const graph::ProcessingGraph& g, PeId pe,
+                                 Seconds t);
 
 /// Number of egress PEs: the length of a report's per-egress outputs.
 [[nodiscard]] std::size_t egress_count(const graph::ProcessingGraph& g);

@@ -218,27 +218,15 @@ class WorkerEngine {
     /// not yet admitted to `queue` (receiver-side blocking — nothing is
     /// dropped). Drained at quantum start as space allows.
     std::deque<Sdo> inbound;
-    /// Lock-Step same-node backlog held while a local consumer is full.
-    std::deque<std::pair<std::size_t, Sdo>> pending;
-    /// Local blocking: `pending` could not flush into a same-node consumer.
-    bool blocked_local = false;
-    /// Remote blocking: some cross-node downstream was congested at the
-    /// last barrier.
+    /// Lock-Step remote blocking: some cross-node downstream was congested
+    /// at the last barrier. Same-node blocking is the kernel's `blocked`.
     bool blocked_remote = false;
 
-    [[nodiscard]] bool blocked() const { return blocked_local || blocked_remote; }
     [[nodiscard]] bool full() const { return queue.size() >= capacity; }
   };
 
   [[nodiscard]] bool owns_node(std::size_t node) const {
     return node >= node_begin_ && node < node_end_;
-  }
-
-  [[nodiscard]] bool fault_drops_delivery(std::size_t target, Seconds when) {
-    if (injector_ == nullptr) return false;
-    const PeId id(static_cast<PeId::value_type>(target));
-    return injector_->node_down(graph_.pe(id).node, when) ||
-           injector_->drop_delivery(id, when);
   }
 
   /// Sends a Heartbeat every heartbeat_interval until `stop` is requested.
@@ -346,6 +334,12 @@ class WorkerEngine {
     std::fill(congested_.begin(), congested_.end(), 0);
     for (const std::uint32_t pe : go.congested_pes) congested_[pe] = 1;
 
+    // Modeled crash windows (the `crash` clause acted out by this
+    // substrate, distinct from real prockills), before the deliveries: a
+    // crash loses what it holds and everything addressed to it from here
+    // on, and a restart admits this quantum's deliveries into empty queues.
+    if (injector_ != nullptr) handle_crash_transitions(vnow);
+
     // Inbound cross-node deliveries, in the coordinator's stable src_node
     // order. Fault draws for a delivery happen here, on the worker hosting
     // the target — the per-PE draw sequence is partition-invariant.
@@ -359,10 +353,6 @@ class WorkerEngine {
         }
       }
     }
-
-    // Modeled crash windows (the `crash` clause acted out by this
-    // substrate, distinct from real prockills).
-    if (injector_ != nullptr) handle_crash_transitions(vnow);
 
     // Control tick on the dt grid (quantum starts, skipping t = 0 — the
     // first tick fires once one full interval of history exists).
@@ -422,7 +412,7 @@ class WorkerEngine {
     }
     PeState& pe = pes_[d.dest_pe];
     const Sdo sdo{d.birth, vnow, span};
-    if (fault_drops_delivery(d.dest_pe, vnow)) {
+    if (pe::delivery_lost(injector_.get(), graph_, PeId(d.dest_pe), vnow)) {
       drop(pe, sdo, vnow);
     } else if (lockstep_) {
       // Never dropped: held receiver-side until the queue has room. The
@@ -461,6 +451,25 @@ class WorkerEngine {
     pe.note_dropped(sdo, now, collector_, tracer_.get());
   }
 
+  /// Same-node offer for the kernel's Lock-Step hold, for the copies
+  /// `pe_id` sends at `now`: admits a copy into its consumer's queue, or
+  /// returns false when that queue is full. A copy an injected fault loses
+  /// is dropped and counts as taken: a dead consumer must not deadlock its
+  /// producers.
+  auto offer_from(PeId pe_id, Seconds now) {
+    return [this, pe_id, now](std::size_t slot, const Sdo& sdo) {
+      const PeId target = graph_.downstream(pe_id)[slot];
+      PeState& t = pes_[target.value()];
+      if (pe::delivery_lost(injector_.get(), graph_, target, now)) {
+        drop(t, sdo, now);
+        return true;
+      }
+      if (t.full()) return false;
+      admit(t, target, sdo, now);
+      return true;
+    };
+  }
+
   void handle_crash_transitions(Seconds vnow) {
     for (std::size_t i = 0; i < controllers_.size(); ++i) {
       const NodeId node = controllers_[i].node();
@@ -470,13 +479,10 @@ class WorkerEngine {
         crashed_this_quantum_.push_back(node.value());
       }
       if (!is_down && was_down_[i]) {
+        // The queues are empty: the crash discarded everything, and every
+        // delivery or arrival since was lost to the down node.
         controllers_[i].reset_state();
-        for (PeId id : graph_.pes_on_node(node)) {
-          PeState& pe = pes_[id.value()];
-          pe.queue.clear();
-          pe.inbound.clear();
-          pe.arrived = 0.0;
-        }
+        for (PeId id : graph_.pes_on_node(node)) pes_[id.value()].arrived = 0.0;
         injector_->note_node_restart();
         restored_this_quantum_.push_back(node.value());
       }
@@ -497,14 +503,11 @@ class WorkerEngine {
       PeState& pe = pes_[id.value()];
       const std::uint64_t pe_lost =
           pe.discard(vnow, collector_, tracer_.get(), [&pe](auto lose) {
-            for (const auto& [slot, sdo] : pe.pending) lose(sdo);
             for (const Sdo& sdo : pe.inbound) lose(sdo);
             for (const Sdo& sdo : pe.queue) lose(sdo);
-            pe.pending.clear();
             pe.inbound.clear();
             pe.queue.clear();
           });
-      pe.blocked_local = false;
       pe.blocked_remote = false;
       ctr_dropped_.inc(pe_lost);
       lost += pe_lost;
@@ -521,7 +524,8 @@ class WorkerEngine {
       const PeState& pe = pes_[local[i].value()];
       const auto& downs = graph_.downstream(local[i]);
       inputs[i] = pe.tick_input(
-          vnow, pe.queue.size() + pe.inbound.size(), pe.blocked(),
+          vnow, pe.queue.size() + pe.inbound.size(),
+          pe.blocked || pe.blocked_remote,
           downs.size(), staleness, [&](std::size_t slot) {
             const std::size_t down = downs[slot].value();
             return pe::Advert{visible_advert_[down], visible_advert_time_[down]};
@@ -561,7 +565,8 @@ class WorkerEngine {
         const Seconds at = src.next_arrival;
         src.next_arrival += src.process->next_interarrival();
         const Sdo sdo{at, at, pe::sample_arrival(tracer_.get(), src.pe, at)};
-        if (fault_drops_delivery(src.pe.value(), vnow) || pe.full()) {
+        if (pe::delivery_lost(injector_.get(), graph_, src.pe, vnow) ||
+            pe.full()) {
           ctr_dropped_.inc();
           pe.note_arrival_dropped(sdo, collector_, tracer_.get());
         } else {
@@ -592,13 +597,11 @@ class WorkerEngine {
           was_stalled_[id.value()] = stalled;
           if (stalled) continue;
         }
-        if (pe.blocked_local) {
-          try_flush(pe, id, vnow);
-        }
-        if (pe.blocked()) continue;
+        if (pe.blocked) pe.flush(offer_from(id, vnow));
+        if (pe.blocked || pe.blocked_remote) continue;
         if (pe.share <= 0.0) continue;
         double allowed = pe.share * elapsed_in_tick - pe.cpu_used;
-        while (allowed > 0.0 && !pe.blocked_local) {
+        while (allowed > 0.0 && !pe.blocked) {
           if (!pe.busy) {
             if (pe.queue.empty()) break;
             const Sdo sdo = pe.queue.front();
@@ -663,35 +666,13 @@ class WorkerEngine {
       delivery_outbox_.push_back(d);
       return;
     }
-    PeState& t = pes_[target];
-    if (fault_drops_delivery(target, vnow)) {
-      drop(t, sdo, vnow);  // lost, not blocked
-    } else if (!t.full()) {
-      admit(t, target_id, sdo, vnow);
-    } else if (lockstep_) {
+    const auto offer = offer_from(pe_id, vnow);
+    if (lockstep_) {
       // Producer-side hold: the span's enqueue hop waits for the flush.
-      pe.pending.push_back({slot, sdo});
-      pe.blocked_local = true;
-    } else {
-      drop(t, sdo, vnow);
+      pe.send_or_hold(slot, sdo, offer);
+    } else if (!offer(slot, sdo)) {
+      drop(pes_[target], sdo, vnow);
     }
-  }
-
-  void try_flush(PeState& pe, PeId pe_id, Seconds vnow) {
-    while (!pe.pending.empty()) {
-      const auto [slot, sdo] = pe.pending.front();
-      const PeId target_id = graph_.downstream(pe_id)[slot];
-      PeState& t = pes_[target_id.value()];
-      if (fault_drops_delivery(target_id.value(), vnow)) {
-        drop(t, sdo, vnow);
-        pe.pending.pop_front();
-        continue;  // a dead consumer must not deadlock its producers
-      }
-      if (t.full()) return;
-      admit(t, target_id, sdo, vnow);
-      pe.pending.pop_front();
-    }
-    pe.blocked_local = false;
   }
 
   // ---- frames back to the coordinator --------------------------------

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "common/atomic_shim.h"
-#include "common/bounded_queue.h"
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -85,12 +83,10 @@ class SharedCollector {
 /// drops in the atomics below instead.
 struct PeRt : pe::PeCore<Sdo> {
   PeRt(std::size_t capacity, bool single_producer,
-       workload::ServiceModel service, std::size_t batch,
-       std::size_t pending_bound)
+       workload::ServiceModel service, std::size_t batch)
       : PeCore(std::move(service)),
         input(capacity, single_producer),
-        fetched(batch),
-        pending(pending_bound) {}
+        fetched(batch) {}
 
   /// SPSC ring when the graph proves one producer thread, mutex channel
   /// otherwise (the hosting node thread is always the sole consumer).
@@ -107,7 +103,6 @@ struct PeRt : pe::PeCore<Sdo> {
 
   // ---- state owned exclusively by the hosting node thread ----
   std::uint64_t pushed_at_last_tick = 0;
-  bool blocked = false;
   /// Burst-drain staging: SDOs already popped from `input` but not yet in
   /// service. fetched[fetched_head, fetched_count) are live. Counted into
   /// buffer occupancy, drained as lost on crash — logically these are
@@ -116,12 +111,6 @@ struct PeRt : pe::PeCore<Sdo> {
   std::size_t fetched_head = 0;
   std::size_t fetched_count = 0;
   [[nodiscard]] std::size_t staged() const { return fetched_count - fetched_head; }
-
-  /// (downstream slot, sdo) held while Lock-Step blocks on a full
-  /// consumer. Bounded by construction: one complete() appends at most
-  /// outputs × slots entries and no complete() runs while blocked, so the
-  /// pool never reallocates (see the sizing note in the Engine ctor).
-  BoundedQueue<std::pair<std::size_t, Sdo>> pending;
 
   /// Lifetime drops, touched by node, bus, and source threads.
   Atomic<std::uint64_t> dropped{0};
@@ -162,20 +151,10 @@ class Engine {
                           options.channel_capacity > 0
                               ? options.channel_capacity
                               : static_cast<std::size_t>(d.buffer_capacity);
-                      // Lock-Step pending pool bound: one complete() emits
-                      // at most (⌊selectivity⌋+1) copies per downstream slot
-                      // (the fractional credit carried in is < 1), and a
-                      // blocked PE completes nothing, so the queue never
-                      // holds more than one complete()'s worth.
-                      const std::size_t pending_bound =
-                          (static_cast<std::size_t>(std::floor(d.selectivity)) +
-                           1) *
-                          std::max<std::size_t>(std::size_t{1},
-                                                g.downstream(id).size());
                       return *pes_.emplace_back(std::make_unique<PeRt>(
                           capacity,
                           channel_producer_count(g, id, bus_active) <= 1,
-                          std::move(service), options.batch, pending_bound));
+                          std::move(service), options.batch));
                     });
 
     controllers_.reserve(g.node_count());
@@ -282,15 +261,6 @@ class Engine {
         std::clamp(virtual_seconds / options_.time_scale, 0.0, 0.01)));
   }
 
-  /// Injected loss on a delivery into PE `target`: its hosting node is down
-  /// or a drop burst eats it.
-  [[nodiscard]] bool fault_drops_delivery(std::size_t target, Seconds when) {
-    if (injector_ == nullptr) return false;
-    const PeId id(static_cast<PeId::value_type>(target));
-    return injector_->node_down(graph_.pe(id).node, when) ||
-           injector_->drop_delivery(id, when);
-  }
-
   /// Records the enqueue hop, then pushes `sdo` into PE `target`'s
   /// channel; false when the channel is full. The hop goes first: once the
   /// SDO is in the channel the consuming thread owns its span.
@@ -315,34 +285,43 @@ class Engine {
     if (options_.spans != nullptr) options_.spans->drop(sdo.span, when);
   }
 
-  /// Delivery leg shared by direct and bus-delayed sends: push or drop.
-  void deliver(std::size_t target, Sdo sdo, Seconds when) {
-    if (fault_drops_delivery(target, when) || !push(target, sdo, when)) {
-      drop_delivery(target, sdo, when);
+  /// Hands `sdo` to PE `target` at `when`; false when its channel is full.
+  /// A copy an injected fault loses is dropped and counts as taken: a dead
+  /// consumer must not deadlock its Lock-Step producers.
+  bool offer(PeId target, Sdo sdo, Seconds when) {
+    if (pe::delivery_lost(injector_.get(), graph_, target, when)) {
+      drop_delivery(target.value(), sdo, when);
+      return true;
     }
+    return push(target.value(), sdo, when);
   }
 
-  /// Emits one SDO on `slot`; Lock-Step holds it in `pending` and blocks
+  /// The kernel's Lock-Step offer for copies `pe_id` sends at `when`.
+  auto offer_from(PeId pe_id, Seconds when) {
+    return [this, pe_id, when](std::size_t slot, const Sdo& sdo) {
+      return offer(graph_.downstream(pe_id)[slot], sdo, when);
+    };
+  }
+
+  /// Delivery leg shared by direct and bus-delayed sends: push or drop.
+  void deliver(PeId target, Sdo sdo, Seconds when) {
+    if (!offer(target, sdo, when)) drop_delivery(target.value(), sdo, when);
+  }
+
+  /// Emits one SDO on `slot`; Lock-Step holds it in the kernel and blocks
   /// the PE when the downstream buffer is full.
   void send(PeRt& pe, PeId pe_id, std::size_t slot, Sdo sdo, Seconds vnow) {
-    const std::size_t target = graph_.downstream(pe_id)[slot].value();
     if (policy_ == control::FlowPolicy::kLockStep) {
-      if (fault_drops_delivery(target, vnow)) {
-        drop_delivery(target, sdo, vnow);
-        return;  // lost, not blocked
+      // A held copy keeps its enqueue hop on the span; the flush re-stamps it.
+      if (pe.send_or_hold(slot, sdo, offer_from(pe_id, vnow))) {
+        channel_block_.inc();
       }
-      if (push(target, sdo, vnow)) return;
-      // The push failed; the enqueue hop stays on the span and is simply
-      // re-stamped when the pending entry eventually flushes.
-      pe.pending.push_back({slot, sdo});
-      pe.blocked = true;
-      channel_block_.inc();
       return;
     }
     // Drop policies: cross-node SDOs optionally travel through the message
     // bus with injected latency.
-    const bool cross_node =
-        graph_.pe(pe_id).node != graph_.pe(graph_.downstream(pe_id)[slot]).node;
+    const PeId target = graph_.downstream(pe_id)[slot];
+    const bool cross_node = graph_.pe(pe_id).node != graph_.pe(target).node;
     if (bus_ != nullptr && cross_node) {
       bus_post_.inc();
       bus_->post(vnow + options_.network_latency, [this, target, sdo] {
@@ -352,22 +331,6 @@ class Engine {
       return;
     }
     deliver(target, sdo, vnow);
-  }
-
-  void try_flush(PeRt& pe, PeId pe_id) {
-    while (!pe.pending.empty()) {
-      const auto [slot, sdo] = pe.pending.front();
-      const std::size_t target = graph_.downstream(pe_id)[slot].value();
-      const Seconds now = virtual_now();
-      if (fault_drops_delivery(target, now)) {
-        // A dead consumer must not deadlock its producers.
-        drop_delivery(target, sdo, now);
-      } else if (!push(target, sdo, now)) {  // re-stamps the enqueue hop
-        return;
-      }
-      pe.pending.pop_front();
-    }
-    pe.blocked = false;
   }
 
   void node_tick(std::size_t node_index, Seconds vnow) {
@@ -416,8 +379,8 @@ class Engine {
     }
   }
 
-  /// The hosting node crashed: everything buffered, in service, or pending
-  /// on its PEs is lost. Runs on the node thread at the down transition.
+  /// The hosting node crashed: everything buffered, in service, or held on
+  /// its PEs is lost. Runs on the node thread at the down transition.
   void crash_local_pes(const std::vector<PeId>& local, Seconds vnow) {
     // Post-mortem first: capture the doomed SDOs while their spans still
     // read as in-flight.
@@ -428,13 +391,8 @@ class Engine {
     for (PeId id : local) {
       PeRt& pe = *pes_[id.value()];
       const std::uint64_t pe_lost =
-          pe.discard(vnow, collector_, options_.spans, [&pe](auto lose) {
-            for (std::size_t i = 0; i < pe.pending.size(); ++i)
-              lose(pe.pending.at(i).second);
-            pe.pending.clear();
-            drain_input(pe, lose);
-          });
-      pe.blocked = false;
+          pe.discard(vnow, collector_, options_.spans,
+                     [&pe](auto lose) { drain_input(pe, lose); });
       pe.dropped.fetch_add(pe_lost, std::memory_order_relaxed);
       lost += pe_lost;
     }
@@ -520,9 +478,8 @@ class Engine {
       for (std::size_t i = 0; i < local.size(); ++i) {
         PeRt& pe = *pes_[local[i].value()];
         if (was_stalled[i]) continue;  // wedged operator: burns no CPU
-        if (pe.blocked) {
-          try_flush(pe, local[i]);
-          if (pe.blocked) continue;
+        if (pe.blocked && !pe.flush(offer_from(local[i], virtual_now()))) {
+          continue;
         }
         if (pe.share <= 0.0) continue;
         const Seconds horizon = std::min(vnow, tick_start + options_.dt);
@@ -589,7 +546,7 @@ class Engine {
         const Seconds at = next->next_arrival;
         next->next_arrival += next->process->next_interarrival();
         const Sdo sdo{at, pe::sample_arrival(options_.spans, pe_id, at)};
-        if (fault_drops_delivery(pe_id.value(), vnow)) {
+        if (pe::delivery_lost(injector_.get(), graph_, pe_id, vnow)) {
           drop_arrival(pe, sdo);
           continue;
         }

@@ -1,6 +1,5 @@
 #include "sim/stream_simulation.h"
 
-#include <deque>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -34,14 +33,12 @@ struct StreamSimulation::Impl {
     // allocated once at construction, never per arrival.
     BoundedQueue<Sdo> buffer;
     int reserved = 0;  // Lock-Step in-flight slot reservations
-    bool blocked = false;  // Lock-Step: sleeping on a full downstream buffer
-    // Failure-injection depth: > 0 while any outage, stall, or node crash
-    // holds this PE inert. A counter, not a flag, so overlapping windows
-    // nest instead of clobbering each other.
+    // Failure-injection depth: > 0 while any stall or node crash holds this
+    // PE inert. A counter, not a flag, so overlapping windows nest instead
+    // of clobbering each other.
     int disabled = 0;
     Seconds last_progress = 0.0;
     std::uint64_t epoch = 0;
-    std::deque<std::pair<std::size_t, Sdo>> pending;  // (downstream slot, sdo)
     // Trajectory recording; non-null only when record_timeseries is set.
     metrics::TimeSeries* buffer_series = nullptr;
     metrics::TimeSeries* share_series = nullptr;
@@ -166,25 +163,6 @@ struct StreamSimulation::Impl {
       });
     }
 
-    // Failure injection.
-    for (const PeOutage& outage : opt.outages) {
-      ACES_CHECK_MSG(outage.pe.valid() && outage.pe.value() < pes.size(),
-                     "outage references unknown PE");
-      ACES_CHECK_MSG(outage.until > outage.from, "outage must end after start");
-      simulator.schedule_at(outage.from, [this, outage] {
-        PeRt& pe = pes[outage.pe.value()];
-        progress(pe);
-        ++pe.disabled;
-        pe.share = 0.0;  // halts the in-flight SDO; work resumes on recovery
-        ++pe.epoch;
-      });
-      simulator.schedule_at(outage.until, [this, outage] {
-        PeRt& pe = pes[outage.pe.value()];
-        --pe.disabled;
-        // Shares return at the node's next tick; restart service then.
-      });
-    }
-
     tick_timer = obs::make_timer(opt.counters, "controller_tick");
     solve_timer = obs::make_timer(opt.counters, "optimizer_solve");
 
@@ -203,13 +181,14 @@ struct StreamSimulation::Impl {
           PeRt& pe = pes[s.pe.value()];
           progress(pe);
           ++pe.disabled;
-          pe.share = 0.0;
+          pe.share = 0.0;  // halts the in-flight SDO; work resumes on recovery
           ++pe.epoch;
           injector->note_pe_stall();
           if (options.spans != nullptr) {
             options.spans->fault_dump("fault.pe_stall", simulator.now());
           }
         });
+        // Shares return at the node's next tick; service restarts then.
         simulator.schedule_at(s.at + s.duration, [this, s] {
           --pes[s.pe.value()].disabled;
         });
@@ -261,7 +240,7 @@ struct StreamSimulation::Impl {
     return failed;
   }
 
-  /// A node crashes: everything buffered, in service, or pending on it is
+  /// A node crashes: everything buffered, in service, or held on it is
   /// lost, its PEs go inert, and — with tier 1 active — the global plan is
   /// re-solved without it so survivors inherit its utility.
   void crash_node(NodeId node) {
@@ -277,12 +256,9 @@ struct StreamSimulation::Impl {
       PeRt& pe = pes[id.value()];
       progress(pe);
       lost += pe.discard(now, collector, options.spans, [&pe](auto lose) {
-        for (const auto& [slot, sdo] : pe.pending) lose(sdo);
         for (std::size_t k = 0; k < pe.buffer.size(); ++k) lose(pe.buffer.at(k));
-        pe.pending.clear();
         pe.buffer.clear();
       });
-      pe.blocked = false;
       ++pe.disabled;
       ++pe.epoch;
     }
@@ -385,36 +361,35 @@ struct StreamSimulation::Impl {
     if (!pe.blocked) maybe_start(pe);
   }
 
+  /// Lock-Step's offer for the kernel's hold: reserves a slot in the buffer
+  /// downstream of `pe` on `slot` and schedules the delivery after the
+  /// transport latency; false when that buffer has no free slot.
+  auto reserve_from(const PeRt& pe) {
+    return [this, &pe](std::size_t slot, const Sdo& sdo) {
+      const std::size_t target = graph.downstream(pe.id)[slot].value();
+      PeRt& t = pes[target];
+      if (!has_space_for_send(t)) return false;
+      ++t.reserved;
+      const Seconds latency = transport_latency(pe.index, target);
+      simulator.schedule_in(latency, [this, target, sdo] {
+        deliver_reserved(target, sdo);
+      });
+      return true;
+    };
+  }
+
   /// Emits one SDO on downstream slot `slot` of `pe`, honouring the policy's
   /// full-buffer semantics.
   void send(PeRt& pe, std::size_t slot, Sdo sdo) {
-    const std::size_t target = graph.downstream(pe.id)[slot].value();
     if (policy == control::FlowPolicy::kLockStep) {
-      PeRt& t = pes[target];
-      if (has_space_for_send(t)) {
-        ++t.reserved;
-        const Seconds latency = transport_latency(pe.index, target);
-        simulator.schedule_in(latency, [this, target, sdo] {
-          deliver_reserved(target, sdo);
-        });
-      } else {
-        pe.pending.emplace_back(slot, sdo);
-        pe.blocked = true;  // min-flow: sleep until space frees
-      }
+      pe.send_or_hold(slot, sdo, reserve_from(pe));
       return;
     }
     // ACES / UDP: fire and (maybe) forget — drop resolves at delivery time.
+    const std::size_t target = graph.downstream(pe.id)[slot].value();
     const Seconds latency = transport_latency(pe.index, target);
     simulator.schedule_in(latency,
                           [this, target, sdo] { deliver(target, sdo); });
-  }
-
-  /// Injected loss on a delivery into `pe`: the hosting node is down, or a
-  /// drop burst eats it. Counts as an internal drop either way.
-  [[nodiscard]] bool fault_drops_delivery(PeRt& pe) {
-    if (injector == nullptr) return false;
-    return down(graph.pe(pe.id).node.value()) ||
-           injector->drop_delivery(pe.id, simulator.now());
   }
 
   /// Accepts `sdo` into `pe`'s buffer now and starts service if idle.
@@ -430,7 +405,7 @@ struct StreamSimulation::Impl {
 
   void deliver(std::size_t target, Sdo sdo) {
     PeRt& pe = pes[target];
-    if (fault_drops_delivery(pe)) {
+    if (pe::delivery_lost(injector.get(), graph, pe.id, simulator.now())) {
       pe.note_dropped(sdo, simulator.now(), collector, options.spans);
     } else if (pe.buffer.full()) {
       ACES_PERF_COUNT("buffer_pool_miss");
@@ -444,7 +419,7 @@ struct StreamSimulation::Impl {
     PeRt& pe = pes[target];
     --pe.reserved;
     ACES_CHECK_MSG(pe.reserved >= 0, "reservation accounting underflow");
-    if (fault_drops_delivery(pe)) {
+    if (pe::delivery_lost(injector.get(), graph, pe.id, simulator.now())) {
       pe.note_dropped(sdo, simulator.now(), collector, options.spans);
       // The freed slot must wake blocked senders just like a pop would,
       // or a dead consumer wedges its Lock-Step producers forever.
@@ -458,25 +433,8 @@ struct StreamSimulation::Impl {
   void wake_upstream(PeRt& pe) {
     for (PeId up : graph.upstream(pe.id)) {
       PeRt& u = pes[up.value()];
-      if (u.blocked) try_flush(u);
+      if (u.blocked && u.flush(reserve_from(u))) maybe_start(u);
     }
-  }
-
-  void try_flush(PeRt& pe) {
-    while (!pe.pending.empty()) {
-      const auto [slot, sdo] = pe.pending.front();
-      const std::size_t target = graph.downstream(pe.id)[slot].value();
-      PeRt& t = pes[target];
-      if (!has_space_for_send(t)) return;  // still blocked
-      ++t.reserved;
-      const Seconds latency = transport_latency(pe.index, target);
-      simulator.schedule_in(latency, [this, target, sdo] {
-        deliver_reserved(target, sdo);
-      });
-      pe.pending.pop_front();
-    }
-    pe.blocked = false;
-    maybe_start(pe);
   }
 
   void source_arrival(std::size_t source_index) {
@@ -484,7 +442,7 @@ struct StreamSimulation::Impl {
     PeRt& pe = pes[src.pe.value()];
     const Seconds now = simulator.now();
     const Sdo sdo{now, pe::sample_arrival(options.spans, pe.id, now)};
-    if (fault_drops_delivery(pe)) {
+    if (pe::delivery_lost(injector.get(), graph, pe.id, now)) {
       pe.note_arrival_dropped(sdo, collector, options.spans);
     } else if (policy == control::FlowPolicy::kLockStep
                    ? !has_space_for_send(pe)
@@ -598,7 +556,8 @@ struct StreamSimulation::Impl {
   obs::Timer solve_timer;
   /// Non-null iff SimOptions::faults is non-empty.
   std::unique_ptr<fault::FaultInjector> injector;
-  /// Crash-window nesting depth per node; sized only when faults are active.
+  /// Crash-window nesting depth per node, for ticks and tier-1 exclusion;
+  /// sized only when faults are active.
   std::vector<int> node_down;
 };
 

@@ -68,17 +68,6 @@ struct WeightChange {
   double new_weight = 1.0;
 };
 
-/// A scheduled outage of one PE: from `from` to `until` it processes
-/// nothing (its CPU share is forced to zero); arrivals keep queueing and
-/// overflow per the policy's semantics. Models the crash/termination events
-/// that trigger tier-1 re-optimization in the paper ("when PEs are deployed
-/// or terminate").
-struct PeOutage {
-  Seconds from = 0.0;
-  Seconds until = 0.0;
-  PeId pe;
-};
-
 struct SimOptions {
   /// Control interval Δt (paper: sub-second; default 100 ms).
   Seconds dt = 0.1;
@@ -114,8 +103,6 @@ struct SimOptions {
   std::vector<RateChange> rate_changes;
   /// Scheduled capacity shifts.
   std::vector<CapacityChange> capacity_changes;
-  /// Scheduled PE outages (failure injection).
-  std::vector<PeOutage> outages;
   /// Scheduled priority shifts.
   std::vector<WeightChange> weight_changes;
   /// Optional workload hook: builds the arrival process for each stream

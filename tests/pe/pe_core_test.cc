@@ -1,7 +1,8 @@
 // The PE data-path kernel's transitions, checked directly: selectivity and
-// fan-out, egress accounting, the controller's Eq. 8 view, crash discard,
-// and the partition-invariant stream forks. The substrates' end-to-end
-// tests cover the same rules only through a whole run.
+// fan-out, egress accounting, the Lock-Step hold, the controller's Eq. 8
+// view, crash discard, and the partition-invariant stream forks. The
+// substrates' end-to-end tests cover the same rules only through a whole
+// run.
 #include "pe/pe_core.h"
 
 #include <gtest/gtest.h>
@@ -207,6 +208,124 @@ TEST(PeCoreTest, DiscardLosesTheSdoInServiceThenTheHeldOnes) {
   EXPECT_DOUBLE_EQ(core.share, 0.0);
   // An idle PE with nothing held loses nothing.
   EXPECT_EQ(core.discard(2.0, collector, &tracer, [](auto) {}), 0u);
+}
+
+/// An offer whose consumer is always full.
+bool refuse(std::size_t, const Sdo&) { return false; }
+
+/// Source PEs of the spans `tracer` recorded, in the order they ended.
+std::vector<std::uint32_t> ended_sources(const obs::SpanTracer& tracer) {
+  std::vector<std::uint32_t> sources;
+  for (const obs::SdoSpan& span : tracer.recorder().snapshot()) {
+    sources.push_back(span.source_pe);
+  }
+  return sources;
+}
+
+TEST(PeCoreTest, ARefusedCopyIsHeldAndBlocksWhileAnotherSlotStillTakes) {
+  PeCore<Sdo> core = make_core();
+  core.held = decltype(core.held)(4);
+  // Slot 0's consumer is full; slot 1's takes every copy.
+  std::vector<std::pair<std::size_t, Seconds>> taken;
+  const auto offer = [&](std::size_t slot, const Sdo& sdo) {
+    if (slot == 0) return false;
+    taken.emplace_back(slot, sdo.birth);
+    return true;
+  };
+  EXPECT_TRUE(core.send_or_hold(0, Sdo{1.0}, offer));
+  EXPECT_TRUE(core.blocked);
+  EXPECT_FALSE(core.send_or_hold(1, Sdo{2.0}, offer));
+  const std::vector<std::pair<std::size_t, Seconds>> expected = {{1, 2.0}};
+  EXPECT_EQ(taken, expected);
+  ASSERT_EQ(core.held.size(), 1u);
+  EXPECT_EQ(core.held.front().first, 0u);
+  EXPECT_DOUBLE_EQ(core.held.front().second.birth, 1.0);
+  EXPECT_TRUE(core.blocked);
+}
+
+TEST(PeCoreTest, FlushOffersTheOldestFirstAndUnblocksOnlyWhenEmpty) {
+  PeCore<Sdo> core = make_core();
+  core.held = decltype(core.held)(4);
+  for (int k = 0; k < 3; ++k) {
+    core.send_or_hold(static_cast<std::size_t>(k % 2), Sdo{k * 1.0}, refuse);
+  }
+  int room = 1;
+  std::vector<Seconds> offered;
+  const auto offer = [&](std::size_t, const Sdo& sdo) {
+    offered.push_back(sdo.birth);
+    return room-- > 0;
+  };
+  // Room for one copy: the oldest goes, the next is refused, and the last
+  // is not offered.
+  EXPECT_FALSE(core.flush(offer));
+  EXPECT_EQ(offered, (std::vector<Seconds>{0.0, 1.0}));
+  EXPECT_EQ(core.held.size(), 2u);
+  EXPECT_TRUE(core.blocked);
+  // Room for the rest: they go in order and the PE unblocks.
+  room = 2;
+  offered.clear();
+  EXPECT_TRUE(core.flush(offer));
+  EXPECT_EQ(offered, (std::vector<Seconds>{1.0, 2.0}));
+  EXPECT_TRUE(core.held.empty());
+  EXPECT_FALSE(core.blocked);
+}
+
+TEST(PeCoreTest, DiscardDropsTheHoldAfterTheSdoInServiceAndBeforeTheQueues) {
+  obs::SpanTracer tracer = trace_everything();
+  PeCore<Sdo> core = make_core();
+  core.held = decltype(core.held)(2);
+  RecordingCollector collector;
+  core.send_or_hold(0, traced(tracer, 8, 0.1), refuse);
+  core.send_or_hold(1, traced(tracer, 9, 0.2), refuse);
+  core.begin_service(traced(tracer, 7, 0.3), 0.3, &tracer, 0.3);
+  const Sdo queued = traced(tracer, 10, 0.4);
+  EXPECT_EQ(core.discard(1.0, collector, &tracer,
+                         [&](auto lose) { lose(queued); }),
+            4u);
+  EXPECT_EQ(ended_sources(tracer), (std::vector<std::uint32_t>{7, 8, 9, 10}));
+  EXPECT_EQ(collector.internal_drops, 4u);
+  EXPECT_TRUE(core.held.empty());
+  EXPECT_FALSE(core.blocked);
+}
+
+TEST(PeCoreTest, BuildCoresSizesTheHoldForOneCompletion) {
+  // A PE of selectivity 2.5 feeding three consumers: with a 0.9 credit
+  // carried in, one completion emits 3 copies per slot, the bound.
+  graph::ProcessingGraph g;
+  const NodeId node = g.add_node();
+  graph::PeDescriptor d;
+  d.kind = graph::PeKind::kIngress;
+  d.node = node;
+  d.selectivity = 2.5;
+  d.input_stream = g.add_stream({100.0, 0.0, "feed"});
+  const PeId producer = g.add_pe(d);
+  for (int k = 0; k < 3; ++k) {
+    graph::PeDescriptor consumer;
+    consumer.kind = graph::PeKind::kEgress;
+    consumer.node = node;
+    g.add_edge(producer, g.add_pe(consumer));
+  }
+  opt::AllocationPlan plan;
+  plan.pe.resize(g.pe_count());
+  Rng master(1);
+  std::vector<PeCore<Sdo>> cores;
+  cores.reserve(g.pe_count());
+  build_cores(g, plan, master,
+              [&](PeId, workload::ServiceModel service) -> PeCore<Sdo>& {
+                return cores.emplace_back(std::move(service));
+              });
+  PeCore<Sdo>& core = cores[producer.value()];
+  RecordingCollector collector;
+  core.selectivity_credit = 0.9;
+  core.begin_service(Sdo{}, 0.0, nullptr, 0.0);
+  EXPECT_EQ(core.complete(g.pe(producer), 3, 1.0, collector, nullptr,
+                          [&](std::size_t slot, const Sdo& sdo) {
+                            core.send_or_hold(slot, sdo, refuse);
+                          }),
+            9u);
+  EXPECT_EQ(core.held.size(), 9u);
+  EXPECT_TRUE(core.held.full());
+  EXPECT_TRUE(core.blocked);
 }
 
 TEST(PeCoreTest, HostedSourcesGetTheSameStreamsAsTheWholeSet) {

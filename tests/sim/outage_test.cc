@@ -1,8 +1,10 @@
-// Failure-injection tests: a PE outage halts its processing, backpressure
-// or drops propagate per policy, and the system recovers afterwards.
+// Failure-injection tests: a PE outage, written as a fault-spec `stall`
+// clause, halts its processing, backpressure or drops propagate per policy,
+// and the system recovers afterwards.
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "fault/fault_spec.h"
 #include "graph/topology_generator.h"
 #include "opt/global_optimizer.h"
 #include "sim/stream_simulation.h"
@@ -55,7 +57,7 @@ TEST(OutageTest, OutageCutsThroughputAndRecovers) {
   const auto plan = opt::optimize(chain.g);
   // Outage covering the measured window's first half.
   SimOptions o = base_options(FlowPolicy::kAces);
-  o.outages.push_back(PeOutage{10.0, 20.0, chain.middle});
+  o.faults.stalls.push_back(fault::PeStall{10.0, 10.0, chain.middle});
   StreamSimulation sim(chain.g, plan, o);
 
   sim.run_until(15.0);  // mid-outage
@@ -75,7 +77,7 @@ TEST(OutageTest, DisabledPeProcessesNothingDuringOutage) {
   // UDP: upstream keeps pumping, so the dead PE's buffer must pin at
   // capacity (ACES would throttle the upstream via its advertisement).
   SimOptions o = base_options(FlowPolicy::kUdp);
-  o.outages.push_back(PeOutage{5.0, 25.0, chain.middle});
+  o.faults.stalls.push_back(fault::PeStall{5.0, 20.0, chain.middle});
   StreamSimulation sim(chain.g, plan, o);
   sim.run_until(6.0);
   const auto at_start = sim.pe_stats(chain.middle).processed;
@@ -92,7 +94,7 @@ TEST(OutageTest, UdpDropsAtTheDeadPeBuffer) {
   Chain chain;
   const auto plan = opt::optimize(chain.g);
   SimOptions o = base_options(FlowPolicy::kUdp);
-  o.outages.push_back(PeOutage{6.0, 29.0, chain.middle});
+  o.faults.stalls.push_back(fault::PeStall{6.0, 23.0, chain.middle});
   StreamSimulation sim(chain.g, plan, o);
   sim.run();
   EXPECT_GT(sim.pe_stats(chain.middle).dropped_input, 100u);
@@ -102,7 +104,7 @@ TEST(OutageTest, LockStepBackpressuresToIngressInstead) {
   Chain chain;
   const auto plan = opt::optimize(chain.g);
   SimOptions o = base_options(FlowPolicy::kLockStep);
-  o.outages.push_back(PeOutage{6.0, 29.0, chain.middle});
+  o.faults.stalls.push_back(fault::PeStall{6.0, 23.0, chain.middle});
   const auto report = simulate(chain.g, plan, o);
   EXPECT_EQ(report.internal_drops, 0u);      // reservations: never internal
   EXPECT_GT(report.ingress_drops, 100u);     // loss moves to the system input
@@ -114,9 +116,9 @@ TEST(OutageTest, AcesThrottlesUpstreamDuringOutage) {
   Chain chain;
   const auto plan = opt::optimize(chain.g);
   SimOptions aces = base_options(FlowPolicy::kAces);
-  aces.outages.push_back(PeOutage{6.0, 29.0, chain.middle});
+  aces.faults.stalls.push_back(fault::PeStall{6.0, 23.0, chain.middle});
   SimOptions udp = base_options(FlowPolicy::kUdp);
-  udp.outages.push_back(PeOutage{6.0, 29.0, chain.middle});
+  udp.faults.stalls.push_back(fault::PeStall{6.0, 23.0, chain.middle});
   StreamSimulation aces_sim(chain.g, plan, aces);
   aces_sim.run();
   StreamSimulation udp_sim(chain.g, plan, udp);
@@ -131,10 +133,10 @@ TEST(OutageTest, RecoveryRestoresSteadyThroughput) {
   SimOptions o = base_options(FlowPolicy::kAces);
   o.duration = 60.0;
   o.warmup = 40.0;  // measure well after recovery
-  o.outages.push_back(PeOutage{10.0, 20.0, chain.middle});
+  o.faults.stalls.push_back(fault::PeStall{10.0, 10.0, chain.middle});
   const auto with_outage = simulate(chain.g, plan, o);
   SimOptions clean = o;
-  clean.outages.clear();
+  clean.faults.stalls.clear();
   const auto baseline = simulate(chain.g, plan, clean);
   EXPECT_GT(with_outage.weighted_throughput,
             baseline.weighted_throughput * 0.9);
@@ -144,10 +146,11 @@ TEST(OutageTest, Validation) {
   Chain chain;
   const auto plan = opt::optimize(chain.g);
   SimOptions o = base_options(FlowPolicy::kAces);
-  o.outages.push_back(PeOutage{5.0, 5.0, chain.middle});  // empty interval
+  // Empty interval.
+  o.faults.stalls.push_back(fault::PeStall{5.0, 0.0, chain.middle});
   EXPECT_THROW(StreamSimulation(chain.g, plan, o), CheckFailure);
   o = base_options(FlowPolicy::kAces);
-  o.outages.push_back(PeOutage{1.0, 2.0, PeId(99)});
+  o.faults.stalls.push_back(fault::PeStall{1.0, 1.0, PeId(99)});
   EXPECT_THROW(StreamSimulation(chain.g, plan, o), CheckFailure);
 }
 
