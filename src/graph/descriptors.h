@@ -13,6 +13,12 @@
 
 namespace aces::graph {
 
+/// Largest selectivity a PE may declare. The PE kernel casts the carried
+/// credit (below selectivity + 1) to int, and a Lock-Step PE pre-allocates
+/// a hold of (⌊selectivity⌋ + 1) × fanout copies, so the bound keeps the
+/// cast exact and the hold at about a thousand copies per downstream slot.
+inline constexpr double kMaxSelectivity = 1024.0;
+
 /// Position of a PE in the processing DAG.
 enum class PeKind {
   kIngress,       ///< fed by an external stream
@@ -33,7 +39,8 @@ struct PeDescriptor {
   /// exponentially distributed (paper §VI-B).
   double sojourn_mean[2] = {10.0, 1.0};
   /// Mean SDOs emitted per SDO consumed (paper: M). Fractional values are
-  /// realized with credit-conserving stochastic rounding.
+  /// realized with credit-conserving stochastic rounding. Finite and in
+  /// [0, kMaxSelectivity] (ProcessingGraph::add_pe checks).
   double selectivity = 1.0;
   /// Size of one input SDO in bytes (rates in the optimizer are bytes/sec).
   double bytes_per_sdo = 1024.0;

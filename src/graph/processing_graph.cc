@@ -36,7 +36,10 @@ PeId ProcessingGraph::add_pe(PeDescriptor desc) {
                  "service times must be positive");
   ACES_CHECK_MSG(desc.sojourn_mean[0] > 0.0 && desc.sojourn_mean[1] > 0.0,
                  "sojourn means must be positive");
-  ACES_CHECK_MSG(desc.selectivity >= 0.0, "selectivity must be non-negative");
+  ACES_CHECK_MSG(desc.selectivity >= 0.0 &&
+                     desc.selectivity <= kMaxSelectivity,
+                 "selectivity " << desc.selectivity << " outside [0, "
+                                << kMaxSelectivity << "]");
   ACES_CHECK_MSG(desc.buffer_capacity > 0, "buffer capacity must be positive");
   ACES_CHECK_MSG(desc.weight >= 0.0, "weight must be non-negative");
   if (desc.kind == PeKind::kIngress) {

@@ -28,6 +28,10 @@ std::string fmt(double v) {
   return buf;
 }
 
+/// Spans kept per shard as standing flight evidence: as many as the
+/// worker's own flight ring holds (workers keep the default capacity).
+const std::size_t kRingCapacity = SpanTracerOptions{}.ring_capacity;
+
 }  // namespace
 
 ClusterAggregator::Shard& ClusterAggregator::shard(std::uint32_t rank) {
@@ -36,7 +40,7 @@ ClusterAggregator::Shard& ClusterAggregator::shard(std::uint32_t rank) {
 
 void ClusterAggregator::note_shard(std::uint32_t rank) {
   MutexLock lock(mutex_);
-  shard(rank);
+  shard(rank).status.alive = true;
 }
 
 void ClusterAggregator::note_quantum(std::uint32_t rank,
@@ -108,21 +112,6 @@ void ClusterAggregator::absorb_gauge(std::uint32_t rank,
   shard(rank).gauges[name] = value;
 }
 
-void ClusterAggregator::absorb_pe_latency(std::uint32_t rank, std::uint32_t pe,
-                                          const LogHistogram& wait,
-                                          const LogHistogram& service) {
-  MutexLock lock(mutex_);
-  shard(rank).pe_latency[pe] = PeSnapshot{wait, service};
-}
-
-void ClusterAggregator::absorb_path_latency(std::uint32_t rank,
-                                            std::uint64_t id,
-                                            const std::string& label,
-                                            const LogHistogram& end_to_end) {
-  MutexLock lock(mutex_);
-  shard(rank).path_latency[id] = PathSnapshot{label, end_to_end};
-}
-
 void ClusterAggregator::absorb_perf(std::uint32_t rank, const std::string& name,
                                     std::uint64_t calls, std::uint64_t ns) {
   MutexLock lock(mutex_);
@@ -135,26 +124,25 @@ void ClusterAggregator::absorb_trace(std::uint32_t rank, TickRecord record) {
   trace_.push_back(std::move(record));
 }
 
-void ClusterAggregator::absorb_completed_spans(
-    std::uint32_t rank, const std::vector<SdoSpan>& spans) {
+void ClusterAggregator::absorb_spans(std::uint32_t rank,
+                                     const std::vector<SdoSpan>& spans) {
   MutexLock lock(mutex_);
   Shard& s = shard(rank);
-  s.status.span_batches += 1;
   for (const SdoSpan& span : spans) {
     spans_completed_ += 1;
-    const double transport = span.transport_time();
-    bool stitched = false;
     for (std::uint32_t i = 0; i < span.hop_count; ++i) {
       if (span.hops[i].kind != static_cast<std::uint32_t>(HopKind::kPe)) {
-        stitched = true;
+        spans_stitched_ += 1;
         break;
       }
     }
-    if (stitched) spans_stitched_ += 1;
-    if (span.latency() >= 0.0) {
-      transport_seconds_.add(transport);
-      compute_seconds_.add(span.latency() - transport);
-    }
+    record_span_latency(s.latency, span);
+    s.recent.push_back(span);
+    if (s.recent.size() > kRingCapacity) s.recent.pop_front();
+    if (!span.completed()) continue;
+    const double transport = span.transport_time();
+    transport_seconds_.add(transport);
+    compute_seconds_.add(span.latency() - transport);
     // Bounded slowest-first list, same policy as SpanTracer's worst_k.
     constexpr std::size_t kWorst = 8;
     const auto at = std::upper_bound(
@@ -172,7 +160,6 @@ void ClusterAggregator::absorb_flight_dump(std::uint32_t rank,
   MutexLock lock(mutex_);
   Shard& s = shard(rank);
   s.status.flight_dumps += 1;
-  s.has_dump = true;
   s.dump = std::move(dump);
 }
 
@@ -203,14 +190,7 @@ ClusterAggregator::cluster_counters() const {
 LatencyRegistry ClusterAggregator::merged_latency() const {
   MutexLock lock(mutex_);
   LatencyRegistry merged;
-  for (const auto& [rank, s] : shards_) {
-    for (const auto& [pe, snap] : s.pe_latency) {
-      merged.merge_pe(pe, snap.wait, snap.service);
-    }
-    for (const auto& [id, snap] : s.path_latency) {
-      merged.merge_path(id, snap.label, snap.end_to_end);
-    }
-  }
+  for (const auto& [rank, s] : shards_) merged.merge(s.latency);
   return merged;
 }
 
@@ -227,12 +207,22 @@ std::map<std::uint32_t, ShardStatus> ClusterAggregator::shard_statuses()
   return out;
 }
 
+std::map<std::uint32_t, std::vector<SdoSpan>>
+ClusterAggregator::recent_spans() const {
+  MutexLock lock(mutex_);
+  std::map<std::uint32_t, std::vector<SdoSpan>> out;
+  for (const auto& [rank, s] : shards_) {
+    if (!s.recent.empty()) out[rank].assign(s.recent.begin(), s.recent.end());
+  }
+  return out;
+}
+
 std::map<std::uint32_t, ShardFlightDump> ClusterAggregator::flight_dumps()
     const {
   MutexLock lock(mutex_);
   std::map<std::uint32_t, ShardFlightDump> out;
   for (const auto& [rank, s] : shards_) {
-    if (s.has_dump) out.emplace(rank, s.dump);
+    if (s.dump.has_value()) out.emplace(rank, *s.dump);
   }
   return out;
 }
@@ -407,23 +397,23 @@ void ClusterAggregator::write_prometheus(std::ostream& os) const {
   bool wait_hdr = false, service_hdr = false, path_hdr = false;
   for (const auto& [rank, s] : shards_) {
     const std::string shard_label = std::to_string(rank);
-    for (const auto& [pe, snap] : s.pe_latency) {
+    for (const auto& [pe, stats] : s.latency.pes()) {
       prometheus_summary(os, "aces_pe_wait_seconds",
                          "Queue wait (enqueue to dequeue) per PE",
                          {{"pe", std::to_string(pe)}, {"shard", shard_label}},
-                         snap.wait, wait_hdr);
+                         stats.wait, wait_hdr);
     }
-    for (const auto& [pe, snap] : s.pe_latency) {
+    for (const auto& [pe, stats] : s.latency.pes()) {
       prometheus_summary(os, "aces_pe_service_seconds",
                          "Service time (dequeue to emit) per PE",
                          {{"pe", std::to_string(pe)}, {"shard", shard_label}},
-                         snap.service, service_hdr);
+                         stats.service, service_hdr);
     }
-    for (const auto& [id, snap] : s.path_latency) {
+    for (const auto& [id, stats] : s.latency.paths()) {
       prometheus_histogram(os, "aces_path_latency_seconds",
                            "End-to-end latency per source-to-sink path",
-                           {{"path", snap.label}, {"shard", shard_label}},
-                           snap.end_to_end, path_hdr);
+                           {{"path", stats.label}, {"shard", shard_label}},
+                           stats.end_to_end, path_hdr);
     }
   }
 }
@@ -465,7 +455,6 @@ void ClusterAggregator::write_status(std::ostream& os) const {
     os << p << "decode_rejects " << s.status.decode_rejects << '\n';
     os << p << "heartbeats " << s.status.heartbeats << '\n';
     os << p << "metrics_reports " << s.status.metrics_reports << '\n';
-    os << p << "span_batches " << s.status.span_batches << '\n';
     os << p << "flight_dumps " << s.status.flight_dumps << '\n';
     os << p << "relay_dropped " << s.status.relay_dropped << '\n';
   }
@@ -477,6 +466,7 @@ void ClusterAggregator::write_report(std::ostream& os) const {
   const auto statuses = shard_statuses();
   const auto counters = cluster_counters();
   const LatencyRegistry merged = merged_latency();
+  const auto recent = recent_spans();
   const auto dumps = flight_dumps();
 
   std::size_t alive = 0;
@@ -565,15 +555,26 @@ void ClusterAggregator::write_report(std::ostream& os) const {
     }
   }
 
-  if (!dumps.empty()) {
-    os << "\nflight-recorder evidence (last dump per shard):\n";
-    for (const auto& [rank, dump] : dumps) {
-      const auto it = statuses.find(rank);
-      const bool dead = it != statuses.end() && !it->second.alive;
-      os << "  shard " << rank << (dead ? " [DEAD]" : "") << ": event="
-         << dump.event << " t=" << fmt(dump.time)
-         << " pushed=" << dump.pushed << " recent=" << dump.recent.size()
-         << " in_flight=" << dump.in_flight.size() << '\n';
+  if (!recent.empty() || !dumps.empty()) {
+    os << "\nflight-recorder evidence (standing ring, newest fault dump):\n";
+    for (const auto& [rank, status] : statuses) {
+      const auto ring = recent.find(rank);
+      const auto dump = dumps.find(rank);
+      if (ring == recent.end() && dump == dumps.end()) continue;
+      os << "  shard " << rank << (status.alive ? "" : " [DEAD]") << ": "
+         << (ring == recent.end() ? 0 : ring->second.size())
+         << " recent spans";
+      if (ring != recent.end()) {
+        os << " (newest ended t=" << fmt(ring->second.back().end) << ')';
+      }
+      if (dump != dumps.end()) {
+        os << "; fault dump event=" << dump->second.event
+           << " t=" << fmt(dump->second.time)
+           << " pushed=" << dump->second.pushed
+           << " recent=" << dump->second.recent.size()
+           << " in_flight=" << dump->second.in_flight.size();
+      }
+      os << '\n';
     }
   }
 }

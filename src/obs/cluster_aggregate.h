@@ -1,24 +1,29 @@
 // Coordinator-side merge of per-shard telemetry into one cluster view.
 //
-// The distributed runtime's workers ship MetricsReport / SpanBatch /
-// FlightDump frames (runtime/wire.h) at barrier-epoch cadence; the
-// coordinator feeds their *contents* — plain obs types, so this layer
-// never depends on the wire format — into a ClusterAggregator. The
-// aggregator answers the questions a single-process run answers for free:
+// The distributed runtime's workers ship MetricsReport frames at
+// barrier-epoch cadence and a FlightDump when a fault fires
+// (runtime/wire.h); the coordinator feeds their *contents* — plain obs
+// types, so this layer never depends on the wire format — into a
+// ClusterAggregator. Each finalized span reaches it exactly once, and
+// everything span-derived is rebuilt here from those spans. The aggregator
+// answers the questions a single-process run answers for free:
 //
 //  * counters: per-shard deltas summed into exact cluster totals (deltas,
 //    not absolutes, so a restarted shard cannot replay its history);
-//  * latency: per-PE wait/service and per-path end-to-end histograms
-//    merged bucket-wise into one LatencyRegistry — path ids are the same
-//    splitmix64 fold in every shard, so cross-shard spans land in the
-//    same family as their in-process equivalents;
+//  * latency: each shard's spans feed a per-shard LatencyRegistry through
+//    record_span_latency, the worker tracer's own record step, so it is
+//    bit-identical to the worker's; the shards merge bucket-wise into one
+//    registry — path ids are the same splitmix64 fold in every shard, so
+//    cross-shard spans land in the same family as their in-process
+//    equivalents;
 //  * spans: completed spans (stitched across process hops) decomposed
 //    into compute vs. transport via SdoSpan::transport_time();
 //  * cluster health gauges: per-worker heartbeat RTT (Welford), barrier
 //    step skew, frames/bytes per transport endpoint, decode rejects;
-//  * evidence: the last FlightDump per rank survives the worker — a
-//    prockill'd shard's final milliseconds are readable at the
-//    coordinator after the process is gone.
+//  * evidence: each shard's last ring_capacity spans (its standing flight
+//    ring) and its newest fault dump survive the worker — a prockill'd
+//    shard's final spans are readable at the coordinator after the
+//    process is gone.
 //
 // Rendered three ways: write_prometheus (every family shard-labelled),
 // write_status (the `--status-port` line protocol: one `key value` pair
@@ -27,22 +32,22 @@
 //
 // Internally synchronized: the coordinator's recv loop absorbs from its
 // control thread while a StatusServer connection renders from the accept
-// thread, so every method takes the aggregator mutex. All absorb methods
-// are idempotent-per-epoch in the last-writer-wins sense histograms and
-// gauges need; counters are the only accumulate-on-absorb state, which is
-// why the wire carries them as deltas.
+// thread, so every method takes the aggregator mutex. Counters and spans
+// accumulate on absorb, which is why the wire carries counter deltas and
+// each span once; gauges and perf totals are last-writer-wins.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/atomic_shim.h"
-#include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/stats.h"
 #include "common/thread_annotations.h"
@@ -52,9 +57,9 @@
 
 namespace aces::obs {
 
-/// Last-received flight-recorder evidence from one shard, with provenance.
+/// A shard's newest fault-site dump, with provenance.
 struct ShardFlightDump {
-  std::string event;  ///< "epoch", a fault.* counter name, or "shutdown"
+  std::string event;  ///< the fault.* counter name
   double time = 0.0;  ///< virtual seconds of the snapshot
   std::uint64_t pushed = 0;  ///< recorder ring tickets at snapshot time
   std::vector<SdoSpan> recent;
@@ -72,8 +77,7 @@ struct ShardStatus {
   std::uint64_t decode_rejects = 0; ///< frames that failed to decode
   std::uint64_t heartbeats = 0;
   std::uint64_t metrics_reports = 0;
-  std::uint64_t span_batches = 0;
-  std::uint64_t flight_dumps = 0;
+  std::uint64_t flight_dumps = 0;   ///< fault dumps received
   std::uint64_t relay_dropped = 0;  ///< span handoffs dropped (rank dead)
   OnlineStats rtt_seconds;          ///< StepGo send -> StepDone recv, wall
 };
@@ -82,7 +86,8 @@ class ClusterAggregator {
  public:
   // --- absorb side (coordinator control loop) ----------------------------
 
-  /// Registers `rank` (idempotent); called when a worker says Hello.
+  /// Registers `rank` as alive (idempotent); called when a worker says
+  /// Hello, so a respawned shard is alive again.
   void note_shard(std::uint32_t rank) ACES_EXCLUDES(mutex_);
   /// Advances the shard's newest-quantum watermark (monotonic max).
   void note_quantum(std::uint32_t rank, std::uint64_t quantum)
@@ -102,8 +107,8 @@ class ClusterAggregator {
   void record_decode_reject(std::uint32_t rank) ACES_EXCLUDES(mutex_);
   void record_heartbeat(std::uint32_t rank) ACES_EXCLUDES(mutex_);
   /// Span handoffs that could not be relayed because the destination shard
-  /// was dead (the SDOs themselves are replayed by the restart path; the
-  /// spans are telemetry and may lawfully be lost — but counted).
+  /// was dead (their deliveries are lost with it; the spans are telemetry
+  /// and may lawfully be lost — but counted).
   void record_relay_dropped(std::uint32_t rank, std::uint64_t count)
       ACES_EXCLUDES(mutex_);
 
@@ -115,18 +120,6 @@ class ClusterAggregator {
   /// Last-writer-wins gauge sample from one shard.
   void absorb_gauge(std::uint32_t rank, const std::string& name, double value)
       ACES_EXCLUDES(mutex_);
-  /// Whole-state per-PE histogram snapshot (replaces the shard's previous
-  /// snapshot for this PE). Workers send one only when the PE's sample
-  /// count changed, and a live shard's frames are never dropped (a reject
-  /// declares the shard dead), so the newest snapshot is the current one.
-  void absorb_pe_latency(std::uint32_t rank, std::uint32_t pe,
-                         const LogHistogram& wait, const LogHistogram& service)
-      ACES_EXCLUDES(mutex_);
-  /// Whole-state per-path histogram snapshot, keyed by the stable path id.
-  void absorb_path_latency(std::uint32_t rank, std::uint64_t id,
-                           const std::string& label,
-                           const LogHistogram& end_to_end)
-      ACES_EXCLUDES(mutex_);
   /// Cumulative worker timer totals (whole-state, last-writer-wins).
   void absorb_perf(std::uint32_t rank, const std::string& name,
                    std::uint64_t calls, std::uint64_t ns)
@@ -134,12 +127,16 @@ class ClusterAggregator {
   /// One control-tick record; the aggregator stamps `record.shard = rank`.
   void absorb_trace(std::uint32_t rank, TickRecord record)
       ACES_EXCLUDES(mutex_);
-  /// Spans finalized on `rank` this epoch: counts them, decomposes each
-  /// into compute vs. transport, and keeps a bounded worst-latency list.
-  void absorb_completed_spans(std::uint32_t rank,
-                              const std::vector<SdoSpan>& spans)
+  /// Spans finalized on `rank`, in the order the shard finalized them. Each
+  /// one is counted, feeds the shard's latency registry through
+  /// record_span_latency, and joins the shard's standing flight ring (its
+  /// last ring_capacity spans); a completed() one also feeds the slowest
+  /// spans and the compute/transport means. A respawned shard keeps
+  /// adding to the same registry and ring.
+  void absorb_spans(std::uint32_t rank, const std::vector<SdoSpan>& spans)
       ACES_EXCLUDES(mutex_);
-  /// Retains `dump` as the shard's latest flight-recorder evidence.
+  /// Retains `dump` as the shard's newest fault dump, apart from its
+  /// standing ring.
   void absorb_flight_dump(std::uint32_t rank, ShardFlightDump dump)
       ACES_EXCLUDES(mutex_);
 
@@ -150,12 +147,17 @@ class ClusterAggregator {
   /// Cluster-total counters (sum of absorbed deltas), sorted by name.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
   cluster_counters() const ACES_EXCLUDES(mutex_);
-  /// One registry holding every shard's histograms merged bucket-wise —
+  /// The per-shard registries merged bucket-wise in rank order —
   /// comparable 1:1 with a single-process run's SpanTracer::latency().
   [[nodiscard]] LatencyRegistry merged_latency() const ACES_EXCLUDES(mutex_);
   [[nodiscard]] double max_step_skew() const ACES_EXCLUDES(mutex_);
   [[nodiscard]] std::map<std::uint32_t, ShardStatus> shard_statuses() const
       ACES_EXCLUDES(mutex_);
+  /// Each shard's standing flight ring: its last ring_capacity finalized
+  /// spans, oldest first. Shards that shipped no span are absent.
+  [[nodiscard]] std::map<std::uint32_t, std::vector<SdoSpan>> recent_spans()
+      const ACES_EXCLUDES(mutex_);
+  /// Each shard's newest fault dump. Shards without one are absent.
   [[nodiscard]] std::map<std::uint32_t, ShardFlightDump> flight_dumps() const
       ACES_EXCLUDES(mutex_);
   /// All absorbed control-tick records, shard-stamped, sorted by
@@ -174,14 +176,6 @@ class ClusterAggregator {
   void write_report(std::ostream& os) const ACES_EXCLUDES(mutex_);
 
  private:
-  struct PeSnapshot {
-    LogHistogram wait;
-    LogHistogram service;
-  };
-  struct PathSnapshot {
-    std::string label;
-    LogHistogram end_to_end;
-  };
   struct PerfTotals {
     std::uint64_t calls = 0;
     std::uint64_t ns = 0;
@@ -190,11 +184,10 @@ class ClusterAggregator {
     ShardStatus status;
     std::map<std::string, std::uint64_t> counters;  // summed deltas
     std::map<std::string, double> gauges;           // last-writer-wins
-    std::map<std::uint32_t, PeSnapshot> pe_latency;
-    std::map<std::uint64_t, PathSnapshot> path_latency;
+    LatencyRegistry latency;     // rebuilt from the shard's spans
+    std::deque<SdoSpan> recent;  // standing flight ring, oldest first
     std::map<std::string, PerfTotals> perf;
-    bool has_dump = false;
-    ShardFlightDump dump;
+    std::optional<ShardFlightDump> dump;  // newest fault dump
   };
 
   Shard& shard(std::uint32_t rank) ACES_REQUIRES(mutex_);

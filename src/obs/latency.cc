@@ -84,27 +84,6 @@ void LatencyRegistry::merge(const LatencyRegistry& other) {
   }
 }
 
-void LatencyRegistry::merge_pe(std::uint32_t pe, const LogHistogram& wait,
-                               const LogHistogram& service) {
-  auto it = pes_.find(pe);
-  if (it == pes_.end()) {
-    pes_.emplace(pe, PeStats{wait, service});
-  } else {
-    it->second.wait.merge(wait);
-    it->second.service.merge(service);
-  }
-}
-
-void LatencyRegistry::merge_path(std::uint64_t id, const std::string& label,
-                                 const LogHistogram& end_to_end) {
-  auto it = paths_.find(id);
-  if (it == paths_.end()) {
-    paths_.emplace(id, PathStats{label, end_to_end});
-  } else {
-    it->second.end_to_end.merge(end_to_end);
-  }
-}
-
 void LatencyRegistry::reset() {
   pes_.clear();
   paths_.clear();

@@ -67,13 +67,6 @@ class LatencyRegistry {
   /// Bucket-wise merge; geometries always match (all histograms share the
   /// registry's fixed latency geometry).
   void merge(const LatencyRegistry& other);
-  /// Merge one PE's wait/service histograms in (the cluster aggregator
-  /// rebuilds a registry from per-shard wire snapshots).
-  void merge_pe(std::uint32_t pe, const LogHistogram& wait,
-                const LogHistogram& service);
-  /// Merge one path's end-to-end histogram in, keyed by its stable id.
-  void merge_path(std::uint64_t id, const std::string& label,
-                  const LogHistogram& end_to_end);
   void reset();
 
   [[nodiscard]] const std::map<std::uint32_t, PeStats>& pes() const {

@@ -43,6 +43,23 @@ Seconds SdoSpan::transport_time() const {
   return total;
 }
 
+void record_span_latency(LatencyRegistry& registry, const SdoSpan& span) {
+  for (std::uint32_t i = 0; i < span.hop_count; ++i) {
+    const SpanHop& hop = span.hops[i];
+    // Wire hops carry a single boundary timestamp, not a queue visit; only
+    // real PE visits feed the per-PE wait/service histograms.
+    if (hop.kind != static_cast<std::uint32_t>(HopKind::kPe)) continue;
+    const double wait = (hop.enqueue >= 0.0 && hop.dequeue >= 0.0)
+                            ? hop.dequeue - hop.enqueue
+                            : -1.0;
+    const double service =
+        (hop.dequeue >= 0.0 && hop.emit >= 0.0) ? hop.emit - hop.dequeue
+                                                : -1.0;
+    registry.record_hop(hop.pe, wait, service);
+  }
+  if (span.completed()) registry.record_path(span.hop_pes(), span.latency());
+}
+
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : slots_(std::max<std::size_t>(1, capacity)) {}
 
@@ -177,21 +194,8 @@ void SpanTracer::finalize(std::int32_t handle, Seconds t, bool dropped) {
   SdoSpan& span = pool_[index];
   span.end = t;
   span.dropped = dropped;
-  for (std::uint32_t i = 0; i < span.hop_count; ++i) {
-    const SpanHop& hop = span.hops[i];
-    // Wire hops carry a single boundary timestamp, not a queue visit; only
-    // real PE visits feed the per-PE wait/service histograms.
-    if (hop.kind != static_cast<std::uint32_t>(HopKind::kPe)) continue;
-    const double wait = (hop.enqueue >= 0.0 && hop.dequeue >= 0.0)
-                            ? hop.dequeue - hop.enqueue
-                            : -1.0;
-    const double service =
-        (hop.dequeue >= 0.0 && hop.emit >= 0.0) ? hop.emit - hop.dequeue
-                                                : -1.0;
-    latency_.record_hop(hop.pe, wait, service);
-  }
-  if (!dropped && !span.truncated) {
-    latency_.record_path(span.hop_pes(), span.latency());
+  record_span_latency(latency_, span);
+  if (span.completed()) {
     ++completed_;
     // Worst-span list: insertion into a tiny sorted vector.
     const auto pos = std::upper_bound(

@@ -85,6 +85,11 @@ struct SdoSpan {
   [[nodiscard]] Seconds latency() const {
     return end >= 0.0 ? end - start : -1.0;
   }
+  /// A finalized span that ended normally (at egress, or absorbed by
+  /// selectivity) with every hop recorded: the only kind that is an
+  /// end-to-end sample (path histogram, slowest spans, compute/transport
+  /// split). Drop- and crash-ended spans are not.
+  [[nodiscard]] bool completed() const { return !dropped && !truncated; }
   /// PE ids of the kPe hops in visit order, for path_id()/path_label().
   /// Wire hops are excluded so a span stitched across processes keeps the
   /// same path identity as its in-process equivalent.
@@ -97,6 +102,14 @@ static_assert(std::is_trivially_copyable_v<SdoSpan>);
 static_assert(sizeof(SpanHop) == 32,
               "SpanHop::kind must live in former padding; growing the hop "
               "changes the flight recorder's published word layout");
+
+/// Adds the latency samples one finalized span contributes to `registry`:
+/// wait and service for each kPe hop in order, then the end-to-end path
+/// when the span completed(). SpanTracer::finalize and the coordinator's
+/// ClusterAggregator share it, so a registry rebuilt from a tracer's
+/// take_completed() spans, in order, equals the tracer's latency() bit for
+/// bit.
+void record_span_latency(LatencyRegistry& registry, const SdoSpan& span);
 
 /// Fixed-size ring of recently completed spans.
 ///
@@ -156,9 +169,9 @@ struct SpanTracerOptions {
   std::size_t worst_k = 8;           // slowest completed spans retained
   std::size_t max_dumps = 8;         // fault dumps retained per run
   /// Buffer every finalized span for take_completed() — the distributed
-  /// worker drains this each barrier epoch to ship spans to the
-  /// coordinator. Off by default: single-process substrates aggregate in
-  /// place and must not grow a drain buffer nobody reads.
+  /// worker drains this each barrier epoch into its MetricsReport. Off by
+  /// default: single-process substrates aggregate in place and must not
+  /// grow a drain buffer nobody reads.
   bool keep_completed = false;
 };
 

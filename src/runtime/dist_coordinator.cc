@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -203,28 +202,11 @@ class Coordinator {
     for (const wire::MetricsGauge& gz : mr.gauges) {
       agg()->absorb_gauge(rank, gz.name, gz.value);
     }
-    for (const wire::PeLatencySnapshot& p : mr.pe_latency) {
-      agg()->absorb_pe_latency(rank, p.pe, p.wait, p.service);
-    }
-    for (const wire::PathLatencySnapshot& p : mr.path_latency) {
-      agg()->absorb_path_latency(rank, p.id, p.label, p.end_to_end);
-    }
     for (const wire::PerfCell& p : mr.perf) {
       agg()->absorb_perf(rank, p.name, p.calls, p.ns);
     }
     for (obs::TickRecord& t : mr.trace) agg()->absorb_trace(rank, t);
-  }
-
-  /// Worker → coordinator SpanBatch: completed spans go to the aggregator;
-  /// handoffs are staged for relay to their destination shard just before
-  /// the next StepGo (which carries the matching deliveries).
-  void absorb_span_batch(std::uint32_t rank, wire::SpanBatch&& batch) {
-    if (agg() != nullptr) {
-      agg()->absorb_completed_spans(rank, batch.completed);
-    }
-    pending_handoffs_.insert(pending_handoffs_.end(),
-                             std::make_move_iterator(batch.handoffs.begin()),
-                             std::make_move_iterator(batch.handoffs.end()));
+    agg()->absorb_spans(rank, mr.spans);
   }
 
   void absorb_flight_dump(std::uint32_t rank, wire::FlightDump&& fd) {
@@ -250,12 +232,6 @@ class Coordinator {
         auto mr = wire::decode_metrics_report(frame.payload);
         if (!mr.has_value()) break;
         absorb_metrics(rank, std::move(*mr));
-        return true;
-      }
-      case wire::FrameType::kSpanBatch: {
-        auto sb = wire::decode_span_batch(frame.payload);
-        if (!sb.has_value()) break;
-        absorb_span_batch(rank, std::move(*sb));
         return true;
       }
       case wire::FrameType::kFlightDump: {
@@ -415,28 +391,36 @@ class Coordinator {
   }
 
   void broadcast_step_go(std::uint64_t k, bool final_quantum) {
-    // Group the relayed deliveries by destination shard. The pending list
-    // is already in rank order (StepDones are absorbed rank 0..W-1); the
-    // per-destination stable sort by source node makes the receive order
-    // partition-invariant: a node's emissions stay in generation order,
-    // nodes are ordered by id.
-    std::vector<std::vector<wire::SdoDelivery>> per_rank(workers_n_);
-    for (const wire::SdoDelivery& d : pending_deliveries_) {
+    // Route the relayed deliveries to their destination shards in absorb
+    // order, each with the span riding it, re-indexed to the delivery's
+    // position in the destination's StepGo. No sort is needed for a
+    // partition-invariant receive order: StepDones are absorbed in rank
+    // order, ranks own ascending node ranges, and each worker's outbox is
+    // already in src_node order, so every destination receives its
+    // deliveries in src_node order, a node's in generation order.
+    std::vector<wire::StepGo> gos(workers_n_);
+    std::size_t next_span = 0;
+    for (std::size_t i = 0; i < pending_deliveries_.size(); ++i) {
+      const wire::SdoDelivery& d = pending_deliveries_[i];
+      const bool has_span = next_span < pending_spans_.size() &&
+                            pending_spans_[next_span].delivery == i;
       const std::uint32_t dest_node = g_.pe(PeId(d.dest_pe)).node.value();
       const std::uint32_t rank =
           owner_of_node(g_.node_count(), workers_n_, dest_node);
       if (!workers_[rank].alive) {
+        // The delivery dies with its shard; its span is counted too.
         if (stats_ != nullptr) ++stats_->relay_dropped;
-        continue;
+        if (has_span && agg() != nullptr) agg()->record_relay_dropped(rank, 1);
+      } else {
+        wire::StepGo& go = gos[rank];
+        if (has_span) {
+          go.spans.push_back(
+              {static_cast<std::uint32_t>(go.deliveries.size()),
+               pending_spans_[next_span].span});
+        }
+        go.deliveries.push_back(d);
       }
-      per_rank[rank].push_back(d);
-    }
-    for (auto& group : per_rank) {
-      std::stable_sort(group.begin(), group.end(),
-                       [](const wire::SdoDelivery& a,
-                          const wire::SdoDelivery& b) {
-                         return a.src_node < b.src_node;
-                       });
+      if (has_span) ++next_span;
     }
     std::stable_sort(pending_adverts_.begin(), pending_adverts_.end(),
                      [](const wire::Advert& a, const wire::Advert& b) {
@@ -448,41 +432,12 @@ class Coordinator {
         pending_congested_.end());
     std::sort(up_delta_.begin(), up_delta_.end());
 
-    // Span handoffs ride ahead of the StepGo that carries their matching
-    // deliveries; the worker stages them for exactly that one quantum.
-    // Handoffs addressed to a dead shard are telemetry lawfully lost (the
-    // deliveries themselves are dropped below), but counted.
-    if (!pending_handoffs_.empty()) {
-      std::vector<std::vector<wire::SpanHandoff>> per_dest(workers_n_);
-      for (wire::SpanHandoff& h : pending_handoffs_) {
-        if (h.dest_pe >= g_.pe_count()) continue;  // corrupt: drop
-        const std::uint32_t dest_node = g_.pe(PeId(h.dest_pe)).node.value();
-        const std::uint32_t rank =
-            owner_of_node(g_.node_count(), workers_n_, dest_node);
-        if (!workers_[rank].alive) {
-          if (agg() != nullptr) agg()->record_relay_dropped(rank, 1);
-          continue;
-        }
-        per_dest[rank].push_back(std::move(h));
-      }
-      for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
-        if (per_dest[rank].empty()) continue;
-        wire::SpanBatch sb;
-        sb.rank = rank;  // destination
-        sb.quantum = k;
-        sb.handoffs = std::move(per_dest[rank]);
-        send_frame(rank, wire::encode(sb));
-      }
-      pending_handoffs_.clear();
-    }
-
     for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
       WorkerSlot& w = workers_[rank];
       if (!w.alive) continue;
-      wire::StepGo go;
+      wire::StepGo& go = gos[rank];
       go.quantum = k;
       go.flags = final_quantum ? wire::kStepGoFinal : 0;
-      go.deliveries = std::move(per_rank[rank]);
       go.adverts = pending_adverts_;
       go.congested_pes = pending_congested_;
       go.down_nodes = down_nodes_;  // full current set: idempotent clamp
@@ -493,6 +448,7 @@ class Coordinator {
       send_frame(rank, wire::encode(go));
     }
     pending_deliveries_.clear();
+    pending_spans_.clear();
     pending_adverts_.clear();
     pending_congested_.clear();
     up_delta_.clear();
@@ -518,8 +474,11 @@ class Coordinator {
             bool telemetry_ok = true;
             if (frame.type == wire::FrameType::kStepDone) {
               auto done = wire::decode_step_done(frame.payload);
-              if (!done.has_value() || done->quantum != k) {
-                if (agg() != nullptr && !done.has_value()) {
+              // An index this coordinator would act on out of range is a
+              // malformed frame, rejected like one that failed to decode.
+              const bool usable = done.has_value() && in_range(*done);
+              if (!usable || done->quantum != k) {
+                if (agg() != nullptr && !usable) {
                   agg()->record_decode_reject(rank);
                 }
                 declare_dead(rank, &pending, &membership_changed);
@@ -589,9 +548,15 @@ class Coordinator {
     for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
       if (!dones[rank].has_value()) continue;
       wire::StepDone& done = *dones[rank];
+      const auto offset =
+          static_cast<std::uint32_t>(pending_deliveries_.size());
       pending_deliveries_.insert(pending_deliveries_.end(),
                                  done.deliveries.begin(),
                                  done.deliveries.end());
+      for (wire::SpanHandoff& h : done.spans) {
+        h.delivery += offset;
+        pending_spans_.push_back(h);
+      }
       pending_adverts_.insert(pending_adverts_.end(), done.adverts.begin(),
                               done.adverts.end());
       pending_congested_.insert(pending_congested_.end(),
@@ -619,6 +584,29 @@ class Coordinator {
     }
 
     if (membership_changed && options_.reoptimize) solve_and_push();
+  }
+
+  /// Whether every index in a worker's StepDone is one this coordinator
+  /// may act on: PE and node ids inside the graph, and span handoffs that
+  /// name the frame's own deliveries in increasing order.
+  [[nodiscard]] bool in_range(const wire::StepDone& done) const {
+    const auto pe_ok = [this](std::uint32_t pe) { return pe < g_.pe_count(); };
+    const auto node_ok = [this](std::uint32_t node) {
+      return node < g_.node_count();
+    };
+    std::uint64_t next = 0;  // least index the next handoff may name
+    for (const wire::SpanHandoff& h : done.spans) {
+      if (h.delivery < next || h.delivery >= done.deliveries.size()) {
+        return false;
+      }
+      next = std::uint64_t{h.delivery} + 1;
+    }
+    return std::ranges::all_of(done.deliveries, pe_ok,
+                               &wire::SdoDelivery::dest_pe) &&
+           std::ranges::all_of(done.adverts, pe_ok, &wire::Advert::pe) &&
+           std::ranges::all_of(done.congested_pes, pe_ok) &&
+           std::ranges::all_of(done.crashed_nodes, node_ok) &&
+           std::ranges::all_of(done.restored_nodes, node_ok);
   }
 
   /// Marks a worker dead: its shard's nodes go into the broadcast down
@@ -672,7 +660,6 @@ class Coordinator {
     }
     ++reoptimizations_;
     wire::Targets targets;
-    targets.revision = reoptimizations_;
     targets.cpu = cpu_;
     targets.rin = rin_;
     targets.rout = rout_;
@@ -705,8 +692,8 @@ class Coordinator {
             if (agg() != nullptr) agg()->record_heartbeat(rank);
             continue;
           }
-          // The worker ships its final telemetry (epoch metrics, completed
-          // spans, the shutdown flight dump) just before the Report.
+          // The worker ships its final telemetry (the last MetricsReport
+          // with its spans, a fault dump) just before the Report.
           bool telemetry_ok = true;
           if (consume_telemetry(rank, frame, &telemetry_ok) && telemetry_ok) {
             continue;
@@ -766,11 +753,10 @@ class Coordinator {
   std::vector<std::uint32_t> modeled_down_;
   std::vector<std::uint32_t> up_delta_;
   std::vector<wire::SdoDelivery> pending_deliveries_;
+  /// Spans riding pending_deliveries_, indexed into it, increasing.
+  std::vector<wire::SpanHandoff> pending_spans_;
   std::vector<wire::Advert> pending_adverts_;
   std::vector<std::uint32_t> pending_congested_;
-  /// Span handoffs awaiting relay to their destination shard (staged from
-  /// worker SpanBatches, flushed just before the next StepGo).
-  std::vector<wire::SpanHandoff> pending_handoffs_;
   /// Per-rank wall time of the last StepGo send, for the RTT gauge.
   std::vector<SteadyClock::time_point> go_sent_;
   std::uint64_t reoptimizations_ = 0;

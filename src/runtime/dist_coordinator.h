@@ -19,9 +19,10 @@
 //     any transport, produces byte-identical deterministic totals
 //     (events_executed, delivery fingerprints).
 //   * The coordinator relays in a fixed order — StepDones are merged in
-//     rank order and each destination's deliveries are stable-sorted by
-//     source node — so the receive order workers observe is independent
-//     of scheduling and of the partition.
+//     rank order, ranks own ascending node ranges, and each worker's
+//     outbox is already in source-node order, so every destination
+//     receives its deliveries in source-node order — and the receive order
+//     workers observe is independent of scheduling and of the partition.
 //
 // Failure path (the `prockill` fault clause): at the scheduled barrier the
 // coordinator SIGKILLs the worker process (abruptly closes its endpoint

@@ -9,17 +9,17 @@
 //    buffered into outboxes and delivered at the next barrier (the
 //    coordinator relays them, including a worker's own loopback traffic).
 //    Same-node sends are direct, as in the threaded runtime.
-//  * Inbound cross-node deliveries are applied in the coordinator's
-//    stable src_node order, which is partition-invariant because every
-//    worker steps its nodes in id order.
+//  * Inbound cross-node deliveries are applied in the order the
+//    coordinator relays them: the senders' outboxes concatenated in rank
+//    order. That is src_node order, whatever the partition: ranks own
+//    ascending node ranges, and every worker steps its nodes in id order,
+//    so its outbox is already sorted by source node.
 //  * Per-PE randomness (service model, arrival process, fault draws) is
 //    forked from the master seed by PE id — never by worker rank — so the
 //    partition does not perturb any stream.
 //  * Completions and drops inside quantum k are stamped at its end
 //    (k+1)·q; arrivals keep their exact birth times.
 #include "runtime/dist_worker.h"
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -28,16 +28,14 @@
 #include <cstring>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <map>
+#include <memory>
 #include <stop_token>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "common/atomic_shim.h"
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/rng.h"
@@ -178,7 +176,7 @@ class WorkerEngine {
       obs::SpanTracerOptions topt;
       topt.sample_rate = cfg.span_sample;
       topt.seed = cfg.seed;
-      topt.keep_completed = true;  // drained into SpanBatch each epoch
+      topt.keep_completed = true;  // drained into each MetricsReport
       tracer_ = std::make_unique<obs::SpanTracer>(topt);
     }
 
@@ -245,10 +243,7 @@ class WorkerEngine {
         wake.wait_for(mu, stop, interval, [] { return false; });
       }
       if (stop.stop_requested()) return;
-      wire::Heartbeat hb;
-      hb.rank = cfg_.rank;
-      hb.quantum = current_quantum_.load(std::memory_order_relaxed);
-      if (!ep_.send(wire::encode(hb))) return;
+      if (!ep_.send(wire::encode(wire::Heartbeat{}))) return;
     }
   }
 
@@ -269,28 +264,15 @@ class WorkerEngine {
         case wire::FrameType::kStepGo: {
           const auto go = wire::decode_step_go(frame.payload);
           if (!go.has_value()) return 1;
-          current_quantum_.store(go->quantum, std::memory_order_relaxed);
           if ((go->flags & wire::kStepGoFinal) != 0) {
-            if (!ship_telemetry(go->quantum, /*epoch=*/true, /*is_final=*/true))
-              return 1;
+            if (!ship_telemetry(go->quantum, /*epoch=*/true)) return 1;
             if (!ep_.send(wire::encode(make_report()))) return 1;
             break;  // stay in the loop until Shutdown
           }
           run_quantum(*go);
           const bool epoch = (go->quantum + 1) % cfg_.substeps == 0;
-          if (!ship_telemetry(go->quantum, epoch, /*is_final=*/false))
-            return 1;
+          if (!ship_telemetry(go->quantum, epoch)) return 1;
           if (!ep_.send(wire::encode(make_step_done(go->quantum)))) return 1;
-          break;
-        }
-        case wire::FrameType::kSpanBatch: {
-          // Handoffs relayed by the coordinator for deliveries arriving in
-          // the *next* StepGo; staged until apply_delivery matches them.
-          const auto batch = wire::decode_span_batch(frame.payload);
-          if (!batch.has_value()) return 1;
-          for (const wire::SpanHandoff& h : batch->handoffs) {
-            pending_handoffs_[{h.dest_pe, h.src_node, h.index}] = h.span;
-          }
           break;
         }
         case wire::FrameType::kShutdown:
@@ -308,7 +290,6 @@ class WorkerEngine {
     const Seconds vnow = static_cast<double>(k) * q_;
     const Seconds vend = static_cast<double>(k + 1) * q_;
     gauge_quantum_.set(static_cast<double>(k));
-    delivery_counts_.clear();
 
     // Membership first: a dead node's mailboxes clamp to r_max = 0 and an
     // infinitely stale timestamp, so both the staleness rule and the Eq. 8
@@ -340,11 +321,19 @@ class WorkerEngine {
     // on, and a restart admits this quantum's deliveries into empty queues.
     if (injector_ != nullptr) handle_crash_transitions(vnow);
 
-    // Inbound cross-node deliveries, in the coordinator's stable src_node
-    // order. Fault draws for a delivery happen here, on the worker hosting
-    // the target — the per-PE draw sequence is partition-invariant.
-    for (const wire::SdoDelivery& d : go.deliveries) {
-      apply_delivery(d, vnow);
+    // Inbound cross-node deliveries, in relay (src_node) order, each with
+    // the span riding it, if any. Fault draws for a delivery happen here,
+    // on the worker hosting the target — the per-PE draw sequence is
+    // partition-invariant.
+    std::size_t next_span = 0;
+    for (std::size_t i = 0; i < go.deliveries.size(); ++i) {
+      while (next_span < go.spans.size() && go.spans[next_span].delivery < i) {
+        ++next_span;  // out of order: belongs to no delivery
+      }
+      const bool has_span =
+          next_span < go.spans.size() && go.spans[next_span].delivery == i;
+      apply_delivery(go.deliveries[i],
+                     has_span ? &go.spans[next_span].span : nullptr, vnow);
     }
     if (lockstep_) {
       for (std::size_t n = node_begin_; n < node_end_; ++n) {
@@ -383,27 +372,18 @@ class WorkerEngine {
 
     generate_arrivals(vnow, vend);
     process_quantum(k, vnow, vend);
-    // Handoffs are staged for exactly one barrier; anything unmatched by
-    // now belongs to no delivery and is telemetry lawfully lost.
-    pending_handoffs_.clear();
   }
 
-  void apply_delivery(const wire::SdoDelivery& d, Seconds vnow) {
+  /// Applies one inbound delivery at `vnow`; `prefix` is the in-flight span
+  /// that rode it, or null.
+  void apply_delivery(const wire::SdoDelivery& d, const obs::SdoSpan* prefix,
+                      Seconds vnow) {
     if (d.dest_pe >= pes_.size()) return;  // corrupt frame: ignore
-    // Handoff re-attachment: the n-th delivery with this (dest_pe,
-    // src_node) key this quantum carries the n-th handoff shipped under
-    // the same key — exact, because one worker owns src_node and the
-    // coordinator preserves its outbox order.
     std::int32_t span = -1;
-    if (tracer_ != nullptr) {
-      const std::uint32_t index = delivery_counts_[{d.dest_pe, d.src_node}]++;
-      const auto it = pending_handoffs_.find({d.dest_pe, d.src_node, index});
-      if (it != pending_handoffs_.end()) {
-        span = tracer_->adopt(it->second);
-        tracer_->append_wire_hop(span, PeId(d.dest_pe),
-                                 obs::HopKind::kWireRecv, vnow);
-        pending_handoffs_.erase(it);
-      }
+    if (tracer_ != nullptr && prefix != nullptr) {
+      span = tracer_->adopt(*prefix);
+      tracer_->append_wire_hop(span, PeId(d.dest_pe), obs::HopKind::kWireRecv,
+                               vnow);
     }
     const auto& desc = graph_.pe(PeId(d.dest_pe));
     if (!owns_node(desc.node.value())) {
@@ -645,22 +625,16 @@ class WorkerEngine {
       d.src_node = graph_.pe(pe_id).node.value();
       d.birth = sdo.birth;
       if (tracer_ != nullptr && sdo.span >= 0) {
-        // The span leaves this process: stamp the serialization hop, then
-        // detach the prefix for the wire. Its occurrence index among this
-        // quantum's same-key deliveries is the re-attachment key (exact,
-        // because the coordinator relays this outbox in order). The
-        // kWireSend hop is stamped at ship time, kWireRecv at adoption.
+        // The span leaves this process with its SDO: stamp the
+        // serialization hop, then detach the prefix to ride the StepDone
+        // beside the delivery it names. The kWireSend hop is stamped when
+        // the StepDone is built, kWireRecv at adoption.
         tracer_->append_wire_hop(sdo.span, pe_id, obs::HopKind::kWireSerialize,
                                  vnow);
         wire::SpanHandoff h;
-        h.dest_pe = d.dest_pe;
-        h.src_node = d.src_node;
-        for (const wire::SdoDelivery& prev : delivery_outbox_) {
-          if (prev.dest_pe == d.dest_pe && prev.src_node == d.src_node)
-            ++h.index;
-        }
+        h.delivery = static_cast<std::uint32_t>(delivery_outbox_.size());
         if (tracer_->detach(sdo.span, &h.span)) {
-          handoff_outbox_.push_back(std::move(h));
+          span_outbox_.push_back(h);
         }
       }
       delivery_outbox_.push_back(d);
@@ -682,6 +656,23 @@ class WorkerEngine {
     done.quantum = quantum;
     done.deliveries = std::move(delivery_outbox_);
     delivery_outbox_.clear();
+    done.spans = std::move(span_outbox_);
+    span_outbox_.clear();
+    // The send hop: the spans leave this process at quantum end. The hop
+    // repeats the last-stamped PE (the serialization site).
+    const Seconds ship_time = static_cast<double>(quantum + 1) * q_;
+    for (wire::SpanHandoff& h : done.spans) {
+      obs::SdoSpan& s = h.span;
+      if (s.hop_count < obs::SdoSpan::kMaxHops) {
+        const std::uint32_t pe =
+            s.hop_count > 0 ? s.hops[s.hop_count - 1].pe : s.source_pe;
+        s.hops[s.hop_count++] = obs::SpanHop{
+            pe, static_cast<std::uint32_t>(obs::HopKind::kWireSend),
+            ship_time, ship_time, ship_time};
+      } else {
+        s.truncated = true;
+      }
+    }
     done.adverts = std::move(advert_outbox_);
     advert_outbox_.clear();
     if (lockstep_) {
@@ -703,7 +694,6 @@ class WorkerEngine {
 
   wire::Report make_report() {
     wire::Report out;
-    out.rank = cfg_.rank;
     // Utilization is computed against the *global* capacity so the merged
     // sum over workers equals the whole system's utilization.
     out.report = collector_.finalize(cfg_.duration, total_capacity_);
@@ -719,80 +709,32 @@ class WorkerEngine {
   }
 
   /// Ships the telemetry frames that precede the StepDone (or final
-  /// Report) closing quantum `quantum`. SpanBatch goes every quantum while
-  /// handoffs exist — the coordinator must relay them before the next
-  /// StepGo; completed spans, the MetricsReport, and flight-recorder
-  /// evidence ride the epoch cadence. Returns false on a dead endpoint.
-  bool ship_telemetry(std::uint64_t quantum, bool epoch, bool is_final) {
-    const Seconds ship_time = static_cast<double>(quantum + 1) * q_;
-    if (tracer_ != nullptr) {
-      std::vector<obs::SdoSpan> completed;
-      if (epoch || is_final) completed = tracer_->take_completed();
-      if (!handoff_outbox_.empty() || !completed.empty()) {
-        wire::SpanBatch batch;
-        batch.rank = cfg_.rank;
-        batch.quantum = quantum;
-        batch.completed = std::move(completed);
-        batch.handoffs = std::move(handoff_outbox_);
-        handoff_outbox_.clear();
-        for (wire::SpanHandoff& h : batch.handoffs) {
-          // The send hop: the span leaves this process at quantum end. The
-          // hop repeats the last-stamped PE (the serialization site).
-          obs::SdoSpan& s = h.span;
-          if (s.hop_count < obs::SdoSpan::kMaxHops) {
-            obs::SpanHop hop;
-            hop.pe = s.hop_count > 0 ? s.hops[s.hop_count - 1].pe
-                                     : s.source_pe;
-            hop.kind = static_cast<std::uint32_t>(obs::HopKind::kWireSend);
-            hop.enqueue = ship_time;
-            hop.dequeue = ship_time;
-            hop.emit = ship_time;
-            s.hops[s.hop_count++] = hop;
-          } else {
-            s.truncated = true;
-          }
-        }
-        if (!ep_.send(wire::encode(batch))) return false;
-      }
-    }
-    if (epoch || is_final) {
+  /// Report) closing quantum `quantum`: the MetricsReport, with the spans
+  /// finalized since the last one, when `epoch` (an epoch's last quantum,
+  /// or the final one), and the fault dump taken this quantum, if any.
+  /// Returns false on a dead endpoint.
+  bool ship_telemetry(std::uint64_t quantum, bool epoch) {
+    if (epoch) {
       if (!ep_.send(wire::encode(make_metrics_report(quantum)))) return false;
     }
-    if (tracer_ != nullptr) {
-      const std::uint64_t pushed = tracer_->recorder().pushed();
-      const bool ring_advanced =
-          (epoch || is_final) && pushed != last_shipped_pushed_;
-      if (pending_dump_ || ring_advanced) {
-        wire::FlightDump dump;
-        dump.rank = cfg_.rank;
-        dump.pushed = pushed;
-        if (pending_dump_ && !tracer_->dumps().empty()) {
-          // A fault fired this quantum: ship the post-mortem the tracer
-          // captured at the fault site, in-flight spans included.
-          const obs::FlightDump& src = tracer_->dumps().back();
-          dump.event = src.event;
-          dump.time = src.time;
-          dump.recent = src.recent;
-          dump.in_flight = src.in_flight;
-        } else {
-          // Routine evidence refresh: recent completions only. The
-          // coordinator keeps the newest dump per rank, so a prockill'd
-          // worker's final epoch survives the process.
-          dump.event = is_final ? "shutdown" : "epoch";
-          dump.time = ship_time;
-          dump.recent = tracer_->recorder().snapshot();
-        }
-        if (!ep_.send(wire::encode(dump))) return false;
-        pending_dump_ = false;
-        last_shipped_pushed_ = pushed;
-      }
+    if (pending_dump_ && !tracer_->dumps().empty()) {
+      // A fault fired this quantum: ship the post-mortem the tracer
+      // captured at the fault site, in-flight spans included.
+      const obs::FlightDump& src = tracer_->dumps().back();
+      wire::FlightDump dump;
+      dump.event = src.event;
+      dump.time = src.time;
+      dump.pushed = tracer_->recorder().pushed();
+      dump.recent = src.recent;
+      dump.in_flight = src.in_flight;
+      if (!ep_.send(wire::encode(dump))) return false;
     }
+    pending_dump_ = false;
     return true;
   }
 
   wire::MetricsReport make_metrics_report(std::uint64_t quantum) {
     wire::MetricsReport mr;
-    mr.rank = cfg_.rank;
     mr.quantum = quantum;
     const obs::MetricsSnapshot snap = counters_.snapshot();
     for (const auto& [name, value] : snap.counters) {
@@ -807,35 +749,14 @@ class WorkerEngine {
     for (const auto& [name, value] : snap.gauges) {
       mr.gauges.push_back({name, value});
     }
-    if (tracer_ != nullptr) {
-      // Whole-state snapshots (last-writer-wins per rank at the
-      // coordinator), mirroring what write_latency_prometheus exposes for
-      // a single-process run — that 1:1 shape is what the aggregation-
-      // invariance tests compare. A snapshot ships only when its sample
-      // count moved since this process last shipped it (a key seen for the
-      // first time always ships): counts only grow, so an unchanged count
-      // means the coordinator already holds this exact state.
-      const obs::LatencyRegistry& reg = tracer_->latency();
-      for (const auto& [pe, stats] : reg.pes()) {
-        const std::uint64_t count = stats.wait.count() + stats.service.count();
-        const auto [it, fresh] = shipped_pe_counts_.try_emplace(pe, count);
-        if (!fresh && it->second == count) continue;
-        it->second = count;
-        mr.pe_latency.push_back({pe, stats.wait, stats.service});
-      }
-      for (const auto& [id, stats] : reg.paths()) {
-        const std::uint64_t count = stats.end_to_end.count();
-        const auto [it, fresh] = shipped_path_counts_.try_emplace(id, count);
-        if (!fresh && it->second == count) continue;
-        it->second = count;
-        mr.path_latency.push_back({id, stats.label, stats.end_to_end});
-      }
-    }
     for (const obs::TimerSample& t : snap.timers) {
       mr.perf.push_back({t.name, t.calls, t.ns});
     }
     mr.trace = std::move(trace_buffer_);
     trace_buffer_.clear();
+    // Each finalized span travels once, here; the coordinator rebuilds this
+    // shard's latency histograms and flight ring from them.
+    if (tracer_ != nullptr) mr.spans = tracer_->take_completed();
     return mr;
   }
 
@@ -863,7 +784,6 @@ class WorkerEngine {
   std::vector<std::uint32_t> crashed_this_quantum_;
   std::vector<std::uint32_t> restored_this_quantum_;
   std::uint64_t events_executed_ = 0;
-  Atomic<std::uint64_t> current_quantum_{0};
 
   // ---- telemetry (tentpole: the distributed observability plane) -----
   obs::Registry counters_;
@@ -875,38 +795,21 @@ class WorkerEngine {
   obs::Gauge gauge_quantum_;
   obs::Timer tick_timer_;
   std::unique_ptr<obs::SpanTracer> tracer_;
-  /// Span prefixes leaving this worker, shipped in the quantum's SpanBatch.
-  std::vector<wire::SpanHandoff> handoff_outbox_;
-  /// Handoffs relayed by the coordinator, keyed (dest_pe, src_node, index),
-  /// staged for exactly one quantum (run_quantum clears after deliveries).
-  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
-           obs::SdoSpan>
-      pending_handoffs_;
-  /// Deliveries seen this quantum per (dest_pe, src_node) — the receiver
-  /// side of the occurrence-index handoff key.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t>
-      delivery_counts_;
+  /// Span prefixes leaving this worker, each naming its delivery in
+  /// `delivery_outbox_`; shipped in the quantum's StepDone.
+  std::vector<wire::SpanHandoff> span_outbox_;
   /// Control-tick records since the last MetricsReport (record_trace only).
   std::vector<obs::TickRecord> trace_buffer_;
   /// Counter values as of the last MetricsReport, for delta encoding.
   std::map<std::string, std::uint64_t> last_sent_counters_;
-  /// Sample counts of the latency snapshots last shipped, per PE (wait +
-  /// service) and per path: unchanged histograms are not re-sent.
-  std::map<std::uint32_t, std::uint64_t> shipped_pe_counts_;
-  std::map<std::uint64_t, std::uint64_t> shipped_path_counts_;
   /// A fault dump was taken this quantum and awaits shipping.
   bool pending_dump_ = false;
-  /// Recorder ring watermark at the last shipped FlightDump.
-  std::uint64_t last_shipped_pushed_ = 0;
 };
 
 }  // namespace
 
 int worker_entry(transport::Endpoint& endpoint, std::uint32_t rank) {
-  wire::Hello hello;
-  hello.rank = rank;
-  hello.pid = static_cast<std::uint64_t>(::getpid());
-  if (!endpoint.send(wire::encode(hello))) return 1;
+  if (!endpoint.send(wire::encode(wire::Hello{rank}))) return 1;
   wire::Frame frame;
   if (endpoint.recv(&frame, kCoordinatorTimeoutMs) !=
           transport::RecvStatus::kOk ||

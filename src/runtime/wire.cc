@@ -26,14 +26,14 @@ using Ref = std::conditional_t<Io::kReading, T&, const T&>;
 
 template <class Io>
 bool fields(Io& io, Ref<Io, Hello> v) {
-  return io(v.rank) && io(v.pid);
+  return io(v.rank);
 }
 
 template <class Io>
 bool fields(Io& io, Ref<Io, Config> v) {
   return io(v.rank) && io(v.num_workers) && io(v.substeps) && io(v.seed) &&
          io(v.duration) && io(v.warmup) && io(v.dt) && io(v.policy) &&
-         io(v.staleness) && io(v.batch) && io(v.channel_capacity) &&
+         io(v.staleness) && io(v.channel_capacity) &&
          io(v.heartbeat_interval) && io(v.start_quantum) && io(v.topology) &&
          io(v.faults) && io(v.plan_cpu) && io(v.plan_rin) &&
          io(v.plan_rout) && io(v.span_sample) && io(v.record_trace);
@@ -51,24 +51,25 @@ bool fields(Io& io, Ref<Io, Advert> v) {
 
 template <class Io>
 bool fields(Io& io, Ref<Io, StepGo> v) {
-  return io(v.quantum) && io(v.flags) && io(v.deliveries) && io(v.adverts) &&
-         io(v.congested_pes) && io(v.down_nodes) && io(v.up_nodes);
+  return io(v.quantum) && io(v.flags) && io(v.deliveries) && io(v.spans) &&
+         io(v.adverts) && io(v.congested_pes) && io(v.down_nodes) &&
+         io(v.up_nodes);
 }
 
 template <class Io>
 bool fields(Io& io, Ref<Io, StepDone> v) {
-  return io(v.quantum) && io(v.deliveries) && io(v.adverts) &&
+  return io(v.quantum) && io(v.deliveries) && io(v.spans) && io(v.adverts) &&
          io(v.congested_pes) && io(v.crashed_nodes) && io(v.restored_nodes);
 }
 
 template <class Io>
-bool fields(Io& io, Ref<Io, Heartbeat> v) {
-  return io(v.rank) && io(v.quantum);
+bool fields(Io& /*io*/, Ref<Io, Heartbeat> /*v*/) {
+  return true;
 }
 
 template <class Io>
 bool fields(Io& io, Ref<Io, Targets> v) {
-  return io(v.revision) && io(v.cpu) && io(v.rin) && io(v.rout);
+  return io(v.cpu) && io(v.rin) && io(v.rout);
 }
 
 /// The accumulator's raw parts, rebuilt bit-exactly with from_raw.
@@ -122,10 +123,9 @@ bool fields(Io& io, Ref<Io, metrics::RunReport> v) {
          io(v.events_executed) && io(v.reoptimizations);
 }
 
-/// The rank travels first, ahead of the report it tags.
 template <class Io>
 bool fields(Io& io, Ref<Io, Report> v) {
-  return io(v.rank) && io(v.report);
+  return io(v.report);
 }
 
 template <class Io>
@@ -136,16 +136,6 @@ bool fields(Io& io, Ref<Io, MetricsCounter> v) {
 template <class Io>
 bool fields(Io& io, Ref<Io, MetricsGauge> v) {
   return io(v.name) && io(v.value);
-}
-
-template <class Io>
-bool fields(Io& io, Ref<Io, PeLatencySnapshot> v) {
-  return io(v.pe) && io(v.wait) && io(v.service);
-}
-
-template <class Io>
-bool fields(Io& io, Ref<Io, PathLatencySnapshot> v) {
-  return io(v.id) && io(v.label) && io(v.end_to_end);
 }
 
 template <class Io>
@@ -161,13 +151,6 @@ bool fields(Io& io, Ref<Io, obs::TickRecord> v) {
          io(v.cpu_seconds_used) && io(v.advertised_rmax) &&
          io(v.downstream_rmax) && io(v.token_fill) && io(v.output_blocked) &&
          io(v.dropped_total) && io(v.fault_flags) && io(v.policy);
-}
-
-template <class Io>
-bool fields(Io& io, Ref<Io, MetricsReport> v) {
-  return io(v.rank) && io(v.quantum) && io(v.counters) && io(v.gauges) &&
-         io(v.pe_latency) && io(v.path_latency) && io(v.perf) &&
-         io(v.trace);
 }
 
 template <class Io>
@@ -206,18 +189,19 @@ bool fields(Io& io, Ref<Io, obs::SdoSpan> v) {
 
 template <class Io>
 bool fields(Io& io, Ref<Io, SpanHandoff> v) {
-  return io(v.dest_pe) && io(v.src_node) && io(v.index) && io(v.span);
+  return io(v.delivery) && io(v.span);
 }
 
 template <class Io>
-bool fields(Io& io, Ref<Io, SpanBatch> v) {
-  return io(v.rank) && io(v.quantum) && io(v.completed) && io(v.handoffs);
+bool fields(Io& io, Ref<Io, MetricsReport> v) {
+  return io(v.quantum) && io(v.counters) && io(v.gauges) && io(v.perf) &&
+         io(v.trace) && io(v.spans);
 }
 
 template <class Io>
 bool fields(Io& io, Ref<Io, FlightDump> v) {
-  return io(v.rank) && io(v.event) && io(v.time) && io(v.pushed) &&
-         io(v.recent) && io(v.in_flight);
+  return io(v.event) && io(v.time) && io(v.pushed) && io(v.recent) &&
+         io(v.in_flight);
 }
 
 // bool is an unsigned type to the Io classes: one byte, 0 or 1 when
@@ -501,9 +485,6 @@ std::vector<std::uint8_t> encode_shutdown() {
 std::vector<std::uint8_t> encode(const MetricsReport& v) {
   return encode_frame(FrameType::kMetricsReport, v);
 }
-std::vector<std::uint8_t> encode(const SpanBatch& v) {
-  return encode_frame(FrameType::kSpanBatch, v);
-}
 std::vector<std::uint8_t> encode(const FlightDump& v) {
   return encode_frame(FrameType::kFlightDump, v);
 }
@@ -540,10 +521,6 @@ std::optional<MetricsReport> decode_metrics_report(
     const std::vector<std::uint8_t>& payload, WireError* error) {
   return decode_payload<MetricsReport>(payload, error);
 }
-std::optional<SpanBatch> decode_span_batch(
-    const std::vector<std::uint8_t>& payload, WireError* error) {
-  return decode_payload<SpanBatch>(payload, error);
-}
 std::optional<FlightDump> decode_flight_dump(
     const std::vector<std::uint8_t>& payload, WireError* error) {
   return decode_payload<FlightDump>(payload, error);
@@ -560,7 +537,6 @@ const char* to_string(FrameType type) {
     case FrameType::kReport: return "report";
     case FrameType::kShutdown: return "shutdown";
     case FrameType::kMetricsReport: return "metrics_report";
-    case FrameType::kSpanBatch: return "span_batch";
     case FrameType::kFlightDump: return "flight_dump";
   }
   return "unknown";

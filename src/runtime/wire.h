@@ -45,15 +45,19 @@
 namespace aces::runtime::wire {
 
 inline constexpr std::uint16_t kMagic = 0xACE5;
-/// Version 2: Config grew span_sample/record_trace and the observability
-/// frames (MetricsReport/SpanBatch/FlightDump) joined the protocol.
-inline constexpr std::uint8_t kWireVersion = 2;
+/// Version 3: each span crosses the wire once. Finalized spans ride the
+/// epoch MetricsReport, an in-flight span rides the StepDone/StepGo that
+/// carries its SDO, the latency snapshots and SpanBatch are gone, and the
+/// fields nothing read (Config::batch, Hello::pid, the Heartbeat body,
+/// Targets::revision, the rank tags on Report/MetricsReport/FlightDump)
+/// are dropped. A version-2 peer is refused at the header.
+inline constexpr std::uint8_t kWireVersion = 3;
 /// Upper bound on a sane payload (config frames carry a whole topology, so
 /// this is generous; anything larger is treated as corruption).
 inline constexpr std::uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
 
 enum class FrameType : std::uint8_t {
-  kHello = 1,      ///< worker → coordinator: rank + pid after connect
+  kHello = 1,      ///< worker → coordinator: rank after connect
   kConfig = 2,     ///< coordinator → worker: everything needed to run
   kStepGo = 3,     ///< coordinator → worker: barrier release for a quantum
   kStepDone = 4,   ///< worker → coordinator: quantum finished + outboxes
@@ -61,9 +65,8 @@ enum class FrameType : std::uint8_t {
   kTargets = 6,    ///< coordinator → worker: tier-1 target vector push
   kReport = 7,     ///< worker → coordinator: partial RunReport at the end
   kShutdown = 8,   ///< coordinator → worker: exit cleanly
-  kMetricsReport = 9,  ///< worker → coordinator: epoch telemetry snapshot
-  kSpanBatch = 10,     ///< both ways: completed spans + cross-shard handoffs
-  kFlightDump = 11,    ///< worker → coordinator: flight-recorder evidence
+  kMetricsReport = 9,  ///< worker → coordinator: epoch telemetry + spans
+  kFlightDump = 10,    ///< worker → coordinator: fault-site evidence
 };
 
 /// One decoded frame: type + raw payload bytes.
@@ -79,11 +82,12 @@ struct WireError {
 
 // ---------------------------------------------------------------------------
 // Payload structs. The wire order of a struct's fields is the order of its
-// fields() list in wire.cc, not necessarily the declaration order here.
+// fields() list in wire.cc, not necessarily the declaration order here. The
+// coordinator knows a frame's rank from the endpoint it arrived on, so only
+// Hello (checked against the spawned rank) and Config carry one.
 
 struct Hello {
   std::uint32_t rank = 0;
-  std::uint64_t pid = 0;
 };
 
 /// Everything a worker process needs to reconstruct its shard: the topology
@@ -100,10 +104,6 @@ struct Config {
   double dt = 0.1;
   std::uint8_t policy = 0;      ///< control::FlowPolicy as u8
   double staleness = 0.0;       ///< advert_staleness_timeout
-  /// Unused: the barrier-stepped data plane has no channel batching. Kept
-  /// at its default so the version-2 bytes stay fixed until the next wire
-  /// version drops it.
-  std::uint32_t batch = 8;
   std::uint32_t channel_capacity = 0;
   double heartbeat_interval = 0.05;  ///< wall seconds between heartbeats
   std::uint64_t start_quantum = 0;   ///< barrier index to join at
@@ -116,14 +116,22 @@ struct Config {
   std::uint8_t record_trace = 0;     ///< ship per-tick control TraceRecords
 };
 
-/// One SDO crossing a node boundary. `src_node` orders deliveries
-/// deterministically at the receiver (stable sort by source node, which is
-/// partition-invariant because a worker always steps its nodes in id
-/// order); `birth` is the SDO's system-entry time for latency accounting.
+/// One SDO crossing a node boundary; `birth` is the SDO's system-entry
+/// time for latency accounting. `src_node` is the emitting node: the
+/// coordinator relays each worker's outbox unreordered, and an outbox is
+/// already in src_node order (see StepGo), so nothing sorts on it.
 struct SdoDelivery {
   std::uint32_t dest_pe = 0;
   std::uint32_t src_node = 0;
   double birth = 0.0;
+};
+
+/// An in-flight span travelling with its SDO: `delivery` indexes the
+/// `deliveries` of the frame that carries it. The handoffs of one frame are
+/// in increasing delivery order, at most one per delivery.
+struct SpanHandoff {
+  std::uint32_t delivery = 0;
+  obs::SdoSpan span;  ///< prefix; end < 0 (still in flight)
 };
 
 /// One refreshed advertisement mailbox: PE `pe` advertises input rate
@@ -135,12 +143,17 @@ struct Advert {
 };
 
 /// Barrier release for quantum `quantum`: the deliveries and adverts
-/// generated during quantum-1 that are addressed to this worker, the
-/// Lock-Step congested-PE set, and membership deltas.
+/// generated during quantum-1 that are addressed to this worker, the spans
+/// riding those deliveries, the Lock-Step congested-PE set, and membership
+/// deltas. The deliveries are the senders' outboxes concatenated in rank
+/// order, which is src_node order: ranks own ascending node ranges and each
+/// worker steps its nodes in id order, so the receive order does not depend
+/// on the partition.
 struct StepGo {
   std::uint64_t quantum = 0;
   std::uint8_t flags = 0;  ///< bit 0: final quantum — report and exit
   std::vector<SdoDelivery> deliveries;
+  std::vector<SpanHandoff> spans;  ///< handoffs into `deliveries`
   std::vector<Advert> adverts;
   std::vector<std::uint32_t> congested_pes;  ///< Lock-Step backpressure set
   std::vector<std::uint32_t> down_nodes;     ///< dead-worker membership
@@ -148,26 +161,25 @@ struct StepGo {
 };
 inline constexpr std::uint8_t kStepGoFinal = 1;
 
-/// Barrier completion: cross-node outboxes plus this worker's local fault
-/// transitions (crashed/restored node ids double as the event-driven
-/// reoptimize trigger the coordinator acts on).
+/// Barrier completion: cross-node outboxes (with the spans leaving this
+/// worker on those deliveries) plus this worker's local fault transitions
+/// (crashed/restored node ids double as the event-driven reoptimize
+/// trigger the coordinator acts on).
 struct StepDone {
   std::uint64_t quantum = 0;
   std::vector<SdoDelivery> deliveries;  ///< cross-worker outbox
+  std::vector<SpanHandoff> spans;       ///< handoffs into `deliveries`
   std::vector<Advert> adverts;          ///< locally refreshed mailboxes
   std::vector<std::uint32_t> congested_pes;   ///< local PEs holding backlog
   std::vector<std::uint32_t> crashed_nodes;   ///< reoptimize trigger
   std::vector<std::uint32_t> restored_nodes;  ///< reoptimize trigger
 };
 
-struct Heartbeat {
-  std::uint32_t rank = 0;
-  std::uint64_t quantum = 0;  ///< barrier the worker is computing
-};
+/// Liveness only: the frame's arrival is the whole message.
+struct Heartbeat {};
 
 /// Tier-1 target vector (full PE index space), pushed after a re-solve.
 struct Targets {
-  std::uint64_t revision = 0;
   std::vector<double> cpu;
   std::vector<double> rin;
   std::vector<double> rout;
@@ -178,7 +190,6 @@ struct Targets {
 /// from_raw) so the merged report is independent of the transport.
 struct Report {
   metrics::RunReport report;
-  std::uint64_t rank = 0;
 };
 
 /// One counter's increase since the worker's previous MetricsReport.
@@ -196,23 +207,6 @@ struct MetricsGauge {
   double value = 0.0;
 };
 
-/// Full wait/service histogram snapshot for one PE. Snapshots (not deltas)
-/// because LogHistogram merge is cheap and last-writer-wins per rank is
-/// idempotent; a worker sends one only when the PE's sample count changed.
-struct PeLatencySnapshot {
-  std::uint32_t pe = 0;
-  LogHistogram wait;
-  LogHistogram service;
-};
-
-/// End-to-end histogram snapshot for one root-to-sink path (splitmix64
-/// path id, so ids agree across shards and with the in-process build).
-struct PathLatencySnapshot {
-  std::uint64_t id = 0;
-  std::string label;
-  LogHistogram end_to_end;
-};
-
 /// One of the worker's timers: cumulative calls and nanoseconds.
 /// `controller_tick` is the only one, shipped when record_trace is set.
 struct PerfCell {
@@ -221,53 +215,28 @@ struct PerfCell {
   std::uint64_t ns = 0;
 };
 
-/// Epoch telemetry snapshot, sent immediately before the StepDone that
-/// closes a barrier epoch (every `substeps` quanta) and once more before
-/// the final Report. Counter deltas sum exactly at the coordinator;
-/// histograms/perf/gauges are whole-state last-writer-wins per rank, and a
-/// latency histogram is carried only when it changed since the last report.
+/// Epoch telemetry, sent immediately before the StepDone that closes a
+/// barrier epoch (every `substeps` quanta) and once more before the final
+/// Report. Counter deltas sum exactly at the coordinator; perf totals and
+/// gauges are whole-state last-writer-wins per rank. `spans` are the spans
+/// the worker finalized since its previous report, in finalize order: the
+/// coordinator rebuilds the shard's latency histograms and flight ring
+/// from them, so no histogram travels.
 struct MetricsReport {
-  std::uint32_t rank = 0;
   std::uint64_t quantum = 0;
   std::vector<MetricsCounter> counters;
   std::vector<MetricsGauge> gauges;
-  std::vector<PeLatencySnapshot> pe_latency;
-  std::vector<PathLatencySnapshot> path_latency;
   std::vector<PerfCell> perf;
   std::vector<obs::TickRecord> trace;  ///< control ticks since last report
+  std::vector<obs::SdoSpan> spans;     ///< finalized since last report
 };
 
-/// An in-flight span leaving its worker alongside an SdoDelivery. The
-/// receiver re-attaches it to the delivery with the same
-/// (dest_pe, src_node, occurrence index) key — exact, because the
-/// coordinator relays each source worker's deliveries in preserved order.
-struct SpanHandoff {
-  std::uint32_t dest_pe = 0;
-  std::uint32_t src_node = 0;
-  /// Occurrence index among this quantum's (dest_pe, src_node) deliveries.
-  std::uint32_t index = 0;
-  obs::SdoSpan span;  ///< prefix; end < 0 (still in flight)
-};
-
-/// Sampled-span traffic. Worker → coordinator: spans finalized this epoch
-/// plus handoffs for SDOs that left the shard this quantum (rank = sender).
-/// Coordinator → worker: the handoffs addressed to that worker, relayed
-/// just before the StepGo that carries the matching deliveries (rank =
-/// destination).
-struct SpanBatch {
-  std::uint32_t rank = 0;
-  std::uint64_t quantum = 0;
-  std::vector<obs::SdoSpan> completed;
-  std::vector<SpanHandoff> handoffs;
-};
-
-/// Flight-recorder evidence (obs::FlightDump plus provenance), shipped at
-/// epoch boundaries when the ring advanced, on fault dumps, and at
-/// shutdown. The coordinator retains the last one per rank, so a
-/// SIGKILLed worker's final milliseconds survive the process.
+/// Fault-site evidence (obs::FlightDump plus provenance), shipped at the
+/// end of a quantum in which a fault.* event fired. The coordinator keeps
+/// the newest one per rank, so a SIGKILLed worker's post-mortem survives
+/// the process.
 struct FlightDump {
-  std::uint32_t rank = 0;
-  std::string event;  ///< "epoch", a fault.* counter name, or "shutdown"
+  std::string event;  ///< the fault.* counter name
   double time = 0.0;  ///< virtual seconds of the snapshot
   std::uint64_t pushed = 0;  ///< recorder ring tickets at snapshot time
   std::vector<obs::SdoSpan> recent;
@@ -288,7 +257,6 @@ std::vector<std::uint8_t> encode(const Targets& v);
 std::vector<std::uint8_t> encode(const Report& v);
 std::vector<std::uint8_t> encode_shutdown();
 std::vector<std::uint8_t> encode(const MetricsReport& v);
-std::vector<std::uint8_t> encode(const SpanBatch& v);
 std::vector<std::uint8_t> encode(const FlightDump& v);
 
 std::optional<Hello> decode_hello(const std::vector<std::uint8_t>& payload,
@@ -306,8 +274,6 @@ std::optional<Targets> decode_targets(const std::vector<std::uint8_t>& payload,
 std::optional<Report> decode_report(const std::vector<std::uint8_t>& payload,
                                     WireError* error = nullptr);
 std::optional<MetricsReport> decode_metrics_report(
-    const std::vector<std::uint8_t>& payload, WireError* error = nullptr);
-std::optional<SpanBatch> decode_span_batch(
     const std::vector<std::uint8_t>& payload, WireError* error = nullptr);
 std::optional<FlightDump> decode_flight_dump(
     const std::vector<std::uint8_t>& payload, WireError* error = nullptr);

@@ -1,6 +1,7 @@
 #include "graph/processing_graph.h"
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -167,6 +168,28 @@ TEST(ProcessingGraphTest, AddPeValidatesDescriptor) {
   d.buffer_capacity = 10;
   d.service_time[0] = 0.0;
   EXPECT_THROW(g.add_pe(d), CheckFailure);
+}
+
+TEST(ProcessingGraphTest, AddPeBoundsSelectivity) {
+  // The PE kernel casts the selectivity credit to int and ⌊selectivity⌋ to
+  // size_t, and a Lock-Step PE pre-sizes its hold from it, so a value past
+  // kMaxSelectivity, or not finite, is refused where the graph is built.
+  ProcessingGraph g;
+  const NodeId n = g.add_node();
+  PeDescriptor d;
+  d.kind = PeKind::kIntermediate;
+  d.node = n;
+  for (const double bad : {1e30, 2 * kMaxSelectivity,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), -0.5}) {
+    d.selectivity = bad;
+    EXPECT_THROW(g.add_pe(d), CheckFailure) << bad;
+  }
+  EXPECT_EQ(g.pe_count(), 0u);
+  d.selectivity = kMaxSelectivity;
+  EXPECT_NO_THROW(g.add_pe(d));
+  d.selectivity = 0.0;
+  EXPECT_NO_THROW(g.add_pe(d));
 }
 
 TEST(ProcessingGraphTest, IngressRequiresStream) {

@@ -14,6 +14,7 @@
 // Runs on the in-process transport: the telemetry path (frames through the
 // coordinator, deltas, stitching) is identical across transports, and the
 // socket equivalence is pinned by transport_differential_test.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "control/config.h"
+#include "fault/fault_spec.h"
 #include "graph/topology_generator.h"
 #include "metrics/report_fingerprint.h"
 #include "obs/cluster_aggregate.h"
@@ -100,8 +102,9 @@ std::uint64_t prometheus_value(const obs::ClusterAggregator& agg,
 
 /// FNV-1a 64 over an exact serialization of a merged latency registry:
 /// every PE's wait/service and every path's end-to-end histogram, each as
-/// count, raw cells, and min/max/sum in hexfloat. Any snapshot that goes
-/// stale on its way to the aggregator changes it.
+/// count, raw cells, and min/max/sum in hexfloat. Any span that is lost,
+/// repeated or recorded differently on its way to the aggregator changes
+/// it.
 std::string latency_digest(const obs::LatencyRegistry& reg) {
   std::string text;
   auto hex = [&text](double v) {
@@ -248,10 +251,12 @@ TEST(DistObservabilityTest, MergedLatencyIsPartitionInvariant) {
   EXPECT_EQ(status_value(agg1, "aces_cluster_spans_completed"),
             status_value(agg3, "aces_cluster_spans_completed"));
 
-  // Pinned exposure: a histogram snapshot that stops reaching the
-  // aggregator changes the digest even if both runs go stale alike. The
-  // two differ only in the last bits of the float sums (shard merges add
-  // in a different order). Re-pin only for a deliberate behaviour change.
+  // Pinned exposure: the registries are rebuilt at the coordinator from
+  // the spans each shard ships, so a span that stops reaching the
+  // aggregator (or is recorded by a different rule than the workers' own)
+  // changes the digest even if both runs lose it alike. The two differ
+  // only in the last bits of the float sums (shard merges add in a
+  // different order). Re-pin only for a deliberate behaviour change.
   EXPECT_EQ(latency_digest(m1), "80b00cc0d117e809");
   EXPECT_EQ(latency_digest(m3), "8a3c5fc300ecbe2a");
 }
@@ -284,10 +289,11 @@ std::uint64_t bytes_from_workers(const obs::ClusterAggregator& agg) {
 }
 
 TEST(DistObservabilityTest, SpanSamplingAddsBoundedTelemetryBytes) {
-  // The paper-default topology has 60 PEs: a worker that re-sent every
-  // latency histogram it has touched at every epoch (3.3 KB per PE) would
-  // dwarf the barrier traffic. Histograms ship only when their sample
-  // count moved, so 1% sampling stays close to the untraced bytes.
+  // The paper-default topology has 60 PEs: a worker that re-sent its
+  // latency histograms (3.3 KB per PE) or its flight ring every epoch
+  // would dwarf the barrier traffic. No histogram travels and each
+  // sampled span crosses the wire once, so 1% sampling stays close to the
+  // untraced bytes.
   const graph::ProcessingGraph g =
       generate_topology(graph::TopologyParams{}, 1);
   const opt::AllocationPlan plan = opt::optimize(g);
@@ -304,6 +310,84 @@ TEST(DistObservabilityTest, SpanSamplingAddsBoundedTelemetryBytes) {
             1.5 * static_cast<double>(bare_bytes))
       << "sampled " << sampled_bytes << " B vs untraced " << bare_bytes
       << " B";
+}
+
+TEST(DistObservabilityTest, FaultFreeRunShipsNoFlightDumpAndRelaysNoTelemetry) {
+  const graph::ProcessingGraph g = test_graph();
+  const opt::AllocationPlan plan = opt::optimize(g);
+
+  obs::ClusterAggregator agg;
+  const runtime::dist::DistOptions o = options_with(3, &agg, 1.0);
+  runtime::dist::run_distributed(g, plan, o);
+
+  // The coordinator sends each shard one StepGo per quantum plus the final
+  // one, and nothing else it accounts: spans ride the StepGos.
+  const std::uint64_t step_gos =
+      static_cast<std::uint64_t>(std::llround(o.duration / o.dt)) *
+          o.substeps +
+      1;
+  const auto shards = agg.shard_statuses();
+  ASSERT_EQ(shards.size(), 3u);
+  for (const auto& [rank, status] : shards) {
+    EXPECT_EQ(status.frames_out, step_gos) << "shard " << rank;
+    EXPECT_EQ(status.flight_dumps, 0u) << "shard " << rank;
+    EXPECT_EQ(status_value(agg, "aces_shard_" + std::to_string(rank) +
+                                    "_flight_dumps"),
+              0u);
+  }
+  EXPECT_TRUE(agg.flight_dumps().empty());
+  // The standing evidence is there all the same, built from the spans.
+  const auto recent = agg.recent_spans();
+  EXPECT_EQ(recent.size(), 3u);
+  EXPECT_GT(status_value(agg, "aces_cluster_spans_stitched"), 0u);
+}
+
+TEST(DistObservabilityTest, CrashRunRetainsItsFaultDumpWithInFlightSpans) {
+  const graph::ProcessingGraph g = test_graph();
+  const opt::AllocationPlan plan = opt::optimize(g);
+
+  obs::ClusterAggregator agg;
+  runtime::dist::DistOptions o = options_with(3, &agg, 1.0);
+  o.faults = fault::parse_fault_spec("crash node=1 at=5 until=7");
+  runtime::dist::run_distributed(g, plan, o);
+
+  // Three shards over four nodes: rank 1 owns node 1 alone.
+  const auto dumps = agg.flight_dumps();
+  ASSERT_EQ(dumps.size(), 1u);
+  ASSERT_TRUE(dumps.contains(1));
+  const obs::ShardFlightDump& dump = dumps.at(1);
+  EXPECT_EQ(dump.event, "fault.node_crash");
+  EXPECT_NEAR(dump.time, 5.0, 1e-9);
+  EXPECT_FALSE(dump.in_flight.empty())
+      << "the crash caught no SDO in flight on the crashed shard";
+  for (const obs::SdoSpan& span : dump.in_flight) {
+    EXPECT_LT(span.end, 0.0) << "trace " << span.trace_id;
+  }
+  // Later spans extend the standing ring but leave the fault dump alone.
+  EXPECT_GT(agg.recent_spans().at(1).back().end, 7.0);
+  EXPECT_EQ(agg.shard_statuses().at(1).flight_dumps, 1u);
+}
+
+TEST(DistObservabilityTest, ProcKilledShardsLastSpansStayReadable) {
+  const graph::ProcessingGraph g = test_graph();
+  const opt::AllocationPlan plan = opt::optimize(g);
+
+  obs::ClusterAggregator agg;
+  runtime::dist::DistOptions o = options_with(3, &agg, 1.0);
+  o.faults = fault::parse_fault_spec("prockill node=1 at=6");
+  runtime::dist::run_distributed(g, plan, o);
+
+  ASSERT_FALSE(agg.shard_statuses().at(1).alive);
+  const auto recent = agg.recent_spans();
+  ASSERT_TRUE(recent.contains(1)) << "the dead shard's spans are gone";
+  const std::vector<obs::SdoSpan>& last = recent.at(1);
+  EXPECT_FALSE(last.empty());
+  EXPECT_LE(last.size(), obs::SpanTracerOptions{}.ring_capacity);
+  // The shard's final epoch report arrived before the kill; nothing it
+  // shipped ends after it.
+  for (const obs::SdoSpan& span : last) {
+    EXPECT_LE(span.end, 6.0 + 1e-9) << "trace " << span.trace_id;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -16,11 +17,61 @@
 #include <gtest/gtest.h>
 
 #include "common/histogram.h"
+#include "common/rng.h"
 #include "obs/latency.h"
 #include "obs/spans.h"
 
 namespace aces::obs {
 namespace {
+
+constexpr auto kPe = static_cast<std::uint32_t>(HopKind::kPe);
+
+/// A finalized span through `pes`, one second per hop: a quarter waiting,
+/// the rest in service. `dropped` ends it early, as a crash or drop does.
+SdoSpan span_through(std::uint64_t trace_id,
+                     const std::vector<std::uint32_t>& pes, double start,
+                     bool dropped = false) {
+  SdoSpan span;
+  span.trace_id = trace_id;
+  span.source_pe = pes.front();
+  span.start = start;
+  double t = start;
+  for (const std::uint32_t pe : pes) {
+    span.hops[span.hop_count++] = {pe, kPe, t, t + 0.25, t + 1.0};
+    t += 1.0;
+  }
+  span.end = t;
+  span.dropped = dropped;
+  return span;
+}
+
+/// Every histogram of `a` and `b` equal bit for bit: counts, raw cells,
+/// min, max and sum.
+void expect_registries_equal(const LatencyRegistry& a,
+                             const LatencyRegistry& b) {
+  const auto same = [](const LogHistogram& x, const LogHistogram& y) {
+    EXPECT_EQ(x.count(), y.count());
+    EXPECT_EQ(x.raw_counts(), y.raw_counts());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.min()),
+              std::bit_cast<std::uint64_t>(y.min()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.max()),
+              std::bit_cast<std::uint64_t>(y.max()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.sum()),
+              std::bit_cast<std::uint64_t>(y.sum()));
+  };
+  ASSERT_EQ(a.pes().size(), b.pes().size());
+  for (const auto& [pe, stats] : a.pes()) {
+    ASSERT_TRUE(b.pes().contains(pe)) << "pe " << pe;
+    same(stats.wait, b.pes().at(pe).wait);
+    same(stats.service, b.pes().at(pe).service);
+  }
+  ASSERT_EQ(a.paths().size(), b.paths().size());
+  for (const auto& [id, stats] : a.paths()) {
+    ASSERT_TRUE(b.paths().contains(id)) << stats.label;
+    EXPECT_EQ(stats.label, b.paths().at(id).label);
+    same(stats.end_to_end, b.paths().at(id).end_to_end);
+  }
+}
 
 std::size_t count_occurrences(const std::string& text,
                               const std::string& needle) {
@@ -66,6 +117,10 @@ TEST(ClusterAggregatorTest, ShardLifecycleAndQuantumWatermark) {
   agg.note_shard_dead(1);
   EXPECT_EQ(agg.shard_count(), 2u);
   EXPECT_EQ(agg.shards_alive(), 1u);
+
+  // A respawned worker says Hello again: its shard is alive once more.
+  agg.note_shard(1);
+  EXPECT_EQ(agg.shards_alive(), 2u);
 }
 
 TEST(ClusterAggregatorTest, FlightDumpSurvivesShardDeath) {
@@ -73,52 +128,148 @@ TEST(ClusterAggregatorTest, FlightDumpSurvivesShardDeath) {
   ShardFlightDump dump;
   dump.event = "fault.pe_stall";
   dump.time = 12.5;
-  SdoSpan span;
-  span.trace_id = 42;
-  span.start = 1.0;
-  span.end = 2.0;
-  dump.recent.push_back(span);
+  dump.recent.push_back(span_through(42, {3}, 1.0));
   agg.absorb_flight_dump(1, dump);
+  std::vector<SdoSpan> spans;
+  const std::size_t ring = SpanTracerOptions{}.ring_capacity;
+  for (std::uint64_t i = 0; i < ring + 10; ++i) {
+    spans.push_back(span_through(i, {3, 4}, static_cast<double>(i)));
+  }
+  agg.absorb_spans(1, spans);
   agg.note_shard_dead(1);
 
+  // Both kinds of evidence outlive the shard, kept apart.
   const auto dumps = agg.flight_dumps();
   ASSERT_TRUE(dumps.contains(1));
   EXPECT_EQ(dumps.at(1).event, "fault.pe_stall");
   EXPECT_EQ(dumps.at(1).recent.size(), 1u);
   EXPECT_FALSE(agg.shard_statuses().at(1).alive);
+  EXPECT_EQ(agg.shard_statuses().at(1).flight_dumps, 1u);
+  const auto recent = agg.recent_spans();
+  ASSERT_TRUE(recent.contains(1));
+  ASSERT_EQ(recent.at(1).size(), ring);  // the newest ring_capacity spans
+  EXPECT_EQ(recent.at(1).front().trace_id, 10u);
+  EXPECT_EQ(recent.at(1).back().trace_id, ring + 9);
 
-  // A later dump replaces the retained one (last evidence wins).
-  dump.event = "shutdown";
+  // Spans arriving later extend the ring; they never overwrite the fault
+  // dump. Only a newer fault dump replaces it.
+  agg.absorb_spans(1, {span_through(9999, {3}, 500.0)});
+  EXPECT_EQ(agg.flight_dumps().at(1).event, "fault.pe_stall");
+  EXPECT_EQ(agg.recent_spans().at(1).back().trace_id, 9999u);
+  dump.event = "fault.node_crash";
   agg.absorb_flight_dump(1, dump);
-  EXPECT_EQ(agg.flight_dumps().at(1).event, "shutdown");
+  EXPECT_EQ(agg.flight_dumps().at(1).event, "fault.node_crash");
+
+  std::ostringstream report;
+  agg.write_report(report);
+  EXPECT_NE(report.str().find("shard 1 [DEAD]: " + std::to_string(ring) +
+                              " recent spans"),
+            std::string::npos)
+      << report.str();
+  EXPECT_NE(report.str().find("fault dump event=fault.node_crash"),
+            std::string::npos);
 }
 
 TEST(ClusterAggregatorTest, MergedLatencyIsBucketExact) {
-  LogHistogram wait0, service0, wait1, service1;
-  for (int i = 0; i < 100; ++i) wait0.add(0.001 * (i + 1));
-  for (int i = 0; i < 50; ++i) service0.add(0.01);
-  for (int i = 0; i < 30; ++i) wait1.add(0.002);
-  service1.add(0.5);
+  const std::vector<SdoSpan> shard0 = {span_through(1, {7, 8}, 0.0),
+                                       span_through(2, {7}, 0.5, true)};
+  const std::vector<SdoSpan> shard1 = {span_through(3, {5, 7}, 1.0)};
 
   ClusterAggregator agg;
-  agg.absorb_pe_latency(0, 7, wait0, service0);
-  agg.absorb_pe_latency(1, 7, wait1, service1);
-  // Re-absorbing the same shard snapshot must replace, not double-count.
-  agg.absorb_pe_latency(0, 7, wait0, service0);
+  agg.absorb_spans(0, shard0);
+  agg.absorb_spans(1, shard1);
 
-  LogHistogram expected_wait = wait0;
-  expected_wait.merge(wait1);
-  LogHistogram expected_service = service0;
-  expected_service.merge(service1);
-
+  LatencyRegistry expected;
+  for (const auto* spans : {&shard0, &shard1}) {
+    LatencyRegistry one_shard;
+    for (const SdoSpan& span : *spans) record_span_latency(one_shard, span);
+    expected.merge(one_shard);
+  }
   const LatencyRegistry merged = agg.merged_latency();
-  ASSERT_TRUE(merged.pes().contains(7));
-  const auto& stats = merged.pes().at(7);
-  EXPECT_EQ(stats.wait.count(), expected_wait.count());
-  EXPECT_DOUBLE_EQ(stats.wait.sum(), expected_wait.sum());
-  EXPECT_EQ(stats.wait.raw_counts(), expected_wait.raw_counts());
-  EXPECT_EQ(stats.service.count(), expected_service.count());
-  EXPECT_EQ(stats.service.raw_counts(), expected_service.raw_counts());
+  expect_registries_equal(merged, expected);
+  // PE 7 was visited by all three spans, the dropped one included; only
+  // the two completed spans are end-to-end samples.
+  EXPECT_EQ(merged.pes().at(7).wait.count(), 3u);
+  EXPECT_EQ(merged.paths().size(), 2u);
+}
+
+TEST(ClusterAggregatorTest, SpansFromATracerRebuildItsLatencyRegistry) {
+  // A traced, shuffled workload on one tracer: spans start, visit PEs,
+  // cross a wire boundary, complete, get dropped, or are still in flight
+  // when the epochs are drained.
+  SpanTracerOptions options;
+  options.sample_rate = 1.0;
+  options.keep_completed = true;
+  SpanTracer tracer(options);
+  ClusterAggregator agg;
+  Rng rng(0x5A11);
+  std::vector<std::int32_t> live;
+  double now = 0.0;
+  for (int step = 0; step < 4000; ++step) {
+    now += rng.exponential(0.01);
+    const auto roll = rng.uniform_int(0, 9);
+    if (live.empty() || roll == 0) {
+      const auto pe = static_cast<std::uint32_t>(rng.uniform_int(0, 5));
+      const std::int32_t h = tracer.begin(PeId(pe), now);
+      tracer.on_enqueue(h, PeId(pe), now);
+      live.push_back(h);
+      continue;
+    }
+    const auto at = static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(live.size()) - 1));
+    const std::int32_t h = live[at];
+    if (roll <= 5) {
+      // Service the current hop and move to a random next PE, sometimes
+      // through a wire crossing.
+      tracer.on_dequeue(h, now);
+      tracer.on_emit(h, now + rng.exponential(0.002));
+      if (roll == 5) {
+        tracer.append_wire_hop(h, PeId(0), HopKind::kWireSerialize, now);
+        tracer.append_wire_hop(h, PeId(0), HopKind::kWireRecv, now);
+      }
+      const auto next = static_cast<std::uint32_t>(rng.uniform_int(0, 5));
+      tracer.on_enqueue(h, PeId(next), now);
+    } else {
+      tracer.on_dequeue(h, now);
+      tracer.on_emit(h, now);
+      if (roll == 9) {
+        tracer.drop(h, now);
+      } else {
+        tracer.complete(h, now);
+      }
+      live[at] = live.back();
+      live.pop_back();
+    }
+    if (step % 97 == 0) agg.absorb_spans(0, tracer.take_completed());
+  }
+  agg.absorb_spans(0, tracer.take_completed());
+
+  ASSERT_GT(tracer.spans_completed(), 100u);
+  ASSERT_GT(tracer.spans_dropped(), 10u);
+  expect_registries_equal(agg.merged_latency(), tracer.latency());
+}
+
+TEST(ClusterAggregatorTest, SlowestSpansAndMeansCountOnlyCompletedSpans) {
+  // A crash-ended span can be slower than anything that completed; it is
+  // still a span (counted), but not an end-to-end sample.
+  SdoSpan slow_dropped = span_through(1, {1, 2, 3, 4}, 0.0, true);
+  SdoSpan fast = span_through(2, {1, 2}, 0.0);
+  ASSERT_GT(slow_dropped.latency(), fast.latency());
+  ClusterAggregator agg;
+  agg.absorb_spans(0, {slow_dropped, fast});
+
+  std::ostringstream report;
+  agg.write_report(report);
+  const std::string text = report.str();
+  EXPECT_NE(text.find("trace 2 path 1>2"), std::string::npos) << text;
+  EXPECT_EQ(text.find("trace 1 path"), std::string::npos) << text;
+  std::ostringstream status;
+  agg.write_status(status);
+  EXPECT_NE(status.str().find("aces_cluster_spans_completed 2\n"),
+            std::string::npos);
+  EXPECT_NE(status.str().find("aces_cluster_compute_seconds_mean 2\n"),
+            std::string::npos)
+      << status.str();
 }
 
 TEST(ClusterAggregatorTest, StitchedSpanAccounting) {
@@ -139,7 +290,7 @@ TEST(ClusterAggregatorTest, StitchedSpanAccounting) {
   stitched.hop_count = 3;
 
   ClusterAggregator agg;
-  agg.absorb_completed_spans(0, {local, stitched});
+  agg.absorb_spans(0, {local, stitched});
 
   std::ostringstream status;
   agg.write_status(status);
@@ -147,7 +298,8 @@ TEST(ClusterAggregatorTest, StitchedSpanAccounting) {
             std::string::npos);
   EXPECT_NE(status.str().find("aces_cluster_spans_stitched 1"),
             std::string::npos);
-  EXPECT_EQ(agg.shard_statuses().at(0).span_batches, 1u);
+  EXPECT_EQ(status.str().find("span_batches"), std::string::npos);
+  EXPECT_EQ(agg.recent_spans().at(0).size(), 2u);
 }
 
 TEST(ClusterAggregatorTest, StatusLineProtocolIsGrepStable) {
@@ -190,14 +342,12 @@ TEST(ClusterAggregatorTest, StatusLineProtocolIsGrepStable) {
 }
 
 TEST(ClusterAggregatorTest, PrometheusEscapesPathologicalLabels) {
-  // A hostile path label exercising all three defined escapes; the PE
-  // family goes through the same emitters with a numeric label.
+  // A hostile worker-supplied name exercising all three defined escapes;
+  // the latency families go through the same emitters with numeric labels.
   const std::string evil = "in\"gress\\mid\negress";
-  LogHistogram h;
-  h.add(0.01);
   ClusterAggregator agg;
-  agg.absorb_path_latency(0, 99, evil, h);
   agg.absorb_gauge(0, evil, 1.5);
+  agg.absorb_counters(0, {{evil, 2}});
 
   std::ostringstream os;
   agg.write_prometheus(os);
@@ -216,9 +366,6 @@ TEST(ClusterAggregatorTest, PrometheusEscapesPathologicalLabels) {
 }
 
 TEST(ClusterAggregatorTest, PrometheusHeadersOncePerFamily) {
-  LogHistogram h;
-  h.add(0.01);
-  h.add(0.2);
   ClusterAggregator agg;
   for (std::uint32_t rank = 0; rank < 3; ++rank) {
     agg.note_shard(rank);
@@ -226,8 +373,7 @@ TEST(ClusterAggregatorTest, PrometheusHeadersOncePerFamily) {
     agg.record_rtt(rank, 0.001);
     agg.absorb_counters(rank, {{"dist.sdo.arrived", 5}});
     agg.absorb_gauge(rank, "dist.quantum", 10.0);
-    agg.absorb_pe_latency(rank, rank, h, h);
-    agg.absorb_path_latency(rank, rank, "a>b", h);
+    agg.absorb_spans(rank, {span_through(rank, {rank, rank + 1}, 0.0)});
     agg.absorb_perf(rank, "quantum", 10, 1000);
   }
 

@@ -7,7 +7,7 @@
 //   3. valid frames truncated or extended at random points.
 //
 // Surfaces 2 and 3 start from a fresh StepGo or Targets each iteration plus
-// one fixed valid frame of each of the 11 types in turn.
+// one fixed valid frame of each of the 10 types in turn.
 //
 // The contract under test is narrow and absolute: decoders return
 // std::nullopt with a non-empty WireError reason — they never crash, never
@@ -36,18 +36,23 @@ int decode_all(const std::vector<std::uint8_t>& payload) {
   ok += decode_targets(payload, &err).has_value() ? 1 : 0;
   ok += decode_report(payload, &err).has_value() ? 1 : 0;
   ok += decode_metrics_report(payload, &err).has_value() ? 1 : 0;
-  ok += decode_span_batch(payload, &err).has_value() ? 1 : 0;
   ok += decode_flight_dump(payload, &err).has_value() ? 1 : 0;
   return ok;
 }
 
-/// One seeded valid frame of each of the 11 types, so the mutation and
-/// resize loops reach every decoder past its first few fields.
+/// One seeded valid frame of each of the 10 types, so the mutation and
+/// resize loops reach every decoder past its first few fields. The barrier
+/// frames carry a span handoff each.
 std::vector<std::vector<std::uint8_t>> valid_frames(Rng& rng) {
   const auto id = [&rng] {
     return static_cast<std::uint32_t>(rng.uniform_int(0, 1000));
   };
-  const Hello hello{id(), id()};
+  obs::SdoSpan span;
+  span.trace_id = id();
+  span.hop_count = 2;
+  span.hops[0].pe = id();
+  span.hops[1].kind = static_cast<std::uint32_t>(obs::HopKind::kWireRecv);
+  const Hello hello{id()};
   Config config;
   config.rank = id();
   config.topology = "node 0 cpu=1";
@@ -58,6 +63,7 @@ std::vector<std::vector<std::uint8_t>> valid_frames(Rng& rng) {
   StepGo go;
   go.quantum = id();
   go.deliveries.push_back(SdoDelivery{id(), id(), rng.uniform()});
+  go.spans.push_back(SpanHandoff{0, span});
   go.adverts.push_back(Advert{id(), rng.uniform(), rng.uniform()});
   go.congested_pes = {id()};
   go.down_nodes = {id()};
@@ -65,53 +71,37 @@ std::vector<std::vector<std::uint8_t>> valid_frames(Rng& rng) {
   StepDone done;
   done.quantum = id();
   done.deliveries.push_back(SdoDelivery{id(), id(), rng.uniform()});
+  done.spans.push_back(SpanHandoff{0, span});
   done.adverts.push_back(Advert{id(), rng.uniform(), rng.uniform()});
   done.crashed_nodes = {id()};
   done.restored_nodes = {id()};
-  const Heartbeat heartbeat{id(), id()};
   Targets targets;
-  targets.revision = id();
   targets.cpu = {rng.uniform()};
   targets.rout = {rng.uniform(), rng.uniform()};
   Report report;
-  report.rank = id();
   report.report.latency.add(rng.uniform());
   report.report.latency_histogram.add(rng.uniform());
   report.report.egress_outputs = {id()};
   report.report.per_pe.push_back(
       metrics::PeAccounting{id(), id(), id(), id(), rng.uniform()});
   MetricsReport metrics;
-  metrics.rank = id();
+  metrics.quantum = id();
   metrics.counters.push_back({"sdos", id()});
   metrics.gauges.push_back({"fill", rng.uniform()});
-  PeLatencySnapshot pe;
-  pe.pe = id();
-  pe.wait.add(rng.uniform());
-  metrics.pe_latency.push_back(pe);
-  PathLatencySnapshot path;
-  path.label = "0>1";
-  path.end_to_end.add(rng.uniform());
-  metrics.path_latency.push_back(path);
   metrics.perf.push_back({"tick", id(), id()});
   obs::TickRecord tick;
   tick.pe = id();
   tick.policy = "aces";
   metrics.trace.push_back(tick);
-  obs::SdoSpan span;
-  span.trace_id = id();
-  span.hop_count = 2;
-  span.hops[0].pe = id();
-  span.hops[1].kind = static_cast<std::uint32_t>(obs::HopKind::kWireRecv);
-  SpanBatch batch;
-  batch.completed.push_back(span);
-  batch.handoffs.push_back(SpanHandoff{id(), id(), 0, span});
+  metrics.spans.push_back(span);
   FlightDump dump;
-  dump.event = "epoch";
+  dump.event = "fault.node_crash";
   dump.recent.push_back(span);
   dump.in_flight.push_back(span);
-  return {encode(hello), encode(config), encode(go), encode(done),
-          encode(heartbeat), encode(targets), encode(report),
-          encode_shutdown(), encode(metrics), encode(batch), encode(dump)};
+  return {encode(hello),  encode(config),      encode(go),
+          encode(done),   encode(Heartbeat{}), encode(targets),
+          encode(report), encode_shutdown(),   encode(metrics),
+          encode(dump)};
 }
 
 /// XORs 1–8 random bytes anywhere in the frame, header included.

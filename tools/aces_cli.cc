@@ -504,18 +504,27 @@ void write_cluster_trace_file(const std::string& path,
             << path << '\n';
 }
 
-/// Stderr notice for retained flight-recorder evidence (the prockill
-/// post-mortem the coordinator keeps after the worker process is gone).
+/// Stderr notice for retained flight-recorder evidence: each shard's
+/// standing ring of recent spans and its newest fault dump, both kept by
+/// the coordinator after the worker process is gone.
 void print_flight_dump_notice(const obs::ClusterAggregator& aggregator) {
-  const auto statuses = aggregator.shard_statuses();
-  for (const auto& [rank, dump] : aggregator.flight_dumps()) {
-    const auto it = statuses.find(rank);
-    const bool dead = it != statuses.end() && !it->second.alive;
-    std::cerr << "flight dump retained for shard " << rank
-              << (dead ? " [DEAD]" : "") << ": event=" << dump.event
-              << " t=" << harness::cell(dump.time, 2) << "s, "
-              << dump.recent.size() << " recent, " << dump.in_flight.size()
-              << " in-flight spans\n";
+  const auto recent = aggregator.recent_spans();
+  const auto dumps = aggregator.flight_dumps();
+  for (const auto& [rank, status] : aggregator.shard_statuses()) {
+    const auto ring = recent.find(rank);
+    const auto dump = dumps.find(rank);
+    if (ring == recent.end() && dump == dumps.end()) continue;
+    std::cerr << "flight evidence retained for shard " << rank
+              << (status.alive ? "" : " [DEAD]") << ": "
+              << (ring == recent.end() ? 0 : ring->second.size())
+              << " recent spans";
+    if (dump != dumps.end()) {
+      std::cerr << "; fault dump event=" << dump->second.event
+                << " t=" << harness::cell(dump->second.time, 2) << "s, "
+                << dump->second.recent.size() << " recent, "
+                << dump->second.in_flight.size() << " in-flight spans";
+    }
+    std::cerr << '\n';
   }
 }
 
