@@ -156,7 +156,7 @@ void ClusterAggregator::absorb_spans(std::uint32_t rank,
 }
 
 void ClusterAggregator::absorb_flight_dump(std::uint32_t rank,
-                                           ShardFlightDump dump) {
+                                           FlightDump dump) {
   MutexLock lock(mutex_);
   Shard& s = shard(rank);
   s.status.flight_dumps += 1;
@@ -217,10 +217,10 @@ ClusterAggregator::recent_spans() const {
   return out;
 }
 
-std::map<std::uint32_t, ShardFlightDump> ClusterAggregator::flight_dumps()
+std::map<std::uint32_t, FlightDump> ClusterAggregator::flight_dumps()
     const {
   MutexLock lock(mutex_);
-  std::map<std::uint32_t, ShardFlightDump> out;
+  std::map<std::uint32_t, FlightDump> out;
   for (const auto& [rank, s] : shards_) {
     if (s.dump.has_value()) out.emplace(rank, *s.dump);
   }

@@ -57,15 +57,6 @@
 
 namespace aces::obs {
 
-/// A shard's newest fault-site dump, with provenance.
-struct ShardFlightDump {
-  std::string event;  ///< the fault.* counter name
-  double time = 0.0;  ///< virtual seconds of the snapshot
-  std::uint64_t pushed = 0;  ///< recorder ring tickets at snapshot time
-  std::vector<SdoSpan> recent;
-  std::vector<SdoSpan> in_flight;
-};
-
 /// Control-plane health of one worker shard as the coordinator sees it.
 struct ShardStatus {
   bool alive = true;
@@ -137,7 +128,7 @@ class ClusterAggregator {
       ACES_EXCLUDES(mutex_);
   /// Retains `dump` as the shard's newest fault dump, apart from its
   /// standing ring.
-  void absorb_flight_dump(std::uint32_t rank, ShardFlightDump dump)
+  void absorb_flight_dump(std::uint32_t rank, FlightDump dump)
       ACES_EXCLUDES(mutex_);
 
   // --- render side (status endpoint, CLI, tests) -------------------------
@@ -158,7 +149,7 @@ class ClusterAggregator {
   [[nodiscard]] std::map<std::uint32_t, std::vector<SdoSpan>> recent_spans()
       const ACES_EXCLUDES(mutex_);
   /// Each shard's newest fault dump. Shards without one are absent.
-  [[nodiscard]] std::map<std::uint32_t, ShardFlightDump> flight_dumps() const
+  [[nodiscard]] std::map<std::uint32_t, FlightDump> flight_dumps() const
       ACES_EXCLUDES(mutex_);
   /// All absorbed control-tick records, shard-stamped, sorted by
   /// (time, node, pe, shard) so the trace exporters emit deterministically.
@@ -187,7 +178,7 @@ class ClusterAggregator {
     LatencyRegistry latency;     // rebuilt from the shard's spans
     std::deque<SdoSpan> recent;  // standing flight ring, oldest first
     std::map<std::string, PerfTotals> perf;
-    std::optional<ShardFlightDump> dump;  // newest fault dump
+    std::optional<FlightDump> dump;  // newest fault dump
   };
 
   Shard& shard(std::uint32_t rank) ACES_REQUIRES(mutex_);

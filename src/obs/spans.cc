@@ -273,18 +273,19 @@ std::vector<SdoSpan> SpanTracer::take_completed() {
   return out;
 }
 
-void SpanTracer::fault_dump(const std::string& event, Seconds t) {
+FlightDump SpanTracer::fault_dump(const std::string& event, Seconds t) {
   MutexLock lock(mutex_);
   ++dumps_taken_;
-  if (dumps_.size() >= options_.max_dumps) return;
   FlightDump dump;
   dump.event = event;
   dump.time = t;
+  dump.pushed = recorder_.pushed();
   dump.recent = recorder_.snapshot();
   for (std::size_t i = 0; i < pool_.size(); ++i) {
     if (active_[i]) dump.in_flight.push_back(pool_[i]);
   }
-  dumps_.push_back(std::move(dump));
+  if (dumps_.size() < options_.max_dumps) dumps_.push_back(dump);
+  return dump;
 }
 
 }  // namespace aces::obs

@@ -155,8 +155,9 @@ class FlightRecorder {
 /// One automatic dump taken when a fault.* event fired: the recorder's
 /// recent completions plus every span that was still in flight.
 struct FlightDump {
-  std::string event;  // e.g. "fault.node_crash"
-  Seconds time = 0.0;
+  std::string event;  ///< the fault.* counter name, e.g. "fault.node_crash"
+  Seconds time = 0.0;  ///< virtual seconds of the snapshot
+  std::uint64_t pushed = 0;  ///< recorder ring tickets at snapshot time
   std::vector<SdoSpan> recent;
   std::vector<SdoSpan> in_flight;
 };
@@ -200,9 +201,11 @@ class SpanTracer {
   /// does not (an unfinished path is not an end-to-end sample).
   void drop(std::int32_t handle, Seconds t) ACES_EXCLUDES(mutex_);
 
-  /// Records a FlightDump for `event` (a fault.* counter name). Bounded by
-  /// max_dumps; later events past the cap are counted but not retained.
-  void fault_dump(const std::string& event, Seconds t) ACES_EXCLUDES(mutex_);
+  /// Takes a FlightDump for `event` (a fault.* counter name) and returns
+  /// it. Retention is bounded by max_dumps: later dumps past the cap are
+  /// counted and returned but not retained.
+  FlightDump fault_dump(const std::string& event, Seconds t)
+      ACES_EXCLUDES(mutex_);
 
   // Cross-process stitching. When a traced SDO leaves the worker, the
   // sender detaches the span (no finalization — the trace continues

@@ -18,6 +18,7 @@
 
 #include "common/atomic_shim.h"
 #include "common/check.h"
+#include "fault/fault_injector.h"
 #include "fault/fault_spec.h"
 #include "graph/serialization.h"
 #include "harness/report_merge.h"
@@ -52,6 +53,9 @@ struct WorkerSlot {
   std::thread thread;  ///< in-process transport only
   pid_t pid = -1;      ///< socket transports only
   bool alive = false;
+  /// Respawned at the current barrier: the next StepGo carries its nodes
+  /// in up_nodes.
+  bool rejoined = false;
   SteadyClock::time_point last_heard{};
   /// Wall time of the SIGKILL this coordinator issued, for the
   /// detection-latency accounting; empty for workers that died uninvited.
@@ -77,7 +81,10 @@ class Coordinator {
  public:
   Coordinator(const graph::ProcessingGraph& g, const opt::AllocationPlan& plan,
               const DistOptions& options, DistStats* stats)
-      : g_(g), options_(options), stats_(stats) {
+      : g_(g),
+        options_(options),
+        stats_(stats),
+        crash_windows_(options.faults, options.seed, g.pe_count()) {
     ACES_CHECK_MSG(options.dt > 0.0, "dt must be positive");
     ACES_CHECK_MSG(options.substeps > 0, "substeps must be positive");
     ACES_CHECK_MSG(options.duration > 0.0, "duration must be positive");
@@ -95,12 +102,8 @@ class Coordinator {
     go_sent_.resize(workers_n_);
 
     cpu_.assign(g.pe_count(), 0.0);
-    rin_.assign(g.pe_count(), 0.0);
-    rout_.assign(g.pe_count(), 0.0);
     for (std::size_t i = 0; i < plan.pe.size() && i < cpu_.size(); ++i) {
       cpu_[i] = plan.pe[i].cpu;
-      rin_[i] = plan.pe[i].rin_sdo;
-      rout_[i] = plan.pe[i].rout_sdo;
     }
 
     base_config_.num_workers = workers_n_;
@@ -175,76 +178,82 @@ class Coordinator {
     return options_.aggregator;
   }
 
-  /// Endpoint send with per-shard frame/byte accounting (the bytes vector
-  /// is a complete frame: 8-byte header + payload).
-  bool send_frame(std::uint32_t rank, const std::vector<std::uint8_t>& bytes) {
+  /// Sends one complete frame (8-byte header + payload) to `rank`, counted
+  /// in the shard's frames and bytes out. A send into a dead endpoint may
+  /// fail; the death is detected while receiving, not here.
+  bool send(std::uint32_t rank, const std::vector<std::uint8_t>& bytes) {
     if (agg() != nullptr) agg()->record_frame_sent(rank, bytes.size());
     return workers_[rank].ep->send(bytes);
   }
 
-  void account_recv(std::uint32_t rank, const wire::Frame& frame) {
-    if (agg() != nullptr) {
-      agg()->record_frame_received(rank, 8 + frame.payload.size());
-    }
+  /// Waits up to `timeout_ms` for the next frame from `rank` that the
+  /// protocol acts on. Every frame is counted in the shard's frames and
+  /// bytes in and refreshes its liveness; heartbeats and telemetry are
+  /// absorbed here and never returned. A telemetry frame that fails to
+  /// decode is a decode reject, returned as kError like any other protocol
+  /// violation.
+  transport::RecvStatus receive(std::uint32_t rank, int timeout_ms,
+                                wire::Frame* frame) {
+    WorkerSlot& w = workers_[rank];
+    const SteadyClock::time_point deadline =
+        SteadyClock::now() + std::chrono::milliseconds(timeout_ms);
+    do {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - SteadyClock::now());
+      const transport::RecvStatus status =
+          w.ep->recv(frame, std::max(0, static_cast<int>(left.count())));
+      if (status != transport::RecvStatus::kOk) return status;
+      w.last_heard = SteadyClock::now();
+      if (agg() != nullptr) {
+        agg()->record_frame_received(rank, 8 + frame->payload.size());
+      }
+      switch (frame->type) {
+        case wire::FrameType::kHeartbeat:
+          if (stats_ != nullptr) ++stats_->heartbeats_received;
+          if (agg() != nullptr) agg()->record_heartbeat(rank);
+          break;
+        case wire::FrameType::kMetricsReport:
+        case wire::FrameType::kFlightDump:
+          if (!absorb_telemetry(rank, *frame)) {
+            if (agg() != nullptr) agg()->record_decode_reject(rank);
+            return transport::RecvStatus::kError;
+          }
+          break;
+        default:
+          return transport::RecvStatus::kOk;
+      }
+    } while (SteadyClock::now() < deadline);
+    return transport::RecvStatus::kTimeout;
   }
 
-  /// Feeds one worker MetricsReport into the aggregator (no-op without
-  /// one — the frame is consumed either way; tolerance is the contract).
-  void absorb_metrics(std::uint32_t rank, wire::MetricsReport&& mr) {
-    if (agg() == nullptr) return;
-    agg()->note_quantum(rank, mr.quantum);
+  /// Decodes a MetricsReport or FlightDump frame and feeds it to the
+  /// aggregator, if there is one (the frame is consumed either way;
+  /// tolerance is the contract). False when the frame does not decode.
+  bool absorb_telemetry(std::uint32_t rank, const wire::Frame& frame) {
+    if (frame.type == wire::FrameType::kFlightDump) {
+      auto dump = wire::decode_flight_dump(frame.payload);
+      if (!dump.has_value()) return false;
+      if (agg() != nullptr) agg()->absorb_flight_dump(rank, std::move(*dump));
+      return true;
+    }
+    auto mr = wire::decode_metrics_report(frame.payload);
+    if (!mr.has_value()) return false;
+    if (agg() == nullptr) return true;
+    agg()->note_quantum(rank, mr->quantum);
     std::vector<std::pair<std::string, std::uint64_t>> deltas;
-    deltas.reserve(mr.counters.size());
-    for (wire::MetricsCounter& c : mr.counters) {
+    deltas.reserve(mr->counters.size());
+    for (wire::MetricsCounter& c : mr->counters) {
       deltas.emplace_back(std::move(c.name), c.delta);
     }
     agg()->absorb_counters(rank, deltas);
-    for (const wire::MetricsGauge& gz : mr.gauges) {
+    for (const wire::MetricsGauge& gz : mr->gauges) {
       agg()->absorb_gauge(rank, gz.name, gz.value);
     }
-    for (const wire::PerfCell& p : mr.perf) {
+    for (const wire::PerfCell& p : mr->perf) {
       agg()->absorb_perf(rank, p.name, p.calls, p.ns);
     }
-    for (obs::TickRecord& t : mr.trace) agg()->absorb_trace(rank, t);
-    agg()->absorb_spans(rank, mr.spans);
-  }
-
-  void absorb_flight_dump(std::uint32_t rank, wire::FlightDump&& fd) {
-    if (agg() == nullptr) return;
-    obs::ShardFlightDump dump;
-    dump.event = std::move(fd.event);
-    dump.time = fd.time;
-    dump.pushed = fd.pushed;
-    dump.recent = std::move(fd.recent);
-    dump.in_flight = std::move(fd.in_flight);
-    agg()->absorb_flight_dump(rank, std::move(dump));
-  }
-
-  /// Consumes a telemetry frame if `frame` is one. Returns true when the
-  /// frame was a telemetry type (handled, possibly ignored), false when the
-  /// caller must interpret it. A telemetry frame that fails to decode
-  /// counts as a decode reject AND reports false through `ok` — the caller
-  /// treats it like any other protocol violation.
-  bool consume_telemetry(std::uint32_t rank, wire::Frame& frame, bool* ok) {
-    *ok = true;
-    switch (frame.type) {
-      case wire::FrameType::kMetricsReport: {
-        auto mr = wire::decode_metrics_report(frame.payload);
-        if (!mr.has_value()) break;
-        absorb_metrics(rank, std::move(*mr));
-        return true;
-      }
-      case wire::FrameType::kFlightDump: {
-        auto fd = wire::decode_flight_dump(frame.payload);
-        if (!fd.has_value()) break;
-        absorb_flight_dump(rank, std::move(*fd));
-        return true;
-      }
-      default:
-        return false;
-    }
-    if (agg() != nullptr) agg()->record_decode_reject(rank);
-    *ok = false;
+    for (obs::TickRecord& t : mr->trace) agg()->absorb_trace(rank, t);
+    agg()->absorb_spans(rank, mr->spans);
     return true;
   }
 
@@ -318,7 +327,7 @@ class Coordinator {
     }
 
     wire::Frame frame;
-    const auto status = w.ep->recv(&frame, kHandshakeTimeoutMs);
+    const auto status = receive(rank, kHandshakeTimeoutMs, &frame);
     ACES_CHECK_MSG(status == transport::RecvStatus::kOk &&
                        frame.type == wire::FrameType::kHello,
                    "worker " << rank << " did not say Hello");
@@ -330,9 +339,7 @@ class Coordinator {
     cfg.rank = rank;
     cfg.start_quantum = start_quantum;
     cfg.plan_cpu = cpu_;
-    cfg.plan_rin = rin_;
-    cfg.plan_rout = rout_;
-    ACES_CHECK_MSG(w.ep->send(wire::encode(cfg)),
+    ACES_CHECK_MSG(send(rank, wire::encode(cfg)),
                    "worker " << rank << " rejected Config");
     w.alive = true;
     w.last_heard = SteadyClock::now();
@@ -359,35 +366,18 @@ class Coordinator {
     }
   }
 
+  /// Respawns the ranks whose restart falls on barrier `k`. The crash
+  /// windows are those of the last barrier's evaluation, k-1: barrier k's
+  /// own are evaluated once its StepDones are in.
   void handle_restarts(std::uint64_t k) {
     for (const ScheduledKill& sk : kills_) {
       if (!sk.restarts || sk.restart_quantum != k) continue;
       if (workers_[sk.rank].alive) continue;  // kill never landed
       spawn_worker(sk.rank, k);
+      workers_[sk.rank].rejoined = true;
       if (stats_ != nullptr) ++stats_->workers_restarted;
-      bool changed = false;
-      for (const std::uint32_t node : nodes_of_rank(sk.rank)) {
-        const auto it = std::find(down_nodes_.begin(), down_nodes_.end(), node);
-        if (it != down_nodes_.end()) {
-          down_nodes_.erase(it);
-          up_delta_.push_back(node);
-          changed = true;
-        }
-      }
-      if (changed && options_.reoptimize) solve_and_push();
+      update_membership(k - 1);
     }
-  }
-
-  [[nodiscard]] std::vector<std::uint32_t> nodes_of_rank(
-      std::uint32_t rank) const {
-    std::vector<std::uint32_t> nodes;
-    for (std::size_t n = 0; n < g_.node_count(); ++n) {
-      if (owner_of_node(g_.node_count(), workers_n_,
-                        static_cast<std::uint32_t>(n)) == rank) {
-        nodes.push_back(static_cast<std::uint32_t>(n));
-      }
-    }
-    return nodes;
   }
 
   void broadcast_step_go(std::uint64_t k, bool final_quantum) {
@@ -430,28 +420,37 @@ class Coordinator {
     pending_congested_.erase(
         std::unique(pending_congested_.begin(), pending_congested_.end()),
         pending_congested_.end());
-    std::sort(up_delta_.begin(), up_delta_.end());
-
+    // Membership, in node order: every node of a dead rank (the full set,
+    // an idempotent clamp) and the nodes of ranks respawned this barrier.
+    std::vector<std::uint32_t> down_nodes;
+    std::vector<std::uint32_t> up_nodes;
     for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
       WorkerSlot& w = workers_[rank];
-      if (!w.alive) continue;
+      if (w.alive && !w.rejoined) continue;
+      std::vector<std::uint32_t>& nodes = w.alive ? up_nodes : down_nodes;
+      const auto [begin, end] = shard_range(rank, workers_n_, g_.node_count());
+      for (std::size_t n = begin; n < end; ++n) {
+        nodes.push_back(static_cast<std::uint32_t>(n));
+      }
+      w.rejoined = false;
+    }
+
+    for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
+      if (!workers_[rank].alive) continue;
       wire::StepGo& go = gos[rank];
       go.quantum = k;
       go.flags = final_quantum ? wire::kStepGoFinal : 0;
       go.adverts = pending_adverts_;
       go.congested_pes = pending_congested_;
-      go.down_nodes = down_nodes_;  // full current set: idempotent clamp
-      go.up_nodes = up_delta_;
-      // A send into a just-killed endpoint may fail; the death is handled
-      // while collecting, not here.
+      go.down_nodes = down_nodes;
+      go.up_nodes = up_nodes;
       go_sent_[rank] = SteadyClock::now();
-      send_frame(rank, wire::encode(go));
+      send(rank, wire::encode(go));
     }
     pending_deliveries_.clear();
     pending_spans_.clear();
     pending_adverts_.clear();
     pending_congested_.clear();
-    up_delta_.clear();
   }
 
   void collect_step_dones(std::uint64_t k) {
@@ -459,50 +458,38 @@ class Coordinator {
     std::vector<SteadyClock::time_point> done_at(workers_n_);
     std::size_t pending = 0;
     for (const WorkerSlot& w : workers_) pending += w.alive ? 1 : 0;
-    bool membership_changed = false;
 
     while (pending > 0) {
       for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
         WorkerSlot& w = workers_[rank];
         if (!w.alive || dones[rank].has_value()) continue;
         wire::Frame frame;
-        const auto status = w.ep->recv(&frame, kRecvSliceMs);
-        switch (status) {
+        switch (receive(rank, kRecvSliceMs, &frame)) {
           case transport::RecvStatus::kOk: {
-            w.last_heard = SteadyClock::now();
-            account_recv(rank, frame);
-            bool telemetry_ok = true;
-            if (frame.type == wire::FrameType::kStepDone) {
-              auto done = wire::decode_step_done(frame.payload);
-              // An index this coordinator would act on out of range is a
-              // malformed frame, rejected like one that failed to decode.
-              const bool usable = done.has_value() && in_range(*done);
-              if (!usable || done->quantum != k) {
-                if (agg() != nullptr && !usable) {
-                  agg()->record_decode_reject(rank);
-                }
-                declare_dead(rank, &pending, &membership_changed);
-                break;
+            if (frame.type != wire::FrameType::kStepDone) {
+              declare_dead(rank, &pending);
+              break;
+            }
+            auto done = wire::decode_step_done(frame.payload);
+            // An index this coordinator would act on out of range is a
+            // malformed frame, rejected like one that failed to decode.
+            const bool usable = done.has_value() && in_range(*done);
+            if (!usable || done->quantum != k) {
+              if (agg() != nullptr && !usable) {
+                agg()->record_decode_reject(rank);
               }
-              dones[rank] = std::move(*done);
-              done_at[rank] = SteadyClock::now();
-              --pending;
-              if (agg() != nullptr) {
-                agg()->note_quantum(rank, k);
-                agg()->record_rtt(
-                    rank, std::chrono::duration<double>(done_at[rank] -
-                                                        go_sent_[rank])
-                              .count());
-              }
-            } else if (frame.type == wire::FrameType::kHeartbeat) {
-              if (stats_ != nullptr) ++stats_->heartbeats_received;
-              if (agg() != nullptr) agg()->record_heartbeat(rank);
-            } else if (consume_telemetry(rank, frame, &telemetry_ok)) {
-              if (!telemetry_ok) {
-                declare_dead(rank, &pending, &membership_changed);
-              }
-            } else {
-              declare_dead(rank, &pending, &membership_changed);
+              declare_dead(rank, &pending);
+              break;
+            }
+            dones[rank] = std::move(*done);
+            done_at[rank] = SteadyClock::now();
+            --pending;
+            if (agg() != nullptr) {
+              agg()->note_quantum(rank, k);
+              agg()->record_rtt(
+                  rank, std::chrono::duration<double>(done_at[rank] -
+                                                      go_sent_[rank])
+                            .count());
             }
             break;
           }
@@ -514,13 +501,13 @@ class Coordinator {
             if (exited) w.pid = -1;
             if (exited ||
                 seconds_since(w.last_heard) > options_.heartbeat_timeout) {
-              declare_dead(rank, &pending, &membership_changed);
+              declare_dead(rank, &pending);
             }
             break;
           }
           case transport::RecvStatus::kClosed:
           case transport::RecvStatus::kError:
-            declare_dead(rank, &pending, &membership_changed);
+            declare_dead(rank, &pending);
             break;
         }
       }
@@ -562,38 +549,16 @@ class Coordinator {
       pending_congested_.insert(pending_congested_.end(),
                                 done.congested_pes.begin(),
                                 done.congested_pes.end());
-      // Modeled crash/restore transitions are the event-driven reoptimize
-      // trigger, mirroring the simulator's solve-on-crash. The nodes are
-      // NOT broadcast as down_nodes — every worker models the crash window
-      // through its own FaultInjector.
-      for (const std::uint32_t node : done.crashed_nodes) {
-        if (std::find(modeled_down_.begin(), modeled_down_.end(), node) ==
-            modeled_down_.end()) {
-          modeled_down_.push_back(node);
-          membership_changed = true;
-        }
-      }
-      for (const std::uint32_t node : done.restored_nodes) {
-        const auto it =
-            std::find(modeled_down_.begin(), modeled_down_.end(), node);
-        if (it != modeled_down_.end()) {
-          modeled_down_.erase(it);
-          membership_changed = true;
-        }
-      }
     }
 
-    if (membership_changed && options_.reoptimize) solve_and_push();
+    update_membership(k);
   }
 
   /// Whether every index in a worker's StepDone is one this coordinator
-  /// may act on: PE and node ids inside the graph, and span handoffs that
-  /// name the frame's own deliveries in increasing order.
+  /// may act on: PE ids inside the graph, and span handoffs that name the
+  /// frame's own deliveries in increasing order.
   [[nodiscard]] bool in_range(const wire::StepDone& done) const {
     const auto pe_ok = [this](std::uint32_t pe) { return pe < g_.pe_count(); };
-    const auto node_ok = [this](std::uint32_t node) {
-      return node < g_.node_count();
-    };
     std::uint64_t next = 0;  // least index the next handoff may name
     for (const wire::SpanHandoff& h : done.spans) {
       if (h.delivery < next || h.delivery >= done.deliveries.size()) {
@@ -604,16 +569,13 @@ class Coordinator {
     return std::ranges::all_of(done.deliveries, pe_ok,
                                &wire::SdoDelivery::dest_pe) &&
            std::ranges::all_of(done.adverts, pe_ok, &wire::Advert::pe) &&
-           std::ranges::all_of(done.congested_pes, pe_ok) &&
-           std::ranges::all_of(done.crashed_nodes, node_ok) &&
-           std::ranges::all_of(done.restored_nodes, node_ok);
+           std::ranges::all_of(done.congested_pes, pe_ok);
   }
 
-  /// Marks a worker dead: its shard's nodes go into the broadcast down
-  /// set, the process (if any) is reaped, and the detection latency is
-  /// recorded when this coordinator caused the death.
-  void declare_dead(std::uint32_t rank, std::size_t* pending,
-                    bool* membership_changed) {
+  /// Marks a worker dead, which puts its shard's nodes in the broadcast
+  /// down set and in tier 1's excluded set; reaps the process (if any) and
+  /// records the detection latency when this coordinator caused the death.
+  void declare_dead(std::uint32_t rank, std::size_t* pending) {
     WorkerSlot& w = workers_[rank];
     if (!w.alive) return;
     w.alive = false;
@@ -630,86 +592,70 @@ class Coordinator {
       w.pid = -1;
     }
     if (w.thread.joinable()) w.thread.join();
-    for (const std::uint32_t node : nodes_of_rank(rank)) {
-      if (std::find(down_nodes_.begin(), down_nodes_.end(), node) ==
-          down_nodes_.end()) {
-        down_nodes_.push_back(node);
-      }
-    }
-    std::sort(down_nodes_.begin(), down_nodes_.end());
-    *membership_changed = true;
   }
 
-  /// One tier-1 re-solve excluding every down node (really-dead shards and
-  /// modeled crash windows), pushed to all live workers.
-  void solve_and_push() {
-    std::vector<NodeId> failed;
-    for (const std::uint32_t n : down_nodes_) failed.emplace_back(n);
-    for (const std::uint32_t n : modeled_down_) {
-      if (std::find(down_nodes_.begin(), down_nodes_.end(), n) ==
-          down_nodes_.end()) {
-        failed.emplace_back(n);
+  /// Re-solves tier 1 when the set of nodes it must exclude as of barrier
+  /// `k` differs from the set the current targets were solved around, and
+  /// pushes the new targets to every live worker. Excluded are the nodes
+  /// of dead ranks and the nodes a crash window holds down at t = k·q, by
+  /// the same FaultInjector::node_down the workers act on.
+  void update_membership(std::uint64_t k) {
+    const Seconds t = static_cast<double>(k) * q_;
+    std::vector<NodeId> excluded;
+    for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
+      if (workers_[rank].alive) continue;
+      const auto [begin, end] = shard_range(rank, workers_n_, g_.node_count());
+      for (std::size_t n = begin; n < end; ++n) {
+        excluded.emplace_back(static_cast<NodeId::value_type>(n));
       }
     }
+    for (const fault::NodeCrash& c : options_.faults.crashes) {
+      if (crash_windows_.node_down(c.node, t)) excluded.push_back(c.node);
+    }
+    std::sort(excluded.begin(), excluded.end());
+    excluded.erase(std::unique(excluded.begin(), excluded.end()),
+                   excluded.end());
+    if (excluded == excluded_) return;
+    excluded_ = std::move(excluded);
+
     const opt::AllocationPlan plan =
-        opt::optimize_excluding(g_, failed, options_.optimizer);
+        opt::optimize_excluding(g_, excluded_, options_.optimizer);
     for (std::size_t i = 0; i < plan.pe.size() && i < cpu_.size(); ++i) {
       cpu_[i] = plan.pe[i].cpu;
-      rin_[i] = plan.pe[i].rin_sdo;
-      rout_[i] = plan.pe[i].rout_sdo;
     }
     ++reoptimizations_;
     wire::Targets targets;
     targets.cpu = cpu_;
-    targets.rin = rin_;
-    targets.rout = rout_;
     const std::vector<std::uint8_t> bytes = wire::encode(targets);
-    for (WorkerSlot& w : workers_) {
-      if (w.alive) w.ep->send(bytes);
+    for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
+      if (workers_[rank].alive) send(rank, bytes);
     }
   }
 
   std::vector<metrics::RunReport> collect_reports() {
+    const auto deadline_ms = static_cast<int>(
+        1000.0 * std::max(5.0, 2.0 * options_.heartbeat_timeout));
     std::vector<metrics::RunReport> partials;
     for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
-      WorkerSlot& w = workers_[rank];
-      if (!w.alive) continue;
-      const SteadyClock::time_point start = SteadyClock::now();
-      const double deadline =
-          std::max(5.0, 2.0 * options_.heartbeat_timeout);
-      while (seconds_since(start) < deadline) {
-        wire::Frame frame;
-        const auto status = w.ep->recv(&frame, 100);
-        if (status == transport::RecvStatus::kOk) {
-          account_recv(rank, frame);
-          if (frame.type == wire::FrameType::kReport) {
-            auto report = wire::decode_report(frame.payload);
-            if (report.has_value()) partials.push_back(report->report);
-            break;
-          }
-          if (frame.type == wire::FrameType::kHeartbeat) {
-            if (stats_ != nullptr) ++stats_->heartbeats_received;
-            if (agg() != nullptr) agg()->record_heartbeat(rank);
-            continue;
-          }
-          // The worker ships its final telemetry (the last MetricsReport
-          // with its spans, a fault dump) just before the Report.
-          bool telemetry_ok = true;
-          if (consume_telemetry(rank, frame, &telemetry_ok) && telemetry_ok) {
-            continue;
-          }
-          break;  // protocol violation: skip this shard's report
-        }
-        if (status != transport::RecvStatus::kTimeout) break;
+      if (!workers_[rank].alive) continue;
+      // The worker ships its final telemetry (the last MetricsReport with
+      // its spans, a fault dump) just before the Report; receive absorbs
+      // it. Anything else skips this shard's report.
+      wire::Frame frame;
+      if (receive(rank, deadline_ms, &frame) != transport::RecvStatus::kOk ||
+          frame.type != wire::FrameType::kReport) {
+        continue;
       }
+      auto report = wire::decode_report(frame.payload);
+      if (report.has_value()) partials.push_back(std::move(report->report));
     }
     return partials;
   }
 
   void shutdown_all() {
     const std::vector<std::uint8_t> bye = wire::encode_shutdown();
-    for (WorkerSlot& w : workers_) {
-      if (w.alive) w.ep->send(bye);
+    for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
+      if (workers_[rank].alive) send(rank, bye);
     }
     for (WorkerSlot& w : workers_) {
       if (w.ep != nullptr) w.ep->close();
@@ -745,13 +691,12 @@ class Coordinator {
   std::vector<WorkerSlot> workers_;
   std::unique_ptr<transport::SocketListener> listener_;
   wire::Config base_config_;
-  std::vector<double> cpu_, rin_, rout_;  // current tier-1 targets
+  std::vector<double> cpu_;  // current tier-1 cpu targets
   std::vector<ScheduledKill> kills_;
-  /// Nodes of really-dead shards (broadcast) / modeled crash windows (not
-  /// broadcast; reoptimize bookkeeping only). Sorted, no duplicates.
-  std::vector<std::uint32_t> down_nodes_;
-  std::vector<std::uint32_t> modeled_down_;
-  std::vector<std::uint32_t> up_delta_;
+  /// The schedule's crash windows, asked what the workers ask.
+  fault::FaultInjector crash_windows_;
+  /// The nodes cpu_ was solved around, ascending.
+  std::vector<NodeId> excluded_;
   std::vector<wire::SdoDelivery> pending_deliveries_;
   /// Spans riding pending_deliveries_, indexed into it, increasing.
   std::vector<wire::SpanHandoff> pending_spans_;

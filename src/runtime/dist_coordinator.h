@@ -29,13 +29,27 @@
 // for the in-process transport) *before* releasing the quantum, so the
 // dead worker's contribution deterministically never exists. Death is then
 // detected for real — connection reset, heartbeat silence past
-// heartbeat_timeout, or waitpid — while collecting that barrier; the dead
-// shard's nodes are broadcast as down_nodes (workers clamp their
-// advertisements to r_max = 0, infinitely stale) and tier 1 is re-solved
-// with optimize_excluding, exactly the degradation story of paper §V-C,
-// but executed against a real process failure. An optional restart
-// respawns the shard with Config.start_quantum = k: fresh state, arrival
-// streams fast-forwarded through the dead window.
+// heartbeat_timeout, or waitpid — while collecting that barrier. An
+// optional restart respawns the shard with Config.start_quantum = k: fresh
+// state, arrival streams fast-forwarded through the dead window.
+//
+// Membership is computed, not reported. Every StepGo carries the nodes of
+// the dead ranks as down_nodes (workers clamp their advertisements to
+// r_max = 0, infinitely stale) and the nodes of a rank respawned at that
+// barrier as up_nodes. Tier 1 excludes the nodes of dead ranks plus every
+// node a modeled `crash` window holds down at t = k·q, which the
+// coordinator evaluates itself once barrier k's StepDones are in (and
+// again after a respawn) with the FaultInjector::node_down the workers act
+// on. Whenever that excluded set changes, tier 1 is re-solved with
+// optimize_excluding and the targets are pushed before StepGo(k+1) —
+// paper §V-C's degradation story, executed against a real process failure.
+// A crash window that opens or closes while its shard is dead is therefore
+// still seen, and the node rejoins tier 1 once both windows have closed.
+//
+// Every frame the coordinator sends or receives goes through one counted
+// send and one receive, so the per-shard frames and bytes in the cluster
+// aggregator cover the whole wire: Hello, Config, Targets and Shutdown
+// included.
 //
 // The controllers, optimizer, and SdoChannel fast path are byte-identical
 // to the other substrates — distribution changes who hosts a node, not

@@ -56,9 +56,6 @@ struct DistOptions {
   /// clauses behave as in the other substrates, except `advert_delay`
   /// (simulator-only, as in the threaded runtime).
   fault::FaultSchedule faults;
-  /// Re-solve tier 1 (optimize_excluding) when membership changes and push
-  /// the new targets to the surviving workers.
-  bool reoptimize = true;
   /// Worker executable for the socket transports; empty uses /proc/self/exe
   /// (the coordinator re-executes itself — any binary that calls
   /// dist::maybe_worker() early in main() works).

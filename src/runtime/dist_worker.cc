@@ -30,9 +30,11 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stop_token>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -73,18 +75,12 @@ struct Sdo {
 };
 
 /// Rebuilds an AllocationPlan the NodeControllers can consume from the
-/// per-PE target vectors carried on the wire.
-opt::AllocationPlan plan_from_vectors(const std::vector<double>& cpu,
-                                      const std::vector<double>& rin,
-                                      const std::vector<double>& rout,
-                                      std::size_t node_count) {
+/// per-PE cpu targets carried on the wire: cpu is all of a plan they read.
+opt::AllocationPlan plan_from_cpu(const std::vector<double>& cpu,
+                                  std::size_t node_count) {
   opt::AllocationPlan plan;
   plan.pe.resize(cpu.size());
-  for (std::size_t i = 0; i < cpu.size(); ++i) {
-    plan.pe[i].cpu = cpu[i];
-    plan.pe[i].rin_sdo = i < rin.size() ? rin[i] : 0.0;
-    plan.pe[i].rout_sdo = i < rout.size() ? rout[i] : 0.0;
-  }
+  for (std::size_t i = 0; i < cpu.size(); ++i) plan.pe[i].cpu = cpu[i];
   plan.node_usage.assign(node_count, 0.0);
   return plan;
 }
@@ -99,6 +95,7 @@ class WorkerEngine {
     graph_.validate();
     ACES_CHECK_MSG(cfg.substeps > 0, "substeps must be positive");
     ACES_CHECK_MSG(cfg.dt > 0.0, "dt must be positive");
+    ACES_CHECK_MSG(cfg.rank < cfg.num_workers, "rank outside the shard count");
     q_ = cfg.dt / cfg.substeps;
 
     controller_config_.policy = static_cast<control::FlowPolicy>(cfg.policy);
@@ -116,18 +113,10 @@ class WorkerEngine {
     for (NodeId n : graph_.all_nodes())
       total_capacity_ += graph_.node(n).cpu_capacity;
 
-    const std::size_t node_count = graph_.node_count();
-    node_begin_ = 0;
-    node_end_ = node_count;
-    if (cfg.num_workers > 1) {
-      node_begin_ = static_cast<std::size_t>(cfg.rank) * node_count /
-                    cfg.num_workers;
-      node_end_ = static_cast<std::size_t>(cfg.rank + 1) * node_count /
-                  cfg.num_workers;
-    }
-
-    const opt::AllocationPlan plan = plan_from_vectors(
-        cfg.plan_cpu, cfg.plan_rin, cfg.plan_rout, node_count);
+    std::tie(node_begin_, node_end_) =
+        shard_range(cfg.rank, cfg.num_workers, graph_.node_count());
+    const opt::AllocationPlan plan =
+        plan_from_cpu(cfg.plan_cpu, graph_.node_count());
 
     // Per-PE randomness is forked by PE id for every PE, hosted or not,
     // so the partition cannot perturb any stream.
@@ -177,6 +166,7 @@ class WorkerEngine {
       topt.sample_rate = cfg.span_sample;
       topt.seed = cfg.seed;
       topt.keep_completed = true;  // drained into each MetricsReport
+      topt.max_dumps = 0;          // every fault dump ships; none is kept
       tracer_ = std::make_unique<obs::SpanTracer>(topt);
     }
 
@@ -256,8 +246,8 @@ class WorkerEngine {
         case wire::FrameType::kTargets: {
           const auto targets = wire::decode_targets(frame.payload);
           if (!targets.has_value()) return 1;
-          const opt::AllocationPlan plan = plan_from_vectors(
-              targets->cpu, targets->rin, targets->rout, graph_.node_count());
+          const opt::AllocationPlan plan =
+              plan_from_cpu(targets->cpu, graph_.node_count());
           for (auto& controller : controllers_) controller.set_plan(plan);
           break;
         }
@@ -454,17 +444,13 @@ class WorkerEngine {
     for (std::size_t i = 0; i < controllers_.size(); ++i) {
       const NodeId node = controllers_[i].node();
       const bool is_down = injector_->node_down(node, vnow);
-      if (is_down && !was_down_[i]) {
-        crash_local_pes(node, vnow);
-        crashed_this_quantum_.push_back(node.value());
-      }
+      if (is_down && !was_down_[i]) crash_local_pes(node, vnow);
       if (!is_down && was_down_[i]) {
         // The queues are empty: the crash discarded everything, and every
         // delivery or arrival since was lost to the down node.
         controllers_[i].reset_state();
         for (PeId id : graph_.pes_on_node(node)) pes_[id.value()].arrived = 0.0;
         injector_->note_node_restart();
-        restored_this_quantum_.push_back(node.value());
       }
       was_down_[i] = is_down;
     }
@@ -475,8 +461,7 @@ class WorkerEngine {
     // still in flight, then end them as dropped. The dump ships to the
     // coordinator at this quantum's end (ship_telemetry).
     if (tracer_ != nullptr) {
-      tracer_->fault_dump("fault.node_crash", vnow);
-      pending_dump_ = true;
+      pending_dump_ = tracer_->fault_dump("fault.node_crash", vnow);
     }
     std::uint64_t lost = 0;
     for (PeId id : graph_.pes_on_node(node)) {
@@ -570,8 +555,7 @@ class WorkerEngine {
           if (stalled && !was_stalled_[id.value()]) {
             injector_->note_pe_stall();
             if (tracer_ != nullptr) {
-              tracer_->fault_dump("fault.pe_stall", vnow);
-              pending_dump_ = true;
+              pending_dump_ = tracer_->fault_dump("fault.pe_stall", vnow);
             }
           }
           was_stalled_[id.value()] = stalled;
@@ -685,10 +669,6 @@ class WorkerEngine {
         }
       }
     }
-    done.crashed_nodes = std::move(crashed_this_quantum_);
-    crashed_this_quantum_.clear();
-    done.restored_nodes = std::move(restored_this_quantum_);
-    restored_this_quantum_.clear();
     return done;
   }
 
@@ -717,19 +697,12 @@ class WorkerEngine {
     if (epoch) {
       if (!ep_.send(wire::encode(make_metrics_report(quantum)))) return false;
     }
-    if (pending_dump_ && !tracer_->dumps().empty()) {
-      // A fault fired this quantum: ship the post-mortem the tracer
-      // captured at the fault site, in-flight spans included.
-      const obs::FlightDump& src = tracer_->dumps().back();
-      wire::FlightDump dump;
-      dump.event = src.event;
-      dump.time = src.time;
-      dump.pushed = tracer_->recorder().pushed();
-      dump.recent = src.recent;
-      dump.in_flight = src.in_flight;
-      if (!ep_.send(wire::encode(dump))) return false;
+    if (pending_dump_.has_value()) {
+      // A fault fired this quantum: ship the newest post-mortem the tracer
+      // captured at a fault site, in-flight spans included.
+      if (!ep_.send(wire::encode(*pending_dump_))) return false;
+      pending_dump_.reset();
     }
-    pending_dump_ = false;
     return true;
   }
 
@@ -781,8 +754,6 @@ class WorkerEngine {
   std::vector<bool> was_stalled_;   // indexed by PeId
   std::vector<wire::SdoDelivery> delivery_outbox_;
   std::vector<wire::Advert> advert_outbox_;
-  std::vector<std::uint32_t> crashed_this_quantum_;
-  std::vector<std::uint32_t> restored_this_quantum_;
   std::uint64_t events_executed_ = 0;
 
   // ---- telemetry (tentpole: the distributed observability plane) -----
@@ -802,8 +773,8 @@ class WorkerEngine {
   std::vector<obs::TickRecord> trace_buffer_;
   /// Counter values as of the last MetricsReport, for delta encoding.
   std::map<std::string, std::uint64_t> last_sent_counters_;
-  /// A fault dump was taken this quantum and awaits shipping.
-  bool pending_dump_ = false;
+  /// The newest fault dump taken this quantum, awaiting shipping.
+  std::optional<obs::FlightDump> pending_dump_;
 };
 
 }  // namespace

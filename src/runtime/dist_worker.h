@@ -8,17 +8,27 @@
 // Endpoint is the only difference.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "runtime/transport/transport.h"
 #include "runtime/wire.h"
 
 namespace aces::runtime::dist {
 
-/// Contiguous node partition: the worker owning node `node` out of
-/// `node_count`, with `workers` shards. Worker r owns nodes
-/// [r·N/W, (r+1)·N/W); pure arithmetic so every process derives the same
-/// placement with no placement frames on the wire.
+/// Contiguous node partition: worker `rank` of `workers` owns the node ids
+/// [begin, end) = [r·N/W, (r+1)·N/W) out of `node_count`. Pure arithmetic,
+/// so every process derives the same placement with no placement frames
+/// on the wire.
+inline std::pair<std::size_t, std::size_t> shard_range(std::uint32_t rank,
+                                                       std::uint32_t workers,
+                                                       std::size_t node_count) {
+  return {rank * node_count / workers, (rank + 1) * node_count / workers};
+}
+
+/// The worker owning node `node` out of `node_count`, with `workers`
+/// shards: the inverse of shard_range.
 inline std::uint32_t owner_of_node(std::size_t node_count,
                                    std::uint32_t workers, std::uint32_t node) {
   // Exact inverse of the shard bounds floor(r·N/W): the smallest r with

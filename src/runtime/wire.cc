@@ -35,8 +35,8 @@ bool fields(Io& io, Ref<Io, Config> v) {
          io(v.duration) && io(v.warmup) && io(v.dt) && io(v.policy) &&
          io(v.staleness) && io(v.channel_capacity) &&
          io(v.heartbeat_interval) && io(v.start_quantum) && io(v.topology) &&
-         io(v.faults) && io(v.plan_cpu) && io(v.plan_rin) &&
-         io(v.plan_rout) && io(v.span_sample) && io(v.record_trace);
+         io(v.faults) && io(v.plan_cpu) && io(v.span_sample) &&
+         io(v.record_trace);
 }
 
 template <class Io>
@@ -59,7 +59,7 @@ bool fields(Io& io, Ref<Io, StepGo> v) {
 template <class Io>
 bool fields(Io& io, Ref<Io, StepDone> v) {
   return io(v.quantum) && io(v.deliveries) && io(v.spans) && io(v.adverts) &&
-         io(v.congested_pes) && io(v.crashed_nodes) && io(v.restored_nodes);
+         io(v.congested_pes);
 }
 
 template <class Io>
@@ -69,7 +69,7 @@ bool fields(Io& /*io*/, Ref<Io, Heartbeat> /*v*/) {
 
 template <class Io>
 bool fields(Io& io, Ref<Io, Targets> v) {
-  return io(v.cpu) && io(v.rin) && io(v.rout);
+  return io(v.cpu);
 }
 
 /// The accumulator's raw parts, rebuilt bit-exactly with from_raw.
@@ -199,7 +199,7 @@ bool fields(Io& io, Ref<Io, MetricsReport> v) {
 }
 
 template <class Io>
-bool fields(Io& io, Ref<Io, FlightDump> v) {
+bool fields(Io& io, Ref<Io, obs::FlightDump> v) {
   return io(v.event) && io(v.time) && io(v.pushed) && io(v.recent) &&
          io(v.in_flight);
 }
@@ -485,7 +485,7 @@ std::vector<std::uint8_t> encode_shutdown() {
 std::vector<std::uint8_t> encode(const MetricsReport& v) {
   return encode_frame(FrameType::kMetricsReport, v);
 }
-std::vector<std::uint8_t> encode(const FlightDump& v) {
+std::vector<std::uint8_t> encode(const obs::FlightDump& v) {
   return encode_frame(FrameType::kFlightDump, v);
 }
 
@@ -521,9 +521,9 @@ std::optional<MetricsReport> decode_metrics_report(
     const std::vector<std::uint8_t>& payload, WireError* error) {
   return decode_payload<MetricsReport>(payload, error);
 }
-std::optional<FlightDump> decode_flight_dump(
+std::optional<obs::FlightDump> decode_flight_dump(
     const std::vector<std::uint8_t>& payload, WireError* error) {
-  return decode_payload<FlightDump>(payload, error);
+  return decode_payload<obs::FlightDump>(payload, error);
 }
 
 const char* to_string(FrameType type) {

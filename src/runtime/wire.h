@@ -1,8 +1,8 @@
 // Wire format for the multi-process distributed runtime.
 //
 // Every byte that crosses a process boundary — SDO payloads, control-plane
-// advertisements, tier-1 target vectors, reoptimize triggers, membership and
-// heartbeat, per-worker partial RunReports — travels as a *versioned frame*:
+// advertisements, tier-1 targets, membership and heartbeat, telemetry,
+// per-worker partial RunReports — travels as a *versioned frame*:
 //
 //   offset  size  field
 //   0       2     magic 0xACE5 (little-endian)
@@ -45,13 +45,12 @@
 namespace aces::runtime::wire {
 
 inline constexpr std::uint16_t kMagic = 0xACE5;
-/// Version 3: each span crosses the wire once. Finalized spans ride the
-/// epoch MetricsReport, an in-flight span rides the StepDone/StepGo that
-/// carries its SDO, the latency snapshots and SpanBatch are gone, and the
-/// fields nothing read (Config::batch, Hello::pid, the Heartbeat body,
-/// Targets::revision, the rank tags on Report/MetricsReport/FlightDump)
-/// are dropped. A version-2 peer is refused at the header.
-inline constexpr std::uint8_t kWireVersion = 3;
+/// Version 4: the coordinator computes membership and crash windows itself,
+/// so StepDone no longer reports crashed or restored nodes; Config and
+/// Targets carry only the tier-1 `cpu` targets, the one part of a plan a
+/// worker reads; and FlightDump is obs::FlightDump coded directly (its bytes
+/// are unchanged). A version-3 peer is refused at the header.
+inline constexpr std::uint8_t kWireVersion = 4;
 /// Upper bound on a sane payload (config frames carry a whole topology, so
 /// this is generous; anything larger is treated as corruption).
 inline constexpr std::uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
@@ -91,8 +90,8 @@ struct Hello {
 };
 
 /// Everything a worker process needs to reconstruct its shard: the topology
-/// (text serialization round-trips ids exactly), the tier-1 plan, the run
-/// options, and the fault spec. Sent once after Hello; sent again with a
+/// (text serialization round-trips ids exactly), the tier-1 cpu targets, the
+/// run options, and the fault spec. Sent once after Hello; sent again with a
 /// non-zero start_quantum when a killed worker is respawned mid-run.
 struct Config {
   std::uint32_t rank = 0;
@@ -109,9 +108,7 @@ struct Config {
   std::uint64_t start_quantum = 0;   ///< barrier index to join at
   std::string topology;              ///< graph::write_topology text
   std::string faults;                ///< fault spec grammar text ("" = none)
-  std::vector<double> plan_cpu;      ///< tier-1 targets, indexed by PeId
-  std::vector<double> plan_rin;
-  std::vector<double> plan_rout;
+  std::vector<double> plan_cpu;      ///< tier-1 cpu targets, by PeId
   double span_sample = 0.0;          ///< SDO span sample rate; 0 = tracing off
   std::uint8_t record_trace = 0;     ///< ship per-tick control TraceRecords
 };
@@ -156,33 +153,28 @@ struct StepGo {
   std::vector<SpanHandoff> spans;  ///< handoffs into `deliveries`
   std::vector<Advert> adverts;
   std::vector<std::uint32_t> congested_pes;  ///< Lock-Step backpressure set
-  std::vector<std::uint32_t> down_nodes;     ///< dead-worker membership
-  std::vector<std::uint32_t> up_nodes;       ///< respawned-worker membership
+  std::vector<std::uint32_t> down_nodes;  ///< every node of a dead rank
+  std::vector<std::uint32_t> up_nodes;    ///< nodes of ranks just respawned
 };
 inline constexpr std::uint8_t kStepGoFinal = 1;
 
-/// Barrier completion: cross-node outboxes (with the spans leaving this
-/// worker on those deliveries) plus this worker's local fault transitions
-/// (crashed/restored node ids double as the event-driven reoptimize
-/// trigger the coordinator acts on).
+/// Barrier completion: the worker's cross-node outboxes, with the spans
+/// leaving it on those deliveries. Fault transitions are not reported: the
+/// coordinator evaluates the crash windows from the schedule it holds.
 struct StepDone {
   std::uint64_t quantum = 0;
   std::vector<SdoDelivery> deliveries;  ///< cross-worker outbox
   std::vector<SpanHandoff> spans;       ///< handoffs into `deliveries`
   std::vector<Advert> adverts;          ///< locally refreshed mailboxes
-  std::vector<std::uint32_t> congested_pes;   ///< local PEs holding backlog
-  std::vector<std::uint32_t> crashed_nodes;   ///< reoptimize trigger
-  std::vector<std::uint32_t> restored_nodes;  ///< reoptimize trigger
+  std::vector<std::uint32_t> congested_pes;  ///< local PEs holding backlog
 };
 
 /// Liveness only: the frame's arrival is the whole message.
 struct Heartbeat {};
 
-/// Tier-1 target vector (full PE index space), pushed after a re-solve.
+/// Tier-1 cpu targets (full PE index space), pushed after a re-solve.
 struct Targets {
   std::vector<double> cpu;
-  std::vector<double> rin;
-  std::vector<double> rout;
 };
 
 /// Partial RunReport from one worker: its local PEs' contribution, with the
@@ -231,18 +223,6 @@ struct MetricsReport {
   std::vector<obs::SdoSpan> spans;     ///< finalized since last report
 };
 
-/// Fault-site evidence (obs::FlightDump plus provenance), shipped at the
-/// end of a quantum in which a fault.* event fired. The coordinator keeps
-/// the newest one per rank, so a SIGKILLed worker's post-mortem survives
-/// the process.
-struct FlightDump {
-  std::string event;  ///< the fault.* counter name
-  double time = 0.0;  ///< virtual seconds of the snapshot
-  std::uint64_t pushed = 0;  ///< recorder ring tickets at snapshot time
-  std::vector<obs::SdoSpan> recent;
-  std::vector<obs::SdoSpan> in_flight;
-};
-
 // ---------------------------------------------------------------------------
 // Codecs. encode_* produce a complete frame (header + payload); decode_*
 // parse the *payload* of a frame whose type was already matched, returning
@@ -257,7 +237,10 @@ std::vector<std::uint8_t> encode(const Targets& v);
 std::vector<std::uint8_t> encode(const Report& v);
 std::vector<std::uint8_t> encode_shutdown();
 std::vector<std::uint8_t> encode(const MetricsReport& v);
-std::vector<std::uint8_t> encode(const FlightDump& v);
+/// Fault-site evidence, shipped at the end of a quantum in which a fault.*
+/// event fired. The coordinator keeps the newest one per rank, so a
+/// SIGKILLed worker's post-mortem survives the process.
+std::vector<std::uint8_t> encode(const obs::FlightDump& v);
 
 std::optional<Hello> decode_hello(const std::vector<std::uint8_t>& payload,
                                   WireError* error = nullptr);
@@ -275,7 +258,7 @@ std::optional<Report> decode_report(const std::vector<std::uint8_t>& payload,
                                     WireError* error = nullptr);
 std::optional<MetricsReport> decode_metrics_report(
     const std::vector<std::uint8_t>& payload, WireError* error = nullptr);
-std::optional<FlightDump> decode_flight_dump(
+std::optional<obs::FlightDump> decode_flight_dump(
     const std::vector<std::uint8_t>& payload, WireError* error = nullptr);
 
 /// Splits a complete frame (header + payload) back into a Frame. Returns

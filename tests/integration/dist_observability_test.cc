@@ -69,6 +69,12 @@ runtime::dist::DistOptions options_with(std::uint32_t processes,
   return o;
 }
 
+/// Barrier quanta in a run of `o`.
+std::uint64_t quanta_of(const runtime::dist::DistOptions& o) {
+  return static_cast<std::uint64_t>(std::llround(o.duration / o.dt)) *
+         o.substeps;
+}
+
 /// Value of one `key value` line in the status exposition; 0 if absent.
 std::uint64_t status_value(const obs::ClusterAggregator& agg,
                            const std::string& key) {
@@ -320,16 +326,13 @@ TEST(DistObservabilityTest, FaultFreeRunShipsNoFlightDumpAndRelaysNoTelemetry) {
   const runtime::dist::DistOptions o = options_with(3, &agg, 1.0);
   runtime::dist::run_distributed(g, plan, o);
 
-  // The coordinator sends each shard one StepGo per quantum plus the final
-  // one, and nothing else it accounts: spans ride the StepGos.
-  const std::uint64_t step_gos =
-      static_cast<std::uint64_t>(std::llround(o.duration / o.dt)) *
-          o.substeps +
-      1;
+  // The coordinator sends each shard its Config, one StepGo per quantum
+  // plus the final one, and the Shutdown, and nothing else: spans ride the
+  // StepGos, and a fault-free run pushes no Targets.
   const auto shards = agg.shard_statuses();
   ASSERT_EQ(shards.size(), 3u);
   for (const auto& [rank, status] : shards) {
-    EXPECT_EQ(status.frames_out, step_gos) << "shard " << rank;
+    EXPECT_EQ(status.frames_out, quanta_of(o) + 3) << "shard " << rank;
     EXPECT_EQ(status.flight_dumps, 0u) << "shard " << rank;
     EXPECT_EQ(status_value(agg, "aces_shard_" + std::to_string(rank) +
                                     "_flight_dumps"),
@@ -355,7 +358,7 @@ TEST(DistObservabilityTest, CrashRunRetainsItsFaultDumpWithInFlightSpans) {
   const auto dumps = agg.flight_dumps();
   ASSERT_EQ(dumps.size(), 1u);
   ASSERT_TRUE(dumps.contains(1));
-  const obs::ShardFlightDump& dump = dumps.at(1);
+  const obs::FlightDump& dump = dumps.at(1);
   EXPECT_EQ(dump.event, "fault.node_crash");
   EXPECT_NEAR(dump.time, 5.0, 1e-9);
   EXPECT_FALSE(dump.in_flight.empty())
@@ -366,6 +369,62 @@ TEST(DistObservabilityTest, CrashRunRetainsItsFaultDumpWithInFlightSpans) {
   // Later spans extend the standing ring but leave the fault dump alone.
   EXPECT_GT(agg.recent_spans().at(1).back().end, 7.0);
   EXPECT_EQ(agg.shard_statuses().at(1).flight_dumps, 1u);
+}
+
+TEST(DistObservabilityTest, EveryFrameIsCountedOnceEachWay) {
+  const graph::ProcessingGraph g = test_graph();
+  const opt::AllocationPlan plan = opt::optimize(g);
+
+  // Out: Config, a StepGo per quantum plus the final one, Shutdown, and one
+  // Targets per re-solve. In: Hello, a StepDone per quantum, the Report,
+  // and every heartbeat, MetricsReport and fault dump.
+  for (const char* faults : {"", "crash node=1 at=5 until=7"}) {
+    SCOPED_TRACE(faults);
+    obs::ClusterAggregator agg;
+    runtime::dist::DistOptions o = options_with(3, &agg, 0.1);
+    o.faults = fault::parse_fault_spec(faults);
+    runtime::dist::DistStats stats;
+    runtime::dist::run_distributed(g, plan, o, &stats);
+
+    EXPECT_EQ(stats.reoptimizations, o.faults.empty() ? 0u : 2u);
+    const auto shards = agg.shard_statuses();
+    ASSERT_EQ(shards.size(), 3u);
+    std::uint64_t heartbeats = 0;
+    for (const auto& [rank, s] : shards) {
+      EXPECT_EQ(s.frames_out, quanta_of(o) + 3 + stats.reoptimizations)
+          << "shard " << rank;
+      EXPECT_EQ(s.frames_in, quanta_of(o) + 2 + s.metrics_reports +
+                                 s.heartbeats + s.flight_dumps)
+          << "shard " << rank;
+      EXPECT_GT(s.metrics_reports, 0u) << "shard " << rank;
+      heartbeats += s.heartbeats;
+    }
+    EXPECT_EQ(heartbeats, stats.heartbeats_received);
+  }
+}
+
+TEST(DistObservabilityTest, NewestFaultDumpIsTheNewestFault) {
+  const graph::ProcessingGraph g = test_graph();
+  const opt::AllocationPlan plan = opt::optimize(g);
+
+  // Nine stalls of one PE: more faults than a tracer retains dumps for
+  // (SpanTracerOptions::max_dumps). Each one still ships its own dump.
+  std::string faults;
+  for (int i = 1; i <= 9; ++i) {
+    faults += "stall pe=2 at=" + std::to_string(i) + " for=0.2;";
+  }
+  ASSERT_LT(obs::SpanTracerOptions{}.max_dumps, 9u);
+  obs::ClusterAggregator agg;
+  runtime::dist::DistOptions o = options_with(3, &agg, 1.0);
+  o.faults = fault::parse_fault_spec(faults);
+  runtime::dist::run_distributed(g, plan, o);
+
+  const auto dumps = agg.flight_dumps();
+  ASSERT_EQ(dumps.size(), 1u);
+  const auto& [rank, dump] = *dumps.begin();
+  EXPECT_EQ(dump.event, "fault.pe_stall");
+  EXPECT_NEAR(dump.time, 9.0, 1e-9) << "a stale dump from an earlier stall";
+  EXPECT_EQ(agg.shard_statuses().at(rank).flight_dumps, 9u);
 }
 
 TEST(DistObservabilityTest, ProcKilledShardsLastSpansStayReadable) {

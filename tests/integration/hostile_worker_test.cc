@@ -1,9 +1,8 @@
 // A worker whose StepDone names an index out of range must cost only its
 // own shard. The coordinator acts on every index a StepDone carries: it
-// routes each delivery by its destination PE, re-solves tier 1 around the
-// crashed and restored nodes, relays adverts and congested PEs to every
-// worker (which index arrays with them), and routes each span handoff with
-// the delivery it names. Unchecked, one bad index throws out of
+// routes each delivery by its destination PE, relays adverts and congested
+// PEs to every worker (which index arrays with them), and routes each span
+// handoff with the delivery it names. Unchecked, one bad index throws out of
 // run_distributed or corrupts another worker. Checked on receipt, it is a
 // malformed frame: a decode reject, and the sender is declared dead.
 //
@@ -37,8 +36,6 @@ enum class Violation : std::uint64_t {
   kDeliveryPe,
   kAdvertPe,
   kCongestedPe,
-  kCrashedNode,
-  kRestoredNode,
   kHandoffPastLastDelivery,
   kHandoffsOutOfOrder,
 };
@@ -62,12 +59,6 @@ wire::StepDone hostile_step_done(std::uint64_t quantum, Violation v) {
       break;
     case Violation::kCongestedPe:
       done.congested_pes.push_back(kFarOutOfRange);
-      break;
-    case Violation::kCrashedNode:
-      done.crashed_nodes.push_back(kFarOutOfRange);
-      break;
-    case Violation::kRestoredNode:
-      done.restored_nodes.push_back(kFarOutOfRange);
       break;
     case Violation::kHandoffPastLastDelivery:
       done.spans.push_back(wire::SpanHandoff{1, obs::SdoSpan{}});
@@ -145,8 +136,7 @@ TEST_P(HostileWorkerTest, BadIndexCostsOnlyTheSendersShard) {
 INSTANTIATE_TEST_SUITE_P(
     Violations, HostileWorkerTest,
     ::testing::Values(Violation::kDeliveryPe, Violation::kAdvertPe,
-                      Violation::kCongestedPe, Violation::kCrashedNode,
-                      Violation::kRestoredNode,
+                      Violation::kCongestedPe,
                       Violation::kHandoffPastLastDelivery,
                       Violation::kHandoffsOutOfOrder),
     [](const ::testing::TestParamInfo<Violation>& info) {
@@ -154,8 +144,6 @@ INSTANTIATE_TEST_SUITE_P(
         case Violation::kDeliveryPe: return std::string("DeliveryPe");
         case Violation::kAdvertPe: return std::string("AdvertPe");
         case Violation::kCongestedPe: return std::string("CongestedPe");
-        case Violation::kCrashedNode: return std::string("CrashedNode");
-        case Violation::kRestoredNode: return std::string("RestoredNode");
         case Violation::kHandoffPastLastDelivery:
           return std::string("HandoffPastLastDelivery");
         case Violation::kHandoffsOutOfOrder:

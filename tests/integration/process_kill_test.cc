@@ -166,6 +166,39 @@ TEST(ProcessKillTest, RestartRejoinsAndReoptimizesAgain) {
   EXPECT_GT(report.weighted_throughput, 0.0);
 }
 
+TEST(ProcessKillTest, CrashWindowThatClosesWhileItsShardIsDeadRejoinsTierOne) {
+  const graph::ProcessingGraph g = test_graph();
+  const opt::AllocationPlan plan = opt::optimize(g);
+
+  // Node 2's crash window closes while its worker is dead. The coordinator
+  // evaluates crash windows itself, so nothing is lost with the worker:
+  // tier 1 is solved when the window opens (the kill excludes no new node)
+  // and again at the respawn, once both windows have closed.
+  const std::string faults =
+      "crash node=2 at=2 until=5; prockill node=2 at=3 restart=6";
+  runtime::dist::DistStats inproc_stats;
+  const metrics::RunReport inproc = runtime::dist::run_distributed(
+      g, plan,
+      base_options(runtime::transport::TransportKind::kInProc, 3, faults),
+      &inproc_stats);
+  runtime::dist::DistStats uds_stats;
+  const metrics::RunReport uds = runtime::dist::run_distributed(
+      g, plan, base_options(runtime::transport::TransportKind::kUds, 3, faults),
+      &uds_stats);
+
+  EXPECT_EQ(inproc_stats.reoptimizations, 2u);
+  EXPECT_EQ(uds_stats.reoptimizations, 2u);
+  EXPECT_EQ(metrics::work_fingerprint(inproc), metrics::work_fingerprint(uds));
+  EXPECT_EQ(uds_stats.orphans_reaped, 0u);
+  // The respawned worker's partial report covers its own lifetime, after
+  // the respawn: node 2 has its cpu targets back and its PEs do work.
+  std::uint64_t processed = 0;
+  for (const PeId id : g.pes_on_node(NodeId(2))) {
+    processed += inproc.per_pe[id.value()].processed;
+  }
+  EXPECT_GT(processed, 0u) << "node 2 stayed out of tier 1";
+}
+
 TEST(ProcessKillTest, LongHeartbeatIntervalDoesNotDelayShutdown) {
   const graph::ProcessingGraph g = test_graph();
   const opt::AllocationPlan plan = opt::optimize(g);

@@ -125,7 +125,7 @@ TEST(ClusterAggregatorTest, ShardLifecycleAndQuantumWatermark) {
 
 TEST(ClusterAggregatorTest, FlightDumpSurvivesShardDeath) {
   ClusterAggregator agg;
-  ShardFlightDump dump;
+  FlightDump dump;
   dump.event = "fault.pe_stall";
   dump.time = 12.5;
   dump.recent.push_back(span_through(42, {3}, 1.0));

@@ -58,7 +58,6 @@ std::vector<std::vector<std::uint8_t>> valid_frames(Rng& rng) {
   config.topology = "node 0 cpu=1";
   config.faults = "crash node=0 at=1";
   config.plan_cpu = {rng.uniform(), rng.uniform()};
-  config.plan_rin = {rng.uniform()};
   config.span_sample = rng.uniform();
   StepGo go;
   go.quantum = id();
@@ -73,11 +72,9 @@ std::vector<std::vector<std::uint8_t>> valid_frames(Rng& rng) {
   done.deliveries.push_back(SdoDelivery{id(), id(), rng.uniform()});
   done.spans.push_back(SpanHandoff{0, span});
   done.adverts.push_back(Advert{id(), rng.uniform(), rng.uniform()});
-  done.crashed_nodes = {id()};
-  done.restored_nodes = {id()};
+  done.congested_pes = {id()};
   Targets targets;
-  targets.cpu = {rng.uniform()};
-  targets.rout = {rng.uniform(), rng.uniform()};
+  targets.cpu = {rng.uniform(), rng.uniform()};
   Report report;
   report.report.latency.add(rng.uniform());
   report.report.latency_histogram.add(rng.uniform());
@@ -94,7 +91,7 @@ std::vector<std::vector<std::uint8_t>> valid_frames(Rng& rng) {
   tick.policy = "aces";
   metrics.trace.push_back(tick);
   metrics.spans.push_back(span);
-  FlightDump dump;
+  obs::FlightDump dump;
   dump.event = "fault.node_crash";
   dump.recent.push_back(span);
   dump.in_flight.push_back(span);
@@ -183,8 +180,6 @@ TEST(WireFuzz, ResizedValidFrames) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(0, 32));
     for (std::size_t i = 0; i < n; ++i) {
       t.cpu.push_back(rng.uniform());
-      t.rin.push_back(rng.uniform());
-      t.rout.push_back(rng.uniform());
     }
     auto frame = encode(t);
     resize(frame, rng);

@@ -102,8 +102,6 @@ Config random_config(Rng& rng) {
   c.topology = random_string(rng, 2048);
   c.faults = random_string(rng, 256);
   c.plan_cpu = random_doubles(rng, 64);
-  c.plan_rin = random_doubles(rng, 64);
-  c.plan_rout = random_doubles(rng, 64);
   c.span_sample = rng.uniform(0.0, 1.0);
   c.record_trace = rng.bernoulli(0.5) ? 1 : 0;
   return c;
@@ -161,16 +159,12 @@ StepDone random_step_done(Rng& rng) {
   d.spans = random_handoffs(rng, 6);
   d.adverts = random_adverts(rng, 64);
   d.congested_pes = random_u32s(rng, 32);
-  d.crashed_nodes = random_u32s(rng, 4);
-  d.restored_nodes = random_u32s(rng, 4);
   return d;
 }
 
 Targets random_targets(Rng& rng) {
   Targets t;
   t.cpu = random_doubles(rng, 64);
-  t.rin = random_doubles(rng, 64);
-  t.rout = random_doubles(rng, 64);
   return t;
 }
 
@@ -221,8 +215,8 @@ MetricsReport random_metrics_report(Rng& rng) {
   return m;
 }
 
-FlightDump random_flight_dump(Rng& rng) {
-  FlightDump d;
+obs::FlightDump random_flight_dump(Rng& rng) {
+  obs::FlightDump d;
   d.event = random_string(rng, 32);
   d.time = rng.uniform(0.0, 1e3);
   d.pushed = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 24));
@@ -394,8 +388,6 @@ TEST(WireRoundTrip, ConfigSeeded) {
     EXPECT_EQ(out->topology, in.topology);
     EXPECT_EQ(out->faults, in.faults);
     expect_doubles_eq(out->plan_cpu, in.plan_cpu);
-    expect_doubles_eq(out->plan_rin, in.plan_rin);
-    expect_doubles_eq(out->plan_rout, in.plan_rout);
     EXPECT_TRUE(bits_equal(out->span_sample, in.span_sample));
     EXPECT_EQ(out->record_trace, in.record_trace);
   }
@@ -437,8 +429,6 @@ TEST(WireRoundTrip, StepDoneSeeded) {
     expect_vec_eq(out->adverts, in.adverts,
                   [](const auto& a, const auto& b) { expect_eq(a, b); });
     EXPECT_EQ(out->congested_pes, in.congested_pes);
-    EXPECT_EQ(out->crashed_nodes, in.crashed_nodes);
-    EXPECT_EQ(out->restored_nodes, in.restored_nodes);
   }
 }
 
@@ -453,8 +443,6 @@ TEST(WireRoundTrip, HeartbeatAndTargetsSeeded) {
         decode_targets(payload_of(encode(tin), FrameType::kTargets));
     ASSERT_TRUE(tout.has_value());
     expect_doubles_eq(tout->cpu, tin.cpu);
-    expect_doubles_eq(tout->rin, tin.rin);
-    expect_doubles_eq(tout->rout, tin.rout);
   }
 }
 
@@ -531,7 +519,7 @@ TEST(WireRoundTrip, MetricsReportSeeded) {
 TEST(WireRoundTrip, FlightDumpSeeded) {
   Rng rng(0xF11647);
   for (int i = 0; i < 100; ++i) {
-    const FlightDump in = random_flight_dump(rng);
+    const obs::FlightDump in = random_flight_dump(rng);
     const auto out =
         decode_flight_dump(payload_of(encode(in), FrameType::kFlightDump));
     ASSERT_TRUE(out.has_value());
@@ -560,7 +548,7 @@ TEST(WireRoundTrip, Shutdown) {
 
 TEST(WireGolden, HeaderLayout) {
   const auto h = frame_header(FrameType::kStepGo, 0xAABBCCDD);
-  const std::uint8_t want[8] = {0xE5, 0xAC, 0x03, 0x03, 0xDD, 0xCC, 0xBB, 0xAA};
+  const std::uint8_t want[8] = {0xE5, 0xAC, 0x04, 0x03, 0xDD, 0xCC, 0xBB, 0xAA};
   EXPECT_EQ(0, std::memcmp(h.data(), want, sizeof want));
 }
 
@@ -569,7 +557,7 @@ TEST(WireGolden, HelloBytes) {
   h.rank = 0x01020304;
   const auto frame = encode(h);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x03, 0x01, 0x04, 0x00, 0x00, 0x00,  // header, len 4
+      0xE5, 0xAC, 0x04, 0x01, 0x04, 0x00, 0x00, 0x00,  // header, len 4
       0x04, 0x03, 0x02, 0x01,                          // rank LE
   };
   ASSERT_EQ(frame.size(), sizeof want);
@@ -579,7 +567,16 @@ TEST(WireGolden, HelloBytes) {
 TEST(WireGolden, HeartbeatBytes) {
   const auto frame = encode(Heartbeat{});
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x03, 0x05, 0x00, 0x00, 0x00, 0x00,  // header, no payload
+      0xE5, 0xAC, 0x04, 0x05, 0x00, 0x00, 0x00, 0x00,  // header, no payload
+  };
+  ASSERT_EQ(frame.size(), sizeof want);
+  EXPECT_EQ(0, std::memcmp(frame.data(), want, sizeof want));
+}
+
+TEST(WireGolden, ShutdownBytes) {
+  const auto frame = encode_shutdown();
+  const std::uint8_t want[] = {
+      0xE5, 0xAC, 0x04, 0x08, 0x00, 0x00, 0x00, 0x00,  // header, no payload
   };
   ASSERT_EQ(frame.size(), sizeof want);
   EXPECT_EQ(0, std::memcmp(frame.data(), want, sizeof want));
@@ -591,7 +588,7 @@ TEST(WireGolden, MetricsReportBytes) {
   m.counters.push_back({"a", 3});
   const auto frame = encode(m);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x03, 0x09, 0x29, 0x00, 0x00, 0x00,  // header, len 41
+      0xE5, 0xAC, 0x04, 0x09, 0x29, 0x00, 0x00, 0x00,  // header, len 41
       0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // quantum
       0x01, 0x00, 0x00, 0x00,                          // 1 counter
       0x01, 0x00, 0x00, 0x00, 0x61,                    // name "a"
@@ -606,13 +603,13 @@ TEST(WireGolden, MetricsReportBytes) {
 }
 
 TEST(WireGolden, FlightDumpBytes) {
-  FlightDump d;
+  obs::FlightDump d;
   d.event = "x";
   d.time = 0.0;
   d.pushed = 5;
   const auto frame = encode(d);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x03, 0x0A, 0x1D, 0x00, 0x00, 0x00,  // header, len 29
+      0xE5, 0xAC, 0x04, 0x0A, 0x1D, 0x00, 0x00, 0x00,  // header, len 29
       0x01, 0x00, 0x00, 0x00, 0x78,                    // event "x"
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // time 0.0
       0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // pushed
@@ -644,7 +641,7 @@ TEST(WireGolden, ConfigBytes) {
   c.record_trace = 1;
   const auto frame = encode(c);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x03, 0x02, 0x6F, 0x00, 0x00, 0x00,  // header, len 111
+      0xE5, 0xAC, 0x04, 0x02, 0x67, 0x00, 0x00, 0x00,  // header, len 103
       0x01, 0x00, 0x00, 0x00,                          // rank
       0x02, 0x00, 0x00, 0x00,                          // num_workers
       0x04, 0x00, 0x00, 0x00,                          // substeps
@@ -661,8 +658,6 @@ TEST(WireGolden, ConfigBytes) {
       0x00, 0x00, 0x00, 0x00,                          // faults ""
       0x01, 0x00, 0x00, 0x00,                          // 1 plan_cpu entry
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  //   1.0
-      0x00, 0x00, 0x00, 0x00,                          // 0 plan_rin
-      0x00, 0x00, 0x00, 0x00,                          // 0 plan_rout
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // span_sample 0.5
       0x01,                                            // record_trace
   };
@@ -688,7 +683,7 @@ TEST(WireGolden, StepGoBytes) {
   g.up_nodes = {6};
   const auto frame = encode(g);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x03, 0x03, 0x90, 0x00, 0x00, 0x00,  // header, len 144
+      0xE5, 0xAC, 0x04, 0x03, 0x90, 0x00, 0x00, 0x00,  // header, len 144
       0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // quantum
       0x01,                                            // flags: final
       0x01, 0x00, 0x00, 0x00,                          // 1 delivery
@@ -734,11 +729,10 @@ TEST(WireGolden, StepDoneBytes) {
                1.25, 1.25};
   d.spans.push_back(SpanHandoff{0, s});
   d.adverts.push_back(Advert{3, 0.5, 2.0});
-  d.crashed_nodes = {1};
-  d.restored_nodes = {2};
+  d.congested_pes = {5};
   const auto frame = encode(d);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x03, 0x04, 0xAF, 0x00, 0x00, 0x00,  // header, len 175
+      0xE5, 0xAC, 0x04, 0x04, 0xA3, 0x00, 0x00, 0x00,  // header, len 163
       0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // quantum
       0x01, 0x00, 0x00, 0x00,                          // 1 delivery
       0x07, 0x00, 0x00, 0x00,                          //   dest_pe
@@ -765,9 +759,7 @@ TEST(WireGolden, StepDoneBytes) {
       0x03, 0x00, 0x00, 0x00,                          //   pe
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  //   rmax 0.5
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  //   time 2.0
-      0x00, 0x00, 0x00, 0x00,                          // congested_pes {}
-      0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // crashed_nodes {1}
-      0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,  // restored_nodes {2}
+      0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,  // congested_pes {5}
   };
   ASSERT_EQ(frame.size(), sizeof want);
   EXPECT_EQ(0, std::memcmp(frame.data(), want, sizeof want));
@@ -775,17 +767,13 @@ TEST(WireGolden, StepDoneBytes) {
 
 TEST(WireGolden, TargetsBytes) {
   Targets t;
-  t.cpu = {0.5};
-  t.rin = {1.0, 2.0};
+  t.cpu = {0.5, 2.0};
   const auto frame = encode(t);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x03, 0x06, 0x24, 0x00, 0x00, 0x00,  // header, len 36
-      0x01, 0x00, 0x00, 0x00,                          // 1 cpu target
+      0xE5, 0xAC, 0x04, 0x06, 0x14, 0x00, 0x00, 0x00,  // header, len 20
+      0x02, 0x00, 0x00, 0x00,                          // 2 cpu targets
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  //   0.5
-      0x02, 0x00, 0x00, 0x00,                          // 2 rin targets
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  //   1.0
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  //   2.0
-      0x00, 0x00, 0x00, 0x00,                          // 0 rout targets
   };
   ASSERT_EQ(frame.size(), sizeof want);
   EXPECT_EQ(0, std::memcmp(frame.data(), want, sizeof want));
@@ -810,7 +798,7 @@ TEST(WireGolden, ReportBytes) {
   rep.reoptimizations = 12;
   const auto frame = encode(r);
   std::vector<std::uint8_t> want = {
-      0xE5, 0xAC, 0x03, 0x07, 0x44, 0x07, 0x00, 0x00,  // header, len 1860
+      0xE5, 0xAC, 0x04, 0x07, 0x44, 0x07, 0x00, 0x00,  // header, len 1860
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  // measured_seconds 2.0
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // weighted_tput 0.5
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // output_rate 1.0
@@ -927,12 +915,12 @@ TEST(WireReject, BadVersion) {
   WireError err;
   EXPECT_FALSE(parse_frame(frame.data(), frame.size(), &err).has_value());
   EXPECT_NE(err.reason.find("version"), std::string::npos);
-  // A version-2 peer is refused at the header, before any field is read.
-  ASSERT_EQ(kWireVersion, 3);
-  frame[2] = 2;
-  WireError v2;
-  EXPECT_FALSE(parse_frame(frame.data(), frame.size(), &v2).has_value());
-  EXPECT_EQ(v2.reason, "unsupported wire version");
+  // A version-3 peer is refused at the header, before any field is read.
+  ASSERT_EQ(kWireVersion, 4);
+  frame[2] = 3;
+  WireError v3;
+  EXPECT_FALSE(parse_frame(frame.data(), frame.size(), &v3).has_value());
+  EXPECT_EQ(v3.reason, "unsupported wire version");
 }
 
 TEST(WireReject, BadFrameType) {
@@ -1041,7 +1029,7 @@ TEST(WireReject, SpanHopBadKind) {
 }
 
 TEST(WireReject, FlightDumpImplausibleSpanCount) {
-  FlightDump d;
+  obs::FlightDump d;
   d.event = "e";
   auto payload = payload_of(encode(d), FrameType::kFlightDump);
   // Overwrite the `recent` count (after event, time, pushed) with an

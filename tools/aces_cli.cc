@@ -8,10 +8,11 @@
 //                 [--trace=out.jsonl] [--faults="crash node=1 at=20 until=35"]
 //                 [--staleness=1] [--reoptimize=5]
 //   aces compare  --topology=topo.txt [--duration=60] [--seed=1] [--csv]
-//                 [--runtime] [--timescale=5] [--trace=out.jsonl]
-//                 [--transport=thread|inproc|uds|tcp] [--processes=2]
-//                 [--substeps=4] [--fingerprint]
-//                 [--faults=@faults.txt] [--staleness=1] [--reoptimize=5]
+//                 [--trace=out.jsonl] [--faults=@faults.txt]
+//                 [--staleness=1] [--reoptimize=5]
+//                 [--transport=thread [--timescale=5] [--batch=8] [--pin]]
+//                 [--transport=inproc|uds|tcp [--processes=2]
+//                  [--substeps=4] [--fingerprint]]
 //   aces cluster-report --topology=topo.txt [--transport=uds --processes=3]
 //                 [--sample=0.01] [--status-port=0] [--prom=prom.txt]
 //   aces trace-summary --in=out.jsonl [--tail=0.25] [--tolerance=0.1]
@@ -390,26 +391,29 @@ harness::RunSummary run_one(const graph::ProcessingGraph& g,
   return harness::summarize(simulation.report(), plan.weighted_throughput);
 }
 
-/// Data-plane tuning knobs for the threaded runtime (docs/performance.md).
+/// Data-plane tuning knobs of the two runtimes (docs/performance.md):
+/// --channel-capacity on either, --batch and --pin on the threaded one
+/// only. A knob left unread is refused by check_all_consumed.
 struct DataPlaneFlags {
   std::size_t batch = 8;
   std::size_t channel_capacity = 0;  ///< 0: use graph buffer bounds
   bool pin = false;
 
-  static DataPlaneFlags parse(Flags& flags) {
+  static DataPlaneFlags parse(Flags& flags, bool threaded) {
     DataPlaneFlags out;
-    const int batch = flags.get("batch", 8);
     const int capacity = flags.get("channel-capacity", 0);
-    if (batch < 1) {
-      std::cerr << "--batch must be >= 1\n";
-      std::exit(3);
-    }
     if (capacity < 0) {
       std::cerr << "--channel-capacity must be >= 0\n";
       std::exit(3);
     }
-    out.batch = static_cast<std::size_t>(batch);
     out.channel_capacity = static_cast<std::size_t>(capacity);
+    if (!threaded) return out;
+    const int batch = flags.get("batch", 8);
+    if (batch < 1) {
+      std::cerr << "--batch must be >= 1\n";
+      std::exit(3);
+    }
+    out.batch = static_cast<std::size_t>(batch);
     out.pin = flags.has("pin");
     return out;
   }
@@ -643,37 +647,15 @@ int cmd_compare(Flags& flags) {
   const double warmup = flags.get("warmup", 10.0);
   const int seed = flags.get("seed", 1);
   const bool csv = flags.has("csv");
-  const bool use_runtime = flags.has("runtime");
-  const double time_scale = flags.get("timescale", 5.0);
-  const DataPlaneFlags data_plane = DataPlaneFlags::parse(flags);
   const std::string trace_base = flags.get("trace", std::string());
-  const std::string transport_name =
-      flags.get("transport", std::string("thread"));
-  const int processes = flags.get("processes", 2);
-  const int substeps = flags.get("substeps", 4);
-  const bool fingerprint = flags.has("fingerprint");
-  // Distributed observability plane (ignored on the other substrates):
-  // --sample traces spans cluster-wide, --status-port serves the live
-  // line-protocol endpoint, --prom writes per-policy cluster expositions.
-  const double dist_sample = flags.get("sample", 0.0);
-  const bool has_status_port = flags.has("status-port");
-  const int status_port = flags.get("status-port", 0);
-  const double status_linger = flags.get("status-linger", 0.0);
-  const std::string prom_base = flags.get("prom", std::string());
   const FaultFlags faults = FaultFlags::parse(flags);
-  flags.check_all_consumed();
-  fault::validate(faults.schedule, g);
-  if (dist_sample < 0.0 || dist_sample > 1.0)
-    throw std::runtime_error("--sample must be in [0,1]");
-  if (status_port < 0 || status_port > 65535)
-    throw std::runtime_error("--status-port must be in [0,65535]");
-
-  // Substrate selection: the simulator by default, the wall-paced threaded
-  // runtime with --runtime (equivalently --transport=thread), the
-  // deterministic multi-process distributed runtime for the other
-  // transports.
+  // --transport selects the substrate: absent, the simulator; `thread`,
+  // the wall-paced threaded runtime; inproc|uds|tcp, the deterministic
+  // multi-process distributed runtime.
+  const std::string transport_name = flags.get("transport", std::string());
+  const bool use_runtime = transport_name == "thread";
   std::optional<runtime::transport::TransportKind> dist_kind;
-  if (transport_name != "thread") {
+  if (!transport_name.empty() && !use_runtime) {
     dist_kind = runtime::transport::parse_transport(transport_name);
     if (!dist_kind.has_value()) {
       throw std::runtime_error("unknown transport: " + transport_name +
@@ -681,6 +663,30 @@ int cmd_compare(Flags& flags) {
     }
   }
   const bool use_dist = dist_kind.has_value();
+  // Each substrate reads only its own flags; check_all_consumed refuses
+  // the rest like unknown flags. The distributed runtime's observability
+  // plane is --sample (spans traced cluster-wide), --status-port (the live
+  // line-protocol endpoint) and --prom (per-policy cluster expositions).
+  const double time_scale = use_runtime ? flags.get("timescale", 5.0) : 0.0;
+  const DataPlaneFlags data_plane =
+      use_runtime || use_dist ? DataPlaneFlags::parse(flags, use_runtime)
+                              : DataPlaneFlags{};
+  const int processes = use_dist ? flags.get("processes", 2) : 1;
+  const int substeps = use_dist ? flags.get("substeps", 4) : 1;
+  const bool fingerprint = use_dist && flags.has("fingerprint");
+  const double dist_sample = use_dist ? flags.get("sample", 0.0) : 0.0;
+  const bool has_status_port = use_dist && flags.has("status-port");
+  const int status_port = use_dist ? flags.get("status-port", 0) : 0;
+  const double status_linger =
+      use_dist ? flags.get("status-linger", 0.0) : 0.0;
+  const std::string prom_base =
+      use_dist ? flags.get("prom", std::string()) : std::string();
+  flags.check_all_consumed();
+  fault::validate(faults.schedule, g);
+  if (dist_sample < 0.0 || dist_sample > 1.0)
+    throw std::runtime_error("--sample must be in [0,1]");
+  if (status_port < 0 || status_port > 65535)
+    throw std::runtime_error("--status-port must be in [0,65535]");
   if (processes < 1) throw std::runtime_error("--processes must be >= 1");
   if (substeps < 1) throw std::runtime_error("--substeps must be >= 1");
 
@@ -698,16 +704,6 @@ int cmd_compare(Flags& flags) {
   if (!faults.schedule.proc_kills.empty() && !use_dist) {
     std::cerr << "warning: prockill clauses need the distributed runtime "
                  "(--transport=inproc|uds|tcp); ignored on this substrate\n";
-  }
-  if (fingerprint && !use_dist && use_runtime) {
-    std::cerr << "warning: the threaded runtime is wall-paced and "
-                 "nondeterministic; its fingerprints are not reproducible\n";
-  }
-  if ((has_status_port || dist_sample > 0.0 || !prom_base.empty()) &&
-      !use_dist) {
-    std::cerr << "warning: --status-port/--sample/--prom on compare apply to "
-                 "the distributed runtime only (--transport=inproc|uds|tcp); "
-                 "ignored\n";
   }
 
   const opt::AllocationPlan plan = opt::optimize(g);
@@ -790,7 +786,7 @@ int cmd_compare(Flags& flags) {
       summary = run_one(g, plan, policy, duration, warmup, seed, {}, trace,
                         faults, counters_ptr);
     }
-    if (fingerprint && use_dist) {
+    if (fingerprint) {
       // One line per policy: `<policy> <fingerprint>`. CI diffs these
       // across transports and process counts — the distributed runtime's
       // work totals are partition-invariant, so they must be
@@ -820,7 +816,7 @@ int cmd_compare(Flags& flags) {
     std::cerr << "status endpoint lingering " << status_linger << " s\n";
     std::this_thread::sleep_for(std::chrono::duration<double>(status_linger));
   }
-  if (fingerprint && use_dist) return 0;  // fingerprints replace the table
+  if (fingerprint) return 0;  // fingerprints replace the table
   harness::print_table(table, csv, std::cout);
   return 0;
 }
@@ -847,7 +843,8 @@ int cmd_cluster_report(Flags& flags) {
   const bool has_status_port = flags.has("status-port");
   const int status_port = flags.get("status-port", 0);
   const double status_linger = flags.get("status-linger", 0.0);
-  const DataPlaneFlags data_plane = DataPlaneFlags::parse(flags);
+  const DataPlaneFlags data_plane =
+      DataPlaneFlags::parse(flags, /*threaded=*/false);
   const FaultFlags faults = FaultFlags::parse(flags);
   const bool csv = flags.has("csv");
   flags.check_all_consumed();
@@ -1177,9 +1174,11 @@ int cmd_latency_report(Flags& flags) {
   const std::string prom_path = flags.get("prom", std::string());
   // --transport switches to the distributed runtime: the same tables, fed
   // by the cluster-merged latency registry (wire-stitched spans included).
+  // Its shard flags are read only then, so the simulator refuses them.
   const std::string transport_name = flags.get("transport", std::string());
-  const int processes = flags.get("processes", 3);
-  const int substeps = flags.get("substeps", 4);
+  const bool dist = !transport_name.empty();
+  const int processes = dist ? flags.get("processes", 3) : 1;
+  const int substeps = dist ? flags.get("substeps", 4) : 1;
   const FaultFlags faults = FaultFlags::parse(flags);
   const bool csv = flags.has("csv");
   flags.check_all_consumed();
@@ -1192,7 +1191,7 @@ int cmd_latency_report(Flags& flags) {
 
   const opt::AllocationPlan plan = opt::optimize(g);
 
-  if (!transport_name.empty()) {
+  if (dist) {
     const std::optional<runtime::transport::TransportKind> kind =
         runtime::transport::parse_transport(transport_name);
     if (!kind.has_value()) {
@@ -1336,19 +1335,23 @@ int usage(std::ostream& os, int code) {
         "             tracing at RATE in (0,1], --spans/--prom write the\n"
         "             JSONL / Prometheus expositions)\n"
         "  compare   --topology=FILE [--duration --warmup --seed --csv]\n"
-        "            [--runtime --timescale=5 --trace=F.jsonl|F.csv]\n"
-        "            [--transport=thread|inproc|uds|tcp --processes=2\n"
-        "             --substeps=4 --fingerprint]\n"
-        "            [--batch=8 --channel-capacity=0 --pin]\n"
+        "            [--trace=F.jsonl|F.csv]\n"
         "            [--faults=SPEC|@FILE --staleness=SEC --reoptimize=SEC]\n"
-        "            [--sample=RATE --status-port=N --status-linger=SEC\n"
-        "             --prom=F.txt]   (distributed transports only)\n"
-        "            (--runtime uses the wall-paced threaded runtime;\n"
-        "             --transport=inproc|uds|tcp uses the deterministic\n"
-        "             multi-process distributed runtime on --processes\n"
-        "             worker shards — docs/architecture.md, 'Distributed\n"
-        "             runtime'. The periodic --reoptimize=SEC interval is\n"
-        "             simulator-only: the distributed runtime re-solves\n"
+        "            [--transport=thread --timescale=5 --batch=8\n"
+        "             --channel-capacity=0 --pin]   (threaded runtime)\n"
+        "            [--transport=inproc|uds|tcp --processes=2 --substeps=4\n"
+        "             --channel-capacity=0 --fingerprint --sample=RATE\n"
+        "             --status-port=N --status-linger=SEC --prom=F.txt]\n"
+        "             (distributed runtime)\n"
+        "            (--transport selects the substrate: absent, the\n"
+        "             simulator; thread, the wall-paced threaded runtime;\n"
+        "             inproc|uds|tcp, the deterministic multi-process\n"
+        "             distributed runtime on --processes worker shards —\n"
+        "             docs/architecture.md, 'Distributed runtime'. A flag\n"
+        "             the chosen substrate does not read is refused like\n"
+        "             an unknown flag. The periodic --reoptimize=SEC\n"
+        "             interval is simulator-only: the distributed runtime\n"
+        "             re-solves\n"
         "             tier 1 event-driven on kill/crash/restart\n"
         "             transitions regardless, and the threaded runtime\n"
         "             never re-solves mid-run.\n"
@@ -1356,13 +1359,12 @@ int usage(std::ostream& os, int code) {
         "             runtime. --fingerprint prints one `<policy> <hash>`\n"
         "             line per policy instead of the table; identical\n"
         "             across transports and process counts.\n"
-        "             --trace writes one file per policy: F.<policy>.jsonl\n"
-        "             (simulator and threaded runtime only). Data-plane\n"
-        "             knobs, see docs/performance.md: --batch caps SDOs\n"
-        "             moved per channel operation, --channel-capacity\n"
-        "             overrides the graph's buffer bounds when > 0, --pin\n"
-        "             pins worker threads to cores.\n"
-        "             On the distributed transports --sample traces spans\n"
+        "             --trace writes one file per policy: F.<policy>.jsonl.\n"
+        "             Data-plane knobs, see docs/performance.md: --batch\n"
+        "             caps SDOs moved per channel operation,\n"
+        "             --channel-capacity overrides the graph's buffer\n"
+        "             bounds when > 0, --pin pins worker threads to cores.\n"
+        "             On the distributed runtime --sample traces spans\n"
         "             cluster-wide, --status-port=N serves the live plain-\n"
         "             text status endpoint on 127.0.0.1 (0 picks a port),\n"
         "             --status-linger keeps it up SEC seconds after the\n"
@@ -1371,7 +1373,8 @@ int usage(std::ostream& os, int code) {
         "             control ticks to F.<policy>.jsonl)\n"
         "  cluster-report --topology=FILE [--policy --duration --warmup\n"
         "             --seed --transport=uds --processes=3 --substeps=4\n"
-        "             --sample=0.01 --csv --trace=F.jsonl --prom=F.txt\n"
+        "             --channel-capacity=0 --sample=0.01 --csv\n"
+        "             --trace=F.jsonl --prom=F.txt\n"
         "             --status-port=N --status-linger=SEC]\n"
         "            [--faults=SPEC|@FILE --staleness=SEC]\n"
         "            (one distributed run rendered as the cluster\n"
