@@ -1,18 +1,25 @@
 // Micro-benchmarks (google-benchmark) for the building blocks on the hot
 // paths: the event kernel, the tier-2 controller, the data-plane channel,
 // and the tier-1 solver. These quantify the claim that the distributed
-// controller is "computationally light" (paper §V-C).
+// controller is "computationally light" (paper §V-C). The BM_Cluster*
+// benchmarks time each exposition of a filled cluster aggregator.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <sstream>
 
 #include "control/cpu_scheduler.h"
 #include "control/flow_controller.h"
 #include "control/lqr.h"
 #include "control/node_controller.h"
 #include "graph/topology_generator.h"
+#include "obs/cluster_aggregate.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "opt/global_optimizer.h"
 #include "runtime/channel.h"
+#include "runtime/dist_coordinator.h"
+#include "runtime/dist_options.h"
 #include "sim/simulator.h"
 #include "sim/stream_simulation.h"
 
@@ -178,6 +185,64 @@ void BM_SimulatedSecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedSecond);
+
+/// An aggregator filled by one run of perfbench's dist_telemetry shape on
+/// the in-process transport: the 60-PE default topology, 2 workers, 4
+/// substeps, 1% of spans sampled, 100 virtual seconds. Its wall time is
+/// what an exposition's cost is a share of.
+struct TelemetryRun {
+  obs::ClusterAggregator aggregator;
+  double wall_seconds = 0.0;
+
+  TelemetryRun() {
+    const auto g = generate_topology(graph::TopologyParams{}, 1);
+    const auto plan = opt::optimize(g);
+    runtime::dist::DistOptions o;
+    o.duration = 100.0;
+    o.warmup = 10.0;
+    o.processes = 2;
+    o.substeps = 4;
+    o.transport = runtime::transport::TransportKind::kInProc;
+    o.span_sample = 0.01;
+    o.aggregator = &aggregator;
+    const auto start = std::chrono::steady_clock::now();
+    runtime::dist::run_distributed(g, plan, o);
+    wall_seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  }
+};
+
+/// Times one rendering of the filled aggregator; reports its size and the
+/// filling run's wall time.
+void render(benchmark::State& state,
+            void (obs::ClusterAggregator::*write)(std::ostream&) const) {
+  static const TelemetryRun run;  // filled once, outside every timed loop
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream os;
+    (run.aggregator.*write)(os);
+    bytes = static_cast<std::size_t>(os.tellp());
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.counters["run_ms"] = run.wall_seconds * 1e3;
+}
+
+void BM_ClusterStatus(benchmark::State& state) {
+  render(state, &obs::ClusterAggregator::write_status);
+}
+BENCHMARK(BM_ClusterStatus);
+
+void BM_ClusterPrometheus(benchmark::State& state) {
+  render(state, &obs::ClusterAggregator::write_prometheus);
+}
+BENCHMARK(BM_ClusterPrometheus);
+
+void BM_ClusterReport(benchmark::State& state) {
+  render(state, &obs::ClusterAggregator::write_report);
+}
+BENCHMARK(BM_ClusterReport);
 
 }  // namespace
 

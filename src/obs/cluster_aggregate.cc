@@ -13,6 +13,7 @@
 #include <cstring>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "obs/export.h"
 
@@ -20,17 +21,61 @@ namespace aces::obs {
 
 namespace {
 
-/// Human/scrape formatting, never fingerprinted.
-std::string fmt(double v) {
-  char buf[40];
-  // aces-lint: allow(float-format) status/report exposition for humans and scrapers
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
 /// Spans kept per shard as standing flight evidence: as many as the
 /// worker's own flight ring holds (workers keep the default capacity).
 const std::size_t kRingCapacity = SpanTracerOptions{}.ring_capacity;
+
+/// The prefix of every shard-labelled family.
+constexpr std::string_view kShardFamily = "aces_shard_";
+
+/// `text` with every character outside [A-Za-z0-9_.:-] written as `%XX`:
+/// a worker-supplied name can neither split a `key value` line nor start
+/// a new one, and two names never share a key.
+std::string key_safe(const std::string& text) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  std::string out;
+  for (const char c : text) {
+    if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+        (c >= '0' && c <= '9') || c == '_' || c == '.' || c == ':' ||
+        c == '-') {
+      out.push_back(c);
+    } else {
+      const auto byte = static_cast<unsigned char>(c);
+      out += {'%', kHex[byte >> 4], kHex[byte & 0xF]};
+    }
+  }
+  return out;
+}
+
+/// The value of `e`'s `shard` label; empty for a cluster-wide entry.
+std::string shard_of(const MetricEntry& e) {
+  for (const auto& [name, value] : e.labels) {
+    if (name == "shard") return value;
+  }
+  return {};
+}
+
+/// The status key: the family, then `_<value>` for each label but
+/// `shard`, whose rank goes after the `aces_shard_` prefix instead
+/// (`aces_shard_frames{shard="2",direction="in"}` is
+/// `aces_shard_2_frames_in`).
+std::string status_key(const MetricEntry& e) {
+  std::string key = e.family;
+  for (const auto& [name, value] : e.labels) {
+    if (name == "shard") {
+      key.insert(kShardFamily.size(), value + '_');
+    } else {
+      key += '_';
+      key += key_safe(value);
+    }
+  }
+  return key;
+}
+
+/// An empty OnlineStats reads 0 everywhere (its max() is -inf).
+double max_or_zero(const OnlineStats& stats) {
+  return stats.empty() ? 0.0 : stats.max();
+}
 
 }  // namespace
 
@@ -140,9 +185,6 @@ void ClusterAggregator::absorb_spans(std::uint32_t rank,
     s.recent.push_back(span);
     if (s.recent.size() > kRingCapacity) s.recent.pop_front();
     if (!span.completed()) continue;
-    const double transport = span.transport_time();
-    transport_seconds_.add(transport);
-    compute_seconds_.add(span.latency() - transport);
     // Bounded slowest-first list, same policy as SpanTracer's worst_k.
     constexpr std::size_t kWorst = 8;
     const auto at = std::upper_bound(
@@ -170,6 +212,10 @@ std::size_t ClusterAggregator::shard_count() const {
 
 std::size_t ClusterAggregator::shards_alive() const {
   MutexLock lock(mutex_);
+  return live_shards();
+}
+
+std::size_t ClusterAggregator::live_shards() const {
   std::size_t alive = 0;
   for (const auto& [rank, s] : shards_) {
     if (s.status.alive) ++alive;
@@ -192,11 +238,6 @@ LatencyRegistry ClusterAggregator::merged_latency() const {
   LatencyRegistry merged;
   for (const auto& [rank, s] : shards_) merged.merge(s.latency);
   return merged;
-}
-
-double ClusterAggregator::max_step_skew() const {
-  MutexLock lock(mutex_);
-  return skew_seconds_.empty() ? 0.0 : skew_seconds_.max();
 }
 
 std::map<std::uint32_t, ShardStatus> ClusterAggregator::shard_statuses()
@@ -240,283 +281,179 @@ std::vector<TickRecord> ClusterAggregator::trace_records() const {
   return out;
 }
 
-namespace {
-
-/// One gauge-typed sample with optional labels; header emitted once.
-void prom_gauge(std::ostream& os, const char* name, const char* help,
-                const PrometheusLabels& labels, double value,
-                bool& header_done) {
-  if (!header_done) {
-    os << "# HELP " << name << ' ' << help << '\n';
-    os << "# TYPE " << name << " gauge\n";
-    header_done = true;
+std::vector<MetricEntry> ClusterAggregator::metrics() const {
+  using enum MetricType;
+  std::uint64_t quantum_max = 0;
+  for (const auto& [rank, s] : shards_) {
+    quantum_max = std::max(quantum_max, s.status.last_quantum);
   }
-  os << name;
-  if (!labels.empty()) {
-    os << '{';
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (i > 0) os << ',';
-      os << labels[i].first << "=\"" << prometheus_label_escape(labels[i].second)
-         << '"';
+  const char* const skew_help =
+      "Wall time between the first and last StepDone of one quantum";
+  std::vector<MetricEntry> out = {
+      {"aces_cluster_shards", "Worker shards ever seen", kGauge, {},
+       std::uint64_t{shards_.size()}},
+      {"aces_cluster_shards_alive", "Worker shards currently alive", kGauge,
+       {}, std::uint64_t{live_shards()}},
+      {"aces_cluster_quantum_max",
+       "Newest barrier quantum heard from any shard", kGauge, {}, quantum_max},
+      {"aces_cluster_barrier_skew_seconds", skew_help, kGauge,
+       {{"stat", "max"}}, max_or_zero(skew_seconds_)},
+      {"aces_cluster_barrier_skew_seconds", skew_help, kGauge,
+       {{"stat", "mean"}}, skew_seconds_.mean()},
+      {"aces_cluster_spans_completed",
+       "Spans finalized in any shard, dropped ones included", kCounter, {},
+       spans_completed_},
+      {"aces_cluster_spans_stitched",
+       "Finalized spans, dropped ones included, with a wire hop: they "
+       "crossed a node boundary through the coordinator",
+       kCounter, {}, spans_stitched_},
+      {"aces_cluster_trace_records", "Control-tick trace records absorbed",
+       kCounter, {}, std::uint64_t{trace_.size()}},
+  };
+  const char* const rtt = "Barrier round-trip wall time (StepGo to StepDone)";
+  const char* const frames = "Frames per endpoint";
+  const char* const bytes = "Header and payload bytes per endpoint";
+  for (const auto& [rank, s] : shards_) {
+    // A shard's entries carry its `shard` label first.
+    const auto add = [&out, shard = std::to_string(rank)](
+                         const char* family, const char* help,
+                         MetricType type, MetricValue value,
+                         PrometheusLabels labels = {}) {
+      labels.insert(labels.begin(), {"shard", shard});
+      out.push_back({family, help, type, std::move(labels), value});
+    };
+    const ShardStatus& st = s.status;
+    add("aces_shard_up", "1 while the shard is alive", kGauge,
+        std::uint64_t{st.alive});
+    add("aces_shard_last_quantum",
+        "Newest barrier quantum heard from the shard", kGauge,
+        st.last_quantum);
+    add("aces_shard_rtt_seconds", rtt, kGauge, st.rtt_seconds.mean(),
+        {{"stat", "mean"}});
+    add("aces_shard_rtt_seconds", rtt, kGauge, max_or_zero(st.rtt_seconds),
+        {{"stat", "max"}});
+    add("aces_shard_frames", frames, kCounter, st.frames_in,
+        {{"direction", "in"}});
+    add("aces_shard_frames", frames, kCounter, st.frames_out,
+        {{"direction", "out"}});
+    add("aces_shard_bytes", bytes, kCounter, st.bytes_in,
+        {{"direction", "in"}});
+    add("aces_shard_bytes", bytes, kCounter, st.bytes_out,
+        {{"direction", "out"}});
+    add("aces_shard_decode_rejects",
+        "Frames from the shard that failed to decode", kCounter,
+        st.decode_rejects);
+    add("aces_shard_heartbeats", "Heartbeats received from the shard",
+        kCounter, st.heartbeats);
+    add("aces_shard_metrics_reports",
+        "MetricsReport frames absorbed from the shard", kCounter,
+        st.metrics_reports);
+    add("aces_shard_flight_dumps", "Fault dumps received from the shard",
+        kCounter, st.flight_dumps);
+    add("aces_shard_relay_dropped",
+        "Span handoffs dropped because the destination died", kCounter,
+        st.relay_dropped);
+    for (const auto& [name, value] : s.counters) {
+      add("aces_shard_counter", "Worker counter, summed deltas", kCounter,
+          value, {{"name", name}});
     }
-    os << '}';
-  }
-  os << ' ' << fmt(value) << '\n';
-}
-
-/// Counter-typed variant of prom_gauge for integer monotonic samples.
-void prom_counter(std::ostream& os, const char* name, const char* help,
-                  const PrometheusLabels& labels, std::uint64_t value,
-                  bool& header_done) {
-  if (!header_done) {
-    os << "# HELP " << name << ' ' << help << '\n';
-    os << "# TYPE " << name << " counter\n";
-    header_done = true;
-  }
-  os << name;
-  if (!labels.empty()) {
-    os << '{';
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (i > 0) os << ',';
-      os << labels[i].first << "=\"" << prometheus_label_escape(labels[i].second)
-         << '"';
+    for (const auto& [name, value] : s.gauges) {
+      add("aces_shard_gauge", "Worker gauge, last value wins", kGauge, value,
+          {{"name", name}});
     }
-    os << '}';
+    for (const auto& [name, totals] : s.perf) {
+      add("aces_shard_timer_calls", "Worker timer calls", kCounter,
+          totals.calls, {{"name", name}});
+      add("aces_shard_timer_ns", "Worker timer nanoseconds", kCounter,
+          totals.ns, {{"name", name}});
+    }
   }
-  os << ' ' << value << '\n';
+  // Each family's entries adjacent, as Prometheus wants them: families in
+  // order of first appearance, shards in rank order within each.
+  std::map<std::string_view, std::size_t> first;
+  std::vector<std::pair<std::size_t, std::size_t>> order;  // (first, index)
+  order.reserve(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    order.emplace_back(first.try_emplace(out[i].family, i).first->second, i);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<MetricEntry> grouped;
+  grouped.reserve(out.size());
+  for (const auto& [family, i] : order) grouped.push_back(std::move(out[i]));
+  return grouped;
 }
-
-}  // namespace
 
 void ClusterAggregator::write_prometheus(std::ostream& os) const {
   MutexLock lock(mutex_);
-  bool hdr;
-
-  hdr = false;
-  prom_gauge(os, "aces_cluster_shards", "Worker shards ever seen", {},
-             static_cast<double>(shards_.size()), hdr);
-  std::size_t alive = 0;
-  for (const auto& [rank, s] : shards_) alive += s.status.alive ? 1 : 0;
-  hdr = false;
-  prom_gauge(os, "aces_cluster_shards_alive", "Worker shards currently alive",
-             {}, static_cast<double>(alive), hdr);
-  hdr = false;
-  prom_gauge(os, "aces_barrier_skew_seconds_max",
-             "Largest StepDone spread across one quantum", {},
-             skew_seconds_.empty() ? 0.0 : skew_seconds_.max(), hdr);
-  hdr = false;
-  prom_gauge(os, "aces_barrier_skew_seconds_mean",
-             "Mean StepDone spread across quanta", {}, skew_seconds_.mean(),
-             hdr);
-  hdr = false;
-  prom_gauge(os, "aces_cluster_transport_seconds_mean",
-             "Mean per-span wire-crossing time", {},
-             transport_seconds_.mean(), hdr);
-  hdr = false;
-  prom_gauge(os, "aces_cluster_compute_seconds_mean",
-             "Mean per-span in-shard time", {}, compute_seconds_.mean(), hdr);
-  hdr = false;
-  prom_counter(os, "aces_cluster_spans_completed_total",
-               "Spans finalized cluster-wide", {}, spans_completed_, hdr);
-  hdr = false;
-  prom_counter(os, "aces_cluster_spans_stitched_total",
-               "Completed spans that crossed a process boundary", {},
-               spans_stitched_, hdr);
-
-  bool up_hdr = false, quantum_hdr = false, rtt_hdr = false;
-  bool frames_hdr = false, bytes_hdr = false, reject_hdr = false;
-  bool hb_hdr = false, relay_hdr = false;
+  write_prometheus_metrics(os, metrics());
+  std::vector<LabelledLatency> registries;
   for (const auto& [rank, s] : shards_) {
-    const std::string shard_label = std::to_string(rank);
-    prom_gauge(os, "aces_shard_up", "1 while the shard is alive",
-               {{"shard", shard_label}}, s.status.alive ? 1.0 : 0.0, up_hdr);
-    prom_gauge(os, "aces_shard_last_quantum",
-               "Newest barrier quantum heard from the shard",
-               {{"shard", shard_label}},
-               static_cast<double>(s.status.last_quantum), quantum_hdr);
-    if (!s.status.rtt_seconds.empty()) {
-      prom_gauge(os, "aces_shard_rtt_seconds",
-                 "Barrier round-trip wall time (StepGo to StepDone)",
-                 {{"shard", shard_label}, {"stat", "mean"}},
-                 s.status.rtt_seconds.mean(), rtt_hdr);
-      prom_gauge(os, "aces_shard_rtt_seconds",
-                 "Barrier round-trip wall time (StepGo to StepDone)",
-                 {{"shard", shard_label}, {"stat", "max"}},
-                 s.status.rtt_seconds.max(), rtt_hdr);
-    }
-    prom_counter(os, "aces_shard_frames_total", "Frames per endpoint",
-                 {{"shard", shard_label}, {"direction", "in"}},
-                 s.status.frames_in, frames_hdr);
-    prom_counter(os, "aces_shard_frames_total", "Frames per endpoint",
-                 {{"shard", shard_label}, {"direction", "out"}},
-                 s.status.frames_out, frames_hdr);
-    prom_counter(os, "aces_shard_bytes_total", "Bytes per endpoint",
-                 {{"shard", shard_label}, {"direction", "in"}},
-                 s.status.bytes_in, bytes_hdr);
-    prom_counter(os, "aces_shard_bytes_total", "Bytes per endpoint",
-                 {{"shard", shard_label}, {"direction", "out"}},
-                 s.status.bytes_out, bytes_hdr);
-    prom_counter(os, "aces_shard_decode_rejects_total",
-                 "Frames from the shard that failed to decode",
-                 {{"shard", shard_label}}, s.status.decode_rejects,
-                 reject_hdr);
-    prom_counter(os, "aces_shard_heartbeats_total",
-                 "Heartbeats received from the shard",
-                 {{"shard", shard_label}}, s.status.heartbeats, hb_hdr);
-    prom_counter(os, "aces_shard_relay_dropped_total",
-                 "Span handoffs dropped because the destination died",
-                 {{"shard", shard_label}}, s.status.relay_dropped, relay_hdr);
+    registries.push_back({{{"shard", std::to_string(rank)}}, &s.latency});
   }
-
-  bool counter_hdr = false, gauge_hdr = false;
-  bool perf_calls_hdr = false, perf_ns_hdr = false;
-  for (const auto& [rank, s] : shards_) {
-    const std::string shard_label = std::to_string(rank);
-    for (const auto& [name, value] : s.counters) {
-      prom_counter(os, "aces_cluster_counter_total",
-                   "Worker counter, summed deltas per shard",
-                   {{"name", name}, {"shard", shard_label}}, value,
-                   counter_hdr);
-    }
-    for (const auto& [name, value] : s.gauges) {
-      prom_gauge(os, "aces_cluster_gauge", "Worker gauge, last value wins",
-                 {{"name", name}, {"shard", shard_label}}, value, gauge_hdr);
-    }
-    for (const auto& [name, totals] : s.perf) {
-      prom_counter(os, "aces_perf_stage_calls_total",
-                   "Worker timer call count",
-                   {{"stage", name}, {"shard", shard_label}}, totals.calls,
-                   perf_calls_hdr);
-      prom_counter(os, "aces_perf_stage_ns_total",
-                   "Worker timer nanoseconds",
-                   {{"stage", name}, {"shard", shard_label}}, totals.ns,
-                   perf_ns_hdr);
-    }
-  }
-
-  bool wait_hdr = false, service_hdr = false, path_hdr = false;
-  for (const auto& [rank, s] : shards_) {
-    const std::string shard_label = std::to_string(rank);
-    for (const auto& [pe, stats] : s.latency.pes()) {
-      prometheus_summary(os, "aces_pe_wait_seconds",
-                         "Queue wait (enqueue to dequeue) per PE",
-                         {{"pe", std::to_string(pe)}, {"shard", shard_label}},
-                         stats.wait, wait_hdr);
-    }
-    for (const auto& [pe, stats] : s.latency.pes()) {
-      prometheus_summary(os, "aces_pe_service_seconds",
-                         "Service time (dequeue to emit) per PE",
-                         {{"pe", std::to_string(pe)}, {"shard", shard_label}},
-                         stats.service, service_hdr);
-    }
-    for (const auto& [id, stats] : s.latency.paths()) {
-      prometheus_histogram(os, "aces_path_latency_seconds",
-                           "End-to-end latency per source-to-sink path",
-                           {{"path", stats.label}, {"shard", shard_label}},
-                           stats.end_to_end, path_hdr);
-    }
-  }
+  write_prometheus_latency(os, registries);
 }
 
 void ClusterAggregator::write_status(std::ostream& os) const {
   MutexLock lock(mutex_);
-  os << "aces_cluster_shards " << shards_.size() << '\n';
-  std::size_t alive = 0;
-  std::uint64_t quantum_max = 0;
-  for (const auto& [rank, s] : shards_) {
-    alive += s.status.alive ? 1 : 0;
-    quantum_max = std::max(quantum_max, s.status.last_quantum);
-  }
-  os << "aces_cluster_shards_alive " << alive << '\n';
-  os << "aces_cluster_quantum_max " << quantum_max << '\n';
-  os << "aces_cluster_barrier_skew_seconds_max "
-     << fmt(skew_seconds_.empty() ? 0.0 : skew_seconds_.max()) << '\n';
-  os << "aces_cluster_barrier_skew_seconds_mean " << fmt(skew_seconds_.mean())
-     << '\n';
-  os << "aces_cluster_spans_completed " << spans_completed_ << '\n';
-  os << "aces_cluster_spans_stitched " << spans_stitched_ << '\n';
-  os << "aces_cluster_transport_seconds_mean "
-     << fmt(transport_seconds_.mean()) << '\n';
-  os << "aces_cluster_compute_seconds_mean " << fmt(compute_seconds_.mean())
-     << '\n';
-  os << "aces_cluster_trace_records " << trace_.size() << '\n';
-  for (const auto& [rank, s] : shards_) {
-    const std::string p = "aces_shard_" + std::to_string(rank) + '_';
-    os << p << "alive " << (s.status.alive ? 1 : 0) << '\n';
-    os << p << "quantum " << s.status.last_quantum << '\n';
-    os << p << "rtt_seconds_mean " << fmt(s.status.rtt_seconds.mean()) << '\n';
-    os << p << "rtt_seconds_max "
-       << fmt(s.status.rtt_seconds.empty() ? 0.0 : s.status.rtt_seconds.max())
-       << '\n';
-    os << p << "frames_in " << s.status.frames_in << '\n';
-    os << p << "frames_out " << s.status.frames_out << '\n';
-    os << p << "bytes_in " << s.status.bytes_in << '\n';
-    os << p << "bytes_out " << s.status.bytes_out << '\n';
-    os << p << "decode_rejects " << s.status.decode_rejects << '\n';
-    os << p << "heartbeats " << s.status.heartbeats << '\n';
-    os << p << "metrics_reports " << s.status.metrics_reports << '\n';
-    os << p << "flight_dumps " << s.status.flight_dumps << '\n';
-    os << p << "relay_dropped " << s.status.relay_dropped << '\n';
+  for (const MetricEntry& e : metrics()) {
+    os << status_key(e) << ' ' << format_value(e.value) << '\n';
   }
 }
 
 void ClusterAggregator::write_report(std::ostream& os) const {
-  // Renders from the public accessors (each takes the lock) rather than
-  // holding the mutex across the whole report.
-  const auto statuses = shard_statuses();
-  const auto counters = cluster_counters();
-  const LatencyRegistry merged = merged_latency();
-  const auto recent = recent_spans();
-  const auto dumps = flight_dumps();
-
-  std::size_t alive = 0;
-  std::uint64_t quantum_max = 0;
-  for (const auto& [rank, s] : statuses) {
-    alive += s.alive ? 1 : 0;
-    quantum_max = std::max(quantum_max, s.last_quantum);
+  MutexLock lock(mutex_);
+  // Cluster-wide entries print as status lines. Per-shard ones fill the
+  // shard table: a row per key, a column per shard, a total for counters.
+  std::vector<std::string> header = {"shard"};
+  std::map<std::string, std::size_t> column_of;
+  for (const auto& [rank, s] : shards_) {
+    column_of[std::to_string(rank)] = header.size();
+    header.push_back(std::to_string(rank) + (s.status.alive ? "" : "[DEAD]"));
   }
-  os << "cluster: " << statuses.size() << " shard"
-     << (statuses.size() == 1 ? "" : "s") << ", " << alive
-     << " alive, quantum " << quantum_max << ", barrier skew max "
-     << fmt(max_step_skew() * 1e3) << " ms\n";
-  {
-    MutexLock lock(mutex_);
-    os << "spans: completed=" << spans_completed_
-       << " stitched=" << spans_stitched_
-       << " transport_mean=" << fmt(transport_seconds_.mean() * 1e3)
-       << "ms compute_mean=" << fmt(compute_seconds_.mean() * 1e3) << "ms\n";
-  }
-
-  os << "\nshard  state  quantum  rtt_mean_ms  rtt_max_ms  frames(in/out)  "
-        "bytes(in/out)  rejects  heartbeats  relay_drop\n";
-  for (const auto& [rank, s] : statuses) {
-    char line[256];
-    std::snprintf(
-        line, sizeof line,
-        // aces-lint: allow(float-format) human shard table, never diffed
-        "%5u  %-5s  %7llu  %11.3f  %10.3f  %6llu/%-7llu  %6llu/%-7llu  "
-        "%7llu  %10llu  %10llu",
-        rank, s.alive ? "up" : "dead",
-        static_cast<unsigned long long>(s.last_quantum),
-        s.rtt_seconds.mean() * 1e3,
-        (s.rtt_seconds.empty() ? 0.0 : s.rtt_seconds.max()) * 1e3,
-        static_cast<unsigned long long>(s.frames_in),
-        static_cast<unsigned long long>(s.frames_out),
-        static_cast<unsigned long long>(s.bytes_in),
-        static_cast<unsigned long long>(s.bytes_out),
-        static_cast<unsigned long long>(s.decode_rejects),
-        static_cast<unsigned long long>(s.heartbeats),
-        static_cast<unsigned long long>(s.relay_dropped));
-    os << line << '\n';
-  }
-
-  if (!counters.empty()) {
-    os << "\ncluster counters (summed across shards):\n";
-    for (const auto& [name, value] : counters) {
-      os << "  " << name << " = " << value << '\n';
+  header.push_back("total");
+  std::vector<std::vector<std::string>> table = {header};
+  std::map<std::size_t, std::uint64_t> totals;  // by row, counters only
+  std::map<std::string, std::size_t> row_of;
+  os << "cluster:\n";
+  for (const MetricEntry& e : metrics()) {
+    const std::string shard = shard_of(e);
+    if (shard.empty()) {
+      os << "  " << status_key(e) << ' ' << format_value(e.value) << '\n';
+      continue;
+    }
+    const std::string key =
+        status_key(e).substr(kShardFamily.size() + shard.size() + 1);
+    const auto [at, added] = row_of.try_emplace(key, table.size());
+    if (added) {
+      table.emplace_back(header.size(), "-");
+      table.back().front() = key;
+      table.back().back().clear();
+    }
+    table[at->second][column_of.at(shard)] = format_value(e.value);
+    if (e.type == MetricType::kCounter) {
+      totals[at->second] += std::get<std::uint64_t>(e.value);
     }
   }
+  for (const auto& [row, total] : totals) {
+    table[row].back() = std::to_string(total);
+  }
+  std::vector<std::size_t> width(header.size(), 0);
+  for (const auto& row : table) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      width[c] = std::max(width[c], row[c].size());
+    }
+  }
+  os << '\n';
+  for (const auto& row : table) {
+    std::string line = row[0] + std::string(width[0] - row[0].size(), ' ');
+    for (std::size_t c = 1; c < row.size(); ++c) {
+      line += std::string(width[c] - row[c].size() + 2, ' ') + row[c];
+    }
+    os << line.substr(0, line.find_last_not_of(' ') + 1) << '\n';
+  }
 
+  LatencyRegistry merged;
+  for (const auto& [rank, s] : shards_) merged.merge(s.latency);
   if (!merged.pes().empty()) {
     os << "\nmerged per-PE latency (seconds):\n";
     os << "   pe        n  wait_p50  wait_p99  svc_p50   svc_p99\n";
@@ -537,45 +474,48 @@ void ClusterAggregator::write_report(std::ostream& os) const {
     os << "  path: n p50 p99 max\n";
     for (const auto& [id, stats] : merged.paths()) {
       const LatencyQuantiles q = quantiles_of(stats.end_to_end);
-      os << "  " << stats.label << ": " << q.count << ' ' << fmt(q.p50) << ' '
-         << fmt(q.p99) << ' ' << fmt(q.max) << '\n';
+      os << "  " << stats.label << ": " << q.count << ' '
+         << format_number(q.p50) << ' ' << format_number(q.p99) << ' '
+         << format_number(q.max) << '\n';
     }
   }
-
-  {
-    MutexLock lock(mutex_);
-    if (!worst_.empty()) {
-      os << "\nslowest completed spans:\n";
-      for (const SdoSpan& span : worst_) {
-        os << "  trace " << span.trace_id << " path "
-           << path_label(span.hop_pes()) << " latency "
-           << fmt(span.latency() * 1e3) << "ms transport "
-           << fmt(span.transport_time() * 1e3) << "ms\n";
-      }
+  if (!worst_.empty()) {
+    os << "\nslowest completed spans:\n";
+    for (const SdoSpan& span : worst_) {
+      os << "  trace " << span.trace_id << " path "
+         << path_label(span.hop_pes()) << " latency "
+         << format_number(span.latency() * 1e3) << "ms\n";
     }
   }
+  write_evidence(os);
+}
 
-  if (!recent.empty() || !dumps.empty()) {
-    os << "\nflight-recorder evidence (standing ring, newest fault dump):\n";
-    for (const auto& [rank, status] : statuses) {
-      const auto ring = recent.find(rank);
-      const auto dump = dumps.find(rank);
-      if (ring == recent.end() && dump == dumps.end()) continue;
-      os << "  shard " << rank << (status.alive ? "" : " [DEAD]") << ": "
-         << (ring == recent.end() ? 0 : ring->second.size())
-         << " recent spans";
-      if (ring != recent.end()) {
-        os << " (newest ended t=" << fmt(ring->second.back().end) << ')';
-      }
-      if (dump != dumps.end()) {
-        os << "; fault dump event=" << dump->second.event
-           << " t=" << fmt(dump->second.time)
-           << " pushed=" << dump->second.pushed
-           << " recent=" << dump->second.recent.size()
-           << " in_flight=" << dump->second.in_flight.size();
-      }
-      os << '\n';
+void ClusterAggregator::write_flight_evidence(std::ostream& os) const {
+  MutexLock lock(mutex_);
+  write_evidence(os);
+}
+
+void ClusterAggregator::write_evidence(std::ostream& os) const {
+  bool heading = false;
+  for (const auto& [rank, s] : shards_) {
+    if (s.recent.empty() && !s.dump.has_value()) continue;
+    if (!heading) {
+      os << "\nflight-recorder evidence (standing ring, newest fault dump):\n";
+      heading = true;
     }
+    os << "  shard " << rank << (s.status.alive ? "" : " [DEAD]") << ": "
+       << s.recent.size() << " recent spans";
+    if (!s.recent.empty()) {
+      os << " (newest ended t=" << format_number(s.recent.back().end) << ')';
+    }
+    if (s.dump.has_value()) {
+      os << "; fault dump event=" << key_safe(s.dump->event)
+         << " t=" << format_number(s.dump->time)
+         << " pushed=" << s.dump->pushed
+         << " recent=" << s.dump->recent.size()
+         << " in_flight=" << s.dump->in_flight.size();
+    }
+    os << '\n';
   }
 }
 

@@ -16,8 +16,8 @@
 //    registry — path ids are the same splitmix64 fold in every shard, so
 //    cross-shard spans land in the same family as their in-process
 //    equivalents;
-//  * spans: completed spans (stitched across process hops) decomposed
-//    into compute vs. transport via SdoSpan::transport_time();
+//  * spans: every finalized span counted, those with a wire hop counted
+//    as stitched, and the slowest completed ones kept;
 //  * cluster health gauges: per-worker heartbeat RTT (Welford), barrier
 //    step skew, frames/bytes per transport endpoint, decode rejects;
 //  * evidence: each shard's last ring_capacity spans (its standing flight
@@ -25,10 +25,13 @@
 //    shard's final spans are readable at the coordinator after the
 //    process is gone.
 //
-// Rendered three ways: write_prometheus (every family shard-labelled),
-// write_status (the `--status-port` line protocol: one `key value` pair
-// per line, machine-greppable), and write_report (the `aces
-// cluster-report` human tables).
+// Every scalar above is one MetricEntry (obs/export.h) in the list a
+// private function builds under one hold of the lock, and the three
+// renderings walk that list: write_prometheus (each entry's sample, then
+// the per-shard latency families), write_status (the `--status-port`
+// line protocol: a `key value` line per entry, the key made from the
+// entry by one rule, docs/observability.md § Cluster exposures) and
+// write_report (the `aces cluster-report` text).
 //
 // Internally synchronized: the coordinator's recv loop absorbs from its
 // control thread while a StatusServer connection renders from the accept
@@ -56,6 +59,8 @@
 #include "obs/trace.h"
 
 namespace aces::obs {
+
+struct MetricEntry;
 
 /// Control-plane health of one worker shard as the coordinator sees it.
 struct ShardStatus {
@@ -121,9 +126,9 @@ class ClusterAggregator {
   /// Spans finalized on `rank`, in the order the shard finalized them. Each
   /// one is counted, feeds the shard's latency registry through
   /// record_span_latency, and joins the shard's standing flight ring (its
-  /// last ring_capacity spans); a completed() one also feeds the slowest
-  /// spans and the compute/transport means. A respawned shard keeps
-  /// adding to the same registry and ring.
+  /// last ring_capacity spans); a completed() one may also join the
+  /// slowest spans. A respawned shard keeps adding to the same registry
+  /// and ring.
   void absorb_spans(std::uint32_t rank, const std::vector<SdoSpan>& spans)
       ACES_EXCLUDES(mutex_);
   /// Retains `dump` as the shard's newest fault dump, apart from its
@@ -141,7 +146,6 @@ class ClusterAggregator {
   /// The per-shard registries merged bucket-wise in rank order —
   /// comparable 1:1 with a single-process run's SpanTracer::latency().
   [[nodiscard]] LatencyRegistry merged_latency() const ACES_EXCLUDES(mutex_);
-  [[nodiscard]] double max_step_skew() const ACES_EXCLUDES(mutex_);
   [[nodiscard]] std::map<std::uint32_t, ShardStatus> shard_statuses() const
       ACES_EXCLUDES(mutex_);
   /// Each shard's standing flight ring: its last ring_capacity finalized
@@ -156,15 +160,18 @@ class ClusterAggregator {
   [[nodiscard]] std::vector<TickRecord> trace_records() const
       ACES_EXCLUDES(mutex_);
 
-  /// Prometheus text exposition: cluster health gauges, per-shard counter /
-  /// gauge / perf families (`shard` label on every sample), and the merged
-  /// latency registry re-exposed per shard-of-origin.
+  /// Prometheus text exposition: every metric entry, then each shard's
+  /// latency families with a `shard` label.
   void write_prometheus(std::ostream& os) const ACES_EXCLUDES(mutex_);
-  /// `--status-port` line protocol: one `key value` pair per line, keys
-  /// flat and grep-stable (documented in docs/observability.md).
+  /// `--status-port` line protocol: one `key value` pair per metric entry,
+  /// the cluster-wide ones first (docs/observability.md lists them).
   void write_status(std::ostream& os) const ACES_EXCLUDES(mutex_);
-  /// `aces cluster-report` human tables.
+  /// `aces cluster-report` text, rendered from one snapshot.
   void write_report(std::ostream& os) const ACES_EXCLUDES(mutex_);
+  /// Each shard's flight evidence, one line per shard that has any (dead
+  /// ones marked `[DEAD]`); nothing when no shard has. The last section
+  /// of write_report.
+  void write_flight_evidence(std::ostream& os) const ACES_EXCLUDES(mutex_);
 
  private:
   struct PerfTotals {
@@ -182,6 +189,11 @@ class ClusterAggregator {
   };
 
   Shard& shard(std::uint32_t rank) ACES_REQUIRES(mutex_);
+  std::size_t live_shards() const ACES_REQUIRES(mutex_);
+  /// Every exposed scalar, cluster-wide entries first, each family's
+  /// entries adjacent.
+  std::vector<MetricEntry> metrics() const ACES_REQUIRES(mutex_);
+  void write_evidence(std::ostream& os) const ACES_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
   std::map<std::uint32_t, Shard> shards_ ACES_GUARDED_BY(mutex_);
@@ -189,8 +201,6 @@ class ClusterAggregator {
   OnlineStats skew_seconds_ ACES_GUARDED_BY(mutex_);
   std::uint64_t spans_completed_ ACES_GUARDED_BY(mutex_) = 0;
   std::uint64_t spans_stitched_ ACES_GUARDED_BY(mutex_) = 0;
-  OnlineStats transport_seconds_ ACES_GUARDED_BY(mutex_);
-  OnlineStats compute_seconds_ ACES_GUARDED_BY(mutex_);
   std::vector<SdoSpan> worst_ ACES_GUARDED_BY(mutex_);  // slowest-first
 };
 

@@ -6,30 +6,36 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace aces::obs {
+
+std::string format_number(double v) {
+  char buf[40];
+  // aces-lint: allow(float-format) exposition for humans and scrapers, never fingerprinted
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  return buf;
+}
+
+std::string format_value(const MetricValue& value) {
+  if (const auto* count = std::get_if<std::uint64_t>(&value)) {
+    return std::to_string(*count);
+  }
+  return format_number(std::get<double>(value));
+}
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Shortest round-trippable decimal form; "%.12g" preserves everything the
-/// trace needs (occupancies, rates, token levels) without noise digits.
-std::string number(double v) {
-  char buf[40];
-  // aces-lint: allow(float-format) trace exposition for humans/Prometheus, not a fingerprinted report
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
 /// JSON has no infinity; +inf ("no constraint") becomes null.
 std::string json_number(double v) {
-  return std::isfinite(v) ? number(v) : std::string("null");
+  return std::isfinite(v) ? format_number(v) : std::string("null");
 }
 
 /// CSV counterpart: std::stod round-trips "inf".
 std::string csv_number(double v) {
-  return std::isfinite(v) ? number(v) : std::string("inf");
+  return std::isfinite(v) ? format_number(v) : std::string("inf");
 }
 
 /// Value of `"key":` in a flat one-line JSON object; nullopt-like empty
@@ -74,15 +80,16 @@ std::uint64_t parse_u64(const std::string& raw, std::uint64_t fallback) {
 void write_trace_jsonl(std::ostream& os,
                        const std::vector<TickRecord>& records) {
   for (const TickRecord& r : records) {
-    os << "{\"time\":" << number(r.time) << ",\"node\":" << r.node
-       << ",\"pe\":" << r.pe << ",\"buffer\":" << number(r.buffer_occupancy)
-       << ",\"arrived\":" << number(r.arrived_sdos)
-       << ",\"processed\":" << number(r.processed_sdos)
-       << ",\"cpu_share\":" << number(r.cpu_share)
-       << ",\"cpu_used\":" << number(r.cpu_seconds_used)
+    os << "{\"time\":" << format_number(r.time) << ",\"node\":" << r.node
+       << ",\"pe\":" << r.pe
+       << ",\"buffer\":" << format_number(r.buffer_occupancy)
+       << ",\"arrived\":" << format_number(r.arrived_sdos)
+       << ",\"processed\":" << format_number(r.processed_sdos)
+       << ",\"cpu_share\":" << format_number(r.cpu_share)
+       << ",\"cpu_used\":" << format_number(r.cpu_seconds_used)
        << ",\"advertised_rmax\":" << json_number(r.advertised_rmax)
        << ",\"downstream_rmax\":" << json_number(r.downstream_rmax)
-       << ",\"tokens\":" << number(r.token_fill)
+       << ",\"tokens\":" << format_number(r.token_fill)
        << ",\"blocked\":" << (r.output_blocked ? "true" : "false")
        << ",\"drops\":" << r.dropped_total
        << ",\"fault\":" << static_cast<unsigned>(r.fault_flags);
@@ -99,12 +106,16 @@ void write_trace_csv(std::ostream& os, const std::vector<TickRecord>& records) {
   os << "time,node,pe,buffer,arrived,processed,cpu_share,cpu_used,"
         "advertised_rmax,downstream_rmax,tokens,blocked,drops,fault\n";
   for (const TickRecord& r : records) {
-    os << number(r.time) << ',' << r.node << ',' << r.pe << ','
-       << number(r.buffer_occupancy) << ',' << number(r.arrived_sdos) << ','
-       << number(r.processed_sdos) << ',' << number(r.cpu_share) << ','
-       << number(r.cpu_seconds_used) << ',' << csv_number(r.advertised_rmax)
-       << ',' << csv_number(r.downstream_rmax) << ',' << number(r.token_fill)
-       << ',' << (r.output_blocked ? 1 : 0) << ',' << r.dropped_total << ','
+    os << format_number(r.time) << ',' << r.node << ',' << r.pe << ','
+       << format_number(r.buffer_occupancy) << ','
+       << format_number(r.arrived_sdos) << ','
+       << format_number(r.processed_sdos) << ','
+       << format_number(r.cpu_share) << ','
+       << format_number(r.cpu_seconds_used) << ','
+       << csv_number(r.advertised_rmax) << ','
+       << csv_number(r.downstream_rmax) << ','
+       << format_number(r.token_fill) << ','
+       << (r.output_blocked ? 1 : 0) << ',' << r.dropped_total << ','
        << static_cast<unsigned>(r.fault_flags) << '\n';
   }
 }
@@ -158,11 +169,15 @@ std::vector<TickRecord> read_trace_jsonl(std::istream& is) {
 void write_timer_summary(std::ostream& os, const MetricsSnapshot& snapshot) {
   for (const TimerSample& t : snapshot.timers) {
     os << t.name << ": count=" << t.calls
-       << " p50=" << number(t.seconds.median() * 1e6)
-       << "us p99=" << number(t.seconds.p99() * 1e6) << "us\n";
+       << " p50=" << format_number(t.seconds.median() * 1e6)
+       << "us p99=" << format_number(t.seconds.p99() * 1e6) << "us\n";
   }
 }
 
+namespace {
+
+/// `\` -> `\\`, `"` -> `\"`, newline -> `\n`: the three escapes the text
+/// exposition format defines for a label value.
 std::string prometheus_label_escape(const std::string& value) {
   std::string out;
   out.reserve(value.size());
@@ -184,10 +199,8 @@ std::string prometheus_label_escape(const std::string& value) {
   return out;
 }
 
-namespace {
-
 /// `key="escaped"` pairs joined by commas, without the surrounding braces
-/// (emitters append extra reserved labels like `quantile` / `le`).
+/// (the latency families append a reserved `quantile` / `le` label).
 std::string label_block(const PrometheusLabels& labels) {
   std::string out;
   for (std::size_t i = 0; i < labels.size(); ++i) {
@@ -206,7 +219,7 @@ std::string braced(const std::string& block) {
   return block.empty() ? std::string() : '{' + block + '}';
 }
 
-void family_header(std::ostream& os, const char* name, const char* help,
+void family_header(std::ostream& os, std::string_view name, const char* help,
                    const char* type, bool& header_done) {
   if (header_done) return;
   os << "# HELP " << name << ' ' << help << '\n';
@@ -214,8 +227,9 @@ void family_header(std::ostream& os, const char* name, const char* help,
   header_done = true;
 }
 
-}  // namespace
-
+/// One summary-typed family member: quantile-labelled samples plus
+/// `_sum`/`_count`. `header_done` is the family's: the preamble appears
+/// once however many label sets follow.
 void prometheus_summary(std::ostream& os, const char* name, const char* help,
                         const PrometheusLabels& labels, const LogHistogram& h,
                         bool& header_done) {
@@ -226,13 +240,15 @@ void prometheus_summary(std::ostream& os, const char* name, const char* help,
   const double quantiles[][2] = {
       {0.5, q.p50}, {0.9, q.p90}, {0.99, q.p99}, {0.999, q.p999}};
   for (const auto& [which, value] : quantiles) {
-    os << name << '{' << base << sep << "quantile=\"" << number(which)
-       << "\"} " << number(value) << '\n';
+    os << name << '{' << base << sep << "quantile=\"" << format_number(which)
+       << "\"} " << format_number(value) << '\n';
   }
-  os << name << "_sum" << braced(base) << ' ' << number(h.sum()) << '\n';
+  os << name << "_sum" << braced(base) << ' ' << format_number(h.sum())
+     << '\n';
   os << name << "_count" << braced(base) << ' ' << h.count() << '\n';
 }
 
+/// One histogram-typed family member; the same header contract.
 void prometheus_histogram(std::ostream& os, const char* name, const char* help,
                           const PrometheusLabels& labels, const LogHistogram& h,
                           bool& header_done) {
@@ -247,55 +263,90 @@ void prometheus_histogram(std::ostream& os, const char* name, const char* help,
     cumulative += h.bucket_value(i);
     if (i + 1 == next_boundary) {
       os << name << "_bucket{" << base << sep << "le=\""
-         << number(h.bucket_lower(i + 1)) << "\"} " << cumulative << '\n';
+         << format_number(h.bucket_lower(i + 1)) << "\"} " << cumulative
+         << '\n';
       next_boundary += 5;
     }
   }
   os << name << "_bucket{" << base << sep << "le=\"+Inf\"} " << h.count()
      << '\n';
-  os << name << "_sum" << braced(base) << ' ' << number(h.sum()) << '\n';
+  os << name << "_sum" << braced(base) << ' ' << format_number(h.sum())
+     << '\n';
   os << name << "_count" << braced(base) << ' ' << h.count() << '\n';
 }
 
-void write_latency_prometheus(std::ostream& os, const SpanTracer& tracer) {
-  const auto counter = [&os](const char* name, const char* help,
-                             std::uint64_t value) {
-    os << "# HELP " << name << ' ' << help << '\n';
-    os << "# TYPE " << name << " counter\n";
-    os << name << ' ' << value << '\n';
+/// `own` followed by `extra`.
+PrometheusLabels joined(PrometheusLabels own, const PrometheusLabels& extra) {
+  own.insert(own.end(), extra.begin(), extra.end());
+  return own;
+}
+
+}  // namespace
+
+void write_prometheus_metrics(std::ostream& os,
+                              const std::vector<MetricEntry>& entries) {
+  std::string_view family;
+  bool header_done = false;
+  for (const MetricEntry& e : entries) {
+    const bool counter = e.type == MetricType::kCounter;
+    const std::string name = std::string(e.family) + (counter ? "_total" : "");
+    if (e.family != family) {
+      family = e.family;
+      header_done = false;
+    }
+    family_header(os, name, e.help, counter ? "counter" : "gauge",
+                  header_done);
+    os << name << braced(label_block(e.labels)) << ' ' << format_value(e.value)
+       << '\n';
+  }
+}
+
+void write_prometheus_latency(std::ostream& os,
+                              const std::vector<LabelledLatency>& registries) {
+  const auto pe_family = [&](const char* name, const char* help,
+                             LogHistogram LatencyRegistry::PeStats::*which) {
+    bool header_done = false;
+    for (const auto& [labels, registry] : registries) {
+      for (const auto& [pe, stats] : registry->pes()) {
+        prometheus_summary(os, name, help,
+                           joined({{"pe", std::to_string(pe)}}, labels),
+                           stats.*which, header_done);
+      }
+    }
   };
-  counter("aces_spans_started_total", "SDO spans begun at the sources",
-          tracer.spans_started());
-  counter("aces_spans_completed_total", "Spans finished at an egress",
-          tracer.spans_completed());
-  counter("aces_spans_dropped_total", "Spans ended by a drop or crash",
-          tracer.spans_dropped());
-  counter("aces_spans_pool_exhausted_total",
-          "Sampled SDOs skipped because the span pool was full",
-          tracer.pool_exhausted());
-  counter("aces_span_fault_dumps_total", "Flight-recorder fault dumps",
-          tracer.dumps_taken());
+  pe_family("aces_pe_wait_seconds", "Queue wait (enqueue to dequeue) per PE",
+            &LatencyRegistry::PeStats::wait);
+  pe_family("aces_pe_service_seconds", "Service time (dequeue to emit) per PE",
+            &LatencyRegistry::PeStats::service);
+  bool header_done = false;
+  for (const auto& [labels, registry] : registries) {
+    for (const auto& [id, stats] : registry->paths()) {
+      prometheus_histogram(os, "aces_path_latency_seconds",
+                           "End-to-end latency per source-to-sink path",
+                           joined({{"path", stats.label}}, labels),
+                           stats.end_to_end, header_done);
+    }
+  }
+}
 
-  bool wait_header = false, service_header = false;
-  for (const auto& [pe, stats] : tracer.latency().pes()) {
-    prometheus_summary(os, "aces_pe_wait_seconds",
-                       "Queue wait (enqueue to dequeue) per PE",
-                       {{"pe", std::to_string(pe)}}, stats.wait, wait_header);
-  }
-  for (const auto& [pe, stats] : tracer.latency().pes()) {
-    prometheus_summary(os, "aces_pe_service_seconds",
-                       "Service time (dequeue to emit) per PE",
-                       {{"pe", std::to_string(pe)}}, stats.service,
-                       service_header);
-  }
-
-  bool path_header = false;
-  for (const auto& [id, stats] : tracer.latency().paths()) {
-    prometheus_histogram(os, "aces_path_latency_seconds",
-                         "End-to-end latency per source-to-sink path",
-                         {{"path", stats.label}}, stats.end_to_end,
-                         path_header);
-  }
+void write_latency_prometheus(std::ostream& os, const SpanTracer& tracer) {
+  const auto counter = [](const char* family, const char* help,
+                          std::uint64_t value) {
+    return MetricEntry{family, help, MetricType::kCounter, {}, value};
+  };
+  write_prometheus_metrics(
+      os, {counter("aces_spans_started", "SDO spans begun at the sources",
+                   tracer.spans_started()),
+           counter("aces_spans_completed", "Spans finished at an egress",
+                   tracer.spans_completed()),
+           counter("aces_spans_dropped", "Spans ended by a drop or crash",
+                   tracer.spans_dropped()),
+           counter("aces_spans_pool_exhausted",
+                   "Sampled SDOs skipped because the span pool was full",
+                   tracer.pool_exhausted()),
+           counter("aces_span_fault_dumps", "Flight-recorder fault dumps",
+                   tracer.dumps_taken())});
+  write_prometheus_latency(os, {{{}, &tracer.latency()}});
 }
 
 namespace {
@@ -309,21 +360,21 @@ std::string hops_string(const SdoSpan& span) {
     if (i > 0) out.push_back('|');
     out += std::to_string(hop.pe);
     out.push_back('@');
-    out += hop.enqueue >= 0.0 ? number(hop.enqueue) : std::string("-");
+    out += hop.enqueue >= 0.0 ? format_number(hop.enqueue) : std::string("-");
     out.push_back('/');
-    out += hop.dequeue >= 0.0 ? number(hop.dequeue) : std::string("-");
+    out += hop.dequeue >= 0.0 ? format_number(hop.dequeue) : std::string("-");
     out.push_back('/');
-    out += hop.emit >= 0.0 ? number(hop.emit) : std::string("-");
+    out += hop.emit >= 0.0 ? format_number(hop.emit) : std::string("-");
   }
   return out;
 }
 
 void span_json_fields(std::ostream& os, const SdoSpan& span) {
   os << "\"trace_id\":" << span.trace_id << ",\"source_pe\":" << span.source_pe
-     << ",\"start\":" << number(span.start) << ",\"end\":"
-     << (span.end >= 0.0 ? number(span.end) : std::string("null"))
+     << ",\"start\":" << format_number(span.start) << ",\"end\":"
+     << (span.end >= 0.0 ? format_number(span.end) : std::string("null"))
      << ",\"latency\":"
-     << (span.end >= 0.0 ? number(span.latency()) : std::string("null"))
+     << (span.end >= 0.0 ? format_number(span.latency()) : std::string("null"))
      << ",\"dropped\":" << (span.dropped ? "true" : "false")
      << ",\"path\":\"" << path_label(span.hop_pes()) << "\",\"hops\":\""
      << hops_string(span) << '"';
@@ -333,19 +384,19 @@ void quantile_fields(std::ostream& os, const char* prefix,
                      const LogHistogram& h) {
   const LatencyQuantiles q = quantiles_of(h);
   os << '"' << prefix << "_count\":" << q.count << ",\"" << prefix
-     << "_p50\":" << number(q.p50) << ",\"" << prefix
-     << "_p90\":" << number(q.p90) << ",\"" << prefix
-     << "_p99\":" << number(q.p99) << ",\"" << prefix
-     << "_p999\":" << number(q.p999) << ",\"" << prefix
-     << "_mean\":" << number(q.mean) << ",\"" << prefix
-     << "_max\":" << number(q.max);
+     << "_p50\":" << format_number(q.p50) << ",\"" << prefix
+     << "_p90\":" << format_number(q.p90) << ",\"" << prefix
+     << "_p99\":" << format_number(q.p99) << ",\"" << prefix
+     << "_p999\":" << format_number(q.p999) << ",\"" << prefix
+     << "_mean\":" << format_number(q.mean) << ",\"" << prefix
+     << "_max\":" << format_number(q.max);
 }
 
 }  // namespace
 
 void write_spans_jsonl(std::ostream& os, const SpanTracer& tracer) {
   const SpanTracerOptions& opt = tracer.options();
-  os << "{\"kind\":\"meta\",\"sample_rate\":" << number(opt.sample_rate)
+  os << "{\"kind\":\"meta\",\"sample_rate\":" << format_number(opt.sample_rate)
      << ",\"seed\":" << opt.seed << ",\"started\":" << tracer.spans_started()
      << ",\"completed\":" << tracer.spans_completed()
      << ",\"dropped\":" << tracer.spans_dropped()
@@ -373,7 +424,7 @@ void write_spans_jsonl(std::ostream& os, const SpanTracer& tracer) {
   for (std::size_t d = 0; d < dumps.size(); ++d) {
     const FlightDump& dump = dumps[d];
     os << "{\"kind\":\"dump\",\"index\":" << d << ",\"event\":\""
-       << dump.event << "\",\"time\":" << number(dump.time)
+       << dump.event << "\",\"time\":" << format_number(dump.time)
        << ",\"recent\":" << dump.recent.size()
        << ",\"in_flight\":" << dump.in_flight.size() << "}\n";
     for (const SdoSpan& span : dump.recent) {

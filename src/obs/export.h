@@ -1,5 +1,5 @@
-// Serialization of telemetry: JSONL and CSV for traces, plus a
-// human-readable timer summary.
+// Serialization of telemetry: JSONL and CSV for traces, a human-readable
+// timer summary, and the one Prometheus text writer.
 //
 // JSONL (one flat JSON object per line) is the interchange format —
 // `aces trace-summary` reads it back — and CSV is for spreadsheets and
@@ -8,12 +8,14 @@
 // +infinity.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
-#include "common/histogram.h"
+#include "obs/latency.h"
 #include "obs/registry.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
@@ -35,40 +37,54 @@ std::vector<TickRecord> read_trace_jsonl(std::istream& is);
 /// Per-timer count / median / p99 in microseconds, one line per timer.
 void write_timer_summary(std::ostream& os, const MetricsSnapshot& snapshot);
 
-/// Escapes a string for use inside a Prometheus label value: `\` -> `\\`,
-/// `"` -> `\"`, newline -> `\n` (the three escapes the text exposition
-/// format defines). Every exporter label value goes through this so a
-/// pathological PE or path name cannot corrupt the scrape.
-std::string prometheus_label_escape(const std::string& value);
-
 /// Label set for one Prometheus sample, rendered in order as
-/// `key="escaped-value"` pairs. Values are escaped by the emitters; keys
-/// are trusted identifiers.
+/// `key="value"` pairs. Keys are trusted identifiers; the writers escape
+/// every value, so a hostile name cannot corrupt the scrape.
 using PrometheusLabels = std::vector<std::pair<std::string, std::string>>;
 
-/// Emits one summary-typed family member: quantile-labelled samples plus
-/// `_sum`/`_count`. `header_done` tracks whether the family's `# HELP` /
-/// `# TYPE` preamble has been written — callers pass one flag per family
-/// so the preamble appears exactly once no matter how many label sets are
-/// emitted.
-void prometheus_summary(std::ostream& os, const char* name, const char* help,
-                        const PrometheusLabels& labels, const LogHistogram& h,
-                        bool& header_done);
+enum class MetricType { kCounter, kGauge };
 
-/// Emits one histogram-typed family member with cumulative `le` buckets at
-/// every quarter decade of the log-bucketed histogram (keeps the scrape
-/// small), the underflow folded into the first boundary, a closing `+Inf`
-/// bucket, and `_sum`/`_count`. Same once-per-family header contract as
-/// prometheus_summary.
-void prometheus_histogram(std::ostream& os, const char* name, const char* help,
-                          const PrometheusLabels& labels, const LogHistogram& h,
-                          bool& header_done);
+/// A counter's exact count, or a gauge's reading.
+using MetricValue = std::variant<std::uint64_t, double>;
 
-/// Prometheus text exposition of the data-plane latency state: span
-/// lifecycle counters (aces_spans_*_total), per-PE wait/service summaries
-/// (quantile-labelled), and per-path end-to-end histograms with
-/// log-spaced `le` boundaries (one boundary per quarter decade keeps the
-/// output scrape-sized; counts are cumulative as the format requires).
+/// One exposed scalar, described once for every rendering of it. Its
+/// Prometheus sample is `family` (plus `_total` for a counter) with
+/// `labels`; the cluster status key and report row derive from the same
+/// fields (obs/cluster_aggregate.h). A counter holds an exact integer; a
+/// gauge holds whichever of the two its quantity is.
+struct MetricEntry {
+  const char* family = "";
+  const char* help = "";
+  MetricType type = MetricType::kGauge;
+  PrometheusLabels labels;
+  MetricValue value;
+};
+
+/// The one number format of every exposition: "%.12g" for a double, all
+/// digits for an integer.
+std::string format_number(double v);
+std::string format_value(const MetricValue& value);
+
+/// Prometheus samples of `entries`, each family's `# HELP` / `# TYPE`
+/// lines before its first sample. A family's entries must be adjacent.
+void write_prometheus_metrics(std::ostream& os,
+                              const std::vector<MetricEntry>& entries);
+
+/// A latency registry and the labels that tell its samples apart from
+/// other registries' in one scrape (a shard's rank; none in one process).
+using LabelledLatency = std::pair<PrometheusLabels, const LatencyRegistry*>;
+
+/// Per-PE `aces_pe_wait_seconds` / `aces_pe_service_seconds` summaries
+/// (quantile-labelled) and per-path `aces_path_latency_seconds` histograms
+/// (cumulative `le` buckets at every quarter decade, the underflow folded
+/// into the first, `+Inf` closing each member) of every registry, one
+/// family at a time. A registry's labels follow the `pe` / `path` label.
+void write_prometheus_latency(std::ostream& os,
+                              const std::vector<LabelledLatency>& registries);
+
+/// Prometheus text exposition of the data-plane latency state: the span
+/// lifecycle counters (aces_spans_*_total) and one registry's
+/// write_prometheus_latency families.
 void write_latency_prometheus(std::ostream& os, const SpanTracer& tracer);
 
 /// JSONL exposition of the same state, one kind-tagged flat object per

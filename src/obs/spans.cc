@@ -20,29 +20,6 @@ std::vector<std::uint32_t> SdoSpan::hop_pes() const {
   return pes;
 }
 
-Seconds SdoSpan::transport_time() const {
-  // Each process crossing contributes (first wire stamp .. recv stamp).
-  // The sender appends kWireSerialize (and kWireSend); the receiver
-  // appends kWireRecv; the next kPe hop closes the crossing.
-  Seconds total = 0.0;
-  Seconds crossing_start = -1.0;
-  for (std::uint32_t i = 0; i < hop_count; ++i) {
-    const SpanHop& hop = hops[i];
-    const auto kind = static_cast<HopKind>(hop.kind);
-    if (kind == HopKind::kPe) {
-      crossing_start = -1.0;
-      continue;
-    }
-    if (crossing_start < 0.0) crossing_start = hop.enqueue;
-    if (kind == HopKind::kWireRecv && crossing_start >= 0.0 &&
-        hop.emit >= crossing_start) {
-      total += hop.emit - crossing_start;
-      crossing_start = -1.0;
-    }
-  }
-  return total;
-}
-
 void record_span_latency(LatencyRegistry& registry, const SdoSpan& span) {
   for (std::uint32_t i = 0; i < span.hop_count; ++i) {
     const SpanHop& hop = span.hops[i];

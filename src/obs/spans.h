@@ -87,16 +87,13 @@ struct SdoSpan {
   }
   /// A finalized span that ended normally (at egress, or absorbed by
   /// selectivity) with every hop recorded: the only kind that is an
-  /// end-to-end sample (path histogram, slowest spans, compute/transport
-  /// split). Drop- and crash-ended spans are not.
+  /// end-to-end sample (path histogram, slowest spans). Drop- and
+  /// crash-ended spans are not.
   [[nodiscard]] bool completed() const { return !dropped && !truncated; }
   /// PE ids of the kPe hops in visit order, for path_id()/path_label().
   /// Wire hops are excluded so a span stitched across processes keeps the
   /// same path identity as its in-process equivalent.
   [[nodiscard]] std::vector<std::uint32_t> hop_pes() const;
-  /// Sum of (emit - enqueue) over the wire hops: time the SDO spent
-  /// crossing process boundaries. 0 for purely local spans.
-  [[nodiscard]] Seconds transport_time() const;
 };
 static_assert(std::is_trivially_copyable_v<SdoSpan>);
 static_assert(sizeof(SpanHop) == 32,

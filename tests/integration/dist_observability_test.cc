@@ -177,11 +177,10 @@ TEST(DistObservabilityTest, TelemetryDoesNotPerturbTheComputation) {
   }
   ASSERT_EQ(ticks.size(), 2u);
   for (const auto& [shard, node_ticks] : ticks) {
-    EXPECT_EQ(prometheus_value(ticks_agg,
-                               "aces_perf_stage_calls_total{stage=\"controller_"
-                               "tick\",shard=\"" +
-                                   std::to_string(shard) + "\"}"),
-              node_ticks.size())
+    const std::string series = "aces_shard_timer_calls_total{shard=\"" +
+                               std::to_string(shard) +
+                               "\",name=\"controller_tick\"}";
+    EXPECT_EQ(prometheus_value(ticks_agg, series), node_ticks.size())
         << "shard " << shard;
   }
 }
@@ -252,10 +251,13 @@ TEST(DistObservabilityTest, MergedLatencyIsPartitionInvariant) {
         << p1.label;
   }
 
-  // Same spans either way; only the stitch count may differ (a 1-shard
-  // run still stitches cross-node handoffs through the coordinator).
+  // Same spans either way, and the same stitched ones: every cross-node
+  // delivery crosses the coordinator, whatever the partition.
   EXPECT_EQ(status_value(agg1, "aces_cluster_spans_completed"),
             status_value(agg3, "aces_cluster_spans_completed"));
+  EXPECT_GT(status_value(agg1, "aces_cluster_spans_stitched"), 0u);
+  EXPECT_EQ(status_value(agg1, "aces_cluster_spans_stitched"),
+            status_value(agg3, "aces_cluster_spans_stitched"));
 
   // Pinned exposure: the registries are rebuilt at the coordinator from
   // the spans each shard ships, so a span that stops reaching the
@@ -282,6 +284,36 @@ TEST(DistObservabilityTest, MultiShardRunsStitchSpansAcrossTheWire) {
   EXPECT_GT(stitched, 0u) << "no span crossed a process boundary in a "
                              "3-shard run of a multi-node topology";
   EXPECT_LE(stitched, completed);
+
+  // A crossing's serialize, send and receive hops carry one virtual time:
+  // the emission stamp (k+1)·q is the quantum end the StepDone leaves at
+  // and the next quantum's start the StepGo lands at. That is why the
+  // aggregator keeps no transport-time metric; a wire given virtual time
+  // of its own would fail here and make the metric worth having again.
+  constexpr auto kSerialize =
+      static_cast<std::uint32_t>(obs::HopKind::kWireSerialize);
+  std::size_t crossings = 0;
+  for (const auto& [rank, spans] : agg.recent_spans()) {
+    for (const obs::SdoSpan& span : spans) {
+      if (span.truncated) continue;
+      for (std::uint32_t i = 0; i < span.hop_count; ++i) {
+        if (span.hops[i].kind != kSerialize) continue;
+        ASSERT_LT(i + 2, span.hop_count) << "trace " << span.trace_id;
+        const double t = span.hops[i].emit;
+        // Serialize, send, receive: kinds 1, 2, 3 in a row.
+        for (std::uint32_t j = i; j < i + 3; ++j) {
+          const obs::SpanHop& hop = span.hops[j];
+          EXPECT_EQ(hop.kind, kSerialize + (j - i))
+              << "trace " << span.trace_id;
+          EXPECT_EQ(hop.enqueue, t) << "trace " << span.trace_id;
+          EXPECT_EQ(hop.dequeue, t) << "trace " << span.trace_id;
+          EXPECT_EQ(hop.emit, t) << "trace " << span.trace_id;
+        }
+        ++crossings;
+      }
+    }
+  }
+  EXPECT_GT(crossings, 0u);
 }
 
 /// Worker -> coordinator bytes summed over every shard of a run.

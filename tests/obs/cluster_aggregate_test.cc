@@ -1,6 +1,7 @@
 // ClusterAggregator + StatusServer unit tests: absorb/render semantics,
-// the status line protocol end to end over a real loopback connection, and
-// the Prometheus exposition's escaping / once-per-family header contract.
+// the status line protocol end to end over a real loopback connection, the
+// Prometheus exposition's once-per-family header contract, one metric list
+// behind all three expositions, and hostile names in each of them.
 #include "obs/cluster_aggregate.h"
 
 #include <arpa/inet.h>
@@ -8,10 +9,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +87,88 @@ std::size_t count_occurrences(const std::string& text,
     ++n;
   }
   return n;
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// One Prometheus sample line, label values unescaped.
+struct Sample {
+  std::string name;
+  std::vector<std::pair<std::string, std::string>> labels;
+  std::string value;
+};
+
+bool is_name_char(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_' || c == ':';
+}
+
+/// Parses `name{key="value",...} value` or `name value`: exactly one
+/// space, before a value that has none. nullopt for anything else.
+std::optional<Sample> parse_sample(const std::string& line) {
+  Sample s;
+  std::size_t i = 0;
+  while (i < line.size() && is_name_char(line[i])) ++i;
+  if (i == 0) return std::nullopt;
+  s.name = line.substr(0, i);
+  if (i < line.size() && line[i] == '{') {
+    ++i;
+    while (i < line.size() && line[i] != '}') {
+      const std::size_t key_start = i;
+      while (i < line.size() && is_name_char(line[i])) ++i;
+      std::string key = line.substr(key_start, i - key_start);
+      if (key.empty() || line.compare(i, 2, "=\"") != 0) return std::nullopt;
+      i += 2;
+      std::string value;
+      for (; i < line.size() && line[i] != '"'; ++i) {
+        if (line[i] != '\\') {
+          value.push_back(line[i]);
+          continue;
+        }
+        if (++i == line.size()) return std::nullopt;
+        if (line[i] == 'n') {
+          value.push_back('\n');
+        } else if (line[i] == '\\' || line[i] == '"') {
+          value.push_back(line[i]);
+        } else {
+          return std::nullopt;
+        }
+      }
+      if (i == line.size()) return std::nullopt;
+      ++i;  // closing quote
+      s.labels.emplace_back(std::move(key), std::move(value));
+      if (i < line.size() && line[i] == ',') ++i;
+    }
+    if (i == line.size()) return std::nullopt;
+    ++i;  // closing brace
+  }
+  if (i >= line.size() || line[i] != ' ') return std::nullopt;
+  s.value = line.substr(i + 1);
+  if (s.value.empty() || s.value.find(' ') != std::string::npos) {
+    return std::nullopt;
+  }
+  return s;
+}
+
+/// The status line protocol: every line exactly `key value`, the key
+/// starting `aces_`.
+std::vector<std::pair<std::string, std::string>> parse_status(
+    const std::string& text) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const std::string& line : lines_of(text)) {
+    const std::size_t space = line.find(' ');
+    EXPECT_NE(space, std::string::npos) << line;
+    if (space == std::string::npos) continue;
+    EXPECT_EQ(line.find(' ', space + 1), std::string::npos) << line;
+    EXPECT_EQ(line.rfind("aces_", 0), 0u) << line;
+    out.emplace_back(line.substr(0, space), line.substr(space + 1));
+  }
+  return out;
 }
 
 TEST(ClusterAggregatorTest, CountersSumDeltasAcrossShardsAndEpochs) {
@@ -267,9 +355,6 @@ TEST(ClusterAggregatorTest, SlowestSpansAndMeansCountOnlyCompletedSpans) {
   agg.write_status(status);
   EXPECT_NE(status.str().find("aces_cluster_spans_completed 2\n"),
             std::string::npos);
-  EXPECT_NE(status.str().find("aces_cluster_compute_seconds_mean 2\n"),
-            std::string::npos)
-      << status.str();
 }
 
 TEST(ClusterAggregatorTest, StitchedSpanAccounting) {
@@ -330,39 +415,57 @@ TEST(ClusterAggregatorTest, StatusLineProtocolIsGrepStable) {
   EXPECT_NE(text.find("aces_shard_1_decode_rejects 1\n"), std::string::npos);
   EXPECT_NE(text.find("aces_shard_1_relay_dropped 3\n"), std::string::npos);
   // Exactly `key value` per line: two fields everywhere.
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    ASSERT_FALSE(line.empty());
-    const std::size_t space = line.find(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    EXPECT_EQ(line.find(' ', space + 1), std::string::npos) << line;
-    EXPECT_EQ(line.rfind("aces_", 0), 0u) << line;
-  }
+  EXPECT_FALSE(parse_status(text).empty());
 }
 
 TEST(ClusterAggregatorTest, PrometheusEscapesPathologicalLabels) {
-  // A hostile worker-supplied name exercising all three defined escapes;
-  // the latency families go through the same emitters with numeric labels.
-  const std::string evil = "in\"gress\\mid\negress";
-  ClusterAggregator agg;
-  agg.absorb_gauge(0, evil, 1.5);
-  agg.absorb_counters(0, {{evil, 2}});
+  // A hostile worker-supplied name: the three escapes Prometheus defines
+  // and a space. It reaches every exposition as a counter, gauge and timer
+  // name, and the report also as a fault dump's event.
+  const std::string evil = "in\"gress\\mid\negress sp";
+  const auto fill = [](ClusterAggregator& agg, const std::string& name) {
+    agg.absorb_gauge(0, name, 1.5);
+    agg.absorb_counters(0, {{name, 2}});
+    agg.absorb_perf(0, name, 3, 4);
+    FlightDump dump;
+    dump.event = name;
+    agg.absorb_flight_dump(0, dump);
+  };
+  ClusterAggregator agg, plain;
+  fill(agg, evil);
+  fill(plain, "plain");
 
-  std::ostringstream os;
-  agg.write_prometheus(os);
-  const std::string text = os.str();
+  std::ostringstream prom;
+  agg.write_prometheus(prom);
+  const std::string text = prom.str();
   // The escaped form appears; the raw quote/newline form must not.
-  EXPECT_NE(text.find("in\\\"gress\\\\mid\\negress"), std::string::npos);
+  EXPECT_NE(text.find("in\\\"gress\\\\mid\\negress sp"), std::string::npos);
   EXPECT_EQ(text.find("in\"gress"), std::string::npos);
-  for (std::istringstream lines(text); !lines.eof();) {
-    std::string line;
-    std::getline(lines, line);
-    // No label value may smuggle a raw newline: every line is either a
-    // comment or `name{...} value` / `name value`.
-    if (line.empty() || line[0] == '#') continue;
-    EXPECT_NE(line.find(' '), std::string::npos) << line;
+  // Every line is a comment or exactly `name{...} value`, and the name
+  // comes back intact from each of the four worker samples.
+  std::size_t intact = 0;
+  for (const std::string& line : lines_of(text)) {
+    if (!line.empty() && line[0] == '#') continue;
+    const std::optional<Sample> sample = parse_sample(line);
+    ASSERT_TRUE(sample.has_value()) << line;
+    for (const auto& [key, value] : sample->labels) {
+      if (value == evil) ++intact;
+    }
   }
+  EXPECT_EQ(intact, 4u);
+
+  std::ostringstream status;
+  agg.write_status(status);
+  std::ostringstream plain_status;
+  plain.write_status(plain_status);
+  EXPECT_EQ(parse_status(status.str()).size(),
+            parse_status(plain_status.str()).size());
+
+  std::ostringstream report, plain_report;
+  agg.write_report(report);
+  plain.write_report(plain_report);
+  EXPECT_EQ(lines_of(report.str()).size(), lines_of(plain_report.str()).size())
+      << report.str();
 }
 
 TEST(ClusterAggregatorTest, PrometheusHeadersOncePerFamily) {
@@ -376,19 +479,22 @@ TEST(ClusterAggregatorTest, PrometheusHeadersOncePerFamily) {
     agg.absorb_spans(rank, {span_through(rank, {rank, rank + 1}, 0.0)});
     agg.absorb_perf(rank, "quantum", 10, 1000);
   }
+  agg.record_step_skew(0.001);
+  agg.record_step_skew(0.003);
 
   std::ostringstream os;
   agg.write_prometheus(os);
   const std::string text = os.str();
   // Every family emitted for 3 shards still carries exactly one HELP and
-  // one TYPE line.
+  // one TYPE line, and all of a family's samples follow them.
   for (const char* family :
-       {"aces_shard_up", "aces_shard_last_quantum", "aces_shard_rtt_seconds",
+       {"aces_cluster_barrier_skew_seconds", "aces_shard_up",
+        "aces_shard_last_quantum", "aces_shard_rtt_seconds",
         "aces_shard_frames_total", "aces_shard_bytes_total",
-        "aces_cluster_counter_total", "aces_cluster_gauge",
-        "aces_perf_stage_calls_total", "aces_perf_stage_ns_total",
-        "aces_pe_wait_seconds", "aces_pe_service_seconds",
-        "aces_path_latency_seconds"}) {
+        "aces_shard_flight_dumps_total", "aces_shard_counter_total",
+        "aces_shard_gauge", "aces_shard_timer_calls_total",
+        "aces_shard_timer_ns_total", "aces_pe_wait_seconds",
+        "aces_pe_service_seconds", "aces_path_latency_seconds"}) {
     EXPECT_EQ(
         count_occurrences(text, std::string("# HELP ") + family + " "), 1u)
         << family;
@@ -396,8 +502,150 @@ TEST(ClusterAggregatorTest, PrometheusHeadersOncePerFamily) {
         count_occurrences(text, std::string("# TYPE ") + family + " "), 1u)
         << family;
   }
+  std::vector<std::string> families;
+  for (const std::string& line : lines_of(text)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      families.push_back(line.substr(7, line.find(' ', 7) - 7));
+      continue;
+    }
+    if (line[0] == '#') continue;
+    ASSERT_FALSE(families.empty());
+    EXPECT_EQ(line.rfind(families.back(), 0), 0u)
+        << line << " outside its family " << families.back();
+  }
   // And each shard's sample is present.
   EXPECT_EQ(count_occurrences(text, "aces_shard_up{"), 3u);
+}
+
+TEST(ClusterAggregatorTest, OneListFeedsAllThreeExpositions) {
+  ClusterAggregator agg;
+  for (std::uint32_t rank = 0; rank < 3; ++rank) {
+    agg.note_shard(rank);
+    agg.note_quantum(rank, 40 + rank);
+    agg.record_frame_sent(rank, 100 + rank);
+    agg.record_frame_received(rank, 200 + rank);
+    agg.record_heartbeat(rank);
+    agg.absorb_counters(rank, {{"dist.sdo.arrived", 5 + rank}});
+    agg.absorb_trace(rank, TickRecord{});
+  }
+  agg.note_shard_dead(1);
+  agg.record_rtt(0, 0.001);
+  agg.record_rtt(0, 0.0025);
+  agg.record_rtt(2, 0.004);  // shard 1 has no RTT sample
+  agg.record_step_skew(0.0005);
+  agg.record_step_skew(0.0015);
+  agg.record_decode_reject(2);
+  agg.record_relay_dropped(2, 7);
+  agg.absorb_gauge(0, "dist.quantum", 0.125);
+  agg.absorb_perf(2, "controller_tick", 12, 34567);
+  SdoSpan crossed = span_through(4, {1, 2}, 0.0);
+  crossed.hops[crossed.hop_count++] = {2, static_cast<std::uint32_t>(
+                                              HopKind::kWireRecv),
+                                       2.0, 2.0, 2.0};
+  agg.absorb_spans(0, {span_through(3, {1, 2}, 0.0), crossed});
+  FlightDump dump;
+  dump.event = "fault.node_crash";
+  agg.absorb_flight_dump(1, dump);
+
+  std::ostringstream prom_os, status_os, report_os;
+  agg.write_prometheus(prom_os);
+  agg.write_status(status_os);
+  agg.write_report(report_os);
+  const auto status = parse_status(status_os.str());
+  std::map<std::string, std::string> status_of;
+  for (const auto& [key, value] : status) {
+    EXPECT_TRUE(status_of.emplace(key, value).second) << "repeated " << key;
+  }
+  EXPECT_EQ(status.front().first, "aces_cluster_shards");
+  EXPECT_EQ(status_of.at("aces_cluster_shards_alive"), "2");
+  EXPECT_EQ(status_of.at("aces_cluster_quantum_max"), "42");
+  EXPECT_EQ(status_of.at("aces_cluster_spans_stitched"), "1");
+  EXPECT_EQ(status_of.at("aces_shard_1_rtt_seconds_max"), "0");
+  EXPECT_EQ(status_of.at("aces_shard_0_counter_dist.sdo.arrived"), "5");
+  EXPECT_EQ(status_of.at("aces_shard_2_timer_ns_controller_tick"), "34567");
+
+  // The naming rule, from a Prometheus sample to its status key: drop a
+  // counter's `_total`, append each label value but the shard's as
+  // `_<value>`, and splice the shard's rank in after `aces_shard_`.
+  std::map<std::string, std::string> type_of;
+  std::set<std::string> mapped;
+  for (const std::string& line : lines_of(prom_os.str())) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream words(line.substr(7));
+      std::string name, type;
+      words >> name >> type;
+      type_of[name] = type;
+      continue;
+    }
+    if (line[0] == '#') continue;
+    const std::optional<Sample> sample = parse_sample(line);
+    ASSERT_TRUE(sample.has_value()) << line;
+    const std::string& type = type_of[sample->name];
+    if (type != "counter" && type != "gauge") continue;  // latency families
+    std::string key = sample->name;
+    if (type == "counter") {
+      ASSERT_TRUE(key.ends_with("_total")) << line;
+      key.resize(key.size() - 6);
+    }
+    std::string shard;
+    for (const auto& [label, value] : sample->labels) {
+      if (label == "shard") {
+        shard = value;
+      } else {
+        key += '_' + value;
+      }
+    }
+    if (!shard.empty()) {
+      ASSERT_EQ(key.rfind("aces_shard_", 0), 0u) << line;
+      key.insert(11, shard + '_');
+    }
+    ASSERT_TRUE(status_of.contains(key)) << line << " -> " << key;
+    EXPECT_EQ(status_of.at(key), sample->value) << line;
+    EXPECT_TRUE(mapped.insert(key).second) << "two samples map to " << key;
+  }
+  EXPECT_EQ(mapped.size(), status.size()) << "a status line with no sample";
+
+  // The report: cluster-wide entries as status lines; each per-shard
+  // entry in the shard table, under its shard's column.
+  const std::vector<std::string> report = lines_of(report_os.str());
+  std::vector<std::vector<std::string>> table;
+  for (std::size_t i = 0; i < report.size(); ++i) {
+    if (report[i].rfind("shard ", 0) != 0) continue;
+    for (; i < report.size() && !report[i].empty(); ++i) {
+      std::istringstream words(report[i]);
+      table.emplace_back();
+      for (std::string w; words >> w;) table.back().push_back(w);
+    }
+    break;
+  }
+  ASSERT_FALSE(table.empty()) << report_os.str();
+  EXPECT_EQ(table[0], (std::vector<std::string>{"shard", "0", "1[DEAD]", "2",
+                                                "total"}));
+  for (const auto& [key, value] : status) {
+    if (key.rfind("aces_cluster_", 0) == 0) {
+      EXPECT_NE(std::find(report.begin(), report.end(),
+                          "  " + key + ' ' + value),
+                report.end())
+          << key;
+      continue;
+    }
+    ASSERT_EQ(key.rfind("aces_shard_", 0), 0u) << key;
+    const std::size_t end = key.find('_', 11);
+    const std::size_t column = std::stoul(key.substr(11, end - 11)) + 1;
+    const std::string row_key = key.substr(end + 1);
+    const auto row =
+        std::find_if(table.begin(), table.end(),
+                     [&](const auto& r) { return r[0] == row_key; });
+    ASSERT_NE(row, table.end()) << key;
+    ASSERT_GT(row->size(), column) << key;
+    EXPECT_EQ((*row)[column], value) << key;
+  }
+  // Counter rows carry the total across shards.
+  const auto frames_in =
+      std::find_if(table.begin(), table.end(),
+                   [](const auto& r) { return r[0] == "frames_in"; });
+  ASSERT_NE(frames_in, table.end());
+  EXPECT_EQ(frames_in->back(), "3");
 }
 
 TEST(StatusServerTest, ServesStatusOverLoopback) {
@@ -432,7 +680,7 @@ TEST(StatusServerTest, ServesStatusOverLoopback) {
 
   const std::string first = scrape();
   EXPECT_NE(first.find("aces_cluster_shards 1\n"), std::string::npos);
-  EXPECT_NE(first.find("aces_shard_0_quantum 9\n"), std::string::npos);
+  EXPECT_NE(first.find("aces_shard_0_last_quantum 9\n"), std::string::npos);
 
   // The endpoint is live, not a snapshot: state absorbed after the first
   // scrape shows up in the next one.
@@ -440,7 +688,8 @@ TEST(StatusServerTest, ServesStatusOverLoopback) {
   agg.note_shard(1);
   const std::string second = scrape();
   EXPECT_NE(second.find("aces_cluster_shards 2\n"), std::string::npos);
-  EXPECT_NE(second.find("aces_shard_0_quantum 11\n"), std::string::npos);
+  EXPECT_NE(second.find("aces_shard_0_last_quantum 11\n"),
+            std::string::npos);
 
   server.stop();  // idempotent with the destructor
 }

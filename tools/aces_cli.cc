@@ -508,30 +508,6 @@ void write_cluster_trace_file(const std::string& path,
             << path << '\n';
 }
 
-/// Stderr notice for retained flight-recorder evidence: each shard's
-/// standing ring of recent spans and its newest fault dump, both kept by
-/// the coordinator after the worker process is gone.
-void print_flight_dump_notice(const obs::ClusterAggregator& aggregator) {
-  const auto recent = aggregator.recent_spans();
-  const auto dumps = aggregator.flight_dumps();
-  for (const auto& [rank, status] : aggregator.shard_statuses()) {
-    const auto ring = recent.find(rank);
-    const auto dump = dumps.find(rank);
-    if (ring == recent.end() && dump == dumps.end()) continue;
-    std::cerr << "flight evidence retained for shard " << rank
-              << (status.alive ? "" : " [DEAD]") << ": "
-              << (ring == recent.end() ? 0 : ring->second.size())
-              << " recent spans";
-    if (dump != dumps.end()) {
-      std::cerr << "; fault dump event=" << dump->second.event
-                << " t=" << harness::cell(dump->second.time, 2) << "s, "
-                << dump->second.recent.size() << " recent, "
-                << dump->second.in_flight.size() << " in-flight spans";
-    }
-    std::cerr << '\n';
-  }
-}
-
 void add_summary_row(harness::Table& table, const char* name,
                      const harness::RunSummary& s) {
   table.add_row({name, harness::cell(s.weighted_throughput, 1),
@@ -767,7 +743,7 @@ int cmd_compare(Flags& flags) {
           std::cerr << "wrote cluster Prometheus exposition to " << path
                     << '\n';
         }
-        print_flight_dump_notice(*aggregator);
+        aggregator->write_flight_evidence(std::cerr);
       }
       if (!faults.schedule.proc_kills.empty()) {
         std::cerr << "[" << to_string(policy) << "] workers killed "
@@ -899,7 +875,6 @@ int cmd_cluster_report(Flags& flags) {
     std::cerr << "wrote cluster Prometheus exposition to " << prom_path
               << '\n';
   }
-  print_flight_dump_notice(aggregator);
   if (!faults.schedule.proc_kills.empty()) {
     std::cerr << "workers killed " << stats.workers_killed << ", restarted "
               << stats.workers_restarted << ", detection "
@@ -1224,7 +1199,7 @@ int cmd_latency_report(Flags& flags) {
       std::cerr << "wrote cluster Prometheus exposition to " << prom_path
                 << '\n';
     }
-    print_flight_dump_notice(aggregator);
+    aggregator.write_flight_evidence(std::cerr);
     return 0;
   }
   obs::Registry counters;
