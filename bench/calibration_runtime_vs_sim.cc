@@ -16,8 +16,8 @@
 #include "harness/bench_options.h"
 #include "harness/defaults.h"
 #include "harness/experiment.h"
+#include "harness/run.h"
 #include "harness/table.h"
-#include "runtime/runtime_engine.h"
 
 int main(int argc, char** argv) {
   using namespace aces;
@@ -41,31 +41,29 @@ int main(int argc, char** argv) {
     const auto plan = opt::optimize(g);
     for (const FlowPolicy policy :
          {FlowPolicy::kAces, FlowPolicy::kUdp, FlowPolicy::kLockStep}) {
-      sim::SimOptions so = harness::default_sim_options();
-      so.duration = 30.0;
-      so.warmup = 6.0;
-      so.seed = seed + 100;
-      so.controller.policy = policy;
-      const harness::WallTimer sim_timer;
-      const auto sim_run = harness::run_single(g, plan, so);
-      json.add_run("s" + std::to_string(seed) + "/" + to_string(policy) +
-                       "/sim",
-                   sim_timer.elapsed_ms(), sim_run.weighted_throughput,
-                   sim_run.latency_p50, sim_run.latency_p99);
-
+      RunSpec spec;
+      spec.duration = 30.0;
+      spec.warmup = 6.0;
+      spec.seed = seed + 100;
+      spec.controller.policy = policy;
+      sim::SimOptions so;
+      static_cast<RunSpec&>(so) = spec;
       runtime::RuntimeOptions ro;
-      ro.duration = 30.0;
-      ro.warmup = 6.0;
+      static_cast<RunSpec&>(ro) = spec;
       ro.time_scale = 6.0;
-      ro.seed = seed + 100;
-      ro.controller.policy = policy;
-      const harness::WallTimer rt_timer;
-      const auto rt_run = harness::summarize(runtime::run_runtime(g, plan, ro),
-                                             plan.weighted_throughput);
-      json.add_run("s" + std::to_string(seed) + "/" + to_string(policy) +
-                       "/runtime",
-                   rt_timer.elapsed_ms(), rt_run.weighted_throughput,
-                   rt_run.latency_p50, rt_run.latency_p99);
+      const auto calibrate = [&](const harness::Substrate& substrate,
+                                 const char* name) {
+        const harness::WallTimer timer;
+        const harness::RunSummary run = harness::summarize(
+            harness::run(g, plan, substrate), plan.weighted_throughput);
+        json.add_run("s" + std::to_string(seed) + "/" + to_string(policy) +
+                         "/" + name,
+                     timer.elapsed_ms(), run.weighted_throughput,
+                     run.latency_p50, run.latency_p99);
+        return run;
+      };
+      const harness::RunSummary sim_run = calibrate(so, "sim");
+      const harness::RunSummary rt_run = calibrate(ro, "runtime");
 
       const double rel_err =
           100.0 *

@@ -11,14 +11,16 @@
 // three systems; ACES declines least and leads except at the lowest
 // burstiness levels, where the three are close.
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "harness/bench_json.h"
 #include "harness/bench_options.h"
 #include "harness/defaults.h"
 #include "harness/experiment.h"
+#include "harness/run.h"
 #include "harness/table.h"
 #include "obs/registry.h"
-#include "runtime/runtime_engine.h"
 
 int main(int argc, char** argv) {
   using namespace aces;
@@ -77,26 +79,25 @@ int main(int argc, char** argv) {
     const auto g = graph::generate_topology(params, 1);
     const auto plan = opt::optimize(g);
     for (const FlowPolicy policy : {FlowPolicy::kAces, FlowPolicy::kUdp}) {
-      sim::SimOptions so = harness::default_sim_options();
-      so.duration = 30.0;
-      so.warmup = 6.0;
-      so.seed = 17;
-      so.controller.policy = policy;
-      const auto sim_run = harness::run_single(g, plan, so);
-
+      RunSpec spec;
+      spec.duration = 30.0;
+      spec.warmup = 6.0;
+      spec.seed = 17;
+      spec.controller.policy = policy;
+      sim::SimOptions so;
+      static_cast<RunSpec&>(so) = spec;
       runtime::RuntimeOptions ro;
-      ro.duration = 30.0;
-      ro.warmup = 6.0;
+      static_cast<RunSpec&>(ro) = spec;
       ro.time_scale = 6.0;
-      ro.seed = 17;
-      ro.controller.policy = policy;
-      const auto rt_report = runtime::run_runtime(g, plan, ro);
-      const auto rt_run =
-          harness::summarize(rt_report, plan.weighted_throughput);
-
-      calib.add_row({harness::cell(burst, 1), to_string(policy),
-                     harness::cell(sim_run.normalized_throughput(), 3),
-                     harness::cell(rt_run.normalized_throughput(), 3)});
+      std::vector<std::string> row = {harness::cell(burst, 1),
+                                      to_string(policy)};
+      for (const harness::Substrate& substrate :
+           {harness::Substrate(so), harness::Substrate(ro)}) {
+        const harness::RunSummary run = harness::summarize(
+            harness::run(g, plan, substrate), plan.weighted_throughput);
+        row.push_back(harness::cell(run.normalized_throughput(), 3));
+      }
+      calib.add_row(row);
     }
   }
   harness::print_table(calib, bench.csv, std::cout);

@@ -19,6 +19,13 @@ namespace aces::graph {
 /// cast exact and the hold at about a thousand copies per downstream slot.
 inline constexpr double kMaxSelectivity = 1024.0;
 
+/// Largest mean rate, in SDOs per second, a stream may declare. A faster
+/// stream spaces its arrivals so closely that adding the gap to the virtual
+/// clock no longer moves it, and the run never ends. At 1e9 SDO/s the mean
+/// gap (1 ns) stays well above a double's resolution at any horizon under
+/// 10^6 s, and 1e9 is what the optimizer tests feed as unlimited supply.
+inline constexpr double kMaxStreamRate = 1e9;
+
 /// Position of a PE in the processing DAG.
 enum class PeKind {
   kIngress,       ///< fed by an external stream
@@ -104,7 +111,8 @@ struct NodeDescriptor {
 
 /// An external input stream entering the system at an ingress PE.
 struct StreamDescriptor {
-  /// Long-run average offered rate in SDOs per second.
+  /// Long-run average offered rate in SDOs per second, in
+  /// [0, kMaxStreamRate] (ProcessingGraph::add_stream and validate check).
   double mean_rate = 100.0;
   /// Burstiness of arrivals: 0 = constant rate, 1 = on/off with on-fraction
   /// 0.5 (instantaneous rate doubles while on).

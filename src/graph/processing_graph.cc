@@ -7,6 +7,16 @@
 
 namespace aces::graph {
 
+namespace {
+
+void check_stream_rate(const StreamDescriptor& desc) {
+  ACES_CHECK_MSG(desc.mean_rate >= 0.0 && desc.mean_rate <= kMaxStreamRate,
+                 "stream rate " << desc.mean_rate << " outside [0, "
+                                << kMaxStreamRate << "] SDO/s");
+}
+
+}  // namespace
+
 const char* to_string(PeKind kind) {
   switch (kind) {
     case PeKind::kIngress: return "ingress";
@@ -24,7 +34,7 @@ NodeId ProcessingGraph::add_node(NodeDescriptor desc) {
 }
 
 StreamId ProcessingGraph::add_stream(StreamDescriptor desc) {
-  ACES_CHECK_MSG(desc.mean_rate >= 0.0, "stream rate must be non-negative");
+  check_stream_rate(desc);
   streams_.push_back(std::move(desc));
   return StreamId(static_cast<StreamId::value_type>(streams_.size() - 1));
 }
@@ -160,6 +170,8 @@ std::vector<PeId> ProcessingGraph::topological_order() const {
 
 void ProcessingGraph::validate() const {
   (void)topological_order();  // throws on cycle
+  // Rates can change after add_stream (the generator scales them).
+  for (const StreamDescriptor& stream : streams_) check_stream_rate(stream);
   for (std::size_t i = 0; i < pes_.size(); ++i) {
     const PeId id(static_cast<PeId::value_type>(i));
     const PeDescriptor& d = pes_[i];

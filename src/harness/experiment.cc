@@ -72,7 +72,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   for (const std::uint64_t seed : spec.seeds) {
     const graph::ProcessingGraph g = generate_topology(spec.topology, seed);
-    const opt::AllocationPlan plan = opt::optimize(g, spec.optimizer);
+    const opt::AllocationPlan plan = opt::optimize(g);
     sim::SimOptions sim_options = spec.sim;
     sim_options.controller.policy = policy;
     sim_options.seed = seed * 0x9E3779B9ULL + 17;

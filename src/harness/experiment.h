@@ -20,7 +20,6 @@ namespace aces::harness {
 struct ExperimentSpec {
   graph::TopologyParams topology;
   sim::SimOptions sim;
-  opt::OptimizerConfig optimizer;
   /// One full run (fresh topology + fresh workload randomness) per seed;
   /// results are averaged, matching the paper's "multiple randomly generated
   /// topologies ... averaged over the multiple runs".

@@ -1,16 +1,16 @@
-#include "harness/report_merge.h"
+#include "metrics/report_merge.h"
 
 #include <algorithm>
 #include <cstddef>
 
-namespace aces::harness {
+namespace aces::metrics {
 
-metrics::RunReport merge_reports(
-    const std::vector<metrics::RunReport>& partials) {
-  metrics::RunReport merged;
+RunReport merge_reports(
+    const std::vector<RunReport>& partials) {
+  RunReport merged;
   if (partials.empty()) return merged;
   merged.measured_seconds = partials.front().measured_seconds;
-  for (const metrics::RunReport& part : partials) {
+  for (const RunReport& part : partials) {
     merged.measured_seconds =
         std::max(merged.measured_seconds, part.measured_seconds);
     merged.weighted_throughput += part.weighted_throughput;
@@ -29,8 +29,8 @@ metrics::RunReport merge_reports(
     if (part.per_pe.size() > merged.per_pe.size())
       merged.per_pe.resize(part.per_pe.size());
     for (std::size_t i = 0; i < part.per_pe.size(); ++i) {
-      metrics::PeAccounting& acc = merged.per_pe[i];
-      const metrics::PeAccounting& in = part.per_pe[i];
+      PeAccounting& acc = merged.per_pe[i];
+      const PeAccounting& in = part.per_pe[i];
       acc.arrived += in.arrived;
       acc.processed += in.processed;
       acc.emitted += in.emitted;
@@ -43,4 +43,4 @@ metrics::RunReport merge_reports(
   return merged;
 }
 
-}  // namespace aces::harness
+}  // namespace aces::metrics

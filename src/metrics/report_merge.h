@@ -11,7 +11,7 @@
 
 #include "metrics/run_report.h"
 
-namespace aces::harness {
+namespace aces::metrics {
 
 /// Merges per-worker partial reports (rank order) into one RunReport:
 /// counters and rates sum, latency / buffer-fill accumulators merge
@@ -20,7 +20,7 @@ namespace aces::harness {
 /// capacity, so utilizations also sum. `reoptimizations` is summed but the
 /// coordinator normally overwrites it (it owns the tier-1 solve count).
 /// An empty input yields a default-constructed report.
-metrics::RunReport merge_reports(
-    const std::vector<metrics::RunReport>& partials);
+RunReport merge_reports(
+    const std::vector<RunReport>& partials);
 
-}  // namespace aces::harness
+}  // namespace aces::metrics

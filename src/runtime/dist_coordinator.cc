@@ -21,7 +21,7 @@
 #include "fault/fault_injector.h"
 #include "fault/fault_spec.h"
 #include "graph/serialization.h"
-#include "harness/report_merge.h"
+#include "metrics/report_merge.h"
 #include "obs/cluster_aggregate.h"
 #include "runtime/dist_worker.h"
 #include "runtime/transport/inproc.h"
@@ -163,7 +163,7 @@ class Coordinator {
     broadcast_step_go(total_quanta_, true);
     std::vector<metrics::RunReport> partials = collect_reports();
     shutdown_all();
-    metrics::RunReport merged = harness::merge_reports(partials);
+    metrics::RunReport merged = metrics::merge_reports(partials);
     merged.reoptimizations = reoptimizations_;
     if (stats_ != nullptr) stats_->reoptimizations = reoptimizations_;
     return merged;
@@ -300,8 +300,7 @@ class Coordinator {
       w.thread = std::thread(
           [worker_end, rank] { worker_entry(*worker_end, rank); });
     } else {
-      const std::string exe =
-          options_.worker_exe.empty() ? self_exe_path() : options_.worker_exe;
+      const std::string exe = self_exe_path();
       std::vector<std::string> args = {exe, "dist-worker",
                                        "--rank=" + std::to_string(rank)};
       if (options_.transport == transport::TransportKind::kUds) {
@@ -619,7 +618,7 @@ class Coordinator {
     excluded_ = std::move(excluded);
 
     const opt::AllocationPlan plan =
-        opt::optimize_excluding(g_, excluded_, options_.optimizer);
+        opt::optimize_excluding(g_, excluded_);
     for (std::size_t i = 0; i < plan.pe.size() && i < cpu_.size(); ++i) {
       cpu_[i] = plan.pe[i].cpu;
     }

@@ -4,10 +4,7 @@
 #include <cstdint>
 #include <string>
 
-#include "common/types.h"
-#include "control/config.h"
-#include "fault/fault_spec.h"
-#include "opt/global_optimizer.h"
+#include "pe/run_spec.h"
 #include "runtime/transport/transport.h"
 
 namespace aces::obs {
@@ -16,28 +13,13 @@ class ClusterAggregator;
 
 namespace aces::runtime::dist {
 
-struct DistOptions {
-  /// Virtual seconds to run.
-  Seconds duration = 30.0;
-  /// Virtual seconds of warm-up excluded from measurement.
-  Seconds warmup = 6.0;
-  /// Control interval in virtual seconds.
-  Seconds dt = 0.1;
+struct DistOptions : RunSpec {
   /// Barrier quanta per control interval: virtual time advances in steps of
   /// dt / substeps, and every cross-node effect (SDO delivery, advert
   /// refresh, Lock-Step congestion status) takes exactly one quantum. More
   /// substeps tighten the effective network latency; the default keeps the
   /// barrier overhead modest while staying well under one control interval.
   std::uint32_t substeps = 4;
-  /// Controller settings. Only `policy` and `advert_staleness_timeout`
-  /// cross the wire (wire::Config); workers fill the remaining knobs with
-  /// their defaults, which is what every comparison path uses.
-  control::ControllerConfig controller;
-  /// Optimizer settings for mid-run re-solves (optimize_excluding on
-  /// membership changes). Should match the config that produced the
-  /// initial plan.
-  opt::OptimizerConfig optimizer;
-  std::uint64_t seed = 1;
   /// Overrides each PE's input-buffer bound when > 0 (as in
   /// RuntimeOptions).
   std::size_t channel_capacity = 0;
@@ -45,21 +27,15 @@ struct DistOptions {
   /// [r·N/W, (r+1)·N/W). Clamped to the node count. Work totals are
   /// partition-invariant — any W produces byte-identical reports.
   std::uint32_t processes = 2;
+  /// How the coordinator reaches its workers. The socket transports fork
+  /// workers that re-execute this binary (/proc/self/exe), so any binary
+  /// that calls dist::maybe_worker() early in main() can use them.
   transport::TransportKind transport = transport::TransportKind::kInProc;
   /// Wall seconds between worker heartbeats while computing a quantum.
   double heartbeat_interval = 0.05;
   /// Wall seconds of silence (no frame, no heartbeat) after which the
   /// coordinator declares a worker dead.
   double heartbeat_timeout = 2.0;
-  /// Fault schedule. `prockill` clauses are executed for real here (SIGKILL
-  /// of the worker process / abrupt endpoint close for inproc); the modeled
-  /// clauses behave as in the other substrates, except `advert_delay`
-  /// (simulator-only, as in the threaded runtime).
-  fault::FaultSchedule faults;
-  /// Worker executable for the socket transports; empty uses /proc/self/exe
-  /// (the coordinator re-executes itself — any binary that calls
-  /// dist::maybe_worker() early in main() works).
-  std::string worker_exe;
   /// Directory for the coordinator's Unix-domain socket; empty uses
   /// $TMPDIR or /tmp.
   std::string uds_dir;

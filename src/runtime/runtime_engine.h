@@ -20,6 +20,12 @@
 // behaves like a processor-sharing CPU without burning host cycles; arrival
 // gaps and control intervals are paced accordingly. time_scale = 5 runs a
 // 30-virtual-second experiment in 6 wall seconds.
+//
+// Faults: the windows of RunSpec::faults are evaluated against virtual time
+// and are the same every run, but the runtime is nondeterministic, so their
+// consequences vary run to run. The mailbox control plane has no delay
+// stage: an `advert_delay` clause's loss probability applies, its delay
+// does not.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +33,10 @@
 #include <memory>
 
 #include "common/rng.h"
-#include "control/config.h"
-#include "fault/fault_spec.h"
 #include "graph/processing_graph.h"
 #include "metrics/run_report.h"
 #include "opt/global_optimizer.h"
+#include "pe/run_spec.h"
 #include "workload/arrivals.h"
 
 namespace aces::obs {
@@ -42,13 +47,7 @@ class SpanTracer;
 
 namespace aces::runtime {
 
-struct RuntimeOptions {
-  /// Virtual seconds to run.
-  Seconds duration = 30.0;
-  /// Virtual seconds of warm-up excluded from measurement.
-  Seconds warmup = 6.0;
-  /// Control interval in virtual seconds.
-  Seconds dt = 0.1;
+struct RuntimeOptions : RunSpec {
   /// Virtual seconds per wall-clock second (>= 1 accelerates experiments).
   double time_scale = 5.0;
   /// One-way delivery latency (virtual seconds) injected by the message bus
@@ -56,8 +55,6 @@ struct RuntimeOptions {
   /// drop-on-full policies; Lock-Step's reservation handshake is always
   /// direct (a blocking send has no fire-and-forget leg to delay).
   Seconds network_latency = 0.0;
-  control::ControllerConfig controller;
-  std::uint64_t seed = 1;
   /// Optional workload hook (same contract as sim::SimOptions): builds the
   /// arrival process for each stream; null uses make_arrival_process.
   std::function<std::unique_ptr<workload::ArrivalProcess>(
@@ -73,14 +70,6 @@ struct RuntimeOptions {
   /// of the disabled handles is a nullptr test. Snapshot it at any instant
   /// while the run is live.
   obs::Registry* counters = nullptr;
-  /// Declarative fault schedule executed by a seeded fault::FaultInjector
-  /// (same contract as sim::SimOptions::faults). Windows are evaluated
-  /// against virtual time. The threaded runtime is nondeterministic, so
-  /// unlike the simulator, fault *consequences* vary run to run; the
-  /// windows themselves do not. Advertisement *delay* clauses are a
-  /// simulator-only feature (the runtime's mailbox control plane has no
-  /// delay stage) — their loss probability still applies here.
-  fault::FaultSchedule faults;
   /// Optional data-plane span tracer (same contract as
   /// sim::SimOptions::spans): samples SDOs at the source thread and follows
   /// them across node threads. The sampling *decisions* are deterministic

@@ -20,6 +20,9 @@ namespace aces::sim {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// One-way delivery latency for SDOs and advertisements between co-located
+/// PEs.
+constexpr Seconds kLocalLatency = 0.0002;
 }  // namespace
 
 struct StreamSimulation::Impl {
@@ -293,7 +296,7 @@ struct StreamSimulation::Impl {
     opt::AllocationPlan plan;
     {
       const obs::ScopedTimer scope(solve_timer);
-      plan = opt::optimize_excluding(graph, down_nodes(), options.optimizer);
+      plan = opt::optimize_excluding(graph, down_nodes());
     }
     for (auto& controller : controllers) controller.set_plan(plan);
     ++reoptimization_count;
@@ -310,7 +313,7 @@ struct StreamSimulation::Impl {
     const bool same_node =
         graph.pe(PeId(static_cast<PeId::value_type>(from))).node ==
         graph.pe(PeId(static_cast<PeId::value_type>(to))).node;
-    return same_node ? options.local_latency : options.network_latency;
+    return same_node ? kLocalLatency : options.network_latency;
   }
 
   /// Accrues CPU progress on the in-flight SDO up to the current instant.

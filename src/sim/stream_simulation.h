@@ -18,7 +18,7 @@
 //  * Every `dt`, each node's controller (control::NodeController) reruns CPU
 //    and flow control; ACES advertisements propagate upstream with latency.
 //
-// Determinism: all randomness derives from SimOptions::seed; ties in event
+// Determinism: all randomness derives from the RunSpec seed; ties in event
 // time resolve by schedule order.
 #pragma once
 
@@ -28,12 +28,11 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "control/config.h"
-#include "fault/fault_spec.h"
 #include "graph/processing_graph.h"
 #include "metrics/run_report.h"
 #include "metrics/timeseries.h"
 #include "opt/global_optimizer.h"
+#include "pe/run_spec.h"
 #include "workload/arrivals.h"
 
 namespace aces::obs {
@@ -68,20 +67,10 @@ struct WeightChange {
   double new_weight = 1.0;
 };
 
-struct SimOptions {
-  /// Control interval Δt (paper: sub-second; default 100 ms).
-  Seconds dt = 0.1;
-  /// Total simulated time.
-  Seconds duration = 60.0;
-  /// Measurements start after this transient.
-  Seconds warmup = 10.0;
-  /// One-way delivery latency for SDOs and advertisements between nodes.
+struct SimOptions : RunSpec {
+  /// One-way delivery latency for SDOs and advertisements between nodes
+  /// (co-located PEs use a fixed 0.2 ms).
   Seconds network_latency = 0.002;
-  /// Same for co-located PEs.
-  Seconds local_latency = 0.0002;
-  /// Tier-2 controller configuration (policy lives here).
-  control::ControllerConfig controller;
-  std::uint64_t seed = 1;
   /// Stagger node ticks with random phases (the paper's algorithm does not
   /// require synchronized nodes); disable for lockstep-tick unit tests.
   bool randomize_tick_phase = true;
@@ -95,10 +84,9 @@ struct SimOptions {
   /// against the current stream rates and node capacities, and push the new
   /// targets to every node controller (paper §V: the first tier runs
   /// "periodically, to support changing workload and resource
-  /// availability"). 0 disables.
+  /// availability"). A node crash or restart in `faults` also triggers an
+  /// immediate re-solve excluding the down nodes. 0 disables both.
   Seconds reoptimize_interval = 0.0;
-  /// Optimizer configuration used by periodic re-optimization.
-  opt::OptimizerConfig optimizer;
   /// Scheduled workload shifts (sorted or not; applied at their times).
   std::vector<RateChange> rate_changes;
   /// Scheduled capacity shifts.
@@ -116,13 +104,6 @@ struct SimOptions {
   /// control tick, captured at the NodeController::tick() boundary. Not
   /// owned; must outlive the run. Null disables tracing (zero cost).
   obs::ControlTraceRecorder* trace = nullptr;
-  /// Declarative fault schedule (node crashes, PE stalls, advertisement
-  /// loss/delay, delivery drop bursts), executed by a seeded
-  /// fault::FaultInjector. Empty (the default) injects nothing. Same seed +
-  /// schedule reproduces the same faults bit-for-bit. Node crashes trigger
-  /// an immediate tier-1 re-solve excluding the down nodes when
-  /// `reoptimize_interval` > 0.
-  fault::FaultSchedule faults;
   /// Optional run registry: fault.* event counts and the
   /// `controller_tick` / `optimizer_solve` timers. Not owned; null
   /// disables (no clock reads).

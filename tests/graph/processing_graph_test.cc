@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,34 @@ TEST(ProcessingGraphTest, AddPeBoundsSelectivity) {
   EXPECT_NO_THROW(g.add_pe(d));
   d.selectivity = 0.0;
   EXPECT_NO_THROW(g.add_pe(d));
+}
+
+TEST(ProcessingGraphTest, StreamRatesAreBounded) {
+  // A rate past kMaxStreamRate spaces arrivals below the virtual clock's
+  // resolution, so time stops and the run never ends. Both add_stream and
+  // validate() refuse it: the generator rescales rates after add_stream.
+  ProcessingGraph g;
+  for (const double bad : {1e17, 2 * kMaxStreamRate,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    EXPECT_THROW(g.add_stream({bad, 0.0, "s"}), CheckFailure) << bad;
+  }
+  EXPECT_EQ(g.stream_count(), 0u);
+  // 1e9, the optimizer tests' unlimited supply, is admitted.
+  EXPECT_NO_THROW(g.add_stream({1e9, 0.0, "s"}));
+
+  ProcessingGraph chain = small_chain();
+  chain.stream(StreamId(0)).mean_rate = 1e17;
+  try {
+    chain.validate();
+    FAIL() << "validate() accepted a 1e17 SDO/s stream";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("stream rate 1e+17"),
+              std::string::npos)
+        << e.what();
+  }
+  chain.stream(StreamId(0)).mean_rate = 1e9;
+  EXPECT_NO_THROW(chain.validate());
 }
 
 TEST(ProcessingGraphTest, IngressRequiresStream) {

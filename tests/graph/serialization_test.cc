@@ -1,5 +1,7 @@
 #include "graph/serialization.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/check.h"
@@ -88,6 +90,20 @@ TEST(SerializationTest, RejectsStructurallyInvalidReferences) {
           "aces-topology 1\n"
           "pe intermediate 0 0.002 0.02 10 1 1 1024 1 50 0.002 -\n"),
       CheckFailure);
+}
+
+TEST(SerializationTest, RejectsStreamRatesThatFreezeVirtualTime) {
+  try {
+    (void)topology_from_string("aces-topology 1\nstream 1e17 0 feed\n");
+    FAIL() << "a 1e17 SDO/s stream line was accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("stream rate 1e+17 outside [0, "
+                                         "1e+09] SDO/s"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(
+      (void)topology_from_string("aces-topology 1\nstream 1e9 0 feed\n"));
 }
 
 TEST(SerializationTest, DoublesSurviveExactly) {

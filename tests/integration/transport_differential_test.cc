@@ -1,15 +1,18 @@
-// Cross-transport conformance battery for the distributed runtime.
+// Cross-substrate conformance battery over one fixture list.
 //
-// The distributed substrate's contract (dist_coordinator.h) is that work
-// totals are a pure function of (topology, plan, policy, seed) — the
-// partition (--processes) and the transport (in-process bus vs UDS socket)
-// must not be observable. This test pins that with byte-identical work
-// fingerprints across {1, 2, 3} worker shards and {inproc, uds} backends,
-// then checks the substrate against the discrete-event simulator under the
-// same 35% envelope the sim-vs-threaded-runtime differential uses. The
-// worker's fault paths get their own checks on a three-PE chain: a
-// restart keeps what reaches the node in its quantum, and a Lock-Step
-// producer outlives a same-node consumer whose deliveries are all lost.
+// The simulator, the threaded runtime and the distributed runtime are
+// three implementations of one system model. On identical (topology, plan,
+// policy, seed) every substrate must agree with the simulator on the
+// headline metric within a 35% envelope, and every substrate is run the
+// same way: a Substrate value through harness::run. The distributed
+// runtime's own contract (dist_coordinator.h) is stronger: its work totals
+// are a pure function of (topology, plan, policy, seed), so the partition
+// (--processes) and the transport (in-process bus vs UDS socket) must not
+// be observable. This test pins that with byte-identical work fingerprints
+// across {1, 2, 3} worker shards and {inproc, uds} backends. The worker's
+// fault paths get their own checks on a three-PE chain: a restart keeps
+// what reaches the node in its quantum, and a Lock-Step producer outlives
+// a same-node consumer whose deliveries are all lost.
 //
 // This binary re-executes itself as the worker process for the socket
 // transports, so it supplies its own main() that dispatches
@@ -26,6 +29,7 @@
 #include "fault/fault_spec.h"
 #include "graph/topology_generator.h"
 #include "harness/experiment.h"
+#include "harness/run.h"
 #include "metrics/report_fingerprint.h"
 #include "opt/global_optimizer.h"
 #include "runtime/dist_coordinator.h"
@@ -36,6 +40,14 @@
 namespace aces {
 namespace {
 
+/// The envelope around the simulator. The threaded runtime executes in
+/// compressed wall-clock time, so its throughput carries scheduling jitter
+/// the DES does not model, and the distributed runtime moves every
+/// cross-node effect by one barrier quantum; the calibration bench observes
+/// relative errors well under 20% on these sizes. 35% is wide enough to be
+/// deterministic-in-practice across CI machines, tight enough to catch a
+/// substrate diverging in kind (a policy misrouted, flow control not
+/// engaging, units off by anything).
 constexpr double kRelTolerance = 0.35;
 constexpr double kDuration = 16.0;
 constexpr double kWarmup = 4.0;
@@ -46,9 +58,9 @@ struct Fixture {
   std::uint64_t seed;
 };
 
-/// The same three small topologies the sim-vs-runtime differential uses
-/// (fig. 3 shapes): a thin chain-like DAG, a wider balanced DAG, and a
-/// bursty overloaded one.
+/// Three small fixed topologies (fig. 3 shapes): a thin chain-like DAG, a
+/// wider balanced DAG, and a bursty overloaded one. Small enough that the
+/// threaded runtime stays around a second of wall clock per case.
 std::vector<Fixture> fixtures() {
   std::vector<Fixture> out;
   {
@@ -85,19 +97,92 @@ std::vector<Fixture> fixtures() {
   return out;
 }
 
+RunSpec spec_for(control::FlowPolicy policy, std::uint64_t seed) {
+  RunSpec spec;
+  spec.duration = kDuration;
+  spec.warmup = kWarmup;
+  spec.seed = seed;
+  spec.controller.policy = policy;
+  return spec;
+}
+
 runtime::dist::DistOptions dist_options(control::FlowPolicy policy,
                                         std::uint64_t seed,
                                         std::uint32_t processes,
                                         runtime::transport::TransportKind kind) {
   runtime::dist::DistOptions o;
-  o.duration = kDuration;
-  o.warmup = kWarmup;
-  o.seed = seed;
+  static_cast<RunSpec&>(o) = spec_for(policy, seed);
   o.processes = processes;
   o.transport = kind;
-  o.controller.policy = policy;
   return o;
 }
+
+/// The substrates the envelope holds against the simulator, each built from
+/// a fixture's RunSpec: the threaded runtime (16 virtual seconds in about
+/// 2 s of wall clock) and the distributed runtime on two in-process shards.
+harness::Substrate threaded(const RunSpec& spec) {
+  runtime::RuntimeOptions o;
+  static_cast<RunSpec&>(o) = spec;
+  o.time_scale = 8.0;
+  return o;
+}
+
+harness::Substrate inproc_x2(const RunSpec& spec) {
+  runtime::dist::DistOptions o;
+  static_cast<RunSpec&>(o) = spec;
+  o.processes = 2;
+  return o;
+}
+
+/// The one envelope check: on every fixture, the substrate that `make`
+/// builds runs through harness::run and agrees with the simulator on
+/// weighted throughput within kRelTolerance.
+void expect_agrees_with_simulator(
+    control::FlowPolicy policy, harness::Substrate (*make)(const RunSpec&)) {
+  for (const Fixture& fixture : fixtures()) {
+    SCOPED_TRACE(fixture.name);
+    const graph::ProcessingGraph g =
+        generate_topology(fixture.params, fixture.seed);
+    const opt::AllocationPlan plan = opt::optimize(g);
+    const RunSpec spec = spec_for(policy, fixture.seed + 1000);
+    sim::SimOptions sim_options;
+    static_cast<RunSpec&>(sim_options) = spec;
+    const harness::RunSummary sim_run = harness::summarize(
+        harness::run(g, plan, sim_options), plan.weighted_throughput);
+    const harness::RunSummary run = harness::summarize(
+        harness::run(g, plan, make(spec)), plan.weighted_throughput);
+
+    ASSERT_GT(sim_run.weighted_throughput, 0.0);
+    ASSERT_GT(run.weighted_throughput, 0.0);
+    const double rel_err =
+        std::abs(run.weighted_throughput - sim_run.weighted_throughput) /
+        sim_run.weighted_throughput;
+    EXPECT_LE(rel_err, kRelTolerance)
+        << "sim wtput " << sim_run.weighted_throughput << " vs "
+        << run.weighted_throughput;
+
+    // Both substrates are fed the same fluid bound, and neither may beat it
+    // by more than jitter: normalized throughput stays near or below 1.
+    EXPECT_LE(sim_run.normalized_throughput(), 1.0 + kRelTolerance);
+    EXPECT_LE(run.normalized_throughput(), 1.0 + kRelTolerance);
+  }
+}
+
+const auto kPolicyName = [](const auto& info) {
+  return info.param == control::FlowPolicy::kAces ? "Aces" : "LockStep";
+};
+
+class SimVsRuntimeTest
+    : public ::testing::TestWithParam<control::FlowPolicy> {};
+
+TEST_P(SimVsRuntimeTest, WeightedThroughputAgrees) {
+  expect_agrees_with_simulator(GetParam(), threaded);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, SimVsRuntimeTest,
+                         ::testing::Values(control::FlowPolicy::kAces,
+                                           control::FlowPolicy::kLockStep),
+                         kPolicyName);
 
 class TransportDifferentialTest
     : public ::testing::TestWithParam<control::FlowPolicy> {};
@@ -161,48 +246,70 @@ TEST_P(TransportDifferentialTest, UdsMatchesInProcByteForByte) {
 }
 
 TEST_P(TransportDifferentialTest, AgreesWithSimulatorWithinEnvelope) {
-  const control::FlowPolicy policy = GetParam();
-  for (const Fixture& fixture : fixtures()) {
-    SCOPED_TRACE(fixture.name);
-    const graph::ProcessingGraph g =
-        generate_topology(fixture.params, fixture.seed);
-    const opt::AllocationPlan plan = opt::optimize(g);
-    const std::uint64_t seed = fixture.seed + 1000;
-
-    sim::SimOptions so;
-    so.duration = kDuration;
-    so.warmup = kWarmup;
-    so.seed = seed;
-    so.controller.policy = policy;
-    const harness::RunSummary sim_run = harness::run_single(g, plan, so);
-
-    const metrics::RunReport dist = runtime::dist::run_distributed(
-        g, plan,
-        dist_options(policy, seed, 2,
-                     runtime::transport::TransportKind::kInProc));
-    const harness::RunSummary dist_run =
-        harness::summarize(dist, plan.weighted_throughput);
-
-    ASSERT_GT(sim_run.weighted_throughput, 0.0);
-    ASSERT_GT(dist_run.weighted_throughput, 0.0);
-    const double rel_err =
-        std::abs(dist_run.weighted_throughput - sim_run.weighted_throughput) /
-        sim_run.weighted_throughput;
-    EXPECT_LE(rel_err, kRelTolerance)
-        << "sim wtput " << sim_run.weighted_throughput << " vs distributed "
-        << dist_run.weighted_throughput;
-    EXPECT_LE(dist_run.normalized_throughput(), 1.0 + kRelTolerance);
-  }
+  expect_agrees_with_simulator(GetParam(), inproc_x2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, TransportDifferentialTest,
                          ::testing::Values(control::FlowPolicy::kAces,
                                            control::FlowPolicy::kLockStep),
-                         [](const auto& info) {
-                           return info.param == control::FlowPolicy::kAces
-                                      ? "Aces"
-                                      : "LockStep";
-                         });
+                         kPolicyName);
+
+TEST(HarnessRunTest, MatchesTheSubstrateEntryPoints) {
+  // harness::run only dispatches: options built from a RunSpec and run
+  // through it give the report of sim::simulate and run_distributed called
+  // with the same options filled field by field. The faults, staleness and
+  // re-solves make every RunSpec field count.
+  const Fixture fixture = fixtures()[1];
+  const graph::ProcessingGraph g =
+      generate_topology(fixture.params, fixture.seed);
+  const opt::AllocationPlan plan = opt::optimize(g);
+  RunSpec spec;
+  spec.duration = 12.0;
+  spec.warmup = 3.0;
+  spec.dt = 0.05;
+  spec.seed = 7;
+  spec.controller.policy = control::FlowPolicy::kLockStep;
+  spec.controller.advert_staleness_timeout = 1.0;
+  spec.faults = fault::parse_fault_spec(
+      "crash node=1 at=3 until=5; drop pe=3 from=1 until=6 prob=0.5");
+
+  sim::SimOptions by_hand;
+  by_hand.duration = 12.0;
+  by_hand.warmup = 3.0;
+  by_hand.dt = 0.05;
+  by_hand.seed = 7;
+  by_hand.controller.policy = control::FlowPolicy::kLockStep;
+  by_hand.controller.advert_staleness_timeout = 1.0;
+  by_hand.faults = spec.faults;
+  by_hand.reoptimize_interval = 5.0;
+  harness::Substrate sim_substrate = sim::SimOptions{};
+  harness::run_spec(sim_substrate) = spec;
+  std::get<sim::SimOptions>(sim_substrate).reoptimize_interval = 5.0;
+  EXPECT_EQ(metrics::report_fingerprint(sim::simulate(g, plan, by_hand)),
+            metrics::report_fingerprint(harness::run(g, plan, sim_substrate)));
+
+  runtime::dist::DistOptions dist_by_hand;
+  dist_by_hand.duration = 12.0;
+  dist_by_hand.warmup = 3.0;
+  dist_by_hand.dt = 0.05;
+  dist_by_hand.seed = 7;
+  dist_by_hand.controller.policy = control::FlowPolicy::kLockStep;
+  dist_by_hand.controller.advert_staleness_timeout = 1.0;
+  dist_by_hand.faults = spec.faults;
+  dist_by_hand.processes = 2;
+  harness::Substrate dist_substrate = runtime::dist::DistOptions{};
+  harness::run_spec(dist_substrate) = spec;
+  std::get<runtime::dist::DistOptions>(dist_substrate).processes = 2;
+  runtime::dist::DistStats by_hand_stats;
+  runtime::dist::DistStats run_stats;
+  const metrics::RunReport direct =
+      runtime::dist::run_distributed(g, plan, dist_by_hand, &by_hand_stats);
+  EXPECT_EQ(metrics::work_fingerprint(direct),
+            metrics::work_fingerprint(
+                harness::run(g, plan, dist_substrate, &run_stats)));
+  EXPECT_GT(run_stats.reoptimizations, 0u);
+  EXPECT_EQ(by_hand_stats.reoptimizations, run_stats.reoptimizations);
+}
 
 /// ingress → middle → egress fed at 100 SDO/s, the ingress on node 0 and
 /// the other two on the nodes given.

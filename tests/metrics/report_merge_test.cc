@@ -1,4 +1,4 @@
-#include "harness/report_merge.h"
+#include "metrics/report_merge.h"
 
 #include <vector>
 
@@ -6,18 +6,18 @@
 
 #include "metrics/run_report.h"
 
-namespace aces::harness {
+namespace aces::metrics {
 namespace {
 
 TEST(ReportMergeTest, EmptyInputYieldsDefaultReport) {
-  const metrics::RunReport merged = merge_reports({});
+  const RunReport merged = merge_reports({});
   EXPECT_EQ(merged.sdos_processed, 0u);
   EXPECT_EQ(merged.latency.count(), 0u);
   EXPECT_TRUE(merged.per_pe.empty());
 }
 
 TEST(ReportMergeTest, CountersSumAndWindowIsMax) {
-  metrics::RunReport a;
+  RunReport a;
   a.measured_seconds = 6.0;
   a.weighted_throughput = 10.0;
   a.output_rate = 4.0;
@@ -27,7 +27,7 @@ TEST(ReportMergeTest, CountersSumAndWindowIsMax) {
   a.cpu_utilization = 0.25;
   a.events_executed = 500;
   a.reoptimizations = 1;
-  metrics::RunReport b;
+  RunReport b;
   b.measured_seconds = 5.5;  // a straggler shard measured slightly less
   b.weighted_throughput = 20.0;
   b.output_rate = 8.0;
@@ -38,7 +38,7 @@ TEST(ReportMergeTest, CountersSumAndWindowIsMax) {
   b.events_executed = 250;
   b.reoptimizations = 2;
 
-  const metrics::RunReport m = merge_reports({a, b});
+  const RunReport m = merge_reports({a, b});
   EXPECT_DOUBLE_EQ(m.measured_seconds, 6.0);
   EXPECT_DOUBLE_EQ(m.weighted_throughput, 30.0);
   EXPECT_DOUBLE_EQ(m.output_rate, 12.0);
@@ -56,8 +56,8 @@ TEST(ReportMergeTest, AccumulatorsMergeExactly) {
   // Splitting a sample stream across two partial reports and merging must
   // equal accumulating the merged stream with OnlineStats::merge — the
   // exact property the wire transfer (from_raw) relies on.
-  metrics::RunReport a;
-  metrics::RunReport b;
+  RunReport a;
+  RunReport b;
   OnlineStats whole_latency;
   for (int i = 0; i < 100; ++i) {
     const double sample = 0.001 * (i + 1);
@@ -67,7 +67,7 @@ TEST(ReportMergeTest, AccumulatorsMergeExactly) {
   whole_latency.merge(a.latency);
   whole_latency.merge(b.latency);
 
-  const metrics::RunReport m = merge_reports({a, b});
+  const RunReport m = merge_reports({a, b});
   EXPECT_EQ(m.latency.count(), 100u);
   EXPECT_DOUBLE_EQ(m.latency.mean(), whole_latency.mean());
   EXPECT_DOUBLE_EQ(m.latency.m2(), whole_latency.m2());
@@ -75,18 +75,18 @@ TEST(ReportMergeTest, AccumulatorsMergeExactly) {
 }
 
 TEST(ReportMergeTest, PositionalVectorsAddElementwise) {
-  metrics::RunReport a;
+  RunReport a;
   a.egress_outputs = {10, 20};
   a.per_pe.resize(3);
   a.per_pe[0].arrived = 5;
   a.per_pe[2].cpu_seconds = 1.5;
-  metrics::RunReport b;
+  RunReport b;
   b.egress_outputs = {1, 2, 3};  // a shard that saw one more egress slot
   b.per_pe.resize(2);
   b.per_pe[0].arrived = 7;
   b.per_pe[1].processed = 9;
 
-  const metrics::RunReport m = merge_reports({a, b});
+  const RunReport m = merge_reports({a, b});
   ASSERT_EQ(m.egress_outputs.size(), 3u);
   EXPECT_EQ(m.egress_outputs[0], 11u);
   EXPECT_EQ(m.egress_outputs[1], 22u);
@@ -98,4 +98,4 @@ TEST(ReportMergeTest, PositionalVectorsAddElementwise) {
 }
 
 }  // namespace
-}  // namespace aces::harness
+}  // namespace aces::metrics

@@ -22,9 +22,10 @@
 //                 [--threshold=0.25] [--hard-only]
 //
 // The CLI is a thin shell over the public API: generate_topology /
-// write_topology, opt::optimize / optimize_dual, sim::simulate. Everything
-// it does is reachable programmatically; it exists so a downstream user can
-// reproduce an experiment without writing C++.
+// write_topology, opt::optimize / optimize_dual, and harness::run on the
+// substrate that --transport selects. Everything it does is reachable
+// programmatically; it exists so a downstream user can reproduce an
+// experiment without writing C++.
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -36,6 +37,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 
 #include "fault/fault_spec.h"
 #include "graph/dot_export.h"
@@ -43,6 +45,7 @@
 #include "graph/topology_generator.h"
 #include "harness/bench_diff.h"
 #include "harness/experiment.h"
+#include "harness/run.h"
 #include "harness/sweep_runner.h"
 #include "harness/table.h"
 #include "metrics/report_fingerprint.h"
@@ -54,7 +57,7 @@
 #include "obs/trace.h"
 #include "obs/trace_summary.h"
 #include "opt/dual_optimizer.h"
-#include "runtime/dist_coordinator.h"
+#include "runtime/dist_options.h"
 #include "runtime/dist_worker.h"
 #include "runtime/runtime_engine.h"
 #include "runtime/transport/transport.h"
@@ -139,18 +142,20 @@ graph::ProcessingGraph load_topology(const std::string& path) {
   return graph::read_topology(file);
 }
 
-/// Writes a recorded trace to `path`: CSV when the extension is .csv,
-/// JSONL otherwise.
+/// Writes control-tick records to `path` (CSV when the extension is .csv,
+/// JSONL otherwise) and says so on stderr, naming them `what`.
 void write_trace_file(const std::string& path,
-                      const obs::ControlTraceRecorder& recorder) {
+                      const std::vector<obs::TickRecord>& records,
+                      const char* what = "trace records") {
   std::ofstream file(path);
   if (!file) throw std::runtime_error("cannot open trace file: " + path);
-  const std::vector<obs::TickRecord> records = recorder.snapshot();
   if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0) {
     obs::write_trace_csv(file, records);
   } else {
     obs::write_trace_jsonl(file, records);
   }
+  std::cerr << "wrote " << records.size() << ' ' << what << " to " << path
+            << '\n';
 }
 
 /// File tag for one policy's trace in a compare run ("aces", "udp", ...).
@@ -201,41 +206,152 @@ void print_fault_counters(const obs::MetricsSnapshot& snap) {
   }
 }
 
-/// Fault-related simulate/compare flags, resolved together because the
-/// staleness default depends on whether faults are present.
-struct FaultFlags {
-  fault::FaultSchedule schedule;
-  Seconds staleness = 0.0;
-  Seconds reoptimize = 0.0;
+control::FlowPolicy parse_policy(const std::string& name) {
+  if (name == "aces") return control::FlowPolicy::kAces;
+  if (name == "udp") return control::FlowPolicy::kUdp;
+  if (name == "lockstep") return control::FlowPolicy::kLockStep;
+  if (name == "threshold") return control::FlowPolicy::kThreshold;
+  throw std::runtime_error("unknown policy: " + name +
+                           " (aces|udp|lockstep|threshold)");
+}
 
-  static FaultFlags parse(Flags& flags) {
-    FaultFlags f;
-    f.schedule = load_faults(flags.get("faults", std::string()));
-    // With faults in play the staleness rule defaults on (1 s); healthy
-    // runs keep the pre-fault behaviour unless asked.
-    f.staleness =
-        flags.get("staleness", f.schedule.empty() ? 0.0 : 1.0);
-    f.reoptimize = flags.get("reoptimize", 0.0);
-    if (f.staleness < 0.0)
-      throw std::runtime_error("--staleness must be non-negative");
-    if (f.reoptimize < 0.0)
-      throw std::runtime_error("--reoptimize must be non-negative");
-    return f;
+/// --duration, --warmup, --seed, --faults and --staleness, plus --policy
+/// when the command runs a single policy: the run description every
+/// substrate reads.
+RunSpec read_run_spec(Flags& flags, bool policy) {
+  RunSpec spec;
+  if (policy) {
+    spec.controller.policy =
+        parse_policy(flags.get("policy", std::string("aces")));
   }
+  spec.duration = flags.get("duration", spec.duration);
+  spec.warmup = flags.get("warmup", spec.warmup);
+  spec.seed = static_cast<std::uint64_t>(flags.get("seed", 1));
+  spec.faults = load_faults(flags.get("faults", std::string()));
+  // With faults in play the staleness rule defaults on (1 s); healthy
+  // runs keep the pre-fault behaviour unless asked.
+  Seconds& staleness = spec.controller.advert_staleness_timeout;
+  staleness = flags.get("staleness", spec.faults.empty() ? 0.0 : 1.0);
+  if (staleness < 0.0)
+    throw std::runtime_error("--staleness must be non-negative");
+  return spec;
+}
 
-  void apply(sim::SimOptions& options, obs::Registry* registry) const {
-    options.faults = schedule;
-    options.controller.advert_staleness_timeout = staleness;
-    options.reoptimize_interval = reoptimize;
-    options.counters = registry;
+/// --reoptimize=SEC: the simulator's periodic tier-1 re-solve.
+Seconds read_reoptimize(Flags& flags) {
+  const Seconds interval = flags.get("reoptimize", 0.0);
+  if (interval < 0.0)
+    throw std::runtime_error("--reoptimize must be non-negative");
+  return interval;
+}
+
+/// Hands a --reoptimize interval to the simulator. Called once the flags
+/// are checked, so a refused invocation prints no warning.
+void apply_reoptimize(harness::Substrate& substrate, Seconds interval) {
+  if (auto* const options = std::get_if<sim::SimOptions>(&substrate)) {
+    options->reoptimize_interval = interval;
+    return;
   }
-  void apply(runtime::RuntimeOptions& options,
-             obs::Registry* registry) const {
-    options.faults = schedule;
-    options.controller.advert_staleness_timeout = staleness;
-    options.counters = registry;
+  // --reoptimize=SEC requests a *periodic* tier-1 re-solve, which only the
+  // simulator implements. The distributed runtime re-solves event-driven —
+  // on worker-process death/respawn and modeled crash/restore — whether or
+  // not the flag is given; the threaded runtime never re-solves mid-run
+  // and rides out faults on tier-2 defenses alone.
+  if (interval > 0.0) {
+    std::cerr << "warning: the periodic --reoptimize=SEC interval is "
+                 "simulator-only; the distributed runtime re-solves "
+                 "event-driven on kill/crash/restart regardless, and the "
+                 "threaded runtime never re-solves mid-run\n";
   }
+}
+
+/// --sample: the fraction of source SDOs whose spans are traced. A command
+/// that always traces passes `zero_ok = false` and refuses 0.
+double read_sample(Flags& flags, double fallback, bool zero_ok = true) {
+  const double sample = flags.get("sample", fallback);
+  if (sample < 0.0 || sample > 1.0 || (!zero_ok && sample == 0.0)) {
+    throw std::runtime_error(zero_ok ? "--sample must be in [0,1]"
+                                     : "--sample must be in (0,1]");
+  }
+  return sample;
+}
+
+/// A command's defaults for the substrate flags.
+struct SubstrateDefaults {
+  /// --transport when the flag is absent. Empty runs the simulator, and
+  /// only a command whose default is empty offers the simulator at all.
+  std::string transport{};
+  /// Whether --transport=thread (the threaded runtime) is on offer.
+  bool threaded = false;
+  int processes = 2;
 };
+
+/// Reads --transport and the chosen substrate's own flags, and nothing
+/// else, so check_all_consumed refuses another substrate's flags like
+/// unknown ones. --transport selects the substrate: absent, the simulator;
+/// `thread`, the wall-paced threaded runtime; inproc|uds|tcp, the
+/// deterministic multi-process distributed runtime. The RunSpec part is
+/// left at its defaults; the command assigns its own before each run.
+harness::Substrate read_substrate(Flags& flags,
+                                  const SubstrateDefaults& defaults) {
+  const std::string name = flags.get("transport", defaults.transport);
+  if (name.empty() && defaults.transport.empty()) return sim::SimOptions{};
+  // Data-plane knobs (docs/performance.md): --channel-capacity on both
+  // runtimes, --batch and --pin on the threaded one only.
+  const int capacity = flags.get("channel-capacity", 0);
+  if (capacity < 0) {
+    std::cerr << "--channel-capacity must be >= 0\n";
+    std::exit(3);
+  }
+  if (name == "thread" && defaults.threaded) {
+    runtime::RuntimeOptions options;
+    options.channel_capacity = static_cast<std::size_t>(capacity);
+    options.time_scale = flags.get("timescale", options.time_scale);
+    const int batch = flags.get("batch", 8);
+    if (batch < 1) {
+      std::cerr << "--batch must be >= 1\n";
+      std::exit(3);
+    }
+    options.batch = static_cast<std::size_t>(batch);
+    options.pin_threads = flags.has("pin");
+    return options;
+  }
+  const std::optional<runtime::transport::TransportKind> kind =
+      runtime::transport::parse_transport(name);
+  if (!kind.has_value()) {
+    throw std::runtime_error(
+        "unknown transport: " + name +
+        (defaults.threaded ? " (thread|inproc|uds|tcp)" : " (inproc|uds|tcp)"));
+  }
+  runtime::dist::DistOptions options;
+  options.transport = *kind;
+  options.channel_capacity = static_cast<std::size_t>(capacity);
+  const int processes = flags.get("processes", defaults.processes);
+  const int substeps = flags.get("substeps", 4);
+  if (processes < 1) throw std::runtime_error("--processes must be >= 1");
+  if (substeps < 1) throw std::runtime_error("--substeps must be >= 1");
+  options.processes = static_cast<std::uint32_t>(processes);
+  options.substeps = static_cast<std::uint32_t>(substeps);
+  return options;
+}
+
+/// harness::run, with the warning a distributed run owes when it had to
+/// reap worker processes.
+metrics::RunReport run_substrate(const graph::ProcessingGraph& g,
+                                 const opt::AllocationPlan& plan,
+                                 const harness::Substrate& substrate,
+                                 runtime::dist::DistStats* stats = nullptr) {
+  const metrics::RunReport report = harness::run(g, plan, substrate, stats);
+  if (stats != nullptr && stats->orphans_reaped > 0) {
+    // A worker that outlived Shutdown and the reap grace was SIGKILLed:
+    // always worth a warning, fault schedule or not.
+    std::cerr << "warning: ["
+              << to_string(harness::run_spec(substrate).controller.policy)
+              << "] " << stats->orphans_reaped
+              << " orphan worker process(es) reaped after shutdown\n";
+  }
+  return report;
+}
 
 /// Span-tracing simulate/latency-report flags. Tracing turns on when any of
 /// --sample / --spans / --prom is given; --sample alone enables it with the
@@ -247,11 +363,9 @@ struct SpanFlags {
 
   static SpanFlags parse(Flags& flags, double default_sample = 0.01) {
     SpanFlags s;
-    s.sample = flags.get("sample", 0.0);
+    s.sample = read_sample(flags, 0.0);
     s.spans_path = flags.get("spans", std::string());
     s.prom_path = flags.get("prom", std::string());
-    if (s.sample < 0.0 || s.sample > 1.0)
-      throw std::runtime_error("--sample must be in [0,1]");
     if (s.sample == 0.0 && (!s.spans_path.empty() || !s.prom_path.empty()))
       s.sample = default_sample;
     return s;
@@ -289,13 +403,66 @@ struct SpanFlags {
   }
 };
 
-control::FlowPolicy parse_policy(const std::string& name) {
-  if (name == "aces") return control::FlowPolicy::kAces;
-  if (name == "udp") return control::FlowPolicy::kUdp;
-  if (name == "lockstep") return control::FlowPolicy::kLockStep;
-  if (name == "threshold") return control::FlowPolicy::kThreshold;
-  throw std::runtime_error("unknown policy: " + name +
-                           " (aces|udp|lockstep|threshold)");
+/// The distributed runtime's live status endpoint: --status-port=N serves
+/// it on 127.0.0.1 (0 picks a port), --status-linger=SEC keeps it up that
+/// long after the runs.
+struct StatusFlags {
+  std::optional<std::uint16_t> port;
+  double linger = 0.0;
+
+  static StatusFlags read(Flags& flags) {
+    StatusFlags s;
+    if (flags.has("status-port")) {
+      const int port = flags.get("status-port", 0);
+      if (port < 0 || port > 65535)
+        throw std::runtime_error("--status-port must be in [0,65535]");
+      s.port = static_cast<std::uint16_t>(port);
+    }
+    s.linger = flags.get("status-linger", 0.0);
+    return s;
+  }
+
+  /// Starts the endpoint over `aggregator`; null without --status-port.
+  [[nodiscard]] std::unique_ptr<obs::StatusServer> serve(
+      obs::ClusterAggregator* aggregator) const {
+    if (!port.has_value()) return nullptr;
+    auto server = std::make_unique<obs::StatusServer>(aggregator, *port);
+    if (server->listening()) {
+      std::cerr << "status endpoint on 127.0.0.1:" << server->port() << '\n';
+    } else {
+      std::cerr << "warning: status endpoint failed: " << server->error()
+                << '\n';
+    }
+    return server;
+  }
+
+  /// Keeps `server` serving its last snapshot for --status-linger seconds
+  /// (a CI smoke hook).
+  void linger_on(const obs::StatusServer* server) const {
+    if (server == nullptr || !server->listening() || linger <= 0.0) return;
+    std::cerr << "status endpoint lingering " << linger << " s\n";
+    std::this_thread::sleep_for(std::chrono::duration<double>(linger));
+  }
+};
+
+/// Writes the cluster Prometheus exposition of `aggregator` to `path`.
+void write_cluster_prometheus(const std::string& path,
+                              const obs::ClusterAggregator& aggregator) {
+  std::ofstream file(path);
+  if (!file) throw std::runtime_error("cannot open prom file: " + path);
+  aggregator.write_prometheus(file);
+  std::cerr << "wrote cluster Prometheus exposition to " << path << '\n';
+}
+
+/// The prockill accounting of one distributed run on stderr.
+void print_kill_summary(const std::string& prefix,
+                        const runtime::dist::DistStats& stats) {
+  std::cerr << prefix << "workers killed " << stats.workers_killed
+            << ", restarted " << stats.workers_restarted << ", detection "
+            << harness::cell(stats.kill_detect_wall_seconds * 1e3, 1)
+            << " ms, reoptimizations " << stats.reoptimizations
+            << ", relay dropped " << stats.relay_dropped << ", orphans "
+            << stats.orphans_reaped << '\n';
 }
 
 int cmd_generate(Flags& flags) {
@@ -366,148 +533,6 @@ int cmd_optimize(Flags& flags) {
   return 0;
 }
 
-harness::RunSummary run_one(const graph::ProcessingGraph& g,
-                            const opt::AllocationPlan& plan,
-                            control::FlowPolicy policy, double duration,
-                            double warmup, int seed,
-                            const std::string& timeseries_path,
-                            obs::ControlTraceRecorder* trace,
-                            const FaultFlags& faults,
-                            obs::Registry* counters) {
-  sim::SimOptions options;
-  options.duration = duration;
-  options.warmup = warmup;
-  options.seed = static_cast<std::uint64_t>(seed);
-  options.controller.policy = policy;
-  options.record_timeseries = !timeseries_path.empty();
-  options.trace = trace;
-  faults.apply(options, counters);
-  sim::StreamSimulation simulation(g, plan, options);
-  simulation.run();
-  if (!timeseries_path.empty()) {
-    std::ofstream file(timeseries_path);
-    simulation.timeseries().write_csv(file);
-  }
-  return harness::summarize(simulation.report(), plan.weighted_throughput);
-}
-
-/// Data-plane tuning knobs of the two runtimes (docs/performance.md):
-/// --channel-capacity on either, --batch and --pin on the threaded one
-/// only. A knob left unread is refused by check_all_consumed.
-struct DataPlaneFlags {
-  std::size_t batch = 8;
-  std::size_t channel_capacity = 0;  ///< 0: use graph buffer bounds
-  bool pin = false;
-
-  static DataPlaneFlags parse(Flags& flags, bool threaded) {
-    DataPlaneFlags out;
-    const int capacity = flags.get("channel-capacity", 0);
-    if (capacity < 0) {
-      std::cerr << "--channel-capacity must be >= 0\n";
-      std::exit(3);
-    }
-    out.channel_capacity = static_cast<std::size_t>(capacity);
-    if (!threaded) return out;
-    const int batch = flags.get("batch", 8);
-    if (batch < 1) {
-      std::cerr << "--batch must be >= 1\n";
-      std::exit(3);
-    }
-    out.batch = static_cast<std::size_t>(batch);
-    out.pin = flags.has("pin");
-    return out;
-  }
-};
-
-harness::RunSummary run_one_runtime(const graph::ProcessingGraph& g,
-                                    const opt::AllocationPlan& plan,
-                                    control::FlowPolicy policy,
-                                    double duration, double warmup, int seed,
-                                    double time_scale,
-                                    const DataPlaneFlags& data_plane,
-                                    obs::ControlTraceRecorder* trace,
-                                    const FaultFlags& faults,
-                                    obs::Registry* counters) {
-  runtime::RuntimeOptions options;
-  options.duration = duration;
-  options.warmup = warmup;
-  options.time_scale = time_scale;
-  options.seed = static_cast<std::uint64_t>(seed);
-  options.controller.policy = policy;
-  options.trace = trace;
-  options.batch = data_plane.batch;
-  options.channel_capacity = data_plane.channel_capacity;
-  options.pin_threads = data_plane.pin;
-  faults.apply(options, counters);
-  const metrics::RunReport report = runtime::run_runtime(g, plan, options);
-  return harness::summarize(report, plan.weighted_throughput);
-}
-
-/// One policy on the multi-process distributed runtime. Unlike the
-/// wall-paced threaded runtime this substrate is deterministic, so the
-/// merged report (and its fingerprint) is reproducible for any transport
-/// and process count.
-/// Observability knobs for one distributed run (the tentpole plane).
-struct DistObs {
-  double span_sample = 0.0;           ///< worker-side span tracing rate
-  bool record_trace = false;          ///< ship control-tick records
-  obs::ClusterAggregator* aggregator = nullptr;
-};
-
-harness::RunSummary run_one_dist(const graph::ProcessingGraph& g,
-                                 const opt::AllocationPlan& plan,
-                                 control::FlowPolicy policy, double duration,
-                                 double warmup, int seed,
-                                 const DataPlaneFlags& data_plane,
-                                 runtime::transport::TransportKind transport,
-                                 int processes, int substeps,
-                                 const FaultFlags& faults,
-                                 const DistObs& dist_obs,
-                                 metrics::RunReport* out_report,
-                                 runtime::dist::DistStats* stats) {
-  runtime::dist::DistOptions options;
-  options.duration = duration;
-  options.warmup = warmup;
-  options.substeps = static_cast<std::uint32_t>(substeps);
-  options.seed = static_cast<std::uint64_t>(seed);
-  options.channel_capacity = data_plane.channel_capacity;
-  options.processes = static_cast<std::uint32_t>(processes);
-  options.transport = transport;
-  options.controller.policy = policy;
-  options.controller.advert_staleness_timeout = faults.staleness;
-  options.faults = faults.schedule;
-  options.span_sample = dist_obs.span_sample;
-  options.record_trace = dist_obs.record_trace;
-  options.aggregator = dist_obs.aggregator;
-  const metrics::RunReport report =
-      runtime::dist::run_distributed(g, plan, options, stats);
-  if (stats != nullptr && stats->orphans_reaped > 0) {
-    // A worker that outlived Shutdown and the reap grace was SIGKILLed:
-    // always worth a warning, fault schedule or not.
-    std::cerr << "warning: [" << to_string(policy) << "] "
-              << stats->orphans_reaped
-              << " orphan worker process(es) reaped after shutdown\n";
-  }
-  if (out_report != nullptr) *out_report = report;
-  return harness::summarize(report, plan.weighted_throughput);
-}
-
-/// Writes shard-tagged control-tick records from a cluster aggregator
-/// (CSV by extension, like write_trace_file).
-void write_cluster_trace_file(const std::string& path,
-                              const obs::ClusterAggregator& aggregator) {
-  std::ofstream file(path);
-  if (!file) throw std::runtime_error("cannot open trace file: " + path);
-  const std::vector<obs::TickRecord> records = aggregator.trace_records();
-  if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0) {
-    obs::write_trace_csv(file, records);
-  } else {
-    obs::write_trace_jsonl(file, records);
-  }
-  std::cerr << "wrote " << records.size() << " cluster trace records to "
-            << path << '\n';
-}
-
 void add_summary_row(harness::Table& table, const char* name,
                      const harness::RunSummary& s) {
   table.add_row({name, harness::cell(s.weighted_throughput, 1),
@@ -528,21 +553,18 @@ harness::Table summary_table() {
 int cmd_simulate(Flags& flags) {
   const graph::ProcessingGraph g =
       load_topology(flags.get("topology", std::string()));
-  const control::FlowPolicy policy =
-      parse_policy(flags.get("policy", std::string("aces")));
-  const double duration = flags.get("duration", 60.0);
-  const double warmup = flags.get("warmup", 10.0);
-  const int seed = flags.get("seed", 1);
+  sim::SimOptions options;
+  static_cast<RunSpec&>(options) = read_run_spec(flags, /*policy=*/true);
+  options.reoptimize_interval = read_reoptimize(flags);
   const std::string timeseries = flags.get("timeseries", std::string());
   const std::string trace_path = flags.get("trace", std::string());
-  const FaultFlags faults = FaultFlags::parse(flags);
   const SpanFlags span_flags = SpanFlags::parse(flags);
   const bool csv = flags.has("csv");
   const bool detail = flags.has("detail");
   const bool fingerprint = flags.has("fingerprint");
   flags.check_all_consumed();
-  fault::validate(faults.schedule, g);
-  if (!faults.schedule.proc_kills.empty()) {
+  fault::validate(options.faults, g);
+  if (!options.faults.proc_kills.empty()) {
     std::cerr << "warning: prockill clauses need the distributed runtime "
                  "(aces compare --transport=inproc|uds|tcp); the simulator "
                  "ignores them\n";
@@ -552,17 +574,12 @@ int cmd_simulate(Flags& flags) {
 
   obs::ControlTraceRecorder recorder;
   obs::Registry counters;
-  sim::SimOptions options;
-  options.duration = duration;
-  options.warmup = warmup;
-  options.seed = static_cast<std::uint64_t>(seed);
-  options.controller.policy = policy;
   options.record_timeseries = !timeseries.empty();
   if (!trace_path.empty()) options.trace = &recorder;
   // A traced run also times its control phases into the registry.
-  faults.apply(options, faults.schedule.empty() && trace_path.empty()
-                            ? nullptr
-                            : &counters);
+  if (!options.faults.empty() || !trace_path.empty()) {
+    options.counters = &counters;
+  }
   std::unique_ptr<obs::SpanTracer> tracer;
   if (span_flags.enabled()) {
     tracer = span_flags.make_tracer(options.seed);
@@ -575,14 +592,10 @@ int cmd_simulate(Flags& flags) {
     std::ofstream file(timeseries);
     simulation.timeseries().write_csv(file);
   }
-  if (!trace_path.empty()) {
-    write_trace_file(trace_path, recorder);
-    std::cerr << "wrote " << recorder.size() << " trace records to "
-              << trace_path << '\n';
-  }
+  if (!trace_path.empty()) write_trace_file(trace_path, recorder.snapshot());
   const obs::MetricsSnapshot snap = counters.snapshot();
   if (!trace_path.empty()) obs::write_timer_summary(std::cerr, snap);
-  if (!faults.schedule.empty()) print_fault_counters(snap);
+  if (!options.faults.empty()) print_fault_counters(snap);
   const metrics::RunReport report = simulation.report();
   if (fingerprint) {
     // Bit-exact serialization of every deterministic report field. CI
@@ -594,7 +607,7 @@ int cmd_simulate(Flags& flags) {
   const harness::RunSummary s =
       harness::summarize(report, plan.weighted_throughput);
   harness::Table table = summary_table();
-  add_summary_row(table, to_string(policy), s);
+  add_summary_row(table, to_string(options.controller.policy), s);
   harness::print_table(table, csv, std::cout);
 
   if (detail) {
@@ -619,65 +632,25 @@ int cmd_simulate(Flags& flags) {
 int cmd_compare(Flags& flags) {
   const graph::ProcessingGraph g =
       load_topology(flags.get("topology", std::string()));
-  const double duration = flags.get("duration", 60.0);
-  const double warmup = flags.get("warmup", 10.0);
-  const int seed = flags.get("seed", 1);
+  RunSpec spec = read_run_spec(flags, /*policy=*/false);
   const bool csv = flags.has("csv");
   const std::string trace_base = flags.get("trace", std::string());
-  const FaultFlags faults = FaultFlags::parse(flags);
-  // --transport selects the substrate: absent, the simulator; `thread`,
-  // the wall-paced threaded runtime; inproc|uds|tcp, the deterministic
-  // multi-process distributed runtime.
-  const std::string transport_name = flags.get("transport", std::string());
-  const bool use_runtime = transport_name == "thread";
-  std::optional<runtime::transport::TransportKind> dist_kind;
-  if (!transport_name.empty() && !use_runtime) {
-    dist_kind = runtime::transport::parse_transport(transport_name);
-    if (!dist_kind.has_value()) {
-      throw std::runtime_error("unknown transport: " + transport_name +
-                               " (thread|inproc|uds|tcp)");
-    }
-  }
-  const bool use_dist = dist_kind.has_value();
-  // Each substrate reads only its own flags; check_all_consumed refuses
-  // the rest like unknown flags. The distributed runtime's observability
-  // plane is --sample (spans traced cluster-wide), --status-port (the live
-  // line-protocol endpoint) and --prom (per-policy cluster expositions).
-  const double time_scale = use_runtime ? flags.get("timescale", 5.0) : 0.0;
-  const DataPlaneFlags data_plane =
-      use_runtime || use_dist ? DataPlaneFlags::parse(flags, use_runtime)
-                              : DataPlaneFlags{};
-  const int processes = use_dist ? flags.get("processes", 2) : 1;
-  const int substeps = use_dist ? flags.get("substeps", 4) : 1;
-  const bool fingerprint = use_dist && flags.has("fingerprint");
-  const double dist_sample = use_dist ? flags.get("sample", 0.0) : 0.0;
-  const bool has_status_port = use_dist && flags.has("status-port");
-  const int status_port = use_dist ? flags.get("status-port", 0) : 0;
-  const double status_linger =
-      use_dist ? flags.get("status-linger", 0.0) : 0.0;
+  const Seconds reoptimize = read_reoptimize(flags);
+  harness::Substrate substrate = read_substrate(flags, {.threaded = true});
+  // The distributed runtime's own outputs: --fingerprint, spans traced
+  // cluster-wide (--sample), the live status endpoint, and one cluster
+  // exposition per policy (--prom).
+  auto* const dist = std::get_if<runtime::dist::DistOptions>(&substrate);
+  const bool fingerprint = dist != nullptr && flags.has("fingerprint");
+  if (dist != nullptr) dist->span_sample = read_sample(flags, 0.0);
+  const StatusFlags status =
+      dist != nullptr ? StatusFlags::read(flags) : StatusFlags{};
   const std::string prom_base =
-      use_dist ? flags.get("prom", std::string()) : std::string();
+      dist != nullptr ? flags.get("prom", std::string()) : std::string();
   flags.check_all_consumed();
-  fault::validate(faults.schedule, g);
-  if (dist_sample < 0.0 || dist_sample > 1.0)
-    throw std::runtime_error("--sample must be in [0,1]");
-  if (status_port < 0 || status_port > 65535)
-    throw std::runtime_error("--status-port must be in [0,65535]");
-  if (processes < 1) throw std::runtime_error("--processes must be >= 1");
-  if (substeps < 1) throw std::runtime_error("--substeps must be >= 1");
-
-  // --reoptimize=SEC requests a *periodic* tier-1 re-solve, which only the
-  // simulator implements. The distributed runtime re-solves event-driven —
-  // on worker-process death/respawn and modeled crash/restore — whether or
-  // not the flag is given; the threaded runtime never re-solves mid-run
-  // and rides out faults on tier-2 defenses alone.
-  if (faults.reoptimize > 0.0 && (use_runtime || use_dist)) {
-    std::cerr << "warning: the periodic --reoptimize=SEC interval is "
-                 "simulator-only; the distributed runtime re-solves "
-                 "event-driven on kill/crash/restart regardless, and the "
-                 "threaded runtime never re-solves mid-run\n";
-  }
-  if (!faults.schedule.proc_kills.empty() && !use_dist) {
+  fault::validate(spec.faults, g);
+  apply_reoptimize(substrate, reoptimize);
+  if (!spec.faults.proc_kills.empty() && dist == nullptr) {
     std::cerr << "warning: prockill clauses need the distributed runtime "
                  "(--transport=inproc|uds|tcp); ignored on this substrate\n";
   }
@@ -687,80 +660,61 @@ int cmd_compare(Flags& flags) {
   // The aggregator is per policy run (so cross-policy telemetry never
   // merges); the status server rebinds per run and, with --status-linger,
   // keeps serving the last policy's snapshot after the runs finish.
-  const bool dist_obs_on =
-      use_dist && (has_status_port || dist_sample > 0.0 ||
-                   !prom_base.empty() || !trace_base.empty() ||
-                   !faults.schedule.proc_kills.empty());
+  const bool cluster_on =
+      dist != nullptr &&
+      (status.port.has_value() || dist->span_sample > 0.0 ||
+       !prom_base.empty() || !trace_base.empty() ||
+       !spec.faults.proc_kills.empty());
   std::unique_ptr<obs::ClusterAggregator> aggregator;
   std::unique_ptr<obs::StatusServer> status_server;
   for (const control::FlowPolicy policy :
        {control::FlowPolicy::kAces, control::FlowPolicy::kUdp,
         control::FlowPolicy::kLockStep, control::FlowPolicy::kThreshold}) {
+    spec.controller.policy = policy;
+    harness::run_spec(substrate) = spec;
+    // The simulator and the threaded runtime trace and count in process.
     obs::ControlTraceRecorder recorder;
     obs::ControlTraceRecorder* trace =
-        trace_base.empty() || use_dist ? nullptr : &recorder;
+        trace_base.empty() || dist != nullptr ? nullptr : &recorder;
     obs::Registry counters;
     obs::Registry* counters_ptr =
-        faults.schedule.empty() || use_dist ? nullptr : &counters;
-    harness::RunSummary summary;
-    metrics::RunReport report;
-    if (use_dist) {
-      DistObs dist_obs;
-      if (dist_obs_on) {
-        status_server.reset();  // free the port before the aggregator dies
-        aggregator = std::make_unique<obs::ClusterAggregator>();
-        dist_obs.aggregator = aggregator.get();
-        dist_obs.span_sample = dist_sample;
-        dist_obs.record_trace = !trace_base.empty();
-        if (has_status_port) {
-          status_server = std::make_unique<obs::StatusServer>(
-              aggregator.get(), static_cast<std::uint16_t>(status_port));
-          if (status_server->listening()) {
-            std::cerr << "status endpoint on 127.0.0.1:"
-                      << status_server->port() << '\n';
-          } else {
-            std::cerr << "warning: status endpoint failed: "
-                      << status_server->error() << '\n';
-          }
-        }
-      }
-      runtime::dist::DistStats stats;
-      summary = run_one_dist(g, plan, policy, duration, warmup, seed,
-                             data_plane, *dist_kind, processes, substeps,
-                             faults, dist_obs, &report, &stats);
+        spec.faults.empty() || dist != nullptr ? nullptr : &counters;
+    const auto observe = [&](auto* options) {
+      if (options == nullptr) return;
+      options->trace = trace;
+      options->counters = counters_ptr;
+    };
+    observe(std::get_if<sim::SimOptions>(&substrate));
+    observe(std::get_if<runtime::RuntimeOptions>(&substrate));
+    if (cluster_on) {
+      status_server.reset();  // free the port before the aggregator dies
+      aggregator = std::make_unique<obs::ClusterAggregator>();
+      dist->aggregator = aggregator.get();
+      dist->record_trace = !trace_base.empty();
+      status_server = status.serve(aggregator.get());
+    }
+    runtime::dist::DistStats stats;
+    const metrics::RunReport report =
+        run_substrate(g, plan, substrate, &stats);
+    if (!trace_base.empty()) {
+      const std::string path =
+          policy_trace_path(trace_base, policy_tag(policy));
       if (aggregator != nullptr) {
-        if (!trace_base.empty()) {
-          write_cluster_trace_file(
-              policy_trace_path(trace_base, policy_tag(policy)), *aggregator);
-        }
-        if (!prom_base.empty()) {
-          const std::string path =
-              policy_trace_path(prom_base, policy_tag(policy));
-          std::ofstream file(path);
-          if (!file)
-            throw std::runtime_error("cannot open prom file: " + path);
-          aggregator->write_prometheus(file);
-          std::cerr << "wrote cluster Prometheus exposition to " << path
-                    << '\n';
-        }
-        aggregator->write_flight_evidence(std::cerr);
+        write_trace_file(path, aggregator->trace_records(),
+                         "cluster trace records");
+      } else {
+        write_trace_file(path, recorder.snapshot());
       }
-      if (!faults.schedule.proc_kills.empty()) {
-        std::cerr << "[" << to_string(policy) << "] workers killed "
-                  << stats.workers_killed << ", restarted "
-                  << stats.workers_restarted << ", detection "
-                  << harness::cell(stats.kill_detect_wall_seconds * 1e3, 1)
-                  << " ms, reoptimizations " << stats.reoptimizations
-                  << ", relay dropped " << stats.relay_dropped
-                  << ", orphans " << stats.orphans_reaped << '\n';
+    }
+    if (aggregator != nullptr) {
+      if (!prom_base.empty()) {
+        write_cluster_prometheus(
+            policy_trace_path(prom_base, policy_tag(policy)), *aggregator);
       }
-    } else if (use_runtime) {
-      summary = run_one_runtime(g, plan, policy, duration, warmup, seed,
-                                time_scale, data_plane, trace, faults,
-                                counters_ptr);
-    } else {
-      summary = run_one(g, plan, policy, duration, warmup, seed, {}, trace,
-                        faults, counters_ptr);
+      aggregator->write_flight_evidence(std::cerr);
+    }
+    if (dist != nullptr && !spec.faults.proc_kills.empty()) {
+      print_kill_summary("[" + std::string(to_string(policy)) + "] ", stats);
     }
     if (fingerprint) {
       // One line per policy: `<policy> <fingerprint>`. CI diffs these
@@ -772,26 +726,14 @@ int cmd_compare(Flags& flags) {
       std::cout << to_string(policy) << ' '
                 << metrics::work_fingerprint(report) << '\n';
     }
-    add_summary_row(table, to_string(policy), summary);
-    if (trace != nullptr) {
-      const std::string path =
-          policy_trace_path(trace_base, policy_tag(policy));
-      write_trace_file(path, recorder);
-      std::cerr << "wrote " << recorder.size() << " trace records to "
-                << path << '\n';
-    }
+    add_summary_row(table, to_string(policy),
+                    harness::summarize(report, plan.weighted_throughput));
     if (counters_ptr != nullptr) {
       std::cerr << "[" << to_string(policy) << "]\n";
       print_fault_counters(counters.snapshot());
     }
   }
-  if (status_server != nullptr && status_server->listening() &&
-      status_linger > 0.0) {
-    // CI smoke hook: the last policy's snapshot stays scrapeable for a
-    // bounded window after the runs finish.
-    std::cerr << "status endpoint lingering " << status_linger << " s\n";
-    std::this_thread::sleep_for(std::chrono::duration<double>(status_linger));
-  }
+  status.linger_on(status_server.get());
   if (fingerprint) return 0;  // fingerprints replace the table
   harness::print_table(table, csv, std::cout);
   return 0;
@@ -804,90 +746,44 @@ int cmd_compare(Flags& flags) {
 int cmd_cluster_report(Flags& flags) {
   const graph::ProcessingGraph g =
       load_topology(flags.get("topology", std::string()));
-  const control::FlowPolicy policy =
-      parse_policy(flags.get("policy", std::string("aces")));
-  const double duration = flags.get("duration", 60.0);
-  const double warmup = flags.get("warmup", 10.0);
-  const int seed = flags.get("seed", 1);
-  const std::string transport_name =
-      flags.get("transport", std::string("uds"));
-  const int processes = flags.get("processes", 3);
-  const int substeps = flags.get("substeps", 4);
-  const double sample = flags.get("sample", 0.01);
+  const RunSpec spec = read_run_spec(flags, /*policy=*/true);
+  const Seconds reoptimize = read_reoptimize(flags);
+  harness::Substrate substrate =
+      read_substrate(flags, {.transport = "uds", .processes = 3});
+  auto& options = std::get<runtime::dist::DistOptions>(substrate);
+  options.span_sample = read_sample(flags, 0.01);
   const std::string trace_path = flags.get("trace", std::string());
   const std::string prom_path = flags.get("prom", std::string());
-  const bool has_status_port = flags.has("status-port");
-  const int status_port = flags.get("status-port", 0);
-  const double status_linger = flags.get("status-linger", 0.0);
-  const DataPlaneFlags data_plane =
-      DataPlaneFlags::parse(flags, /*threaded=*/false);
-  const FaultFlags faults = FaultFlags::parse(flags);
+  const StatusFlags status = StatusFlags::read(flags);
   const bool csv = flags.has("csv");
   flags.check_all_consumed();
-  fault::validate(faults.schedule, g);
-  if (sample < 0.0 || sample > 1.0)
-    throw std::runtime_error("--sample must be in [0,1]");
-  if (status_port < 0 || status_port > 65535)
-    throw std::runtime_error("--status-port must be in [0,65535]");
-  if (processes < 1) throw std::runtime_error("--processes must be >= 1");
-  if (substeps < 1) throw std::runtime_error("--substeps must be >= 1");
-  const std::optional<runtime::transport::TransportKind> kind =
-      runtime::transport::parse_transport(transport_name);
-  if (!kind.has_value()) {
-    throw std::runtime_error("unknown transport: " + transport_name +
-                             " (inproc|uds|tcp)");
-  }
+  fault::validate(spec.faults, g);
+  apply_reoptimize(substrate, reoptimize);
 
   const opt::AllocationPlan plan = opt::optimize(g);
   obs::ClusterAggregator aggregator;
-  std::unique_ptr<obs::StatusServer> status_server;
-  if (has_status_port) {
-    status_server = std::make_unique<obs::StatusServer>(
-        &aggregator, static_cast<std::uint16_t>(status_port));
-    if (status_server->listening()) {
-      std::cerr << "status endpoint on 127.0.0.1:" << status_server->port()
-                << '\n';
-    } else {
-      std::cerr << "warning: status endpoint failed: "
-                << status_server->error() << '\n';
-    }
-  }
-  DistObs dist_obs;
-  dist_obs.aggregator = &aggregator;
-  dist_obs.span_sample = sample;
-  dist_obs.record_trace = !trace_path.empty();
+  const std::unique_ptr<obs::StatusServer> status_server =
+      status.serve(&aggregator);
+  harness::run_spec(substrate) = spec;
+  options.aggregator = &aggregator;
+  options.record_trace = !trace_path.empty();
   runtime::dist::DistStats stats;
-  const harness::RunSummary summary =
-      run_one_dist(g, plan, policy, duration, warmup, seed, data_plane, *kind,
-                   processes, substeps, faults, dist_obs, nullptr, &stats);
+  const metrics::RunReport report = run_substrate(g, plan, substrate, &stats);
 
   harness::Table table = summary_table();
-  add_summary_row(table, to_string(policy), summary);
+  add_summary_row(table, to_string(spec.controller.policy),
+                  harness::summarize(report, plan.weighted_throughput));
   harness::print_table(table, csv, std::cout);
   std::cout << '\n';
   aggregator.write_report(std::cout);
 
-  if (!trace_path.empty()) write_cluster_trace_file(trace_path, aggregator);
-  if (!prom_path.empty()) {
-    std::ofstream file(prom_path);
-    if (!file) throw std::runtime_error("cannot open prom file: " + prom_path);
-    aggregator.write_prometheus(file);
-    std::cerr << "wrote cluster Prometheus exposition to " << prom_path
-              << '\n';
+  if (!trace_path.empty()) {
+    write_trace_file(trace_path, aggregator.trace_records(),
+                     "cluster trace records");
   }
-  if (!faults.schedule.proc_kills.empty()) {
-    std::cerr << "workers killed " << stats.workers_killed << ", restarted "
-              << stats.workers_restarted << ", detection "
-              << harness::cell(stats.kill_detect_wall_seconds * 1e3, 1)
-              << " ms, reoptimizations " << stats.reoptimizations
-              << ", relay dropped " << stats.relay_dropped << ", orphans "
-              << stats.orphans_reaped << '\n';
-  }
-  if (status_server != nullptr && status_server->listening() &&
-      status_linger > 0.0) {
-    std::cerr << "status endpoint lingering " << status_linger << " s\n";
-    std::this_thread::sleep_for(std::chrono::duration<double>(status_linger));
-  }
+  if (!prom_path.empty()) write_cluster_prometheus(prom_path, aggregator);
+  if (!spec.faults.proc_kills.empty()) print_kill_summary("", stats);
+  status.linger_on(status_server.get());
   return 0;
 }
 
@@ -1138,93 +1034,61 @@ void print_latency_tables(const obs::LatencyRegistry& latency, bool csv) {
 int cmd_latency_report(Flags& flags) {
   const graph::ProcessingGraph g =
       load_topology(flags.get("topology", std::string()));
-  const control::FlowPolicy policy =
-      parse_policy(flags.get("policy", std::string("aces")));
-  const double duration = flags.get("duration", 60.0);
-  const double warmup = flags.get("warmup", 10.0);
-  const int seed = flags.get("seed", 1);
-  const double sample = flags.get("sample", 0.05);
+  const RunSpec spec = read_run_spec(flags, /*policy=*/true);
+  const double sample = read_sample(flags, 0.05, /*zero_ok=*/false);
   const int worst = flags.get("worst", 5);
   const std::string spans_path = flags.get("spans", std::string());
   const std::string prom_path = flags.get("prom", std::string());
   // --transport switches to the distributed runtime: the same tables, fed
   // by the cluster-merged latency registry (wire-stitched spans included).
-  // Its shard flags are read only then, so the simulator refuses them.
-  const std::string transport_name = flags.get("transport", std::string());
-  const bool dist = !transport_name.empty();
-  const int processes = dist ? flags.get("processes", 3) : 1;
-  const int substeps = dist ? flags.get("substeps", 4) : 1;
-  const FaultFlags faults = FaultFlags::parse(flags);
+  const Seconds reoptimize = read_reoptimize(flags);
+  harness::Substrate substrate = read_substrate(flags, {.processes = 3});
   const bool csv = flags.has("csv");
   flags.check_all_consumed();
-  fault::validate(faults.schedule, g);
-  if (sample <= 0.0 || sample > 1.0)
-    throw std::runtime_error("--sample must be in (0,1]");
+  fault::validate(spec.faults, g);
   if (worst < 0) throw std::runtime_error("--worst must be >= 0");
-  if (processes < 1) throw std::runtime_error("--processes must be >= 1");
-  if (substeps < 1) throw std::runtime_error("--substeps must be >= 1");
+  auto* const dist = std::get_if<runtime::dist::DistOptions>(&substrate);
+  if (dist != nullptr && !spans_path.empty()) {
+    throw std::runtime_error(
+        "--spans is single-process only; the distributed runtime retains "
+        "spans in the cluster aggregator (use cluster-report / --prom)");
+  }
+  apply_reoptimize(substrate, reoptimize);
 
   const opt::AllocationPlan plan = opt::optimize(g);
+  harness::run_spec(substrate) = spec;
 
-  if (dist) {
-    const std::optional<runtime::transport::TransportKind> kind =
-        runtime::transport::parse_transport(transport_name);
-    if (!kind.has_value()) {
-      throw std::runtime_error("unknown transport: " + transport_name +
-                               " (inproc|uds|tcp)");
-    }
-    if (!spans_path.empty()) {
-      throw std::runtime_error(
-          "--spans is single-process only; the distributed runtime retains "
-          "spans in the cluster aggregator (use cluster-report / --prom)");
-    }
+  if (dist != nullptr) {
     obs::ClusterAggregator aggregator;
-    DistObs dist_obs;
-    dist_obs.aggregator = &aggregator;
-    dist_obs.span_sample = sample;
+    dist->aggregator = &aggregator;
+    dist->span_sample = sample;
     runtime::dist::DistStats stats;
-    run_one_dist(g, plan, policy, duration, warmup, seed, DataPlaneFlags{},
-                 *kind, processes, substeps, faults, dist_obs, nullptr,
-                 &stats);
-    std::cout << "cluster latency: " << processes << " shard(s) on "
-              << transport_name << ", sample rate "
-              << harness::cell(sample, 3) << ", policy " << to_string(policy)
-              << "\n\n";
+    run_substrate(g, plan, substrate, &stats);
+    std::cout << "cluster latency: " << dist->processes << " shard(s) on "
+              << to_string(dist->transport) << ", sample rate "
+              << harness::cell(sample, 3) << ", policy "
+              << to_string(spec.controller.policy) << "\n\n";
     print_latency_tables(aggregator.merged_latency(), csv);
-    if (!prom_path.empty()) {
-      std::ofstream file(prom_path);
-      if (!file)
-        throw std::runtime_error("cannot open prom file: " + prom_path);
-      aggregator.write_prometheus(file);
-      std::cerr << "wrote cluster Prometheus exposition to " << prom_path
-                << '\n';
-    }
+    if (!prom_path.empty()) write_cluster_prometheus(prom_path, aggregator);
     aggregator.write_flight_evidence(std::cerr);
     return 0;
   }
+  auto& options = std::get<sim::SimOptions>(substrate);
   obs::Registry counters;
-  sim::SimOptions options;
-  options.duration = duration;
-  options.warmup = warmup;
-  options.seed = static_cast<std::uint64_t>(seed);
-  options.controller.policy = policy;
-  faults.apply(options, faults.schedule.empty() ? nullptr : &counters);
-
+  if (!spec.faults.empty()) options.counters = &counters;
   obs::SpanTracerOptions tracer_options;
   tracer_options.sample_rate = sample;
-  tracer_options.seed = options.seed;
+  tracer_options.seed = spec.seed;
   tracer_options.worst_k = static_cast<std::size_t>(worst);
   obs::SpanTracer tracer(tracer_options);
   options.spans = &tracer;
-
-  sim::StreamSimulation simulation(g, plan, options);
-  simulation.run();
+  run_substrate(g, plan, substrate);
 
   std::cout << "spans: " << tracer.spans_started() << " sampled, "
             << tracer.spans_completed() << " completed, "
             << tracer.spans_dropped() << " dropped (sample rate "
-            << harness::cell(sample, 3) << ", policy " << to_string(policy)
-            << ")\n\n";
+            << harness::cell(sample, 3) << ", policy "
+            << to_string(spec.controller.policy) << ")\n\n";
 
   print_latency_tables(tracer.latency(), csv);
 
@@ -1251,7 +1115,7 @@ int cmd_latency_report(Flags& flags) {
     outputs.prom_path = prom_path;
     outputs.write_outputs(tracer);
   }
-  if (!faults.schedule.empty()) print_fault_counters(counters.snapshot());
+  if (!spec.faults.empty()) print_fault_counters(counters.snapshot());
   return 0;
 }
 
