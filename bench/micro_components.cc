@@ -27,19 +27,29 @@ namespace {
 
 using namespace aces;
 
+// lane:0 schedules every event on the heap at scattered times; lane:1
+// schedules every event through a registered FIFO lane.
 void BM_EventQueueScheduleAndRun(benchmark::State& state) {
   const auto events = static_cast<int>(state.range(0));
+  const bool lane = state.range(1) != 0;
   for (auto _ : state) {
     sim::Simulator simulator;
+    if (lane) simulator.add_lane(1e-3);
     for (int i = 0; i < events; ++i) {
-      simulator.schedule_at((i * 7919) % 1000 * 1e-3, [] {});
+      if (lane) {
+        simulator.schedule_in(1e-3, [] {});
+      } else {
+        simulator.schedule_at((i * 7919) % 1000 * 1e-3, [] {});
+      }
     }
     simulator.run_all();
     benchmark::DoNotOptimize(simulator.executed());
   }
   state.SetItemsProcessed(state.iterations() * events);
 }
-BENCHMARK(BM_EventQueueScheduleAndRun)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_EventQueueScheduleAndRun)
+    ->ArgNames({"events", "lane"})
+    ->ArgsProduct({{1000, 10000}, {0, 1}});
 
 void BM_FlowControllerUpdate(benchmark::State& state) {
   const auto gains = control::design_flow_gains(2, control::LqrWeights{});

@@ -5,13 +5,28 @@
 // Deterministic: events run in (time, seq) order, where seq counts
 // schedule calls, so ties in time break by insertion order.
 //
-// The event set is an indexed binary min-heap of 24-byte keys
-// {time, seq, slot}. Only the keys sift; each handler stays in a slot of a
-// handler vector, and freed slots are reused last-in first-out, so once
-// the pending population has peaked scheduling allocates nothing.
-// Handlers are aces::InlineFunction, so no capture up to kHandlerCapacity
-// bytes allocates either. Any time >= now() is valid, +inf included: such
-// an event stays pending under every finite horizon.
+// The event set is an indexed binary min-heap plus one FIFO lane per
+// registered fixed delay (add_lane). schedule_in puts an event on the lane
+// whose delay equals its delay exactly; every other event, and every
+// schedule_at, goes on the heap. run_next runs the least of the heap top
+// and the lane heads by (time, seq), which is the event the heap alone
+// would pop:
+//  * now() never decreases and IEEE rounding is monotone, so the times
+//    now() + d pushed onto one lane never decrease;
+//  * seq strictly increases, so each lane is sorted by (time, seq) as it
+//    fills, and its head is its least event.
+// A lane push (amortized) or pop costs O(1) against the heap's O(log n);
+// lanes change the cost of an event, never its time or its place in the
+// order.
+//
+// The heap holds 24-byte keys {time, seq, slot}. Only the keys sift; each
+// handler stays in a slot of a handler vector, and freed slots are reused
+// last-in first-out. A lane is a power-of-two ring of {time, seq, handler}
+// that doubles when full and never shrinks. So once the pending population
+// has peaked, scheduling allocates nothing. Handlers are
+// aces::InlineFunction, so no capture up to kHandlerCapacity bytes
+// allocates either. Any time >= now() is valid, +inf included: such an
+// event stays pending under every finite horizon.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +47,12 @@ class Simulator {
   using Handler = InlineFunction<kHandlerCapacity>;
 
   [[nodiscard]] Seconds now() const { return now_; }
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
+
+  /// Registers a FIFO lane for events scheduled exactly `delay` seconds
+  /// ahead (delay >= 0). A delay already registered keeps its one lane.
+  void add_lane(Seconds delay);
 
   /// Schedules `fn` `delay` seconds from now (delay >= 0).
   void schedule_in(Seconds delay, Handler fn);
@@ -52,8 +71,30 @@ class Simulator {
     std::size_t slot;  // index into handlers_
   };
 
-  /// Pops the earliest key, frees its slot and runs its handler.
-  void run_next();
+  /// The pending events scheduled `delay` ahead, in (time, seq) order.
+  struct Lane {
+    struct Event {
+      Seconds time = 0.0;
+      std::uint64_t seq = 0;
+      Handler fn;
+    };
+
+    Seconds delay = 0.0;
+    std::vector<Event> ring;  // length 0 or a power of two
+    std::size_t head = 0;     // index of the earliest event
+    std::size_t size = 0;
+
+    [[nodiscard]] const Event& front() const { return ring[head]; }
+    void push(Seconds time, std::uint64_t seq, Handler&& fn);
+    /// Takes the earliest event's handler out of the ring.
+    Handler pop();
+  };
+
+  /// Runs the earliest pending event if its time is <= `end`; false when
+  /// there is none.
+  bool run_next(Seconds end);
+  /// Takes the earliest key off the heap and its handler out of its slot.
+  Handler pop_heap();
 
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -62,6 +103,7 @@ class Simulator {
   std::vector<Key> heap_;              // binary min-heap by (time, seq)
   std::vector<Handler> handlers_;      // indexed by Key::slot
   std::vector<std::size_t> free_slots_;
+  std::vector<Lane> lanes_;            // one per distinct registered delay
 };
 
 }  // namespace aces::sim

@@ -23,6 +23,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// One-way delivery latency for SDOs and advertisements between co-located
 /// PEs.
 constexpr Seconds kLocalLatency = 0.0002;
+/// The same between PEs on different nodes.
+constexpr Seconds kNetworkLatency = 0.002;
 }  // namespace
 
 struct StreamSimulation::Impl {
@@ -74,6 +76,12 @@ struct StreamSimulation::Impl {
                    "prefill fraction out of [0,1]");
     ACES_CHECK_MSG(opt.reoptimize_interval >= 0.0,
                    "negative re-optimization interval");
+    // Most events wait one of the fixed delays: a delivery or advert the
+    // transport latency, a node tick the period dt. Their FIFO lanes skip
+    // the heap (sim/simulator.h).
+    simulator.add_lane(kLocalLatency);
+    simulator.add_lane(kNetworkLatency);
+    simulator.add_lane(opt.dt);
     graph.validate();
     Rng master(opt.seed);
 
@@ -313,7 +321,7 @@ struct StreamSimulation::Impl {
     const bool same_node =
         graph.pe(PeId(static_cast<PeId::value_type>(from))).node ==
         graph.pe(PeId(static_cast<PeId::value_type>(to))).node;
-    return same_node ? kLocalLatency : options.network_latency;
+    return same_node ? kLocalLatency : kNetworkLatency;
   }
 
   /// Accrues CPU progress on the in-flight SDO up to the current instant.

@@ -10,11 +10,11 @@
 //    instantaneous speed is the CPU share granted by the node controller at
 //    the last tick. Completions emit `selectivity` SDOs (credit-conserving
 //    rounding) to every downstream PE (copy semantics, Fig. 2).
-//  * Transport: deliveries and advertisements incur a same-node or
-//    cross-node latency. Under ACES/UDP a delivery into a full buffer is
-//    dropped (wasted upstream work); under Lock-Step senders reserve space
-//    and sleep when a downstream buffer is full (min-flow), resuming when
-//    space frees.
+//  * Transport: deliveries and advertisements incur a fixed same-node
+//    (0.2 ms) or cross-node (2 ms) latency. Under ACES/UDP a delivery into
+//    a full buffer is dropped (wasted upstream work); under Lock-Step
+//    senders reserve space and sleep when a downstream buffer is full
+//    (min-flow), resuming when space frees.
 //  * Every `dt`, each node's controller (control::NodeController) reruns CPU
 //    and flow control; ACES advertisements propagate upstream with latency.
 //
@@ -68,9 +68,6 @@ struct WeightChange {
 };
 
 struct SimOptions : RunSpec {
-  /// One-way delivery latency for SDOs and advertisements between nodes
-  /// (co-located PEs use a fixed 0.2 ms).
-  Seconds network_latency = 0.002;
   /// Stagger node ticks with random phases (the paper's algorithm does not
   /// require synchronized nodes); disable for lockstep-tick unit tests.
   bool randomize_tick_phase = true;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/registry.h"
+#include "sim/simulator.h"
 
 namespace aces::obs {
 namespace {
@@ -92,6 +93,34 @@ TEST(PerfSnapshot, CountsFromSeveralThreadsSum) {
   EXPECT_EQ(counter_value(process_metrics().snapshot(), "perf_test_wakeup") -
                 before,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(PerfSnapshot, CalendarProbesTimeEveryLaneAndHeapEvent) {
+  if (!perf_instrumented()) GTEST_SKIP() << "uninstrumented build";
+  const MetricsSnapshot before = process_metrics().snapshot();
+  sim::Simulator sim;
+  sim.add_lane(0.5);
+  std::uint64_t scheduled = 0;
+  // Each root event schedules one lane and one heap child when it runs.
+  for (int i = 0; i < 100; ++i) {
+    const auto child = [] {};
+    sim.schedule_in(0.1 * (i % 3 + 1), [&sim, &scheduled, child] {
+      sim.schedule_in(0.5, child);
+      sim.schedule_at(sim.now() + 2.0, child);
+      scheduled += 2;
+    });
+    sim.schedule_in(0.5, [] {});
+    scheduled += 2;
+  }
+  sim.run_all();
+  const MetricsSnapshot after = process_metrics().snapshot();
+  EXPECT_EQ(sim.executed(), scheduled);
+  EXPECT_EQ(timer_calls(after, "calendar_insert") -
+                timer_calls(before, "calendar_insert"),
+            scheduled);
+  EXPECT_EQ(timer_calls(after, "calendar_drain") -
+                timer_calls(before, "calendar_drain"),
+            sim.executed());
 }
 
 TEST(PerfMemory, PeakRssIsPositiveOnSupportedPlatforms) {

@@ -216,8 +216,12 @@ TEST(SimulatorTest, TinyTimeScaleDoesNotOverflowDayIndex) {
 /// Seeded random traffic mirrored into a reference ordered set of
 /// (time, seq). Each handler checks, when it runs, that it is the
 /// reference's earliest pending entry and that the clock reads its time.
+/// Lanes are registered for zero delay and for 0.25 s and 0.5 s, which sit
+/// on the tie grid; 0.25 s is registered twice and keeps one lane.
 struct ReferenceTraffic {
   static constexpr double kInf = std::numeric_limits<double>::infinity();
+  static constexpr std::array<double, 3> kLaneDelays{0.0, 0.25, 0.5};
+  static constexpr int kHeap = -1;  // route of an event no lane holds
 
   Simulator sim;
   std::mt19937_64 rng{20061};
@@ -225,48 +229,82 @@ struct ReferenceTraffic {
   std::uint64_t next_seq = 0;  // mirrors the simulator's schedule count
   std::uint64_t ran = 0;
   std::uint64_t misordered = 0;
-  std::uint64_t ties = 0;         // runs at the previous run's time
-  std::uint64_t zero_delays = 0;  // scheduled at now() from a handler
-  std::uint64_t infinite = 0;     // scheduled at +inf
-  bool spawn = true;              // handlers schedule children
+  std::uint64_t ties = 0;            // runs at the previous run's time
+  std::uint64_t lane_lane_ties = 0;  // ... from two different lanes
+  std::uint64_t lane_heap_ties = 0;  // ... one from a lane, one from the heap
+  std::uint64_t same_lane_ties = 0;  // ... both from one lane
+  std::uint64_t zero_delays = 0;     // scheduled at now() from a handler
+  std::uint64_t infinite = 0;        // scheduled at +inf
+  bool spawn = true;                 // handlers schedule children
   double last_run = -1.0;
+  int last_route = kHeap;
 
-  /// A time >= now() from the mix: zero delay, nanosecond gaps, exact
-  /// ties on a 0.25 s grid, far future (1e6 s) or +inf, or a plain delay.
-  double draw_time() {
+  ReferenceTraffic() {
+    for (const double delay : kLaneDelays) sim.add_lane(delay);
+    sim.add_lane(0.25);
+  }
+
+  /// Schedules one event from the mix: zero delay, nanosecond gaps, exact
+  /// ties on a 0.25 s grid, far future (1e6 s) or +inf, a lane's delay, or
+  /// a plain delay. Lane delays and plain delays go through schedule_in,
+  /// the rest through schedule_at.
+  void schedule(bool from_handler) {
     const double now = sim.now();
-    switch (rng() % 8) {
+    double t = now;
+    double delay = -1.0;  // >= 0: scheduled with schedule_in(delay)
+    int route = kHeap;
+    switch (rng() % 10) {
       case 0:
-        return now;
+        break;
       case 1:
-        return now + static_cast<double>(1 + rng() % 4) * 1e-9;
+        t = now + static_cast<double>(1 + rng() % 4) * 1e-9;
+        break;
       case 2:
-        return (std::floor(now / 0.25) + static_cast<double>(1 + rng() % 3)) *
-               0.25;
+        t = (std::floor(now / 0.25) + static_cast<double>(1 + rng() % 3)) *
+            0.25;
+        break;
       case 3:
-        return rng() % 3 == 0 ? kInf : now + 1e6;
+        t = rng() % 3 == 0 ? kInf : now + 1e6;
+        break;
+      case 4:
+      case 5:
+        route = static_cast<int>(rng() % kLaneDelays.size());
+        delay = kLaneDelays[static_cast<std::size_t>(route)];
+        t = now + delay;
+        break;
       default:
-        return now + std::uniform_real_distribution<double>(0.0, 2.0)(rng);
+        delay = std::uniform_real_distribution<double>(0.0, 2.0)(rng);
+        t = now + delay;
+        break;
+    }
+    const std::uint64_t seq = next_seq++;
+    if (from_handler && t == now) ++zero_delays;
+    if (t == kInf) ++infinite;
+    pending.emplace(t, seq);
+    Simulator::Handler fn = [this, t, seq, route] { run(t, seq, route); };
+    if (delay >= 0.0) {
+      sim.schedule_in(delay, std::move(fn));
+    } else {
+      sim.schedule_at(t, std::move(fn));
     }
   }
 
-  void schedule(bool from_handler) {
-    const double t = draw_time();
-    const std::uint64_t seq = next_seq++;
-    if (from_handler && t == sim.now()) ++zero_delays;
-    if (t == kInf) ++infinite;
-    pending.emplace(t, seq);
-    sim.schedule_at(t, [this, t, seq] { run(t, seq); });
-  }
-
-  void run(double t, std::uint64_t seq) {
+  void run(double t, std::uint64_t seq, int route) {
     if (pending.empty() || *pending.begin() != std::make_pair(t, seq) ||
         sim.now() != t) {
       ++misordered;
     }
     pending.erase({t, seq});
-    if (t == last_run) ++ties;
+    if (t == last_run) {
+      ++ties;
+      if (route != kHeap && last_route != kHeap) {
+        ++(route == last_route ? same_lane_ties : lane_lane_ties);
+      } else if (route != kHeap || last_route != kHeap) {
+        ++lane_heap_ties;
+      }
+    }
     last_run = t;
+    last_route = route;
     ++ran;
     // Mean 2/3 children per event keeps every cascade finite.
     if (spawn && rng() % 3 == 0) {
@@ -308,6 +346,9 @@ TEST(SimulatorTest, MatchesReferenceOrderUnderMixedTraffic) {
   EXPECT_GT(traffic.ties, 100u);
   EXPECT_GT(traffic.zero_delays, 100u);
   EXPECT_GT(traffic.infinite, 100u);
+  EXPECT_GT(traffic.lane_lane_ties, 10u);
+  EXPECT_GT(traffic.lane_heap_ties, 10u);
+  EXPECT_GT(traffic.same_lane_ties, 10u);
 
   // Every finite event runs under a finite horizon; the +inf ones stay.
   traffic.spawn = false;
@@ -331,6 +372,7 @@ TEST(SimulatorTest, MatchesReferenceOrderUnderMixedTraffic) {
 struct SlotProbe {
   Simulator sim;
   std::vector<int> runs;
+  std::vector<std::uint64_t> order;  // handler ids in the order they ran
   std::uint64_t next_id = 0;
   int corrupted = 0;
 };
@@ -352,6 +394,7 @@ Simulator::Handler probe_handler(SlotProbe* p, std::uint32_t fanout,
   auto fn = [p, id, fanout, child_fanout, words = pattern(id)] {
     if (words != pattern(id)) ++p->corrupted;
     ++p->runs[id];
+    p->order.push_back(id);
     for (std::uint32_t c = 0; c < fanout; ++c) {
       p->sim.schedule_in(0.0, probe_handler(p, child_fanout, 0));
     }
@@ -384,6 +427,44 @@ TEST(SimulatorTest, SlotsGrowAndAreReusedWithCapturesIntact) {
   EXPECT_EQ(probe.corrupted, 0);
   for (std::size_t id = 0; id < probe.runs.size(); ++id) {
     EXPECT_EQ(probe.runs[id], 1) << "handler " << id;
+  }
+  EXPECT_EQ(sim.executed(), probe.runs.size());
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+}
+
+TEST(SimulatorTest, LaneRingGrowsUnderItsRunningHandlerWithCapturesIntact) {
+  SlotProbe probe;
+  Simulator& sim = probe.sim;
+  sim.add_lane(0.0);
+  constexpr std::uint32_t kChildren = 200;
+  // Five warm-up handlers, the parent, its children, and one grandchild
+  // per child.
+  probe.runs.assign(5 + 1 + 2 * kChildren, 0);
+  // Advance the lane's head so the children wrap around its first ring.
+  for (int i = 0; i < 5; ++i) {
+    sim.schedule_in(0.0, probe_handler(&probe, 0, 0));
+  }
+  sim.run_until(0.5);
+  ASSERT_EQ(sim.pending(), 0u);
+
+  // The parent runs off the zero-delay lane and pushes its children onto
+  // that lane, which doubles its ring several times while the parent runs;
+  // each child then queues its grandchild behind the other children.
+  sim.run_until(1.0);
+  sim.schedule_in(0.0, probe_handler(&probe, kChildren, 1));
+  sim.run_all();
+
+  EXPECT_EQ(probe.next_id, probe.runs.size());
+  EXPECT_EQ(probe.corrupted, 0);
+  for (std::size_t id = 0; id < probe.runs.size(); ++id) {
+    EXPECT_EQ(probe.runs[id], 1) << "handler " << id;
+  }
+  // Handler ids are handed out in schedule order, so FIFO runs them in
+  // id order.
+  ASSERT_EQ(probe.order.size(), probe.runs.size());
+  for (std::size_t k = 0; k < probe.order.size(); ++k) {
+    EXPECT_EQ(probe.order[k], k);
   }
   EXPECT_EQ(sim.executed(), probe.runs.size());
   EXPECT_EQ(sim.pending(), 0u);

@@ -300,18 +300,14 @@ harness::Substrate read_substrate(Flags& flags,
   // runtimes, --batch and --pin on the threaded one only.
   const int capacity = flags.get("channel-capacity", 0);
   if (capacity < 0) {
-    std::cerr << "--channel-capacity must be >= 0\n";
-    std::exit(3);
+    throw std::runtime_error("--channel-capacity must be >= 0");
   }
   if (name == "thread" && defaults.threaded) {
     runtime::RuntimeOptions options;
     options.channel_capacity = static_cast<std::size_t>(capacity);
     options.time_scale = flags.get("timescale", options.time_scale);
     const int batch = flags.get("batch", 8);
-    if (batch < 1) {
-      std::cerr << "--batch must be >= 1\n";
-      std::exit(3);
-    }
+    if (batch < 1) throw std::runtime_error("--batch must be >= 1");
     options.batch = static_cast<std::size_t>(batch);
     options.pin_threads = flags.has("pin");
     return options;
@@ -1071,6 +1067,7 @@ int cmd_latency_report(Flags& flags) {
     print_latency_tables(aggregator.merged_latency(), csv);
     if (!prom_path.empty()) write_cluster_prometheus(prom_path, aggregator);
     aggregator.write_flight_evidence(std::cerr);
+    if (!spec.faults.proc_kills.empty()) print_kill_summary("", stats);
     return 0;
   }
   auto& options = std::get<sim::SimOptions>(substrate);
