@@ -47,6 +47,9 @@ NodeController::NodeController(const graph::ProcessingGraph& graph,
                  "require 0 < threshold_low < threshold_high <= 1");
   ACES_CHECK_MSG(config.advert_staleness_timeout >= 0.0,
                  "negative advertisement staleness timeout");
+  // The gains depend on the config alone: one DARE solve serves every PE,
+  // and every restart.
+  gains_ = design_flow_gains(config.feedback_delay_ticks, config.lqr);
   const auto& pes = graph.pes_on_node(node);
   states_.reserve(pes.size());
   for (PeId id : pes) states_.push_back(make_state(id, plan.at(id).cpu));
@@ -58,9 +61,8 @@ NodeController::PeState NodeController::make_state(PeId id,
   PeState s;
   s.cpu_target = cpu_target;
   s.bucket = TokenBucket(s.cpu_target, config_.bucket_depth_seconds);
-  s.flow = FlowController(
-      design_flow_gains(config_.feedback_delay_ticks, config_.lqr),
-      config_.b0_fraction * d.buffer_capacity, config_.rate_floor);
+  s.flow = FlowController(gains_, config_.b0_fraction * d.buffer_capacity,
+                          config_.rate_floor);
   s.service_estimate = Ewma(config_.service_ewma_alpha);
   s.service_estimate.add(d.mean_service_time());  // prior: stationary mean
   s.arrival_rate = Ewma(config_.arrival_ewma_alpha);

@@ -122,6 +122,9 @@ class NodeController {
   const graph::ProcessingGraph* graph_;
   NodeId node_;
   ControllerConfig config_;
+  /// The LQR flow gains every local PE starts from, designed once from
+  /// config_.
+  FlowGains gains_;
   double capacity_;
   std::vector<PeState> states_;  // aligned with local_pes()
 };

@@ -123,6 +123,19 @@ class Coordinator {
     base_config_.faults =
         options.faults.empty() ? std::string() : fault::to_string(options.faults);
 
+    // A worker reads the adverts of its PEs' downstreams, and Lock-Step
+    // congestion of their cross-node ones: the PEs some PE it hosts feeds.
+    reader_ranks_.resize(g.pe_count());
+    for (PeId pe : g.all_pes()) {
+      std::vector<std::uint32_t>& ranks = reader_ranks_[pe.value()];
+      for (PeId up : g.upstream(pe)) {
+        ranks.push_back(
+            owner_of_node(g.node_count(), workers_n_, g.pe(up).node.value()));
+      }
+      std::sort(ranks.begin(), ranks.end());
+      ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+    }
+
     for (const fault::ProcKill& pk : options.faults.proc_kills) {
       ScheduledKill sk;
       sk.rank = owner_of_node(g.node_count(), workers_n_, pk.node.value());
@@ -181,9 +194,9 @@ class Coordinator {
   /// Sends one complete frame (8-byte header + payload) to `rank`, counted
   /// in the shard's frames and bytes out. A send into a dead endpoint may
   /// fail; the death is detected while receiving, not here.
-  bool send(std::uint32_t rank, const std::vector<std::uint8_t>& bytes) {
+  bool send(std::uint32_t rank, std::vector<std::uint8_t> bytes) {
     if (agg() != nullptr) agg()->record_frame_sent(rank, bytes.size());
-    return workers_[rank].ep->send(bytes);
+    return workers_[rank].ep->send(std::move(bytes));
   }
 
   /// Waits up to `timeout_ms` for the next frame from `rank` that the
@@ -205,7 +218,8 @@ class Coordinator {
       if (status != transport::RecvStatus::kOk) return status;
       w.last_heard = SteadyClock::now();
       if (agg() != nullptr) {
-        agg()->record_frame_received(rank, 8 + frame->payload.size());
+        agg()->record_frame_received(
+            rank, wire::kHeaderBytes + frame->payload.size());
       }
       switch (frame->type) {
         case wire::FrameType::kHeartbeat:
@@ -411,14 +425,26 @@ class Coordinator {
       }
       if (has_span) ++next_span;
     }
+    // Adverts and congested PEs go, in PE order, only to the ranks that
+    // read them (reader_ranks_).
     std::stable_sort(pending_adverts_.begin(), pending_adverts_.end(),
                      [](const wire::Advert& a, const wire::Advert& b) {
                        return a.pe < b.pe;
                      });
+    for (const wire::Advert& a : pending_adverts_) {
+      for (const std::uint32_t rank : reader_ranks_[a.pe]) {
+        gos[rank].adverts.push_back(a);
+      }
+    }
     std::sort(pending_congested_.begin(), pending_congested_.end());
     pending_congested_.erase(
         std::unique(pending_congested_.begin(), pending_congested_.end()),
         pending_congested_.end());
+    for (const std::uint32_t pe : pending_congested_) {
+      for (const std::uint32_t rank : reader_ranks_[pe]) {
+        gos[rank].congested_pes.push_back(pe);
+      }
+    }
     // Membership, in node order: every node of a dead rank (the full set,
     // an idempotent clamp) and the nodes of ranks respawned this barrier.
     std::vector<std::uint32_t> down_nodes;
@@ -439,8 +465,6 @@ class Coordinator {
       wire::StepGo& go = gos[rank];
       go.quantum = k;
       go.flags = final_quantum ? wire::kStepGoFinal : 0;
-      go.adverts = pending_adverts_;
-      go.congested_pes = pending_congested_;
       go.down_nodes = down_nodes;
       go.up_nodes = up_nodes;
       go_sent_[rank] = SteadyClock::now();
@@ -701,6 +725,9 @@ class Coordinator {
   std::vector<wire::SpanHandoff> pending_spans_;
   std::vector<wire::Advert> pending_adverts_;
   std::vector<std::uint32_t> pending_congested_;
+  /// Per PE, ascending: the ranks hosting one of its upstream PEs, which
+  /// are the ranks its adverts and congestion are relayed to.
+  std::vector<std::vector<std::uint32_t>> reader_ranks_;
   /// Per-rank wall time of the last StepGo send, for the RTT gauge.
   std::vector<SteadyClock::time_point> go_sent_;
   std::uint64_t reoptimizations_ = 0;

@@ -14,10 +14,12 @@
 //     nodes that share a worker: outboxes are relayed at the *next*
 //     barrier, advertisements are looped back uniformly (a worker learns
 //     its own refresh one quantum late, like everyone else's), and the
-//     Lock-Step congested set is rebroadcast with the same delay. Work
-//     totals are therefore partition-invariant: any --processes count, on
-//     any transport, produces byte-identical deterministic totals
-//     (events_executed, delivery fingerprints).
+//     Lock-Step congested set is relayed with the same delay. Adverts and
+//     congested PEs go only to the ranks hosting an upstream PE of theirs,
+//     the only ranks that read them. Work totals are therefore
+//     partition-invariant: any --processes count, on any transport,
+//     produces byte-identical deterministic totals (events_executed,
+//     delivery fingerprints).
 //   * The coordinator relays in a fixed order — StepDones are merged in
 //     rank order, ranks own ascending node ranges, and each worker's
 //     outbox is already in source-node order, so every destination

@@ -297,7 +297,8 @@ class WorkerEngine {
       }
     }
     // Advert refreshes from quantum k-1 (uniformly one quantum stale,
-    // including this worker's own — the coordinator loops them back).
+    // including this worker's own — the coordinator loops them back), for
+    // the downstreams of this worker's PEs: the only adverts it reads.
     for (const wire::Advert& a : go.adverts) {
       visible_advert_[a.pe] = a.rmax;
       visible_advert_time_[a.pe] = a.time;

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <deque>
 #include <string>
+#include <utility>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -13,8 +14,9 @@ namespace aces::runtime::transport {
 namespace {
 
 /// One direction of the pipe: encoded frames in FIFO order plus a closed
-/// latch. The consumer side re-parses bytes through wire::parse_frame so
-/// the in-process backend cannot silently diverge from the socket one.
+/// latch. The consumer checks each frame with wire::parse_frame, which
+/// splits it as the socket backend does, so the in-process backend cannot
+/// silently diverge from the socket one.
 struct FrameQueue {
   Mutex mu;
   std::condition_variable_any cv;
@@ -29,11 +31,11 @@ class InprocEndpoint final : public Endpoint {
 
   ~InprocEndpoint() override { close(); }
 
-  bool send(const std::vector<std::uint8_t>& frame) override {
+  bool send(std::vector<std::uint8_t> frame) override {
     {
       MutexLock lock(tx_->mu);
       if (tx_->closed) return false;
-      tx_->frames.push_back(frame);
+      tx_->frames.push_back(std::move(frame));
     }
     tx_->cv.notify_one();
     return true;
@@ -63,7 +65,7 @@ class InprocEndpoint final : public Endpoint {
       rx_->frames.pop_front();
     }
     wire::WireError error;
-    auto frame = wire::parse_frame(bytes.data(), bytes.size(), &error);
+    auto frame = wire::parse_frame(std::move(bytes), &error);
     if (!frame.has_value()) {
       last_error_ = error.reason;
       return RecvStatus::kError;

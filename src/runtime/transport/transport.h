@@ -11,12 +11,20 @@
 //   * sockets (transport/uds.h): SOCK_STREAM over a Unix-domain socket or
 //     loopback TCP, one connection per worker, length-prefixed frames.
 //
+// Both backends split frames with wire::frame_extent, so they accept and
+// refuse the same bytes.
+//
 // Contract:
 //   * send() is thread-safe (a worker's heartbeat thread and its step loop
 //     both send); a frame is written atomically with respect to other
-//     sends on the same endpoint.
+//     sends on the same endpoint. It takes the frame by value, so a frame
+//     passed as an rvalue moves into the in-process queue uncopied.
 //   * recv() is single-consumer and blocks up to `timeout_ms` for one
-//     complete frame.
+//     complete frame. A frame that has already arrived is returned without
+//     waiting, also with a timeout of 0.
+//   * Silence is kTimeout only between frames: a timeout, close or error
+//     after part of a frame has arrived is kError ("timed out mid-frame",
+//     "peer closed mid-frame").
 //   * A peer closing (or dying) surfaces as RecvStatus::kClosed; malformed
 //     bytes surface as kError — never as undefined behavior.
 #pragma once
@@ -57,7 +65,7 @@ class Endpoint {
 
   /// Queues/writes one complete frame (as produced by wire::encode).
   /// Thread-safe. Returns false when the peer is gone.
-  virtual bool send(const std::vector<std::uint8_t>& frame) = 0;
+  virtual bool send(std::vector<std::uint8_t> frame) = 0;
 
   /// Waits up to `timeout_ms` (< 0 = forever) for one frame. Single
   /// consumer.

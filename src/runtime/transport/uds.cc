@@ -9,8 +9,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 #include <thread>
 
@@ -31,17 +33,25 @@ int ms_until(std::chrono::steady_clock::time_point deadline) {
   return left.count() < 0 ? 0 : static_cast<int>(left.count());
 }
 
-/// Frame pipe over one connected stream socket.
+/// Receive buffer of a socket endpoint. One recv() takes whatever the
+/// socket holds, up to this much; a larger frame grows the buffer for as
+/// long as it is buffered.
+constexpr std::size_t kRecvBufferBytes = 64 * 1024;
+
+/// Frame pipe over one connected stream socket. Sends block. Receives are
+/// buffered: a frame already read costs no syscall, and otherwise one
+/// recv(MSG_DONTWAIT) takes every byte waiting, with poll() called only
+/// when none is.
 class FdEndpoint final : public Endpoint {
  public:
-  explicit FdEndpoint(int fd) : fd_(fd) {}
+  explicit FdEndpoint(int fd) : fd_(fd), rx_(kRecvBufferBytes) {}
 
   ~FdEndpoint() override {
     close();
     if (fd_ >= 0) ::close(fd_);
   }
 
-  bool send(const std::vector<std::uint8_t>& frame) override {
+  bool send(std::vector<std::uint8_t> frame) override {
     // One lock per frame: concurrent senders (step loop, heartbeat thread)
     // must not interleave bytes inside a frame.
     MutexLock lock(send_mu_);
@@ -62,23 +72,28 @@ class FdEndpoint final : public Endpoint {
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(timeout_ms < 0 ? 0 : timeout_ms);
-    std::uint8_t header[8];
-    const RecvStatus hs = read_exact(header, sizeof header, timeout_ms,
-                                     deadline, /*mid_frame=*/false);
-    if (hs != RecvStatus::kOk) return hs;
-    wire::WireError error;
-    const auto parsed = wire::parse_header(header, &error);
-    if (!parsed.has_value()) {
-      last_error_ = error.reason;
-      return RecvStatus::kError;
+    for (;;) {
+      const std::uint8_t* front = rx_.data() + rx_begin_;
+      const std::size_t held = rx_end_ - rx_begin_;
+      wire::WireError error;
+      const auto extent = wire::frame_extent(front, held, &error);
+      if (!extent.has_value()) {
+        last_error_ = error.reason;
+        return RecvStatus::kError;
+      }
+      if (held >= extent->bytes) {
+        out->type = extent->type;
+        out->payload.assign(front + wire::kHeaderBytes, front + extent->bytes);
+        consume(extent->bytes);
+        return RecvStatus::kOk;
+      }
+      make_room(extent->bytes);
+      // Once part of a frame is buffered, the peer is committed to the
+      // rest: silence or a close is a protocol error, not a clean
+      // "nothing arrived".
+      const RecvStatus status = fill(timeout_ms, deadline, held > 0);
+      if (status != RecvStatus::kOk) return status;
     }
-    out->type = parsed->first;
-    out->payload.resize(parsed->second);
-    if (parsed->second == 0) return RecvStatus::kOk;
-    // The header committed the peer to a payload: a timeout mid-frame is a
-    // protocol error, not a clean "nothing arrived".
-    return read_exact(out->payload.data(), out->payload.size(), timeout_ms,
-                      deadline, /*mid_frame=*/true);
   }
 
   void close() override {
@@ -92,43 +107,75 @@ class FdEndpoint final : public Endpoint {
   }
 
  private:
-  RecvStatus read_exact(std::uint8_t* buf, std::size_t len, int timeout_ms,
-                        std::chrono::steady_clock::time_point deadline,
-                        bool mid_frame) {
-    std::size_t got = 0;
-    while (got < len) {
-      if (timeout_ms >= 0) {
-        pollfd pfd{fd_, POLLIN, 0};
-        const int pr = ::poll(&pfd, 1, ms_until(deadline));
-        if (pr < 0) {
-          if (errno == EINTR) continue;
-          last_error_ = std::strerror(errno);
-          return RecvStatus::kError;
-        }
-        if (pr == 0) {
-          if (!mid_frame && got == 0) return RecvStatus::kTimeout;
-          last_error_ = "timed out mid-frame";
-          return RecvStatus::kError;
-        }
+  /// Drops the `bytes` at the front of the buffer. A drained buffer starts
+  /// over at offset 0, and one grown for a large frame shrinks back.
+  void consume(std::size_t bytes) {
+    rx_begin_ += bytes;
+    if (rx_begin_ < rx_end_) return;
+    rx_begin_ = rx_end_ = 0;
+    if (rx_.size() > kRecvBufferBytes) {
+      rx_ = std::vector<std::uint8_t>(kRecvBufferBytes);
+    }
+  }
+
+  /// Moves the buffered bytes to the front, and grows the buffer if a
+  /// `frame_bytes` frame would not fit.
+  void make_room(std::size_t frame_bytes) {
+    if (rx_begin_ > 0) {
+      std::copy(rx_.begin() + static_cast<std::ptrdiff_t>(rx_begin_),
+                rx_.begin() + static_cast<std::ptrdiff_t>(rx_end_),
+                rx_.begin());
+      rx_end_ -= rx_begin_;
+      rx_begin_ = 0;
+    }
+    if (rx_.size() < frame_bytes) rx_.resize(frame_bytes);
+  }
+
+  /// Appends at least one byte from the socket to the buffer, waiting until
+  /// `deadline` (forever when timeout_ms < 0). `mid_frame`: part of a frame
+  /// is buffered, so a timeout or close is kError.
+  RecvStatus fill(int timeout_ms,
+                  std::chrono::steady_clock::time_point deadline,
+                  bool mid_frame) {
+    for (;;) {
+      const ssize_t n = ::recv(fd_, rx_.data() + rx_end_,
+                               rx_.size() - rx_end_, MSG_DONTWAIT);
+      if (n > 0) {
+        rx_end_ += static_cast<std::size_t>(n);
+        return RecvStatus::kOk;
       }
-      const ssize_t n = ::read(fd_, buf + got, len - got);
-      if (n < 0) {
+      if (n == 0) {
+        if (!mid_frame) return RecvStatus::kClosed;
+        last_error_ = "peer closed mid-frame";
+        return RecvStatus::kError;
+      }
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        last_error_ = std::strerror(errno);
+        return RecvStatus::kError;
+      }
+      pollfd pfd{fd_, POLLIN, 0};
+      const int pr =
+          ::poll(&pfd, 1, timeout_ms < 0 ? -1 : ms_until(deadline));
+      if (pr < 0) {
         if (errno == EINTR) continue;
         last_error_ = std::strerror(errno);
         return RecvStatus::kError;
       }
-      if (n == 0) {
-        if (!mid_frame && got == 0) return RecvStatus::kClosed;
-        last_error_ = "peer closed mid-frame";
+      if (pr == 0) {
+        if (!mid_frame) return RecvStatus::kTimeout;
+        last_error_ = "timed out mid-frame";
         return RecvStatus::kError;
       }
-      got += static_cast<std::size_t>(n);
     }
-    return RecvStatus::kOk;
   }
 
   int fd_;
   Mutex send_mu_;
+  /// Received bytes not yet returned as frames: [rx_begin_, rx_end_).
+  std::vector<std::uint8_t> rx_;
+  std::size_t rx_begin_ = 0;
+  std::size_t rx_end_ = 0;
   std::string last_error_;
 };
 

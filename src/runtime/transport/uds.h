@@ -8,9 +8,15 @@
 // docs/architecture.md, "Distributed runtime").
 //
 // Framing is the wire.h length-prefixed header; a frame is written with a
-// single locked write loop so concurrent senders (step loop + heartbeat
-// thread) never interleave bytes. Reads are bounds-checked against the
-// parsed header; a dead peer is kClosed, garbage is kError.
+// single locked, blocking write loop so concurrent senders (step loop +
+// heartbeat thread) never interleave bytes. Reads go through a receive
+// buffer: one recv(MSG_DONTWAIT) takes every byte waiting, frames are split
+// out of it with wire::frame_extent, and poll() is called only when the
+// socket is empty. A frame already buffered costs no syscall, and a frame
+// waited for costs one poll() and one recv() after the empty one. The
+// header is checked as soon as its 8 bytes are in, so a bad one is refused
+// before any payload is awaited or allocated; a dead peer is kClosed,
+// garbage is kError.
 #pragma once
 
 #include <cstdint>

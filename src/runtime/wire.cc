@@ -4,6 +4,7 @@
 #include <bit>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "common/check.h"
 
@@ -382,7 +383,7 @@ template <class T>
 std::vector<std::uint8_t> encode_frame(FrameType type, const T& v) {
   Sizer sizer;
   fields(sizer, v);
-  const std::array<std::uint8_t, 8> header =
+  const std::array<std::uint8_t, kHeaderBytes> header =
       frame_header(type, static_cast<std::uint32_t>(sizer.bytes));
   std::vector<std::uint8_t> frame(header.size() + sizer.bytes);
   Writer writer{std::copy(header.begin(), header.end(), frame.data())};
@@ -402,9 +403,9 @@ std::optional<T> decode_payload(const std::vector<std::uint8_t>& payload,
 
 }  // namespace
 
-std::array<std::uint8_t, 8> frame_header(FrameType type,
-                                         std::uint32_t payload_size) {
-  std::array<std::uint8_t, 8> h{};
+std::array<std::uint8_t, kHeaderBytes> frame_header(
+    FrameType type, std::uint32_t payload_size) {
+  std::array<std::uint8_t, kHeaderBytes> h{};
   h[0] = static_cast<std::uint8_t>(kMagic & 0xFF);
   h[1] = static_cast<std::uint8_t>(kMagic >> 8);
   h[2] = kWireVersion;
@@ -414,13 +415,14 @@ std::array<std::uint8_t, 8> frame_header(FrameType type,
   return h;
 }
 
-std::optional<std::pair<FrameType, std::uint32_t>> parse_header(
-    const std::uint8_t* data, WireError* error) {
-  const auto fail = [error](const char* why)
-      -> std::optional<std::pair<FrameType, std::uint32_t>> {
+std::optional<FrameExtent> frame_extent(const std::uint8_t* data,
+                                        std::size_t size, WireError* error) {
+  const auto fail = [error](const char* why) -> std::optional<FrameExtent> {
     if (error != nullptr && error->reason.empty()) error->reason = why;
     return std::nullopt;
   };
+  FrameExtent extent;
+  if (size < kHeaderBytes) return extent;
   const std::uint16_t magic =
       static_cast<std::uint16_t>(data[0] | (data[1] << 8));
   if (magic != kMagic) return fail("bad magic");
@@ -434,26 +436,32 @@ std::optional<std::pair<FrameType, std::uint32_t>> parse_header(
   for (int i = 0; i < 4; ++i)
     len |= static_cast<std::uint32_t>(data[4 + i]) << (8 * i);
   if (len > kMaxFramePayload) return fail("payload length exceeds cap");
-  return std::make_pair(static_cast<FrameType>(type), len);
+  extent.type = static_cast<FrameType>(type);
+  extent.bytes = kHeaderBytes + len;
+  return extent;
 }
 
-std::optional<Frame> parse_frame(const std::uint8_t* data, std::size_t size,
+std::optional<Frame> parse_frame(std::vector<std::uint8_t> bytes,
                                  WireError* error) {
   const auto fail = [error](const char* why) -> std::optional<Frame> {
     if (error != nullptr && error->reason.empty()) error->reason = why;
     return std::nullopt;
   };
-  if (size < 8) return fail("short frame (no complete header)");
-  const auto header = parse_header(data, error);
-  if (!header.has_value()) return std::nullopt;
-  const auto [type, len] = *header;
-  if (size != 8 + static_cast<std::size_t>(len)) {
+  if (bytes.size() < kHeaderBytes) {
+    return fail("short frame (no complete header)");
+  }
+  const auto extent = frame_extent(bytes.data(), bytes.size(), error);
+  if (!extent.has_value()) return std::nullopt;
+  if (extent->bytes != bytes.size()) {
     return fail("frame size does not match header length");
   }
-  Frame frame;
-  frame.type = type;
-  frame.payload.assign(data + 8, data + size);
-  return frame;
+  bytes.erase(bytes.begin(), bytes.begin() + kHeaderBytes);
+  return Frame{extent->type, std::move(bytes)};
+}
+
+std::optional<Frame> parse_frame(const std::uint8_t* data, std::size_t size,
+                                 WireError* error) {
+  return parse_frame(std::vector<std::uint8_t>(data, data + size), error);
 }
 
 std::vector<std::uint8_t> encode(const Hello& v) {
@@ -478,7 +486,7 @@ std::vector<std::uint8_t> encode(const Report& v) {
   return encode_frame(FrameType::kReport, v);
 }
 std::vector<std::uint8_t> encode_shutdown() {
-  const std::array<std::uint8_t, 8> header =
+  const std::array<std::uint8_t, kHeaderBytes> header =
       frame_header(FrameType::kShutdown, 0);
   return {header.begin(), header.end()};
 }

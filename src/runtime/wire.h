@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -139,13 +138,13 @@ struct Advert {
   double time = 0.0;
 };
 
-/// Barrier release for quantum `quantum`: the deliveries and adverts
-/// generated during quantum-1 that are addressed to this worker, the spans
-/// riding those deliveries, the Lock-Step congested-PE set, and membership
-/// deltas. The deliveries are the senders' outboxes concatenated in rank
-/// order, which is src_node order: ranks own ascending node ranges and each
-/// worker steps its nodes in id order, so the receive order does not depend
-/// on the partition.
+/// Barrier release for quantum `quantum`: the deliveries generated during
+/// quantum-1 that are addressed to this worker and the spans riding them;
+/// the adverts and Lock-Step congested PEs of that quantum for the PEs this
+/// worker's PEs feed, in PE order; and membership deltas. The deliveries
+/// are the senders' outboxes concatenated in rank order, which is src_node
+/// order: ranks own ascending node ranges and each worker steps its nodes
+/// in id order, so the receive order does not depend on the partition.
 struct StepGo {
   std::uint64_t quantum = 0;
   std::uint8_t flags = 0;  ///< bit 0: final quantum — report and exit
@@ -261,17 +260,38 @@ std::optional<MetricsReport> decode_metrics_report(
 std::optional<obs::FlightDump> decode_flight_dump(
     const std::vector<std::uint8_t>& payload, WireError* error = nullptr);
 
-/// Splits a complete frame (header + payload) back into a Frame. Returns
-/// nullopt on bad magic/version/type, truncation, or an oversized length.
+/// Bytes in a frame header.
+inline constexpr std::size_t kHeaderBytes = 8;
+
+/// The frame at the front of a byte stream: its type and the bytes it spans,
+/// header included. While the stream holds less than a header, `bytes` is
+/// kHeaderBytes; `type` is meaningful once the stream holds `bytes` bytes.
+struct FrameExtent {
+  FrameType type = FrameType::kHello;
+  std::size_t bytes = kHeaderBytes;
+};
+
+/// Measures the frame at the front of the `size` bytes at `data`. Both
+/// transports split frames with it. The header is checked as soon as its 8
+/// bytes are in, so a bad magic, version or type, or a length over
+/// kMaxFramePayload, is refused (nullopt) before a reader waits for or
+/// allocates any payload.
+std::optional<FrameExtent> frame_extent(const std::uint8_t* data,
+                                        std::size_t size,
+                                        WireError* error = nullptr);
+
+/// Splits exactly one complete frame (header + payload) into a Frame,
+/// moving the payload out of `bytes`. Returns nullopt on a bad header, or
+/// when `bytes` is not one whole frame.
+std::optional<Frame> parse_frame(std::vector<std::uint8_t> bytes,
+                                 WireError* error = nullptr);
+/// The same over borrowed bytes, which it copies.
 std::optional<Frame> parse_frame(const std::uint8_t* data, std::size_t size,
                                  WireError* error = nullptr);
 
 /// Frame header for `type` and `payload_size`, for incremental senders.
-std::array<std::uint8_t, 8> frame_header(FrameType type,
-                                         std::uint32_t payload_size);
-/// Validates a header and extracts the type + payload length.
-std::optional<std::pair<FrameType, std::uint32_t>> parse_header(
-    const std::uint8_t* data, WireError* error = nullptr);
+std::array<std::uint8_t, kHeaderBytes> frame_header(
+    FrameType type, std::uint32_t payload_size);
 
 const char* to_string(FrameType type);
 

@@ -1,8 +1,8 @@
 // A worker whose StepDone names an index out of range must cost only its
 // own shard. The coordinator acts on every index a StepDone carries: it
-// routes each delivery by its destination PE, relays adverts and congested
-// PEs to every worker (which index arrays with them), and routes each span
-// handoff with the delivery it names. Unchecked, one bad index throws out of
+// routes each delivery by its destination PE, routes adverts and congested
+// PEs by their PE to the workers that read them (which index arrays with
+// them), and routes each span handoff with the delivery it names. Unchecked, one bad index throws out of
 // run_distributed or corrupts another worker. Checked on receipt, it is a
 // malformed frame: a decode reject, and the sender is declared dead.
 //
