@@ -31,7 +31,7 @@ class BoundedQueue {
 
   void push_back(T value) {
     ACES_CHECK_MSG(size_ < slots_.size(), "BoundedQueue overflow");
-    slots_[(head_ + size_) % slots_.size()] = std::move(value);
+    slots_[wrap(head_ + size_)] = std::move(value);
     ++size_;
   }
 
@@ -43,12 +43,12 @@ class BoundedQueue {
   /// Peek the i-th element from the front (0 == front()).
   [[nodiscard]] const T& at(std::size_t i) const {
     ACES_CHECK_MSG(i < size_, "at() past BoundedQueue size");
-    return slots_[(head_ + i) % slots_.size()];
+    return slots_[wrap(head_ + i)];
   }
 
   void pop_front() {
     ACES_CHECK_MSG(size_ > 0, "pop_front() on empty BoundedQueue");
-    head_ = (head_ + 1) % slots_.size();
+    head_ = wrap(head_ + 1);
     --size_;
   }
 
@@ -58,6 +58,12 @@ class BoundedQueue {
   }
 
  private:
+  /// Slot of logical position `i` < 2·capacity(): a compare and a
+  /// subtract, not a division.
+  [[nodiscard]] std::size_t wrap(std::size_t i) const {
+    return i >= slots_.size() ? i - slots_.size() : i;
+  }
+
   std::vector<T> slots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

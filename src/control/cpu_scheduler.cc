@@ -8,8 +8,16 @@ namespace aces::control {
 
 std::vector<double> partition_cpu(double capacity,
                                   const std::vector<CpuDemand>& demands) {
+  std::vector<double> alloc;
+  partition_cpu(capacity, demands, &alloc);
+  return alloc;
+}
+
+void partition_cpu(double capacity, const std::vector<CpuDemand>& demands,
+                   std::vector<double>* out) {
   ACES_CHECK_MSG(capacity >= 0.0, "negative CPU capacity");
-  std::vector<double> alloc(demands.size(), 0.0);
+  std::vector<double>& alloc = *out;
+  alloc.assign(demands.size(), 0.0);
   double remaining = capacity;
   constexpr double kEps = 1e-12;
   // Each pass either exhausts the capacity or saturates at least one cap, so
@@ -33,7 +41,6 @@ std::vector<double> partition_cpu(double capacity,
     remaining -= granted;
     if (granted <= kEps) break;
   }
-  return alloc;
 }
 
 }  // namespace aces::control

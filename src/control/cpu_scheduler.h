@@ -27,4 +27,9 @@ struct CpuDemand {
 std::vector<double> partition_cpu(double capacity,
                                   const std::vector<CpuDemand>& demands);
 
+/// The same, written into `*out` (resized to demands.size()), so a caller
+/// that keeps the vector allocates nothing.
+void partition_cpu(double capacity, const std::vector<CpuDemand>& demands,
+                   std::vector<double>* out);
+
 }  // namespace aces::control

@@ -131,7 +131,7 @@ double NodeController::effective_downstream_rmax(
   return in.downstream_rmax;
 }
 
-std::vector<PeTickOutput> NodeController::tick(
+const std::vector<PeTickOutput>& NodeController::tick(
     Seconds dt, const std::vector<PeTickInput>& inputs) {
   ACES_CHECK_MSG(dt > 0.0, "tick interval must be positive");
   const auto& pes = local_pes();
@@ -151,7 +151,8 @@ std::vector<PeTickOutput> NodeController::tick(
   }
 
   // Phase 2: CPU partitioning for the next interval.
-  std::vector<double> shares(pes.size(), 0.0);
+  std::vector<double>& shares = shares_;
+  shares.assign(pes.size(), 0.0);
   switch (config_.policy) {
     case FlowPolicy::kUdp: {
       // Static enforcement of tier-1 targets, rescaled if oversubscribed.
@@ -165,7 +166,8 @@ std::vector<PeTickOutput> NodeController::tick(
     case FlowPolicy::kAces:
     case FlowPolicy::kThreshold:
     case FlowPolicy::kLockStep: {
-      std::vector<CpuDemand> demands(pes.size());
+      std::vector<CpuDemand>& demands = demands_;
+      demands.resize(pes.size());
       for (std::size_t i = 0; i < pes.size(); ++i) {
         const PeState& s = states_[i];
         const PeTickInput& in = inputs[i];
@@ -197,13 +199,14 @@ std::vector<PeTickOutput> NodeController::tick(
           demands[i] = CpuDemand{s.cpu_target, cap};
         }
       }
-      shares = partition_cpu(capacity_, demands);
+      partition_cpu(capacity_, demands, &shares);
       break;
     }
   }
 
   // Phase 3: flow-control advertisements.
-  std::vector<PeTickOutput> out(pes.size());
+  std::vector<PeTickOutput>& out = out_;
+  out.assign(pes.size(), PeTickOutput{});
   for (std::size_t i = 0; i < pes.size(); ++i) {
     PeState& s = states_[i];
     const PeTickInput& in = inputs[i];

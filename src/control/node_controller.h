@@ -68,9 +68,10 @@ class NodeController {
                  const ControllerConfig& config);
 
   /// Advances the controller by `dt` seconds. `inputs` must align with
-  /// local_pes().
-  std::vector<PeTickOutput> tick(Seconds dt,
-                                 const std::vector<PeTickInput>& inputs);
+  /// local_pes(). The result is valid until the next tick: the controller
+  /// keeps its scratch vectors, so a tick allocates nothing.
+  const std::vector<PeTickOutput>& tick(
+      Seconds dt, const std::vector<PeTickInput>& inputs);
 
   [[nodiscard]] const std::vector<PeId>& local_pes() const {
     return graph_->pes_on_node(node_);
@@ -127,6 +128,10 @@ class NodeController {
   FlowGains gains_;
   double capacity_;
   std::vector<PeState> states_;  // aligned with local_pes()
+  // Per-tick scratch, aligned with local_pes(); out_ is what tick returns.
+  std::vector<double> shares_;
+  std::vector<CpuDemand> demands_;
+  std::vector<PeTickOutput> out_;
 };
 
 }  // namespace aces::control

@@ -82,16 +82,6 @@ EdgeId ProcessingGraph::add_edge(PeId from, PeId to) {
   return EdgeId(static_cast<EdgeId::value_type>(edges_.size() - 1));
 }
 
-const PeDescriptor& ProcessingGraph::pe(PeId id) const {
-  ACES_CHECK(id.valid() && id.value() < pes_.size());
-  return pes_[id.value()];
-}
-
-PeDescriptor& ProcessingGraph::pe(PeId id) {
-  ACES_CHECK(id.valid() && id.value() < pes_.size());
-  return pes_[id.value()];
-}
-
 const NodeDescriptor& ProcessingGraph::node(NodeId id) const {
   ACES_CHECK(id.valid() && id.value() < nodes_.size());
   return nodes_[id.value()];
@@ -115,21 +105,6 @@ StreamDescriptor& ProcessingGraph::stream(StreamId id) {
 const Edge& ProcessingGraph::edge(EdgeId id) const {
   ACES_CHECK(id.valid() && id.value() < edges_.size());
   return edges_[id.value()];
-}
-
-const std::vector<PeId>& ProcessingGraph::upstream(PeId id) const {
-  ACES_CHECK(id.valid() && id.value() < pes_.size());
-  return upstream_[id.value()];
-}
-
-const std::vector<PeId>& ProcessingGraph::downstream(PeId id) const {
-  ACES_CHECK(id.valid() && id.value() < pes_.size());
-  return downstream_[id.value()];
-}
-
-const std::vector<PeId>& ProcessingGraph::pes_on_node(NodeId id) const {
-  ACES_CHECK(id.valid() && id.value() < nodes_.size());
-  return on_node_[id.value()];
 }
 
 std::vector<PeId> ProcessingGraph::all_pes() const {

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "graph/descriptors.h"
 
@@ -36,8 +37,15 @@ class ProcessingGraph {
   [[nodiscard]] std::size_t stream_count() const { return streams_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
 
-  [[nodiscard]] const PeDescriptor& pe(PeId id) const;
-  [[nodiscard]] PeDescriptor& pe(PeId id);
+  // The four lookups the substrates make per SDO and per tick are inline.
+  [[nodiscard]] const PeDescriptor& pe(PeId id) const {
+    ACES_CHECK(id.valid() && id.value() < pes_.size());
+    return pes_[id.value()];
+  }
+  [[nodiscard]] PeDescriptor& pe(PeId id) {
+    ACES_CHECK(id.valid() && id.value() < pes_.size());
+    return pes_[id.value()];
+  }
   [[nodiscard]] const NodeDescriptor& node(NodeId id) const;
   [[nodiscard]] NodeDescriptor& node(NodeId id);
   [[nodiscard]] const StreamDescriptor& stream(StreamId id) const;
@@ -45,11 +53,20 @@ class ProcessingGraph {
   [[nodiscard]] const Edge& edge(EdgeId id) const;
 
   /// PEs feeding data to `id` (paper: U(p_j)).
-  [[nodiscard]] const std::vector<PeId>& upstream(PeId id) const;
+  [[nodiscard]] const std::vector<PeId>& upstream(PeId id) const {
+    ACES_CHECK(id.valid() && id.value() < pes_.size());
+    return upstream_[id.value()];
+  }
   /// PEs fed by `id` (paper: D(p_j)).
-  [[nodiscard]] const std::vector<PeId>& downstream(PeId id) const;
+  [[nodiscard]] const std::vector<PeId>& downstream(PeId id) const {
+    ACES_CHECK(id.valid() && id.value() < pes_.size());
+    return downstream_[id.value()];
+  }
   /// PEs placed on node `id` (paper: N_i).
-  [[nodiscard]] const std::vector<PeId>& pes_on_node(NodeId id) const;
+  [[nodiscard]] const std::vector<PeId>& pes_on_node(NodeId id) const {
+    ACES_CHECK(id.valid() && id.value() < nodes_.size());
+    return on_node_[id.value()];
+  }
 
   /// All PE ids in insertion order.
   [[nodiscard]] std::vector<PeId> all_pes() const;

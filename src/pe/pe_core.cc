@@ -45,7 +45,7 @@ std::vector<Source> make_sources(const graph::ProcessingGraph& g, Rng& master,
   return sources;
 }
 
-std::vector<control::PeTickOutput> tick(
+const std::vector<control::PeTickOutput>& tick(
     control::NodeController& controller, Seconds dt,
     const std::vector<control::PeTickInput>& inputs, obs::Timer timer) {
   const obs::ScopedTimer scope(timer);

@@ -3,7 +3,7 @@
 // every transition on it.
 //
 // Each substrate keeps only what really differs between them: its clock,
-// its queue type (BoundedQueue, SdoChannel, std::deque), its transport
+// its queue type (BoundedQueue, SdoChannel), its transport
 // (simulator events, channels and the message bus, barrier outboxes) and its
 // own counters. Everything else a PE does is written here once:
 //  * construction: the service-model and arrival-stream forks by PE id,
@@ -380,8 +380,9 @@ struct Source {
 }
 
 /// One control tick of `controller` over `inputs`, timed into `timer`
-/// (a disabled handle reads no clock).
-std::vector<control::PeTickOutput> tick(
+/// (a disabled handle reads no clock). The result is valid until the
+/// controller's next tick.
+const std::vector<control::PeTickOutput>& tick(
     control::NodeController& controller, Seconds dt,
     const std::vector<control::PeTickInput>& inputs, obs::Timer timer);
 

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -45,6 +46,27 @@ constexpr double kShutdownGraceSeconds = 5.0;
 
 double seconds_since(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
+}
+
+/// Whether the PEs `pe_of` projects out of `items` strictly increase.
+template <class Items, class Proj = std::identity>
+bool strictly_ascending(const Items& items, Proj pe_of = {}) {
+  return std::ranges::adjacent_find(items, std::greater_equal<>{}, pe_of) ==
+         items.end();
+}
+
+/// Merges the runs of `v` that start at `starts` (ascending, the first at
+/// 0), each sorted by `less`, into one sorted run.
+template <class T, class Less>
+void merge_runs(std::vector<T>& v, const std::vector<std::size_t>& starts,
+                Less less) {
+  const auto at = [&v](std::size_t i) {
+    return v.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  for (std::size_t r = 1; r < starts.size(); ++r) {
+    const auto end = r + 1 < starts.size() ? at(starts[r + 1]) : v.end();
+    std::inplace_merge(v.begin(), at(starts[r]), end, less);
+  }
 }
 
 /// One worker shard as the coordinator sees it.
@@ -125,12 +147,17 @@ class Coordinator {
 
     // A worker reads the adverts of its PEs' downstreams, and Lock-Step
     // congestion of their cross-node ones: the PEs some PE it hosts feeds.
+    // A PE's own rank reads them from its loopback, so it is not a reader
+    // here.
     reader_ranks_.resize(g.pe_count());
     for (PeId pe : g.all_pes()) {
       std::vector<std::uint32_t>& ranks = reader_ranks_[pe.value()];
+      const std::uint32_t host =
+          owner_of_node(g.node_count(), workers_n_, g.pe(pe).node.value());
       for (PeId up : g.upstream(pe)) {
-        ranks.push_back(
-            owner_of_node(g.node_count(), workers_n_, g.pe(up).node.value()));
+        const std::uint32_t rank =
+            owner_of_node(g.node_count(), workers_n_, g.pe(up).node.value());
+        if (rank != host) ranks.push_back(rank);
       }
       std::sort(ranks.begin(), ranks.end());
       ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
@@ -204,17 +231,26 @@ class Coordinator {
   /// bytes in and refreshes its liveness; heartbeats and telemetry are
   /// absorbed here and never returned. A telemetry frame that fails to
   /// decode is a decode reject, returned as kError like any other protocol
-  /// violation.
+  /// violation. A wait that ends mid-frame is kTimeout.
   transport::RecvStatus receive(std::uint32_t rank, int timeout_ms,
                                 wire::Frame* frame) {
     WorkerSlot& w = workers_[rank];
     const SteadyClock::time_point deadline =
         SteadyClock::now() + std::chrono::milliseconds(timeout_ms);
     do {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+      // Rounded up: a wait rounded down ends before the deadline, down to a
+      // last call with timeout 0.
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
           deadline - SteadyClock::now());
       const transport::RecvStatus status =
           w.ep->recv(frame, std::max(0, static_cast<int>(left.count())));
+      if (status == transport::RecvStatus::kError &&
+          w.ep->last_error() == transport::kTimedOutMidFrame) {
+        // A frame still arriving when the wait ends is late, not corrupt:
+        // its bytes stay buffered for the next receive, and only the
+        // liveness rule (heartbeat timeout, process exit) declares death.
+        return transport::RecvStatus::kTimeout;
+      }
       if (status != transport::RecvStatus::kOk) return status;
       w.last_heard = SteadyClock::now();
       if (agg() != nullptr) {
@@ -400,7 +436,8 @@ class Coordinator {
     // partition-invariant receive order: StepDones are absorbed in rank
     // order, ranks own ascending node ranges, and each worker's outbox is
     // already in src_node order, so every destination receives its
-    // deliveries in src_node order, a node's in generation order.
+    // deliveries in src_node order, a node's in generation order. (A
+    // worker splices its own loopback deliveries into that order.)
     std::vector<wire::StepGo> gos(workers_n_);
     std::size_t next_span = 0;
     for (std::size_t i = 0; i < pending_deliveries_.size(); ++i) {
@@ -425,21 +462,19 @@ class Coordinator {
       }
       if (has_span) ++next_span;
     }
-    // Adverts and congested PEs go, in PE order, only to the ranks that
-    // read them (reader_ranks_).
-    std::stable_sort(pending_adverts_.begin(), pending_adverts_.end(),
-                     [](const wire::Advert& a, const wire::Advert& b) {
-                       return a.pe < b.pe;
-                     });
+    // Adverts and congested PEs go, in PE order, only to the other ranks
+    // that read them (reader_ranks_). Each rank's run is in PE order and
+    // a PE lives on one rank, so merging the runs puts them in PE order.
+    merge_runs(pending_adverts_, advert_runs_,
+               [](const wire::Advert& a, const wire::Advert& b) {
+                 return a.pe < b.pe;
+               });
     for (const wire::Advert& a : pending_adverts_) {
       for (const std::uint32_t rank : reader_ranks_[a.pe]) {
         gos[rank].adverts.push_back(a);
       }
     }
-    std::sort(pending_congested_.begin(), pending_congested_.end());
-    pending_congested_.erase(
-        std::unique(pending_congested_.begin(), pending_congested_.end()),
-        pending_congested_.end());
+    merge_runs(pending_congested_, congested_runs_, std::less<>{});
     for (const std::uint32_t pe : pending_congested_) {
       for (const std::uint32_t rank : reader_ranks_[pe]) {
         gos[rank].congested_pes.push_back(pe);
@@ -474,6 +509,8 @@ class Coordinator {
     pending_spans_.clear();
     pending_adverts_.clear();
     pending_congested_.clear();
+    advert_runs_.clear();
+    congested_runs_.clear();
   }
 
   void collect_step_dones(std::uint64_t k) {
@@ -567,6 +604,8 @@ class Coordinator {
         h.delivery += offset;
         pending_spans_.push_back(h);
       }
+      advert_runs_.push_back(pending_adverts_.size());
+      congested_runs_.push_back(pending_congested_.size());
       pending_adverts_.insert(pending_adverts_.end(), done.adverts.begin(),
                               done.adverts.end());
       pending_congested_.insert(pending_congested_.end(),
@@ -578,8 +617,10 @@ class Coordinator {
   }
 
   /// Whether every index in a worker's StepDone is one this coordinator
-  /// may act on: PE ids inside the graph, and span handoffs that name the
-  /// frame's own deliveries in increasing order.
+  /// may act on: PE ids inside the graph, span handoffs that name the
+  /// frame's own deliveries in increasing order, and adverts and congested
+  /// PEs in strictly increasing PE order (the runs broadcast_step_go
+  /// merges).
   [[nodiscard]] bool in_range(const wire::StepDone& done) const {
     const auto pe_ok = [this](std::uint32_t pe) { return pe < g_.pe_count(); };
     std::uint64_t next = 0;  // least index the next handoff may name
@@ -592,7 +633,9 @@ class Coordinator {
     return std::ranges::all_of(done.deliveries, pe_ok,
                                &wire::SdoDelivery::dest_pe) &&
            std::ranges::all_of(done.adverts, pe_ok, &wire::Advert::pe) &&
-           std::ranges::all_of(done.congested_pes, pe_ok);
+           std::ranges::all_of(done.congested_pes, pe_ok) &&
+           strictly_ascending(done.adverts, &wire::Advert::pe) &&
+           strictly_ascending(done.congested_pes);
   }
 
   /// Marks a worker dead, which puts its shard's nodes in the broadcast
@@ -725,8 +768,13 @@ class Coordinator {
   std::vector<wire::SpanHandoff> pending_spans_;
   std::vector<wire::Advert> pending_adverts_;
   std::vector<std::uint32_t> pending_congested_;
-  /// Per PE, ascending: the ranks hosting one of its upstream PEs, which
-  /// are the ranks its adverts and congestion are relayed to.
+  /// Where each absorbed rank's run starts in pending_adverts_ and
+  /// pending_congested_.
+  std::vector<std::size_t> advert_runs_;
+  std::vector<std::size_t> congested_runs_;
+  /// Per PE, ascending: the ranks other than its own hosting one of its
+  /// upstream PEs, which are the ranks its adverts and congestion are
+  /// relayed to.
   std::vector<std::vector<std::uint32_t>> reader_ranks_;
   /// Per-rank wall time of the last StepGo send, for the RTT gauge.
   std::vector<SteadyClock::time_point> go_sent_;

@@ -7,24 +7,29 @@
 //
 //   * Virtual time advances in quanta q = dt / substeps. The coordinator
 //     broadcasts StepGo(k); every live worker computes [k·q, (k+1)·q) and
-//     answers StepDone(k) carrying its cross-node SDO outbox and refreshed
-//     advertisements. Nothing proceeds until every live worker has
-//     answered, so there is no wall-clock in the data path.
+//     answers StepDone(k) carrying the cross-node SDOs, refreshed
+//     advertisements and Lock-Step congested PEs that other ranks read.
+//     Nothing proceeds until every live worker has answered, so there is
+//     no wall-clock in the data path.
 //   * Every cross-NODE effect takes exactly one quantum, even between
-//     nodes that share a worker: outboxes are relayed at the *next*
-//     barrier, advertisements are looped back uniformly (a worker learns
-//     its own refresh one quantum late, like everyone else's), and the
-//     Lock-Step congested set is relayed with the same delay. Adverts and
-//     congested PEs go only to the ranks hosting an upstream PE of theirs,
-//     the only ranks that read them. Work totals are therefore
-//     partition-invariant: any --processes count, on any transport,
-//     produces byte-identical deterministic totals (events_executed,
-//     delivery fingerprints).
+//     nodes that share a worker. The coordinator relays the StepDones at
+//     the *next* barrier; what a worker reads of its own output it keeps
+//     in a loopback outbox and applies at its next quantum, as if relayed
+//     (a worker learns its own refresh one quantum late, like everyone
+//     else's). Adverts and congested PEs go only to the other ranks
+//     hosting an upstream PE of theirs, the only other ranks that read
+//     them. Work totals are therefore partition-invariant: any --processes
+//     count, on any transport, produces byte-identical deterministic
+//     totals (events_executed, delivery fingerprints). At one shard the
+//     coordinator relays nothing.
 //   * The coordinator relays in a fixed order — StepDones are merged in
 //     rank order, ranks own ascending node ranges, and each worker's
 //     outbox is already in source-node order, so every destination
-//     receives its deliveries in source-node order — and the receive order
-//     workers observe is independent of scheduling and of the partition.
+//     receives its deliveries in source-node order, and splices its own
+//     loopback deliveries in where their source nodes fall. Each worker
+//     ships its adverts and congested PEs in PE order, and the coordinator
+//     merges the ranks' runs. The receive order workers observe is
+//     independent of scheduling and of the partition.
 //
 // Failure path (the `prockill` fault clause): at the scheduled barrier the
 // coordinator SIGKILLs the worker process (abruptly closes its endpoint
@@ -33,7 +38,10 @@
 // detected for real — connection reset, heartbeat silence past
 // heartbeat_timeout, or waitpid — while collecting that barrier. An
 // optional restart respawns the shard with Config.start_quantum = k: fresh
-// state, arrival streams fast-forwarded through the dead window.
+// state, arrival streams fast-forwarded through the dead window. A frame
+// still arriving when one of the coordinator's receive slices ends is
+// late, not corrupt: only heartbeat silence or process exit declares
+// death.
 //
 // Membership is computed, not reported. Every StepGo carries the nodes of
 // the dead ranks as down_nodes (workers clamp their advertisements to

@@ -5,15 +5,20 @@
 //  * Virtual time advances in quanta q = dt / substeps under coordinator
 //    barriers; nothing is paced by the wall clock except heartbeats.
 //  * Every *cross-node* effect takes exactly one quantum, whether or not
-//    the two nodes share a worker: SDO emissions and advert refreshes are
-//    buffered into outboxes and delivered at the next barrier (the
-//    coordinator relays them, including a worker's own loopback traffic).
-//    Same-node sends are direct, as in the threaded runtime.
-//  * Inbound cross-node deliveries are applied in the order the
-//    coordinator relays them: the senders' outboxes concatenated in rank
-//    order. That is src_node order, whatever the partition: ranks own
-//    ascending node ranges, and every worker steps its nodes in id order,
-//    so its outbox is already sorted by source node.
+//    the two nodes share a worker: SDO emissions, advert refreshes and
+//    Lock-Step congestion are buffered and applied at the next barrier.
+//    What another rank reads goes out in the StepDone and the coordinator
+//    relays it; what this worker reads itself stays here, in a loopback
+//    outbox it applies at the next quantum exactly as if it had been
+//    relayed. Same-node sends are direct, as in the threaded runtime.
+//  * Inbound cross-node deliveries are applied in src_node order, whatever
+//    the partition. The coordinator relays the other ranks' outboxes
+//    concatenated in rank order; ranks own ascending node ranges, and every
+//    worker steps its nodes in id order, so each outbox is already sorted
+//    by source node. The loopback deliveries, whose sources are this
+//    worker's own nodes, are spliced in after the relayed ones from lower
+//    nodes (src_node < node_begin_), which is where the relay would have
+//    put them.
 //  * Per-PE randomness (service model, arrival process, fault draws) is
 //    forked from the master seed by PE id — never by worker rank — so the
 //    partition does not perturb any stream.
@@ -128,13 +133,28 @@ class WorkerEngine {
     pe::build_cores(graph_, plan, master,
                     [&](PeId id, workload::ServiceModel service)
                         -> pe::PeCore<Sdo>& {
+                      // Only a hosted PE's queue is ever used.
                       const std::size_t capacity =
-                          cfg.channel_capacity > 0
+                          !owns_node(graph_.pe(id).node.value()) ? 0
+                          : cfg.channel_capacity > 0
                               ? cfg.channel_capacity
                               : static_cast<std::size_t>(
                                     graph_.pe(id).buffer_capacity);
                       return pes_.emplace_back(std::move(service), capacity);
                     });
+
+    // Who reads each hosted PE's adverts and congestion: the ranks hosting
+    // one of its upstream PEs, this one included.
+    readers_.assign(graph_.pe_count(), 0);
+    for (const PeId id : graph_.all_pes()) {
+      if (!owns_node(graph_.pe(id).node.value())) continue;
+      hosted_pes_.push_back(id);
+      for (const PeId up : graph_.upstream(id)) {
+        readers_[id.value()] |= owns_node(graph_.pe(up).node.value())
+                                    ? kReadHere
+                                    : kReadElsewhere;
+      }
+    }
 
     for (std::size_t n = node_begin_; n < node_end_; ++n) {
       controllers_.emplace_back(graph_, NodeId(static_cast<NodeId::value_type>(n)),
@@ -143,8 +163,8 @@ class WorkerEngine {
     was_down_.assign(node_end_ - node_begin_, false);
     was_stalled_.assign(graph_.pe_count(), false);
 
-    // Telemetry. The counters are always on (relaxed atomics, far off the
-    // hot path at quantum granularity) and every name counts a *graph*
+    // Telemetry. The counters are always on (counted in counts_, added to
+    // the registry once per quantum) and every name counts a *graph*
     // property — cross_node is decided by node placement, never by the
     // partition — so the coordinator's cross-shard sums match a
     // single-process run exactly. The span tracer is optional and samples
@@ -198,10 +218,10 @@ class WorkerEngine {
  private:
   struct PeState : pe::PeCore<Sdo> {
     PeState(workload::ServiceModel model, std::size_t bound)
-        : PeCore(std::move(model)), capacity(bound) {}
+        : PeCore(std::move(model)), queue(bound) {}
 
-    std::deque<Sdo> queue;
-    std::size_t capacity;
+    /// The input buffer, bounded at the PE's capacity (0 when not hosted).
+    BoundedQueue<Sdo> queue;
     /// Lock-Step cross-node backlog: deliveries accepted from the wire but
     /// not yet admitted to `queue` (receiver-side blocking — nothing is
     /// dropped). Drained at quantum start as space allows.
@@ -210,7 +230,21 @@ class WorkerEngine {
     /// at the last barrier. Same-node blocking is the kernel's `blocked`.
     bool blocked_remote = false;
 
-    [[nodiscard]] bool full() const { return queue.size() >= capacity; }
+    [[nodiscard]] bool full() const { return queue.full(); }
+  };
+
+  /// readers_ bits.
+  static constexpr std::uint8_t kReadHere = 1;       ///< by this worker
+  static constexpr std::uint8_t kReadElsewhere = 2;  ///< by another rank
+
+  /// The data-path counters, in plain integers while a quantum runs; added
+  /// to the registry's counters once per quantum (flush_counts).
+  struct Counts {
+    std::uint64_t arrived = 0;
+    std::uint64_t processed = 0;
+    std::uint64_t emitted = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t cross_node = 0;
   };
 
   [[nodiscard]] bool owns_node(std::size_t node) const {
@@ -254,15 +288,22 @@ class WorkerEngine {
         case wire::FrameType::kStepGo: {
           const auto go = wire::decode_step_go(frame.payload);
           if (!go.has_value()) return 1;
+          // One send per quantum: the telemetry frames and the StepDone
+          // (or the final Report) go out together, so the coordinator wakes
+          // once.
+          std::vector<std::uint8_t> out;
           if ((go->flags & wire::kStepGoFinal) != 0) {
-            if (!ship_telemetry(go->quantum, /*epoch=*/true)) return 1;
-            if (!ep_.send(wire::encode(make_report()))) return 1;
+            append_telemetry(out, go->quantum, /*epoch=*/true);
+            append(out, wire::encode(make_report()));
+            if (!ep_.send(std::move(out))) return 1;
             break;  // stay in the loop until Shutdown
           }
           run_quantum(*go);
+          flush_counts();
           const bool epoch = (go->quantum + 1) % cfg_.substeps == 0;
-          if (!ship_telemetry(go->quantum, epoch)) return 1;
-          if (!ep_.send(wire::encode(make_step_done(go->quantum)))) return 1;
+          append_telemetry(out, go->quantum, epoch);
+          append(out, encode_step_done(go->quantum));
+          if (!ep_.send(std::move(out))) return 1;
           break;
         }
         case wire::FrameType::kShutdown:
@@ -296,15 +337,18 @@ class WorkerEngine {
         visible_advert_time_[id.value()] = vnow;
       }
     }
-    // Advert refreshes from quantum k-1 (uniformly one quantum stale,
-    // including this worker's own — the coordinator loops them back), for
-    // the downstreams of this worker's PEs: the only adverts it reads.
-    for (const wire::Advert& a : go.adverts) {
-      visible_advert_[a.pe] = a.rmax;
-      visible_advert_time_[a.pe] = a.time;
-    }
+    // Advert refreshes from quantum k-1 (uniformly one quantum stale), for
+    // the downstreams of this worker's PEs: the only adverts it reads. The
+    // other ranks' come relayed; this worker's own come from its loopback.
+    // Each PE lives on one rank and advertises at most once a quantum, so
+    // the two lists never name one PE and their order does not matter.
+    for (const wire::Advert& a : go.adverts) apply_advert(a);
+    for (const wire::Advert& a : loopback_.adverts) apply_advert(a);
+    loopback_.adverts.clear();
     std::fill(congested_.begin(), congested_.end(), 0);
     for (const std::uint32_t pe : go.congested_pes) congested_[pe] = 1;
+    for (const std::uint32_t pe : loopback_.congested_pes) congested_[pe] = 1;
+    loopback_.congested_pes.clear();
 
     // Modeled crash windows (the `crash` clause acted out by this
     // substrate, distinct from real prockills), before the deliveries: a
@@ -312,26 +356,27 @@ class WorkerEngine {
     // on, and a restart admits this quantum's deliveries into empty queues.
     if (injector_ != nullptr) handle_crash_transitions(vnow);
 
-    // Inbound cross-node deliveries, in relay (src_node) order, each with
-    // the span riding it, if any. Fault draws for a delivery happen here,
-    // on the worker hosting the target — the per-PE draw sequence is
-    // partition-invariant.
+    // Inbound cross-node deliveries in src_node order, each with the span
+    // riding it, if any: the relayed ones from nodes below this worker's,
+    // then its loopback, then the relayed rest. Fault draws for a delivery
+    // happen here, on the worker hosting the target — the per-PE draw
+    // sequence is partition-invariant.
+    const std::size_t below = static_cast<std::size_t>(
+        std::ranges::find_if(go.deliveries,
+                             [this](const wire::SdoDelivery& d) {
+                               return d.src_node >= node_begin_;
+                             }) -
+        go.deliveries.begin());
     std::size_t next_span = 0;
-    for (std::size_t i = 0; i < go.deliveries.size(); ++i) {
-      while (next_span < go.spans.size() && go.spans[next_span].delivery < i) {
-        ++next_span;  // out of order: belongs to no delivery
-      }
-      const bool has_span =
-          next_span < go.spans.size() && go.spans[next_span].delivery == i;
-      apply_delivery(go.deliveries[i],
-                     has_span ? &go.spans[next_span].span : nullptr, vnow);
-    }
+    apply_deliveries(go, 0, below, next_span, vnow);
+    std::size_t next_loopback_span = 0;
+    apply_deliveries(loopback_, 0, loopback_.deliveries.size(),
+                     next_loopback_span, vnow);
+    apply_deliveries(go, below, go.deliveries.size(), next_span, vnow);
+    loopback_.deliveries.clear();
+    loopback_.spans.clear();
     if (lockstep_) {
-      for (std::size_t n = node_begin_; n < node_end_; ++n) {
-        for (PeId id : graph_.pes_on_node(NodeId(static_cast<NodeId::value_type>(n)))) {
-          drain_inbound(pes_[id.value()]);
-        }
-      }
+      for (const PeId id : hosted_pes_) drain_inbound(pes_[id.value()]);
     }
 
     // Control tick on the dt grid (quantum starts, skipping t = 0 — the
@@ -346,16 +391,14 @@ class WorkerEngine {
     // downstream stops processing this quantum (bounded overshoot: at most
     // the one quantum already in flight).
     if (lockstep_) {
-      for (std::size_t n = node_begin_; n < node_end_; ++n) {
-        for (PeId id : graph_.pes_on_node(NodeId(static_cast<NodeId::value_type>(n)))) {
-          PeState& pe = pes_[id.value()];
-          pe.blocked_remote = false;
-          for (PeId down : graph_.downstream(id)) {
-            if (graph_.pe(down).node != graph_.pe(id).node &&
-                congested_[down.value()] != 0) {
-              pe.blocked_remote = true;
-              break;
-            }
+      for (const PeId id : hosted_pes_) {
+        PeState& pe = pes_[id.value()];
+        pe.blocked_remote = false;
+        for (PeId down : graph_.downstream(id)) {
+          if (graph_.pe(down).node != graph_.pe(id).node &&
+              congested_[down.value()] != 0) {
+            pe.blocked_remote = true;
+            break;
           }
         }
       }
@@ -363,6 +406,31 @@ class WorkerEngine {
 
     generate_arrivals(vnow, vend);
     process_quantum(k, vnow, vend);
+  }
+
+  void apply_advert(const wire::Advert& a) {
+    visible_advert_[a.pe] = a.rmax;
+    visible_advert_time_[a.pe] = a.time;
+  }
+
+  /// Applies deliveries [begin, end) of `frame` (a StepGo, or the loopback
+  /// outbox) at `vnow`, each with the span that names it. `next_span` is
+  /// the first of the frame's handoffs, which are in increasing delivery
+  /// order, not yet passed.
+  template <class Frame>
+  void apply_deliveries(const Frame& frame, std::size_t begin,
+                        std::size_t end, std::size_t& next_span,
+                        Seconds vnow) {
+    for (std::size_t i = begin; i < end; ++i) {
+      while (next_span < frame.spans.size() &&
+             frame.spans[next_span].delivery < i) {
+        ++next_span;  // out of order: belongs to no delivery
+      }
+      const bool has_span = next_span < frame.spans.size() &&
+                            frame.spans[next_span].delivery == i;
+      apply_delivery(frame.deliveries[i],
+                     has_span ? &frame.spans[next_span].span : nullptr, vnow);
+    }
   }
 
   /// Applies one inbound delivery at `vnow`; `prefix` is the in-flight span
@@ -403,7 +471,7 @@ class WorkerEngine {
       pe.queue.push_back(pe.inbound.front());
       pe.inbound.pop_front();
       pe.note_admitted();
-      ctr_arrived_.inc();
+      ++counts_.arrived;
     }
   }
 
@@ -413,12 +481,12 @@ class WorkerEngine {
     if (tracer_ != nullptr) tracer_->on_enqueue(sdo.span, id, now);
     pe.queue.push_back(sdo);
     pe.note_admitted();
-    ctr_arrived_.inc();
+    ++counts_.arrived;
   }
 
   /// Loses `sdo` on its way into `pe` at `now`.
   void drop(PeState& pe, const Sdo& sdo, Seconds now) {
-    ctr_dropped_.inc();
+    ++counts_.dropped;
     pe.note_dropped(sdo, now, collector_, tracer_.get());
   }
 
@@ -460,7 +528,7 @@ class WorkerEngine {
   void crash_local_pes(NodeId node, Seconds vnow) {
     // Post-mortem first: capture the doomed SDOs while their spans are
     // still in flight, then end them as dropped. The dump ships to the
-    // coordinator at this quantum's end (ship_telemetry).
+    // coordinator at this quantum's end (append_telemetry).
     if (tracer_ != nullptr) {
       pending_dump_ = tracer_->fault_dump("fault.node_crash", vnow);
     }
@@ -470,12 +538,14 @@ class WorkerEngine {
       const std::uint64_t pe_lost =
           pe.discard(vnow, collector_, tracer_.get(), [&pe](auto lose) {
             for (const Sdo& sdo : pe.inbound) lose(sdo);
-            for (const Sdo& sdo : pe.queue) lose(sdo);
+            for (std::size_t i = 0; i < pe.queue.size(); ++i) {
+              lose(pe.queue.at(i));
+            }
             pe.inbound.clear();
             pe.queue.clear();
           });
       pe.blocked_remote = false;
-      ctr_dropped_.inc(pe_lost);
+      counts_.dropped += pe_lost;
       lost += pe_lost;
     }
     injector_->note_node_crash(lost);
@@ -485,7 +555,8 @@ class WorkerEngine {
     control::NodeController& controller = controllers_[controller_index];
     const auto& local = controller.local_pes();
     const Seconds staleness = controller_config_.advert_staleness_timeout;
-    std::vector<control::PeTickInput> inputs(local.size());
+    std::vector<control::PeTickInput>& inputs = tick_inputs_;
+    inputs.resize(local.size());
     for (std::size_t i = 0; i < local.size(); ++i) {
       const PeState& pe = pes_[local[i].value()];
       const auto& downs = graph_.downstream(local[i]);
@@ -497,7 +568,7 @@ class WorkerEngine {
             return pe::Advert{visible_advert_[down], visible_advert_time_[down]};
           });
     }
-    const std::vector<control::PeTickOutput> outputs =
+    const std::vector<control::PeTickOutput>& outputs =
         pe::tick(controller, cfg_.dt, inputs, tick_timer_);
     ++events_executed_;
     for (std::size_t i = 0; i < local.size(); ++i) {
@@ -509,18 +580,15 @@ class WorkerEngine {
             outputs[i].cpu_share, pe.lifetime_dropped, injector_.get()));
       }
       pe.close_interval(vnow, pe.queue.size() + pe.inbound.size(),
-                        pe.capacity, collector_);
+                        pe.queue.capacity(), collector_);
       pe.share = outputs[i].cpu_share;
-      // Injected advertisement loss: the refresh never leaves this worker,
-      // so every peer (and this worker itself, via the loopback) keeps the
-      // stale value.
+      // Injected advertisement loss: the refresh is never published, so
+      // every reader, this worker included, keeps the stale value.
       if (injector_ != nullptr && injector_->advert_lost(local[i], vnow))
         continue;
-      wire::Advert advert;
-      advert.pe = local[i].value();
-      advert.rmax = outputs[i].advertised_rmax;
-      advert.time = vnow;
-      advert_outbox_.push_back(advert);
+      const wire::Advert advert{local[i].value(),
+                                outputs[i].advertised_rmax, vnow};
+      publish(advert.pe, advert, &wire::StepDone::adverts);
     }
   }
 
@@ -533,7 +601,7 @@ class WorkerEngine {
         const Sdo sdo{at, at, pe::sample_arrival(tracer_.get(), src.pe, at)};
         if (pe::delivery_lost(injector_.get(), graph_, src.pe, vnow) ||
             pe.full()) {
-          ctr_dropped_.inc();
+          ++counts_.dropped;
           pe.note_arrival_dropped(sdo, collector_, tracer_.get());
         } else {
           admit(pe, src.pe, sdo, at);
@@ -588,41 +656,44 @@ class WorkerEngine {
   /// copies downstream.
   void complete(PeState& pe, PeId pe_id, Seconds vcomplete) {
     ++events_executed_;
-    ctr_processed_.inc();
-    ctr_emitted_.inc(pe.complete(graph_.pe(pe_id),
-                                 graph_.downstream(pe_id).size(), vcomplete,
-                                 collector_, tracer_.get(),
-                                 [&](std::size_t slot, const Sdo& sdo) {
-                                   send(pe, pe_id, slot, sdo, vcomplete);
-                                 }));
+    ++counts_.processed;
+    counts_.emitted += pe.complete(graph_.pe(pe_id),
+                                   graph_.downstream(pe_id).size(), vcomplete,
+                                   collector_, tracer_.get(),
+                                   [&](std::size_t slot, const Sdo& sdo) {
+                                     send(pe, pe_id, slot, sdo, vcomplete);
+                                   });
   }
 
   void send(PeState& pe, PeId pe_id, std::size_t slot, Sdo sdo, Seconds vnow) {
     const PeId target_id = graph_.downstream(pe_id)[slot];
     const std::size_t target = target_id.value();
-    const bool cross_node = graph_.pe(target_id).node != graph_.pe(pe_id).node;
-    if (cross_node) {
+    const NodeId target_node = graph_.pe(target_id).node;
+    if (target_node != graph_.pe(pe_id).node) {
       // One quantum of transit, whether or not the destination shares this
-      // worker: the coordinator relays the outbox at the next barrier.
-      ctr_cross_node_.inc();
+      // worker: the StepDone's deliveries are relayed at the next barrier,
+      // the loopback's applied here at the next quantum.
+      ++counts_.cross_node;
+      wire::StepDone& box =
+          owns_node(target_node.value()) ? loopback_ : done_;
       wire::SdoDelivery d;
       d.dest_pe = static_cast<std::uint32_t>(target);
       d.src_node = graph_.pe(pe_id).node.value();
       d.birth = sdo.birth;
       if (tracer_ != nullptr && sdo.span >= 0) {
-        // The span leaves this process with its SDO: stamp the
-        // serialization hop, then detach the prefix to ride the StepDone
-        // beside the delivery it names. The kWireSend hop is stamped when
-        // the StepDone is built, kWireRecv at adoption.
+        // The span crosses with its SDO, relayed or looped back alike:
+        // stamp the serialization hop, then detach the prefix to ride
+        // beside the delivery it names. The kWireSend hop is stamped at the
+        // quantum's end, kWireRecv at adoption.
         tracer_->append_wire_hop(sdo.span, pe_id, obs::HopKind::kWireSerialize,
                                  vnow);
         wire::SpanHandoff h;
-        h.delivery = static_cast<std::uint32_t>(delivery_outbox_.size());
+        h.delivery = static_cast<std::uint32_t>(box.deliveries.size());
         if (tracer_->detach(sdo.span, &h.span)) {
-          span_outbox_.push_back(h);
+          box.spans.push_back(h);
         }
       }
-      delivery_outbox_.push_back(d);
+      box.deliveries.push_back(d);
       return;
     }
     const auto offer = offer_from(pe_id, vnow);
@@ -636,41 +707,67 @@ class WorkerEngine {
 
   // ---- frames back to the coordinator --------------------------------
 
-  wire::StepDone make_step_done(std::uint64_t quantum) {
-    wire::StepDone done;
-    done.quantum = quantum;
-    done.deliveries = std::move(delivery_outbox_);
-    delivery_outbox_.clear();
-    done.spans = std::move(span_outbox_);
-    span_outbox_.clear();
-    // The send hop: the spans leave this process at quantum end. The hop
-    // repeats the last-stamped PE (the serialization site).
+  /// Queues `item`, published by hosted PE `pe`, in the `list` of the
+  /// StepDone when another rank reads it and of the loopback when this
+  /// worker does.
+  template <class T>
+  void publish(std::uint32_t pe, const T& item,
+               std::vector<T> wire::StepDone::*list) {
+    if ((readers_[pe] & kReadElsewhere) != 0) (done_.*list).push_back(item);
+    if ((readers_[pe] & kReadHere) != 0) (loopback_.*list).push_back(item);
+  }
+
+  /// Closes quantum `quantum`'s outboxes and encodes its StepDone: the
+  /// deliveries, spans, adverts and congested PEs that other ranks read,
+  /// the adverts and congested PEs in PE order. The loopback keeps the
+  /// rest for the next quantum.
+  std::vector<std::uint8_t> encode_step_done(std::uint64_t quantum) {
+    // The send hop: the spans leave with the StepDone at quantum end, the
+    // loopback's as if they did. The hop repeats the last-stamped PE (the
+    // serialization site).
     const Seconds ship_time = static_cast<double>(quantum + 1) * q_;
-    for (wire::SpanHandoff& h : done.spans) {
-      obs::SdoSpan& s = h.span;
-      if (s.hop_count < obs::SdoSpan::kMaxHops) {
-        const std::uint32_t pe =
-            s.hop_count > 0 ? s.hops[s.hop_count - 1].pe : s.source_pe;
-        s.hops[s.hop_count++] = obs::SpanHop{
-            pe, static_cast<std::uint32_t>(obs::HopKind::kWireSend),
-            ship_time, ship_time, ship_time};
-      } else {
-        s.truncated = true;
-      }
-    }
-    done.adverts = std::move(advert_outbox_);
-    advert_outbox_.clear();
-    if (lockstep_) {
-      for (std::size_t n = node_begin_; n < node_end_; ++n) {
-        for (PeId id : graph_.pes_on_node(NodeId(static_cast<NodeId::value_type>(n)))) {
-          const PeState& pe = pes_[id.value()];
-          if (pe.queue.size() >= pe.capacity || !pe.inbound.empty()) {
-            done.congested_pes.push_back(id.value());
-          }
+    for (auto* spans : {&done_.spans, &loopback_.spans}) {
+      for (wire::SpanHandoff& h : *spans) {
+        obs::SdoSpan& s = h.span;
+        if (s.hop_count < obs::SdoSpan::kMaxHops) {
+          const std::uint32_t pe =
+              s.hop_count > 0 ? s.hops[s.hop_count - 1].pe : s.source_pe;
+          s.hops[s.hop_count++] = obs::SpanHop{
+              pe, static_cast<std::uint32_t>(obs::HopKind::kWireSend),
+              ship_time, ship_time, ship_time};
+        } else {
+          s.truncated = true;
         }
       }
     }
-    return done;
+    // Each PE advertises at most once a quantum, so the order is total.
+    std::ranges::sort(done_.adverts, {}, &wire::Advert::pe);
+    if (lockstep_) {
+      for (const PeId id : hosted_pes_) {  // ascending
+        const PeState& pe = pes_[id.value()];
+        if (pe.full() || !pe.inbound.empty()) {
+          publish(id.value(), id.value(), &wire::StepDone::congested_pes);
+        }
+      }
+    }
+    done_.quantum = quantum;
+    std::vector<std::uint8_t> bytes = wire::encode(done_);
+    // Cleared, not moved from: the outboxes keep their capacity.
+    done_.deliveries.clear();
+    done_.spans.clear();
+    done_.adverts.clear();
+    done_.congested_pes.clear();
+    return bytes;
+  }
+
+  /// Adds this quantum's data-path counts to the registry's counters.
+  void flush_counts() {
+    ctr_arrived_.inc(counts_.arrived);
+    ctr_processed_.inc(counts_.processed);
+    ctr_emitted_.inc(counts_.emitted);
+    ctr_dropped_.inc(counts_.dropped);
+    ctr_cross_node_.inc(counts_.cross_node);
+    counts_ = Counts{};
   }
 
   wire::Report make_report() {
@@ -679,32 +776,38 @@ class WorkerEngine {
     // sum over workers equals the whole system's utilization.
     out.report = collector_.finalize(cfg_.duration, total_capacity_);
     out.report.per_pe.assign(graph_.pe_count(), metrics::PeAccounting{});
-    for (std::size_t n = node_begin_; n < node_end_; ++n) {
-      for (PeId id : graph_.pes_on_node(NodeId(static_cast<NodeId::value_type>(n)))) {
-        out.report.per_pe[id.value()] = pes_[id.value()].accounting();
-      }
+    for (const PeId id : hosted_pes_) {
+      out.report.per_pe[id.value()] = pes_[id.value()].accounting();
     }
     out.report.events_executed = events_executed_;
     out.report.reoptimizations = 0;  // the coordinator owns this count
     return out;
   }
 
-  /// Ships the telemetry frames that precede the StepDone (or final
-  /// Report) closing quantum `quantum`: the MetricsReport, with the spans
-  /// finalized since the last one, when `epoch` (an epoch's last quantum,
-  /// or the final one), and the fault dump taken this quantum, if any.
-  /// Returns false on a dead endpoint.
-  bool ship_telemetry(std::uint64_t quantum, bool epoch) {
-    if (epoch) {
-      if (!ep_.send(wire::encode(make_metrics_report(quantum)))) return false;
+  /// Appends the encoded `frame` to the send `out`.
+  static void append(std::vector<std::uint8_t>& out,
+                     std::vector<std::uint8_t> frame) {
+    if (out.empty()) {
+      out = std::move(frame);
+    } else {
+      out.insert(out.end(), frame.begin(), frame.end());
     }
+  }
+
+  /// Appends to `out` the telemetry frames that precede the StepDone (or
+  /// final Report) closing quantum `quantum`: the MetricsReport, with the
+  /// spans finalized since the last one, when `epoch` (an epoch's last
+  /// quantum, or the final one), and the fault dump taken this quantum, if
+  /// any.
+  void append_telemetry(std::vector<std::uint8_t>& out, std::uint64_t quantum,
+                        bool epoch) {
+    if (epoch) append(out, wire::encode(make_metrics_report(quantum)));
     if (pending_dump_.has_value()) {
       // A fault fired this quantum: ship the newest post-mortem the tracer
       // captured at a fault site, in-flight spans included.
-      if (!ep_.send(wire::encode(*pending_dump_))) return false;
+      append(out, wire::encode(*pending_dump_));
       pending_dump_.reset();
     }
-    return true;
   }
 
   wire::MetricsReport make_metrics_report(std::uint64_t quantum) {
@@ -753,8 +856,21 @@ class WorkerEngine {
   std::vector<std::uint8_t> congested_;
   std::vector<bool> was_down_;      // aligned with controllers_
   std::vector<bool> was_stalled_;   // indexed by PeId
-  std::vector<wire::SdoDelivery> delivery_outbox_;
-  std::vector<wire::Advert> advert_outbox_;
+  /// This worker's PEs, ascending.
+  std::vector<PeId> hosted_pes_;
+  /// Per hosted PE, kReadHere | kReadElsewhere: who reads its adverts and
+  /// congestion.
+  std::vector<std::uint8_t> readers_;
+  /// The quantum's StepDone, filled as it runs: what other ranks read.
+  wire::StepDone done_;
+  /// What this worker reads itself of what it published in the last
+  /// quantum: cross-node deliveries between its own nodes (with their
+  /// spans, indexed into them) and the adverts and congested PEs of its own
+  /// PEs. Applied at the next quantum as if relayed; its quantum is unused.
+  wire::StepDone loopback_;
+  /// node_tick's inputs, reused by every tick.
+  std::vector<control::PeTickInput> tick_inputs_;
+  Counts counts_;
   std::uint64_t events_executed_ = 0;
 
   // ---- telemetry (tentpole: the distributed observability plane) -----
@@ -767,9 +883,6 @@ class WorkerEngine {
   obs::Gauge gauge_quantum_;
   obs::Timer tick_timer_;
   std::unique_ptr<obs::SpanTracer> tracer_;
-  /// Span prefixes leaving this worker, each naming its delivery in
-  /// `delivery_outbox_`; shipped in the quantum's StepDone.
-  std::vector<wire::SpanHandoff> span_outbox_;
   /// Control-tick records since the last MetricsReport (record_trace only).
   std::vector<obs::TickRecord> trace_buffer_;
   /// Counter values as of the last MetricsReport, for delta encoding.

@@ -333,11 +333,14 @@ class Engine {
     deliver(target, sdo, vnow);
   }
 
-  void node_tick(std::size_t node_index, Seconds vnow) {
+  /// One control tick of node `node_index` at `vnow`. `inputs` is the
+  /// node thread's own scratch, reused by every tick.
+  void node_tick(std::size_t node_index, Seconds vnow,
+                 std::vector<control::PeTickInput>& inputs) {
     control::NodeController& controller = controllers_[node_index];
     const auto& local = controller.local_pes();
     const Seconds staleness = options_.controller.advert_staleness_timeout;
-    std::vector<control::PeTickInput> inputs(local.size());
+    inputs.resize(local.size());
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeRt& pe = *pes_[local[i].value()];
       const std::uint64_t pushed = pe.pushed.load(std::memory_order_relaxed);
@@ -355,7 +358,7 @@ class Engine {
                               d.advert_time.load(std::memory_order_relaxed)};
           });
     }
-    const std::vector<control::PeTickOutput> outputs =
+    const std::vector<control::PeTickOutput>& outputs =
         pe::tick(controller, options_.dt, inputs, tick_timer_);
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeRt& pe = *pes_[local[i].value()];
@@ -422,6 +425,7 @@ class Engine {
 
     bool was_down = false;
     std::vector<bool> was_stalled(local.size(), false);
+    std::vector<control::PeTickInput> tick_inputs;
     while (!stop_.load()) {
       Seconds vnow = virtual_now();
 
@@ -464,7 +468,7 @@ class Engine {
       }
 
       if (vnow >= tick_start + options_.dt) {
-        node_tick(node_index, vnow);
+        node_tick(node_index, vnow, tick_inputs);
         tick_start += options_.dt;
         // If the thread was starved across several intervals, re-home the
         // tick grid instead of firing a burst of stale ticks.

@@ -13,10 +13,10 @@ namespace aces::runtime::transport {
 
 namespace {
 
-/// One direction of the pipe: encoded frames in FIFO order plus a closed
-/// latch. The consumer checks each frame with wire::parse_frame, which
-/// splits it as the socket backend does, so the in-process backend cannot
-/// silently diverge from the socket one.
+/// One direction of the pipe: the encoded sends in FIFO order, each one or
+/// more whole frames, plus a closed latch. The consumer splits each send
+/// with wire::frame_extent, as the socket backend splits its stream, so
+/// the in-process backend cannot silently diverge from the socket one.
 struct FrameQueue {
   Mutex mu;
   std::condition_variable_any cv;
@@ -42,8 +42,7 @@ class InprocEndpoint final : public Endpoint {
   }
 
   RecvStatus recv(wire::Frame* out, int timeout_ms) override {
-    std::vector<std::uint8_t> bytes;
-    {
+    if (at_ == held_.size()) {
       // Explicit wait loop (not wait_for(pred)): the thread-safety
       // analysis cannot see through predicate lambdas — same idiom as
       // runtime/channel.h.
@@ -61,17 +60,11 @@ class InprocEndpoint final : public Endpoint {
         }
       }
       if (rx_->frames.empty()) return RecvStatus::kClosed;
-      bytes = std::move(rx_->frames.front());
+      held_ = std::move(rx_->frames.front());
       rx_->frames.pop_front();
+      at_ = 0;
     }
-    wire::WireError error;
-    auto frame = wire::parse_frame(std::move(bytes), &error);
-    if (!frame.has_value()) {
-      last_error_ = error.reason;
-      return RecvStatus::kError;
-    }
-    *out = std::move(*frame);
-    return RecvStatus::kOk;
+    return next_frame(out);
   }
 
   void close() override {
@@ -89,8 +82,42 @@ class InprocEndpoint final : public Endpoint {
   }
 
  private:
+  /// Splits the frame at held_[at_] off the send it came in. A send that
+  /// is one frame moves into `out` whole; a frame of a multi-frame send
+  /// copies only its own payload. A send must end on a frame boundary.
+  RecvStatus next_frame(wire::Frame* out) {
+    const std::size_t left = held_.size() - at_;
+    wire::WireError error;
+    const auto extent = wire::frame_extent(held_.data() + at_, left, &error);
+    if (!extent.has_value()) {
+      last_error_ = error.reason;
+      at_ = held_.size();
+      return RecvStatus::kError;
+    }
+    if (extent->bytes > left) {
+      last_error_ = "send ends mid-frame";
+      at_ = held_.size();
+      return RecvStatus::kError;
+    }
+    out->type = extent->type;
+    if (at_ == 0 && extent->bytes == left) {
+      held_.erase(held_.begin(), held_.begin() + wire::kHeaderBytes);
+      out->payload = std::move(held_);
+      held_.clear();
+      return RecvStatus::kOk;
+    }
+    const std::uint8_t* front = held_.data() + at_;
+    out->payload.assign(front + wire::kHeaderBytes, front + extent->bytes);
+    at_ += extent->bytes;
+    return RecvStatus::kOk;
+  }
+
   std::shared_ptr<FrameQueue> tx_;
   std::shared_ptr<FrameQueue> rx_;
+  /// The send being split (consumer side only): frames before at_ are
+  /// returned. Empty once fully split.
+  std::vector<std::uint8_t> held_;
+  std::size_t at_ = 0;
   std::string last_error_;
 };
 

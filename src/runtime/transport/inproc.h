@@ -2,10 +2,11 @@
 // bounded-growth frame queues (one per direction), synchronized with the
 // annotated aces::Mutex + condition_variable_any pattern.
 //
-// Frames cross the "pipe" as encoded bytes: send() moves the encoded frame
-// into the queue, and recv() checks it with wire::parse_frame, which splits
-// it with the same wire::frame_extent the socket backend uses, and moves
-// the payload into the Frame. So the in-process and socket backends
+// Frames cross the "pipe" as encoded bytes: send() moves the encoded
+// frames into the queue, and recv() splits them with the same
+// wire::frame_extent the socket backend uses. A send of one frame moves its
+// payload into the Frame; a frame of a multi-frame send copies its own
+// payload out, and the rest of the send stays where it is. So the in-process and socket backends
 // exercise the identical wire codec — the cross-transport conformance
 // battery compares their outputs byte-for-byte, which is only meaningful if
 // neither side gets to skip serialization.

@@ -15,16 +15,20 @@
 // refuse the same bytes.
 //
 // Contract:
-//   * send() is thread-safe (a worker's heartbeat thread and its step loop
-//     both send); a frame is written atomically with respect to other
-//     sends on the same endpoint. It takes the frame by value, so a frame
-//     passed as an rvalue moves into the in-process queue uncopied.
+//   * send() takes one or more whole frames, concatenated, and writes them
+//     atomically together with respect to other sends on the same
+//     endpoint. It is thread-safe (a worker's heartbeat thread and its step
+//     loop both send). It takes the bytes by value, so a send passed as an
+//     rvalue moves into the in-process queue uncopied. recv() still returns
+//     one frame at a time.
 //   * recv() is single-consumer and blocks up to `timeout_ms` for one
 //     complete frame. A frame that has already arrived is returned without
 //     waiting, also with a timeout of 0.
 //   * Silence is kTimeout only between frames: a timeout, close or error
-//     after part of a frame has arrived is kError ("timed out mid-frame",
-//     "peer closed mid-frame").
+//     after part of a frame has arrived is kError ("peer closed
+//     mid-frame", kTimedOutMidFrame). After kTimedOutMidFrame the bytes
+//     already in stay buffered, so a later recv() can still finish the
+//     frame.
 //   * A peer closing (or dying) surfaces as RecvStatus::kClosed; malformed
 //     bytes surface as kError — never as undefined behavior.
 #pragma once
@@ -48,6 +52,10 @@ const char* to_string(TransportKind kind);
 /// Parses "inproc" / "uds" / "tcp"; nullopt otherwise.
 std::optional<TransportKind> parse_transport(std::string_view name);
 
+/// last_error() after a recv() whose timeout ran out with part of a frame
+/// in.
+inline constexpr std::string_view kTimedOutMidFrame = "timed out mid-frame";
+
 enum class RecvStatus {
   kOk,       ///< *out holds a frame
   kTimeout,  ///< nothing arrived within timeout_ms
@@ -63,8 +71,9 @@ class Endpoint {
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
-  /// Queues/writes one complete frame (as produced by wire::encode).
-  /// Thread-safe. Returns false when the peer is gone.
+  /// Queues/writes one or more complete frames (as produced by
+  /// wire::encode), concatenated. Thread-safe. Returns false when the peer
+  /// is gone.
   virtual bool send(std::vector<std::uint8_t> frame) = 0;
 
   /// Waits up to `timeout_ms` (< 0 = forever) for one frame. Single

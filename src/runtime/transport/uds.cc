@@ -26,9 +26,10 @@ void set_error(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what + ": " + std::strerror(errno);
 }
 
-/// Remaining whole milliseconds until `deadline` (>= 0), for poll().
+/// Milliseconds until `deadline` (>= 0), rounded up, for poll(): a wait
+/// rounded down would give up before the deadline.
 int ms_until(std::chrono::steady_clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
       deadline - std::chrono::steady_clock::now());
   return left.count() < 0 ? 0 : static_cast<int>(left.count());
 }
@@ -52,8 +53,8 @@ class FdEndpoint final : public Endpoint {
   }
 
   bool send(std::vector<std::uint8_t> frame) override {
-    // One lock per frame: concurrent senders (step loop, heartbeat thread)
-    // must not interleave bytes inside a frame.
+    // One lock per send: concurrent senders (step loop, heartbeat thread)
+    // must not interleave bytes inside a send's frames.
     MutexLock lock(send_mu_);
     std::size_t sent = 0;
     while (sent < frame.size()) {
@@ -164,7 +165,7 @@ class FdEndpoint final : public Endpoint {
       }
       if (pr == 0) {
         if (!mid_frame) return RecvStatus::kTimeout;
-        last_error_ = "timed out mid-frame";
+        last_error_ = kTimedOutMidFrame;
         return RecvStatus::kError;
       }
     }

@@ -138,13 +138,17 @@ struct Advert {
   double time = 0.0;
 };
 
-/// Barrier release for quantum `quantum`: the deliveries generated during
-/// quantum-1 that are addressed to this worker and the spans riding them;
-/// the adverts and Lock-Step congested PEs of that quantum for the PEs this
-/// worker's PEs feed, in PE order; and membership deltas. The deliveries
-/// are the senders' outboxes concatenated in rank order, which is src_node
-/// order: ranks own ascending node ranges and each worker steps its nodes
-/// in id order, so the receive order does not depend on the partition.
+/// Barrier release for quantum `quantum`: the deliveries other ranks
+/// generated during quantum-1 that are addressed to this worker, and the
+/// spans riding them; the adverts and Lock-Step congested PEs other ranks
+/// published in that quantum for the PEs this worker's PEs feed, in PE
+/// order; and membership deltas. The worker's own traffic to itself never
+/// travels: it applies it from its loopback. The deliveries are the
+/// senders' outboxes concatenated in rank order, which is src_node order:
+/// ranks own ascending node ranges and each worker steps its nodes in id
+/// order, so the receive order does not depend on the partition. The
+/// worker splices its loopback deliveries in after those with a lower
+/// src_node than any of its own nodes.
 struct StepGo {
   std::uint64_t quantum = 0;
   std::uint8_t flags = 0;  ///< bit 0: final quantum — report and exit
@@ -157,9 +161,12 @@ struct StepGo {
 };
 inline constexpr std::uint8_t kStepGoFinal = 1;
 
-/// Barrier completion: the worker's cross-node outboxes, with the spans
-/// leaving it on those deliveries. Fault transitions are not reported: the
-/// coordinator evaluates the crash windows from the schedule it holds.
+/// Barrier completion: what other ranks read of the worker's quantum —
+/// the deliveries to their nodes with the spans leaving on them, and the
+/// refreshed adverts and congested PEs of the worker's PEs that some other
+/// rank's PE feeds, each list in PE order. Fault transitions are not
+/// reported: the coordinator evaluates the crash windows from the schedule
+/// it holds.
 struct StepDone {
   std::uint64_t quantum = 0;
   std::vector<SdoDelivery> deliveries;  ///< cross-worker outbox

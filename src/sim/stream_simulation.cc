@@ -486,7 +486,8 @@ struct StreamSimulation::Impl {
     const Seconds staleness = control::uses_flow_control(policy)
                                   ? options.controller.advert_staleness_timeout
                                   : 0.0;
-    std::vector<control::PeTickInput> inputs(local.size());
+    std::vector<control::PeTickInput>& inputs = tick_inputs;
+    inputs.resize(local.size());
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeRt& pe = pes[local[i].value()];
       progress(pe);
@@ -497,7 +498,7 @@ struct StreamSimulation::Impl {
                               pe.downstream_advert_time[slot]};
           });
     }
-    const std::vector<control::PeTickOutput> outputs =
+    const std::vector<control::PeTickOutput>& outputs =
         pe::tick(controller, options.dt, inputs, tick_timer);
 
     for (std::size_t i = 0; i < local.size(); ++i) {
@@ -557,6 +558,8 @@ struct StreamSimulation::Impl {
   Simulator simulator;
   std::vector<PeRt> pes;
   std::vector<control::NodeController> controllers;
+  /// node_tick's inputs, reused by every tick.
+  std::vector<control::PeTickInput> tick_inputs;
   std::vector<pe::Source> sources;
   double total_capacity = 0.0;
   metrics::TimeSeriesSet trajectories;

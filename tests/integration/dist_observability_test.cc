@@ -252,7 +252,8 @@ TEST(DistObservabilityTest, MergedLatencyIsPartitionInvariant) {
   }
 
   // Same spans either way, and the same stitched ones: every cross-node
-  // delivery crosses the coordinator, whatever the partition.
+  // delivery takes the same wire hops, whatever the partition, whether
+  // the coordinator relays it or its worker loops it back.
   EXPECT_EQ(status_value(agg1, "aces_cluster_spans_completed"),
             status_value(agg3, "aces_cluster_spans_completed"));
   EXPECT_GT(status_value(agg1, "aces_cluster_spans_stitched"), 0u);

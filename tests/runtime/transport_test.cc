@@ -187,6 +187,18 @@ TEST_F(UdsEndpointTest, PartialPayloadThenSilenceIsAnError) {
   EXPECT_EQ(ep_->last_error(), "timed out mid-frame");
 }
 
+TEST_F(UdsEndpointTest, MidFrameTimeoutKeepsTheBytesForTheNextRecv) {
+  const Bytes frame = sample_frames()[2];
+  const std::size_t half = frame.size() / 2;
+  write_all(Bytes(frame.begin(), frame.begin() + half));
+  wire::Frame got;
+  EXPECT_EQ(ep_->recv(&got, 30), RecvStatus::kError);
+  EXPECT_EQ(ep_->last_error(), kTimedOutMidFrame);
+  write_all(Bytes(frame.begin() + half, frame.end()));
+  ASSERT_EQ(ep_->recv(&got, kWaitMs), RecvStatus::kOk) << ep_->last_error();
+  expect_frame(got, frame);
+}
+
 TEST_F(UdsEndpointTest, CleanCloseAfterFramesIsClosed) {
   const std::vector<Bytes> frames = sample_frames();
   write_all(concat(frames));
@@ -272,6 +284,37 @@ TEST_F(UdsEndpointTest, InProcYieldsTheSameFrames) {
   EXPECT_EQ(far->recv(&none, 0), RecvStatus::kTimeout);
   near->close();
   EXPECT_EQ(far->recv(&none, kWaitMs), RecvStatus::kClosed);
+}
+
+TEST(InProcEndpointTest, SplitsASendOfSeveralFrames) {
+  const std::vector<Bytes> frames = sample_frames();
+  auto [near, far] = make_inproc_pair();
+  ASSERT_TRUE(near->send(concat(frames)));
+  ASSERT_TRUE(near->send(frames[0]));
+  for (const Bytes& f : frames) {
+    wire::Frame got;
+    ASSERT_EQ(far->recv(&got, kWaitMs), RecvStatus::kOk) << far->last_error();
+    expect_frame(got, f);
+  }
+  wire::Frame got;
+  ASSERT_EQ(far->recv(&got, kWaitMs), RecvStatus::kOk);
+  expect_frame(got, frames[0]);
+  EXPECT_EQ(far->recv(&got, 0), RecvStatus::kTimeout);
+}
+
+TEST(InProcEndpointTest, RefusesASendThatEndsMidFrame) {
+  const std::vector<Bytes> frames = sample_frames();
+  Bytes bytes = concat(frames);
+  bytes.pop_back();
+  auto [near, far] = make_inproc_pair();
+  ASSERT_TRUE(near->send(bytes));
+  wire::Frame got;
+  for (std::size_t i = 0; i + 1 < frames.size(); ++i) {
+    ASSERT_EQ(far->recv(&got, kWaitMs), RecvStatus::kOk);
+    expect_frame(got, frames[i]);
+  }
+  EXPECT_EQ(far->recv(&got, kWaitMs), RecvStatus::kError);
+  EXPECT_EQ(far->last_error(), "send ends mid-frame");
 }
 
 TEST(InProcEndpointTest, RefusesWhatTheSocketRefuses) {
