@@ -288,14 +288,14 @@ std::vector<MetricEntry> ClusterAggregator::metrics() const {
     quantum_max = std::max(quantum_max, s.status.last_quantum);
   }
   const char* const skew_help =
-      "Wall time between the first and last StepDone of one quantum";
+      "Wall time between the first and last StepDone of one segment";
   std::vector<MetricEntry> out = {
       {"aces_cluster_shards", "Worker shards ever seen", kGauge, {},
        std::uint64_t{shards_.size()}},
       {"aces_cluster_shards_alive", "Worker shards currently alive", kGauge,
        {}, std::uint64_t{live_shards()}},
       {"aces_cluster_quantum_max",
-       "Newest barrier quantum heard from any shard", kGauge, {}, quantum_max},
+       "Newest quantum heard from any shard", kGauge, {}, quantum_max},
       {"aces_cluster_barrier_skew_seconds", skew_help, kGauge,
        {{"stat", "max"}}, max_or_zero(skew_seconds_)},
       {"aces_cluster_barrier_skew_seconds", skew_help, kGauge,
@@ -310,7 +310,8 @@ std::vector<MetricEntry> ClusterAggregator::metrics() const {
       {"aces_cluster_trace_records", "Control-tick trace records absorbed",
        kCounter, {}, std::uint64_t{trace_.size()}},
   };
-  const char* const rtt = "Barrier round-trip wall time (StepGo to StepDone)";
+  const char* const rtt =
+      "Segment round-trip wall time (StepGo to StepDone)";
   const char* const frames = "Frames per endpoint";
   const char* const bytes = "Header and payload bytes per endpoint";
   for (const auto& [rank, s] : shards_) {
@@ -326,7 +327,7 @@ std::vector<MetricEntry> ClusterAggregator::metrics() const {
     add("aces_shard_up", "1 while the shard is alive", kGauge,
         std::uint64_t{st.alive});
     add("aces_shard_last_quantum",
-        "Newest barrier quantum heard from the shard", kGauge,
+        "Newest quantum heard from the shard", kGauge,
         st.last_quantum);
     add("aces_shard_rtt_seconds", rtt, kGauge, st.rtt_seconds.mean(),
         {{"stat", "mean"}});

@@ -18,8 +18,8 @@
 //    equivalents;
 //  * spans: every finalized span counted, those with a wire hop counted
 //    as stitched, and the slowest completed ones kept;
-//  * cluster health gauges: per-worker heartbeat RTT (Welford), barrier
-//    step skew, frames/bytes per transport endpoint, decode rejects;
+//  * cluster health gauges: per-worker segment RTT (Welford), barrier
+//    step skew, frames/bytes per coordinator link, decode rejects;
 //  * evidence: each shard's last ring_capacity spans (its standing flight
 //    ring) and its newest fault dump survive the worker — a prockill'd
 //    shard's final spans are readable at the coordinator after the
@@ -75,7 +75,7 @@ struct ShardStatus {
   std::uint64_t metrics_reports = 0;
   std::uint64_t flight_dumps = 0;   ///< fault dumps received
   std::uint64_t relay_dropped = 0;  ///< span handoffs dropped (rank dead)
-  OnlineStats rtt_seconds;          ///< StepGo send -> StepDone recv, wall
+  OnlineStats rtt_seconds;  ///< StepGo send -> StepDone recv, per segment
 };
 
 class ClusterAggregator {
@@ -91,9 +91,10 @@ class ClusterAggregator {
   /// Marks the shard dead. Its retained telemetry stays readable — that
   /// is the point of retaining it.
   void note_shard_dead(std::uint32_t rank) ACES_EXCLUDES(mutex_);
-  /// One barrier round trip for `rank`, wall-clock seconds.
+  /// One segment's round trip for `rank` (StepGo sent to StepDone
+  /// received), wall-clock seconds.
   void record_rtt(std::uint32_t rank, double seconds) ACES_EXCLUDES(mutex_);
-  /// Spread between the first and last StepDone of one quantum, wall
+  /// Spread between the first and last StepDone of one segment, wall
   /// seconds. The status endpoint exposes the running max and mean.
   void record_step_skew(double seconds) ACES_EXCLUDES(mutex_);
   void record_frame_sent(std::uint32_t rank, std::size_t bytes)
@@ -102,9 +103,9 @@ class ClusterAggregator {
       ACES_EXCLUDES(mutex_);
   void record_decode_reject(std::uint32_t rank) ACES_EXCLUDES(mutex_);
   void record_heartbeat(std::uint32_t rank) ACES_EXCLUDES(mutex_);
-  /// Span handoffs that could not be relayed because the destination shard
-  /// was dead (their deliveries are lost with it; the spans are telemetry
-  /// and may lawfully be lost — but counted).
+  /// Span handoffs that never reached shard `rank` because it was dead
+  /// (their deliveries are lost with it; the spans are telemetry and may
+  /// lawfully be lost — but counted).
   void record_relay_dropped(std::uint32_t rank, std::uint64_t count)
       ACES_EXCLUDES(mutex_);
 

@@ -26,8 +26,7 @@ struct RunSpec {
   /// probabilities, span sampling) derives from this seed.
   std::uint64_t seed = 1;
   /// Tier-2 controller configuration; the policy lives here. The
-  /// distributed runtime ships only `policy` and `advert_staleness_timeout`
-  /// to its workers (wire::Config), which keep the defaults of the rest.
+  /// distributed runtime ships all of it to its workers (wire::Config).
   control::ControllerConfig controller{};
   /// Declarative fault schedule, executed by a seeded fault::FaultInjector
   /// against virtual time (docs/fault_injection.md). Empty (the default)

@@ -9,9 +9,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -48,27 +48,6 @@ double seconds_since(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
 }
 
-/// Whether the PEs `pe_of` projects out of `items` strictly increase.
-template <class Items, class Proj = std::identity>
-bool strictly_ascending(const Items& items, Proj pe_of = {}) {
-  return std::ranges::adjacent_find(items, std::greater_equal<>{}, pe_of) ==
-         items.end();
-}
-
-/// Merges the runs of `v` that start at `starts` (ascending, the first at
-/// 0), each sorted by `less`, into one sorted run.
-template <class T, class Less>
-void merge_runs(std::vector<T>& v, const std::vector<std::size_t>& starts,
-                Less less) {
-  const auto at = [&v](std::size_t i) {
-    return v.begin() + static_cast<std::ptrdiff_t>(i);
-  };
-  for (std::size_t r = 1; r < starts.size(); ++r) {
-    const auto end = r + 1 < starts.size() ? at(starts[r + 1]) : v.end();
-    std::inplace_merge(v.begin(), at(starts[r]), end, less);
-  }
-}
-
 /// One worker shard as the coordinator sees it.
 struct WorkerSlot {
   std::unique_ptr<transport::Endpoint> ep;
@@ -78,6 +57,8 @@ struct WorkerSlot {
   /// Respawned at the current barrier: the next StepGo carries its nodes
   /// in up_nodes.
   bool rejoined = false;
+  /// Its peer listener's address, from its Hello.
+  std::string peer_address;
   SteadyClock::time_point last_heard{};
   /// Wall time of the SIGKILL this coordinator issued, for the
   /// detection-latency accounting; empty for workers that died uninvited.
@@ -134,8 +115,7 @@ class Coordinator {
     base_config_.duration = options.duration;
     base_config_.warmup = options.warmup;
     base_config_.dt = options.dt;
-    base_config_.policy = static_cast<std::uint8_t>(options.controller.policy);
-    base_config_.staleness = options.controller.advert_staleness_timeout;
+    base_config_.controller = options.controller;
     base_config_.channel_capacity =
         static_cast<std::uint32_t>(options.channel_capacity);
     base_config_.heartbeat_interval = options.heartbeat_interval;
@@ -144,24 +124,6 @@ class Coordinator {
     base_config_.topology = graph::to_string(g);
     base_config_.faults =
         options.faults.empty() ? std::string() : fault::to_string(options.faults);
-
-    // A worker reads the adverts of its PEs' downstreams, and Lock-Step
-    // congestion of their cross-node ones: the PEs some PE it hosts feeds.
-    // A PE's own rank reads them from its loopback, so it is not a reader
-    // here.
-    reader_ranks_.resize(g.pe_count());
-    for (PeId pe : g.all_pes()) {
-      std::vector<std::uint32_t>& ranks = reader_ranks_[pe.value()];
-      const std::uint32_t host =
-          owner_of_node(g.node_count(), workers_n_, g.pe(pe).node.value());
-      for (PeId up : g.upstream(pe)) {
-        const std::uint32_t rank =
-            owner_of_node(g.node_count(), workers_n_, g.pe(up).node.value());
-        if (rank != host) ranks.push_back(rank);
-      }
-      std::sort(ranks.begin(), ranks.end());
-      ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-    }
 
     for (const fault::ProcKill& pk : options.faults.proc_kills) {
       ScheduledKill sk;
@@ -174,16 +136,19 @@ class Coordinator {
       }
       kills_.push_back(sk);
     }
+    barriers_ = barrier_quanta();
   }
 
   ~Coordinator() {
     // Last-resort cleanup on an exception path: never leave orphans.
-    for (WorkerSlot& w : workers_) {
+    for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
+      WorkerSlot& w = workers_[rank];
       if (w.ep != nullptr) w.ep->close();
       if (w.pid > 0) {
         ::kill(w.pid, SIGKILL);
         ::waitpid(w.pid, nullptr, 0);
         w.pid = -1;
+        unlink_peer_path(rank);
       }
       if (w.thread.joinable()) w.thread.join();
     }
@@ -194,13 +159,14 @@ class Coordinator {
     for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
       spawn_worker(rank, 0);
     }
-    for (std::uint64_t k = 0; k < total_quanta_; ++k) {
+    for (std::size_t i = 0; i + 1 < barriers_.size(); ++i) {
+      const std::uint64_t k = barriers_[i];
       handle_restarts(k);
       execute_kills(k);
-      broadcast_step_go(k, false);
-      collect_step_dones(k);
+      broadcast_step_go(k, barriers_[i + 1] - k);
+      collect_step_dones(barriers_[i + 1] - 1);
     }
-    broadcast_step_go(total_quanta_, true);
+    broadcast_step_go(total_quanta_, 0);
     std::vector<metrics::RunReport> partials = collect_reports();
     shutdown_all();
     metrics::RunReport merged = metrics::merge_reports(partials);
@@ -216,6 +182,42 @@ class Coordinator {
 
   [[nodiscard]] obs::ClusterAggregator* agg() const {
     return options_.aggregator;
+  }
+
+  /// The quanta before which the coordinator joins, ascending, the last
+  /// being the end of the run. Between two of them the workers run a
+  /// segment on their own. The coordinator must be there for everything it
+  /// does at a quantum: the control-interval boundaries (telemetry epochs),
+  /// a kill and the quantum after it (where the death is detected), a
+  /// restart, and the quantum after each one at which the crash windows
+  /// change the excluded set (where tier 1 is re-solved). So Targets,
+  /// kills, respawns and membership land where a barrier every quantum
+  /// would put them.
+  [[nodiscard]] std::vector<std::uint64_t> barrier_quanta() const {
+    std::set<std::uint64_t> at;
+    for (std::uint64_t k = 0; k < total_quanta_; k += options_.substeps) {
+      at.insert(k);
+    }
+    for (const ScheduledKill& sk : kills_) {
+      at.insert(sk.quantum);
+      at.insert(sk.quantum + 1);
+      if (sk.restarts) at.insert(sk.restart_quantum);
+    }
+    if (!options_.faults.crashes.empty()) {
+      std::vector<bool> was_down(options_.faults.crashes.size(), false);
+      for (std::uint64_t k = 0; k < total_quanta_; ++k) {
+        const Seconds t = static_cast<double>(k) * q_;
+        for (std::size_t c = 0; c < was_down.size(); ++c) {
+          const bool down =
+              crash_windows_.node_down(options_.faults.crashes[c].node, t);
+          if (down != was_down[c]) at.insert(k + 1);
+          was_down[c] = down;
+        }
+      }
+    }
+    std::vector<std::uint64_t> out(at.begin(), at.lower_bound(total_quanta_));
+    out.push_back(total_quanta_);
+    return out;
   }
 
   /// Sends one complete frame (8-byte header + payload) to `rank`, counted
@@ -332,10 +334,27 @@ class Coordinator {
     ACES_CHECK_MSG(listener_ != nullptr, "listen failed: " << error);
   }
 
+  /// The peer listener a UDS worker of `rank` binds. Empty on the other
+  /// transports, whose listeners leave no file.
+  [[nodiscard]] std::string peer_path(std::uint32_t rank) const {
+    return options_.transport == transport::TransportKind::kUds
+               ? peer_listener_path(listener_->path(), rank)
+               : std::string();
+  }
+
+  /// Removes the socket file of a UDS worker that exited without removing
+  /// it (killed, reaped).
+  void unlink_peer_path(std::uint32_t rank) const {
+    const std::string path = peer_path(rank);
+    if (!path.empty()) ::unlink(path.c_str());
+  }
+
   /// Spawns (or respawns) the worker for `rank`, joining at barrier
-  /// `start_quantum`, and completes the Hello → Config handshake. Workers
-  /// are spawned strictly one at a time, so the accepted connection always
-  /// belongs to the rank just forked.
+  /// `start_quantum`, and completes the Hello → Config → Hello handshake.
+  /// Workers are spawned strictly one at a time, so the accepted connection
+  /// always belongs to the rank just forked. The Config lists where the
+  /// live ranks listen, and the worker links to each of them before its
+  /// second Hello.
   void spawn_worker(std::uint32_t rank, std::uint64_t start_quantum) {
     WorkerSlot& w = workers_[rank];
     if (w.thread.joinable()) w.thread.join();
@@ -347,8 +366,9 @@ class Coordinator {
       auto [mine, theirs] = transport::make_inproc_pair();
       w.ep = std::move(mine);
       std::shared_ptr<transport::Endpoint> worker_end = std::move(theirs);
-      w.thread = std::thread(
-          [worker_end, rank] { worker_entry(*worker_end, rank); });
+      w.thread = std::thread([worker_end, rank] {
+        worker_entry(*worker_end, rank, PeerLinks{});
+      });
     } else {
       const std::string exe = self_exe_path();
       std::vector<std::string> args = {exe, "dist-worker",
@@ -383,13 +403,33 @@ class Coordinator {
     const auto hello = wire::decode_hello(frame.payload);
     ACES_CHECK_MSG(hello.has_value() && hello->rank == rank,
                    "worker Hello rank mismatch");
+    // A UDS worker listens where this coordinator will clean up after it.
+    ACES_CHECK_MSG(peer_path(rank).empty() ||
+                       hello->peer_address == peer_path(rank),
+                   "worker " << rank << " listens at an unexpected path");
+    w.peer_address = hello->peer_address;
 
     wire::Config cfg = base_config_;
     cfg.rank = rank;
     cfg.start_quantum = start_quantum;
     cfg.plan_cpu = cpu_;
+    cfg.peers.resize(workers_n_);
+    for (std::uint32_t peer = 0; peer < workers_n_; ++peer) {
+      if (peer != rank && workers_[peer].alive) {
+        cfg.peers[peer] = workers_[peer].peer_address;
+      }
+    }
     ACES_CHECK_MSG(send(rank, wire::encode(cfg)),
                    "worker " << rank << " rejected Config");
+    // The second Hello: the worker has linked to every live rank, so a kill
+    // from here on cannot leave a peer waiting for a link.
+    const auto linked = receive(rank, kHandshakeTimeoutMs, &frame);
+    const auto again = linked == transport::RecvStatus::kOk &&
+                               frame.type == wire::FrameType::kHello
+                           ? wire::decode_hello(frame.payload)
+                           : std::nullopt;
+    ACES_CHECK_MSG(again.has_value() && again->rank == rank,
+                   "worker " << rank << " did not link to its peers");
     w.alive = true;
     w.last_heard = SteadyClock::now();
     w.killed_at.reset();
@@ -411,13 +451,13 @@ class Coordinator {
       }
       // Deliberately NOT marked dead here: death is detected for real
       // (connection reset / heartbeat silence) while collecting this
-      // barrier, which is what the detection-latency stat measures.
+      // segment, which is what the detection-latency stat measures.
     }
   }
 
   /// Respawns the ranks whose restart falls on barrier `k`. The crash
   /// windows are those of the last barrier's evaluation, k-1: barrier k's
-  /// own are evaluated once its StepDones are in.
+  /// own are evaluated once its segment's StepDones are in.
   void handle_restarts(std::uint64_t k) {
     for (const ScheduledKill& sk : kills_) {
       if (!sk.restarts || sk.restart_quantum != k) continue;
@@ -429,97 +469,63 @@ class Coordinator {
     }
   }
 
-  void broadcast_step_go(std::uint64_t k, bool final_quantum) {
-    // Route the relayed deliveries to their destination shards in absorb
-    // order, each with the span riding it, re-indexed to the delivery's
-    // position in the destination's StepGo. No sort is needed for a
-    // partition-invariant receive order: StepDones are absorbed in rank
-    // order, ranks own ascending node ranges, and each worker's outbox is
-    // already in src_node order, so every destination receives its
-    // deliveries in src_node order, a node's in generation order. (A
-    // worker splices its own loopback deliveries into that order.)
-    std::vector<wire::StepGo> gos(workers_n_);
-    std::size_t next_span = 0;
-    for (std::size_t i = 0; i < pending_deliveries_.size(); ++i) {
-      const wire::SdoDelivery& d = pending_deliveries_[i];
-      const bool has_span = next_span < pending_spans_.size() &&
-                            pending_spans_[next_span].delivery == i;
-      const std::uint32_t dest_node = g_.pe(PeId(d.dest_pe)).node.value();
-      const std::uint32_t rank =
-          owner_of_node(g_.node_count(), workers_n_, dest_node);
-      if (!workers_[rank].alive) {
-        // The delivery dies with its shard; its span is counted too.
-        if (stats_ != nullptr) ++stats_->relay_dropped;
-        if (has_span && agg() != nullptr) agg()->record_relay_dropped(rank, 1);
-      } else {
-        wire::StepGo& go = gos[rank];
-        if (has_span) {
-          go.spans.push_back(
-              {static_cast<std::uint32_t>(go.deliveries.size()),
-               pending_spans_[next_span].span});
-        }
-        go.deliveries.push_back(d);
-      }
-      if (has_span) ++next_span;
+  /// Counts deliveries a worker could not hand to rank `u.rank`, and the
+  /// spans riding them, as dropped.
+  void count_dropped(const wire::Undelivered& u) {
+    if (stats_ != nullptr) stats_->relay_dropped += u.deliveries;
+    if (u.spans > 0 && agg() != nullptr) {
+      agg()->record_relay_dropped(u.rank, u.spans);
     }
-    // Adverts and congested PEs go, in PE order, only to the other ranks
-    // that read them (reader_ranks_). Each rank's run is in PE order and
-    // a PE lives on one rank, so merging the runs puts them in PE order.
-    merge_runs(pending_adverts_, advert_runs_,
-               [](const wire::Advert& a, const wire::Advert& b) {
-                 return a.pe < b.pe;
-               });
-    for (const wire::Advert& a : pending_adverts_) {
-      for (const std::uint32_t rank : reader_ranks_[a.pe]) {
-        gos[rank].adverts.push_back(a);
-      }
+  }
+
+  /// Releases the `count` quanta from `k` on, or with `count` 0 asks for
+  /// the final Reports. The batches the workers kept for a dead peer are
+  /// dropped here unless this StepGo rejoins that peer, in which case they
+  /// are handed to it.
+  void broadcast_step_go(std::uint64_t k, std::uint32_t count) {
+    for (const wire::Undelivered& u : kept_) {
+      if (!workers_[u.rank].rejoined) count_dropped(u);
     }
-    merge_runs(pending_congested_, congested_runs_, std::less<>{});
-    for (const std::uint32_t pe : pending_congested_) {
-      for (const std::uint32_t rank : reader_ranks_[pe]) {
-        gos[rank].congested_pes.push_back(pe);
-      }
-    }
+    kept_.clear();
+    wire::StepGo go;
+    go.quantum = k;
+    go.count = count;
+    go.flags = count == 0 ? wire::kStepGoFinal : 0;
     // Membership, in node order: every node of a dead rank (the full set,
     // an idempotent clamp) and the nodes of ranks respawned this barrier.
-    std::vector<std::uint32_t> down_nodes;
-    std::vector<std::uint32_t> up_nodes;
     for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
       WorkerSlot& w = workers_[rank];
       if (w.alive && !w.rejoined) continue;
-      std::vector<std::uint32_t>& nodes = w.alive ? up_nodes : down_nodes;
+      std::vector<std::uint32_t>& nodes = w.alive ? go.up_nodes : go.down_nodes;
       const auto [begin, end] = shard_range(rank, workers_n_, g_.node_count());
       for (std::size_t n = begin; n < end; ++n) {
         nodes.push_back(static_cast<std::uint32_t>(n));
       }
       w.rejoined = false;
     }
-
+    const std::vector<std::uint8_t> bytes = wire::encode(go);
     for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
       if (!workers_[rank].alive) continue;
-      wire::StepGo& go = gos[rank];
-      go.quantum = k;
-      go.flags = final_quantum ? wire::kStepGoFinal : 0;
-      go.down_nodes = down_nodes;
-      go.up_nodes = up_nodes;
       go_sent_[rank] = SteadyClock::now();
-      send(rank, wire::encode(go));
+      send(rank, bytes);
     }
-    pending_deliveries_.clear();
-    pending_spans_.clear();
-    pending_adverts_.clear();
-    pending_congested_.clear();
-    advert_runs_.clear();
-    congested_runs_.clear();
   }
 
+  /// Collects the StepDone of the segment whose last quantum is `k` from
+  /// every live worker, then acts on what they report: the deliveries they
+  /// dropped or kept for dead peers, and the peers that sent them a
+  /// malformed batch, each of which is a decode reject and a death.
   void collect_step_dones(std::uint64_t k) {
     std::vector<std::optional<wire::StepDone>> dones(workers_n_);
     std::vector<SteadyClock::time_point> done_at(workers_n_);
-    std::size_t pending = 0;
-    for (const WorkerSlot& w : workers_) pending += w.alive ? 1 : 0;
+    const auto waiting = [&] {
+      for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
+        if (workers_[rank].alive && !dones[rank].has_value()) return true;
+      }
+      return false;
+    };
 
-    while (pending > 0) {
+    while (waiting()) {
       for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
         WorkerSlot& w = workers_[rank];
         if (!w.alive || dones[rank].has_value()) continue;
@@ -527,23 +533,22 @@ class Coordinator {
         switch (receive(rank, kRecvSliceMs, &frame)) {
           case transport::RecvStatus::kOk: {
             if (frame.type != wire::FrameType::kStepDone) {
-              declare_dead(rank, &pending);
+              declare_dead(rank);
               break;
             }
             auto done = wire::decode_step_done(frame.payload);
             // An index this coordinator would act on out of range is a
             // malformed frame, rejected like one that failed to decode.
-            const bool usable = done.has_value() && in_range(*done);
+            const bool usable = done.has_value() && in_range(*done, rank);
             if (!usable || done->quantum != k) {
               if (agg() != nullptr && !usable) {
                 agg()->record_decode_reject(rank);
               }
-              declare_dead(rank, &pending);
+              declare_dead(rank);
               break;
             }
             dones[rank] = std::move(*done);
             done_at[rank] = SteadyClock::now();
-            --pending;
             if (agg() != nullptr) {
               agg()->note_quantum(rank, k);
               agg()->record_rtt(
@@ -561,20 +566,20 @@ class Coordinator {
             if (exited) w.pid = -1;
             if (exited ||
                 seconds_since(w.last_heard) > options_.heartbeat_timeout) {
-              declare_dead(rank, &pending);
+              declare_dead(rank);
             }
             break;
           }
           case transport::RecvStatus::kClosed:
           case transport::RecvStatus::kError:
-            declare_dead(rank, &pending);
+            declare_dead(rank);
             break;
         }
       }
     }
 
     // Barrier-step skew: spread between the first and last StepDone of
-    // this quantum. Meaningful (and nonzero) only with two or more shards.
+    // this segment. Meaningful (and nonzero) only with two or more shards.
     if (agg() != nullptr) {
       SteadyClock::time_point first{}, last{};
       std::size_t got = 0;
@@ -590,62 +595,47 @@ class Coordinator {
       }
     }
 
-    // Absorb in rank order — the relay order next barrier must not depend
-    // on which worker finished first.
-    for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
-      if (!dones[rank].has_value()) continue;
-      wire::StepDone& done = *dones[rank];
-      const auto offset =
-          static_cast<std::uint32_t>(pending_deliveries_.size());
-      pending_deliveries_.insert(pending_deliveries_.end(),
-                                 done.deliveries.begin(),
-                                 done.deliveries.end());
-      for (wire::SpanHandoff& h : done.spans) {
-        h.delivery += offset;
-        pending_spans_.push_back(h);
+    for (const std::optional<wire::StepDone>& done : dones) {
+      if (!done.has_value()) continue;
+      for (const wire::Undelivered& u : done->dropped) count_dropped(u);
+      kept_.insert(kept_.end(), done->kept.begin(), done->kept.end());
+    }
+    for (const std::optional<wire::StepDone>& done : dones) {
+      if (!done.has_value()) continue;
+      for (const std::uint32_t sender : done->rejected) {
+        if (!workers_[sender].alive) continue;
+        if (agg() != nullptr) agg()->record_decode_reject(sender);
+        declare_dead(sender);
       }
-      advert_runs_.push_back(pending_adverts_.size());
-      congested_runs_.push_back(pending_congested_.size());
-      pending_adverts_.insert(pending_adverts_.end(), done.adverts.begin(),
-                              done.adverts.end());
-      pending_congested_.insert(pending_congested_.end(),
-                                done.congested_pes.begin(),
-                                done.congested_pes.end());
     }
 
     update_membership(k);
   }
 
-  /// Whether every index in a worker's StepDone is one this coordinator
-  /// may act on: PE ids inside the graph, span handoffs that name the
-  /// frame's own deliveries in increasing order, and adverts and congested
-  /// PEs in strictly increasing PE order (the runs broadcast_step_go
-  /// merges).
-  [[nodiscard]] bool in_range(const wire::StepDone& done) const {
-    const auto pe_ok = [this](std::uint32_t pe) { return pe < g_.pe_count(); };
-    std::uint64_t next = 0;  // least index the next handoff may name
-    for (const wire::SpanHandoff& h : done.spans) {
-      if (h.delivery < next || h.delivery >= done.deliveries.size()) {
-        return false;
-      }
-      next = std::uint64_t{h.delivery} + 1;
-    }
-    return std::ranges::all_of(done.deliveries, pe_ok,
-                               &wire::SdoDelivery::dest_pe) &&
-           std::ranges::all_of(done.adverts, pe_ok, &wire::Advert::pe) &&
-           std::ranges::all_of(done.congested_pes, pe_ok) &&
-           strictly_ascending(done.adverts, &wire::Advert::pe) &&
-           strictly_ascending(done.congested_pes);
+  /// Whether every rank a StepDone from `sender` names is one this
+  /// coordinator may act on, and it relays no traffic.
+  [[nodiscard]] bool in_range(const wire::StepDone& done,
+                              std::uint32_t sender) const {
+    const auto rank_ok = [this](std::uint32_t rank) {
+      return rank < workers_n_;
+    };
+    return done.deliveries.empty() && done.adverts.empty() &&
+           std::ranges::all_of(done.dropped, rank_ok,
+                               &wire::Undelivered::rank) &&
+           std::ranges::all_of(done.kept, rank_ok, &wire::Undelivered::rank) &&
+           std::ranges::all_of(done.rejected, [&](std::uint32_t rank) {
+             return rank_ok(rank) && rank != sender;
+           });
   }
 
   /// Marks a worker dead, which puts its shard's nodes in the broadcast
-  /// down set and in tier 1's excluded set; reaps the process (if any) and
-  /// records the detection latency when this coordinator caused the death.
-  void declare_dead(std::uint32_t rank, std::size_t* pending) {
+  /// down set and in tier 1's excluded set; reaps the process (if any),
+  /// removes its peer socket, and records the detection latency when this
+  /// coordinator caused the death.
+  void declare_dead(std::uint32_t rank) {
     WorkerSlot& w = workers_[rank];
     if (!w.alive) return;
     w.alive = false;
-    --*pending;
     if (agg() != nullptr) agg()->note_shard_dead(rank);
     if (w.killed_at.has_value() && stats_ != nullptr &&
         stats_->kill_detect_wall_seconds < 0.0) {
@@ -657,6 +647,7 @@ class Coordinator {
       ::waitpid(w.pid, nullptr, 0);
       w.pid = -1;
     }
+    unlink_peer_path(rank);
     if (w.thread.joinable()) w.thread.join();
   }
 
@@ -723,7 +714,8 @@ class Coordinator {
     for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
       if (workers_[rank].alive) send(rank, bye);
     }
-    for (WorkerSlot& w : workers_) {
+    for (std::uint32_t rank = 0; rank < workers_n_; ++rank) {
+      WorkerSlot& w = workers_[rank];
       if (w.ep != nullptr) w.ep->close();
       if (w.thread.joinable()) w.thread.join();
       if (w.pid > 0) {
@@ -740,6 +732,7 @@ class Coordinator {
           // A worker that survives Shutdown + closed pipe is an orphan.
           ::kill(w.pid, SIGKILL);
           ::waitpid(w.pid, nullptr, 0);
+          unlink_peer_path(rank);
           if (stats_ != nullptr) ++stats_->orphans_reaped;
         }
         w.pid = -1;
@@ -759,23 +752,16 @@ class Coordinator {
   wire::Config base_config_;
   std::vector<double> cpu_;  // current tier-1 cpu targets
   std::vector<ScheduledKill> kills_;
+  /// barrier_quanta(): where each segment starts, then the end of the run.
+  std::vector<std::uint64_t> barriers_;
   /// The schedule's crash windows, asked what the workers ask.
   fault::FaultInjector crash_windows_;
   /// The nodes cpu_ was solved around, ascending.
   std::vector<NodeId> excluded_;
-  std::vector<wire::SdoDelivery> pending_deliveries_;
-  /// Spans riding pending_deliveries_, indexed into it, increasing.
-  std::vector<wire::SpanHandoff> pending_spans_;
-  std::vector<wire::Advert> pending_adverts_;
-  std::vector<std::uint32_t> pending_congested_;
-  /// Where each absorbed rank's run starts in pending_adverts_ and
-  /// pending_congested_.
-  std::vector<std::size_t> advert_runs_;
-  std::vector<std::size_t> congested_runs_;
-  /// Per PE, ascending: the ranks other than its own hosting one of its
-  /// upstream PEs, which are the ranks its adverts and congestion are
-  /// relayed to.
-  std::vector<std::vector<std::uint32_t>> reader_ranks_;
+  /// The batches the workers still keep for dead peers, from the last
+  /// segment's StepDones: delivered if the next StepGo rejoins the peer,
+  /// dropped otherwise.
+  std::vector<wire::Undelivered> kept_;
   /// Per-rank wall time of the last StepGo send, for the RTT gauge.
   std::vector<SteadyClock::time_point> go_sent_;
   std::uint64_t reoptimizations_ = 0;

@@ -14,11 +14,12 @@ class ClusterAggregator;
 namespace aces::runtime::dist {
 
 struct DistOptions : RunSpec {
-  /// Barrier quanta per control interval: virtual time advances in steps of
+  /// Quanta per control interval: virtual time advances in steps of
   /// dt / substeps, and every cross-node effect (SDO delivery, advert
   /// refresh, Lock-Step congestion status) takes exactly one quantum. More
-  /// substeps tighten the effective network latency; the default keeps the
-  /// barrier overhead modest while staying well under one control interval.
+  /// substeps tighten the effective network latency at the cost of more
+  /// peer exchanges; the coordinator joins once per control interval
+  /// whatever the count.
   std::uint32_t substeps = 4;
   /// Overrides each PE's input-buffer bound when > 0 (as in
   /// RuntimeOptions).
@@ -61,8 +62,8 @@ struct DistStats {
   std::uint64_t workers_killed = 0;
   std::uint64_t workers_restarted = 0;
   std::uint64_t heartbeats_received = 0;
-  /// Cross-worker deliveries discarded because the destination worker was
-  /// dead at relay time.
+  /// Cross-worker deliveries discarded because their destination rank was
+  /// dead: built for a peer with no link, and not handed to it on a respawn.
   std::uint64_t relay_dropped = 0;
   /// Worker processes still alive after shutdown that had to be reaped
   /// forcibly; 0 on a clean run.

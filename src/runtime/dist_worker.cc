@@ -1,24 +1,32 @@
-// Barrier-stepped worker engine. Determinism rules (each one is load-
+// Segment-stepped worker engine. Determinism rules (each one is load-
 // bearing for the cross-transport byte-identity guarantee — see
 // docs/architecture.md):
 //
-//  * Virtual time advances in quanta q = dt / substeps under coordinator
-//    barriers; nothing is paced by the wall clock except heartbeats.
+//  * Virtual time advances in quanta q = dt / substeps. The coordinator
+//    releases a segment of quanta at a time (StepGo) and hears back once
+//    its last has run (StepDone); nothing is paced by the wall clock except
+//    heartbeats.
 //  * Every *cross-node* effect takes exactly one quantum, whether or not
 //    the two nodes share a worker: SDO emissions, advert refreshes and
-//    Lock-Step congestion are buffered and applied at the next barrier.
-//    What another rank reads goes out in the StepDone and the coordinator
-//    relays it; what this worker reads itself stays here, in a loopback
-//    outbox it applies at the next quantum exactly as if it had been
-//    relayed. Same-node sends are direct, as in the threaded runtime.
+//    Lock-Step congestion are buffered and applied at the next quantum.
+//    During quantum k the worker sorts what it publishes into one batch per
+//    rank, its own included: the deliveries to that rank's nodes and the
+//    adverts and congested PEs one of that rank's PEs reads. After k it
+//    trades batches with every live peer directly (exchange_in_order, which
+//    cannot deadlock), keeps its own as the loopback, and runs k+1 only
+//    once every live peer's batch for k is in. Same-node sends are direct,
+//    as in the threaded runtime.
 //  * Inbound cross-node deliveries are applied in src_node order, whatever
-//    the partition. The coordinator relays the other ranks' outboxes
-//    concatenated in rank order; ranks own ascending node ranges, and every
-//    worker steps its nodes in id order, so each outbox is already sorted
-//    by source node. The loopback deliveries, whose sources are this
-//    worker's own nodes, are spliced in after the relayed ones from lower
-//    nodes (src_node < node_begin_), which is where the relay would have
-//    put them.
+//    the partition: the batches in rank order, the loopback at this
+//    worker's own rank. Ranks own ascending node ranges, and every worker
+//    steps its nodes in id order, so each batch is already sorted by
+//    source node.
+//  * A peer with no link (dead, or refused for a malformed batch) still
+//    gets a batch each quantum, and the newest one is kept: the next StepGo
+//    either rejoins that peer, which then receives it as the batch of the
+//    quantum before its first, or drops it. Replaced and dropped batches
+//    are counted in the StepDone, exactly as a relay through the
+//    coordinator would have dropped them.
 //  * Per-PE randomness (service model, arrival process, fault draws) is
 //    forked from the master seed by PE id — never by worker rank — so the
 //    partition does not perturb any stream.
@@ -68,6 +76,13 @@ constexpr double kDeadAdvertTime = -1e300;
 /// A worker waiting on the coordinator gives up after this long — the
 /// coordinator drives the pace, so silence this long means it is gone.
 constexpr int kCoordinatorTimeoutMs = 120000;
+/// A worker waiting on a peer looks at its coordinator link this often:
+/// the coordinator says nothing between a StepGo and its StepDone, so a
+/// frame or a close there means this worker was given up.
+constexpr int kPeerSliceMs = 20;
+/// Budget for connecting to a live rank's peer listener, which exists
+/// before its address is handed out.
+constexpr int kConnectTimeoutMs = 2000;
 
 struct Sdo {
   Seconds birth = 0.0;
@@ -90,22 +105,65 @@ opt::AllocationPlan plan_from_cpu(const std::vector<double>& cpu,
   return plan;
 }
 
+/// Whether the PEs `pe_of` projects out of `items` strictly increase.
+template <class Items, class Proj = std::identity>
+bool strictly_ascending(const Items& items, Proj pe_of = {}) {
+  return std::ranges::adjacent_find(items, std::greater_equal<>{}, pe_of) ==
+         items.end();
+}
+
+void clear(wire::PeerBatch& batch) {
+  batch.deliveries.clear();
+  batch.spans.clear();
+  batch.adverts.clear();
+  batch.congested_pes.clear();
+}
+
+/// Connects to the peer listener of `peer` at `address` and names this
+/// worker, `rank`, on the new link; null if it cannot.
+std::unique_ptr<transport::Endpoint> open_link(const PeerLinks& links,
+                                               std::uint32_t rank,
+                                               std::uint32_t peer,
+                                               const std::string& address) {
+  std::string error;
+  std::unique_ptr<transport::Endpoint> link =
+      transport::connect(links.kind, address, kConnectTimeoutMs, &error);
+  if (link == nullptr) return nullptr;
+  if (links.wrap) link = links.wrap(peer, std::move(link));
+  if (!link->send(wire::encode(wire::Hello{rank, {}}))) return nullptr;
+  return link;
+}
+
 class WorkerEngine {
  public:
-  WorkerEngine(const wire::Config& cfg, transport::Endpoint& ep)
+  /// `links` holds, by rank, the links this worker opened to the live ranks
+  /// its Config lists; `listener` accepts the rest.
+  WorkerEngine(const wire::Config& cfg, transport::Endpoint& ep,
+               std::unique_ptr<transport::Listener> listener,
+               std::vector<std::unique_ptr<transport::Endpoint>> links,
+               PeerLinks peer_links)
       : cfg_(cfg),
         ep_(ep),
+        listener_(std::move(listener)),
+        peer_links_(std::move(peer_links)),
         graph_(graph::topology_from_string(cfg.topology)),
-        collector_(cfg.warmup, pe::egress_count(graph_)) {
+        collector_(cfg.warmup, pe::egress_count(graph_)),
+        next_quantum_(cfg.start_quantum) {
     graph_.validate();
     ACES_CHECK_MSG(cfg.substeps > 0, "substeps must be positive");
     ACES_CHECK_MSG(cfg.dt > 0.0, "dt must be positive");
     ACES_CHECK_MSG(cfg.rank < cfg.num_workers, "rank outside the shard count");
+    ACES_CHECK_MSG(links.size() == cfg.num_workers, "one link slot per rank");
     q_ = cfg.dt / cfg.substeps;
 
-    controller_config_.policy = static_cast<control::FlowPolicy>(cfg.policy);
-    controller_config_.advert_staleness_timeout = cfg.staleness;
+    controller_config_ = cfg.controller;
     lockstep_ = controller_config_.policy == control::FlowPolicy::kLockStep;
+    peers_.resize(cfg.num_workers);
+    dropped_.resize(cfg.num_workers);
+    for (std::uint32_t rank = 0; rank < cfg.num_workers; ++rank) {
+      peers_[rank].link = std::move(links[rank]);
+      dropped_[rank].rank = rank;
+    }
 
     if (!cfg.faults.empty()) {
       fault::FaultSchedule schedule = fault::parse_fault_spec(cfg.faults);
@@ -143,17 +201,24 @@ class WorkerEngine {
                       return pes_.emplace_back(std::move(service), capacity);
                     });
 
-    // Who reads each hosted PE's adverts and congestion: the ranks hosting
-    // one of its upstream PEs, this one included.
-    readers_.assign(graph_.pe_count(), 0);
+    // Which rank hosts each PE, and who reads each hosted PE's adverts and
+    // congestion: the ranks hosting one of its upstream PEs, this one
+    // included.
+    rank_of_pe_.reserve(graph_.pe_count());
+    for (const PeId id : graph_.all_pes()) {
+      rank_of_pe_.push_back(owner_of_node(graph_.node_count(), cfg.num_workers,
+                                          graph_.pe(id).node.value()));
+    }
+    readers_.resize(graph_.pe_count());
     for (const PeId id : graph_.all_pes()) {
       if (!owns_node(graph_.pe(id).node.value())) continue;
       hosted_pes_.push_back(id);
+      std::vector<std::uint32_t>& ranks = readers_[id.value()];
       for (const PeId up : graph_.upstream(id)) {
-        readers_[id.value()] |= owns_node(graph_.pe(up).node.value())
-                                    ? kReadHere
-                                    : kReadElsewhere;
+        ranks.push_back(rank_of_pe_[up.value()]);
       }
+      std::ranges::sort(ranks);
+      ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
     }
 
     for (std::size_t n = node_begin_; n < node_end_; ++n) {
@@ -233,9 +298,18 @@ class WorkerEngine {
     [[nodiscard]] bool full() const { return queue.full(); }
   };
 
-  /// readers_ bits.
-  static constexpr std::uint8_t kReadHere = 1;       ///< by this worker
-  static constexpr std::uint8_t kReadElsewhere = 2;  ///< by another rank
+  /// This worker's view of one rank, its own included.
+  struct Peer {
+    /// The link to the rank; null while there is none (dead, not yet
+    /// joined, refused) and always for this worker's own rank.
+    std::unique_ptr<transport::Endpoint> link;
+    /// What the rank reads of the running quantum, filled as it runs. For
+    /// a rank with no link it stays after the exchange as the kept batch.
+    wire::PeerBatch out;
+    /// The rank's batch for the last quantum, applied at this one. Its own
+    /// rank's is the loopback: the last `out`, which never travels.
+    wire::PeerBatch in;
+  };
 
   /// The data-path counters, in plain integers while a quantum runs; added
   /// to the registry's counters once per quantum (flush_counts).
@@ -287,23 +361,18 @@ class WorkerEngine {
         }
         case wire::FrameType::kStepGo: {
           const auto go = wire::decode_step_go(frame.payload);
-          if (!go.has_value()) return 1;
-          // One send per quantum: the telemetry frames and the StepDone
-          // (or the final Report) go out together, so the coordinator wakes
-          // once.
-          std::vector<std::uint8_t> out;
+          if (!go.has_value() || !go->deliveries.empty() ||
+              !go->adverts.empty()) {
+            return 1;
+          }
           if ((go->flags & wire::kStepGoFinal) != 0) {
+            std::vector<std::uint8_t> out;
             append_telemetry(out, go->quantum, /*epoch=*/true);
             append(out, wire::encode(make_report()));
             if (!ep_.send(std::move(out))) return 1;
             break;  // stay in the loop until Shutdown
           }
-          run_quantum(*go);
-          flush_counts();
-          const bool epoch = (go->quantum + 1) % cfg_.substeps == 0;
-          append_telemetry(out, go->quantum, epoch);
-          append(out, encode_step_done(go->quantum));
-          if (!ep_.send(std::move(out))) return 1;
+          if (!run_segment(*go)) return 1;
           break;
         }
         case wire::FrameType::kShutdown:
@@ -314,10 +383,229 @@ class WorkerEngine {
     }
   }
 
-  // ---- one barrier quantum -------------------------------------------
+  // ---- one segment of quanta -----------------------------------------
 
-  void run_quantum(const wire::StepGo& go) {
-    const std::uint64_t k = go.quantum;
+  /// Runs the quanta `go` releases, trading batches with the peers after
+  /// each, and answers with a StepDone after the last. Each quantum's
+  /// telemetry frames go out at its end, with the StepDone in one send at
+  /// the segment's end. False when the coordinator is gone or broke the
+  /// protocol.
+  bool run_segment(const wire::StepGo& go) {
+    if (go.count == 0 || go.quantum != next_quantum_) return false;
+    if (!join_peers(go)) return false;
+    const std::uint64_t end = go.quantum + go.count;
+    for (std::uint64_t k = go.quantum; k < end; ++k) {
+      if (k > go.quantum) drop_kept();
+      run_quantum(k, k == go.quantum ? &go : nullptr);
+      close_batches(k);
+      if (!exchange(k)) return false;
+      flush_counts();
+      // One send per quantum: the telemetry frames and the segment's
+      // StepDone go out together, so the coordinator wakes once.
+      std::vector<std::uint8_t> out;
+      append_telemetry(out, k, (k + 1) % cfg_.substeps == 0);
+      if (k + 1 == end) append(out, encode_step_done(k));
+      if (!out.empty() && !ep_.send(std::move(out))) return false;
+    }
+    next_quantum_ = end;
+    return true;
+  }
+
+  /// Which ranks host the `nodes` of a StepGo's membership list.
+  [[nodiscard]] std::vector<bool> ranks_of(
+      const std::vector<std::uint32_t>& nodes) const {
+    std::vector<bool> ranks(peers_.size(), false);
+    for (const std::uint32_t node : nodes) {
+      if (node < graph_.node_count()) {
+        ranks[owner_of_node(graph_.node_count(), cfg_.num_workers, node)] =
+            true;
+      }
+    }
+    return ranks;
+  }
+
+  /// Brings the links up to the membership `go` starts its segment with:
+  /// drops the links to dead ranks, accepts the links of the ranks that
+  /// join now (every higher rank at start-up, and each rank the StepGo
+  /// respawns), hands a respawned rank the batch kept for it, and, in a
+  /// respawned worker, receives those batches as the ones to apply first.
+  /// Every other kept batch is dropped; the last StepDone reported it, and
+  /// the coordinator counted it.
+  bool join_peers(const wire::StepGo& go) {
+    const std::uint32_t me = cfg_.rank;
+    const std::vector<bool> down = ranks_of(go.down_nodes);
+    const std::vector<bool> up = ranks_of(go.up_nodes);
+    const bool start_up = go.quantum == 0;
+    std::vector<bool> joining(peers_.size(), false);
+    for (std::uint32_t rank = 0; rank < peers_.size(); ++rank) {
+      if (rank == me) continue;
+      if (down[rank]) peers_[rank].link.reset();
+      joining[rank] = peers_[rank].link == nullptr &&
+                      (up[rank] || (start_up && rank > me));
+    }
+    if (!accept_links(joining)) return false;
+    for (std::uint32_t rank = 0; rank < peers_.size(); ++rank) {
+      Peer& peer = peers_[rank];
+      if (rank == me) continue;
+      if (up[rank] && !up[me] && peer.link != nullptr &&
+          !peer.link->send(wire::encode(peer.out))) {
+        peer.link.reset();
+      }
+      clear(peer.out);
+    }
+    if (up[me]) {
+      for (std::uint32_t rank = 0; rank < peers_.size(); ++rank) {
+        if (rank != me && !up[rank]) receive_batch(rank, go.quantum - 1);
+      }
+    }
+    return !coordinator_gone_;
+  }
+
+  /// Accepts a link from every rank `joining` names, each identified by
+  /// the Hello it sends first. A rank that never links stays unlinked.
+  bool accept_links(std::vector<bool> joining) {
+    std::size_t left = std::ranges::count(joining, true);
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(kCoordinatorTimeoutMs);
+    while (left > 0 && std::chrono::steady_clock::now() < deadline) {
+      std::unique_ptr<transport::Endpoint> link =
+          listener_->accept(kPeerSliceMs);
+      if (link == nullptr) {
+        if (!coordinator_silent()) return false;
+        continue;
+      }
+      wire::Frame frame;
+      if (recv_from_peer(*link, &frame) != transport::RecvStatus::kOk ||
+          frame.type != wire::FrameType::kHello) {
+        if (coordinator_gone_) return false;
+        continue;
+      }
+      const auto hello = wire::decode_hello(frame.payload);
+      if (!hello.has_value() || hello->rank >= joining.size() ||
+          !joining[hello->rank]) {
+        continue;
+      }
+      joining[hello->rank] = false;
+      --left;
+      if (peer_links_.wrap) {
+        link = peer_links_.wrap(hello->rank, std::move(link));
+      }
+      peers_[hello->rank].link = std::move(link);
+    }
+    return true;
+  }
+
+  /// True while the coordinator link is silent. Between a StepGo and its
+  /// StepDone the coordinator sends nothing, so any frame or a close means
+  /// it has given this worker up: the worker stops waiting on its peers
+  /// and exits.
+  bool coordinator_silent() {
+    wire::Frame frame;
+    if (ep_.recv(&frame, 0) == transport::RecvStatus::kTimeout) return true;
+    coordinator_gone_ = true;
+    return false;
+  }
+
+  /// Receives one frame from a peer `link`, waiting as long as the
+  /// coordinator stays silent. A frame still arriving when a wait slice
+  /// ends is waited for, not refused.
+  transport::RecvStatus recv_from_peer(transport::Endpoint& link,
+                                       wire::Frame* frame) {
+    for (;;) {
+      const transport::RecvStatus status = link.recv(frame, kPeerSliceMs);
+      const bool late = status == transport::RecvStatus::kTimeout ||
+                        (status == transport::RecvStatus::kError &&
+                         link.last_error() == transport::kTimedOutMidFrame);
+      if (!late) return status;
+      if (!coordinator_silent()) return transport::RecvStatus::kClosed;
+    }
+  }
+
+  /// Drops the batches kept for unlinked peers since the last quantum, now
+  /// that this one replaces them, counting their deliveries and spans.
+  void drop_kept() {
+    for (std::uint32_t rank = 0; rank < peers_.size(); ++rank) {
+      Peer& peer = peers_[rank];
+      if (rank == cfg_.rank || peer.link != nullptr) continue;
+      dropped_[rank].deliveries += peer.out.deliveries.size();
+      dropped_[rank].spans += peer.out.spans.size();
+      clear(peer.out);
+    }
+  }
+
+  /// Trades quantum `k`'s batches: the loopback becomes this worker's own
+  /// inbound batch, and every linked peer gets its batch and sends one
+  /// back. A peer whose link fails loses the link and keeps its batch.
+  bool exchange(std::uint64_t k) {
+    Peer& self = peers_[cfg_.rank];
+    std::swap(self.in, self.out);  // self.in was cleared when applied
+    exchange_in_order(
+        cfg_.rank, static_cast<std::uint32_t>(peers_.size()),
+        [&](std::uint32_t rank) {
+          Peer& peer = peers_[rank];
+          if (peer.link == nullptr) return false;
+          if (peer.link->send(wire::encode(peer.out))) return true;
+          peer.link.reset();
+          return false;
+        },
+        [&](std::uint32_t rank) { return receive_batch(rank, k); });
+    for (std::uint32_t rank = 0; rank < peers_.size(); ++rank) {
+      if (peers_[rank].link != nullptr) clear(peers_[rank].out);
+    }
+    return !coordinator_gone_;
+  }
+
+  /// Receives the batch of `quantum` from the peer `rank` into its `in`.
+  /// One this worker cannot act on — not a PeerBatch of that quantum, or an
+  /// index out of range — names the peer in the next StepDone. Any failure
+  /// closes the link.
+  bool receive_batch(std::uint32_t rank, std::uint64_t quantum) {
+    Peer& peer = peers_[rank];
+    if (peer.link == nullptr) return false;
+    wire::Frame frame;
+    if (recv_from_peer(*peer.link, &frame) == transport::RecvStatus::kOk) {
+      std::optional<wire::PeerBatch> batch;
+      if (frame.type == wire::FrameType::kPeerBatch) {
+        batch = wire::decode_peer_batch(frame.payload);
+      }
+      if (batch.has_value() && batch->quantum == quantum && usable(*batch)) {
+        peer.in = std::move(*batch);
+        return true;
+      }
+      rejected_.push_back(rank);
+    }
+    peer.link.reset();
+    return false;
+  }
+
+  /// Whether every index in a peer's batch is one this worker may act on:
+  /// deliveries to PEs it hosts, span handoffs that name the batch's own
+  /// deliveries in increasing order, and adverts and congested PEs of PEs
+  /// in the graph, in strictly increasing PE order.
+  [[nodiscard]] bool usable(const wire::PeerBatch& batch) const {
+    const auto pe_ok = [this](std::uint32_t pe) { return pe < pes_.size(); };
+    const auto hosted = [&](const wire::SdoDelivery& d) {
+      return pe_ok(d.dest_pe) &&
+             owns_node(graph_.pe(PeId(d.dest_pe)).node.value());
+    };
+    std::uint64_t next = 0;  // least index the next handoff may name
+    for (const wire::SpanHandoff& h : batch.spans) {
+      if (h.delivery < next || h.delivery >= batch.deliveries.size()) {
+        return false;
+      }
+      next = std::uint64_t{h.delivery} + 1;
+    }
+    return std::ranges::all_of(batch.deliveries, hosted) &&
+           std::ranges::all_of(batch.adverts, pe_ok, &wire::Advert::pe) &&
+           std::ranges::all_of(batch.congested_pes, pe_ok) &&
+           strictly_ascending(batch.adverts, &wire::Advert::pe) &&
+           strictly_ascending(batch.congested_pes);
+  }
+
+  // ---- one quantum ---------------------------------------------------
+
+  /// Runs quantum `k`; `go` is the StepGo when `k` starts its segment.
+  void run_quantum(std::uint64_t k, const wire::StepGo* go) {
     const Seconds vnow = static_cast<double>(k) * q_;
     const Seconds vend = static_cast<double>(k + 1) * q_;
     gauge_quantum_.set(static_cast<double>(k));
@@ -325,30 +613,29 @@ class WorkerEngine {
     // Membership first: a dead node's mailboxes clamp to r_max = 0 and an
     // infinitely stale timestamp, so both the staleness rule and the Eq. 8
     // max stop routing flow at it.
-    for (const std::uint32_t node : go.down_nodes) {
-      for (PeId id : graph_.pes_on_node(NodeId(node))) {
-        visible_advert_[id.value()] = 0.0;
-        visible_advert_time_[id.value()] = kDeadAdvertTime;
+    if (go != nullptr) {
+      for (const std::uint32_t node : go->down_nodes) {
+        for (PeId id : graph_.pes_on_node(NodeId(node))) {
+          visible_advert_[id.value()] = 0.0;
+          visible_advert_time_[id.value()] = kDeadAdvertTime;
+        }
       }
-    }
-    for (const std::uint32_t node : go.up_nodes) {
-      for (PeId id : graph_.pes_on_node(NodeId(node))) {
-        visible_advert_[id.value()] = kInf;
-        visible_advert_time_[id.value()] = vnow;
+      for (const std::uint32_t node : go->up_nodes) {
+        for (PeId id : graph_.pes_on_node(NodeId(node))) {
+          visible_advert_[id.value()] = kInf;
+          visible_advert_time_[id.value()] = vnow;
+        }
       }
     }
     // Advert refreshes from quantum k-1 (uniformly one quantum stale), for
-    // the downstreams of this worker's PEs: the only adverts it reads. The
-    // other ranks' come relayed; this worker's own come from its loopback.
-    // Each PE lives on one rank and advertises at most once a quantum, so
-    // the two lists never name one PE and their order does not matter.
-    for (const wire::Advert& a : go.adverts) apply_advert(a);
-    for (const wire::Advert& a : loopback_.adverts) apply_advert(a);
-    loopback_.adverts.clear();
+    // the downstreams of this worker's PEs: the only adverts it reads. Each
+    // PE lives on one rank and advertises at most once a quantum, so no
+    // two batches name one PE and their order does not matter.
     std::fill(congested_.begin(), congested_.end(), 0);
-    for (const std::uint32_t pe : go.congested_pes) congested_[pe] = 1;
-    for (const std::uint32_t pe : loopback_.congested_pes) congested_[pe] = 1;
-    loopback_.congested_pes.clear();
+    for (const Peer& peer : peers_) {
+      for (const wire::Advert& a : peer.in.adverts) apply_advert(a);
+      for (const std::uint32_t pe : peer.in.congested_pes) congested_[pe] = 1;
+    }
 
     // Modeled crash windows (the `crash` clause acted out by this
     // substrate, distinct from real prockills), before the deliveries: a
@@ -357,24 +644,13 @@ class WorkerEngine {
     if (injector_ != nullptr) handle_crash_transitions(vnow);
 
     // Inbound cross-node deliveries in src_node order, each with the span
-    // riding it, if any: the relayed ones from nodes below this worker's,
-    // then its loopback, then the relayed rest. Fault draws for a delivery
-    // happen here, on the worker hosting the target — the per-PE draw
-    // sequence is partition-invariant.
-    const std::size_t below = static_cast<std::size_t>(
-        std::ranges::find_if(go.deliveries,
-                             [this](const wire::SdoDelivery& d) {
-                               return d.src_node >= node_begin_;
-                             }) -
-        go.deliveries.begin());
-    std::size_t next_span = 0;
-    apply_deliveries(go, 0, below, next_span, vnow);
-    std::size_t next_loopback_span = 0;
-    apply_deliveries(loopback_, 0, loopback_.deliveries.size(),
-                     next_loopback_span, vnow);
-    apply_deliveries(go, below, go.deliveries.size(), next_span, vnow);
-    loopback_.deliveries.clear();
-    loopback_.spans.clear();
+    // riding it, if any: the batches in rank order, the loopback at this
+    // worker's rank. Fault draws for a delivery happen here, on the worker
+    // hosting the target — the per-PE draw sequence is partition-invariant.
+    for (Peer& peer : peers_) {
+      apply_deliveries(peer.in, vnow);
+      clear(peer.in);
+    }
     if (lockstep_) {
       for (const PeId id : hosted_pes_) drain_inbound(pes_[id.value()]);
     }
@@ -413,41 +689,28 @@ class WorkerEngine {
     visible_advert_time_[a.pe] = a.time;
   }
 
-  /// Applies deliveries [begin, end) of `frame` (a StepGo, or the loopback
-  /// outbox) at `vnow`, each with the span that names it. `next_span` is
-  /// the first of the frame's handoffs, which are in increasing delivery
-  /// order, not yet passed.
-  template <class Frame>
-  void apply_deliveries(const Frame& frame, std::size_t begin,
-                        std::size_t end, std::size_t& next_span,
-                        Seconds vnow) {
-    for (std::size_t i = begin; i < end; ++i) {
-      while (next_span < frame.spans.size() &&
-             frame.spans[next_span].delivery < i) {
-        ++next_span;  // out of order: belongs to no delivery
-      }
-      const bool has_span = next_span < frame.spans.size() &&
-                            frame.spans[next_span].delivery == i;
-      apply_delivery(frame.deliveries[i],
-                     has_span ? &frame.spans[next_span].span : nullptr, vnow);
+  /// Applies the deliveries of `batch` at `vnow`, each with the span that
+  /// names it. The handoffs are in increasing delivery order (usable()).
+  void apply_deliveries(const wire::PeerBatch& batch, Seconds vnow) {
+    std::size_t next_span = 0;
+    for (std::size_t i = 0; i < batch.deliveries.size(); ++i) {
+      const bool has_span = next_span < batch.spans.size() &&
+                            batch.spans[next_span].delivery == i;
+      apply_delivery(batch.deliveries[i],
+                     has_span ? &batch.spans[next_span++].span : nullptr,
+                     vnow);
     }
   }
 
-  /// Applies one inbound delivery at `vnow`; `prefix` is the in-flight span
-  /// that rode it, or null.
+  /// Applies one inbound delivery, to a PE this worker hosts, at `vnow`;
+  /// `prefix` is the in-flight span that rode it, or null.
   void apply_delivery(const wire::SdoDelivery& d, const obs::SdoSpan* prefix,
                       Seconds vnow) {
-    if (d.dest_pe >= pes_.size()) return;  // corrupt frame: ignore
     std::int32_t span = -1;
     if (tracer_ != nullptr && prefix != nullptr) {
       span = tracer_->adopt(*prefix);
       tracer_->append_wire_hop(span, PeId(d.dest_pe), obs::HopKind::kWireRecv,
                                vnow);
-    }
-    const auto& desc = graph_.pe(PeId(d.dest_pe));
-    if (!owns_node(desc.node.value())) {
-      if (tracer_ != nullptr) tracer_->drop(span, vnow);
-      return;
     }
     PeState& pe = pes_[d.dest_pe];
     const Sdo sdo{d.birth, vnow, span};
@@ -588,7 +851,7 @@ class WorkerEngine {
         continue;
       const wire::Advert advert{local[i].value(),
                                 outputs[i].advertised_rmax, vnow};
-      publish(advert.pe, advert, &wire::StepDone::adverts);
+      publish(advert.pe, advert, &wire::PeerBatch::adverts);
     }
   }
 
@@ -671,17 +934,16 @@ class WorkerEngine {
     const NodeId target_node = graph_.pe(target_id).node;
     if (target_node != graph_.pe(pe_id).node) {
       // One quantum of transit, whether or not the destination shares this
-      // worker: the StepDone's deliveries are relayed at the next barrier,
-      // the loopback's applied here at the next quantum.
+      // worker: the batch for the destination's rank, the loopback
+      // included, is applied there at the next quantum.
       ++counts_.cross_node;
-      wire::StepDone& box =
-          owns_node(target_node.value()) ? loopback_ : done_;
+      wire::PeerBatch& box = peers_[rank_of_pe_[target]].out;
       wire::SdoDelivery d;
       d.dest_pe = static_cast<std::uint32_t>(target);
       d.src_node = graph_.pe(pe_id).node.value();
       d.birth = sdo.birth;
       if (tracer_ != nullptr && sdo.span >= 0) {
-        // The span crosses with its SDO, relayed or looped back alike:
+        // The span crosses with its SDO, traded or looped back alike:
         // stamp the serialization hop, then detach the prefix to ride
         // beside the delivery it names. The kWireSend hop is stamped at the
         // quantum's end, kWireRecv at adoption.
@@ -705,29 +967,29 @@ class WorkerEngine {
     }
   }
 
-  // ---- frames back to the coordinator --------------------------------
+  // ---- batches and frames -------------------------------------------
 
   /// Queues `item`, published by hosted PE `pe`, in the `list` of the
-  /// StepDone when another rank reads it and of the loopback when this
-  /// worker does.
+  /// batch of every rank that reads it.
   template <class T>
   void publish(std::uint32_t pe, const T& item,
-               std::vector<T> wire::StepDone::*list) {
-    if ((readers_[pe] & kReadElsewhere) != 0) (done_.*list).push_back(item);
-    if ((readers_[pe] & kReadHere) != 0) (loopback_.*list).push_back(item);
+               std::vector<T> wire::PeerBatch::*list) {
+    for (const std::uint32_t rank : readers_[pe]) {
+      (peers_[rank].out.*list).push_back(item);
+    }
   }
 
-  /// Closes quantum `quantum`'s outboxes and encodes its StepDone: the
-  /// deliveries, spans, adverts and congested PEs that other ranks read,
-  /// the adverts and congested PEs in PE order. The loopback keeps the
-  /// rest for the next quantum.
-  std::vector<std::uint8_t> encode_step_done(std::uint64_t quantum) {
-    // The send hop: the spans leave with the StepDone at quantum end, the
-    // loopback's as if they did. The hop repeats the last-stamped PE (the
+  /// Closes quantum `quantum`'s batches: the spans leave with them, the
+  /// adverts of those that travel go in PE order, and the Lock-Step
+  /// congested PEs are added.
+  void close_batches(std::uint64_t quantum) {
+    // The send hop: the spans leave at quantum end, the loopback's and a
+    // kept batch's as if they did. The hop repeats the last-stamped PE (the
     // serialization site).
     const Seconds ship_time = static_cast<double>(quantum + 1) * q_;
-    for (auto* spans : {&done_.spans, &loopback_.spans}) {
-      for (wire::SpanHandoff& h : *spans) {
+    for (std::uint32_t rank = 0; rank < peers_.size(); ++rank) {
+      Peer& peer = peers_[rank];
+      for (wire::SpanHandoff& h : peer.out.spans) {
         obs::SdoSpan& s = h.span;
         if (s.hop_count < obs::SdoSpan::kMaxHops) {
           const std::uint32_t pe =
@@ -739,25 +1001,44 @@ class WorkerEngine {
           s.truncated = true;
         }
       }
+      // A batch that travels lists its adverts in PE order, which its
+      // receiver checks; the loopback is applied by PE index, unchecked.
+      // Each PE advertises at most once a quantum, so the order is total.
+      if (rank != cfg_.rank) {
+        std::ranges::sort(peer.out.adverts, {}, &wire::Advert::pe);
+      }
+      peer.out.quantum = quantum;
     }
-    // Each PE advertises at most once a quantum, so the order is total.
-    std::ranges::sort(done_.adverts, {}, &wire::Advert::pe);
     if (lockstep_) {
       for (const PeId id : hosted_pes_) {  // ascending
         const PeState& pe = pes_[id.value()];
         if (pe.full() || !pe.inbound.empty()) {
-          publish(id.value(), id.value(), &wire::StepDone::congested_pes);
+          publish(id.value(), id.value(), &wire::PeerBatch::congested_pes);
         }
       }
     }
-    done_.quantum = quantum;
-    std::vector<std::uint8_t> bytes = wire::encode(done_);
-    // Cleared, not moved from: the outboxes keep their capacity.
-    done_.deliveries.clear();
-    done_.spans.clear();
-    done_.adverts.clear();
-    done_.congested_pes.clear();
-    return bytes;
+  }
+
+  /// Encodes the StepDone closing the segment at `quantum`: the batches
+  /// dropped for unlinked peers during the segment, the one kept for each,
+  /// and the peers whose batch was refused.
+  std::vector<std::uint8_t> encode_step_done(std::uint64_t quantum) {
+    wire::StepDone done;
+    done.quantum = quantum;
+    for (std::uint32_t rank = 0; rank < peers_.size(); ++rank) {
+      wire::Undelivered& dropped = dropped_[rank];
+      if (dropped.deliveries > 0) done.dropped.push_back(dropped);
+      dropped.deliveries = dropped.spans = 0;
+      const Peer& peer = peers_[rank];
+      if (rank != cfg_.rank && peer.link == nullptr &&
+          !peer.out.deliveries.empty()) {
+        done.kept.push_back(
+            {rank, peer.out.deliveries.size(), peer.out.spans.size()});
+      }
+    }
+    done.rejected = std::move(rejected_);
+    rejected_.clear();
+    return wire::encode(done);
   }
 
   /// Adds this quantum's data-path counts to the registry's counters.
@@ -838,7 +1119,11 @@ class WorkerEngine {
   }
 
   wire::Config cfg_;
+  /// The coordinator link.
   transport::Endpoint& ep_;
+  /// Where the ranks that join after this worker link to it.
+  std::unique_ptr<transport::Listener> listener_;
+  PeerLinks peer_links_;
   graph::ProcessingGraph graph_;
   metrics::Collector collector_;
   control::ControllerConfig controller_config_;
@@ -858,16 +1143,23 @@ class WorkerEngine {
   std::vector<bool> was_stalled_;   // indexed by PeId
   /// This worker's PEs, ascending.
   std::vector<PeId> hosted_pes_;
-  /// Per hosted PE, kReadHere | kReadElsewhere: who reads its adverts and
-  /// congestion.
-  std::vector<std::uint8_t> readers_;
-  /// The quantum's StepDone, filled as it runs: what other ranks read.
-  wire::StepDone done_;
-  /// What this worker reads itself of what it published in the last
-  /// quantum: cross-node deliveries between its own nodes (with their
-  /// spans, indexed into them) and the adverts and congested PEs of its own
-  /// PEs. Applied at the next quantum as if relayed; its quantum is unused.
-  wire::StepDone loopback_;
+  /// By PeId, the rank hosting the PE.
+  std::vector<std::uint32_t> rank_of_pe_;
+  /// Per hosted PE, ascending: the ranks that read its adverts and
+  /// congestion, this one included.
+  std::vector<std::vector<std::uint32_t>> readers_;
+  /// By rank: the links, batches and loopback (Peer).
+  std::vector<Peer> peers_;
+  /// The first quantum of the next segment.
+  std::uint64_t next_quantum_ = 0;
+  /// By rank, the deliveries and spans of the batches for an unlinked
+  /// peer that a newer one replaced this segment.
+  std::vector<wire::Undelivered> dropped_;
+  /// The peers whose batch was refused this segment.
+  std::vector<std::uint32_t> rejected_;
+  /// Set when the coordinator link spoke or closed while this worker waited
+  /// on a peer: the worker exits.
+  bool coordinator_gone_ = false;
   /// node_tick's inputs, reused by every tick.
   std::vector<control::PeTickInput> tick_inputs_;
   Counts counts_;
@@ -893,8 +1185,22 @@ class WorkerEngine {
 
 }  // namespace
 
-int worker_entry(transport::Endpoint& endpoint, std::uint32_t rank) {
-  if (!endpoint.send(wire::encode(wire::Hello{rank}))) return 1;
+int worker_entry(transport::Endpoint& endpoint, std::uint32_t rank,
+                 const PeerLinks& peers) {
+  std::string error;
+  std::unique_ptr<transport::Listener> listener = transport::listen(
+      peers.kind,
+      peers.kind == transport::TransportKind::kUds
+          ? peer_listener_path(peers.coordinator_path, rank)
+          : std::string(),
+      &error);
+  if (listener == nullptr) {
+    std::fprintf(stderr, "dist-worker rank %u: %s\n", rank, error.c_str());
+    return 1;
+  }
+  if (!endpoint.send(wire::encode(wire::Hello{rank, listener->address()}))) {
+    return 1;
+  }
   wire::Frame frame;
   if (endpoint.recv(&frame, kCoordinatorTimeoutMs) !=
           transport::RecvStatus::kOk ||
@@ -902,13 +1208,24 @@ int worker_entry(transport::Endpoint& endpoint, std::uint32_t rank) {
     return 1;
   }
   const auto cfg = wire::decode_config(frame.payload);
-  if (!cfg.has_value()) return 1;
+  if (!cfg.has_value() || cfg->peers.size() != cfg->num_workers) return 1;
+  // Link to every live rank before the second Hello tells the coordinator
+  // so: a kill that lands after it leaves the link to be found closed,
+  // never a peer waiting on a rank that will not connect.
+  std::vector<std::unique_ptr<transport::Endpoint>> links(cfg->num_workers);
+  for (std::uint32_t peer = 0; peer < cfg->num_workers; ++peer) {
+    if (peer != rank && !cfg->peers[peer].empty()) {
+      links[peer] = open_link(peers, rank, peer, cfg->peers[peer]);
+    }
+  }
+  if (!endpoint.send(wire::encode(wire::Hello{rank, {}}))) return 1;
   // The in-process transport runs workers as coordinator threads, so a
   // CheckFailure (or any other exception) must not escape and terminate the
   // whole coordinator — turn it into a dead endpoint the coordinator
   // detects like any other worker death.
   try {
-    WorkerEngine engine(*cfg, endpoint);
+    WorkerEngine engine(*cfg, endpoint, std::move(listener), std::move(links),
+                        peers);
     return engine.run();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dist-worker rank %u: %s\n", rank, e.what());
@@ -917,7 +1234,7 @@ int worker_entry(transport::Endpoint& endpoint, std::uint32_t rank) {
   }
 }
 
-int maybe_worker(int argc, char** argv) {
+int maybe_worker(int argc, char** argv, PeerWrap wrap) {
   if (argc < 2 || std::strcmp(argv[1], "dist-worker") != 0) return -1;
   std::uint32_t rank = 0;
   std::string uds_path;
@@ -934,14 +1251,19 @@ int maybe_worker(int argc, char** argv) {
   }
   std::string error;
   std::unique_ptr<transport::Endpoint> ep;
+  PeerLinks peers;
+  peers.wrap = std::move(wrap);
   if (!uds_path.empty()) {
     ep = transport::connect_uds(uds_path, 10000, &error);
+    peers.kind = transport::TransportKind::kUds;
+    peers.coordinator_path = uds_path;
   } else if (tcp_port > 0) {
     ep = transport::connect_tcp(static_cast<std::uint16_t>(tcp_port), 10000,
                                 &error);
+    peers.kind = transport::TransportKind::kTcp;
   }
   if (ep == nullptr) return 1;
-  return worker_entry(*ep, rank);
+  return worker_entry(*ep, rank, peers);
 }
 
 }  // namespace aces::runtime::dist

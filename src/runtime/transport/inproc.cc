@@ -1,8 +1,10 @@
 #include "runtime/transport/inproc.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <map>
 #include <string>
 #include <utility>
 
@@ -121,6 +123,71 @@ class InprocEndpoint final : public Endpoint {
   std::string last_error_;
 };
 
+/// The connections made to one listener and not yet accepted.
+struct Backlog {
+  Mutex mu;
+  std::condition_variable_any cv;
+  std::deque<std::unique_ptr<Endpoint>> pending ACES_GUARDED_BY(mu);
+  bool closed ACES_GUARDED_BY(mu) = false;
+};
+
+/// Every live in-process listener, by name.
+struct Registry {
+  Mutex mu;
+  std::map<std::string, std::shared_ptr<Backlog>> listeners ACES_GUARDED_BY(mu);
+  std::uint64_t next_name ACES_GUARDED_BY(mu) = 0;
+};
+
+Registry& registry() {
+  static Registry r;
+  return r;
+}
+
+class InprocListener final : public Listener {
+ public:
+  InprocListener(std::string name, std::shared_ptr<Backlog> backlog)
+      : name_(std::move(name)), backlog_(std::move(backlog)) {}
+
+  ~InprocListener() override {
+    Registry& r = registry();
+    {
+      MutexLock lock(r.mu);
+      r.listeners.erase(name_);
+    }
+    // Connections never accepted close here, outside the lock: their
+    // connectors see kClosed.
+    std::deque<std::unique_ptr<Endpoint>> unaccepted;
+    {
+      MutexLock lock(backlog_->mu);
+      backlog_->closed = true;
+      unaccepted.swap(backlog_->pending);
+    }
+    backlog_->cv.notify_all();
+  }
+
+  std::unique_ptr<Endpoint> accept(int timeout_ms) override {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(std::max(0, timeout_ms));
+    MutexLock lock(backlog_->mu);
+    while (backlog_->pending.empty() && !backlog_->closed) {
+      if (backlog_->cv.wait_until(backlog_->mu, deadline) ==
+          std::cv_status::timeout) {
+        break;
+      }
+    }
+    if (backlog_->pending.empty()) return nullptr;
+    std::unique_ptr<Endpoint> ep = std::move(backlog_->pending.front());
+    backlog_->pending.pop_front();
+    return ep;
+  }
+
+  [[nodiscard]] std::string address() const override { return name_; }
+
+ private:
+  std::string name_;
+  std::shared_ptr<Backlog> backlog_;
+};
+
 }  // namespace
 
 std::pair<std::unique_ptr<Endpoint>, std::unique_ptr<Endpoint>>
@@ -129,6 +196,42 @@ make_inproc_pair() {
   auto b_to_a = std::make_shared<FrameQueue>();
   return {std::make_unique<InprocEndpoint>(a_to_b, b_to_a),
           std::make_unique<InprocEndpoint>(b_to_a, a_to_b)};
+}
+
+std::unique_ptr<Listener> listen_inproc() {
+  auto backlog = std::make_shared<Backlog>();
+  Registry& r = registry();
+  std::string name;
+  {
+    MutexLock lock(r.mu);
+    name = "inproc-" + std::to_string(r.next_name++);
+    r.listeners.emplace(name, backlog);
+  }
+  return std::make_unique<InprocListener>(std::move(name), std::move(backlog));
+}
+
+std::unique_ptr<Endpoint> connect_inproc(const std::string& name,
+                                         std::string* error) {
+  std::shared_ptr<Backlog> backlog;
+  Registry& r = registry();
+  {
+    MutexLock lock(r.mu);
+    const auto it = r.listeners.find(name);
+    if (it != r.listeners.end()) backlog = it->second;
+  }
+  auto [mine, theirs] = make_inproc_pair();
+  if (backlog != nullptr) {
+    MutexLock lock(backlog->mu);
+    if (!backlog->closed) {
+      backlog->pending.push_back(std::move(theirs));
+    }
+  }
+  if (theirs != nullptr) {
+    if (error != nullptr) *error = "no in-process listener named " + name;
+    return nullptr;
+  }
+  backlog->cv.notify_one();
+  return std::move(mine);
 }
 
 }  // namespace aces::runtime::transport

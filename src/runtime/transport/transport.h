@@ -1,15 +1,22 @@
 // Transport abstraction for the multi-process distributed runtime.
 //
-// The coordinator and its workers speak wire.h frames over an Endpoint —
-// a bidirectional, ordered, reliable frame pipe. Two backends implement
-// it:
+// Every process of a run speaks wire.h frames over Endpoints — each a
+// bidirectional, ordered, reliable frame pipe. Each worker has one to the
+// coordinator and one to every other live worker, so the links form a full
+// mesh: the coordinator's carry control frames, and the peer links carry
+// each quantum's batches, with no central hop (dist_coordinator.h). A
+// worker opens its peer links through a Listener of the run's own
+// transport, so it reaches its peers the same way on each. Three backends
+// implement both:
 //
 //   * in-process (transport/inproc.h): a pair of mutex+condvar frame
 //     queues. The default backend; the "worker processes" are threads of
-//     the coordinator process. Frames are still fully encoded and decoded
-//     so both backends run byte-identical code paths.
+//     the coordinator process, and a listener is a name in an in-process
+//     registry. Frames are still fully encoded and decoded so every
+//     backend runs byte-identical code paths.
 //   * sockets (transport/uds.h): SOCK_STREAM over a Unix-domain socket or
-//     loopback TCP, one connection per worker, length-prefixed frames.
+//     loopback TCP, length-prefixed frames. A listener binds a socket path
+//     or an ephemeral loopback port.
 //
 // Both backends split frames with wire::frame_extent, so they accept and
 // refuse the same bytes.
@@ -35,6 +42,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -63,7 +71,7 @@ enum class RecvStatus {
   kError,    ///< protocol violation (bad magic/version/length) or IO error
 };
 
-/// One side of a coordinator↔worker frame pipe.
+/// One side of a frame pipe: coordinator↔worker or worker↔worker.
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
@@ -87,5 +95,35 @@ class Endpoint {
   /// Reason for the last kError, for diagnostics.
   [[nodiscard]] virtual std::string_view last_error() const = 0;
 };
+
+/// Accepts the connections made to one address.
+class Listener {
+ public:
+  virtual ~Listener() = default;
+  Listener() = default;
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+
+  /// Accepts one connection, waiting up to `timeout_ms`; null on timeout or
+  /// a closed listener.
+  virtual std::unique_ptr<Endpoint> accept(int timeout_ms) = 0;
+
+  /// What connect() reaches this listener by: a socket path, a loopback
+  /// TCP port in decimal, or an in-process registry name.
+  [[nodiscard]] virtual std::string address() const = 0;
+};
+
+/// Opens a listener of `kind`: UDS binds `uds_path`, TCP an ephemeral
+/// loopback port, and in-process takes a fresh registry name. Null and
+/// *error on failure.
+std::unique_ptr<Listener> listen(TransportKind kind,
+                                 const std::string& uds_path,
+                                 std::string* error);
+
+/// Connects to the `kind` listener at `address` (Listener::address()); the
+/// socket transports retry until `timeout_ms`. Null and *error on failure.
+std::unique_ptr<Endpoint> connect(TransportKind kind,
+                                  const std::string& address, int timeout_ms,
+                                  std::string* error);
 
 }  // namespace aces::runtime::transport

@@ -274,6 +274,10 @@ std::unique_ptr<SocketListener> SocketListener::listen_tcp(
       new SocketListener(fd, "", ntohs(bound.sin_port)));
 }
 
+std::string SocketListener::address() const {
+  return path_.empty() ? std::to_string(port_) : path_;
+}
+
 std::unique_ptr<Endpoint> SocketListener::accept(int timeout_ms) {
   pollfd pfd{fd_, POLLIN, 0};
   for (;;) {
@@ -314,22 +318,6 @@ std::unique_ptr<Endpoint> connect_tcp(std::uint16_t port, int timeout_ms,
   return connect_with_retry(AF_INET,
                             reinterpret_cast<const sockaddr*>(&addr),
                             sizeof addr, timeout_ms, error);
-}
-
-const char* to_string(TransportKind kind) {
-  switch (kind) {
-    case TransportKind::kInProc: return "inproc";
-    case TransportKind::kUds: return "uds";
-    case TransportKind::kTcp: return "tcp";
-  }
-  return "unknown";
-}
-
-std::optional<TransportKind> parse_transport(std::string_view name) {
-  if (name == "inproc") return TransportKind::kInProc;
-  if (name == "uds") return TransportKind::kUds;
-  if (name == "tcp") return TransportKind::kTcp;
-  return std::nullopt;
 }
 
 }  // namespace aces::runtime::transport

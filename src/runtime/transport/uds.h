@@ -1,11 +1,11 @@
 // Socket transport backend: SOCK_STREAM framing of wire.h frames over a
 // Unix-domain socket or loopback TCP.
 //
-// Topology is a star: the coordinator listens, each spawned worker process
-// connects exactly once, and every frame a worker exchanges with the rest
-// of the system goes through its coordinator connection (the coordinator
-// relays cross-worker traffic inside the barrier frames — see
-// docs/architecture.md, "Distributed runtime").
+// The coordinator listens on one socket, and each spawned worker connects
+// to it once. Each worker also listens on a peer socket of its own, beside
+// the coordinator's (UDS) or on an ephemeral port (TCP), and the workers
+// connect to each other through those: each quantum's batches go straight
+// from worker to worker (see docs/architecture.md, "Distributed runtime").
 //
 // Framing is the wire.h length-prefixed header; a frame is written with a
 // single locked, blocking write loop so concurrent senders (step loop +
@@ -27,13 +27,12 @@
 
 namespace aces::runtime::transport {
 
-/// Listening socket the coordinator accepts worker connections on. UDS and
-/// loopback-TCP flavors differ only in the address family.
-class SocketListener {
+/// Listening socket that the coordinator accepts its workers on, and each
+/// worker its peers. UDS and loopback-TCP flavors differ only in the address
+/// family.
+class SocketListener final : public Listener {
  public:
-  ~SocketListener();
-  SocketListener(const SocketListener&) = delete;
-  SocketListener& operator=(const SocketListener&) = delete;
+  ~SocketListener() override;
 
   /// Binds and listens on a fresh Unix-domain socket at `path` (unlinked on
   /// destruction). Null + *error on failure.
@@ -42,9 +41,9 @@ class SocketListener {
   /// Binds and listens on 127.0.0.1 with an ephemeral port (see port()).
   static std::unique_ptr<SocketListener> listen_tcp(std::string* error);
 
-  /// Accepts one connection, waiting up to `timeout_ms`; null on timeout or
-  /// a closed listener.
-  std::unique_ptr<Endpoint> accept(int timeout_ms);
+  std::unique_ptr<Endpoint> accept(int timeout_ms) override;
+  /// UDS: the bound path. TCP: the bound port in decimal.
+  [[nodiscard]] std::string address() const override;
 
   /// TCP: the bound port. UDS: 0.
   [[nodiscard]] std::uint16_t port() const { return port_; }
@@ -60,12 +59,12 @@ class SocketListener {
   std::uint16_t port_ = 0;
 };
 
-/// Connects to a coordinator's UDS listener, retrying until `timeout_ms`
-/// (the listener is created before workers spawn, so retries only cover
+/// Connects to a UDS listener, retrying until `timeout_ms` (every listener
+/// is created before its address is handed out, so retries only cover
 /// scheduler races). Null + *error on failure.
 std::unique_ptr<Endpoint> connect_uds(const std::string& path, int timeout_ms,
                                       std::string* error);
-/// Connects to a coordinator's loopback-TCP listener.
+/// Connects to a loopback-TCP listener.
 std::unique_ptr<Endpoint> connect_tcp(std::uint16_t port, int timeout_ms,
                                       std::string* error);
 

@@ -16,28 +16,65 @@ namespace {
 // its io(...) calls is the order of its fields on the wire. Three Io classes
 // walk a list — Sizer counts the bytes, Writer fills an exactly sized
 // buffer, Reader decodes with bounds checks — so the encoder and the decoder
-// cannot drift apart. Unsigned integers travel little-endian, doubles as
-// their IEEE-754 bits, bools as one byte, strings and vectors as a u32 count
-// followed by the elements. Changing any list changes the bytes: bump
+// cannot drift apart. Integers travel little-endian (signed ones as their
+// two's-complement bits), doubles as their IEEE-754 bits, bools as one byte,
+// enums as one byte (enum_u8), strings and vectors as a u32 count followed
+// by the elements. Changing any list changes the bytes: bump
 // kWireVersion and the golden fixtures in tests/runtime/wire_test.cc.
 
 /// A field as the Io sees it: mutable when decoding, const otherwise.
 template <class Io, class T>
 using Ref = std::conditional_t<Io::kReading, T&, const T&>;
 
+/// An enum travels as a u8. Decoding refuses a value past `last`, its
+/// highest enumerator.
+template <class Io, class E>
+bool enum_u8(Io& io, Ref<Io, E> v, E last) {
+  auto raw = static_cast<std::uint8_t>(v);
+  if (!io(raw)) return false;
+  if constexpr (Io::kReading) {
+    if (raw > static_cast<std::uint8_t>(last)) {
+      return io.fail("enum value " + std::to_string(raw) + " out of range");
+    }
+    v = static_cast<E>(raw);
+  }
+  return true;
+}
+
 template <class Io>
 bool fields(Io& io, Ref<Io, Hello> v) {
-  return io(v.rank);
+  return io(v.rank) && io(v.peer_address);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, control::LqrWeights> v) {
+  return io(v.state_cost) && io(v.control_cost);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, control::ControllerConfig> v) {
+  using control::CpuControlKind;
+  using control::FlowPolicy;
+  using control::RhoSource;
+  return enum_u8(io, v.policy, FlowPolicy::kThreshold) && io(v.lqr) &&
+         io(v.feedback_delay_ticks) && io(v.b0_fraction) &&
+         io(v.bucket_depth_seconds) && io(v.service_ewma_alpha) &&
+         io(v.arrival_ewma_alpha) &&
+         enum_u8(io, v.rho_source, RhoSource::kMeasured) &&
+         io(v.rate_floor) && io(v.demand_floor_sdos) &&
+         io(v.threshold_high) && io(v.threshold_low) &&
+         enum_u8(io, v.cpu_control, CpuControlKind::kTargetProportional) &&
+         io(v.advert_staleness_timeout);
 }
 
 template <class Io>
 bool fields(Io& io, Ref<Io, Config> v) {
   return io(v.rank) && io(v.num_workers) && io(v.substeps) && io(v.seed) &&
-         io(v.duration) && io(v.warmup) && io(v.dt) && io(v.policy) &&
-         io(v.staleness) && io(v.channel_capacity) &&
-         io(v.heartbeat_interval) && io(v.start_quantum) && io(v.topology) &&
-         io(v.faults) && io(v.plan_cpu) && io(v.span_sample) &&
-         io(v.record_trace);
+         io(v.duration) && io(v.warmup) && io(v.dt) && io(v.controller) &&
+         io(v.channel_capacity) && io(v.heartbeat_interval) &&
+         io(v.start_quantum) && io(v.topology) && io(v.faults) &&
+         io(v.plan_cpu) && io(v.span_sample) && io(v.record_trace) &&
+         io(v.peers);
 }
 
 template <class Io>
@@ -52,15 +89,19 @@ bool fields(Io& io, Ref<Io, Advert> v) {
 
 template <class Io>
 bool fields(Io& io, Ref<Io, StepGo> v) {
-  return io(v.quantum) && io(v.flags) && io(v.deliveries) && io(v.spans) &&
-         io(v.adverts) && io(v.congested_pes) && io(v.down_nodes) &&
-         io(v.up_nodes);
+  return io(v.quantum) && io(v.count) && io(v.flags) && io(v.deliveries) &&
+         io(v.adverts) && io(v.down_nodes) && io(v.up_nodes);
+}
+
+template <class Io>
+bool fields(Io& io, Ref<Io, Undelivered> v) {
+  return io(v.rank) && io(v.deliveries) && io(v.spans);
 }
 
 template <class Io>
 bool fields(Io& io, Ref<Io, StepDone> v) {
-  return io(v.quantum) && io(v.deliveries) && io(v.spans) && io(v.adverts) &&
-         io(v.congested_pes);
+  return io(v.quantum) && io(v.deliveries) && io(v.adverts) &&
+         io(v.dropped) && io(v.kept) && io(v.rejected);
 }
 
 template <class Io>
@@ -194,6 +235,12 @@ bool fields(Io& io, Ref<Io, SpanHandoff> v) {
 }
 
 template <class Io>
+bool fields(Io& io, Ref<Io, PeerBatch> v) {
+  return io(v.quantum) && io(v.deliveries) && io(v.spans) && io(v.adverts) &&
+         io(v.congested_pes);
+}
+
+template <class Io>
 bool fields(Io& io, Ref<Io, MetricsReport> v) {
   return io(v.quantum) && io(v.counters) && io(v.gauges) && io(v.perf) &&
          io(v.trace) && io(v.spans);
@@ -255,6 +302,11 @@ struct Writer {
     at = p + sizeof(U);
     return true;
   }
+  template <class S>
+    requires std::is_integral_v<S> && std::is_signed_v<S>
+  bool operator()(S v) {
+    return (*this)(static_cast<std::make_unsigned_t<S>>(v));
+  }
   bool operator()(double v) {
     return (*this)(std::bit_cast<std::uint64_t>(v));
   }
@@ -309,6 +361,14 @@ class Reader {
     }
     v = static_cast<U>(x);
     at_ += sizeof(U);
+    return true;
+  }
+  template <class S>
+    requires std::is_integral_v<S> && std::is_signed_v<S>
+  bool operator()(S& v) {
+    std::make_unsigned_t<S> bits = 0;
+    if (!(*this)(bits)) return false;
+    v = static_cast<S>(bits);
     return true;
   }
   bool operator()(double& v) {
@@ -429,7 +489,7 @@ std::optional<FrameExtent> frame_extent(const std::uint8_t* data,
   if (data[2] != kWireVersion) return fail("unsupported wire version");
   const std::uint8_t type = data[3];
   if (type < static_cast<std::uint8_t>(FrameType::kHello) ||
-      type > static_cast<std::uint8_t>(FrameType::kFlightDump)) {
+      type > static_cast<std::uint8_t>(FrameType::kPeerBatch)) {
     return fail("unknown frame type");
   }
   std::uint32_t len = 0;
@@ -496,6 +556,9 @@ std::vector<std::uint8_t> encode(const MetricsReport& v) {
 std::vector<std::uint8_t> encode(const obs::FlightDump& v) {
   return encode_frame(FrameType::kFlightDump, v);
 }
+std::vector<std::uint8_t> encode(const PeerBatch& v) {
+  return encode_frame(FrameType::kPeerBatch, v);
+}
 
 std::optional<Hello> decode_hello(const std::vector<std::uint8_t>& payload,
                                   WireError* error) {
@@ -533,6 +596,10 @@ std::optional<obs::FlightDump> decode_flight_dump(
     const std::vector<std::uint8_t>& payload, WireError* error) {
   return decode_payload<obs::FlightDump>(payload, error);
 }
+std::optional<PeerBatch> decode_peer_batch(
+    const std::vector<std::uint8_t>& payload, WireError* error) {
+  return decode_payload<PeerBatch>(payload, error);
+}
 
 const char* to_string(FrameType type) {
   switch (type) {
@@ -546,6 +613,7 @@ const char* to_string(FrameType type) {
     case FrameType::kShutdown: return "shutdown";
     case FrameType::kMetricsReport: return "metrics_report";
     case FrameType::kFlightDump: return "flight_dump";
+    case FrameType::kPeerBatch: return "peer_batch";
   }
   return "unknown";
 }

@@ -2,7 +2,10 @@
 //
 // Every byte that crosses a process boundary — SDO payloads, control-plane
 // advertisements, tier-1 targets, membership and heartbeat, telemetry,
-// per-worker partial RunReports — travels as a *versioned frame*:
+// per-worker partial RunReports — travels as a *versioned frame*. The
+// coordinator and each worker trade Hello, Config, Targets, StepGo,
+// StepDone, telemetry, Report and Shutdown; two workers trade a Hello and
+// then one PeerBatch each way per quantum:
 //
 //   offset  size  field
 //   0       2     magic 0xACE5 (little-endian)
@@ -37,6 +40,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "control/config.h"
 #include "metrics/run_report.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
@@ -44,27 +48,29 @@
 namespace aces::runtime::wire {
 
 inline constexpr std::uint16_t kMagic = 0xACE5;
-/// Version 4: the coordinator computes membership and crash windows itself,
-/// so StepDone no longer reports crashed or restored nodes; Config and
-/// Targets carry only the tier-1 `cpu` targets, the one part of a plan a
-/// worker reads; and FlightDump is obs::FlightDump coded directly (its bytes
-/// are unchanged). A version-3 peer is refused at the header.
-inline constexpr std::uint8_t kWireVersion = 4;
+/// Version 5: workers trade each quantum's cross-rank traffic in PeerBatch
+/// frames over direct links, so StepGo releases a segment of quanta and
+/// neither StepGo nor StepDone relays traffic; Hello carries the worker's
+/// peer-listener address and Config the live ranks' addresses; and Config
+/// carries the whole control::ControllerConfig. A version-4 peer is refused
+/// at the header.
+inline constexpr std::uint8_t kWireVersion = 5;
 /// Upper bound on a sane payload (config frames carry a whole topology, so
 /// this is generous; anything larger is treated as corruption).
 inline constexpr std::uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
 
 enum class FrameType : std::uint8_t {
-  kHello = 1,      ///< worker → coordinator: rank after connect
+  kHello = 1,      ///< worker → coordinator or peer: rank after connect
   kConfig = 2,     ///< coordinator → worker: everything needed to run
-  kStepGo = 3,     ///< coordinator → worker: barrier release for a quantum
-  kStepDone = 4,   ///< worker → coordinator: quantum finished + outboxes
+  kStepGo = 3,     ///< coordinator → worker: release of a segment of quanta
+  kStepDone = 4,   ///< worker → coordinator: segment finished
   kHeartbeat = 5,  ///< worker → coordinator: liveness while computing
   kTargets = 6,    ///< coordinator → worker: tier-1 target vector push
   kReport = 7,     ///< worker → coordinator: partial RunReport at the end
   kShutdown = 8,   ///< coordinator → worker: exit cleanly
   kMetricsReport = 9,  ///< worker → coordinator: epoch telemetry + spans
   kFlightDump = 10,    ///< worker → coordinator: fault-site evidence
+  kPeerBatch = 11,     ///< worker → worker: one quantum's traffic for a peer
 };
 
 /// One decoded frame: type + raw payload bytes.
@@ -80,18 +86,23 @@ struct WireError {
 
 // ---------------------------------------------------------------------------
 // Payload structs. The wire order of a struct's fields is the order of its
-// fields() list in wire.cc, not necessarily the declaration order here. The
-// coordinator knows a frame's rank from the endpoint it arrived on, so only
-// Hello (checked against the spawned rank) and Config carry one.
+// fields() list in wire.cc, not necessarily the declaration order here. A
+// process knows a frame's rank from the endpoint it arrived on, so only
+// Hello (which names the rank on a new link) and Config carry one.
 
+/// The first frame on every link, from the worker that opened it. To the
+/// coordinator it also gives the address of the worker's peer listener;
+/// on a peer link the address is empty.
 struct Hello {
   std::uint32_t rank = 0;
+  std::string peer_address;
 };
 
 /// Everything a worker process needs to reconstruct its shard: the topology
 /// (text serialization round-trips ids exactly), the tier-1 cpu targets, the
-/// run options, and the fault spec. Sent once after Hello; sent again with a
-/// non-zero start_quantum when a killed worker is respawned mid-run.
+/// run options, the tier-2 controller, the fault spec, and where its live
+/// peers listen. Sent once after Hello; sent again with a non-zero
+/// start_quantum when a killed worker is respawned mid-run.
 struct Config {
   std::uint32_t rank = 0;
   std::uint32_t num_workers = 1;
@@ -100,8 +111,9 @@ struct Config {
   double duration = 30.0;       ///< virtual seconds
   double warmup = 6.0;
   double dt = 0.1;
-  std::uint8_t policy = 0;      ///< control::FlowPolicy as u8
-  double staleness = 0.0;       ///< advert_staleness_timeout
+  /// Every field; its enums travel as u8, and a value past an enum's last
+  /// enumerator is refused.
+  control::ControllerConfig controller;
   std::uint32_t channel_capacity = 0;
   double heartbeat_interval = 0.05;  ///< wall seconds between heartbeats
   std::uint64_t start_quantum = 0;   ///< barrier index to join at
@@ -110,12 +122,15 @@ struct Config {
   std::vector<double> plan_cpu;      ///< tier-1 cpu targets, by PeId
   double span_sample = 0.0;          ///< SDO span sample rate; 0 = tracing off
   std::uint8_t record_trace = 0;     ///< ship per-tick control TraceRecords
+  /// By rank, the peer-listener address of every live rank other than this
+  /// one, which the worker connects to; empty for the rest.
+  std::vector<std::string> peers;
 };
 
 /// One SDO crossing a node boundary; `birth` is the SDO's system-entry
-/// time for latency accounting. `src_node` is the emitting node: the
-/// coordinator relays each worker's outbox unreordered, and an outbox is
-/// already in src_node order (see StepGo), so nothing sorts on it.
+/// time for latency accounting. `src_node` is the emitting node: a batch's
+/// deliveries are in src_node order (see PeerBatch), so nothing sorts on
+/// it.
 struct SdoDelivery {
   std::uint32_t dest_pe = 0;
   std::uint32_t src_node = 0;
@@ -138,41 +153,59 @@ struct Advert {
   double time = 0.0;
 };
 
-/// Barrier release for quantum `quantum`: the deliveries other ranks
-/// generated during quantum-1 that are addressed to this worker, and the
-/// spans riding them; the adverts and Lock-Step congested PEs other ranks
-/// published in that quantum for the PEs this worker's PEs feed, in PE
-/// order; and membership deltas. The worker's own traffic to itself never
-/// travels: it applies it from its loopback. The deliveries are the
-/// senders' outboxes concatenated in rank order, which is src_node order:
-/// ranks own ascending node ranges and each worker steps its nodes in id
-/// order, so the receive order does not depend on the partition. The
-/// worker splices its loopback deliveries in after those with a lower
-/// src_node than any of its own nodes.
+/// Release of the `count` quanta from `quantum` on, with the membership
+/// deltas that hold from its first: the nodes of the dead ranks (workers
+/// clamp their adverts and stop waiting on those ranks) and the nodes of
+/// the ranks respawned at this barrier (workers link to them). The final
+/// StepGo releases none and asks for the Report. `deliveries` and `adverts`
+/// are always empty in a run, and refused otherwise: only perfbench's wire
+/// replay fills them.
 struct StepGo {
   std::uint64_t quantum = 0;
-  std::uint8_t flags = 0;  ///< bit 0: final quantum — report and exit
+  std::uint32_t count = 0;
+  std::uint8_t flags = 0;  ///< bit 0: final — report and exit
   std::vector<SdoDelivery> deliveries;
-  std::vector<SpanHandoff> spans;  ///< handoffs into `deliveries`
   std::vector<Advert> adverts;
-  std::vector<std::uint32_t> congested_pes;  ///< Lock-Step backpressure set
   std::vector<std::uint32_t> down_nodes;  ///< every node of a dead rank
   std::vector<std::uint32_t> up_nodes;    ///< nodes of ranks just respawned
 };
 inline constexpr std::uint8_t kStepGoFinal = 1;
 
-/// Barrier completion: what other ranks read of the worker's quantum —
-/// the deliveries to their nodes with the spans leaving on them, and the
-/// refreshed adverts and congested PEs of the worker's PEs that some other
-/// rank's PE feeds, each list in PE order. Fault transitions are not
-/// reported: the coordinator evaluates the crash windows from the schedule
-/// it holds.
+/// Deliveries a worker built for a peer it had no link to, and the spans
+/// riding them.
+struct Undelivered {
+  std::uint32_t rank = 0;  ///< the peer they were for
+  std::uint64_t deliveries = 0;
+  std::uint64_t spans = 0;
+};
+
+/// Completion of the segment whose last quantum is `quantum`. `dropped`
+/// counts the batches for unlinked peers that a newer one replaced;
+/// `kept`, the batch still kept for each, which the next StepGo delivers if
+/// it rejoins that peer and drops otherwise. `rejected` names the peers
+/// whose batch was malformed. `deliveries` and `adverts` are as in StepGo.
 struct StepDone {
   std::uint64_t quantum = 0;
-  std::vector<SdoDelivery> deliveries;  ///< cross-worker outbox
-  std::vector<SpanHandoff> spans;       ///< handoffs into `deliveries`
-  std::vector<Advert> adverts;          ///< locally refreshed mailboxes
-  std::vector<std::uint32_t> congested_pes;  ///< local PEs holding backlog
+  std::vector<SdoDelivery> deliveries;
+  std::vector<Advert> adverts;
+  std::vector<Undelivered> dropped;
+  std::vector<Undelivered> kept;
+  std::vector<std::uint32_t> rejected;
+};
+
+/// What one rank reads of another's quantum `quantum`: the deliveries to
+/// its nodes with the spans riding them, and the refreshed adverts and
+/// Lock-Step congested PEs of the sender's PEs that one of its PEs feeds,
+/// each list in PE order. Ranks own ascending node ranges and each worker
+/// steps its nodes in id order, so a batch's deliveries are in src_node
+/// order, and a receiver that applies the batches in rank order applies
+/// every delivery in src_node order, whatever the partition.
+struct PeerBatch {
+  std::uint64_t quantum = 0;
+  std::vector<SdoDelivery> deliveries;
+  std::vector<SpanHandoff> spans;  ///< handoffs into `deliveries`
+  std::vector<Advert> adverts;
+  std::vector<std::uint32_t> congested_pes;  ///< Lock-Step backpressure set
 };
 
 /// Liveness only: the frame's arrival is the whole message.
@@ -213,9 +246,9 @@ struct PerfCell {
   std::uint64_t ns = 0;
 };
 
-/// Epoch telemetry, sent immediately before the StepDone that closes a
-/// barrier epoch (every `substeps` quanta) and once more before the final
-/// Report. Counter deltas sum exactly at the coordinator; perf totals and
+/// Epoch telemetry, sent at the end of every `substeps`-th quantum (always
+/// a segment's last, so just before its StepDone) and once more before the
+/// final Report. Counter deltas sum exactly at the coordinator; perf totals and
 /// gauges are whole-state last-writer-wins per rank. `spans` are the spans
 /// the worker finalized since its previous report, in finalize order: the
 /// coordinator rebuilds the shard's latency histograms and flight ring
@@ -247,6 +280,7 @@ std::vector<std::uint8_t> encode(const MetricsReport& v);
 /// event fired. The coordinator keeps the newest one per rank, so a
 /// SIGKILLed worker's post-mortem survives the process.
 std::vector<std::uint8_t> encode(const obs::FlightDump& v);
+std::vector<std::uint8_t> encode(const PeerBatch& v);
 
 std::optional<Hello> decode_hello(const std::vector<std::uint8_t>& payload,
                                   WireError* error = nullptr);
@@ -265,6 +299,8 @@ std::optional<Report> decode_report(const std::vector<std::uint8_t>& payload,
 std::optional<MetricsReport> decode_metrics_report(
     const std::vector<std::uint8_t>& payload, WireError* error = nullptr);
 std::optional<obs::FlightDump> decode_flight_dump(
+    const std::vector<std::uint8_t>& payload, WireError* error = nullptr);
+std::optional<PeerBatch> decode_peer_batch(
     const std::vector<std::uint8_t>& payload, WireError* error = nullptr);
 
 /// Bytes in a frame header.

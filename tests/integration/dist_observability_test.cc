@@ -11,9 +11,10 @@
 //    histograms (fed by quantum-grid virtual timestamps, stitched across
 //    wire hops) carry the same samples for any shard count.
 //
-// Runs on the in-process transport: the telemetry path (frames through the
-// coordinator, deltas, stitching) is identical across transports, and the
-// socket equivalence is pinned by transport_differential_test.
+// Runs on the in-process transport: the telemetry path (frames to the
+// coordinator, deltas, spans stitched across peer batches) is identical
+// across transports, and the socket equivalence is pinned by
+// transport_differential_test.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +36,7 @@
 #include "runtime/dist_coordinator.h"
 #include "runtime/dist_options.h"
 #include "runtime/dist_worker.h"
+#include "runtime/wire.h"
 
 namespace aces {
 namespace {
@@ -73,6 +75,12 @@ runtime::dist::DistOptions options_with(std::uint32_t processes,
 std::uint64_t quanta_of(const runtime::dist::DistOptions& o) {
   return static_cast<std::uint64_t>(std::llround(o.duration / o.dt)) *
          o.substeps;
+}
+
+/// Segments of a fault-free run of `o`: the coordinator joins once per
+/// control interval.
+std::uint64_t segments_of(const runtime::dist::DistOptions& o) {
+  return quanta_of(o) / o.substeps;
 }
 
 /// Value of one `key value` line in the status exposition; 0 if absent.
@@ -287,8 +295,8 @@ TEST(DistObservabilityTest, MultiShardRunsStitchSpansAcrossTheWire) {
   EXPECT_LE(stitched, completed);
 
   // A crossing's serialize, send and receive hops carry one virtual time:
-  // the emission stamp (k+1)·q is the quantum end the StepDone leaves at
-  // and the next quantum's start the StepGo lands at. That is why the
+  // the emission stamp (k+1)·q is the quantum end the peer batch leaves at
+  // and the next quantum's start it is applied at. That is why the
   // aggregator keeps no transport-time metric; a wire given virtual time
   // of its own would fail here and make the metric worth having again.
   constexpr auto kSerialize =
@@ -330,9 +338,10 @@ std::uint64_t bytes_from_workers(const obs::ClusterAggregator& agg) {
 TEST(DistObservabilityTest, SpanSamplingAddsBoundedTelemetryBytes) {
   // The paper-default topology has 60 PEs: a worker that re-sent its
   // latency histograms (3.3 KB per PE) or its flight ring every epoch
-  // would dwarf the barrier traffic. No histogram travels and each
-  // sampled span crosses the wire once, so 1% sampling stays close to the
-  // untraced bytes.
+  // would dwarf everything else it sends the coordinator. No histogram
+  // travels and each sampled span crosses to the coordinator once, in one
+  // MetricsReport, so what 1% sampling adds is at most one span's largest
+  // encoding per completed span.
   const graph::ProcessingGraph g =
       generate_topology(graph::TopologyParams{}, 1);
   const opt::AllocationPlan plan = opt::optimize(g);
@@ -341,14 +350,22 @@ TEST(DistObservabilityTest, SpanSamplingAddsBoundedTelemetryBytes) {
   runtime::dist::run_distributed(g, plan, options_with(2, &bare, 0.0));
   runtime::dist::run_distributed(g, plan, options_with(2, &sampled, 0.01));
 
+  runtime::wire::MetricsReport one_span;
+  one_span.spans.emplace_back().hop_count = obs::SdoSpan::kMaxHops;
+  const std::uint64_t span_bytes =
+      runtime::wire::encode(one_span).size() -
+      runtime::wire::encode(runtime::wire::MetricsReport{}).size();
+
   const std::uint64_t bare_bytes = bytes_from_workers(bare);
   const std::uint64_t sampled_bytes = bytes_from_workers(sampled);
+  const std::uint64_t spans =
+      status_value(sampled, "aces_cluster_spans_completed");
   ASSERT_GT(bare_bytes, 0u);
-  ASSERT_GT(status_value(sampled, "aces_cluster_spans_completed"), 0u);
-  EXPECT_LE(static_cast<double>(sampled_bytes),
-            1.5 * static_cast<double>(bare_bytes))
+  ASSERT_GT(spans, 0u);
+  ASSERT_GE(sampled_bytes, bare_bytes);
+  EXPECT_LE(sampled_bytes - bare_bytes, spans * span_bytes)
       << "sampled " << sampled_bytes << " B vs untraced " << bare_bytes
-      << " B";
+      << " B for " << spans << " spans of at most " << span_bytes << " B";
 }
 
 TEST(DistObservabilityTest, FaultFreeRunShipsNoFlightDumpAndRelaysNoTelemetry) {
@@ -359,13 +376,13 @@ TEST(DistObservabilityTest, FaultFreeRunShipsNoFlightDumpAndRelaysNoTelemetry) {
   const runtime::dist::DistOptions o = options_with(3, &agg, 1.0);
   runtime::dist::run_distributed(g, plan, o);
 
-  // The coordinator sends each shard its Config, one StepGo per quantum
-  // plus the final one, and the Shutdown, and nothing else: spans ride the
-  // StepGos, and a fault-free run pushes no Targets.
+  // The coordinator sends each shard its Config, one StepGo per control
+  // interval plus the final one, and the Shutdown, and nothing else: spans
+  // ride the peer batches, and a fault-free run pushes no Targets.
   const auto shards = agg.shard_statuses();
   ASSERT_EQ(shards.size(), 3u);
   for (const auto& [rank, status] : shards) {
-    EXPECT_EQ(status.frames_out, quanta_of(o) + 3) << "shard " << rank;
+    EXPECT_EQ(status.frames_out, segments_of(o) + 3) << "shard " << rank;
     EXPECT_EQ(status.flight_dumps, 0u) << "shard " << rank;
     EXPECT_EQ(status_value(agg, "aces_shard_" + std::to_string(rank) +
                                     "_flight_dumps"),
@@ -408,9 +425,12 @@ TEST(DistObservabilityTest, EveryFrameIsCountedOnceEachWay) {
   const graph::ProcessingGraph g = test_graph();
   const opt::AllocationPlan plan = opt::optimize(g);
 
-  // Out: Config, a StepGo per quantum plus the final one, Shutdown, and one
-  // Targets per re-solve. In: Hello, a StepDone per quantum, the Report,
-  // and every heartbeat, MetricsReport and fault dump.
+  // Out: Config, a StepGo per segment plus the final one, Shutdown, and
+  // one Targets per re-solve. In: two Hellos, a StepDone per segment, the
+  // Report, and every heartbeat, MetricsReport and fault dump. A segment
+  // is a control interval, and the crash window adds two barriers: the
+  // quanta after it opens (t = 5) and closes (t = 7), where tier 1 is
+  // re-solved, both off the control-interval grid.
   for (const char* faults : {"", "crash node=1 at=5 until=7"}) {
     SCOPED_TRACE(faults);
     obs::ClusterAggregator agg;
@@ -420,13 +440,15 @@ TEST(DistObservabilityTest, EveryFrameIsCountedOnceEachWay) {
     runtime::dist::run_distributed(g, plan, o, &stats);
 
     EXPECT_EQ(stats.reoptimizations, o.faults.empty() ? 0u : 2u);
+    const std::uint64_t segments =
+        segments_of(o) + (o.faults.empty() ? 0u : 2u);
     const auto shards = agg.shard_statuses();
     ASSERT_EQ(shards.size(), 3u);
     std::uint64_t heartbeats = 0;
     for (const auto& [rank, s] : shards) {
-      EXPECT_EQ(s.frames_out, quanta_of(o) + 3 + stats.reoptimizations)
+      EXPECT_EQ(s.frames_out, segments + 3 + stats.reoptimizations)
           << "shard " << rank;
-      EXPECT_EQ(s.frames_in, quanta_of(o) + 2 + s.metrics_reports +
+      EXPECT_EQ(s.frames_in, segments + 3 + s.metrics_reports +
                                  s.heartbeats + s.flight_dumps)
           << "shard " << rank;
       EXPECT_GT(s.metrics_reports, 0u) << "shard " << rank;

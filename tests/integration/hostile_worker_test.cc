@@ -1,10 +1,12 @@
-// A worker whose StepDone names an index out of range must cost only its
-// own shard. The coordinator acts on every index a StepDone carries: it
-// routes each delivery by its destination PE, routes adverts and congested
-// PEs by their PE to the workers that read them (which index arrays with
-// them), and routes each span handoff with the delivery it names. Unchecked, one bad index throws out of
-// run_distributed or corrupts another worker. Checked on receipt, it is a
-// malformed frame: a decode reject, and the sender is declared dead.
+// A worker whose peer batch names an index out of range must cost only its
+// own shard. A worker acts on every index a batch from a peer carries: it
+// applies each delivery to its destination PE, adverts and congested PEs by
+// their PE (which index arrays with them), and each span handoff with the
+// delivery it names. Unchecked, one bad index throws out of the receiving
+// worker or corrupts it. Checked on receipt, it is a malformed batch: the
+// receiver closes the link and names the sender in its StepDone, and the
+// coordinator counts a decode reject against the sender and declares it
+// dead.
 //
 // A worker that is merely slow must cost nothing. A StepDone whose bytes
 // are still arriving when one of the coordinator's receive slices ends is
@@ -12,20 +14,22 @@
 // work as a clean one.
 //
 // Provides its own main(): this binary is also the worker executable. Rank
-// 1 answers the first StepGo with a well-encoded StepDone carrying one bad
-// index, chosen by the run's seed; every other rank is the real worker.
-// When the run's socket lies in an `aces-split-` directory, every rank is
-// instead the real worker behind an endpoint that writes one StepDone in
-// two halves.
+// 1 is the real worker with its peer links wrapped (the PeerLinks seam): the
+// first batch it sends that carries a delivery gets one bad index, chosen by
+// the name of the run's socket directory. When that directory is an
+// `aces-split-` one, every rank is instead the real worker behind an
+// endpoint that writes one StepDone in two halves.
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -47,7 +51,7 @@ namespace {
 
 namespace wire = runtime::wire;
 
-/// The bad index a hostile StepDone carries.
+/// The bad index a hostile batch carries.
 enum class Violation : std::uint64_t {
   kDeliveryPe,
   kAdvertPe,
@@ -57,68 +61,82 @@ enum class Violation : std::uint64_t {
   kAdvertsOutOfOrder,
 };
 
-/// Run seeds encode the violation, so the worker process can read it from
-/// its Config.
-constexpr std::uint64_t kSeedBase = 1000;
 constexpr std::uint32_t kFarOutOfRange = 1u << 30;
 constexpr std::uint32_t kHostileRank = 1;
+/// A run's socket directory starts with this, then the violation's number.
+constexpr std::string_view kHostileDir = "aces-hostile";
 
-wire::StepDone hostile_step_done(std::uint64_t quantum, Violation v) {
-  wire::StepDone done;
-  done.quantum = quantum;
-  done.deliveries.push_back(wire::SdoDelivery{0, 0, 0.0});
+/// Adds `v` to an honest `batch` that carries at least one delivery, so
+/// nothing but the violation is wrong with it.
+void corrupt(wire::PeerBatch& batch, Violation v) {
   switch (v) {
     case Violation::kDeliveryPe:
-      done.deliveries.push_back(wire::SdoDelivery{kFarOutOfRange, 0, 0.0});
+      batch.deliveries.push_back(wire::SdoDelivery{kFarOutOfRange, 0, 0.0});
       break;
     case Violation::kAdvertPe:
-      done.adverts.push_back(wire::Advert{kFarOutOfRange, 1.0, 0.0});
+      batch.adverts.push_back(wire::Advert{kFarOutOfRange, 1.0, 0.0});
       break;
     case Violation::kCongestedPe:
-      done.congested_pes.push_back(kFarOutOfRange);
+      batch.congested_pes.push_back(kFarOutOfRange);
       break;
     case Violation::kHandoffPastLastDelivery:
-      done.spans.push_back(wire::SpanHandoff{1, obs::SdoSpan{}});
+      batch.spans.clear();
+      batch.spans.push_back(wire::SpanHandoff{
+          static_cast<std::uint32_t>(batch.deliveries.size()), {}});
       break;
     case Violation::kHandoffsOutOfOrder:
-      done.deliveries.push_back(wire::SdoDelivery{0, 0, 0.0});
-      done.spans.push_back(wire::SpanHandoff{1, obs::SdoSpan{}});
-      done.spans.push_back(wire::SpanHandoff{0, obs::SdoSpan{}});
+      batch.deliveries.push_back(batch.deliveries.front());
+      batch.spans.clear();
+      batch.spans.push_back(wire::SpanHandoff{1, {}});
+      batch.spans.push_back(wire::SpanHandoff{0, {}});
       break;
     case Violation::kAdvertsOutOfOrder:
-      // The coordinator merges each rank's adverts as a run in PE order.
-      done.adverts.push_back(wire::Advert{1, 1.0, 0.0});
-      done.adverts.push_back(wire::Advert{0, 1.0, 0.0});
+      // A receiver checks each batch's adverts are in strict PE order.
+      batch.adverts.clear();
+      batch.adverts.push_back(wire::Advert{1, 1.0, 0.0});
+      batch.adverts.push_back(wire::Advert{0, 1.0, 0.0});
       break;
   }
-  return done;
 }
 
-/// Hello, Config, then one hostile StepDone; afterwards it waits to be
-/// killed or shut down.
-int hostile_worker(const std::string& uds_path) {
-  std::string error;
-  const std::unique_ptr<runtime::transport::Endpoint> ep =
-      runtime::transport::connect_uds(uds_path, 10000, &error);
-  if (ep == nullptr || !ep->send(wire::encode(wire::Hello{kHostileRank}))) {
-    return 1;
-  }
-  wire::Frame frame;
-  if (ep->recv(&frame, 10000) != runtime::transport::RecvStatus::kOk) return 1;
-  const auto cfg = wire::decode_config(frame.payload);
-  if (!cfg.has_value()) return 1;
-  const auto violation = static_cast<Violation>(cfg->seed - kSeedBase);
-  while (ep->recv(&frame, 10000) == runtime::transport::RecvStatus::kOk) {
-    if (frame.type == wire::FrameType::kShutdown) return 0;
-    if (frame.type != wire::FrameType::kStepGo) continue;
-    const auto go = wire::decode_step_go(frame.payload);
-    if (!go.has_value() ||
-        !ep->send(wire::encode(hostile_step_done(go->quantum, violation)))) {
-      return 1;
+/// Forwards to a peer link, except that the first batch with a delivery
+/// gets the violation.
+class HostileLink final : public runtime::transport::Endpoint {
+ public:
+  HostileLink(std::unique_ptr<runtime::transport::Endpoint> inner,
+              Violation v)
+      : inner_(std::move(inner)), violation_(v) {}
+
+  bool send(std::vector<std::uint8_t> frames) override {
+    const auto frame = wire::parse_frame(frames.data(), frames.size());
+    if (!corrupted_ && frame.has_value() &&
+        frame->type == wire::FrameType::kPeerBatch) {
+      auto batch = wire::decode_peer_batch(frame->payload);
+      if (batch.has_value() && !batch->deliveries.empty()) {
+        corrupt(*batch, violation_);
+        corrupted_ = true;
+        return inner_->send(wire::encode(*batch));
+      }
     }
+    return inner_->send(std::move(frames));
   }
-  return 1;
-}
+
+  runtime::transport::RecvStatus recv(wire::Frame* out,
+                                      int timeout_ms) override {
+    return inner_->recv(out, timeout_ms);
+  }
+
+  void close() override { inner_->close(); }
+
+  [[nodiscard]] std::string_view last_error() const override {
+    return inner_->last_error();
+  }
+
+ private:
+  std::unique_ptr<runtime::transport::Endpoint> inner_;
+  Violation violation_;
+  bool corrupted_ = false;
+};
 
 class HostileWorkerTest : public ::testing::TestWithParam<Violation> {};
 
@@ -135,16 +153,21 @@ TEST_P(HostileWorkerTest, BadIndexCostsOnlyTheSendersShard) {
   runtime::dist::DistOptions o;
   o.duration = 1.0;
   o.warmup = 0.2;
-  o.seed = kSeedBase + static_cast<std::uint64_t>(GetParam());
   o.processes = 2;
   o.transport = runtime::transport::TransportKind::kUds;
+  std::string dir = ::testing::TempDir() + std::string(kHostileDir) +
+                    std::to_string(static_cast<std::uint64_t>(GetParam())) +
+                    "-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  o.uds_dir = dir;
   o.controller.policy = control::FlowPolicy::kAces;
   obs::ClusterAggregator agg;
   o.aggregator = &agg;
   runtime::dist::DistStats stats;
 
   metrics::RunReport report;
-  ASSERT_NO_THROW(report = runtime::dist::run_distributed(g, plan, o, &stats));
+  EXPECT_NO_THROW(report = runtime::dist::run_distributed(g, plan, o, &stats));
+  EXPECT_EQ(::rmdir(dir.c_str()), 0) << "a socket file outlived the run";
   const auto shards = agg.shard_statuses();
   ASSERT_EQ(shards.size(), 2u);
   EXPECT_FALSE(shards.at(kHostileRank).alive);
@@ -177,8 +200,9 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string("Unknown");
     });
 
-/// The quantum whose StepDone a split worker writes in two halves.
-constexpr std::uint64_t kSplitQuantum = 5;
+/// The quantum whose StepDone a split worker writes in two halves: the
+/// last of the segment [4, 8) at 4 substeps, so a StepDone is sent there.
+constexpr std::uint64_t kSplitQuantum = 7;
 /// The pause between the halves: three of the coordinator's 20-ms receive
 /// slices, well inside its heartbeat timeout.
 constexpr auto kSplitPause = std::chrono::milliseconds(60);
@@ -244,7 +268,10 @@ int split_worker(std::uint32_t rank, const std::string& uds_path) {
   auto ep = runtime::transport::connect_uds(uds_path, 10000, &error);
   if (ep == nullptr) return 1;
   SplitWriteEndpoint split(std::move(ep));
-  return runtime::dist::worker_entry(split, rank);
+  runtime::dist::PeerLinks peers;
+  peers.kind = runtime::transport::TransportKind::kUds;
+  peers.coordinator_path = uds_path;
+  return runtime::dist::worker_entry(split, rank, peers);
 }
 
 TEST(PartialFrameTest, AFrameStillArrivingWhenASliceEndsKeepsItsShard) {
@@ -262,6 +289,7 @@ TEST(PartialFrameTest, AFrameStillArrivingWhenASliceEndsKeepsItsShard) {
   runtime::dist::DistOptions o;
   o.duration = 1.0;
   o.warmup = 0.2;
+  o.substeps = 4;
   o.processes = 2;
   o.transport = runtime::transport::TransportKind::kInProc;
   o.controller.policy = control::FlowPolicy::kAces;
@@ -281,10 +309,14 @@ TEST(PartialFrameTest, AFrameStillArrivingWhenASliceEndsKeepsItsShard) {
 
   const auto shards = agg.shard_statuses();
   ASSERT_EQ(shards.size(), 2u);
+  double slowest = 0.0;
   for (const auto& [rank, status] : shards) {
     EXPECT_TRUE(status.alive) << "shard " << rank;
     EXPECT_EQ(status.decode_rejects, 0u) << "shard " << rank;
+    slowest = std::max(slowest, status.rtt_seconds.max());
   }
+  // The split happened: a segment waited out the pause.
+  EXPECT_GE(slowest, std::chrono::duration<double>(kSplitPause).count());
   EXPECT_EQ(stats.orphans_reaped, 0u);
   EXPECT_EQ(metrics::work_fingerprint(report), clean);
 }
@@ -305,8 +337,19 @@ int main(int argc, char** argv) {
       return aces::split_worker(
           static_cast<std::uint32_t>(std::stoul(rank)), uds);
     }
-    if (rank == std::to_string(aces::kHostileRank)) {
-      return aces::hostile_worker(uds);
+    const std::size_t at = uds.find(aces::kHostileDir);
+    if (rank == std::to_string(aces::kHostileRank) &&
+        at != std::string::npos) {
+      const auto violation = static_cast<aces::Violation>(
+          std::stoul(uds.substr(at + aces::kHostileDir.size())));
+      return aces::runtime::dist::maybe_worker(
+          argc, argv,
+          [violation](std::uint32_t,
+                      std::unique_ptr<aces::runtime::transport::Endpoint> link)
+              -> std::unique_ptr<aces::runtime::transport::Endpoint> {
+            return std::make_unique<aces::HostileLink>(std::move(link),
+                                                       violation);
+          });
     }
   }
   if (const int rc = aces::runtime::dist::maybe_worker(argc, argv); rc >= 0) {

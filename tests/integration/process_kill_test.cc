@@ -13,9 +13,14 @@
 //
 // Provides its own main(): socket-transport workers are this binary
 // re-executed with a hidden `dist-worker` argv.
+#include <dirent.h>
+#include <stdlib.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -146,16 +151,38 @@ TEST(ProcessKillTest, KilledRunIsDeterministicAcrossRepeatsAndTransports) {
   EXPECT_EQ(s3.orphans_reaped, 0u);
 }
 
+/// The entries of directory `dir`, other than . and ..
+std::vector<std::string> entries_of(const std::string& dir) {
+  std::vector<std::string> names;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* e = ::readdir(d)) {
+      const std::string name = e->d_name;
+      if (name != "." && name != "..") names.push_back(name);
+    }
+    ::closedir(d);
+  }
+  return names;
+}
+
 TEST(ProcessKillTest, RestartRejoinsAndReoptimizesAgain) {
   const graph::ProcessingGraph g = test_graph();
   const opt::AllocationPlan plan = opt::optimize(g);
 
+  // Every worker listens for its peers on a socket beside the
+  // coordinator's; the killed one cannot remove its own, so the
+  // coordinator does.
+  std::string dir = ::testing::TempDir() + "aces-kill-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  runtime::dist::DistOptions o = base_options(
+      runtime::transport::TransportKind::kUds, 3,
+      "prockill node=1 at=4 restart=6");
+  o.uds_dir = dir;
   runtime::dist::DistStats stats;
-  const metrics::RunReport report = runtime::dist::run_distributed(
-      g, plan,
-      base_options(runtime::transport::TransportKind::kUds, 3,
-                   "prockill node=1 at=4 restart=6"),
-      &stats);
+  const metrics::RunReport report =
+      runtime::dist::run_distributed(g, plan, o, &stats);
+  EXPECT_EQ(entries_of(dir), std::vector<std::string>{})
+      << "socket files outlived the run";
+  ::rmdir(dir.c_str());
 
   EXPECT_EQ(stats.workers_killed, 1u);
   EXPECT_EQ(stats.workers_restarted, 1u);

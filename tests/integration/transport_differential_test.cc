@@ -245,6 +245,37 @@ TEST_P(TransportDifferentialTest, UdsMatchesInProcByteForByte) {
   }
 }
 
+// Every ControllerConfig field reaches the workers: a non-default
+// set-point changes the work, and the changed work is still the same on any
+// partition and transport. Before Config carried the whole controller, the
+// workers ran b0_fraction's default and this run matched the default one.
+TEST(ControllerShippingTest, NonDefaultB0FractionReachesTheWorkers) {
+  const Fixture fixture = fixtures()[2];  // bursty_overloaded: full buffers
+  const graph::ProcessingGraph g =
+      generate_topology(fixture.params, fixture.seed);
+  const opt::AllocationPlan plan = opt::optimize(g);
+  const auto fingerprint = [&](std::uint32_t processes,
+                               runtime::transport::TransportKind kind,
+                               double b0_fraction) {
+    runtime::dist::DistOptions o = dist_options(
+        control::FlowPolicy::kAces, fixture.seed + 1000, processes, kind);
+    o.controller.b0_fraction = b0_fraction;
+    return metrics::work_fingerprint(
+        runtime::dist::run_distributed(g, plan, o));
+  };
+  const double b0_default = control::ControllerConfig{}.b0_fraction;
+  ASSERT_NE(b0_default, 0.3);
+  const std::string moved =
+      fingerprint(2, runtime::transport::TransportKind::kInProc, 0.3);
+  EXPECT_NE(moved,
+            fingerprint(2, runtime::transport::TransportKind::kInProc,
+                        b0_default));
+  EXPECT_EQ(moved, fingerprint(1, runtime::transport::TransportKind::kInProc,
+                               0.3));
+  EXPECT_EQ(moved,
+            fingerprint(2, runtime::transport::TransportKind::kUds, 0.3));
+}
+
 TEST_P(TransportDifferentialTest, AgreesWithSimulatorWithinEnvelope) {
   expect_agrees_with_simulator(GetParam(), inproc_x2);
 }

@@ -34,13 +34,13 @@ constexpr int kWaitMs = 5000;
 
 /// Three frames of different types and sizes, the middle one empty.
 std::vector<Bytes> sample_frames() {
-  wire::StepGo go;
-  go.quantum = 7;
-  go.deliveries.push_back(wire::SdoDelivery{3, 1, 0.25});
-  go.adverts.push_back(wire::Advert{2, 41.5, 0.2});
-  go.congested_pes = {4, 9};
-  return {wire::encode(wire::Hello{5}), wire::encode_shutdown(),
-          wire::encode(go)};
+  wire::PeerBatch batch;
+  batch.quantum = 7;
+  batch.deliveries.push_back(wire::SdoDelivery{3, 1, 0.25});
+  batch.adverts.push_back(wire::Advert{2, 41.5, 0.2});
+  batch.congested_pes = {4, 9};
+  return {wire::encode(wire::Hello{5, "peer"}), wire::encode_shutdown(),
+          wire::encode(batch)};
 }
 
 Bytes concat(const std::vector<Bytes>& frames) {
@@ -253,7 +253,7 @@ TEST_F(UdsEndpointTest, FrameLargerThanTheBufferArrivesWhole) {
   wire::Config cfg;
   cfg.topology.assign(300 * 1024, 'x');
   const std::vector<Bytes> frames = {wire::encode(cfg),
-                                     wire::encode(wire::Hello{9})};
+                                     wire::encode(wire::Hello{9, {}})};
   // Written from a thread: the socket buffer holds less than the frame.
   std::thread writer([this, &frames] { write_all(concat(frames)); });
   std::vector<wire::Frame> got(frames.size());
@@ -326,6 +326,59 @@ TEST(InProcEndpointTest, RefusesWhatTheSocketRefuses) {
   ASSERT_TRUE(near->send(raw_header(wire::FrameType::kConfig, 0xFFFFFFF0u)));
   EXPECT_EQ(far->recv(&got, kWaitMs), RecvStatus::kError);
   EXPECT_EQ(far->last_error(), "payload length exceeds cap");
+}
+
+/// A listener of each transport is reached by its address alone, so a
+/// worker links to its peers the same way on all three.
+TEST(ListenerTest, EveryTransportConnectsByItsAddress) {
+  std::string dir = ::testing::TempDir() + "aces-listen-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/peer.sock";
+  for (const TransportKind kind :
+       {TransportKind::kInProc, TransportKind::kUds, TransportKind::kTcp}) {
+    SCOPED_TRACE(to_string(kind));
+    std::string error;
+    std::unique_ptr<Listener> listener = listen(kind, path, &error);
+    ASSERT_NE(listener, nullptr) << error;
+    std::unique_ptr<Endpoint> near =
+        connect(kind, listener->address(), kWaitMs, &error);
+    ASSERT_NE(near, nullptr) << error;
+    std::unique_ptr<Endpoint> far = listener->accept(kWaitMs);
+    ASSERT_NE(far, nullptr);
+    const std::vector<Bytes> frames = sample_frames();
+    ASSERT_TRUE(near->send(concat(frames)));
+    for (const Bytes& f : frames) {
+      wire::Frame got;
+      ASSERT_EQ(far->recv(&got, kWaitMs), RecvStatus::kOk);
+      expect_frame(got, f);
+    }
+    ASSERT_TRUE(far->send(frames[0]));
+    wire::Frame back;
+    ASSERT_EQ(near->recv(&back, kWaitMs), RecvStatus::kOk);
+    expect_frame(back, frames[0]);
+    EXPECT_EQ(listener->accept(0), nullptr) << "one connect, one accept";
+  }
+  ::rmdir(dir.c_str());
+}
+
+TEST(ListenerTest, InProcListenerIsGoneWithItsLastConnection) {
+  std::string error;
+  std::unique_ptr<Listener> listener = listen_inproc();
+  const std::string name = listener->address();
+  std::unique_ptr<Endpoint> unaccepted = connect_inproc(name, &error);
+  ASSERT_NE(unaccepted, nullptr) << error;
+  listener.reset();
+  // The connection it never accepted closes with it, and its name is free.
+  wire::Frame frame;
+  EXPECT_EQ(unaccepted->recv(&frame, kWaitMs), RecvStatus::kClosed);
+  EXPECT_EQ(connect_inproc(name, &error), nullptr);
+  EXPECT_NE(error.find(name), std::string::npos) << error;
+}
+
+TEST(ListenerTest, TcpAddressMustBeAPort) {
+  std::string error;
+  EXPECT_EQ(connect(TransportKind::kTcp, "80x", 10, &error), nullptr);
+  EXPECT_NE(error.find("not a TCP port"), std::string::npos) << error;
 }
 
 }  // namespace

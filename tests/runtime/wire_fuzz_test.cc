@@ -6,8 +6,8 @@
 //   2. valid frames with random byte flips (header and payload),
 //   3. valid frames truncated or extended at random points.
 //
-// Surfaces 2 and 3 start from a fresh StepGo or Targets each iteration plus
-// one fixed valid frame of each of the 10 types in turn.
+// Surfaces 2 and 3 start from a fresh PeerBatch or Targets each iteration
+// plus one fixed valid frame of each of the 11 types in turn.
 //
 // The contract under test is narrow and absolute: decoders return
 // std::nullopt with a non-empty WireError reason — they never crash, never
@@ -37,12 +37,13 @@ int decode_all(const std::vector<std::uint8_t>& payload) {
   ok += decode_report(payload, &err).has_value() ? 1 : 0;
   ok += decode_metrics_report(payload, &err).has_value() ? 1 : 0;
   ok += decode_flight_dump(payload, &err).has_value() ? 1 : 0;
+  ok += decode_peer_batch(payload, &err).has_value() ? 1 : 0;
   return ok;
 }
 
-/// One seeded valid frame of each of the 10 types, so the mutation and
-/// resize loops reach every decoder past its first few fields. The barrier
-/// frames carry a span handoff each.
+/// One seeded valid frame of each of the 11 types, so the mutation and
+/// resize loops reach every decoder past its first few fields. The peer
+/// batch carries a span handoff.
 std::vector<std::vector<std::uint8_t>> valid_frames(Rng& rng) {
   const auto id = [&rng] {
     return static_cast<std::uint32_t>(rng.uniform_int(0, 1000));
@@ -52,27 +53,31 @@ std::vector<std::vector<std::uint8_t>> valid_frames(Rng& rng) {
   span.hop_count = 2;
   span.hops[0].pe = id();
   span.hops[1].kind = static_cast<std::uint32_t>(obs::HopKind::kWireRecv);
-  const Hello hello{id()};
+  const Hello hello{id(), "peer"};
   Config config;
   config.rank = id();
+  config.controller.policy = control::FlowPolicy::kThreshold;
+  config.peers = {"", "inproc-3"};
   config.topology = "node 0 cpu=1";
   config.faults = "crash node=0 at=1";
   config.plan_cpu = {rng.uniform(), rng.uniform()};
   config.span_sample = rng.uniform();
   StepGo go;
   go.quantum = id();
-  go.deliveries.push_back(SdoDelivery{id(), id(), rng.uniform()});
-  go.spans.push_back(SpanHandoff{0, span});
-  go.adverts.push_back(Advert{id(), rng.uniform(), rng.uniform()});
-  go.congested_pes = {id()};
+  go.count = id();
   go.down_nodes = {id()};
   go.up_nodes = {id()};
   StepDone done;
   done.quantum = id();
-  done.deliveries.push_back(SdoDelivery{id(), id(), rng.uniform()});
-  done.spans.push_back(SpanHandoff{0, span});
-  done.adverts.push_back(Advert{id(), rng.uniform(), rng.uniform()});
-  done.congested_pes = {id()};
+  done.dropped.push_back(Undelivered{id(), id(), id()});
+  done.kept.push_back(Undelivered{id(), id(), id()});
+  done.rejected = {id()};
+  PeerBatch batch;
+  batch.quantum = id();
+  batch.deliveries.push_back(SdoDelivery{id(), id(), rng.uniform()});
+  batch.spans.push_back(SpanHandoff{0, span});
+  batch.adverts.push_back(Advert{id(), rng.uniform(), rng.uniform()});
+  batch.congested_pes = {id()};
   Targets targets;
   targets.cpu = {rng.uniform(), rng.uniform()};
   Report report;
@@ -98,7 +103,7 @@ std::vector<std::vector<std::uint8_t>> valid_frames(Rng& rng) {
   return {encode(hello),  encode(config),      encode(go),
           encode(done),   encode(Heartbeat{}), encode(targets),
           encode(report), encode_shutdown(),   encode(metrics),
-          encode(dump)};
+          encode(dump),   encode(batch)};
 }
 
 /// XORs 1–8 random bytes anywhere in the frame, header included.
@@ -150,7 +155,7 @@ TEST(WireFuzz, MutatedValidFrames) {
   Rng extra_rng(0xF025);
   const auto extra = valid_frames(extra_rng);
   for (int iter = 0; iter < 500; ++iter) {
-    StepGo g;
+    PeerBatch g;
     g.quantum = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
     const auto n = static_cast<std::size_t>(rng.uniform_int(0, 16));
     for (std::size_t i = 0; i < n; ++i) {

@@ -82,7 +82,28 @@ std::vector<Advert> random_adverts(Rng& rng, std::size_t max_len) {
 Hello random_hello(Rng& rng) {
   Hello h;
   h.rank = static_cast<std::uint32_t>(rng.uniform_int(0, 0xFFFF));
+  h.peer_address = random_string(rng, 108);
   return h;
+}
+
+control::ControllerConfig random_controller(Rng& rng) {
+  control::ControllerConfig c;
+  c.policy = static_cast<control::FlowPolicy>(rng.uniform_int(0, 3));
+  c.lqr.state_cost = random_double(rng);
+  c.lqr.control_cost = random_double(rng);
+  c.feedback_delay_ticks = static_cast<int>(rng.uniform_int(-5, 1 << 20));
+  c.b0_fraction = random_double(rng);
+  c.bucket_depth_seconds = random_double(rng);
+  c.service_ewma_alpha = random_double(rng);
+  c.arrival_ewma_alpha = random_double(rng);
+  c.rho_source = static_cast<control::RhoSource>(rng.uniform_int(0, 1));
+  c.rate_floor = random_double(rng);
+  c.demand_floor_sdos = random_double(rng);
+  c.threshold_high = random_double(rng);
+  c.threshold_low = random_double(rng);
+  c.cpu_control = static_cast<control::CpuControlKind>(rng.uniform_int(0, 1));
+  c.advert_staleness_timeout = random_double(rng);
+  return c;
 }
 
 Config random_config(Rng& rng) {
@@ -94,8 +115,7 @@ Config random_config(Rng& rng) {
   c.duration = rng.uniform(0.0, 1e4);
   c.warmup = rng.uniform(0.0, 1e3);
   c.dt = rng.uniform(1e-3, 10.0);
-  c.policy = static_cast<std::uint8_t>(rng.uniform_int(0, 3));
-  c.staleness = random_double(rng);
+  c.controller = random_controller(rng);
   c.channel_capacity = static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 16));
   c.heartbeat_interval = rng.uniform(0.0, 5.0);
   c.start_quantum = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 24));
@@ -104,6 +124,8 @@ Config random_config(Rng& rng) {
   c.plan_cpu = random_doubles(rng, 64);
   c.span_sample = rng.uniform(0.0, 1.0);
   c.record_trace = rng.bernoulli(0.5) ? 1 : 0;
+  c.peers.resize(static_cast<std::size_t>(rng.uniform_int(0, 8)));
+  for (std::string& peer : c.peers) peer = random_string(rng, 108);
   return c;
 }
 
@@ -142,24 +164,45 @@ std::vector<SpanHandoff> random_handoffs(Rng& rng, std::size_t max_len) {
 StepGo random_step_go(Rng& rng) {
   StepGo g;
   g.quantum = static_cast<std::uint64_t>(rng.uniform_int(0, 1LL << 32));
+  g.count = static_cast<std::uint32_t>(rng.uniform_int(0, 0xFFFFFFFFLL));
   g.flags = rng.bernoulli(0.5) ? kStepGoFinal : 0;
-  g.deliveries = random_deliveries(rng, 128);
-  g.spans = random_handoffs(rng, 6);
-  g.adverts = random_adverts(rng, 64);
-  g.congested_pes = random_u32s(rng, 32);
+  g.deliveries = random_deliveries(rng, 8);
+  g.adverts = random_adverts(rng, 8);
   g.down_nodes = random_u32s(rng, 8);
   g.up_nodes = random_u32s(rng, 8);
   return g;
 }
 
+std::vector<Undelivered> random_undelivered(Rng& rng, std::size_t max_len) {
+  std::vector<Undelivered> v(static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(max_len))));
+  for (Undelivered& u : v) {
+    u.rank = static_cast<std::uint32_t>(rng.uniform_int(0, 0xFFFF));
+    u.deliveries = static_cast<std::uint64_t>(rng.uniform_int(0, 1LL << 40));
+    u.spans = static_cast<std::uint64_t>(rng.uniform_int(0, 1LL << 40));
+  }
+  return v;
+}
+
 StepDone random_step_done(Rng& rng) {
   StepDone d;
   d.quantum = static_cast<std::uint64_t>(rng.uniform_int(0, 1LL << 32));
-  d.deliveries = random_deliveries(rng, 128);
-  d.spans = random_handoffs(rng, 6);
-  d.adverts = random_adverts(rng, 64);
-  d.congested_pes = random_u32s(rng, 32);
+  d.deliveries = random_deliveries(rng, 8);
+  d.adverts = random_adverts(rng, 8);
+  d.dropped = random_undelivered(rng, 4);
+  d.kept = random_undelivered(rng, 4);
+  d.rejected = random_u32s(rng, 4);
   return d;
+}
+
+PeerBatch random_peer_batch(Rng& rng) {
+  PeerBatch b;
+  b.quantum = static_cast<std::uint64_t>(rng.uniform_int(0, 1LL << 32));
+  b.deliveries = random_deliveries(rng, 128);
+  b.spans = random_handoffs(rng, 6);
+  b.adverts = random_adverts(rng, 64);
+  b.congested_pes = random_u32s(rng, 32);
+  return b;
 }
 
 Targets random_targets(Rng& rng) {
@@ -363,6 +406,7 @@ TEST(WireRoundTrip, HelloSeeded) {
         decode_hello(payload_of(encode(in), FrameType::kHello));
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->rank, in.rank);
+    EXPECT_EQ(out->peer_address, in.peer_address);
   }
 }
 
@@ -380,8 +424,24 @@ TEST(WireRoundTrip, ConfigSeeded) {
     EXPECT_TRUE(bits_equal(out->duration, in.duration));
     EXPECT_TRUE(bits_equal(out->warmup, in.warmup));
     EXPECT_TRUE(bits_equal(out->dt, in.dt));
-    EXPECT_EQ(out->policy, in.policy);
-    EXPECT_TRUE(bits_equal(out->staleness, in.staleness));
+    const control::ControllerConfig& oc = out->controller;
+    const control::ControllerConfig& ic = in.controller;
+    EXPECT_EQ(oc.policy, ic.policy);
+    EXPECT_TRUE(bits_equal(oc.lqr.state_cost, ic.lqr.state_cost));
+    EXPECT_TRUE(bits_equal(oc.lqr.control_cost, ic.lqr.control_cost));
+    EXPECT_EQ(oc.feedback_delay_ticks, ic.feedback_delay_ticks);
+    EXPECT_TRUE(bits_equal(oc.b0_fraction, ic.b0_fraction));
+    EXPECT_TRUE(bits_equal(oc.bucket_depth_seconds, ic.bucket_depth_seconds));
+    EXPECT_TRUE(bits_equal(oc.service_ewma_alpha, ic.service_ewma_alpha));
+    EXPECT_TRUE(bits_equal(oc.arrival_ewma_alpha, ic.arrival_ewma_alpha));
+    EXPECT_EQ(oc.rho_source, ic.rho_source);
+    EXPECT_TRUE(bits_equal(oc.rate_floor, ic.rate_floor));
+    EXPECT_TRUE(bits_equal(oc.demand_floor_sdos, ic.demand_floor_sdos));
+    EXPECT_TRUE(bits_equal(oc.threshold_high, ic.threshold_high));
+    EXPECT_TRUE(bits_equal(oc.threshold_low, ic.threshold_low));
+    EXPECT_EQ(oc.cpu_control, ic.cpu_control);
+    EXPECT_TRUE(bits_equal(oc.advert_staleness_timeout,
+                           ic.advert_staleness_timeout));
     EXPECT_EQ(out->channel_capacity, in.channel_capacity);
     EXPECT_TRUE(bits_equal(out->heartbeat_interval, in.heartbeat_interval));
     EXPECT_EQ(out->start_quantum, in.start_quantum);
@@ -390,6 +450,7 @@ TEST(WireRoundTrip, ConfigSeeded) {
     expect_doubles_eq(out->plan_cpu, in.plan_cpu);
     EXPECT_TRUE(bits_equal(out->span_sample, in.span_sample));
     EXPECT_EQ(out->record_trace, in.record_trace);
+    EXPECT_EQ(out->peers, in.peers);
   }
 }
 
@@ -401,17 +462,21 @@ TEST(WireRoundTrip, StepGoSeeded) {
         decode_step_go(payload_of(encode(in), FrameType::kStepGo));
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->quantum, in.quantum);
+    EXPECT_EQ(out->count, in.count);
     EXPECT_EQ(out->flags, in.flags);
     expect_vec_eq(out->deliveries, in.deliveries,
                   [](const auto& a, const auto& b) { expect_eq(a, b); });
-    expect_vec_eq(out->spans, in.spans,
-                  [](const auto& a, const auto& b) { expect_eq(a, b); });
     expect_vec_eq(out->adverts, in.adverts,
                   [](const auto& a, const auto& b) { expect_eq(a, b); });
-    EXPECT_EQ(out->congested_pes, in.congested_pes);
     EXPECT_EQ(out->down_nodes, in.down_nodes);
     EXPECT_EQ(out->up_nodes, in.up_nodes);
   }
+}
+
+void expect_eq(const Undelivered& a, const Undelivered& b) {
+  EXPECT_EQ(a.rank, b.rank);
+  EXPECT_EQ(a.deliveries, b.deliveries);
+  EXPECT_EQ(a.spans, b.spans);
 }
 
 TEST(WireRoundTrip, StepDoneSeeded) {
@@ -420,6 +485,26 @@ TEST(WireRoundTrip, StepDoneSeeded) {
     const StepDone in = random_step_done(rng);
     const auto out =
         decode_step_done(payload_of(encode(in), FrameType::kStepDone));
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->quantum, in.quantum);
+    expect_vec_eq(out->deliveries, in.deliveries,
+                  [](const auto& a, const auto& b) { expect_eq(a, b); });
+    expect_vec_eq(out->adverts, in.adverts,
+                  [](const auto& a, const auto& b) { expect_eq(a, b); });
+    expect_vec_eq(out->dropped, in.dropped,
+                  [](const auto& a, const auto& b) { expect_eq(a, b); });
+    expect_vec_eq(out->kept, in.kept,
+                  [](const auto& a, const auto& b) { expect_eq(a, b); });
+    EXPECT_EQ(out->rejected, in.rejected);
+  }
+}
+
+TEST(WireRoundTrip, PeerBatchSeeded) {
+  Rng rng(0xBA7C4);
+  for (int i = 0; i < 100; ++i) {
+    const PeerBatch in = random_peer_batch(rng);
+    const auto out =
+        decode_peer_batch(payload_of(encode(in), FrameType::kPeerBatch));
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->quantum, in.quantum);
     expect_vec_eq(out->deliveries, in.deliveries,
@@ -548,17 +633,19 @@ TEST(WireRoundTrip, Shutdown) {
 
 TEST(WireGolden, HeaderLayout) {
   const auto h = frame_header(FrameType::kStepGo, 0xAABBCCDD);
-  const std::uint8_t want[8] = {0xE5, 0xAC, 0x04, 0x03, 0xDD, 0xCC, 0xBB, 0xAA};
+  const std::uint8_t want[8] = {0xE5, 0xAC, 0x05, 0x03, 0xDD, 0xCC, 0xBB, 0xAA};
   EXPECT_EQ(0, std::memcmp(h.data(), want, sizeof want));
 }
 
 TEST(WireGolden, HelloBytes) {
   Hello h;
   h.rank = 0x01020304;
+  h.peer_address = "p";
   const auto frame = encode(h);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x04, 0x01, 0x04, 0x00, 0x00, 0x00,  // header, len 4
+      0xE5, 0xAC, 0x05, 0x01, 0x09, 0x00, 0x00, 0x00,  // header, len 9
       0x04, 0x03, 0x02, 0x01,                          // rank LE
+      0x01, 0x00, 0x00, 0x00, 0x70,                    // peer_address "p"
   };
   ASSERT_EQ(frame.size(), sizeof want);
   EXPECT_EQ(0, std::memcmp(frame.data(), want, sizeof want));
@@ -567,7 +654,7 @@ TEST(WireGolden, HelloBytes) {
 TEST(WireGolden, HeartbeatBytes) {
   const auto frame = encode(Heartbeat{});
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x04, 0x05, 0x00, 0x00, 0x00, 0x00,  // header, no payload
+      0xE5, 0xAC, 0x05, 0x05, 0x00, 0x00, 0x00, 0x00,  // header, no payload
   };
   ASSERT_EQ(frame.size(), sizeof want);
   EXPECT_EQ(0, std::memcmp(frame.data(), want, sizeof want));
@@ -576,7 +663,7 @@ TEST(WireGolden, HeartbeatBytes) {
 TEST(WireGolden, ShutdownBytes) {
   const auto frame = encode_shutdown();
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x04, 0x08, 0x00, 0x00, 0x00, 0x00,  // header, no payload
+      0xE5, 0xAC, 0x05, 0x08, 0x00, 0x00, 0x00, 0x00,  // header, no payload
   };
   ASSERT_EQ(frame.size(), sizeof want);
   EXPECT_EQ(0, std::memcmp(frame.data(), want, sizeof want));
@@ -588,7 +675,7 @@ TEST(WireGolden, MetricsReportBytes) {
   m.counters.push_back({"a", 3});
   const auto frame = encode(m);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x04, 0x09, 0x29, 0x00, 0x00, 0x00,  // header, len 41
+      0xE5, 0xAC, 0x05, 0x09, 0x29, 0x00, 0x00, 0x00,  // header, len 41
       0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // quantum
       0x01, 0x00, 0x00, 0x00,                          // 1 counter
       0x01, 0x00, 0x00, 0x00, 0x61,                    // name "a"
@@ -609,7 +696,7 @@ TEST(WireGolden, FlightDumpBytes) {
   d.pushed = 5;
   const auto frame = encode(d);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x04, 0x0A, 0x1D, 0x00, 0x00, 0x00,  // header, len 29
+      0xE5, 0xAC, 0x05, 0x0A, 0x1D, 0x00, 0x00, 0x00,  // header, len 29
       0x01, 0x00, 0x00, 0x00, 0x78,                    // event "x"
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // time 0.0
       0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // pushed
@@ -629,8 +716,20 @@ TEST(WireGolden, ConfigBytes) {
   c.duration = 2.0;
   c.warmup = 0.5;
   c.dt = 0.25;
-  c.policy = 3;
-  c.staleness = 0.0;
+  c.controller.policy = control::FlowPolicy::kLockStep;
+  c.controller.lqr = {1.0, 4.0};
+  c.controller.feedback_delay_ticks = -1;
+  c.controller.b0_fraction = 0.25;
+  c.controller.bucket_depth_seconds = 2.0;
+  c.controller.service_ewma_alpha = 0.5;
+  c.controller.arrival_ewma_alpha = 0.5;
+  c.controller.rho_source = control::RhoSource::kMeasured;
+  c.controller.rate_floor = 0.0;
+  c.controller.demand_floor_sdos = 2.0;
+  c.controller.threshold_high = 1.0;
+  c.controller.threshold_low = 0.5;
+  c.controller.cpu_control = control::CpuControlKind::kTargetProportional;
+  c.controller.advert_staleness_timeout = 0.25;
   c.channel_capacity = 16;
   c.heartbeat_interval = 1.0;
   c.start_quantum = 9;
@@ -639,9 +738,10 @@ TEST(WireGolden, ConfigBytes) {
   c.plan_cpu = {1.0};
   c.span_sample = 0.5;
   c.record_trace = 1;
+  c.peers = {"a", ""};
   const auto frame = encode(c);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x04, 0x02, 0x67, 0x00, 0x00, 0x00,  // header, len 103
+      0xE5, 0xAC, 0x05, 0x02, 0xCA, 0x00, 0x00, 0x00,  // header, len 202
       0x01, 0x00, 0x00, 0x00,                          // rank
       0x02, 0x00, 0x00, 0x00,                          // num_workers
       0x04, 0x00, 0x00, 0x00,                          // substeps
@@ -649,8 +749,21 @@ TEST(WireGolden, ConfigBytes) {
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  // duration 2.0
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // warmup 0.5
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F,  // dt 0.25
-      0x03,                                            // policy
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // staleness 0.0
+      0x02,                                            // policy (Lock-Step)
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // lqr q 1.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x40,  // lqr r 4.0
+      0xFF, 0xFF, 0xFF, 0xFF,                          // feedback delay -1
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F,  // b0_fraction 0.25
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  // bucket depth 2.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // service ewma 0.5
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // arrival ewma 0.5
+      0x01,                                            // rho (measured)
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // rate_floor 0.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  // demand floor 2.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // threshold high 1.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // threshold low 0.5
+      0x01,                                            // cpu (by target)
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F,  // staleness 0.25
       0x10, 0x00, 0x00, 0x00,                          // channel_capacity
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // heartbeat 1.0
       0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // start_quantum
@@ -660,6 +773,9 @@ TEST(WireGolden, ConfigBytes) {
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  //   1.0
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // span_sample 0.5
       0x01,                                            // record_trace
+      0x02, 0x00, 0x00, 0x00,                          // 2 peers
+      0x01, 0x00, 0x00, 0x00, 0x61,                    //   "a"
+      0x00, 0x00, 0x00, 0x00,                          //   ""
   };
   ASSERT_EQ(frame.size(), sizeof want);
   EXPECT_EQ(0, std::memcmp(frame.data(), want, sizeof want));
@@ -668,45 +784,17 @@ TEST(WireGolden, ConfigBytes) {
 TEST(WireGolden, StepGoBytes) {
   StepGo g;
   g.quantum = 3;
+  g.count = 16;
   g.flags = kStepGoFinal;
-  g.deliveries.push_back(SdoDelivery{2, 1, 0.5});
-  obs::SdoSpan s;  // in flight: one PE visit so far
-  s.trace_id = 7;
-  s.source_pe = 1;
-  s.start = 0.0;
-  s.hop_count = 1;
-  s.hops[0] = {1, static_cast<std::uint32_t>(obs::HopKind::kPe), 0.0, 0.0,
-               0.25};
-  g.spans.push_back(SpanHandoff{0, s});
-  g.adverts.push_back(Advert{4, 2.0, 0.25});
-  g.congested_pes = {5};
   g.up_nodes = {6};
   const auto frame = encode(g);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x04, 0x03, 0x90, 0x00, 0x00, 0x00,  // header, len 144
+      0xE5, 0xAC, 0x05, 0x03, 0x21, 0x00, 0x00, 0x00,  // header, len 33
       0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // quantum
+      0x10, 0x00, 0x00, 0x00,                          // count
       0x01,                                            // flags: final
-      0x01, 0x00, 0x00, 0x00,                          // 1 delivery
-      0x02, 0x00, 0x00, 0x00,                          //   dest_pe
-      0x01, 0x00, 0x00, 0x00,                          //   src_node
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  //   birth 0.5
-      0x01, 0x00, 0x00, 0x00,                          // 1 span handoff
-      0x00, 0x00, 0x00, 0x00,                          //   delivery 0
-      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   trace_id
-      0x01, 0x00, 0x00, 0x00,                          //   source_pe
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   start 0.0
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0xBF,  //   end -1.0
-      0x00, 0x00, 0x01,                                //   flags, hop_count
-      0x01, 0x00, 0x00, 0x00,                          //   hop pe
-      0x00, 0x00, 0x00, 0x00,                          //   hop kind (kPe)
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   enqueue 0.0
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   dequeue 0.0
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F,  //   emit 0.25
-      0x01, 0x00, 0x00, 0x00,                          // 1 advert
-      0x04, 0x00, 0x00, 0x00,                          //   pe
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  //   rmax 2.0
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F,  //   time 0.25
-      0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,  // congested_pes {5}
+      0x00, 0x00, 0x00, 0x00,                          // deliveries {}
+      0x00, 0x00, 0x00, 0x00,                          // adverts {}
       0x00, 0x00, 0x00, 0x00,                          // down_nodes {}
       0x01, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,  // up_nodes {6}
   };
@@ -717,7 +805,33 @@ TEST(WireGolden, StepGoBytes) {
 TEST(WireGolden, StepDoneBytes) {
   StepDone d;
   d.quantum = 4;
-  d.deliveries.push_back(SdoDelivery{7, 2, 1.0});
+  d.dropped.push_back(Undelivered{1, 2, 1});
+  d.kept.push_back(Undelivered{2, 3, 0});
+  d.rejected = {1};
+  const auto frame = encode(d);
+  const std::uint8_t want[] = {
+      0xE5, 0xAC, 0x05, 0x04, 0x48, 0x00, 0x00, 0x00,  // header, len 72
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // quantum
+      0x00, 0x00, 0x00, 0x00,                          // deliveries {}
+      0x00, 0x00, 0x00, 0x00,                          // adverts {}
+      0x01, 0x00, 0x00, 0x00,                          // 1 dropped
+      0x01, 0x00, 0x00, 0x00,                          //   rank
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   deliveries
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   spans
+      0x01, 0x00, 0x00, 0x00,                          // 1 kept
+      0x02, 0x00, 0x00, 0x00,                          //   rank
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   deliveries
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   spans
+      0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // rejected {1}
+  };
+  ASSERT_EQ(frame.size(), sizeof want);
+  EXPECT_EQ(0, std::memcmp(frame.data(), want, sizeof want));
+}
+
+TEST(WireGolden, PeerBatchBytes) {
+  PeerBatch b;
+  b.quantum = 4;
+  b.deliveries.push_back(SdoDelivery{7, 2, 1.0});
   obs::SdoSpan s;  // leaving its worker: a PE visit, then the send hop
   s.trace_id = 9;
   s.source_pe = 2;
@@ -727,12 +841,12 @@ TEST(WireGolden, StepDoneBytes) {
                1.0};
   s.hops[1] = {2, static_cast<std::uint32_t>(obs::HopKind::kWireSend), 1.25,
                1.25, 1.25};
-  d.spans.push_back(SpanHandoff{0, s});
-  d.adverts.push_back(Advert{3, 0.5, 2.0});
-  d.congested_pes = {5};
-  const auto frame = encode(d);
+  b.spans.push_back(SpanHandoff{0, s});
+  b.adverts.push_back(Advert{3, 0.5, 2.0});
+  b.congested_pes = {5};
+  const auto frame = encode(b);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x04, 0x04, 0xA3, 0x00, 0x00, 0x00,  // header, len 163
+      0xE5, 0xAC, 0x05, 0x0B, 0xA3, 0x00, 0x00, 0x00,  // header, len 163
       0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // quantum
       0x01, 0x00, 0x00, 0x00,                          // 1 delivery
       0x07, 0x00, 0x00, 0x00,                          //   dest_pe
@@ -770,7 +884,7 @@ TEST(WireGolden, TargetsBytes) {
   t.cpu = {0.5, 2.0};
   const auto frame = encode(t);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x04, 0x06, 0x14, 0x00, 0x00, 0x00,  // header, len 20
+      0xE5, 0xAC, 0x05, 0x06, 0x14, 0x00, 0x00, 0x00,  // header, len 20
       0x02, 0x00, 0x00, 0x00,                          // 2 cpu targets
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  //   0.5
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  //   2.0
@@ -798,7 +912,7 @@ TEST(WireGolden, ReportBytes) {
   rep.reoptimizations = 12;
   const auto frame = encode(r);
   std::vector<std::uint8_t> want = {
-      0xE5, 0xAC, 0x04, 0x07, 0x44, 0x07, 0x00, 0x00,  // header, len 1860
+      0xE5, 0xAC, 0x05, 0x07, 0x44, 0x07, 0x00, 0x00,  // header, len 1860
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  // measured_seconds 2.0
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // weighted_tput 0.5
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // output_rate 1.0
@@ -843,10 +957,9 @@ TEST(WireGolden, ReportBytes) {
 TEST(WireGolden, DoubleIsIeeeBitsLe) {
   // 1.0 = 0x3FF0000000000000; the advert codec must emit exactly those
   // bytes little-endian, not a text round trip.
-  StepGo g;
-  g.quantum = 0;
-  g.adverts.push_back(Advert{5, 1.0, -0.0});
-  const auto frame = encode(g);
+  PeerBatch b;
+  b.adverts.push_back(Advert{5, 1.0, -0.0});
+  const auto frame = encode(b);
   // Find the 8-byte pattern for 1.0 in the payload.
   const std::uint8_t one[] = {0, 0, 0, 0, 0, 0, 0xF0, 0x3F};
   const std::uint8_t neg_zero[] = {0, 0, 0, 0, 0, 0, 0, 0x80};
@@ -878,15 +991,15 @@ TEST(WireReject, TruncatedAtEveryByte) {
 
 TEST(WireReject, TruncatedPayloadAtEveryByte) {
   Rng rng(0x7242);
-  StepDone in = random_step_done(rng);
+  PeerBatch in = random_peer_batch(rng);
   in.spans.push_back(SpanHandoff{0, random_span(rng)});  // a span cut too
-  auto payload = payload_of(encode(in), FrameType::kStepDone);
+  auto payload = payload_of(encode(in), FrameType::kPeerBatch);
   ASSERT_FALSE(payload.empty());
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
     std::vector<std::uint8_t> truncated(payload.begin(),
                                         payload.begin() + cut);
     WireError err;
-    const auto out = decode_step_done(truncated, &err);
+    const auto out = decode_peer_batch(truncated, &err);
     EXPECT_FALSE(out.has_value()) << "cut at " << cut;
     EXPECT_FALSE(err.reason.empty());
   }
@@ -915,12 +1028,12 @@ TEST(WireReject, BadVersion) {
   WireError err;
   EXPECT_FALSE(parse_frame(frame.data(), frame.size(), &err).has_value());
   EXPECT_NE(err.reason.find("version"), std::string::npos);
-  // A version-3 peer is refused at the header, before any field is read.
-  ASSERT_EQ(kWireVersion, 4);
-  frame[2] = 3;
-  WireError v3;
-  EXPECT_FALSE(parse_frame(frame.data(), frame.size(), &v3).has_value());
-  EXPECT_EQ(v3.reason, "unsupported wire version");
+  // A version-4 peer is refused at the header, before any field is read.
+  ASSERT_EQ(kWireVersion, 5);
+  frame[2] = 4;
+  WireError v4;
+  EXPECT_FALSE(parse_frame(frame.data(), frame.size(), &v4).has_value());
+  EXPECT_EQ(v4.reason, "unsupported wire version");
 }
 
 TEST(WireReject, BadFrameType) {
@@ -955,9 +1068,8 @@ TEST(WireReject, ImplausibleVectorCount) {
   // must be rejected by the count guard, not attempt the allocation.
   std::vector<std::uint8_t> payload;
   const std::uint64_t quantum = 1;
-  payload.resize(8 + 1);
-  std::memcpy(payload.data(), &quantum, 8);
-  payload[8] = 0;  // flags
+  payload.resize(8 + 4 + 1);
+  std::memcpy(payload.data(), &quantum, 8);  // count 0, flags 0
   const std::uint32_t bogus = 0x80000000u;
   for (std::size_t i = 0; i < 4; ++i) {
     payload.push_back(static_cast<std::uint8_t>(bogus >> (8 * i)));
@@ -994,10 +1106,10 @@ TEST(WireReject, MetricsReportTruncatedAtEveryByte) {
 TEST(WireReject, SpanHopCountBeyondMax) {
   // A span claiming more hops than the fixed array holds must be rejected
   // by the count guard before any hop is read into the struct.
-  StepDone d;
-  d.deliveries.push_back(SdoDelivery{});
-  d.spans.push_back(SpanHandoff{0, obs::SdoSpan{}});
-  auto payload = payload_of(encode(d), FrameType::kStepDone);
+  PeerBatch b;
+  b.deliveries.push_back(SdoDelivery{});
+  b.spans.push_back(SpanHandoff{0, obs::SdoSpan{}});
+  auto payload = payload_of(encode(b), FrameType::kPeerBatch);
   // Layout: quantum(8) delivery count(4) delivery(16) handoff count(4)
   // handoff delivery(4), then the span: trace_id(8) source_pe(4) start(8)
   // end(8) dropped(1) truncated(1) hop_count(1).
@@ -1006,7 +1118,7 @@ TEST(WireReject, SpanHopCountBeyondMax) {
   payload[hop_count_at] =
       static_cast<std::uint8_t>(obs::SdoSpan::kMaxHops + 1);
   WireError err;
-  EXPECT_FALSE(decode_step_done(payload, &err).has_value());
+  EXPECT_FALSE(decode_peer_batch(payload, &err).has_value());
   EXPECT_NE(err.reason.find("hop count"), std::string::npos);
 }
 
@@ -1062,14 +1174,14 @@ TEST(WireReject, ElementCountIsCheckedAgainstPayloadBeforeAllocating) {
   EXPECT_NE(metrics_err.reason.find("implausible"), std::string::npos)
       << metrics_err.reason;
 
-  std::vector<std::uint8_t> done(8, 0);  // quantum
-  le32(done, 0);                         // deliveries
-  le32(done, 100000);                    // span handoffs
-  ASSERT_EQ(done.size(), 16u);
-  WireError done_err;
-  EXPECT_FALSE(decode_step_done(done, &done_err).has_value());
-  EXPECT_NE(done_err.reason.find("implausible"), std::string::npos)
-      << done_err.reason;
+  std::vector<std::uint8_t> batch(8, 0);  // quantum
+  le32(batch, 0);                         // deliveries
+  le32(batch, 100000);                    // span handoffs
+  ASSERT_EQ(batch.size(), 16u);
+  WireError batch_err;
+  EXPECT_FALSE(decode_peer_batch(batch, &batch_err).has_value());
+  EXPECT_NE(batch_err.reason.find("implausible"), std::string::npos)
+      << batch_err.reason;
 }
 
 TEST(WireReject, ReportHistogramLayoutMismatch) {
@@ -1087,11 +1199,31 @@ TEST(WireReject, ReportHistogramLayoutMismatch) {
   EXPECT_NE(err.reason.find("layout"), std::string::npos) << err.reason;
 }
 
+TEST(WireReject, ControllerEnumOutOfRange) {
+  // Each enum of the controller travels as a u8; a value past its last
+  // enumerator is refused, not cast into an enum the controller cannot
+  // handle. Offsets into the ConfigBytes layout: policy after the 44 bytes
+  // of rank .. dt, rho_source 53 bytes later, cpu_control 33 after that.
+  Config c;
+  const auto good = payload_of(encode(c), FrameType::kConfig);
+  for (const std::size_t at : {std::size_t{44}, std::size_t{44 + 53},
+                               std::size_t{44 + 53 + 33}}) {
+    auto payload = good;
+    ASSERT_LT(at, payload.size());
+    payload[at] = 4;
+    WireError err;
+    EXPECT_FALSE(decode_config(payload, &err).has_value()) << "byte " << at;
+    EXPECT_NE(err.reason.find("out of range"), std::string::npos)
+        << err.reason;
+  }
+  EXPECT_TRUE(decode_config(good).has_value());
+}
+
 TEST(WireToString, CoversAllTypes) {
-  for (std::uint8_t t = 1; t <= 10; ++t) {
+  for (std::uint8_t t = 1; t <= 11; ++t) {
     EXPECT_NE(std::string(to_string(static_cast<FrameType>(t))), "unknown");
   }
-  EXPECT_EQ(std::string(to_string(static_cast<FrameType>(11))), "unknown");
+  EXPECT_EQ(std::string(to_string(static_cast<FrameType>(12))), "unknown");
 }
 
 }  // namespace
