@@ -2,11 +2,16 @@
 // paths: the event kernel, the tier-2 controller, the data-plane channel,
 // and the tier-1 solver. These quantify the claim that the distributed
 // controller is "computationally light" (paper §V-C). The BM_Cluster*
-// benchmarks time each exposition of a filled cluster aggregator.
+// benchmarks time each exposition of a filled cluster aggregator; BM_Wire*
+// and BM_InprocRoundTrip time what a distributed quantum pays around its
+// compute: one PeerBatch's codec and one in-process handoff each way.
+#include <sys/resource.h>
+
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <sstream>
+#include <thread>
 
 #include "control/cpu_scheduler.h"
 #include "control/flow_controller.h"
@@ -20,6 +25,8 @@
 #include "runtime/channel.h"
 #include "runtime/dist_coordinator.h"
 #include "runtime/dist_options.h"
+#include "runtime/transport/inproc.h"
+#include "runtime/wire.h"
 #include "sim/simulator.h"
 #include "sim/stream_simulation.h"
 
@@ -117,6 +124,108 @@ void BM_ChannelPushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChannelPushPop);
+
+/// A PeerBatch of `deliveries` deliveries and `adverts` adverts: 448 bytes
+/// with 26 and none, about what a 400-PE two-shard quantum trades.
+runtime::wire::PeerBatch peer_batch(int deliveries, int adverts) {
+  runtime::wire::PeerBatch batch;
+  batch.quantum = 1234;
+  for (int i = 0; i < deliveries; ++i) {
+    batch.deliveries.push_back(runtime::wire::SdoDelivery{
+        static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(i / 4),
+        0.1 * i});
+  }
+  for (int i = 0; i < adverts; ++i) {
+    batch.adverts.push_back(runtime::wire::Advert{
+        static_cast<std::uint32_t>(i), 10.0 + i, 0.5});
+  }
+  return batch;
+}
+
+void BM_WireEncodePeerBatch(benchmark::State& state) {
+  const runtime::wire::PeerBatch batch =
+      peer_batch(static_cast<int>(state.range(0)),
+                 static_cast<int>(state.range(1)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::vector<std::uint8_t> frame = runtime::wire::encode(batch);
+    bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_WireEncodePeerBatch)
+    ->ArgNames({"deliveries", "adverts"})
+    ->Args({26, 0})
+    ->Args({26, 100});
+
+void BM_WireDecodePeerBatch(benchmark::State& state) {
+  const std::vector<std::uint8_t> frame = runtime::wire::encode(
+      peer_batch(static_cast<int>(state.range(0)),
+                 static_cast<int>(state.range(1))));
+  const std::vector<std::uint8_t> payload(
+      frame.begin() + runtime::wire::kHeaderBytes, frame.end());
+  for (auto _ : state) {
+    auto batch = runtime::wire::decode_peer_batch(payload);
+    benchmark::DoNotOptimize(batch);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size()));
+  state.counters["bytes"] = static_cast<double>(frame.size());
+}
+BENCHMARK(BM_WireDecodePeerBatch)
+    ->ArgNames({"deliveries", "adverts"})
+    ->Args({26, 0})
+    ->Args({26, 100});
+
+/// Receives one frame in the worker's 20-ms slices.
+runtime::transport::RecvStatus recv_in_slices(
+    runtime::transport::Endpoint& ep, runtime::wire::Frame* frame) {
+  auto status = runtime::transport::RecvStatus::kTimeout;
+  while (status == runtime::transport::RecvStatus::kTimeout) {
+    status = ep.recv(frame, 20);
+  }
+  return status;
+}
+
+long context_switches() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_nvcsw + usage.ru_nivcsw;
+}
+
+/// One Heartbeat each way through an in-process pair, the other end echoed
+/// by a second thread: the fixed cost of a handoff. Run it pinned to one CPU
+/// (`taskset -c 0`), as perfbench runs, to count one wake per handoff:
+/// `switches` is the process's context switches per round trip.
+void BM_InprocRoundTrip(benchmark::State& state) {
+  auto [near, far] = runtime::transport::make_inproc_pair();
+  runtime::transport::Endpoint& echo_end = *far;
+  const std::vector<std::uint8_t> heartbeat =
+      runtime::wire::encode(runtime::wire::Heartbeat{});
+  std::thread echo([&echo_end, &heartbeat] {
+    runtime::wire::Frame frame;
+    while (recv_in_slices(echo_end, &frame) ==
+               runtime::transport::RecvStatus::kOk &&
+           echo_end.send(heartbeat)) {
+    }
+  });
+  runtime::wire::Frame frame;
+  const long before = context_switches();
+  for (auto _ : state) {
+    near->send(heartbeat);
+    recv_in_slices(*near, &frame);
+  }
+  const long switches = context_switches() - before;
+  near->close();
+  echo.join();
+  state.SetItemsProcessed(state.iterations());
+  state.counters["switches"] = benchmark::Counter(
+      static_cast<double>(switches), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_InprocRoundTrip);
 
 void BM_CounterDisabled(benchmark::State& state) {
   // Telemetry off: the handle the runtime holds when RuntimeOptions::counters

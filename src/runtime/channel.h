@@ -15,13 +15,13 @@
 //
 // Lock discipline is machine-checked: every mutable member is
 // ACES_GUARDED_BY(mutex_) and clang's -Wthread-safety proves each access
-// holds the lock. Waits use std::condition_variable_any over aces::Mutex
-// with explicit while-loops (the analysis can't see through predicate
-// lambdas), which is behaviourally identical to wait_for(pred).
+// holds the lock. Waits use aces::CondVar over aces::Mutex with explicit
+// while-loops (the analysis can't see through predicate lambdas), which is
+// behaviourally identical to wait_for(pred). Every notify comes after the
+// unlock, so a woken waiter never finds the lock still held.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <optional>
 
@@ -177,8 +177,8 @@ class Channel {
  private:
   const std::size_t capacity_;
   mutable Mutex mutex_;
-  std::condition_variable_any not_empty_;
-  std::condition_variable_any not_full_;
+  CondVar not_empty_;
+  CondVar not_full_;
   std::deque<T> items_ ACES_GUARDED_BY(mutex_);
   bool closed_ ACES_GUARDED_BY(mutex_) = false;
 };

@@ -121,6 +121,9 @@ class Coordinator {
     base_config_.heartbeat_interval = options.heartbeat_interval;
     base_config_.span_sample = options.span_sample;
     base_config_.record_trace = options.record_trace ? 1 : 0;
+    // Workers ship telemetry only to an aggregator, which is all that
+    // reads it.
+    base_config_.telemetry = options.aggregator != nullptr ? 1 : 0;
     base_config_.topology = graph::to_string(g);
     base_config_.faults =
         options.faults.empty() ? std::string() : fault::to_string(options.faults);
@@ -266,6 +269,7 @@ class Coordinator {
           break;
         case wire::FrameType::kMetricsReport:
         case wire::FrameType::kFlightDump:
+          if (stats_ != nullptr) ++stats_->telemetry_frames_received;
           if (!absorb_telemetry(rank, *frame)) {
             if (agg() != nullptr) agg()->record_decode_reject(rank);
             return transport::RecvStatus::kError;

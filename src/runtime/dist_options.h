@@ -49,7 +49,9 @@ struct DistOptions : RunSpec {
   bool record_trace = false;
   /// Optional (non-owned) sink for the cluster observability plane: shard
   /// telemetry, RTT/skew gauges, flight-recorder evidence. Null disables
-  /// all coordinator-side aggregation (the frames are still consumed).
+  /// all coordinator-side aggregation, and the workers ship no telemetry:
+  /// no MetricsReport, no fault dump, so no span is sampled
+  /// (`span_sample`) and no control tick recorded (`record_trace`).
   obs::ClusterAggregator* aggregator = nullptr;
 };
 
@@ -62,6 +64,9 @@ struct DistStats {
   std::uint64_t workers_killed = 0;
   std::uint64_t workers_restarted = 0;
   std::uint64_t heartbeats_received = 0;
+  /// MetricsReport and FlightDump frames received, well-formed or not;
+  /// 0 when no aggregator is attached, unless a worker breaks protocol.
+  std::uint64_t telemetry_frames_received = 0;
   /// Cross-worker deliveries discarded because their destination rank was
   /// dead: built for a peer with no link, and not handed to it on a respawn.
   std::uint64_t relay_dropped = 0;

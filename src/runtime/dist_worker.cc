@@ -228,13 +228,17 @@ class WorkerEngine {
     was_down_.assign(node_end_ - node_begin_, false);
     was_stalled_.assign(graph_.pe_count(), false);
 
-    // Telemetry. The counters are always on (counted in counts_, added to
-    // the registry once per quantum) and every name counts a *graph*
-    // property — cross_node is decided by node placement, never by the
-    // partition — so the coordinator's cross-shard sums match a
-    // single-process run exactly. The span tracer is optional and samples
-    // by (seed, source PE, arrival index) — the PE kernel's rule in every
-    // substrate — so traced runs stay bit-identical.
+    // Telemetry, only when the coordinator aggregates it: a worker without
+    // the Config's telemetry bit ships nothing, so it records nothing
+    // either. The counters are counted in counts_ and added to the
+    // registry once per quantum, and every name counts a *graph* property
+    // — cross_node is decided by node placement, never by the partition —
+    // so the coordinator's cross-shard sums match a single-process run
+    // exactly. The span tracer is optional and samples by (seed, source
+    // PE, arrival index) — the PE kernel's rule in every substrate — so
+    // traced runs stay bit-identical.
+    telemetry_ = cfg.telemetry != 0;
+    record_ticks_ = telemetry_ && cfg.record_trace != 0;
     ctr_arrived_ = counters_.counter("dist.sdo.arrived");
     ctr_processed_ = counters_.counter("dist.sdo.processed");
     ctr_emitted_ = counters_.counter("dist.sdo.emitted");
@@ -243,10 +247,10 @@ class WorkerEngine {
     gauge_quantum_ = counters_.gauge("dist.quantum");
     // Tick timing is opt-in, like `aces simulate --trace`: two clock reads
     // per tick are too dear for an untraced run.
-    if (cfg.record_trace != 0) {
+    if (record_ticks_) {
       tick_timer_ = counters_.timer("controller_tick");
     }
-    if (cfg.span_sample > 0.0) {
+    if (telemetry_ && cfg.span_sample > 0.0) {
       obs::SpanTracerOptions topt;
       topt.sample_rate = cfg.span_sample;
       topt.seed = cfg.seed;
@@ -334,6 +338,7 @@ class WorkerEngine {
     // The stop request is the flag: the stop_token wait registers a
     // callback that notifies `wake`, so no other thread shares `mu`.
     Mutex mu;
+    // aces-lint: allow(raw-condvar) only condition_variable_any has the stop_token waits
     std::condition_variable_any wake;
     for (;;) {
       {
@@ -399,7 +404,7 @@ class WorkerEngine {
       run_quantum(k, k == go.quantum ? &go : nullptr);
       close_batches(k);
       if (!exchange(k)) return false;
-      flush_counts();
+      if (telemetry_) flush_counts(k);
       // One send per quantum: the telemetry frames and the segment's
       // StepDone go out together, so the coordinator wakes once.
       std::vector<std::uint8_t> out;
@@ -608,7 +613,6 @@ class WorkerEngine {
   void run_quantum(std::uint64_t k, const wire::StepGo* go) {
     const Seconds vnow = static_cast<double>(k) * q_;
     const Seconds vend = static_cast<double>(k + 1) * q_;
-    gauge_quantum_.set(static_cast<double>(k));
 
     // Membership first: a dead node's mailboxes clamp to r_max = 0 and an
     // infinitely stale timestamp, so both the staleness rule and the Eq. 8
@@ -836,7 +840,7 @@ class WorkerEngine {
     ++events_executed_;
     for (std::size_t i = 0; i < local.size(); ++i) {
       PeState& pe = pes_[local[i].value()];
-      if (cfg_.record_trace != 0) {
+      if (record_ticks_) {
         // The shard tag is stamped coordinator-side from the frame's rank.
         trace_buffer_.push_back(pe::tick_record(
             controller, i, vnow, staleness, inputs[i], outputs[i],
@@ -1041,8 +1045,9 @@ class WorkerEngine {
     return wire::encode(done);
   }
 
-  /// Adds this quantum's data-path counts to the registry's counters.
-  void flush_counts() {
+  /// Adds quantum `k`'s data-path counts to the registry's counters.
+  void flush_counts(std::uint64_t k) {
+    gauge_quantum_.set(static_cast<double>(k));
     ctr_arrived_.inc(counts_.arrived);
     ctr_processed_.inc(counts_.processed);
     ctr_emitted_.inc(counts_.emitted);
@@ -1079,9 +1084,10 @@ class WorkerEngine {
   /// final Report) closing quantum `quantum`: the MetricsReport, with the
   /// spans finalized since the last one, when `epoch` (an epoch's last
   /// quantum, or the final one), and the fault dump taken this quantum, if
-  /// any.
+  /// any. None without the telemetry bit.
   void append_telemetry(std::vector<std::uint8_t>& out, std::uint64_t quantum,
                         bool epoch) {
+    if (!telemetry_) return;
     if (epoch) append(out, wire::encode(make_metrics_report(quantum)));
     if (pending_dump_.has_value()) {
       // A fault fired this quantum: ship the newest post-mortem the tracer
@@ -1165,7 +1171,13 @@ class WorkerEngine {
   Counts counts_;
   std::uint64_t events_executed_ = 0;
 
-  // ---- telemetry (tentpole: the distributed observability plane) -----
+  // ---- telemetry (the distributed observability plane) ---------------
+  /// The Config's telemetry bit: the coordinator aggregates what this
+  /// worker ships. Without it nothing below is filled.
+  bool telemetry_ = false;
+  /// Buffer and time control ticks for the MetricsReport: telemetry and
+  /// the Config's record_trace.
+  bool record_ticks_ = false;
   obs::Registry counters_;
   obs::Counter ctr_arrived_;
   obs::Counter ctr_processed_;
@@ -1175,7 +1187,8 @@ class WorkerEngine {
   obs::Gauge gauge_quantum_;
   obs::Timer tick_timer_;
   std::unique_ptr<obs::SpanTracer> tracer_;
-  /// Control-tick records since the last MetricsReport (record_trace only).
+  /// Control-tick records since the last MetricsReport (record_ticks_
+  /// only).
   std::vector<obs::TickRecord> trace_buffer_;
   /// Counter values as of the last MetricsReport, for delta encoding.
   std::map<std::string, std::uint64_t> last_sent_counters_;

@@ -14,7 +14,6 @@
 // more than kQueueReserve messages are ever in flight at once.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -76,7 +75,7 @@ class MessageBus {
   std::function<Seconds()> clock_;
   double time_scale_;
   mutable Mutex mutex_;
-  std::condition_variable_any wake_;
+  CondVar wake_;
   std::priority_queue<Message, std::vector<Message>, Later> queue_
       ACES_GUARDED_BY(mutex_);
   std::uint64_t next_seq_ ACES_GUARDED_BY(mutex_) = 0;

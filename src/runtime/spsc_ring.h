@@ -40,11 +40,11 @@
 // indices are plain members touched only by their owning side.
 //
 // Blocking (push_wait / pop_wait) is a *slow path*: after a short bounded
-// spin the waiter parks on a condvar behind aces::Mutex. Wakeups are an
-// optimization, not a correctness dependency — the fast-path publish does
-// a plain load of the waiter flag (no fence), so a freshly-parked waiter
-// can miss one notify; every park therefore sleeps in bounded slices
-// (kParkSliceNs) and re-checks. The engine never relies on wakeup latency
+// spin the waiter parks on an aces::CondVar behind aces::Mutex. Wakeups
+// are an optimization, not a correctness dependency — the fast-path
+// publish does a plain load of the waiter flag (no fence), so a
+// freshly-parked waiter can miss one notify; every park therefore sleeps
+// in bounded slices (kParkSliceNs) and re-checks. The engine never relies on wakeup latency
 // (it paces in virtual time), and the slices bound the worst case for
 // callers that do. close() takes the park mutex and notifies everyone.
 //
@@ -58,7 +58,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <condition_variable>
 #include <optional>
 #include <vector>
 
@@ -269,7 +268,7 @@ class SpscRing {
   void park(bool producer, std::chrono::steady_clock::time_point deadline)
       ACES_EXCLUDES(park_mutex_) {
     Atomic<int>& flag = producer ? producer_parked_ : consumer_parked_;
-    std::condition_variable_any& cv = producer ? not_full_ : not_empty_;
+    CondVar& cv = producer ? not_full_ : not_empty_;
     if (producer) {
       ACES_PERF_COUNT("ring_full_park");
     } else {
@@ -335,8 +334,8 @@ class SpscRing {
   Atomic<int> consumer_parked_{0};
   Atomic<int> producer_parked_{0};
   Mutex park_mutex_;
-  std::condition_variable_any not_empty_;
-  std::condition_variable_any not_full_;
+  CondVar not_empty_;
+  CondVar not_full_;
 };
 
 }  // namespace aces::runtime

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <map>
 #include <string>
@@ -21,7 +20,7 @@ namespace {
 /// the in-process backend cannot silently diverge from the socket one.
 struct FrameQueue {
   Mutex mu;
-  std::condition_variable_any cv;
+  CondVar cv;
   std::deque<std::vector<std::uint8_t>> frames ACES_GUARDED_BY(mu);
   bool closed ACES_GUARDED_BY(mu) = false;
 };
@@ -126,7 +125,7 @@ class InprocEndpoint final : public Endpoint {
 /// The connections made to one listener and not yet accepted.
 struct Backlog {
   Mutex mu;
-  std::condition_variable_any cv;
+  CondVar cv;
   std::deque<std::unique_ptr<Endpoint>> pending ACES_GUARDED_BY(mu);
   bool closed ACES_GUARDED_BY(mu) = false;
 };

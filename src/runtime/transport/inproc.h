@@ -1,6 +1,7 @@
 // In-process transport backend: a pair of Endpoints joined by two
 // bounded-growth frame queues (one per direction), synchronized with the
-// annotated aces::Mutex + condition_variable_any pattern.
+// annotated aces::Mutex + aces::CondVar pair, so each send wakes a waiting
+// receiver once.
 //
 // Frames cross the "pipe" as encoded bytes: send() moves the encoded
 // frames into the queue, and recv() splits them with the same

@@ -74,7 +74,7 @@ bool fields(Io& io, Ref<Io, Config> v) {
          io(v.channel_capacity) && io(v.heartbeat_interval) &&
          io(v.start_quantum) && io(v.topology) && io(v.faults) &&
          io(v.plan_cpu) && io(v.span_sample) && io(v.record_trace) &&
-         io(v.peers);
+         io(v.telemetry) && io(v.peers);
 }
 
 template <class Io>
@@ -284,9 +284,26 @@ struct Sizer {
   }
 };
 
-/// Fills a buffer a Sizer measured, advancing `at`. Every store goes through
-/// a local copy of the cursor: a byte store may alias the member, and
-/// storing through it directly forces a reload after every byte.
+/// An unsigned integer's bytes in wire (little-endian) order, and back: the
+/// object representation itself on a little-endian host, reversed on a
+/// big-endian one. One word moves per scalar, not one byte.
+template <class U>
+std::array<std::uint8_t, sizeof(U)> to_wire(U v) {
+  auto bytes = std::bit_cast<std::array<std::uint8_t, sizeof(U)>>(v);
+  if constexpr (std::endian::native == std::endian::big) {
+    std::ranges::reverse(bytes);
+  }
+  return bytes;
+}
+template <class U>
+U from_wire(std::array<std::uint8_t, sizeof(U)> bytes) {
+  if constexpr (std::endian::native == std::endian::big) {
+    std::ranges::reverse(bytes);
+  }
+  return std::bit_cast<U>(bytes);
+}
+
+/// Fills a buffer a Sizer measured, advancing `at`.
 struct Writer {
   static constexpr bool kReading = false;
   std::uint8_t* at = nullptr;
@@ -294,12 +311,8 @@ struct Writer {
   template <class U>
     requires std::is_unsigned_v<U>
   bool operator()(U v) {
-    const std::uint64_t x = v;
-    std::uint8_t* p = at;
-    for (std::size_t i = 0; i < sizeof(U); ++i) {
-      p[i] = static_cast<std::uint8_t>(x >> (8 * i));
-    }
-    at = p + sizeof(U);
+    const std::array<std::uint8_t, sizeof(U)> bytes = to_wire(v);
+    at = std::copy(bytes.begin(), bytes.end(), at);
     return true;
   }
   template <class S>
@@ -355,11 +368,13 @@ class Reader {
     requires std::is_unsigned_v<U>
   bool operator()(U& v) {
     if (left() < sizeof(U)) return truncated(sizeof(U));
-    std::uint64_t x = 0;
-    for (std::size_t i = 0; i < sizeof(U); ++i) {
-      x |= std::uint64_t{at_[i]} << (8 * i);
+    if constexpr (std::is_same_v<U, bool>) {
+      v = at_[0] != 0;  // a bool's only values are 0 and 1: no bit_cast
+    } else {
+      std::array<std::uint8_t, sizeof(U)> bytes;
+      std::copy_n(at_, sizeof(U), bytes.begin());
+      v = from_wire<U>(bytes);
     }
-    v = static_cast<U>(x);
     at_ += sizeof(U);
     return true;
   }

@@ -48,13 +48,14 @@
 namespace aces::runtime::wire {
 
 inline constexpr std::uint16_t kMagic = 0xACE5;
-/// Version 5: workers trade each quantum's cross-rank traffic in PeerBatch
-/// frames over direct links, so StepGo releases a segment of quanta and
-/// neither StepGo nor StepDone relays traffic; Hello carries the worker's
-/// peer-listener address and Config the live ranks' addresses; and Config
-/// carries the whole control::ControllerConfig. A version-4 peer is refused
-/// at the header.
-inline constexpr std::uint8_t kWireVersion = 5;
+/// Version 6: Config carries a `telemetry` byte, and a worker ships
+/// telemetry only when it is set. Version 5 moved each quantum's cross-rank
+/// traffic to PeerBatch frames over direct links, so StepGo releases a
+/// segment of quanta and neither StepGo nor StepDone relays traffic; Hello
+/// carries the worker's peer-listener address and Config the live ranks'
+/// addresses and the whole control::ControllerConfig. A version-5 peer is
+/// refused at the header.
+inline constexpr std::uint8_t kWireVersion = 6;
 /// Upper bound on a sane payload (config frames carry a whole topology, so
 /// this is generous; anything larger is treated as corruption).
 inline constexpr std::uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
@@ -122,6 +123,11 @@ struct Config {
   std::vector<double> plan_cpu;      ///< tier-1 cpu targets, by PeId
   double span_sample = 0.0;          ///< SDO span sample rate; 0 = tracing off
   std::uint8_t record_trace = 0;     ///< ship per-tick control TraceRecords
+  /// Ship telemetry: set when the coordinator has an aggregator. Without
+  /// it a worker sends no MetricsReport or FlightDump, and so builds no
+  /// span tracer and records no control tick, whatever span_sample and
+  /// record_trace say.
+  std::uint8_t telemetry = 0;
   /// By rank, the peer-listener address of every live rank other than this
   /// one, which the worker connects to; empty for the rest.
   std::vector<std::string> peers;
@@ -248,7 +254,7 @@ struct PerfCell {
 
 /// Epoch telemetry, sent at the end of every `substeps`-th quantum (always
 /// a segment's last, so just before its StepDone) and once more before the
-/// final Report. Counter deltas sum exactly at the coordinator; perf totals and
+/// final Report, by a worker whose Config sets `telemetry`. Counter deltas sum exactly at the coordinator; perf totals and
 /// gauges are whole-state last-writer-wins per rank. `spans` are the spans
 /// the worker finalized since its previous report, in finalize order: the
 /// coordinator rebuilds the shard's latency histograms and flight ring

@@ -35,6 +35,7 @@
 #include "control/config.h"
 #include "graph/topology_generator.h"
 #include "metrics/report_fingerprint.h"
+#include "obs/cluster_aggregate.h"
 #include "opt/global_optimizer.h"
 #include "runtime/dist_coordinator.h"
 #include "runtime/dist_options.h"
@@ -188,6 +189,9 @@ metrics::RunReport logged_run(const graph::ProcessingGraph& g,
   o.controller.policy = policy;
   o.channel_capacity = 2;  // small queues, so Lock-Step congests
   o.span_sample = sample;
+  // Workers sample spans only for a coordinator that aggregates them.
+  obs::ClusterAggregator aggregator;
+  o.aggregator = &aggregator;
   metrics::RunReport report;
   EXPECT_NO_THROW(report =
                       runtime::dist::run_distributed(g, opt::optimize(g), o));

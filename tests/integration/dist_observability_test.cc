@@ -11,17 +11,24 @@
 //    histograms (fed by quantum-grid virtual timestamps, stitched across
 //    wire hops) carry the same samples for any shard count.
 //
+// Observation is free until enabled: with no aggregator to read it, the
+// workers ship no telemetry and sample no span.
+//
 // Runs on the in-process transport: the telemetry path (frames to the
 // coordinator, deltas, spans stitched across peer batches) is identical
 // across transports, and the socket equivalence is pinned by
 // transport_differential_test.
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,6 +36,7 @@
 
 #include "control/config.h"
 #include "fault/fault_spec.h"
+#include "graph/serialization.h"
 #include "graph/topology_generator.h"
 #include "metrics/report_fingerprint.h"
 #include "obs/cluster_aggregate.h"
@@ -36,6 +44,7 @@
 #include "runtime/dist_coordinator.h"
 #include "runtime/dist_options.h"
 #include "runtime/dist_worker.h"
+#include "runtime/transport/inproc.h"
 #include "runtime/wire.h"
 
 namespace aces {
@@ -480,6 +489,173 @@ TEST(DistObservabilityTest, NewestFaultDumpIsTheNewestFault) {
   EXPECT_EQ(dump.event, "fault.pe_stall");
   EXPECT_NEAR(dump.time, 9.0, 1e-9) << "a stale dump from an earlier stall";
   EXPECT_EQ(agg.shard_statuses().at(rank).flight_dumps, 9u);
+}
+
+namespace transport = runtime::transport;
+namespace wire = runtime::wire;
+
+/// Forwards to a peer link, counting the span handoffs of the batches sent.
+class HandoffCounter final : public transport::Endpoint {
+ public:
+  HandoffCounter(std::unique_ptr<transport::Endpoint> inner,
+                 std::atomic<std::uint64_t>& handoffs)
+      : inner_(std::move(inner)), handoffs_(handoffs) {}
+
+  bool send(std::vector<std::uint8_t> frame) override {
+    const auto parsed = wire::parse_frame(frame.data(), frame.size());
+    if (parsed.has_value() && parsed->type == wire::FrameType::kPeerBatch) {
+      const auto batch = wire::decode_peer_batch(parsed->payload);
+      if (batch.has_value()) handoffs_ += batch->spans.size();
+    }
+    return inner_->send(std::move(frame));
+  }
+
+  transport::RecvStatus recv(wire::Frame* out, int timeout_ms) override {
+    return inner_->recv(out, timeout_ms);
+  }
+
+  void close() override { inner_->close(); }
+
+  [[nodiscard]] std::string_view last_error() const override {
+    return inner_->last_error();
+  }
+
+ private:
+  std::unique_ptr<transport::Endpoint> inner_;
+  std::atomic<std::uint64_t>& handoffs_;
+};
+
+/// What two workers sent while this test played their coordinator.
+struct WorkerTraffic {
+  std::uint64_t telemetry_frames = 0;  ///< MetricsReports and fault dumps
+  std::uint64_t span_handoffs = 0;     ///< spans riding their peer batches
+};
+
+/// The Config the coordinator sends a worker of options_with(2, …, 0.5) on
+/// `g`, with the telemetry bit `telemetry`; `rank` and `peers` are filled
+/// per worker.
+wire::Config config_for(const graph::ProcessingGraph& g,
+                        const opt::AllocationPlan& plan,
+                        std::uint8_t telemetry) {
+  const runtime::dist::DistOptions o = options_with(2, nullptr, 0.5);
+  wire::Config c;
+  c.num_workers = 2;
+  c.substeps = o.substeps;
+  c.seed = o.seed;
+  c.duration = o.duration;
+  c.warmup = o.warmup;
+  c.dt = o.dt;
+  c.controller = o.controller;
+  c.topology = graph::to_string(g);
+  for (const opt::PeAllocation& pe : plan.pe) c.plan_cpu.push_back(pe.cpu);
+  c.span_sample = o.span_sample;
+  c.telemetry = telemetry;
+  return c;
+}
+
+/// Plays the coordinator to two in-process workers running `c`: their
+/// handshakes, one segment of every quantum, the final StepGo and the
+/// Shutdown. Tallies what they send.
+WorkerTraffic drive_two_workers(wire::Config c) {
+  constexpr int kWaitMs = 10000;
+  WorkerTraffic traffic;
+  std::atomic<std::uint64_t> handoffs{0};
+  runtime::dist::PeerLinks links;
+  links.wrap = [&handoffs](std::uint32_t,
+                           std::unique_ptr<transport::Endpoint> link)
+      -> std::unique_ptr<transport::Endpoint> {
+    return std::make_unique<HandoffCounter>(std::move(link), handoffs);
+  };
+  // Receives from `ep` through the next frame of type `last`.
+  const auto through = [&traffic](transport::Endpoint& ep,
+                                  wire::FrameType last) {
+    for (;;) {
+      wire::Frame frame;
+      if (ep.recv(&frame, kWaitMs) != transport::RecvStatus::kOk) {
+        return false;
+      }
+      if (frame.type == wire::FrameType::kMetricsReport ||
+          frame.type == wire::FrameType::kFlightDump) {
+        ++traffic.telemetry_frames;
+      }
+      if (frame.type == last) return true;
+    }
+  };
+
+  std::vector<std::unique_ptr<transport::Endpoint>> coordinator;
+  std::vector<std::thread> workers;
+  c.peers.assign(c.num_workers, "");
+  for (std::uint32_t rank = 0; rank < c.num_workers; ++rank) {
+    auto [mine, theirs] = transport::make_inproc_pair();
+    workers.emplace_back([end = std::move(theirs), rank, &links] {
+      runtime::dist::worker_entry(*end, rank, links);
+    });
+    wire::Frame frame;
+    EXPECT_EQ(mine->recv(&frame, kWaitMs), transport::RecvStatus::kOk);
+    const auto hello = wire::decode_hello(frame.payload);
+    EXPECT_TRUE(hello.has_value());
+    c.rank = rank;
+    EXPECT_TRUE(mine->send(wire::encode(c)));
+    EXPECT_TRUE(through(*mine, wire::FrameType::kHello));
+    // Ranks that join later link to this one.
+    if (hello.has_value()) c.peers[rank] = hello->peer_address;
+    coordinator.push_back(std::move(mine));
+  }
+  wire::StepGo go;
+  go.count = static_cast<std::uint32_t>(std::llround(c.duration / c.dt)) *
+             c.substeps;
+  for (const auto& ep : coordinator) EXPECT_TRUE(ep->send(wire::encode(go)));
+  for (const auto& ep : coordinator) {
+    EXPECT_TRUE(through(*ep, wire::FrameType::kStepDone));
+  }
+  go.quantum = go.count;
+  go.count = 0;
+  go.flags = wire::kStepGoFinal;
+  for (const auto& ep : coordinator) {
+    EXPECT_TRUE(ep->send(wire::encode(go)));
+    EXPECT_TRUE(through(*ep, wire::FrameType::kReport));
+    ep->send(wire::encode_shutdown());
+    ep->close();
+  }
+  for (std::thread& worker : workers) worker.join();
+  traffic.span_handoffs = handoffs;
+  return traffic;
+}
+
+TEST(DistObservabilityTest, WithoutAnAggregatorWorkersShipNoTelemetry) {
+  const graph::ProcessingGraph g = test_graph();
+  const opt::AllocationPlan plan = opt::optimize(g);
+
+  // Sampling asked for, but no aggregator: the coordinator reads no
+  // telemetry frame. With one it reads every frame the shards report, and
+  // the work is the same.
+  runtime::dist::DistStats bare_stats;
+  const metrics::RunReport bare = runtime::dist::run_distributed(
+      g, plan, options_with(2, nullptr, 0.5), &bare_stats);
+  obs::ClusterAggregator agg;
+  runtime::dist::DistStats agg_stats;
+  const metrics::RunReport aggregated = runtime::dist::run_distributed(
+      g, plan, options_with(2, &agg, 0.5), &agg_stats);
+  ASSERT_GT(bare.sdos_processed, 0u);
+  EXPECT_EQ(bare_stats.telemetry_frames_received, 0u);
+  std::uint64_t shipped = 0;
+  for (const auto& [rank, status] : agg.shard_statuses()) {
+    shipped += status.metrics_reports + status.flight_dumps;
+  }
+  EXPECT_GT(shipped, 0u);
+  EXPECT_EQ(agg_stats.telemetry_frames_received, shipped);
+  EXPECT_EQ(metrics::work_fingerprint(bare),
+            metrics::work_fingerprint(aggregated));
+
+  // The workers themselves, driven by hand: without the Config's telemetry
+  // bit they build no span tracer, so no span rides a peer batch and none
+  // completes to be kept unread. With it, spans cross and ship.
+  const WorkerTraffic off = drive_two_workers(config_for(g, plan, 0));
+  EXPECT_EQ(off.telemetry_frames, 0u);
+  EXPECT_EQ(off.span_handoffs, 0u);
+  const WorkerTraffic on = drive_two_workers(config_for(g, plan, 1));
+  EXPECT_GT(on.telemetry_frames, 0u);
+  EXPECT_GT(on.span_handoffs, 0u);
 }
 
 TEST(DistObservabilityTest, ProcKilledShardsLastSpansStayReadable) {

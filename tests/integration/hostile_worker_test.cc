@@ -13,16 +13,22 @@
 // late, not malformed: the shard stays alive and the run does the same
 // work as a clean one.
 //
+// A coordinator with no aggregator asks for no telemetry, but it still
+// reads what arrives: a malformed MetricsReport is a death all the same.
+//
 // Provides its own main(): this binary is also the worker executable. Rank
 // 1 is the real worker with its peer links wrapped (the PeerLinks seam): the
 // first batch it sends that carries a delivery gets one bad index, chosen by
 // the name of the run's socket directory. When that directory is an
 // `aces-split-` one, every rank is instead the real worker behind an
-// endpoint that writes one StepDone in two halves.
+// endpoint that writes one StepDone in two halves; when it is an
+// `aces-chatty-` one, rank 0 is the real worker behind an endpoint that
+// sends a malformed MetricsReport with its first StepDone.
 #include <stdlib.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -321,6 +327,113 @@ TEST(PartialFrameTest, AFrameStillArrivingWhenASliceEndsKeepsItsShard) {
   EXPECT_EQ(metrics::work_fingerprint(report), clean);
 }
 
+/// The rank that sends unasked, malformed telemetry in an `aces-chatty-`
+/// run: node 0's, which hosts no ingress PE of the test topology, so the
+/// other shard keeps processing after it dies.
+constexpr std::uint32_t kChattyRank = 0;
+
+/// Forwards to a coordinator link, except that the send carrying the first
+/// StepDone starts with a MetricsReport too short to hold its quantum.
+class ChattyEndpoint final : public runtime::transport::Endpoint {
+ public:
+  explicit ChattyEndpoint(std::unique_ptr<runtime::transport::Endpoint> inner)
+      : inner_(std::move(inner)) {}
+
+  bool send(std::vector<std::uint8_t> frames) override {
+    if (carries_step_done(frames) && !sent_.exchange(true)) {
+      const auto header =
+          wire::frame_header(wire::FrameType::kMetricsReport, 1);
+      frames.insert(frames.begin(), 0);
+      frames.insert(frames.begin(), header.begin(), header.end());
+    }
+    return inner_->send(std::move(frames));
+  }
+
+  runtime::transport::RecvStatus recv(wire::Frame* out,
+                                      int timeout_ms) override {
+    return inner_->recv(out, timeout_ms);
+  }
+
+  void close() override { inner_->close(); }
+
+  [[nodiscard]] std::string_view last_error() const override {
+    return inner_->last_error();
+  }
+
+ private:
+  static bool carries_step_done(const std::vector<std::uint8_t>& frames) {
+    std::size_t at = 0;
+    while (at < frames.size()) {
+      const auto extent =
+          wire::frame_extent(frames.data() + at, frames.size() - at);
+      if (!extent.has_value() || extent->bytes > frames.size() - at) break;
+      if (extent->type == wire::FrameType::kStepDone) return true;
+      at += extent->bytes;
+    }
+    return false;
+  }
+
+  std::unique_ptr<runtime::transport::Endpoint> inner_;
+  std::atomic<bool> sent_{false};
+};
+
+int chatty_worker(std::uint32_t rank, const std::string& uds_path) {
+  std::string error;
+  auto ep = runtime::transport::connect_uds(uds_path, 10000, &error);
+  if (ep == nullptr) return 1;
+  ChattyEndpoint chatty(std::move(ep));
+  runtime::dist::PeerLinks peers;
+  peers.kind = runtime::transport::TransportKind::kUds;
+  peers.coordinator_path = uds_path;
+  return runtime::dist::worker_entry(chatty, rank, peers);
+}
+
+TEST(UnaskedTelemetryTest, AMalformedMetricsReportIsStillADeath) {
+  graph::TopologyParams p;
+  p.num_nodes = 3;
+  p.num_ingress = 2;
+  p.num_intermediate = 4;
+  p.num_egress = 2;
+  p.depth = 2;
+  const graph::ProcessingGraph g = generate_topology(p, 21);
+  const opt::AllocationPlan plan = opt::optimize(g);
+
+  // No aggregator, so the workers are told to ship no telemetry.
+  runtime::dist::DistOptions o;
+  o.duration = 1.0;
+  o.warmup = 0.2;
+  o.processes = 2;
+  o.transport = runtime::transport::TransportKind::kUds;
+  std::string dir = ::testing::TempDir() + "aces-chatty-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  o.uds_dir = dir;
+  o.controller.policy = control::FlowPolicy::kAces;
+  runtime::dist::DistStats stats;
+
+  metrics::RunReport report;
+  EXPECT_NO_THROW(report = runtime::dist::run_distributed(g, plan, o, &stats));
+  EXPECT_EQ(::rmdir(dir.c_str()), 0) << "a socket file outlived the run";
+  // The one telemetry frame was read and refused: its sender was declared
+  // dead, so tier 1 was re-solved around its nodes and its PEs report
+  // nothing, while the honest shard kept working.
+  EXPECT_EQ(stats.telemetry_frames_received, 1u);
+  EXPECT_EQ(stats.reoptimizations, 1u);
+  EXPECT_EQ(stats.orphans_reaped, 0u);
+  const auto [begin, end] =
+      runtime::dist::shard_range(kChattyRank, 2, g.node_count());
+  std::uint64_t honest = 0;
+  for (const PeId id : g.all_pes()) {
+    const std::size_t node = g.pe(id).node.value();
+    const std::uint64_t processed = report.per_pe.at(id.value()).processed;
+    if (node >= begin && node < end) {
+      EXPECT_EQ(processed, 0u) << "PE " << id.value() << " of the dead shard";
+    } else {
+      honest += processed;
+    }
+  }
+  EXPECT_GT(honest, 0u);
+}
+
 }  // namespace
 }  // namespace aces
 
@@ -336,6 +449,10 @@ int main(int argc, char** argv) {
     if (uds.find("/aces-split-") != std::string::npos) {
       return aces::split_worker(
           static_cast<std::uint32_t>(std::stoul(rank)), uds);
+    }
+    if (uds.find("/aces-chatty-") != std::string::npos &&
+        rank == std::to_string(aces::kChattyRank)) {
+      return aces::chatty_worker(aces::kChattyRank, uds);
     }
     const std::size_t at = uds.find(aces::kHostileDir);
     if (rank == std::to_string(aces::kHostileRank) &&

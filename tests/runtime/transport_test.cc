@@ -4,7 +4,9 @@
 // one frame a byte at a time, a partial header, a close mid-payload, and
 // headers that must be refused before any payload is awaited. The
 // in-process pair must yield the same Frames for the same encoded bytes.
+#include <sched.h>
 #include <stdlib.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -326,6 +328,84 @@ TEST(InProcEndpointTest, RefusesWhatTheSocketRefuses) {
   ASSERT_TRUE(near->send(raw_header(wire::FrameType::kConfig, 0xFFFFFFF0u)));
   EXPECT_EQ(far->recv(&got, kWaitMs), RecvStatus::kError);
   EXPECT_EQ(far->last_error(), "payload length exceeds cap");
+}
+
+/// Context switches, voluntary and involuntary, of every thread of this
+/// process so far.
+long context_switches() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_nvcsw + usage.ru_nivcsw;
+}
+
+/// Pins the calling thread, and the threads it starts, to one CPU it may
+/// use while in scope.
+class PinnedToOneCpu {
+ public:
+  PinnedToOneCpu() {
+    ok_ = ::sched_getaffinity(0, sizeof saved_, &saved_) == 0;
+    int cpu = 0;
+    while (ok_ && cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved_)) ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ok_ = ok_ && cpu < CPU_SETSIZE &&
+          ::sched_setaffinity(0, sizeof one, &one) == 0;
+  }
+  ~PinnedToOneCpu() {
+    if (ok_) ::sched_setaffinity(0, sizeof saved_, &saved_);
+  }
+  PinnedToOneCpu(const PinnedToOneCpu&) = delete;
+  PinnedToOneCpu& operator=(const PinnedToOneCpu&) = delete;
+
+  [[nodiscard]] bool ok() const { return ok_; }
+
+ private:
+  cpu_set_t saved_{};
+  bool ok_ = false;
+};
+
+/// Receives one frame, waiting in the worker's 20-ms slices.
+RecvStatus recv_in_slices(Endpoint& ep, wire::Frame* frame) {
+  RecvStatus status = RecvStatus::kTimeout;
+  while (status == RecvStatus::kTimeout) status = ep.recv(frame, 20);
+  return status;
+}
+
+/// Each handoff wakes its receiver once. On one CPU, as perfbench runs, a
+/// round trip then costs two context switches: each side sleeps once while
+/// the other works. A notify that signals under a lock of its own (as
+/// std::condition_variable_any does) wakes the receiver into that lock, so
+/// it sleeps again and the sender switches back: 3.5 or more a round trip.
+TEST(InProcEndpointTest, RoundTripWakesEachSideOnce) {
+  constexpr int kRoundTrips = 20000;
+  const PinnedToOneCpu pinned;
+  ASSERT_TRUE(pinned.ok());
+  auto [near, far] = make_inproc_pair();
+  Endpoint& echo_end = *far;
+  const Bytes heartbeat = wire::encode(wire::Heartbeat{});
+  const long before = context_switches();
+  std::thread echo([&echo_end, &heartbeat] {
+    wire::Frame frame;
+    for (int i = 0; i < kRoundTrips; ++i) {
+      if (recv_in_slices(echo_end, &frame) != RecvStatus::kOk ||
+          !echo_end.send(heartbeat)) {
+        return;
+      }
+    }
+  });
+  int completed = 0;
+  wire::Frame frame;
+  while (completed < kRoundTrips && near->send(heartbeat) &&
+         recv_in_slices(*near, &frame) == RecvStatus::kOk) {
+    ++completed;
+  }
+  near->close();
+  echo.join();
+  const long switches = context_switches() - before;
+  ASSERT_EQ(completed, kRoundTrips);
+  const double per_round_trip = static_cast<double>(switches) / kRoundTrips;
+  EXPECT_LE(per_round_trip, 2.5) << switches << " context switches";
 }
 
 /// A listener of each transport is reached by its address alone, so a

@@ -124,6 +124,7 @@ Config random_config(Rng& rng) {
   c.plan_cpu = random_doubles(rng, 64);
   c.span_sample = rng.uniform(0.0, 1.0);
   c.record_trace = rng.bernoulli(0.5) ? 1 : 0;
+  c.telemetry = rng.bernoulli(0.5) ? 1 : 0;
   c.peers.resize(static_cast<std::size_t>(rng.uniform_int(0, 8)));
   for (std::string& peer : c.peers) peer = random_string(rng, 108);
   return c;
@@ -450,6 +451,7 @@ TEST(WireRoundTrip, ConfigSeeded) {
     expect_doubles_eq(out->plan_cpu, in.plan_cpu);
     EXPECT_TRUE(bits_equal(out->span_sample, in.span_sample));
     EXPECT_EQ(out->record_trace, in.record_trace);
+    EXPECT_EQ(out->telemetry, in.telemetry);
     EXPECT_EQ(out->peers, in.peers);
   }
 }
@@ -633,7 +635,7 @@ TEST(WireRoundTrip, Shutdown) {
 
 TEST(WireGolden, HeaderLayout) {
   const auto h = frame_header(FrameType::kStepGo, 0xAABBCCDD);
-  const std::uint8_t want[8] = {0xE5, 0xAC, 0x05, 0x03, 0xDD, 0xCC, 0xBB, 0xAA};
+  const std::uint8_t want[8] = {0xE5, 0xAC, 0x06, 0x03, 0xDD, 0xCC, 0xBB, 0xAA};
   EXPECT_EQ(0, std::memcmp(h.data(), want, sizeof want));
 }
 
@@ -643,7 +645,7 @@ TEST(WireGolden, HelloBytes) {
   h.peer_address = "p";
   const auto frame = encode(h);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x05, 0x01, 0x09, 0x00, 0x00, 0x00,  // header, len 9
+      0xE5, 0xAC, 0x06, 0x01, 0x09, 0x00, 0x00, 0x00,  // header, len 9
       0x04, 0x03, 0x02, 0x01,                          // rank LE
       0x01, 0x00, 0x00, 0x00, 0x70,                    // peer_address "p"
   };
@@ -654,7 +656,7 @@ TEST(WireGolden, HelloBytes) {
 TEST(WireGolden, HeartbeatBytes) {
   const auto frame = encode(Heartbeat{});
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x05, 0x05, 0x00, 0x00, 0x00, 0x00,  // header, no payload
+      0xE5, 0xAC, 0x06, 0x05, 0x00, 0x00, 0x00, 0x00,  // header, no payload
   };
   ASSERT_EQ(frame.size(), sizeof want);
   EXPECT_EQ(0, std::memcmp(frame.data(), want, sizeof want));
@@ -663,7 +665,7 @@ TEST(WireGolden, HeartbeatBytes) {
 TEST(WireGolden, ShutdownBytes) {
   const auto frame = encode_shutdown();
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x05, 0x08, 0x00, 0x00, 0x00, 0x00,  // header, no payload
+      0xE5, 0xAC, 0x06, 0x08, 0x00, 0x00, 0x00, 0x00,  // header, no payload
   };
   ASSERT_EQ(frame.size(), sizeof want);
   EXPECT_EQ(0, std::memcmp(frame.data(), want, sizeof want));
@@ -675,7 +677,7 @@ TEST(WireGolden, MetricsReportBytes) {
   m.counters.push_back({"a", 3});
   const auto frame = encode(m);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x05, 0x09, 0x29, 0x00, 0x00, 0x00,  // header, len 41
+      0xE5, 0xAC, 0x06, 0x09, 0x29, 0x00, 0x00, 0x00,  // header, len 41
       0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // quantum
       0x01, 0x00, 0x00, 0x00,                          // 1 counter
       0x01, 0x00, 0x00, 0x00, 0x61,                    // name "a"
@@ -696,7 +698,7 @@ TEST(WireGolden, FlightDumpBytes) {
   d.pushed = 5;
   const auto frame = encode(d);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x05, 0x0A, 0x1D, 0x00, 0x00, 0x00,  // header, len 29
+      0xE5, 0xAC, 0x06, 0x0A, 0x1D, 0x00, 0x00, 0x00,  // header, len 29
       0x01, 0x00, 0x00, 0x00, 0x78,                    // event "x"
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // time 0.0
       0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // pushed
@@ -738,10 +740,11 @@ TEST(WireGolden, ConfigBytes) {
   c.plan_cpu = {1.0};
   c.span_sample = 0.5;
   c.record_trace = 1;
+  c.telemetry = 1;
   c.peers = {"a", ""};
   const auto frame = encode(c);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x05, 0x02, 0xCA, 0x00, 0x00, 0x00,  // header, len 202
+      0xE5, 0xAC, 0x06, 0x02, 0xCB, 0x00, 0x00, 0x00,  // header, len 203
       0x01, 0x00, 0x00, 0x00,                          // rank
       0x02, 0x00, 0x00, 0x00,                          // num_workers
       0x04, 0x00, 0x00, 0x00,                          // substeps
@@ -773,6 +776,7 @@ TEST(WireGolden, ConfigBytes) {
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  //   1.0
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // span_sample 0.5
       0x01,                                            // record_trace
+      0x01,                                            // telemetry
       0x02, 0x00, 0x00, 0x00,                          // 2 peers
       0x01, 0x00, 0x00, 0x00, 0x61,                    //   "a"
       0x00, 0x00, 0x00, 0x00,                          //   ""
@@ -789,7 +793,7 @@ TEST(WireGolden, StepGoBytes) {
   g.up_nodes = {6};
   const auto frame = encode(g);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x05, 0x03, 0x21, 0x00, 0x00, 0x00,  // header, len 33
+      0xE5, 0xAC, 0x06, 0x03, 0x21, 0x00, 0x00, 0x00,  // header, len 33
       0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // quantum
       0x10, 0x00, 0x00, 0x00,                          // count
       0x01,                                            // flags: final
@@ -810,7 +814,7 @@ TEST(WireGolden, StepDoneBytes) {
   d.rejected = {1};
   const auto frame = encode(d);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x05, 0x04, 0x48, 0x00, 0x00, 0x00,  // header, len 72
+      0xE5, 0xAC, 0x06, 0x04, 0x48, 0x00, 0x00, 0x00,  // header, len 72
       0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // quantum
       0x00, 0x00, 0x00, 0x00,                          // deliveries {}
       0x00, 0x00, 0x00, 0x00,                          // adverts {}
@@ -846,7 +850,7 @@ TEST(WireGolden, PeerBatchBytes) {
   b.congested_pes = {5};
   const auto frame = encode(b);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x05, 0x0B, 0xA3, 0x00, 0x00, 0x00,  // header, len 163
+      0xE5, 0xAC, 0x06, 0x0B, 0xA3, 0x00, 0x00, 0x00,  // header, len 163
       0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // quantum
       0x01, 0x00, 0x00, 0x00,                          // 1 delivery
       0x07, 0x00, 0x00, 0x00,                          //   dest_pe
@@ -884,7 +888,7 @@ TEST(WireGolden, TargetsBytes) {
   t.cpu = {0.5, 2.0};
   const auto frame = encode(t);
   const std::uint8_t want[] = {
-      0xE5, 0xAC, 0x05, 0x06, 0x14, 0x00, 0x00, 0x00,  // header, len 20
+      0xE5, 0xAC, 0x06, 0x06, 0x14, 0x00, 0x00, 0x00,  // header, len 20
       0x02, 0x00, 0x00, 0x00,                          // 2 cpu targets
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  //   0.5
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  //   2.0
@@ -912,7 +916,7 @@ TEST(WireGolden, ReportBytes) {
   rep.reoptimizations = 12;
   const auto frame = encode(r);
   std::vector<std::uint8_t> want = {
-      0xE5, 0xAC, 0x05, 0x07, 0x44, 0x07, 0x00, 0x00,  // header, len 1860
+      0xE5, 0xAC, 0x06, 0x07, 0x44, 0x07, 0x00, 0x00,  // header, len 1860
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  // measured_seconds 2.0
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // weighted_tput 0.5
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // output_rate 1.0
@@ -1028,12 +1032,12 @@ TEST(WireReject, BadVersion) {
   WireError err;
   EXPECT_FALSE(parse_frame(frame.data(), frame.size(), &err).has_value());
   EXPECT_NE(err.reason.find("version"), std::string::npos);
-  // A version-4 peer is refused at the header, before any field is read.
-  ASSERT_EQ(kWireVersion, 5);
-  frame[2] = 4;
-  WireError v4;
-  EXPECT_FALSE(parse_frame(frame.data(), frame.size(), &v4).has_value());
-  EXPECT_EQ(v4.reason, "unsupported wire version");
+  // A version-5 peer is refused at the header, before any field is read.
+  ASSERT_EQ(kWireVersion, 6);
+  frame[2] = 5;
+  WireError v5;
+  EXPECT_FALSE(parse_frame(frame.data(), frame.size(), &v5).has_value());
+  EXPECT_EQ(v5.reason, "unsupported wire version");
 }
 
 TEST(WireReject, BadFrameType) {

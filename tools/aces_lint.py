@@ -57,6 +57,14 @@ lock-annotated and allocation-free; see docs/performance.md):
 * ``raw-delete``      -- `delete` expressions, for the same reason (and
                          because a matching raw delete implies a raw
                          owning pointer the annotations cannot see).
+* ``raw-condvar``     -- std::condition_variable and
+                         std::condition_variable_any. Waits use
+                         common/mutex.h's aces::CondVar, which waits on an
+                         aces::Mutex (so the analysis sees the lock) and
+                         wakes its waiter once: condition_variable_any
+                         notifies under a mutex of its own, which a woken
+                         waiter on the same CPU finds taken and sleeps on
+                         again.
 
 ``atomics`` files (src/runtime and src/obs — the lock-free algorithms
 the bounded model checker must be able to interpose on; see
@@ -182,6 +190,13 @@ HOTPATH_RULES = [
         re.compile(r"\bdelete\s*(?:\[\s*\]\s*)?[A-Za-z_(*]"),
         "raw `delete` in the data plane; owning raw pointers defeat both "
         "the allocation gate and the annotations — use RAII",
+    ),
+    (
+        "raw-condvar",
+        re.compile(r"\bstd::condition_variable(?:_any)?\b"),
+        "raw std::condition_variable in the data plane; use aces::CondVar "
+        "(common/mutex.h), which waits on an aces::Mutex and wakes its "
+        "waiter once",
     ),
 ]
 

@@ -70,6 +70,19 @@ class FixtureTests(unittest.TestCase):
         self.assertEqual(sorted(f.line for f in findings),
                          [10, 11, 14, 15, 16, 21])
 
+    def test_bad_condvar_flags_raw_condition_variables(self):
+        findings = lint_fixture("bad_condvar.cc", {"hotpath"})
+        self.assertEqual(rules(findings), ["raw-condvar"] * 4)
+        # The header include (line 4), aces::CondVar (14, 25) and the
+        # reasoned stop_token allow (32) stay clean.
+        self.assertEqual(sorted(f.line for f in findings), [9, 10, 15, 18])
+
+    def test_condvar_rule_does_not_apply_outside_the_hotpath(self):
+        # common/mutex.h builds aces::CondVar on std::condition_variable.
+        findings = lint_fixture("bad_condvar.cc",
+                                {"fingerprint", "atomics", "wire"})
+        self.assertEqual(findings, [])
+
     def test_bad_wire_flags_struct_overlays_only(self):
         findings = lint_fixture("bad_wire.cc", {"wire"})
         self.assertEqual(
